@@ -1,0 +1,88 @@
+"""One poll tick at the large DCN's full size.
+
+ROADMAP item 1's target: digest one 15-minute poll of the paper's 350K
+links (§2) in well under a second.  This times ``SnmpPoller.poll_once``
+(collect → transport → sanitize → store as one array pass, per-sample code
+only for the rows a telemetry fault touched) on ``LARGE_DCN.build(scale=
+1.0)`` — 36,864 links, 73,728 directions — under the ``none``, ``mild``
+and ``harsh`` chaos presets, and scales the per-direction figure to 350K
+links.  Recorded to ``benchmarks/results/runtime_poll_tick.{txt,json}``.
+
+The closed-loop end-to-end numbers (sensing, controller, snapshots
+included) are the ``chaos_*`` workloads of ``python3 -m bench.run``; this
+isolates the telemetry path at a size those do not reach.
+"""
+
+import time
+
+from conftest import write_benchmark_json, write_report
+
+from repro.faults import FaultyTransport
+from repro.simulation.chaos import chaos_preset
+from repro.telemetry import SnmpPoller, TelemetrySanitizer, TelemetryStore
+from repro.topology import sprinkle_corruption
+from repro.workloads import LARGE_DCN
+
+PRESETS = ("none", "mild", "harsh")
+PAPER_LINKS = 350_000
+#: Ticks timed per preset, after two that seed baselines and build the
+#: direction table.
+TICKS = 6
+#: Gate, with room for a slow CI box.  Measured on the 2-core reference
+#: host: none 0.22 s, mild 0.54 s ("well under a second"), harsh 1.7 s
+#: (a tenth of its rows take the per-sample path).  The per-sample loop
+#: this replaced needs ~8 s under any preset.
+CEILING_350K_S = 3.0
+
+
+def _packets(_did, _t):
+    return 10_000_000
+
+
+def _tick_seconds(preset: str):
+    topo = LARGE_DCN.build(scale=1.0)
+    sprinkle_corruption(topo, fraction=0.02)
+    transport = FaultyTransport(chaos_preset(preset, seed=1))
+    sanitizer = TelemetrySanitizer()
+    poller = SnmpPoller(
+        topo,
+        TelemetryStore(),
+        packets_fn=_packets,
+        transport=transport,
+        sanitizer=sanitizer,
+    )
+    poller.run(2)
+    ticks = []
+    for _ in range(TICKS):
+        start = time.perf_counter()
+        poller.poll_once()
+        ticks.append(time.perf_counter() - start)
+    directions = 2 * topo.num_links
+    handled = sanitizer.stats.samples + sanitizer.stats.missing
+    assert handled >= (TICKS + 1) * directions * 0.7
+    return sorted(ticks)[len(ticks) // 2], directions
+
+
+def test_poll_tick_at_paper_scale():
+    lines = [
+        "one SnmpPoller.poll_once on LARGE_DCN.build(scale=1.0), "
+        f"median of {TICKS} ticks",
+        f"{'preset':<8}{'directions':>12}{'tick_ms':>10}"
+        f"{'us/direction':>14}{'350K-link tick_s':>18}",
+    ]
+    metrics = {}
+    for preset in PRESETS:
+        tick_s, directions = _tick_seconds(preset)
+        us_per_direction = tick_s / directions * 1e6
+        at_paper_scale_s = us_per_direction * 1e-6 * 2 * PAPER_LINKS
+        lines.append(
+            f"{preset:<8}{directions:>12}{tick_s * 1e3:>10.1f}"
+            f"{us_per_direction:>14.3f}{at_paper_scale_s:>18.3f}"
+        )
+        metrics[f"{preset}_directions"] = directions
+        metrics[f"{preset}_tick_ms"] = tick_s * 1e3
+        metrics[f"{preset}_us_per_direction"] = us_per_direction
+        metrics[f"{preset}_tick_s_at_350k_links"] = at_paper_scale_s
+        assert at_paper_scale_s < CEILING_350K_S, (preset, at_paper_scale_s)
+    write_report("runtime_poll_tick", lines)
+    write_benchmark_json("runtime_poll_tick", metrics)

@@ -25,10 +25,14 @@ touches this module.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from repro.telemetry.columns import EXACT_INT
 from repro.telemetry.counters import CounterSnapshot
 from repro.telemetry.poller import OpticalReading
 from repro.telemetry.sanitizer import COUNTER_32BIT_MODULUS
@@ -227,6 +231,34 @@ class DelayedSampleFault(TelemetryFault):
         return out
 
 
+#: The built-in faults in the order ``TelemetryFaultConfig`` chains them;
+#: :meth:`FaultyTransport.deliver_rows` has an array form for exactly
+#: these, in exactly this order.
+_CONFIG_ORDER = (
+    CounterResetFault,
+    FrozenCounterFault,
+    CounterWrapFault,
+    MissedPollFault,
+    DelayedSampleFault,
+    DuplicateSampleFault,
+)
+
+
+class _Replay:
+    """Stands in for the transport RNG while one row re-runs through the
+    scalar chain: hands back the draws :meth:`FaultyTransport.deliver_rows`
+    already took for that row, then draws from the live RNG."""
+
+    def __init__(self, rng: random.Random, drawn: List[float]):
+        self._rng = rng
+        self._drawn = drawn[::-1]
+
+    def random(self) -> float:
+        if self._drawn:
+            return self._drawn.pop()
+        return self._rng.random()
+
+
 class FaultyTransport:
     """Chains seeded telemetry faults behind the poller's transport hook.
 
@@ -297,6 +329,119 @@ class FaultyTransport:
         else:
             self.polls_missed += 1
         return samples
+
+    def _config_chain(self) -> Optional[List[Optional[TelemetryFault]]]:
+        """The chain laid out over :data:`_CONFIG_ORDER` (``None`` for an
+        absent fault), or ``None`` when it is anything else: a subclass, a
+        user fault, a repeated or reordered built-in."""
+        slots: List[Optional[TelemetryFault]] = [None] * len(_CONFIG_ORDER)
+        last = -1
+        for fault in self._faults:
+            if type(fault) not in _CONFIG_ORDER:
+                return None
+            position = _CONFIG_ORDER.index(type(fault))
+            if position <= last:
+                return None
+            slots[position] = fault
+            last = position
+        return slots
+
+    def deliver_rows(
+        self,
+        direction_ids: Sequence[DirectionId],
+        time_s: float,
+        total: np.ndarray,
+        errors: np.ndarray,
+        drops: np.ndarray,
+    ) -> Tuple[
+        np.ndarray,
+        np.ndarray,
+        np.ndarray,
+        np.ndarray,
+        Dict[int, List[CounterSnapshot]],
+    ]:
+        """Array form of :meth:`deliver` for one poll tick.
+
+        Row ``i`` is the raw snapshot ``(time_s, total[i], errors[i],
+        drops[i])`` of ``direction_ids[i]`` (int64 counters in
+        ``[0, 2**53)``).  The result is exactly what calling
+        :meth:`deliver` row by row would produce, with every RNG draw
+        taken in that order, but only the rows a fault touches go through
+        it: a row that carries per-direction fault state (rebased, frozen,
+        held) or on which a reset, freeze, delay or duplicate fires now
+        — and every row when the chain is not the one a
+        :class:`TelemetryFaultConfig` builds.
+
+        Returns:
+            ``(total, errors, drops, missed, scalar)``: the delivered
+            counters of the rows that got their one snapshot through
+            (wrap applied), a mask of rows where nothing arrived, and
+            ``{row: delivered snapshots}`` for the rows that went through
+            :meth:`deliver`, whose array entries mean nothing.
+        """
+        rows = len(direction_ids)
+        missed = np.zeros(rows, dtype=bool)
+        scalar: Dict[int, List[CounterSnapshot]] = {}
+
+        def through_chain(row: int, drawn: List[float]) -> None:
+            live = self._rng
+            self._rng = _Replay(live, drawn) if drawn else live
+            try:
+                scalar[row] = self.deliver(
+                    direction_ids[row],
+                    CounterSnapshot(
+                        time_s, int(total[row]), int(errors[row]),
+                        int(drops[row]),
+                    ),
+                )
+            finally:
+                self._rng = live
+
+        chain = self._config_chain()
+        if chain is None:
+            for row in range(rows):
+                through_chain(row, [])
+            return total, errors, drops, missed, scalar
+        reset, freeze, wrap, miss, delay, duplicate = chain
+        drawing = [f for f in (reset, freeze, miss, delay, duplicate) if f]
+        if drawing:
+            stateful = set()
+            if reset is not None:
+                stateful.update(reset._base)
+            if freeze is not None:
+                stateful.update(
+                    did for did, left in freeze._remaining.items() if left > 0
+                )
+            if delay is not None:
+                stateful.update(delay._held)
+            rand = self._rng.random
+            for row, did in enumerate(direction_ids):
+                if stateful and did in stateful:
+                    through_chain(row, [])
+                    continue
+                for fault in drawing:
+                    draw = rand()
+                    if draw < fault.rate:
+                        break
+                else:
+                    continue
+                if fault is miss:
+                    # Nothing downstream of a miss draws, or keeps state
+                    # for a stateless row.
+                    missed[row] = True
+                else:
+                    # The faults before this one drew values that did not
+                    # fire; infinity replays "did not fire".
+                    through_chain(
+                        row, [math.inf] * drawing.index(fault) + [draw]
+                    )
+        if wrap is not None and wrap.modulus < EXACT_INT:
+            m = wrap.modulus
+            total, errors, drops = total % m, errors % m, drops % m
+        lost = int(np.count_nonzero(missed))
+        self.polls_missed += lost
+        self.polls_delivered += rows - lost - len(scalar)
+        return total, errors, drops, missed, scalar
 
     def deliver_optical(
         self, link_id: LinkId, reading: OpticalReading

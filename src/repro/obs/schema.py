@@ -540,7 +540,7 @@ def validate_sweep_jsonl(lines: Sequence[str]) -> List[str]:
 #: import-light; pinned against :mod:`repro.service.checkpoint` by the
 #: service tests.
 CHECKPOINT_FORMAT = "repro-checkpoint"
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 
 #: Service-report literals, pinned against :mod:`repro.service.service`.
 SERVICE_REPORT_FORMAT = "repro-service-report"

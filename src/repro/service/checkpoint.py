@@ -2,7 +2,7 @@
 
 A checkpoint file is one JSON header line followed by a pickle payload::
 
-    {"format": "repro-checkpoint", "format_version": 1, ...}\\n
+    {"format": "repro-checkpoint", "format_version": 2, ...}\\n
     <pickle bytes of the whole ControllerService object graph>
 
 The header carries provenance (format, versions, sim time, boundary
@@ -32,7 +32,8 @@ from repro._version import __version__
 
 CHECKPOINT_FORMAT = "repro-checkpoint"
 #: Bumped when the header or payload layout changes incompatibly.
-CHECKPOINT_FORMAT_VERSION = 1
+#: 2: poller, sanitizer and store keep per-direction state in numpy columns.
+CHECKPOINT_FORMAT_VERSION = 2
 
 #: Fixed protocol so checkpoints written on newer interpreters stay
 #: readable on the older end of the supported range.

@@ -18,24 +18,15 @@ fully accounted — see :meth:`BoundedWorkQueue.accounting_ok`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from dataclasses import replace
+from typing import Optional
+
+import numpy as np
 
 from repro.service.queues import DROPPED, BoundedWorkQueue
-from repro.telemetry.poller import SnmpPoller
+from repro.telemetry.poller import SnmpPoller, TelemetryBatch
 
-
-@dataclass(frozen=True)
-class TelemetryBatch:
-    """One batched SNMP-style push: a slice of a poll's deliveries.
-
-    ``deliveries`` is a tuple of ``(direction_id, (snapshot, ...))``
-    pairs exactly as produced by the collect phase (already routed
-    through the fault transport, so chaos faults live in the stream).
-    """
-
-    time_s: float
-    deliveries: Tuple[tuple, ...]
+__all__ = ["IngestingPoller", "TelemetryBatch"]
 
 
 class IngestingPoller(SnmpPoller):
@@ -45,8 +36,10 @@ class IngestingPoller(SnmpPoller):
 
     1. **collect** — accumulate device counters and run the (possibly
        fault-injecting) transport, as in :class:`SnmpPoller`;
-    2. **push** — slice the deliveries into :class:`TelemetryBatch`
-       pushes of ``batch_size`` directions and offer each to the queue;
+    2. **push** — slice the tick's :class:`~repro.telemetry.poller.
+       TelemetryBatch` (already routed through the fault transport, so
+       chaos faults live in the stream) into pushes of ``batch_size``
+       directions and offer each to the queue;
        dropped batches are reported to the sanitizer as missing polls;
     3. **drain** — pop up to ``drain_budget`` batches (oldest first,
        deferred backlog ahead of fresh pushes) and run sanitize + store
@@ -84,21 +77,18 @@ class IngestingPoller(SnmpPoller):
         obs = self.obs
         with obs.span("poll", cat="telemetry") as span:
             with obs.span("poll.collect", cat="telemetry"):
-                deliveries = self._collect(now)
+                collected = self._collect(now)
             with obs.span("poll.ingest", cat="telemetry"):
-                self._push_batches(now, deliveries)
+                self._push_batches(collected)
                 drained = self.queue.drain(self.drain_budget)
             with obs.span("poll.store", cat="telemetry"):
-                stored = 0
-                for batch in drained:
-                    pending = self._sanitize(
-                        list(batch.deliveries), batch.time_s
-                    )
-                    self._store_pending(pending)
-                    stored += len(pending)
+                stored = sum(
+                    self._store_rated(self._sanitize(batch))
+                    for batch in drained
+                )
             if obs.enabled:
                 span.set(
-                    directions=len(deliveries),
+                    directions=len(collected),
                     batches=len(drained),
                     stored=stored,
                     backlog=self.queue.pending(),
@@ -106,18 +96,20 @@ class IngestingPoller(SnmpPoller):
                 obs.count("polls_total")
         return now
 
-    def _push_batches(self, now: float, deliveries) -> None:
+    def _push_batches(self, collected: TelemetryBatch) -> None:
         size = self.batch_size
-        for i in range(0, len(deliveries), size):
-            batch = TelemetryBatch(
-                time_s=now, deliveries=tuple(deliveries[i : i + size])
-            )
+        for start in range(0, len(collected), size):
+            batch = collected.part(start, start + size)
             if self.queue.push(batch) == DROPPED:
                 # The push is gone: downstream this is indistinguishable
                 # from a missed poll, so route it through the same
                 # quality machinery the chaos faults use.
-                for did, _delivered in batch.deliveries:
-                    self.backpressure_losses += 1
-                    self.missed_polls += 1
-                    if self.sanitizer is not None:
-                        self.sanitizer.observe_missing(did, now)
+                self.backpressure_losses += len(batch)
+                self.missed_polls += len(batch)
+                self._rate(
+                    replace(
+                        batch,
+                        missed=np.ones(len(batch), dtype=bool),
+                        scalar={},
+                    )
+                )

@@ -48,6 +48,8 @@ import random
 from bisect import bisect_left
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
+import numpy as np
+
 from repro.core.controller import CorrOptController
 from repro.core.diagnosis import (
     CAUSE_BOTH,
@@ -906,42 +908,37 @@ class TelemetrySensing(SensingPipeline):
         With no congestion co-model and no miswiring this reduces exactly
         to the historical bare-loss-rate path, byte for byte.
         """
-        kernel = self.kernel
-        topo = kernel.topo
-        for link in list(topo.links()):
+        table = self.poller.directions
+        times, corruption_now, congestion_now = self.poller.latest()
+        # Candidates: rows with a sample from this tick that carries a
+        # loss signature.  Everything else the per-row code below would
+        # skip anyway.
+        suspicious = corruption_now >= self.detection_threshold
+        if self.diagnosis is not None:
+            suspicious |= congestion_now >= self.classifier.congestion_threshold
+        suspicious &= times == now
+        for row in np.flatnonzero(suspicious).tolist():
+            link = table.links[row >> 1]
             if not link.enabled:
+                # Disabled since the poll: by a probe report, or by the
+                # report on the link's other direction a moment ago.
                 continue
             link_id = link.link_id
-            for direction in (Direction.UP, Direction.DOWN):
-                did = link.direction_id(direction)
-                sample = self.store.last_sample(did)
-                if sample is None:
-                    continue
-                time_s, corruption, congestion, _util, _quality = sample
-                if time_s != now:
-                    continue  # no fresh sample this tick
-                if corruption < self.detection_threshold:
-                    # Drops-only signature: diagnose (cause=congestion)
-                    # for the accuracy ledger, but never raise a report —
-                    # disabling a congested link only shifts its load.
-                    if (
-                        self.diagnosis is not None
-                        and congestion >= self.classifier.congestion_threshold
-                    ):
-                        diagnosis = self._diagnose(
-                            link, direction, did, sample, now
-                        )
-                        self._note_diagnosis(link_id, did, diagnosis)
-                    continue
-                diagnosis = self._diagnose(link, direction, did, sample, now)
-                if self.diagnosis is not None:
-                    self._note_diagnosis(link_id, did, diagnosis)
-                if not diagnosis.actionable():
-                    continue
-                if self._report_and_account(
-                    now, link_id, direction, corruption
-                ):
-                    break  # link is down; no point checking the other side
+            direction = Direction.DOWN if row & 1 else Direction.UP
+            did = table.direction_ids[row]
+            sample = self.store.last_sample(did)
+            corruption = sample[1]
+            diagnosis = self._diagnose(link, direction, did, sample, now)
+            if self.diagnosis is not None:
+                self._note_diagnosis(link_id, did, diagnosis)
+            if corruption < self.detection_threshold:
+                # Drops-only signature: diagnosed (cause=congestion) for
+                # the accuracy ledger, but never reported — disabling a
+                # congested link only shifts its load.
+                continue
+            if not diagnosis.actionable():
+                continue
+            self._report_and_account(now, link_id, direction, corruption)
 
     def _diagnose(
         self, link, direction: Direction, did, sample, now: float
@@ -953,12 +950,8 @@ class TelemetrySensing(SensingPipeline):
             self._congestion_model is not None
             and congestion >= self.classifier.congestion_threshold
         ):
-            window = self.classifier.correlation_window
-            util_history = (
-                self.store.utilization_series(did).values[-window:].tolist()
-            )
-            cong_history = (
-                self.store.congestion_series(did).values[-window:].tolist()
+            util_history, cong_history = self.store.tail(
+                did, self.classifier.correlation_window
             )
         return self.classifier.classify(
             link.link_id,

@@ -2,9 +2,16 @@
 
 §2: counters and optical power are queried every 15 minutes; "our network
 operators found SNMP to be a reliable and lightweight mechanism".  The
-poller walks a topology at each tick, derives per-direction loss rates from
+poller covers a topology at each tick, derives per-direction loss rates from
 counter differences, and appends to a :class:`~repro.telemetry.store.
 TelemetryStore`.
+
+A tick is one array pass over all polled directions: int64 device-counter
+columns are advanced, the transport and the sanitizer work on the columns,
+the store appends a column.  Only the rows a telemetry fault touched go
+through the per-sample API (``transport.deliver``, ``sanitizer.ingest`` /
+``observe_missing``, ``store.append_rates``), in direction order; see
+DESIGN.md §8.
 """
 
 from __future__ import annotations
@@ -12,20 +19,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.obs.recorder import NULL_RECORDER, Recorder
-from repro.telemetry.counters import CounterSnapshot, DirectionCounters
-from repro.telemetry.sanitizer import TelemetrySanitizer
+from repro.telemetry.columns import EXACT_INT, Baselines, grow
+from repro.telemetry.counters import CounterSnapshot
+from repro.telemetry.sanitizer import (
+    RatedRows,
+    SampleQuality,
+    TelemetrySanitizer,
+    delta_ratios,
+)
 from repro.telemetry.store import TelemetryStore
-from repro.topology.elements import Direction, DirectionId, LinkId
+from repro.topology.elements import Direction, DirectionId, Link, LinkId
 from repro.topology.graph import Topology
 
 POLL_INTERVAL_S = 900.0  # 15 minutes
-
-
-def _zero_congestion(_did: DirectionId, _t: float) -> float:
-    """Default congestion model: no drops (module-level so pollers stay
-    picklable for service checkpoint/restore)."""
-    return 0.0
 
 
 @dataclass
@@ -39,6 +48,83 @@ class OpticalReading:
     rx_upper_dbm: float
 
 
+@dataclass
+class DirectionTable:
+    """The polled directions of a topology: two rows per link (UP, then
+    DOWN) in ``topo.links()`` order, which is the order a tick processes
+    them in.
+
+    Attributes:
+        links: The links; rows ``2 * i`` and ``2 * i + 1`` belong to
+            ``links[i]``.
+        link_index: Position of each link id in ``links``.
+        direction_ids: ``(src, dst)`` of each row.
+        capacity_pkts_per_s: Line rate of each row, assuming 1000-byte
+            packets.
+        enabled: Whether each row's link is administratively enabled.
+        source: For each row, the row whose cable its FCS counter really
+            reads; ``None`` without an ``attribution_fn`` (its own).
+        store_rows: Each row's row number in the telemetry store.
+        sanitizer_rows: Each row's row number in the sanitizer, if any.
+    """
+
+    links: List[Link]
+    link_index: Dict[LinkId, int]
+    direction_ids: List[DirectionId]
+    capacity_pkts_per_s: np.ndarray
+    enabled: np.ndarray
+    source: Optional[np.ndarray]
+    store_rows: np.ndarray
+    sanitizer_rows: Optional[np.ndarray]
+
+
+@dataclass(frozen=True)
+class TelemetryBatch:
+    """What one poll delivered for a run of directions.
+
+    Entry ``i`` of every column belongs to direction-table row
+    ``rows[i]``: the counters of its one delivered snapshot (taken at
+    ``time_s``), or ``missed[i]`` when nothing arrived.  The rows a
+    telemetry fault touched are in ``scalar`` instead — ``{i: delivered
+    snapshots}``, possibly none or several — and their column entries
+    mean nothing.
+    """
+
+    time_s: float
+    rows: np.ndarray
+    total: np.ndarray
+    errors: np.ndarray
+    drops: np.ndarray
+    missed: np.ndarray
+    scalar: Dict[int, List[CounterSnapshot]]
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def part(self, start: int, stop: int) -> "TelemetryBatch":
+        """Entries ``start:stop`` as their own batch."""
+        span = slice(start, stop)
+        return TelemetryBatch(
+            self.time_s,
+            self.rows[span],
+            self.total[span],
+            self.errors[span],
+            self.drops[span],
+            self.missed[span],
+            {
+                i - start: snapshots
+                for i, snapshots in self.scalar.items()
+                if start <= i < stop
+            },
+        )
+
+
+#: One rated sample on its way to ``store.append_rates``.
+_Sample = Tuple[DirectionId, float, float, float, float, SampleQuality]
+#: A rated batch: the array pass's result and the per-sample path's.
+_Rated = Tuple[TelemetryBatch, RatedRows, List[_Sample]]
+
+
 class SnmpPoller:
     """Polls a topology every 15 minutes into a telemetry store.
 
@@ -48,8 +134,10 @@ class SnmpPoller:
     Args:
         topo: Topology to monitor.
         store: Destination store.
-        packets_fn: ``(direction_id, time_s) -> offered packets`` for the
-            interval ending at ``time_s``.
+        packets_fn: ``(direction_id, time_s) -> offered packets`` (a whole
+            number) for the interval ending at ``time_s``.  Called once
+            per polled direction per tick, in direction order,
+            alternating with ``congestion_fn``.
         congestion_fn: Optional ``(direction_id, time_s) -> loss rate`` for
             congestion drops (default: none).
         interval_s: Poll spacing.
@@ -58,8 +146,9 @@ class SnmpPoller:
             -> List[CounterSnapshot]`` (empty = missed poll, several =
             duplicated / late samples) and ``deliver_optical(link_id,
             reading) -> OpticalReading``; see :mod:`repro.faults.
-            telemetry_faults`.  ``None`` (the default) keeps the happy
-            path untouched.
+            telemetry_faults`, whose transport also has the array form
+            ``deliver_rows`` the tick prefers.  ``None`` (the default)
+            keeps the happy path untouched.
         sanitizer: Optional :class:`~repro.telemetry.sanitizer.
             TelemetrySanitizer`.  When set, delivered snapshots are
             diffed, wrap/reset-corrected, and quality-flagged by the
@@ -70,7 +159,8 @@ class SnmpPoller:
             signature recorded for a link is read from the *physical*
             link its monitored port is actually cabled to.  Traffic and
             drop counters stay with the monitored port (they are
-            measured at the switch, not on the cable).  ``None`` (the
+            measured at the switch, not on the cable).  Read once per
+            link, when the direction table is built.  ``None`` (the
             default) keeps the happy path untouched.
         obs: Observability recorder; each poll emits a ``poll`` span with
             ``poll.collect`` / ``poll.sanitize`` / ``poll.store`` children
@@ -92,31 +182,116 @@ class SnmpPoller:
         self._topo = topo
         self._store = store
         self._packets_fn = packets_fn
-        self._congestion_fn = congestion_fn or _zero_congestion
+        self._congestion_fn = congestion_fn
         self._attribution_fn = attribution_fn
         self.interval_s = interval_s
         self.transport = transport
         self.sanitizer = sanitizer
         self.obs = obs
-        self._counters: Dict[DirectionId, DirectionCounters] = {}
-        self._previous: Dict[DirectionId, CounterSnapshot] = {}
         self.missed_polls = 0
         self.time_s = 0.0
+        # Built at the first poll, rebuilt after the topology grows; the
+        # admin-change subscription keeps its enabled mask current.
+        self._table: Optional[DirectionTable] = None
+        self._polled: Optional[Tuple[np.ndarray, List[DirectionId]]] = None
+        # Cumulative device counters, one row per table row.
+        self._total = np.zeros(0, dtype=np.int64)
+        self._errors = np.zeros(0, dtype=np.int64)
+        self._drops = np.zeros(0, dtype=np.int64)
+        # Raw mode (no sanitizer): the last delivered snapshot per row.
+        self._previous = Baselines()
+        topo.subscribe_admin_changes(self._on_admin_change)
+        topo.subscribe_structure_changes(self._on_structure_change)
 
-    def _counters_for(self, direction_id: DirectionId) -> DirectionCounters:
-        if direction_id not in self._counters:
-            self._counters[direction_id] = DirectionCounters(direction_id)
-        return self._counters[direction_id]
+    # ------------------------------------------------------------------ #
+    # The direction table
+    # ------------------------------------------------------------------ #
+
+    @property
+    def directions(self) -> DirectionTable:
+        """The direction table (built on first use)."""
+        table = self._table
+        if table is None:
+            table = self._table = self._build_table()
+        return table
+
+    def _build_table(self) -> DirectionTable:
+        links = list(self._topo.links())
+        link_index = {link.link_id: i for i, link in enumerate(links)}
+        direction_ids = [
+            link.direction_id(direction)
+            for link in links
+            for direction in (Direction.UP, Direction.DOWN)
+        ]
+        source = None
+        if self._attribution_fn is not None:
+            physical = [
+                link_index[self._attribution_fn(link.link_id)]
+                for link in links
+            ]
+            source = 2 * np.repeat(physical, 2)
+            source[1::2] += 1
+        rows = len(direction_ids)
+        for name in ("_total", "_errors", "_drops"):
+            setattr(self, name, grow(getattr(self, name), rows))
+        self._previous.resize(rows)
+        self._polled = None
+        return DirectionTable(
+            links=links,
+            link_index=link_index,
+            direction_ids=direction_ids,
+            capacity_pkts_per_s=np.repeat(
+                [link.capacity_gbps * 1e9 / 8.0 / 1000.0 for link in links], 2
+            ),
+            enabled=np.repeat([link.enabled for link in links], 2),
+            source=source,
+            store_rows=self._store.rows_for(direction_ids),
+            sanitizer_rows=(
+                None if self.sanitizer is None
+                else self.sanitizer.rows_for(direction_ids)
+            ),
+        )
+
+    def _on_admin_change(self, link_id: LinkId) -> None:
+        table = self._table
+        if table is not None:
+            index = table.link_index[link_id]
+            table.enabled[2 * index : 2 * index + 2] = table.links[
+                index
+            ].enabled
+            self._polled = None
+
+    def _on_structure_change(self) -> None:
+        self._table = None
+
+    def _polled_rows(self) -> Tuple[np.ndarray, List[DirectionId]]:
+        """Rows of the enabled links and their ids (until the next flip)."""
+        polled = self._polled
+        if polled is None:
+            table = self.directions
+            rows = np.flatnonzero(table.enabled)
+            ids = table.direction_ids
+            polled = self._polled = (rows, [ids[row] for row in rows.tolist()])
+        return polled
+
+    def latest(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(time_s, corruption, congestion)`` of the newest stored
+        sample of every table row (time NaN where there is none)."""
+        return self._store.latest(self.directions.store_rows)
+
+    # ------------------------------------------------------------------ #
+    # The tick
+    # ------------------------------------------------------------------ #
 
     def poll_once(self) -> float:
         """Advance one interval, accumulate counters, store loss rates.
 
         The poll is organised in three phases — collect (device counters
         and transport delivery), sanitize (diffing / quality rating), and
-        store — each traced as a child span of ``poll``.  Per-direction
-        processing order is identical to the historical single loop, so
-        fault-transport RNG consumption and sanitizer state transitions
-        are unchanged.
+        store — each traced as a child span of ``poll``.  Rows are
+        processed in direction-table order wherever order can be
+        observed: traffic callables, fault-transport RNG draws, and the
+        per-sample fallback.
 
         Returns:
             The poll timestamp.
@@ -126,158 +301,270 @@ class SnmpPoller:
         obs = self.obs
         with obs.span("poll", cat="telemetry") as span:
             with obs.span("poll.collect", cat="telemetry"):
-                deliveries = self._collect(now)
+                batch = self._collect(now)
             with obs.span("poll.sanitize", cat="telemetry"):
-                pending = self._sanitize(deliveries, now)
+                rated = self._sanitize(batch)
             with obs.span("poll.store", cat="telemetry"):
-                self._store_pending(pending)
+                stored = self._store_rated(rated)
             if obs.enabled:
-                span.set(directions=len(deliveries), stored=len(pending))
+                span.set(directions=len(batch), stored=stored)
                 obs.count("polls_total")
         return now
 
-    def _collect(
-        self, now: float
-    ) -> List[Tuple[DirectionId, List[CounterSnapshot]]]:
-        """Accumulate device counters and run transport delivery.
-
-        Returns one ``(direction_id, delivered snapshots)`` entry per
-        enabled direction; an empty delivery list marks a missed poll.
-        """
-        deliveries: List[Tuple[DirectionId, List[CounterSnapshot]]] = []
-        for link in self._topo.links():
-            if not link.enabled:
-                # A disabled link carries no traffic (§8 notes monitoring
-                # data stops flowing when a link is disabled).  Drop the
-                # cached snapshot: the first poll after re-enable must
-                # re-seed rather than diff against pre-disable counters
-                # with a stale time base.
-                for direction in (Direction.UP, Direction.DOWN):
-                    self._previous.pop(link.direction_id(direction), None)
-                continue
-            source = link
-            if self._attribution_fn is not None:
-                physical = self._attribution_fn(link.link_id)
-                if physical != link.link_id:
-                    source = self._topo.link(physical)
-            for direction in (Direction.UP, Direction.DOWN):
-                did = link.direction_id(direction)
-                packets = self._packets_fn(did, now)
-                # FCS errors follow the physical cable (identity unless a
-                # miswiring attribution map is installed); a disabled
-                # physical link carries no traffic, hence no errors.
-                corruption = (
-                    source.corruption_rate[direction] if source.enabled
-                    else 0.0
-                )
-                congestion = self._congestion_fn(did, now)
-                counters = self._counters_for(did)
-                counters.record_interval(packets, corruption, congestion)
-                snap = counters.snapshot(now)
-                if self.transport is not None:
-                    delivered = self.transport.deliver(did, snap)
-                else:
-                    delivered = [snap]
-                deliveries.append((did, delivered))
-        return deliveries
-
-    def _sanitize(
-        self,
-        deliveries: List[Tuple[DirectionId, List[CounterSnapshot]]],
-        now: float,
-    ) -> List[Tuple[DirectionId, float, float, float, float, object]]:
-        """Turn deliveries into pending store appends.
-
-        Each pending entry is ``(direction_id, time_s, corruption,
-        congestion, utilization, quality-or-None)``.
-        """
-        obs = self.obs
-        pending: List[
-            Tuple[DirectionId, float, float, float, float, object]
-        ] = []
-        for did, delivered in deliveries:
-            if not delivered:
-                self.missed_polls += 1
-                if obs.enabled:
-                    obs.count("poller_missed_polls_total")
-                if self.sanitizer is not None:
-                    self.sanitizer.observe_missing(did, now)
-                continue
-            for snap in delivered:
-                entry = self._sanitize_one(did, snap)
-                if entry is not None:
-                    pending.append(entry)
-        return pending
-
-    def _sanitize_one(
-        self, did: DirectionId, snap: CounterSnapshot
-    ) -> Optional[Tuple[DirectionId, float, float, float, float, object]]:
-        """Rate one delivered snapshot (sanitizer or legacy raw diff)."""
-        if self.sanitizer is not None:
-            sample = self.sanitizer.ingest(
-                did, snap, capacity_pkts_per_s=self._capacity_pkts_per_s(did)
+    def _corruption_rates(self, table: DirectionTable) -> np.ndarray:
+        """Ground-truth corruption rate each table row's FCS counter sees."""
+        rates = np.zeros(len(table.direction_ids))
+        topo = self._topo
+        for link_id in topo.links_with_corruption():
+            row = 2 * table.link_index[link_id]
+            by_direction = topo.link(link_id).corruption_rate
+            rates[row] = by_direction[Direction.UP]
+            rates[row + 1] = by_direction[Direction.DOWN]
+        if table.source is not None:
+            # FCS errors follow the physical cable; a disabled physical
+            # link carries no traffic, hence no errors.
+            rates = np.where(
+                table.enabled[table.source], rates[table.source], 0.0
             )
-            if sample is None:
-                return None
-            return (
-                did,
-                sample.time_s,
-                sample.corruption,
-                sample.congestion,
-                sample.utilization,
-                sample.quality,
-            )
-        previous = self._previous.get(did)
-        entry = None
-        if previous is not None and snap.time_s > previous.time_s:
-            capacity = self._capacity_pkts_per_s(did)
-            interval = snap.time_s - previous.time_s
-            sent = max(0, snap.total - previous.total)
-            utilization = (
-                min(1.0, sent / (capacity * interval)) if capacity > 0 else 0.0
-            )
-            entry = (
-                did,
-                snap.time_s,
-                snap.corruption_rate_since(previous),
-                snap.congestion_rate_since(previous),
-                utilization,
-                None,
-            )
-        if previous is None or snap.time_s >= previous.time_s:
-            self._previous[did] = snap
-        return entry
+        return rates
 
-    def _store_pending(
-        self,
-        pending: List[Tuple[DirectionId, float, float, float, float, object]],
-    ) -> None:
-        """Append the rated samples to the store, in sanitize order."""
-        for did, time_s, corruption, congestion, utilization, quality in (
-            pending
+    def _collect(self, now: float) -> TelemetryBatch:
+        """Advance the device counters of every enabled direction and run
+        transport delivery."""
+        table = self.directions
+        rows, direction_ids = self._polled_rows()
+        if self.sanitizer is None and len(rows) < len(table.direction_ids):
+            # A disabled link carries no traffic (§8 notes monitoring
+            # data stops flowing when a link is disabled).  Drop the
+            # raw-mode baseline: the first poll after re-enable must
+            # re-seed rather than diff against pre-disable counters
+            # with a stale time base.
+            self._previous.forget(np.flatnonzero(~table.enabled))
+        packets_fn, congestion_fn = self._packets_fn, self._congestion_fn
+        if congestion_fn is None:
+            offered = [packets_fn(did, now) for did in direction_ids]
+            congestion = np.zeros(len(rows))
+        else:
+            offered, losses = [], []
+            for did in direction_ids:
+                offered.append(packets_fn(did, now))
+                losses.append(congestion_fn(did, now))
+            congestion = np.array(losses, dtype=np.float64)
+        packets = np.array(offered, dtype=np.int64)
+        corruption = self._corruption_rates(table)[rows]
+        if (packets < 0).any():
+            raise ValueError("packet count cannot be negative")
+        for name, rate in (
+            ("corruption", corruption),
+            ("congestion", congestion),
         ):
-            if quality is not None:
-                self._store.append_rates(
-                    did,
-                    time_s,
-                    corruption=corruption,
-                    congestion=congestion,
-                    utilization=utilization,
-                    quality=quality,
+            valid = (rate >= 0.0) & (rate <= 1.0)
+            if not valid.all():
+                raise ValueError(
+                    f"{name} rate {rate[~valid][0]} outside [0, 1]"
+                )
+        total = self._total[rows] + packets
+        if (total >= EXACT_INT).any():
+            raise OverflowError(
+                "cumulative packet counter reached 2**53: beyond the "
+                "exact range of the poll tick's int64/float64 columns"
+            )
+        # Corruption and congestion losses are disjoint counter events: a
+        # corrupted frame is dropped at the CRC check, a congested one at
+        # the queue.  Sub-packet expectations are rounded half-up so tiny
+        # rates over large intervals still register.
+        errors = self._errors[rows] + (packets * corruption + 0.5).astype(
+            np.int64
+        )
+        drops = self._drops[rows] + (packets * congestion + 0.5).astype(
+            np.int64
+        )
+        self._total[rows], self._errors[rows], self._drops[rows] = (
+            total, errors, drops,
+        )
+        missed = np.zeros(len(rows), dtype=bool)
+        scalar: Dict[int, List[CounterSnapshot]] = {}
+        transport = self.transport
+        if transport is not None:
+            deliver_rows = getattr(transport, "deliver_rows", None)
+            if deliver_rows is not None:
+                total, errors, drops, missed, scalar = deliver_rows(
+                    direction_ids, now, total, errors, drops
                 )
             else:
-                self._store.append_rates(
-                    did,
-                    time_s,
-                    corruption=corruption,
-                    congestion=congestion,
-                    utilization=utilization,
-                )
+                for i, counters in enumerate(
+                    zip(total.tolist(), errors.tolist(), drops.tolist())
+                ):
+                    scalar[i] = transport.deliver(
+                        direction_ids[i], CounterSnapshot(now, *counters)
+                    )
+        return TelemetryBatch(now, rows, total, errors, drops, missed, scalar)
 
-    def _capacity_pkts_per_s(self, direction_id: DirectionId) -> float:
-        """Line rate in packets/second, assuming 1000-byte packets."""
-        link = self._topo.find_link(*direction_id)
-        return link.capacity_gbps * 1e9 / 8.0 / 1000.0
+    def _sanitize(self, batch: TelemetryBatch) -> _Rated:
+        """Count the missed polls of a batch, then rate it."""
+        lost = int(np.count_nonzero(batch.missed)) + sum(
+            1 for snapshots in batch.scalar.values() if not snapshots
+        )
+        if lost:
+            self.missed_polls += lost
+            if self.obs.enabled:
+                self.obs.count("poller_missed_polls_total", lost)
+        return self._rate(batch)
+
+    def _rate(self, batch: TelemetryBatch) -> _Rated:
+        """Turn a batch into rated samples: one array pass (the sanitizer,
+        or raw differencing without one), then the per-sample path, in
+        direction order, for the entries that pass left alone."""
+        table = self.directions
+        capacity = table.capacity_pkts_per_s[batch.rows]
+        defer = np.zeros(len(batch), dtype=bool)
+        if batch.scalar:
+            defer[list(batch.scalar)] = True
+        if self.sanitizer is not None:
+            done = self.sanitizer.ingest_rows(
+                table.sanitizer_rows[batch.rows],
+                batch.time_s,
+                batch.total,
+                batch.errors,
+                batch.drops,
+                capacity,
+                batch.missed,
+                defer,
+            )
+        else:
+            done = self._raw_diff_rows(batch, capacity, defer)
+        singles: List[_Sample] = []
+        for entry in np.flatnonzero(done.deferred).tolist():
+            snapshots = batch.scalar.get(entry)
+            if snapshots is None:
+                snapshots = [] if batch.missed[entry] else [
+                    CounterSnapshot(
+                        batch.time_s,
+                        int(batch.total[entry]),
+                        int(batch.errors[entry]),
+                        int(batch.drops[entry]),
+                    )
+                ]
+            self._rate_one(
+                int(batch.rows[entry]),
+                snapshots,
+                batch.time_s,
+                float(capacity[entry]),
+                singles,
+            )
+        return batch, done, singles
+
+    def _rate_one(
+        self,
+        row: int,
+        snapshots: List[CounterSnapshot],
+        now: float,
+        capacity: float,
+        singles: List[_Sample],
+    ) -> None:
+        """The per-sample path for one direction's deliveries."""
+        did = self.directions.direction_ids[row]
+        sanitizer = self.sanitizer
+        if not snapshots:
+            if sanitizer is not None:
+                sanitizer.observe_missing(did, now)
+            return
+        for snap in snapshots:
+            if sanitizer is not None:
+                sample = sanitizer.ingest(
+                    did, snap, capacity_pkts_per_s=capacity
+                )
+                if sample is not None:
+                    singles.append((
+                        did,
+                        sample.time_s,
+                        sample.corruption,
+                        sample.congestion,
+                        sample.utilization,
+                        sample.quality,
+                    ))
+                continue
+            previous = self._previous.get(row)
+            if previous is not None and snap.time_s > previous.time_s:
+                interval = snap.time_s - previous.time_s
+                sent = max(0, snap.total - previous.total)
+                singles.append((
+                    did,
+                    snap.time_s,
+                    snap.corruption_rate_since(previous),
+                    snap.congestion_rate_since(previous),
+                    min(1.0, sent / (capacity * interval))
+                    if capacity > 0 else 0.0,
+                    SampleQuality.OK,
+                ))
+            if previous is None or snap.time_s >= previous.time_s:
+                self._previous.set(row, snap)
+
+    def _raw_diff_rows(
+        self, batch: TelemetryBatch, capacity: np.ndarray, defer: np.ndarray
+    ) -> RatedRows:
+        """Raw differencing of one snapshot per entry against the previous
+        one: the array form of :meth:`_rate_one` without a sanitizer."""
+        previous = self._previous
+        rows, now = batch.rows, batch.time_s
+        deferred = defer
+        inexact = previous.inexact_rows()
+        if inexact:
+            deferred = defer | (~batch.missed & np.isin(rows, inexact))
+        delivered = ~batch.missed & ~deferred
+        known = previous.known[rows]
+        dt = now - previous.time_s[rows]
+        corruption, congestion, utilization = (
+            np.clip(ratio, 0.0, 1.0)
+            for ratio in delta_ratios(
+                batch.total - previous.total[rows],
+                batch.errors - previous.errors[rows],
+                batch.drops - previous.drops[rows],
+                capacity,
+                dt,
+            )
+        )
+        reseed = delivered & (~known | (dt >= 0))
+        previous.set_rows(
+            rows[reseed],
+            now,
+            batch.total[reseed],
+            batch.errors[reseed],
+            batch.drops[reseed],
+        )
+        return RatedRows(
+            deferred,
+            delivered & known & (dt > 0),
+            corruption,
+            congestion,
+            utilization,
+            np.zeros(len(rows), dtype=np.int8),
+        )
+
+    def _store_rated(self, rated: _Rated) -> int:
+        """Append a batch's samples to the store; returns how many."""
+        batch, done, singles = rated
+        keep = done.rated
+        self._store.append_rows(
+            self.directions.store_rows[batch.rows[keep]],
+            batch.time_s,
+            done.corruption[keep],
+            done.congestion[keep],
+            done.utilization[keep],
+            done.quality[keep],
+        )
+        for did, time_s, corruption, congestion, utilization, quality in (
+            singles
+        ):
+            self._store.append_rates(
+                did,
+                time_s,
+                corruption=corruption,
+                congestion=congestion,
+                utilization=utilization,
+                quality=quality,
+            )
+        return int(np.count_nonzero(keep)) + len(singles)
 
     def run(self, num_polls: int) -> None:
         """Run ``num_polls`` consecutive polls."""

@@ -19,11 +19,18 @@ from __future__ import annotations
 
 import enum
 import math
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.obs.recorder import NULL_RECORDER, Recorder
+from repro.telemetry.columns import (
+    EXACT_INT,
+    Baselines,
+    DirectionIndex,
+    grow,
+)
 from repro.telemetry.counters import CounterSnapshot
 from repro.topology.elements import DirectionId, LinkId
 
@@ -55,12 +62,24 @@ class SampleQuality(enum.Enum):
         """Whether this sample should count against quarantine."""
         return self in _DEGRADED_QUALITIES
 
+    @property
+    def code(self) -> int:
+        """Position in :data:`QUALITY_BY_CODE`: the int8 the quality
+        columns store.  Degraded qualities are the codes from
+        ``SUSPECT.code`` up."""
+        return _QUALITY_CODES[self]
+
 
 #: Membership here is the hot-path form of :attr:`SampleQuality.degraded`
 #: (a frozenset probe skips the property descriptor on per-sample paths).
 _DEGRADED_QUALITIES = frozenset(
     (SampleQuality.SUSPECT, SampleQuality.MISSING)
 )
+
+#: Code → member, in definition order (OK, INTERPOLATED, SUSPECT, MISSING).
+QUALITY_BY_CODE: Tuple[SampleQuality, ...] = tuple(SampleQuality)
+_QUALITY_CODES = {quality: code for code, quality in enumerate(QUALITY_BY_CODE)}
+_OK, _INTERPOLATED, _SUSPECT, _MISSING = range(4)
 
 
 @dataclass
@@ -101,12 +120,60 @@ class SanitizerStats:
     clamps: int = 0
 
 
-def _finite(*values: float) -> bool:
-    return all(math.isfinite(v) for v in values)
+def _finite(*values) -> bool:
+    try:
+        return all(math.isfinite(v) for v in values)
+    except OverflowError:
+        # An int too large for a float is as unusable as a NaN.
+        return False
+
+
+def delta_ratios(d_total, d_errors, d_drops, capacity, dt):
+    """Loss and utilization ratios of counter-delta columns, unclamped.
+
+    ``(d_errors / d_total, d_drops / d_total, d_total / (capacity * dt))``
+    element-wise, with the loss ratios 0 where nothing was sent and the
+    utilization 0 where no capacity is known.  The one differencing rule
+    of the poll tick: the sanitizer clamps the result and counts the
+    clamps, the poller's raw mode (no sanitizer) only clips it.
+    """
+    sent = d_total > 0
+    denominator = np.where(sent, d_total, 1)
+    corruption = np.where(sent, d_errors / denominator, 0.0)
+    congestion = np.where(sent, d_drops / denominator, 0.0)
+    rated = capacity > 0
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        utilization = np.where(
+            rated, d_total / np.where(rated, capacity * dt, 1.0), 0.0
+        )
+    return corruption, congestion, utilization
+
+
+@dataclass
+class RatedRows:
+    """What :meth:`TelemetrySanitizer.ingest_rows` did with each input row.
+
+    All fields are aligned with the input.  ``deferred`` rows were not
+    touched and must go through the per-sample API, in direction order;
+    ``rated`` rows produced the sample in the four value columns.
+    """
+
+    deferred: np.ndarray
+    rated: np.ndarray
+    corruption: np.ndarray
+    congestion: np.ndarray
+    utilization: np.ndarray
+    quality: np.ndarray
 
 
 class TelemetrySanitizer:
     """Stateful per-direction snapshot sanitizer.
+
+    Per-direction state (the diff baseline and a ring of the last
+    ``window`` quality codes) lives in numpy columns, one row per
+    direction.  :meth:`ingest` / :meth:`observe_missing` are the
+    per-sample API; :meth:`ingest_rows` rates one delivery per row for a
+    whole poll tick with the same arithmetic as array operations.
 
     Args:
         interval_s: Nominal polling interval (gap detection baseline).
@@ -133,6 +200,8 @@ class TelemetrySanitizer:
     ):
         if not 0.0 < quarantine_threshold <= 1.0:
             raise ValueError("quarantine threshold outside (0, 1]")
+        if window < 1:
+            raise ValueError("window must hold at least one sample")
         self.interval_s = interval_s
         self.wrap_modulus = wrap_modulus
         self.window = window
@@ -140,26 +209,51 @@ class TelemetrySanitizer:
         self.min_window_samples = min_window_samples
         self.obs = obs
         self.stats = SanitizerStats()
-        self._prev: Dict[DirectionId, CounterSnapshot] = {}
-        self._quality: Dict[DirectionId, Deque[SampleQuality]] = {}
+        self._index = DirectionIndex()
+        self._prev = Baselines()
+        # Quality ring: the last `window` codes of each row (unwritten
+        # slots hold OK, which never counts as degraded) and how many
+        # codes the row has been given in total.
+        self._ring = np.zeros((0, window), dtype=np.int8)
+        self._pushes = np.zeros(0, dtype=np.int64)
         # Observability bookkeeping, only maintained while enabled: the
-        # set of directions last seen quarantined (churn detection) and
-        # batched per-quality sample counts (flushed at scrape time so the
+        # rows last seen quarantined (churn detection) and batched
+        # per-quality sample counts (flushed at scrape time so the
         # per-sample hot path stays one dict increment).
-        self._quarantined_dirs: set = set()
+        self._quarantined_rows: set = set()
         self._quality_counts: Dict[SampleQuality, int] = {}
+
+    # ------------------------------------------------------------------ #
+    # Rows
+    # ------------------------------------------------------------------ #
+
+    def _allocate(self) -> None:
+        if len(self._index) > len(self._pushes):
+            rows = self._index.capacity_for(len(self._pushes))
+            self._prev.resize(rows)
+            self._ring = grow(self._ring, rows)
+            self._pushes = grow(self._pushes, rows)
+
+    def _row(self, direction_id: DirectionId) -> int:
+        row = self._index.row(direction_id)
+        self._allocate()
+        return row
+
+    def rows_for(self, direction_ids: Sequence[DirectionId]) -> np.ndarray:
+        """Row numbers of ``direction_ids`` for :meth:`ingest_rows`."""
+        rows = self._index.rows(direction_ids)
+        self._allocate()
+        return rows
 
     # ------------------------------------------------------------------ #
     # Ingestion
     # ------------------------------------------------------------------ #
 
     def _push_quality(
-        self, direction_id: DirectionId, quality: SampleQuality
+        self, direction_id: DirectionId, row: int, quality: SampleQuality
     ) -> None:
-        window = self._quality.setdefault(
-            direction_id, deque(maxlen=self.window)
-        )
-        window.append(quality)
+        self._ring[row, self._pushes[row] % self.window] = quality.code
+        self._pushes[row] += 1
         if self.obs.enabled:
             counts = self._quality_counts
             counts[quality] = counts.get(quality, 0) + 1
@@ -167,22 +261,22 @@ class TelemetrySanitizer:
             # degraded (a clean sample never raises the degraded fraction)
             # and only *end* when the direction was quarantined, so the
             # O(window) verdict is recomputed just for those cases.
-            quarantined_dirs = self._quarantined_dirs
-            was_quarantined = direction_id in quarantined_dirs
+            quarantined_rows = self._quarantined_rows
+            was_quarantined = row in quarantined_rows
             if was_quarantined or quality in _DEGRADED_QUALITIES:
                 now_quarantined = self.quarantined(direction_id)
                 if now_quarantined != was_quarantined:
                     if now_quarantined:
-                        quarantined_dirs.add(direction_id)
+                        quarantined_rows.add(row)
                     else:
-                        quarantined_dirs.discard(direction_id)
+                        quarantined_rows.discard(row)
                     self.obs.count(
                         "sanitizer_quarantine_transitions_total",
                         transition="enter" if now_quarantined else "leave",
                     )
                     self.obs.gauge(
                         "sanitizer_quarantined_directions",
-                        len(quarantined_dirs),
+                        len(quarantined_rows),
                     )
                     self.obs.event(
                         "quarantine",
@@ -207,7 +301,9 @@ class TelemetrySanitizer:
     ) -> SanitizedSample:
         """Record that a poll for ``direction_id`` never arrived."""
         self.stats.missing += 1
-        self._push_quality(direction_id, SampleQuality.MISSING)
+        self._push_quality(
+            direction_id, self._row(direction_id), SampleQuality.MISSING
+        )
         return SanitizedSample(
             direction_id=direction_id,
             time_s=time_s,
@@ -227,35 +323,33 @@ class TelemetrySanitizer:
             A rated sample, or ``None`` when the snapshot only seeds the
             baseline or must be discarded (duplicate / out-of-order).
         """
+        row = self._row(direction_id)
         if not _finite(
-            float(snapshot.time_s),
-            float(snapshot.total),
-            float(snapshot.errors),
-            float(snapshot.drops),
+            snapshot.time_s, snapshot.total, snapshot.errors, snapshot.drops
         ):
             # Garbage snapshot: count it, poison the window, keep baseline.
             self.stats.samples += 1
-            self._push_quality(direction_id, SampleQuality.SUSPECT)
+            self._push_quality(direction_id, row, SampleQuality.SUSPECT)
             return SanitizedSample(
                 direction_id=direction_id,
-                time_s=snapshot.time_s if math.isfinite(snapshot.time_s) else 0.0,
+                time_s=snapshot.time_s if _finite(snapshot.time_s) else 0.0,
                 quality=SampleQuality.SUSPECT,
                 note="non-finite counter values",
             )
 
-        previous = self._prev.get(direction_id)
+        previous = self._prev.get(row)
         if previous is None:
-            self._prev[direction_id] = snapshot
+            self._prev.set(row, snapshot)
             return None  # first sample only seeds the diff baseline
 
         dt = snapshot.time_s - previous.time_s
         if dt == 0:
             self.stats.duplicates_dropped += 1
-            self._push_quality(direction_id, SampleQuality.SUSPECT)
+            self._push_quality(direction_id, row, SampleQuality.SUSPECT)
             return None
         if dt < 0:
             self.stats.out_of_order_dropped += 1
-            self._push_quality(direction_id, SampleQuality.SUSPECT)
+            self._push_quality(direction_id, row, SampleQuality.SUSPECT)
             return None
 
         self.stats.samples += 1
@@ -311,8 +405,8 @@ class TelemetrySanitizer:
         if capacity_pkts_per_s > 0 and dt > 0:
             utilization = self._clamp(d_total / (capacity_pkts_per_s * dt))
 
-        self._prev[direction_id] = snapshot
-        self._push_quality(direction_id, quality)
+        self._prev.set(row, snapshot)
+        self._push_quality(direction_id, row, quality)
         return SanitizedSample(
             direction_id=direction_id,
             time_s=snapshot.time_s,
@@ -322,6 +416,142 @@ class TelemetrySanitizer:
             quality=quality,
             note=note,
         )
+
+    def ingest_rows(
+        self,
+        rows: np.ndarray,
+        time_s: float,
+        total: np.ndarray,
+        errors: np.ndarray,
+        drops: np.ndarray,
+        capacity_pkts_per_s: np.ndarray,
+        missed: np.ndarray,
+        defer: np.ndarray,
+    ) -> RatedRows:
+        """Array form of :meth:`ingest` / :meth:`observe_missing`.
+
+        One poll tick's outcome for distinct ``rows`` (from
+        :meth:`rows_for`): either one snapshot taken at ``time_s`` with
+        the given int64 counters (all below 2**53), or, where ``missed``,
+        no delivery.  Every row the pass commits ends in exactly the state
+        the per-sample methods would leave it in.  It defers (leaves
+        untouched, see :class:`RatedRows`) the rows the caller marks in
+        ``defer`` and what the per-sample methods must handle themselves:
+        duplicate or out-of-order timestamps, baselines the int64 columns
+        cannot hold, and — while a recorder is enabled — any row whose
+        push could start or end a quarantine, because the transition
+        events are emitted in direction order.
+        """
+        prev = self._prev
+        missed = missed & ~defer
+        delivered = ~missed & ~defer
+        known = prev.known[rows]
+        dt = time_s - prev.time_s[rows]
+        deferred = defer | (delivered & known & ~(dt > 0))
+        if not math.isfinite(time_s):
+            deferred = defer | delivered
+        inexact = prev.inexact_rows()
+        if inexact:
+            deferred |= delivered & np.isin(rows, inexact)
+        seeding = delivered & ~known & ~deferred
+        rated = delivered & known & ~deferred
+
+        d_total = total - prev.total[rows]
+        d_errors = errors - prev.errors[rows]
+        d_drops = drops - prev.drops[rows]
+        quality = np.where(missed, _MISSING, _OK).astype(np.int8)
+        backwards = rated & ((d_total < 0) | (d_errors < 0) | (d_drops < 0))
+        wrapped = reset = backwards
+        if backwards.any():
+            m = self.wrap_modulus
+            if m >= EXACT_INT:
+                # Too wide for int64 arithmetic: the scalar path's job.
+                deferred |= backwards
+                rated &= ~backwards
+                wrapped = reset = backwards = np.zeros_like(backwards)
+            else:
+                unwrapped_total = d_total % m
+                fits = (
+                    np.maximum.reduce(
+                        (prev.total[rows], prev.errors[rows],
+                         prev.drops[rows], total, errors, drops)
+                    )
+                    < m
+                )
+                plausible = fits & np.where(
+                    capacity_pkts_per_s > 0,
+                    unwrapped_total <= 2.0 * capacity_pkts_per_s * dt,
+                    unwrapped_total < m // 4,
+                )
+                wrapped = backwards & plausible
+                reset = backwards & ~plausible
+                d_total = np.where(
+                    wrapped, unwrapped_total, np.where(reset, total, d_total)
+                )
+                d_errors = np.where(
+                    wrapped, d_errors % m, np.where(reset, errors, d_errors)
+                )
+                d_drops = np.where(
+                    wrapped, d_drops % m, np.where(reset, drops, d_drops)
+                )
+        frozen = (
+            rated & ~backwards & (d_total == 0) & (capacity_pkts_per_s > 0)
+        )
+        bridged = rated & ~backwards & ~frozen & (dt > 1.5 * self.interval_s)
+        quality[wrapped | bridged] = _INTERPOLATED
+        quality[reset | frozen] = _SUSPECT
+
+        obs_enabled = self.obs.enabled
+        if obs_enabled:
+            risky = quality >= _SUSPECT
+            if self._quarantined_rows:
+                risky |= np.isin(rows, list(self._quarantined_rows))
+            risky &= rated | missed
+            deferred |= risky
+            rated &= ~risky
+            missed = missed & ~risky
+
+        stats = self.stats
+        stats.samples += int(np.count_nonzero(rated))
+        stats.missing += int(np.count_nonzero(missed))
+        stats.wraps_unwrapped += int(np.count_nonzero(wrapped & rated))
+        stats.resets_detected += int(np.count_nonzero(reset & rated))
+        stats.freezes_detected += int(np.count_nonzero(frozen & rated))
+        stats.gaps_bridged += int(np.count_nonzero(bridged & rated))
+
+        ratios = delta_ratios(
+            d_total, d_errors, d_drops, capacity_pkts_per_s, dt
+        )
+        clamped = []
+        for ratio in ratios:
+            finite = np.isfinite(ratio)
+            ratio = np.where(finite, ratio, 0.0)
+            stats.clamps += int(
+                np.count_nonzero(
+                    rated & (~finite | (ratio < 0.0) | (ratio > 1.0))
+                )
+            )
+            clamped.append(np.clip(ratio, 0.0, 1.0))
+
+        commit = rated | seeding
+        prev.set_rows(
+            rows[commit], time_s, total[commit], errors[commit], drops[commit]
+        )
+        pushed = rated | missed
+        pushed_rows = rows[pushed]
+        self._ring[pushed_rows, self._pushes[pushed_rows] % self.window] = (
+            quality[pushed]
+        )
+        self._pushes[pushed_rows] += 1
+        if obs_enabled:
+            counts = self._quality_counts
+            for code, count in enumerate(
+                np.bincount(quality[pushed], minlength=len(QUALITY_BY_CODE))
+            ):
+                if count:
+                    member = QUALITY_BY_CODE[code]
+                    counts[member] = counts.get(member, 0) + int(count)
+        return RatedRows(deferred, rated, *clamped, quality)
 
     def _counters_fit_modulus(
         self, previous: CounterSnapshot, snapshot: CounterSnapshot
@@ -378,11 +608,11 @@ class TelemetrySanitizer:
         self, direction_id: DirectionId
     ) -> Tuple[int, int]:
         """(degraded, total) sample counts in the direction's window."""
-        window = self._quality.get(direction_id)
-        if not window:
+        row = self._index.row_of.get(direction_id)
+        if row is None:
             return (0, 0)
-        degraded = sum(1 for q in window if q in _DEGRADED_QUALITIES)
-        return (degraded, len(window))
+        degraded = int(np.count_nonzero(self._ring[row] >= _SUSPECT))
+        return (degraded, min(int(self._pushes[row]), self.window))
 
     def quarantined(self, direction_id: DirectionId) -> bool:
         """Whether the direction's recent telemetry is untrustworthy."""
@@ -398,14 +628,23 @@ class TelemetrySanitizer:
 
     def quarantined_directions(self) -> int:
         """How many directions are currently quarantined."""
-        return sum(1 for did in self._quality if self.quarantined(did))
+        total = np.minimum(self._pushes, self.window)
+        degraded = np.count_nonzero(self._ring >= _SUSPECT, axis=1)
+        return int(
+            np.count_nonzero(
+                (total >= max(1, self.min_window_samples))
+                & (degraded / np.maximum(total, 1) >= self.quarantine_threshold)
+            )
+        )
 
     def forget(self, direction_id: DirectionId) -> None:
         """Drop the diff baseline for a direction (e.g. after re-cabling).
 
         The quality window is kept: trust must be re-earned, not reset.
         """
-        self._prev.pop(direction_id, None)
+        row = self._index.row_of.get(direction_id)
+        if row is not None:
+            self._prev.forget(row)
 
 
 def optical_reading_plausible(reading) -> bool:

@@ -10,34 +10,77 @@ disabled links), and each sample carries a :class:`~repro.telemetry.
 sanitizer.SampleQuality` flag.  Duplicate or out-of-order timestamps are
 dropped and counted rather than raised — production monitoring feeds
 deliver them routinely, and the store must never take the pipeline down.
+
+Layout: one row per direction in five ``[rows × capacity]`` columns (time,
+the three rates, a quality code) plus a length vector; capacity doubles
+when a row fills up.  :meth:`TelemetryStore.append_rates` is the
+per-sample API; the poller appends a whole tick with
+:meth:`TelemetryStore.append_rows`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+import math
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.telemetry.sanitizer import SampleQuality
+import numpy as np
+
+from repro.telemetry.columns import DirectionIndex, grow
+from repro.telemetry.sanitizer import QUALITY_BY_CODE, SampleQuality
 from repro.telemetry.timeseries import TimeSeries
 from repro.topology.elements import DirectionId
+
+_COLUMNS = ("_time", "_corruption", "_congestion", "_utilization", "_quality")
 
 
 class TelemetryStore:
     """Accumulates per-direction monitoring samples.
 
-    Samples should arrive in time order per direction; ties and regressions
-    are dropped (counted in :attr:`dropped_samples`) instead of raising.
-    The nominal sampling interval is inferred per direction from the
-    smallest observed gap, so missed-poll holes do not skew it.
+    Samples should arrive in time order per direction; ties, regressions
+    and non-finite timestamps are dropped (counted in
+    :attr:`dropped_samples`) instead of raising.  The nominal sampling
+    interval is inferred per direction from the smallest observed gap, so
+    missed-poll holes do not skew it.
     """
 
     def __init__(self):
-        self._corruption: Dict[DirectionId, List[float]] = {}
-        self._congestion: Dict[DirectionId, List[float]] = {}
-        self._utilization: Dict[DirectionId, List[float]] = {}
-        self._times: Dict[DirectionId, List[float]] = {}
-        self._quality: Dict[DirectionId, List[SampleQuality]] = {}
-        #: Appends discarded for duplicate / backwards timestamps.
+        self._index = DirectionIndex()
+        self._length = np.zeros(0, dtype=np.int64)
+        for name in _COLUMNS:
+            dtype = np.int8 if name == "_quality" else np.float64
+            setattr(self, name, np.zeros((0, 0), dtype=dtype))
+        #: Appends discarded for duplicate / backwards / non-finite
+        #: timestamps.
         self.dropped_samples: int = 0
+
+    def _resize(self, rows: int, capacity: int) -> None:
+        for name in _COLUMNS:
+            old = getattr(self, name)
+            new = np.zeros((rows, capacity), dtype=old.dtype)
+            new[: old.shape[0], : old.shape[1]] = old
+            setattr(self, name, new)
+
+    # ------------------------------------------------------------------ #
+    # Appends
+    # ------------------------------------------------------------------ #
+
+    def _allocate(self) -> None:
+        if len(self._index) > len(self._length):
+            rows = self._index.capacity_for(len(self._length))
+            self._length = grow(self._length, rows)
+            self._resize(rows, self._time.shape[1])
+
+    def rows_for(self, direction_ids: Sequence[DirectionId]) -> np.ndarray:
+        """Row numbers of ``direction_ids`` for :meth:`append_rows` and
+        :meth:`latest`, registering the ones not seen before."""
+        rows = self._index.rows(direction_ids)
+        self._allocate()
+        return rows
+
+    def _ensure_capacity(self, needed: int) -> None:
+        capacity = self._time.shape[1]
+        if needed > capacity:
+            self._resize(len(self._length), max(16, 2 * capacity, needed))
 
     def append_rates(
         self,
@@ -52,61 +95,122 @@ class TelemetryStore:
 
         Returns:
             ``True`` when stored; ``False`` when the sample was dropped
-            because its timestamp does not advance the series.
+            because its timestamp does not advance the series (or is not
+            finite, which would defeat every later comparison).
         """
-        times = self._times.setdefault(direction_id, [])
-        if times and time_s <= times[-1]:
+        row = self._index.row(direction_id)
+        self._allocate()
+        length = int(self._length[row])
+        if not math.isfinite(time_s) or (
+            length and time_s <= self._time[row, length - 1]
+        ):
             self.dropped_samples += 1
             return False
-        times.append(time_s)
-        self._corruption.setdefault(direction_id, []).append(corruption)
-        self._congestion.setdefault(direction_id, []).append(congestion)
-        self._utilization.setdefault(direction_id, []).append(utilization)
-        self._quality.setdefault(direction_id, []).append(quality)
+        self._ensure_capacity(length + 1)
+        self._time[row, length] = time_s
+        self._corruption[row, length] = corruption
+        self._congestion[row, length] = congestion
+        self._utilization[row, length] = utilization
+        self._quality[row, length] = quality.code
+        self._length[row] = length + 1
         return True
 
+    def append_rows(
+        self,
+        rows: np.ndarray,
+        time_s: float,
+        corruption: np.ndarray,
+        congestion: np.ndarray,
+        utilization: np.ndarray,
+        quality: np.ndarray,
+    ) -> int:
+        """Append one sample at ``time_s`` to each of ``rows`` (distinct
+        row numbers from :meth:`rows_for`; ``quality`` holds
+        :attr:`SampleQuality.code` values).  Same dropping rule as
+        :meth:`append_rates`; returns how many were stored."""
+        if len(rows) == 0:
+            return 0
+        if not math.isfinite(time_s):
+            self.dropped_samples += len(rows)
+            return 0
+        length = self._length[rows]
+        self._ensure_capacity(int(length.max()) + 1)
+        keep = (length == 0) | (
+            time_s > self._time[rows, np.maximum(length, 1) - 1]
+        )
+        kept = int(np.count_nonzero(keep))
+        if kept < len(rows):
+            self.dropped_samples += len(rows) - kept
+            rows, length = rows[keep], length[keep]
+            corruption, congestion = corruption[keep], congestion[keep]
+            utilization, quality = utilization[keep], quality[keep]
+        self._time[rows, length] = time_s
+        self._corruption[rows, length] = corruption
+        self._congestion[rows, length] = congestion
+        self._utilization[rows, length] = utilization
+        self._quality[rows, length] = quality
+        self._length[rows] = length + 1
+        return kept
+
+    # ------------------------------------------------------------------ #
+    # Reads
     # ------------------------------------------------------------------ #
 
+    def _used(self, direction_id: DirectionId) -> Tuple[Optional[int], int]:
+        row = self._index.row_of.get(direction_id)
+        return (row, int(self._length[row])) if row is not None else (None, 0)
+
     def directions(self) -> Iterator[DirectionId]:
-        return iter(self._times.keys())
+        """Directions holding at least one sample."""
+        length = self._length
+        return (
+            did for did, row in self._index.row_of.items() if length[row]
+        )
 
     def num_directions(self) -> int:
-        return len(self._times)
+        return int(np.count_nonzero(self._length))
 
-    def _interval(self, direction_id: DirectionId) -> float:
-        times = self._times[direction_id]
-        if len(times) >= 2:
-            # Smallest positive gap: robust against missed-poll holes.
-            return min(b - a for a, b in zip(times, times[1:]))
-        return 900.0
+    def _series(self, column: np.ndarray, direction_id: DirectionId):
+        row, length = self._used(direction_id)
+        if not length:
+            raise KeyError(direction_id)
+        times = self._time[row, :length]
+        # Smallest positive gap: robust against missed-poll holes.
+        interval = float(np.diff(times).min()) if length >= 2 else 900.0
+        return TimeSeries(
+            column[row, :length], interval_s=interval, start_s=float(times[0])
+        )
 
     def corruption_series(self, direction_id: DirectionId) -> TimeSeries:
         """Corruption loss-rate series of one direction."""
-        return TimeSeries(
-            self._corruption[direction_id],
-            interval_s=self._interval(direction_id),
-            start_s=self._times[direction_id][0] if self._times[direction_id] else 0.0,
-        )
+        return self._series(self._corruption, direction_id)
 
     def congestion_series(self, direction_id: DirectionId) -> TimeSeries:
         """Congestion loss-rate series of one direction."""
-        return TimeSeries(
-            self._congestion[direction_id],
-            interval_s=self._interval(direction_id),
-            start_s=self._times[direction_id][0] if self._times[direction_id] else 0.0,
-        )
+        return self._series(self._congestion, direction_id)
 
     def utilization_series(self, direction_id: DirectionId) -> TimeSeries:
         """Utilization series of one direction."""
-        return TimeSeries(
-            self._utilization[direction_id],
-            interval_s=self._interval(direction_id),
-            start_s=self._times[direction_id][0] if self._times[direction_id] else 0.0,
-        )
+        return self._series(self._utilization, direction_id)
 
     def times(self, direction_id: DirectionId) -> List[float]:
         """Sample timestamps of one direction (may contain gaps)."""
-        return list(self._times.get(direction_id, []))
+        row, length = self._used(direction_id)
+        return self._time[row, :length].tolist() if length else []
+
+    def tail(
+        self, direction_id: DirectionId, count: int
+    ) -> Tuple[List[float], List[float]]:
+        """The last ``count`` (utilization, congestion) values of a
+        direction, oldest first — O(count), unlike the full series."""
+        row, length = self._used(direction_id)
+        if not length:
+            return [], []
+        span = slice(max(0, length - count), length)
+        return (
+            self._utilization[row, span].tolist(),
+            self._congestion[row, span].tolist(),
+        )
 
     def last_sample(
         self, direction_id: DirectionId
@@ -115,29 +219,44 @@ class TelemetryStore:
 
         Returns:
             ``(time_s, corruption, congestion, utilization, quality)``.
-            O(1); the chaos loop polls this every tick.
+            O(1); the chaos loop reads this for every fresh detection.
         """
-        times = self._times.get(direction_id)
-        if not times:
+        row, length = self._used(direction_id)
+        if not length:
             return None
+        last = length - 1
         return (
-            times[-1],
-            self._corruption[direction_id][-1],
-            self._congestion[direction_id][-1],
-            self._utilization[direction_id][-1],
-            self._quality[direction_id][-1],
+            self._time.item(row, last),
+            self._corruption.item(row, last),
+            self._congestion.item(row, last),
+            self._utilization.item(row, last),
+            QUALITY_BY_CODE[self._quality.item(row, last)],
         )
+
+    def latest(
+        self, rows: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(time_s, corruption, congestion)`` of the most recent sample
+        of each of ``rows``; the time is NaN for a row without samples."""
+        length = self._length[rows]
+        self._ensure_capacity(1)
+        last = np.maximum(length, 1) - 1
+        times = np.where(length > 0, self._time[rows, last], np.nan)
+        return times, self._corruption[rows, last], self._congestion[rows, last]
 
     def quality_series(self, direction_id: DirectionId) -> List[SampleQuality]:
         """Per-sample quality flags, aligned with the rate series."""
-        return list(self._quality.get(direction_id, []))
+        row, length = self._used(direction_id)
+        if not length:
+            return []
+        return [QUALITY_BY_CODE[c] for c in self._quality[row, :length].tolist()]
 
     def quality_counts(
         self, direction_id: DirectionId
     ) -> Dict[SampleQuality, int]:
         """Histogram of sample quality for one direction."""
         counts: Dict[SampleQuality, int] = {}
-        for q in self._quality.get(direction_id, []):
+        for q in self.quality_series(direction_id):
             counts[q] = counts.get(q, 0) + 1
         return counts
 
@@ -147,3 +266,16 @@ class TelemetryStore:
             self.corruption_series(direction_id).mean(),
             self.congestion_series(direction_id).mean(),
         )
+
+    # ------------------------------------------------------------------ #
+    # Pickling (service checkpoints): only the used part of each column
+    # ------------------------------------------------------------------ #
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        rows = len(self._index)
+        used = int(self._length[:rows].max()) if rows else 0
+        state["_length"] = self._length[:rows]
+        for name in _COLUMNS:
+            state[name] = getattr(self, name)[:rows, :used]
+        return state

@@ -348,10 +348,10 @@ class ColumnarTopology:
                 capacity_gbps=capacity[i],
                 breakout_group=None if breakout[i] < 0 else groups[breakout[i]],
             )
+            topo._restore_link(
+                lid, _CODE_TO_STATE[state[i]], corr_up[i], corr_down[i]
+            )
             link = topo.link(lid)
-            link.state = _CODE_TO_STATE[state[i]]
-            link.corruption_rate[Direction.UP] = corr_up[i]
-            link.corruption_rate[Direction.DOWN] = corr_down[i]
             link.lg_capable = capable[i]
             link.lg_protected = protected[i]
             link.lg_effective_loss = eff_loss[i]

@@ -65,6 +65,16 @@ class Topology:
         # same way they memoize against admin-state versions.
         self._lg_version = 0
         self._lg_protected: Set[LinkId] = set()
+        # Live indexes, so the per-decision and per-poll queries below cost
+        # O(#matching links) instead of a walk over every Link: links with
+        # a non-zero corruption rate in either direction (any admin state)
+        # and links not ENABLED.  Kept by the mutators of this class;
+        # writing ``link.state`` or ``link.corruption_rate`` directly
+        # bypasses them.  ``_link_order`` (position of each link in
+        # ``_links``) is rebuilt on demand after links were added.
+        self._corrupting: Set[LinkId] = set()
+        self._disabled: Set[LinkId] = set()
+        self._link_order: Dict[LinkId, int] = {}
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -247,7 +257,30 @@ class Topology:
         flipped = link.enabled != (state is LinkState.ENABLED)
         link.state = state
         if flipped:
+            if link.enabled:
+                self._disabled.discard(link_id)
+            else:
+                self._disabled.add(link_id)
             self._notify_admin(link_id)
+
+    def _restore_link(
+        self,
+        link_id: LinkId,
+        state: LinkState,
+        corruption_up: float,
+        corruption_down: float,
+    ) -> None:
+        """Load the saved state and rates of a link just added by
+        ``add_link`` (the deserializers): keeps the indexes, fires no
+        listener."""
+        link = self._links[link_id]
+        link.state = state
+        link.corruption_rate[Direction.UP] = corruption_up
+        link.corruption_rate[Direction.DOWN] = corruption_down
+        if state is not LinkState.ENABLED:
+            self._disabled.add(link_id)
+        if corruption_up != 0 or corruption_down != 0:
+            self._corrupting.add(link_id)
 
     def disable_link(self, link_id: LinkId) -> None:
         """Administratively disable a link (both directions; §3 fn. 3)."""
@@ -263,21 +296,34 @@ class Topology:
 
     def disabled_links(self) -> Set[LinkId]:
         """Ids of links not currently carrying traffic."""
-        return {
-            lid for lid, link in self._links.items() if not link.enabled
-        }
+        return set(self._disabled)
 
     def corrupting_links(self, threshold: float = 1e-8) -> List[LinkId]:
         """Ids of *enabled* links corrupting above ``threshold``.
 
         These are the candidates the fast checker and optimizer reason
-        about: disabled links are already mitigated.
+        about: disabled links are already mitigated.  Answered from the
+        index of links with a non-zero rate, in ``_links`` insertion order.
         """
-        return [
+        links = self._links
+        # A threshold of zero (or below) also matches healthy links.
+        pool = self._corrupting if threshold > 0 else links
+        hits = [
             lid
-            for lid, link in self._links.items()
-            if link.enabled and link.is_corrupting(threshold)
+            for lid in pool
+            if links[lid].enabled and links[lid].is_corrupting(threshold)
         ]
+        if pool is not links and len(hits) > 1:
+            if len(self._link_order) != len(links):
+                self._link_order = {lid: i for i, lid in enumerate(links)}
+            hits.sort(key=self._link_order.__getitem__)
+        return hits
+
+    def links_with_corruption(self) -> Set[LinkId]:
+        """Ids of links with a non-zero corruption rate in either
+        direction, whatever their admin state (a live view: do not
+        mutate, and do not hold across topology changes)."""
+        return self._corrupting
 
     def set_corruption(
         self, link_id: LinkId, rate: float, direction: Direction = Direction.UP
@@ -285,7 +331,12 @@ class Topology:
         """Set the corruption loss rate of one direction of a link."""
         if rate < 0 or rate > 1:
             raise ValueError(f"corruption rate {rate} outside [0, 1]")
-        self._links[link_id].corruption_rate[direction] = rate
+        link = self._links[link_id]
+        link.corruption_rate[direction] = rate
+        if rate != 0 or link.corruption_rate[direction.reverse()] != 0:
+            self._corrupting.add(link_id)
+        else:
+            self._corrupting.discard(link_id)
 
     def clear_corruption(self, link_id: LinkId) -> None:
         """Mark both directions of a link healthy (post-repair).
@@ -296,6 +347,7 @@ class Topology:
         link = self._links[link_id]
         link.corruption_rate[Direction.UP] = 0.0
         link.corruption_rate[Direction.DOWN] = 0.0
+        self._corrupting.discard(link_id)
         if link.lg_protected:
             self.unprotect_link(link_id)
 
@@ -516,6 +568,8 @@ class Topology:
             new.lg_capacity_fraction = link.lg_capacity_fraction
             if link.lg_protected:
                 clone._lg_protected.add(link.link_id)
+        clone._corrupting = set(self._corrupting)
+        clone._disabled = set(self._disabled)
         return clone
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

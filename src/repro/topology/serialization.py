@@ -77,10 +77,12 @@ def topology_from_dict(data: Dict[str, Any]) -> Topology:
             capacity_gbps=entry.get("capacity_gbps", 40.0),
             breakout_group=entry.get("breakout_group"),
         )
-        link = topo.link(lid)
-        link.state = LinkState(entry.get("state", "enabled"))
-        link.corruption_rate[Direction.UP] = entry.get("corruption_up", 0.0)
-        link.corruption_rate[Direction.DOWN] = entry.get("corruption_down", 0.0)
+        topo._restore_link(
+            lid,
+            LinkState(entry.get("state", "enabled")),
+            entry.get("corruption_up", 0.0),
+            entry.get("corruption_down", 0.0),
+        )
     return topo
 
 

@@ -6,6 +6,7 @@ the schema validator must reach the same verdicts without unpickling
 at all.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -95,6 +96,35 @@ class TestIntegrity:
         corrupt(path, format_version=CHECKPOINT_FORMAT_VERSION + 1)
         with pytest.raises(ValueError, match="version"):
             read_checkpoint(path)
+
+    def test_v1_checkpoint_refused_before_unpickling(self, tmp_path):
+        """Version 1 pickled the dict-of-lists poller, sanitizer and
+        store; it must be refused by version, not unpickled into objects
+        with the wrong attributes."""
+        payload = b"\x80\x04N."  # a valid pickle; must never be loaded
+        header = {
+            "format": CHECKPOINT_FORMAT,
+            "format_version": 1,
+            "repro_version": "1.8.0",
+            "sim_time_s": 10800.0,
+            "boundary_index": 1,
+            "payload_bytes": len(payload),
+            "state_digest": hashlib.sha256(payload).hexdigest(),
+            "config": {"days": 0.5, "seed": 0},
+        }
+        path = tmp_path / "v1.ckpt"
+        path.write_bytes(
+            json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+            + b"\n"
+            + payload
+        )
+        with pytest.raises(
+            ValueError, match=r"unsupported checkpoint version 1 \(expected 2\)"
+        ):
+            read_checkpoint(path)
+        assert validate_checkpoint_file(path) == [
+            "unsupported 'format_version' 1"
+        ]
 
     def test_truncated_payload_rejected(self, tmp_path):
         path = tmp_path / "c.ckpt"

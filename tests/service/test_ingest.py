@@ -38,8 +38,8 @@ def build_poller(topo, capacity=1024, policy="defer", batch_size=10,
 def store_contents(store):
     return {
         did: (
-            list(store._times[did]),
-            list(store._corruption[did]),
+            store.times(did),
+            store.corruption_series(did).values.tolist(),
         )
         for did in store.directions()
     }

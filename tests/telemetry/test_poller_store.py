@@ -1,5 +1,7 @@
 """Tests for the SNMP poller and telemetry store."""
 
+import math
+
 import pytest
 
 from repro.telemetry import SampleQuality, SnmpPoller, TelemetryStore
@@ -103,6 +105,49 @@ class TestStore:
         assert not store.append_rates(("a", "b"), 450.0, 0.0, 0.0, 0.1)
         assert store.dropped_samples == 2
         assert len(store.corruption_series(("a", "b"))) == 1
+
+    def test_non_finite_timestamp_dropped(self):
+        """Regression: ``nan <= times[-1]`` is false, so a NaN timestamp
+        used to be stored and, being incomparable, let every later
+        timestamp in — breaking the monotone-series guarantee."""
+        store = TelemetryStore()
+        did = ("a", "b")
+        assert store.append_rates(did, 900.0, 0.0, 0.0, 0.1)
+        for bad in (math.nan, math.inf, -math.inf):
+            assert not store.append_rates(did, bad, 0.0, 0.0, 0.1)
+        assert not store.append_rates(("c", "d"), math.nan, 0.0, 0.0, 0.1)
+        assert store.dropped_samples == 4
+        assert not store.append_rates(did, 450.0, 0.0, 0.0, 0.1)
+        assert store.times(did) == [900.0]
+        assert list(store.directions()) == [did]
+
+    def test_tail_reads_the_last_values(self):
+        store = TelemetryStore()
+        did = ("a", "b")
+        assert store.tail(did, 3) == ([], [])
+        for i in range(1, 6):
+            store.append_rates(did, 900.0 * i, 0.0, i * 1e-3, i * 0.1)
+        utilization, congestion = store.tail(did, 3)
+        assert utilization == pytest.approx([0.3, 0.4, 0.5])
+        assert congestion == pytest.approx([3e-3, 4e-3, 5e-3])
+        assert store.tail(did, 99)[0] == store.utilization_series(
+            did
+        ).values.tolist()
+
+    def test_columns_grow_and_pickle_trimmed(self):
+        import pickle
+
+        store = TelemetryStore()
+        for i in range(1, 40):  # past the first column allocation
+            store.append_rates(("a", "b"), 900.0 * i, i * 1e-6, 0.0, 0.5)
+        store.append_rates(("c", "d"), 900.0, 1e-3, 0.0, 0.5)
+        clone = pickle.loads(pickle.dumps(store))
+        assert clone._time.shape == (2, 39)
+        for did in (("a", "b"), ("c", "d")):
+            assert clone.times(did) == store.times(did)
+            assert clone.last_sample(did) == store.last_sample(did)
+        assert clone.append_rates(("a", "b"), 900.0 * 40, 0.0, 0.0, 0.0)
+        assert len(clone.times(("a", "b"))) == 40
 
     def test_mean_rates(self):
         store = TelemetryStore()

@@ -86,6 +86,36 @@ class TestWrapReset:
         assert out.quality is SampleQuality.SUSPECT
 
 
+    def test_unrepresentable_counter_suspect_not_a_crash(self):
+        """Regression: ``float(10**400)`` raised OverflowError out of
+        ingest; a malformed push must be rated, never take the pipeline
+        down."""
+        s = TelemetrySanitizer()
+        s.ingest(("a", "b"), snap(900, 1_000_000), CAP_PPS)
+        for bad in (
+            snap(1800.0, 10**400),
+            snap(1800.0, 2_000_000, errors=10**400),
+            snap(10**400, 2_000_000),
+        ):
+            out = s.ingest(("a", "b"), bad, CAP_PPS)
+            assert out.quality is SampleQuality.SUSPECT
+            assert math.isfinite(out.time_s)
+        assert s.stats.samples == 3
+        # The baseline survived: the next clean sample diffs against it.
+        out = s.ingest(("a", "b"), snap(2700, 3_000_000, 20), CAP_PPS)
+        assert out.corruption == pytest.approx(1e-5)
+
+    def test_counters_beyond_int64_still_diff_exactly(self):
+        """The baseline columns are int64; wider values take the object
+        path and keep Python's exact integer arithmetic."""
+        s = TelemetrySanitizer(wrap_modulus=2**80)
+        big = 2**70
+        s.ingest(("a", "b"), snap(900, big, big), 0.0)
+        out = s.ingest(("a", "b"), snap(1800, big + 1000, big + 1), 0.0)
+        assert out.quality is SampleQuality.OK
+        assert out.corruption == 1 / 1000
+
+
 class TestPropertyStyle:
     def test_sanitized_rates_always_in_unit_interval(self):
         """Whatever garbage arrives, emitted rates stay in [0, 1]."""

@@ -93,6 +93,96 @@ class TestAdministrativeState:
         assert small_clos.link(lid).max_corruption_rate() == 0.0
 
 
+class TestLiveIndexes:
+    """corrupting_links() / disabled_links() answer from indexes kept by
+    the mutators; they must equal a scan of every link, in ``_links``
+    order, whatever happened before."""
+
+    @staticmethod
+    def scan(topo, threshold=1e-8):
+        corrupting = [
+            link.link_id
+            for link in topo.links()
+            if link.enabled and link.is_corrupting(threshold)
+        ]
+        disabled = {
+            link.link_id for link in topo.links() if not link.enabled
+        }
+        return corrupting, disabled
+
+    def check(self, topo):
+        corrupting, disabled = self.scan(topo)
+        assert topo.corrupting_links() == corrupting
+        assert topo.disabled_links() == disabled
+        assert topo.corrupting_links(1e-4) == self.scan(topo, 1e-4)[0]
+        assert topo.corrupting_links(0.0) == self.scan(topo, 0.0)[0]
+        assert topo.links_with_corruption() == {
+            link.link_id
+            for link in topo.links()
+            if link.max_corruption_rate() > 0
+        }
+
+    def test_order_survives_interleaved_mutation_and_round_trips(
+        self, small_clos, tmp_path
+    ):
+        import random
+
+        from repro.topology.columnar import ColumnarTopology
+        from repro.topology.serialization import (
+            load_topology_npz,
+            save_topology_npz,
+            topology_from_dict,
+            topology_to_dict,
+        )
+
+        topo = small_clos
+        ids = list(topo.link_ids())
+        rng = random.Random(5)
+        for step in range(200):
+            lid = rng.choice(ids)
+            op = rng.randrange(7)
+            if op == 0:
+                topo.set_corruption(lid, 10 ** rng.uniform(-9, -2), Direction.UP)
+            elif op == 1:
+                topo.set_corruption(lid, 10 ** rng.uniform(-9, -2), Direction.DOWN)
+            elif op == 2:
+                topo.set_corruption(lid, 0.0, rng.choice(list(Direction)))
+            elif op == 3:
+                topo.clear_corruption(lid)
+            elif op == 4:
+                topo.disable_link(lid)
+            elif op == 5:
+                topo.drain_link(lid)
+            else:
+                topo.enable_link(lid)
+            self.check(topo)
+            if step % 40 == 39:
+                npz = tmp_path / f"t{step}.npz"
+                save_topology_npz(topo, npz)
+                for clone in (
+                    topo.copy(),
+                    topology_from_dict(topology_to_dict(topo)),
+                    ColumnarTopology.from_topology(topo).to_topology(),
+                    load_topology_npz(npz),
+                ):
+                    self.check(clone)
+                    assert clone.corrupting_links() == topo.corrupting_links()
+                    assert clone.disabled_links() == topo.disabled_links()
+                    # The clone's indexes are its own.
+                    clone.clear_corruption(ids[0])
+                    clone.disable_link(ids[1])
+                    self.check(clone)
+                self.check(topo)
+
+    def test_added_link_sorts_last(self, small_clos):
+        first = next(small_clos.link_ids())
+        small_clos.add_switch(Switch("pod0/agg-new", stage=1))
+        new = small_clos.add_link("pod0/tor0", "pod0/agg-new")
+        small_clos.set_corruption(new, 1e-3)
+        small_clos.set_corruption(first, 1e-3)
+        assert small_clos.corrupting_links() == [first, new]
+
+
 class TestTraversal:
     def test_downstream_tors_of_agg(self, small_clos):
         tors = small_clos.downstream_tors("pod0/agg0")
