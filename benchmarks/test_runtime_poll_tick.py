@@ -6,50 +6,89 @@ links (§2) in well under a second.  This times ``SnmpPoller.poll_once``
 only for the rows a telemetry fault touched) on ``LARGE_DCN.build(scale=
 1.0)`` — 36,864 links, 73,728 directions — under the ``none``, ``mild``
 and ``harsh`` chaos presets, and scales the per-direction figure to 350K
-links.  Recorded to ``benchmarks/results/runtime_poll_tick.{txt,json}``.
+links.  The ``hotspots`` row is ``mild`` with the congestion co-model on
+(``CongestionModel.traffic``: one array call per tick, one draw pair per
+direction), and records what a direction's traffic state adds to a
+checkpoint.  Recorded to ``benchmarks/results/runtime_poll_tick.{txt,json}``.
 
 The closed-loop end-to-end numbers (sensing, controller, snapshots
 included) are the ``chaos_*`` workloads of ``python3 -m bench.run``; this
 isolates the telemetry path at a size those do not reach.
 """
 
+import pickle
 import time
+from functools import partial
 
 from conftest import write_benchmark_json, write_report
 
+from repro.congestion import congestion_model
 from repro.faults import FaultyTransport
 from repro.simulation.chaos import chaos_preset
 from repro.telemetry import SnmpPoller, TelemetrySanitizer, TelemetryStore
-from repro.topology import sprinkle_corruption
+from repro.topology import Direction, sprinkle_corruption
 from repro.workloads import LARGE_DCN
 
-PRESETS = ("none", "mild", "harsh")
+#: Row name → (chaos preset, congestion preset).
+ROWS = {
+    "none": ("none", None),
+    "mild": ("mild", None),
+    "harsh": ("harsh", None),
+    "hotspots": ("mild", "hotspots"),
+}
 PAPER_LINKS = 350_000
 #: Ticks timed per preset, after two that seed baselines and build the
 #: direction table.
 TICKS = 6
 #: Gate, with room for a slow CI box.  Measured on the 2-core reference
-#: host: none 0.22 s, mild 0.54 s ("well under a second"), harsh 1.7 s
-#: (a tenth of its rows take the per-sample path).  The per-sample loop
-#: this replaced needs ~8 s under any preset.
+#: host: none 0.18 s, mild 0.59 s ("well under a second"), harsh 1.7 s
+#: (a tenth of its rows take the per-sample path), hotspots 1.5 s (mild
+#: plus one draw pair, one sine and two powers per direction).  The
+#: per-sample loop this replaced needs ~8 s under any preset.
 CEILING_350K_S = 3.0
+#: A direction's traffic state in a checkpoint: twelve 8-byte columns, a
+#: cached Gaussian and a row-index entry (a generator state is ~2.5 KB).
+CEILING_CHECKPOINT_BYTES = 128
 
 
 def _packets(_did, _t):
     return 10_000_000
 
 
-def _tick_seconds(preset: str):
+def _traffic_state_bytes(congestion: str) -> float:
+    """What one direction's traffic state adds to the pickled co-model
+    (measured away from a poller, which would hang its own state off the
+    topology's subscriber lists)."""
+    topo = LARGE_DCN.build(scale=1.0)
+    model = congestion_model(congestion, topo, seed=1)
+    empty_bytes = len(pickle.dumps(model, protocol=4))
+    direction_ids = [
+        link.direction_id(direction)
+        for link in topo.links()
+        for direction in (Direction.UP, Direction.DOWN)
+    ]
+    # One tick: every stream holds a cached Gaussian, the larger state.
+    model.traffic(direction_ids, 900.0, 900.0)
+    grown_bytes = len(pickle.dumps(model, protocol=4))
+    return (grown_bytes - empty_bytes) / len(direction_ids)
+
+
+def _tick_seconds(preset: str, congestion=None):
     topo = LARGE_DCN.build(scale=1.0)
     sprinkle_corruption(topo, fraction=0.02)
     transport = FaultyTransport(chaos_preset(preset, seed=1))
     sanitizer = TelemetrySanitizer()
+    if congestion is None:
+        traffic = dict(packets_fn=_packets)
+    else:
+        model = congestion_model(congestion, topo, seed=1)
+        traffic = dict(traffic_fn=partial(model.traffic, interval_s=900.0))
     poller = SnmpPoller(
         topo,
         TelemetryStore(),
-        packets_fn=_packets,
         transport=transport,
         sanitizer=sanitizer,
+        **traffic,
     )
     poller.run(2)
     ticks = []
@@ -71,8 +110,8 @@ def test_poll_tick_at_paper_scale():
         f"{'us/direction':>14}{'350K-link tick_s':>18}",
     ]
     metrics = {}
-    for preset in PRESETS:
-        tick_s, directions = _tick_seconds(preset)
+    for preset, (chaos, congestion) in ROWS.items():
+        tick_s, directions = _tick_seconds(chaos, congestion)
         us_per_direction = tick_s / directions * 1e6
         at_paper_scale_s = us_per_direction * 1e-6 * 2 * PAPER_LINKS
         lines.append(
@@ -84,5 +123,13 @@ def test_poll_tick_at_paper_scale():
         metrics[f"{preset}_us_per_direction"] = us_per_direction
         metrics[f"{preset}_tick_s_at_350k_links"] = at_paper_scale_s
         assert at_paper_scale_s < CEILING_350K_S, (preset, at_paper_scale_s)
+        if congestion is not None:
+            state_bytes = _traffic_state_bytes(congestion)
+            lines.append(
+                f"{preset}: {state_bytes:.1f} checkpoint bytes per "
+                "direction of traffic state"
+            )
+            metrics[f"{preset}_checkpoint_bytes_per_direction"] = state_bytes
+            assert 0 < state_bytes < CEILING_CHECKPOINT_BYTES
     write_report("runtime_poll_tick", lines)
     write_benchmark_json("runtime_poll_tick", metrics)

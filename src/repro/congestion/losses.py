@@ -4,19 +4,45 @@ Assigns traffic profiles to link directions with *strong spatial locality*:
 congestion clusters inside hotspot pods (rack-level incast keeps losses on
 the pod's ToR–aggregation links) plus a few hot aggregation switches.  §3 /
 Figure 4: congested links touch only ~20% of the switches a random spread
-would, while corruption touches ~80%.  Exposes the callables the
-:class:`~repro.telemetry.poller.SnmpPoller` needs.
+would, while corruption touches ~80%.
+
+The model is a table with one row per direction, created when the direction
+is first asked about: profile parameters, AR(1) noise state, draw count,
+line-rate packets per second and queue depth K are numpy columns, and every
+row has its own ``random.Random(seed)`` stream.  ``CongestionModel.traffic``
+answers a whole poll tick from the columns; ``utilization`` / ``loss_rate``
+are the per-call form of the same process, on the same state (DESIGN.md §16).
 """
 
 from __future__ import annotations
 
+import math
 import random
-from typing import Dict, List, Optional, Set
+from dataclasses import fields
+from typing import Dict, List, Sequence, Set, Tuple
 
-from repro.congestion.queueing import congestion_loss_rate
-from repro.congestion.traffic import TrafficProfile, sample_profile
+import numpy as np
+
+from repro.congestion.queueing import (
+    DEEP_BUFFER_K,
+    SHALLOW_BUFFER_K,
+    congestion_loss_rate,
+    congestion_loss_rows,
+)
+from repro.congestion.traffic import DAY_S, TrafficProfile, sample_profile
 from repro.topology.elements import Direction, DirectionId
 from repro.topology.graph import Topology
+
+
+#: Fields of :class:`TrafficProfile` the table keeps as columns.
+_PROFILE_FIELDS = tuple(
+    f.name for f in fields(TrafficProfile) if f.name != "_rng"
+)
+#: Every column and its dtype.
+_COLUMNS = tuple(
+    (name, np.int64 if name in ("seed", "_samples") else np.float64)
+    for name in _PROFILE_FIELDS
+) + (("line_pps", np.float64), ("buffer_k", np.int64))
 
 
 class CongestionModel:
@@ -56,10 +82,16 @@ class CongestionModel:
         self.bidirectional_hot_probability = bidirectional_hot_probability
         self.hotspot_pods: Set[str] = set()
         self.hotspot_switches: Set[str] = set()
-        self._profiles: Dict[DirectionId, TrafficProfile] = {}
         self._hot_directions: Set[DirectionId] = set()
         self._pick_hotspots(hotspot_pod_fraction, hotspot_switch_fraction)
         self._assign_hot_directions()
+        # The table.  `_profiles[row]` carries the row's stream (`_rng`);
+        # `_columns` its parameters, noise state and draw count.
+        self._row_of: Dict[DirectionId, int] = {}
+        self._profiles: List[TrafficProfile] = []
+        self._columns: Dict[str, np.ndarray] = {
+            name: np.zeros(0, dtype=dtype) for name, dtype in _COLUMNS
+        }
 
     def _pick_hotspots(
         self, pod_fraction: float, switch_fraction: float
@@ -112,16 +144,23 @@ class CongestionModel:
         return sorted(self._hot_directions)
 
     def profile(self, direction_id: DirectionId) -> TrafficProfile:
-        """The (lazily created) traffic profile of a direction."""
-        if direction_id not in self._profiles:
-            self._profiles[direction_id] = sample_profile(
-                self._rng, hot=self.is_hot(direction_id)
-            )
-        return self._profiles[direction_id]
+        """The traffic profile of a direction, at its row's current state
+        and on its stream; draw through :meth:`utilization`, which keeps
+        the row's columns current."""
+        row = int(self._rows([direction_id])[0])
+        profile = self._profiles[row]
+        profile._noise_state = self._columns["_noise_state"].item(row)
+        profile._samples = self._columns["_samples"].item(row)
+        return profile
 
     def utilization(self, direction_id: DirectionId, time_s: float) -> float:
         """Utilization sample for a direction at ``time_s``."""
-        return self.profile(direction_id).utilization(time_s)
+        profile = self.profile(direction_id)
+        row = self._row_of[direction_id]
+        util = profile.utilization(time_s)
+        self._columns["_noise_state"][row] = profile._noise_state
+        self._columns["_samples"][row] = profile._samples
+        return util
 
     def loss_rate(self, direction_id: DirectionId, utilization: float) -> float:
         """Congestion loss rate given a utilization sample.
@@ -129,35 +168,112 @@ class CongestionModel:
         Honors the deep-buffer flag of the *egress* switch (losses happen
         at the sender's output queue).
         """
-        src = direction_id[0]
-        deep = (
-            self._topo.has_switch(src) and self._topo.switch(src).deep_buffer
+        return congestion_loss_rate(
+            utilization, deep_buffer=self._deep_buffer(direction_id)
         )
-        return congestion_loss_rate(utilization, deep_buffer=deep)
 
-    # Poller-facing adapters ------------------------------------------- #
+    def _deep_buffer(self, direction_id: DirectionId) -> bool:
+        src = direction_id[0]
+        return self._topo.has_switch(src) and self._topo.switch(src).deep_buffer
 
-    def packets_fn(self, interval_s: float = 900.0, pkt_bytes: int = 1000):
-        """Return a ``(direction_id, time_s) -> packets`` callable."""
+    # The table --------------------------------------------------------- #
 
-        def packets(direction_id: DirectionId, time_s: float) -> int:
-            link = self._topo.find_link(*direction_id)
-            line_pkts = link.capacity_gbps * 1e9 / 8.0 / pkt_bytes * interval_s
-            return int(line_pkts * self.utilization(direction_id, time_s))
-
-        return packets
-
-    def congestion_fn(self):
-        """Return a ``(direction_id, time_s) -> loss rate`` callable.
-
-        Note: draws a fresh utilization sample; for counter-consistent
-        traffic + loss pairs drive the model through
-        :meth:`utilization`/:meth:`loss_rate` directly.
-        """
-
-        def congestion(direction_id: DirectionId, time_s: float) -> float:
-            return self.loss_rate(
-                direction_id, self.utilization(direction_id, time_s)
+    def _rows(self, direction_ids: Sequence[DirectionId]) -> np.ndarray:
+        """Row numbers of ``direction_ids``; a new direction gets its row
+        now, in the order given, its parameters drawn from the model's
+        ``_rng``."""
+        row_of = self._row_of
+        try:
+            return np.array(
+                [row_of[did] for did in direction_ids], dtype=np.int64
             )
+        except KeyError:
+            pass
+        new = [did for did in dict.fromkeys(direction_ids) if did not in row_of]
+        # Looked up first: an unknown direction raises with nothing changed.
+        links = [self._topo.find_link(*did) for did in new]
+        created = []
+        for did, link in zip(new, links):
+            row_of[did] = len(row_of)
+            profile = sample_profile(self._rng, hot=self.is_hot(did))
+            self._profiles.append(profile)
+            created.append(
+                [getattr(profile, name) for name in _PROFILE_FIELDS]
+                + [
+                    link.capacity_gbps * 1e9 / 8.0 / 1000.0,
+                    DEEP_BUFFER_K if self._deep_buffer(did)
+                    else SHALLOW_BUFFER_K,
+                ]
+            )
+        for (name, dtype), values in zip(_COLUMNS, zip(*created)):
+            self._columns[name] = np.concatenate(
+                [self._columns[name], np.array(values, dtype=dtype)]
+            )
+        return self._rows(direction_ids)
 
-        return congestion
+    def traffic(
+        self,
+        direction_ids: Sequence[DirectionId],
+        time_s: float,
+        interval_s: float,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """One poll tick for distinct ``direction_ids``: the packets each
+        offered over the ``interval_s`` ending at ``time_s`` (1000-byte
+        packets, int64) and its queue loss rate.
+
+        Entry ``i`` equals ``int(line_rate_packets * u)`` and
+        ``loss_rate(direction_ids[i], u)`` for ``u =
+        utilization(direction_ids[i], time_s)``, bit for bit, and leaves
+        the direction's stream where that call would: draws come from its
+        own stream, transcendentals from ``math`` (numpy's are not
+        bit-identical to libm on every host), the rest runs on the columns.
+        Line rate and queue depth are those of the direction's first call.
+        """
+        rows = self._rows(direction_ids)
+        columns = self._columns
+
+        def column(name: str) -> np.ndarray:
+            return columns[name][rows]
+
+        streams = [self._profiles[row]._rng for row in rows.tolist()]
+        gauss = np.array([
+            rng.gauss(0.0, sigma)
+            for rng, sigma in zip(streams, column("noise_sigma").tolist())
+        ])
+        uniform = np.array([rng.random() for rng in streams])
+        angle = 2.0 * math.pi * (time_s - column("phase_s")) / DAY_S
+        diurnal = column("amplitude") * np.array(
+            list(map(math.sin, angle.tolist()))
+        )
+        noise = column("noise_rho") * column("_noise_state") + gauss
+        columns["_noise_state"][rows] = noise
+        columns["_samples"][rows] += 1
+        util = column("mean") + diurnal + noise
+        burst = uniform < column("burst_probability")
+        util = np.where(burst, util + column("burst_boost"), util)
+        util = np.clip(util, 0.0, 1.0)
+        packets = (column("line_pps") * interval_s * util).astype(np.int64)
+        return packets, congestion_loss_rows(util, column("buffer_k"))
+
+    # Checkpoints ------------------------------------------------------- #
+
+    def __getstate__(self):
+        """The table without its 625-word generator states: a row's seed,
+        draw count and cached Gaussian determine its stream."""
+        state = self.__dict__.copy()
+        del state["_profiles"]
+        state["gauss_next"] = [p._rng.gauss_next for p in self._profiles]
+        return state
+
+    def __setstate__(self, state):
+        cached = state.pop("gauss_next")
+        self.__dict__.update(state)
+        columns = [self._columns[name].tolist() for name in _PROFILE_FIELDS]
+        self._profiles = []
+        for gauss_next, *values in zip(cached, *columns):
+            # What unpickling a TrafficProfile does.
+            profile = TrafficProfile.__new__(TrafficProfile)
+            profile.__setstate__(
+                dict(zip(_PROFILE_FIELDS, values), gauss_next=gauss_next)
+            )
+            self._profiles.append(profile)

@@ -13,6 +13,8 @@ congestion losses).
 
 from __future__ import annotations
 
+import numpy as np
+
 SHALLOW_BUFFER_K = 120
 DEEP_BUFFER_K = 1200
 
@@ -65,3 +67,32 @@ def congestion_loss_rate(
         raise ValueError(f"utilization {utilization} outside [0, 1]")
     buffer_k = DEEP_BUFFER_K if deep_buffer else SHALLOW_BUFFER_K
     return mm1k_loss(utilization / headroom, buffer_k)
+
+
+def congestion_loss_rows(
+    utilization: np.ndarray, buffer_k: np.ndarray, headroom: float = 0.92
+) -> np.ndarray:
+    """:func:`congestion_loss_rate` of every row, bit for bit.
+
+    ``utilization`` lies in [0, 1] and ``buffer_k`` holds the queue depth
+    (at least 1) of each row.  The powers go through Python's float ``**``
+    one by one (``np.power`` may differ from libm's ``pow`` in the last
+    bit); the rest is array arithmetic in the scalar form's order.
+    """
+    rho = utilization / headroom
+    over = rho > 1.0
+    # rho^-(K+1) where the queue is overloaded, rho^(K+1) where it is not.
+    exponent = np.where(over, -(buffer_k + 1), buffer_k + 1)
+    bases = rho.tolist()
+    to_k = np.array([b**k for b, k in zip(bases, buffer_k.tolist())])
+    to_next = np.array([b**e for b, e in zip(bases, exponent.tolist())])
+    # Each row computes both branches; the one it does not take may
+    # divide by zero or overflow.
+    with np.errstate(all="ignore"):
+        loss = np.where(
+            over,
+            np.minimum(1.0, (rho - 1.0) / (rho * (1.0 - to_next))),
+            np.clip((1.0 - rho) * to_k / (1.0 - to_next), 0.0, 1.0),
+        )
+    loss = np.where(np.abs(rho - 1.0) < 1e-12, 1.0 / (buffer_k + 1), loss)
+    return np.where(rho == 0.0, 0.0, loss)

@@ -18,6 +18,27 @@ import numpy as np
 DAY_S = 86_400.0
 
 
+def fast_forward(
+    rng: random.Random, samples: int, gauss_next: Optional[float]
+) -> None:
+    """Move a freshly seeded ``rng`` to where it stands after ``samples``
+    utilization draws (one ``gauss``, then one ``random``, each).
+
+    ``gauss`` draws two ``random()`` on every other call and caches the
+    second variate (``gauss_next``, saved by the caller); ``random()`` takes
+    two 32-bit MT outputs; ``getrandbits(32 * w)`` consumes exactly ``w``.
+    """
+    if (gauss_next is not None) != bool(samples % 2):
+        raise ValueError(
+            f"cached Gaussian {gauss_next!r} after {samples} draws: not a "
+            "position in a utilization stream"
+        )
+    words = 4 * ((samples + 1) // 2) + 2 * samples
+    if words:
+        rng.getrandbits(32 * words)
+    rng.gauss_next = gauss_next
+
+
 @dataclass
 class TrafficProfile:
     """Utilization process of one link direction.
@@ -44,14 +65,32 @@ class TrafficProfile:
     burst_probability: float = 0.02
     burst_boost: float = 0.35
     seed: int = 0
-    _rng: random.Random = field(init=False, repr=False)
+    _rng: random.Random = field(init=False, repr=False, compare=False)
     _noise_state: float = field(init=False, default=0.0, repr=False)
+    #: Utilization draws so far: the position in ``_rng``'s stream.
+    _samples: int = field(init=False, default=0, repr=False)
 
     def __post_init__(self):
         if not 0.0 <= self.mean <= 1.0:
             raise ValueError(f"mean utilization {self.mean} outside [0, 1]")
         self._rng = random.Random(self.seed)
         self._noise_state = 0.0
+        self._samples = 0
+
+    def __getstate__(self):
+        """Parameters, noise state, stream position and cached Gaussian —
+        not the 625-word generator state they determine."""
+        state = self.__dict__.copy()
+        del state["_rng"]
+        state["gauss_next"] = self._rng.gauss_next
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._rng = random.Random(self.seed)
+        fast_forward(
+            self._rng, self._samples, self.__dict__.pop("gauss_next")
+        )
 
     def utilization(self, time_s: float) -> float:
         """Draw the utilization at ``time_s`` (advances the noise state)."""
@@ -65,6 +104,7 @@ class TrafficProfile:
         u = self.mean + diurnal + self._noise_state
         if self._rng.random() < self.burst_probability:
             u += self.burst_boost
+        self._samples += 1
         return min(1.0, max(0.0, u))
 
     def series(self, num_samples: int, interval_s: float = 900.0) -> np.ndarray:

@@ -162,6 +162,10 @@ class PathCounter:
     def _rebuild_live_state(self) -> None:
         """(Re)compute the live counts and aggregates with one full DP."""
         self._counts: Dict[str, int] = self._count()
+        # (state version, link, overlay) of the latest single-link overlay
+        # query on an enabled link.  Every admin change bumps the version,
+        # so a record only ever matches the change right after its query.
+        self._checked: Tuple[int, Optional[LinkId], dict] = (-1, None, {})
         fracsum = Fraction(0)
         heap: List[Tuple[float, str]] = []
         for tor in self._tor_list:
@@ -189,13 +193,25 @@ class PathCounter:
         self._on_admin_change(link_id)
 
     def _on_admin_change(self, link_id: LinkId) -> None:
+        version, checked_link, overlay = self._checked
+        just_checked = version == self._state_version
         self._state_version += 1
         # affected_tors depends on enabled downlinks; drop memoized entries.
         self._affected_cache.clear()
         if not self._incremental:
             return
         self.stats.incremental_updates += 1
-        self._propagate_from(self._topo.link(link_id).lower)
+        link = self._topo.link(link_id)
+        if not just_checked or checked_link != link_id or link.enabled:
+            self._propagate_from(link.lower)
+            return
+        # check_and_disable: the fast check walked this very disable on this
+        # very state, so its overlay (in the walk's order) is the new state.
+        counts = self._counts
+        for name, new in overlay.items():
+            old, counts[name] = counts[name], new
+            if name in self._tor_set:
+                self._record_tor_change(name, old, new)
 
     def _on_structure_change(self) -> None:
         self._rebuild_structure()
@@ -328,6 +344,8 @@ class PathCounter:
                 queued.add(link.lower)
                 heap.append((-stage_of[link.lower], link.lower))
         heapq.heapify(heap)
+        if len(extra) == 1 and heap:
+            self._checked = (self._state_version, lid, overlay)
         visited = 0
         while heap:
             _, name = heapq.heappop(heap)

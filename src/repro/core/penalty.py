@@ -83,11 +83,12 @@ def total_penalty(
     """Total penalty per second over *enabled* corrupting links.
 
     §5.1: ``sum_l (1 - d_l) * I(f_l)`` where ``d_l = 1`` for disabled links.
+    Summed over the topology's live corrupting index, which lists the same
+    links in the same order a walk over every link would.
     """
     return sum(
-        penalty_fn(link.max_corruption_rate())
-        for link in topo.links()
-        if link.enabled and link.is_corrupting(threshold)
+        penalty_fn(topo.link(lid).max_corruption_rate())
+        for lid in topo.corrupting_links(threshold)
     )
 
 

@@ -536,11 +536,14 @@ def validate_sweep_jsonl(lines: Sequence[str]) -> List[str]:
     return problems
 
 
-#: Checkpoint literals, kept inline so the schema module stays
-#: import-light; pinned against :mod:`repro.service.checkpoint` by the
-#: service tests.
+#: Checkpoint literals, defined here (this module is import-light) and
+#: imported by :mod:`repro.service.checkpoint`.
 CHECKPOINT_FORMAT = "repro-checkpoint"
-CHECKPOINT_FORMAT_VERSION = 2
+#: Bumped when the header or payload layout changes incompatibly.
+#: 2: poller, sanitizer and store keep per-direction state in numpy columns.
+#: 3: the congestion co-model is a table; a direction's traffic stream is
+#: its seed, draw count and cached Gaussian, not a generator state.
+CHECKPOINT_FORMAT_VERSION = 3
 
 #: Service-report literals, pinned against :mod:`repro.service.service`.
 SERVICE_REPORT_FORMAT = "repro-service-report"

@@ -2,8 +2,12 @@
 
 A checkpoint file is one JSON header line followed by a pickle payload::
 
-    {"format": "repro-checkpoint", "format_version": 2, ...}\\n
+    {"format": "repro-checkpoint", "format_version": 3, ...}\\n
     <pickle bytes of the whole ControllerService object graph>
+
+It is written to a sibling temporary file and renamed into place, so a
+crash mid-write leaves the previous checkpoint at ``path``, never a torn
+one.
 
 The header carries provenance (format, versions, sim time, boundary
 index, config echo) plus ``state_digest`` — the SHA-256 of the payload
@@ -24,16 +28,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import pickle
 from pathlib import Path
 from typing import Any, Dict, Tuple
 
 from repro._version import __version__
-
-CHECKPOINT_FORMAT = "repro-checkpoint"
-#: Bumped when the header or payload layout changes incompatibly.
-#: 2: poller, sanitizer and store keep per-direction state in numpy columns.
-CHECKPOINT_FORMAT_VERSION = 2
+from repro.obs.schema import CHECKPOINT_FORMAT, CHECKPOINT_FORMAT_VERSION
 
 #: Fixed protocol so checkpoints written on newer interpreters stay
 #: readable on the older end of the supported range.
@@ -59,15 +60,19 @@ def write_checkpoint(
         "state_digest": hashlib.sha256(payload).hexdigest(),
         "config": config,
     }
+    header_line = json.dumps(
+        header, sort_keys=True, separators=(",", ":")
+    ).encode("utf-8")
     out = Path(path)
-    with open(out, "wb") as handle:
-        handle.write(
-            json.dumps(header, sort_keys=True, separators=(",", ":")).encode(
-                "utf-8"
-            )
-        )
-        handle.write(b"\n")
-        handle.write(payload)
+    temp = out.with_name(out.name + ".tmp")
+    try:
+        with open(temp, "wb") as handle:
+            handle.write(header_line + b"\n")
+            handle.write(payload)
+        os.replace(temp, out)
+    finally:
+        # Gone already after the rename; left behind by a failed write.
+        temp.unlink(missing_ok=True)
     return header
 
 

@@ -19,6 +19,8 @@ fully accounted — see :meth:`BoundedWorkQueue.accounting_ok`.
 from __future__ import annotations
 
 from dataclasses import replace
+from itertools import groupby
+from operator import attrgetter
 from typing import Optional
 
 import numpy as np
@@ -42,8 +44,9 @@ class IngestingPoller(SnmpPoller):
        directions and offer each to the queue;
        dropped batches are reported to the sanitizer as missing polls;
     3. **drain** — pop up to ``drain_budget`` batches (oldest first,
-       deferred backlog ahead of fresh pushes) and run sanitize + store
-       for each at its *original* batch timestamp.
+       deferred backlog ahead of fresh pushes), join consecutive batches
+       of one timestamp into one array, and run sanitize + store for
+       each at its *original* timestamp.
 
     With an ample queue and no drain budget this degenerates to the
     batch poller's behaviour (same samples, same order); under load the
@@ -83,8 +86,12 @@ class IngestingPoller(SnmpPoller):
                 drained = self.queue.drain(self.drain_budget)
             with obs.span("poll.store", cat="telemetry"):
                 stored = sum(
-                    self._store_rated(self._sanitize(batch))
-                    for batch in drained
+                    self._store_rated(
+                        self._sanitize(TelemetryBatch.join(list(parts)))
+                    )
+                    for _time_s, parts in groupby(
+                        drained, key=attrgetter("time_s")
+                    )
                 )
             if obs.enabled:
                 span.set(

@@ -256,15 +256,7 @@ class ServiceSensing(TelemetrySensing):
         return IngestingPoller(
             topo,
             self.store,
-            packets_fn=(
-                self._offered_packets
-                if self._congestion_model is None
-                else self._congestion_packets
-            ),
-            congestion_fn=(
-                None if self._congestion_model is None
-                else self._congestion_loss
-            ),
+            traffic_fn=self._traffic_fn(),
             interval_s=interval,
             transport=self.transport,
             sanitizer=self.sanitizer,

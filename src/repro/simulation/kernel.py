@@ -46,6 +46,7 @@ import heapq
 import itertools
 import random
 from bisect import bisect_left
+from functools import partial
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 import numpy as np
@@ -75,7 +76,7 @@ from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.simulation.metrics import ChaosMetrics, SimulationMetrics
 from repro.simulation.results import RunResult
 from repro.simulation.strategies import MitigationStrategy
-from repro.telemetry.poller import SnmpPoller
+from repro.telemetry.poller import PerDirectionTraffic, SnmpPoller
 from repro.telemetry.sanitizer import TelemetrySanitizer
 from repro.telemetry.store import TelemetryStore
 from repro.ticketing.queue import TechnicianPoolQueue
@@ -659,33 +660,14 @@ class TelemetrySensing(SensingPipeline):
         checkpoint/restore)."""
         return self.packets_per_poll
 
-    # -- congestion co-model adapters ----------------------------------- #
-    #
-    # Bound methods (not the model's closure factories) so the pipeline
-    # stays picklable, with a one-slot memo so the packets and loss
-    # callables of one (direction, tick) see the *same* utilization draw
-    # (TrafficProfile.utilization advances AR(1) state per call).
-
-    def _congestion_utilization(self, did, now) -> float:
-        memo = self._util_memo
-        if memo is not None and memo[0] == did and memo[1] == now:
-            return memo[2]
-        util = self._congestion_model.utilization(did, now)
-        self._util_memo = (did, now, util)
-        return util
-
-    def _congestion_packets(self, did, now) -> int:
-        util = self._congestion_utilization(did, now)
-        link = self.kernel.topo.find_link(*did)
-        line_pkts = (
-            link.capacity_gbps * 1e9 / 8.0 / 1000.0 * self.poll_interval_s
-        )
-        return int(line_pkts * util)
-
-    def _congestion_loss(self, did, now) -> float:
-        return self._congestion_model.loss_rate(
-            did, self._congestion_utilization(did, now)
-        )
+    def _traffic_fn(self):
+        """The poller's traffic call: the co-model's array form when there
+        is one (bound to the poll interval; a ``partial`` so the pipeline
+        stays picklable), else constant offered load."""
+        model = self._congestion_model
+        if model is None:
+            return PerDirectionTraffic(self._offered_packets)
+        return partial(model.traffic, interval_s=self.poll_interval_s)
 
     def attach(self, kernel: SimulationKernel) -> None:
         super().attach(kernel)
@@ -721,7 +703,6 @@ class TelemetrySensing(SensingPipeline):
         # diagnosis-bearing scenario family (congestion co-model,
         # miswiring, flow voting) is active, so plain telemetry runs keep
         # their exact result surface.
-        self._util_memo = None
         self.diagnosis: Optional[DiagnosisStats] = (
             DiagnosisStats() if self._diagnosis_active() else None
         )
@@ -785,15 +766,7 @@ class TelemetrySensing(SensingPipeline):
         return SnmpPoller(
             topo,
             self.store,
-            packets_fn=(
-                self._offered_packets
-                if self._congestion_model is None
-                else self._congestion_packets
-            ),
-            congestion_fn=(
-                None if self._congestion_model is None
-                else self._congestion_loss
-            ),
+            traffic_fn=self._traffic_fn(),
             interval_s=interval,
             transport=self.transport,
             sanitizer=self.sanitizer,

@@ -17,7 +17,7 @@ DESIGN.md §8.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -118,6 +118,57 @@ class TelemetryBatch:
             },
         )
 
+    @classmethod
+    def join(cls, parts: Sequence["TelemetryBatch"]) -> "TelemetryBatch":
+        """Batches of one ``time_s`` as one batch, entries in the order
+        given (what :meth:`part` undoes)."""
+        scalar: Dict[int, List[CounterSnapshot]] = {}
+        start = 0
+        for part in parts:
+            for i, snapshots in part.scalar.items():
+                scalar[start + i] = snapshots
+            start += len(part)
+        return cls(
+            parts[0].time_s,
+            *(
+                np.concatenate([getattr(part, name) for part in parts])
+                for name in ("rows", "total", "errors", "drops", "missed")
+            ),
+            scalar,
+        )
+
+
+#: A tick's traffic: ``(direction_ids, time_s) -> (offered packets, queue
+#: loss rates)``, one entry per direction; ``None`` for no queue loss.
+TrafficFn = Callable[
+    [List[DirectionId], float], Tuple[Sequence[int], Optional[Sequence[float]]]
+]
+
+
+class PerDirectionTraffic:
+    """A :data:`TrafficFn` over per-direction callables: ``packets_fn``
+    and then ``congestion_fn`` (if any) for each direction in turn, so a
+    pair that shares state per (direction, tick) sees its calls side by
+    side.  (A class, not a closure: pollers are pickled.)"""
+
+    def __init__(
+        self,
+        packets_fn: Callable[[DirectionId, float], int],
+        congestion_fn: Optional[Callable[[DirectionId, float], float]] = None,
+    ):
+        self.packets_fn = packets_fn
+        self.congestion_fn = congestion_fn
+
+    def __call__(self, direction_ids, time_s):
+        packets_fn, congestion_fn = self.packets_fn, self.congestion_fn
+        if congestion_fn is None:
+            return [packets_fn(did, time_s) for did in direction_ids], None
+        offered, losses = [], []
+        for did in direction_ids:
+            offered.append(packets_fn(did, time_s))
+            losses.append(congestion_fn(did, time_s))
+        return offered, losses
+
 
 #: One rated sample on its way to ``store.append_rates``.
 _Sample = Tuple[DirectionId, float, float, float, float, SampleQuality]
@@ -128,8 +179,11 @@ _Rated = Tuple[TelemetryBatch, RatedRows, List[_Sample]]
 class SnmpPoller:
     """Polls a topology every 15 minutes into a telemetry store.
 
-    Traffic on each direction is supplied by a callable (the congestion
-    substrate provides realistic diurnal traffic; tests can use constants).
+    Traffic is supplied by a callable (the congestion substrate provides
+    realistic diurnal traffic; tests can use constants): either
+    ``traffic_fn`` for a whole tick at once, or ``packets_fn`` with an
+    optional ``congestion_fn`` per direction, which the poller wraps in a
+    :class:`PerDirectionTraffic`.
 
     Args:
         topo: Topology to monitor.
@@ -165,24 +219,35 @@ class SnmpPoller:
         obs: Observability recorder; each poll emits a ``poll`` span with
             ``poll.collect`` / ``poll.sanitize`` / ``poll.store`` children
             plus missed-poll counters (no-op by default).
+        traffic_fn: The array form (:data:`TrafficFn`), called once per
+            tick with the polled directions in direction order; instead
+            of ``packets_fn`` / ``congestion_fn``.
     """
 
     def __init__(
         self,
         topo: Topology,
         store: TelemetryStore,
-        packets_fn: Callable[[DirectionId, float], int],
+        packets_fn: Optional[Callable[[DirectionId, float], int]] = None,
         congestion_fn: Optional[Callable[[DirectionId, float], float]] = None,
         interval_s: float = POLL_INTERVAL_S,
         transport=None,
         sanitizer: Optional[TelemetrySanitizer] = None,
         attribution_fn: Optional[Callable[[LinkId], LinkId]] = None,
         obs: Recorder = NULL_RECORDER,
+        traffic_fn: Optional[TrafficFn] = None,
     ):
+        if traffic_fn is None:
+            if packets_fn is None:
+                raise ValueError("give traffic_fn or packets_fn")
+            traffic_fn = PerDirectionTraffic(packets_fn, congestion_fn)
+        elif packets_fn is not None or congestion_fn is not None:
+            raise ValueError(
+                "traffic_fn replaces packets_fn and congestion_fn"
+            )
         self._topo = topo
         self._store = store
-        self._packets_fn = packets_fn
-        self._congestion_fn = congestion_fn
+        self._traffic_fn = traffic_fn
         self._attribution_fn = attribution_fn
         self.interval_s = interval_s
         self.transport = transport
@@ -340,17 +405,12 @@ class SnmpPoller:
             # re-seed rather than diff against pre-disable counters
             # with a stale time base.
             self._previous.forget(np.flatnonzero(~table.enabled))
-        packets_fn, congestion_fn = self._packets_fn, self._congestion_fn
-        if congestion_fn is None:
-            offered = [packets_fn(did, now) for did in direction_ids]
-            congestion = np.zeros(len(rows))
-        else:
-            offered, losses = [], []
-            for did in direction_ids:
-                offered.append(packets_fn(did, now))
-                losses.append(congestion_fn(did, now))
-            congestion = np.array(losses, dtype=np.float64)
-        packets = np.array(offered, dtype=np.int64)
+        offered, losses = self._traffic_fn(direction_ids, now)
+        packets = np.asarray(offered, dtype=np.int64)
+        congestion = (
+            np.zeros(len(rows)) if losses is None
+            else np.asarray(losses, dtype=np.float64)
+        )
         corruption = self._corruption_rates(table)[rows]
         if (packets < 0).any():
             raise ValueError("packet count cannot be negative")

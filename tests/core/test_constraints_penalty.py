@@ -1,5 +1,7 @@
 """Tests for capacity constraints and penalty functions."""
 
+import random
+
 import pytest
 
 from repro.core import (
@@ -12,6 +14,7 @@ from repro.core import (
     total_penalty,
 )
 from repro.topology import build_clos
+from repro.topology.elements import Direction
 
 
 class TestCapacityConstraint:
@@ -88,6 +91,42 @@ class TestTotalPenalty:
         topo = build_clos(2, 2, 2, 4)
         topo.set_corruption(("pod0/tor0", "pod0/agg0"), 1e-9)
         assert total_penalty(topo) == 0.0
+
+    def test_equals_the_walk_over_every_link(self):
+        """total_penalty sums over the live corrupting index; the floats
+        must come out in the full walk's order, hence bit-equal."""
+
+        def full_walk(topo, penalty_fn, threshold):
+            return sum(
+                penalty_fn(link.max_corruption_rate())
+                for link in topo.links()
+                if link.enabled and link.is_corrupting(threshold)
+            )
+
+        topo = build_clos(3, 3, 3, 9)
+        link_ids = [link.link_id for link in topo.links()]
+        rng = random.Random(11)
+        for step in range(400):
+            lid = rng.choice(link_ids)
+            action = rng.randrange(5)
+            if action == 0:
+                topo.set_corruption(lid, 10 ** rng.uniform(-9, -2))
+            elif action == 1:
+                topo.set_corruption(
+                    lid, 10 ** rng.uniform(-9, -2), Direction.DOWN
+                )
+            elif action == 2:
+                topo.clear_corruption(lid)
+            elif action == 3:
+                topo.disable_link(lid)
+            else:
+                topo.enable_link(lid)
+            for fn in (linear_penalty, tcp_throughput_penalty):
+                for threshold in (1e-8, 1e-5, 0.0):
+                    assert total_penalty(topo, fn, threshold) == full_walk(
+                        topo, fn, threshold
+                    ), step
+        assert total_penalty(topo) > 0
 
     def test_penalty_of_links(self):
         topo = build_clos(2, 2, 2, 4)

@@ -94,6 +94,67 @@ class TestIncrementalMatchesFullDP:
             )
             assert counter.worst_tor_fraction() == oracle.worst_tor_fraction()
 
+    def test_checked_disable_commits_the_overlay(self):
+        """A single-link hypothetical query followed by that very link
+        going out of service on that very state (check_and_disable) takes
+        the overlay as the new live state; any other interleaving takes
+        the dirty-region walk.  Either way the state equals a from-scratch
+        recount, and the heap and the rational sum follow."""
+        from repro.topology import LinkState
+
+        topo = build_clos(3, 4, 3, 6)
+        counter = PathCounter(topo)
+        oracle = fresh_oracle(topo)
+        rng = random.Random(11)
+        links = list(topo.link_ids())
+        commits = 0
+        for step in range(600):
+            lid = rng.choice(links)
+            roll = rng.random()
+            if roll < 0.6:
+                counter.tor_fractions([lid])
+            elif roll < 0.75:
+                # A two-link query that names the link: not its overlay.
+                counter.tor_fractions([lid, rng.choice(links)])
+            else:
+                counter.tor_fractions([rng.choice(links)])
+            if rng.random() < 0.2:
+                # Something else changes between the check and the disable.
+                topo.disable_link(rng.choice(links))
+            if rng.random() < 0.1:
+                # The disable of an already-disabled link is checked, then
+                # the link comes back: not the checked transition.
+                counter.tor_fractions([lid])
+                topo.enable_link(lid)
+            before = counter.stats.links_visited
+            was_enabled = topo.link(lid).enabled
+            roll = rng.random()
+            if roll < 0.3:
+                # Direct mutation: asked about before or after the flip, or
+                # notified with nothing flipped at all.
+                if rng.random() < 0.7:
+                    topo.link(lid).state = LinkState.DRAINED
+                    was_enabled = False
+                if rng.random() < 0.5:
+                    counter.tor_fractions([lid])
+                counter.notify_link_change(lid)
+                oracle.notify_link_change(lid)
+            elif roll < 0.45:
+                topo.drain_link(lid)
+            else:
+                topo.disable_link(lid)
+            if was_enabled and counter.stats.links_visited == before:
+                commits += 1
+            assert counter.counts() == oracle.counts()
+            assert counter.worst_tor_fraction() == oracle.worst_tor_fraction()
+            assert (
+                counter.average_tor_fraction() == oracle.average_tor_fraction()
+            )
+            for back in rng.sample(links, k=3):
+                topo.enable_link(back)
+            assert counter.counts() == oracle.counts()
+        assert commits > 100
+
 
 class TestIncrementalAccounting:
     def test_incremental_visits_fewer_links(self):

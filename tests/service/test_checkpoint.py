@@ -8,14 +8,12 @@ at all.
 
 import hashlib
 import json
+import pickle
 
 import pytest
 
-from repro.obs import validate_checkpoint_file
-from repro.obs.schema import (
-    CHECKPOINT_FORMAT as SCHEMA_FORMAT,
-    CHECKPOINT_FORMAT_VERSION as SCHEMA_VERSION,
-)
+from repro.obs import schema, validate_checkpoint_file
+from repro.service import checkpoint
 from repro.service.checkpoint import (
     CHECKPOINT_FORMAT,
     CHECKPOINT_FORMAT_VERSION,
@@ -26,10 +24,14 @@ from repro.service.checkpoint import (
 
 
 def test_schema_literals_pinned_against_service():
-    """repro.obs.schema stays import-light, so it re-declares the format
-    literals; this pin fails if the two packages ever drift."""
-    assert SCHEMA_FORMAT == CHECKPOINT_FORMAT
-    assert SCHEMA_VERSION == CHECKPOINT_FORMAT_VERSION
+    """One definition (in the import-light repro.obs.schema), so the
+    writer and the no-unpickle validator cannot drift."""
+    assert checkpoint.CHECKPOINT_FORMAT is schema.CHECKPOINT_FORMAT
+    assert (
+        checkpoint.CHECKPOINT_FORMAT_VERSION
+        is schema.CHECKPOINT_FORMAT_VERSION
+    )
+    assert CHECKPOINT_FORMAT_VERSION == 3
 
 
 def write_sample(path, state=None):
@@ -97,34 +99,43 @@ class TestIntegrity:
         with pytest.raises(ValueError, match="version"):
             read_checkpoint(path)
 
-    def test_v1_checkpoint_refused_before_unpickling(self, tmp_path):
-        """Version 1 pickled the dict-of-lists poller, sanitizer and
-        store; it must be refused by version, not unpickled into objects
-        with the wrong attributes."""
+    def _refused_by_version(self, tmp_path, version, repro_version):
         payload = b"\x80\x04N."  # a valid pickle; must never be loaded
         header = {
             "format": CHECKPOINT_FORMAT,
-            "format_version": 1,
-            "repro_version": "1.8.0",
+            "format_version": version,
+            "repro_version": repro_version,
             "sim_time_s": 10800.0,
             "boundary_index": 1,
             "payload_bytes": len(payload),
             "state_digest": hashlib.sha256(payload).hexdigest(),
             "config": {"days": 0.5, "seed": 0},
         }
-        path = tmp_path / "v1.ckpt"
+        path = tmp_path / f"v{version}.ckpt"
         path.write_bytes(
             json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
             + b"\n"
             + payload
         )
         with pytest.raises(
-            ValueError, match=r"unsupported checkpoint version 1 \(expected 2\)"
+            ValueError,
+            match=rf"unsupported checkpoint version {version} \(expected 3\)",
         ):
             read_checkpoint(path)
         assert validate_checkpoint_file(path) == [
-            "unsupported 'format_version' 1"
+            f"unsupported 'format_version' {version}"
         ]
+
+    def test_v1_checkpoint_refused_before_unpickling(self, tmp_path):
+        """Version 1 pickled the dict-of-lists poller, sanitizer and
+        store; it must be refused by version, not unpickled into objects
+        with the wrong attributes."""
+        self._refused_by_version(tmp_path, 1, "1.8.0")
+
+    def test_v2_checkpoint_refused_before_unpickling(self, tmp_path):
+        """Version 2 pickled one TrafficProfile, generator state and all,
+        per direction; the co-model is a table now."""
+        self._refused_by_version(tmp_path, 2, "1.9.0")
 
     def test_truncated_payload_rejected(self, tmp_path):
         path = tmp_path / "c.ckpt"
@@ -151,3 +162,60 @@ class TestIntegrity:
         path.write_bytes(b"no newline here")
         with pytest.raises(ValueError):
             read_checkpoint(path)
+
+
+class TestAtomicWrite:
+    """A failed write leaves the previous checkpoint, and nothing else."""
+
+    def test_unpicklable_state_leaves_previous_checkpoint(self, tmp_path):
+        path = tmp_path / "c.ckpt"
+        write_sample(path)
+        before = path.read_bytes()
+        with pytest.raises((pickle.PicklingError, AttributeError, TypeError)):
+            write_sample(path, state=lambda: None)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["c.ckpt"]
+
+    def test_failed_write_leaves_previous_checkpoint(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "c.ckpt"
+        write_sample(path)
+        before = path.read_bytes()
+
+        class TornFile:
+            """Takes the header line, then the disk is full."""
+
+            def __init__(self, handle):
+                self.handle, self.writes = handle, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.handle.close()
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes > 1:
+                    raise OSError("disk full")
+                return self.handle.write(data)
+
+        monkeypatch.setattr(
+            checkpoint,
+            "open",
+            lambda file, mode: TornFile(open(file, mode)),
+            raising=False,
+        )
+        with pytest.raises(OSError, match="disk full"):
+            write_sample(path, state={"heap": [9], "t": 1800.0})
+        assert path.read_bytes() == before
+        assert read_checkpoint(path)[1] == {"heap": [1, 2, 3], "t": 900.0}
+        assert [p.name for p in tmp_path.iterdir()] == ["c.ckpt"]
+
+    def test_success_leaves_no_temporary_file(self, tmp_path):
+        path = tmp_path / "c.ckpt"
+        write_sample(path)
+        write_sample(path, state={"heap": [9], "t": 1800.0})
+        assert read_checkpoint(path)[1] == {"heap": [9], "t": 1800.0}
+        assert [p.name for p in tmp_path.iterdir()] == ["c.ckpt"]

@@ -8,10 +8,13 @@ batches arrive late at their *original* timestamps.
 
 import pytest
 
+from repro.congestion import congestion_model
+from repro.faults import FaultyTransport
 from repro.service.ingest import IngestingPoller, TelemetryBatch
 from repro.service.queues import BoundedWorkQueue
+from repro.simulation.chaos import chaos_preset
 from repro.telemetry import SnmpPoller, TelemetrySanitizer, TelemetryStore
-from repro.topology import build_clos
+from repro.topology import Direction, build_clos
 
 
 def packets(_did, _t):
@@ -122,3 +125,106 @@ class TestDeferBackpressure:
         # Nothing lost: defer policy never drops.
         assert queue.stats.dropped == 0
         assert poller.backpressure_losses == 0
+
+
+class PerBatchPoller(IngestingPoller):
+    """The drain before batches of one timestamp were joined: sanitize
+    and store every drained batch on its own."""
+
+    def poll_once(self):
+        self.time_s += self.interval_s
+        self._push_batches(self._collect(self.time_s))
+        for batch in self.queue.drain(self.drain_budget):
+            self._store_rated(self._sanitize(batch))
+        return self.time_s
+
+
+class TestJoinedDrain:
+    """Joining the drained batches of one timestamp into one array changes
+    nothing a run can observe."""
+
+    def side(self, cls, capacity, policy, drain_budget):
+        topo = build_clos(2, 3, 2, 4)  # 40 directions, 6 batches of 7
+        topo.set_corruption(("pod0/tor0", "pod0/agg0"), 1e-4)
+        topo.set_corruption(("pod1/tor1", "pod1/agg0"), 1e-3, Direction.DOWN)
+        store = TelemetryStore()
+        sanitizer = TelemetrySanitizer(window=4, min_window_samples=2)
+        queue = BoundedWorkQueue(capacity, policy=policy)
+        model = congestion_model("incast", topo, seed=4)
+        poller = cls(
+            topo,
+            store,
+            traffic_fn=lambda dids, now: model.traffic(dids, now, 900.0),
+            # Wraps, freezes, duplicates and missed polls: the entries a
+            # batch carries in `scalar`, whose indices the join re-bases.
+            transport=FaultyTransport(chaos_preset("harsh", seed=4)),
+            sanitizer=sanitizer,
+            queue=queue,
+            batch_size=7,
+            drain_budget=drain_budget,
+        )
+        return topo, poller, store, sanitizer, queue
+
+    @pytest.mark.parametrize(
+        "capacity, policy, drain_budget",
+        [
+            (1024, "defer", None),  # ample
+            (4, "defer", None),     # overflow parked, drained in the tick
+            (1024, "defer", 4),     # backlog crosses ticks: mixed timestamps
+            (4, "defer", 5),
+            (4, "drop", None),      # dropping
+            (3, "drop", 2),
+        ],
+    )
+    def test_joined_drain_equals_per_batch_drain(
+        self, capacity, policy, drain_budget
+    ):
+        joined = self.side(IngestingPoller, capacity, policy, drain_budget)
+        single = self.side(PerBatchPoller, capacity, policy, drain_budget)
+        for tick in range(40):
+            if tick in (9, 21):
+                for topo, *_ in (joined, single):
+                    lid = list(topo.link_ids())[tick % topo.num_links]
+                    (topo.disable_link if tick == 9 else topo.enable_link)(lid)
+            assert joined[1].poll_once() == single[1].poll_once()
+            self.check(joined, single)
+        _, poller, _, sanitizer, queue = joined
+        assert sanitizer.stats.samples > 0
+        if drain_budget is not None:
+            assert queue.pending() > 0  # a backlog did build up
+        if policy == "drop":
+            assert poller.backpressure_losses > 0
+
+    def check(self, joined, single):
+        topo, poller, store, sanitizer, queue = joined
+        _, ref_poller, ref_store, ref_sanitizer, ref_queue = single
+        assert vars(sanitizer.stats) == vars(ref_sanitizer.stats)
+        assert queue.stats == ref_queue.stats
+        assert queue.accounting_ok()
+        assert [len(b) for b in queue._ring] == [
+            len(b) for b in ref_queue._ring
+        ]
+        assert poller.missed_polls == ref_poller.missed_polls
+        assert poller.backpressure_losses == ref_poller.backpressure_losses
+        assert (
+            poller.transport._rng.getstate()
+            == ref_poller.transport._rng.getstate()
+        )
+        assert list(store.directions()) == list(ref_store.directions())
+        for did in ref_store.directions():
+            assert store.times(did) == ref_store.times(did)
+            for series in ("corruption_series", "congestion_series",
+                           "utilization_series"):
+                assert (
+                    getattr(store, series)(did).values.tolist()
+                    == getattr(ref_store, series)(did).values.tolist()
+                )
+            assert store.quality_series(did) == ref_store.quality_series(did)
+            assert sanitizer.recent_quality(did) == (
+                ref_sanitizer.recent_quality(did)
+            )
+            assert sanitizer.quarantined(did) == ref_sanitizer.quarantined(did)
+        assert (
+            sanitizer.quarantined_directions()
+            == ref_sanitizer.quarantined_directions()
+        )
