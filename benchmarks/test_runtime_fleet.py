@@ -13,8 +13,8 @@ Two measurements, recorded to ``benchmarks/results/runtime_fleet.{txt,json}``:
    heterogeneous topologies (mixed Clos/fat-tree/breakout), Table-1
    calibrated fault intensities, with the roll-up row and per-DCN health
    columns.  Canonical rows must be byte-identical between serial and a
-   4-worker shm-transport pool (the determinism contract the CI fleet
-   job enforces at 3 DCNs — here it runs at the full 15).
+   4-worker pool (the determinism contract the CI fleet job enforces at
+   3 DCNs — here it runs at the full 15).
 """
 
 import json
@@ -101,14 +101,13 @@ def test_fleet_campaign_timed_and_deterministic():
     dcns = fleet_dcns()
     design_links = sum(d.design_links for d in dcns)
 
-    def campaign(jobs, transport):
+    def campaign(jobs):
         worker_cache().clear()
         sweep, _ = run_fleet(
             dcns=dcns,
             scale=FLEET_SCALE,
             duration_days=FLEET_DAYS,
             jobs=jobs,
-            transport=transport,
         )
         assert not sweep.failures()
         rows = [
@@ -118,13 +117,13 @@ def test_fleet_campaign_timed_and_deterministic():
         return sweep, rows
 
     start = time.perf_counter()
-    serial, serial_rows = campaign(1, "auto")
+    serial, serial_rows = campaign(1)
     serial_s = time.perf_counter() - start
     start = time.perf_counter()
-    pooled, pooled_rows = campaign(POOL_WORKERS, "shm")
+    pooled, pooled_rows = campaign(POOL_WORKERS)
     pooled_s = time.perf_counter() - start
     assert serial_rows == pooled_rows, (
-        "fleet rows diverged between serial and shm pool"
+        "fleet rows diverged between serial and pool"
     )
 
     rollup = json.loads(serial_rows[-1])
@@ -135,7 +134,7 @@ def test_fleet_campaign_timed_and_deterministic():
             f"({design_links} design links at full scale), "
             f"{FLEET_DAYS:.0f} days, {cores} core(s)",
             f"  serial                {serial_s:6.2f} s",
-            f"  {POOL_WORKERS} workers (shm)       {pooled_s:6.2f} s",
+            f"  {POOL_WORKERS} workers             {pooled_s:6.2f} s",
             f"  rows byte-identical serial vs pool: yes",
             f"  fleet health: {rollup['health']['healthy_dcns']} healthy / "
             f"{rollup['health']['degraded_dcns']} degraded / "

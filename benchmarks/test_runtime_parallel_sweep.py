@@ -9,24 +9,15 @@ Two measurements on a ≥16-job grid, both recorded to
    overhead from simulation cost: a 4-worker pool over 16 × 120 ms jobs
    has ~480 ms of useful parallel work against ~1.9 s serial.
 2. **Real sweep** — a 16-job strategies × capacities × seeds simulation
-   grid run three ways: serial, 4-worker pool with the legacy per-worker
-   scenario rebuild (``transport="local"``), and 4-worker pool with the
-   shared-memory scenario transport (``transport="shm"``).  Rows must be
-   byte-identical across all three (the determinism contract).
-   ``sim_speedup`` (serial / pool-shm) is core-bound — CPU-bound jobs
-   cannot overlap on one core — so it is asserted >1× with ≥2 cores and
-   ≥3× with ≥4 cores, and recorded as informational otherwise.
-3. **Scenario distribution cost** — what the shm transport saves per
-   redundant worker build: a heavy-trace scenario's cold build (topology
-   + trace generation + dedup) vs publish-once + attach.  The attach
-   must beat the rebuild by a wide margin on any core count; this is the
-   structural claim behind the transport, independent of pool noise.
+   grid run serially and on a 4-worker pool (each worker builds a
+   scenario on first touch and serves later jobs from its cache).  Rows
+   must be byte-identical between the two (the determinism contract).
+   ``sim_speedup`` (serial / pool) is core-bound — CPU-bound jobs cannot
+   overlap on one core — so it is asserted >1× with ≥2 cores and ≥3×
+   with ≥4 cores, and recorded as informational otherwise.
 """
 
 import json
-import time
-
-import pytest
 
 from conftest import write_benchmark_json, write_report
 
@@ -39,10 +30,6 @@ CALIBRATE_JOBS = 16
 SLEEP_MS = 120.0
 POOL_WORKERS = 4
 TARGET_SPEEDUP = 3.0
-#: Floor for cold-rebuild / shm-attach on the heavy-trace scenario; the
-#: measured ratio is ~8-14x, so 3x trips only on a real transport
-#: regression, not timer noise.
-ATTACH_TARGET = 3.0
 
 SIM_GRID = GridSpec(
     strategies=["corropt", "switch-local"],
@@ -96,31 +83,25 @@ def test_simulation_grid_identical_and_timed():
     specs = SIM_GRID.expand()
     assert len(specs) == 16
 
-    def timed_run(jobs, transport):
+    def timed_run(jobs):
         # Best-of-2: a fork/scheduling hiccup on a busy box otherwise
         # dominates the recorded wall for a ~2 s measurement.
         best = None
         for _ in range(2):
             worker_cache().clear()
-            runner = ParallelRunner(jobs=jobs, transport=transport)
-            sweep = runner.run(specs)
+            sweep = ParallelRunner(jobs=jobs).run(specs)
             assert not sweep.failures()
-            if best is None or sweep.wall_s < best[0].wall_s:
-                best = (sweep, runner.last_transport)
+            if best is None or sweep.wall_s < best.wall_s:
+                best = sweep
         return best
 
-    serial, serial_transport = timed_run(1, "auto")
-    pool_local, local_transport = timed_run(POOL_WORKERS, "local")
-    pool_shm, shm_transport = timed_run(POOL_WORKERS, "shm")
-    assert serial_transport == "local"
-    assert local_transport == "local"
-    assert shm_transport == "shm"
-    assert _canonical(serial) == _canonical(pool_local) == _canonical(
-        pool_shm
-    ), "sweep rows diverged across transports"
+    serial = timed_run(1)
+    pooled = timed_run(POOL_WORKERS)
+    assert _canonical(serial) == _canonical(pooled), (
+        "sweep rows diverged between serial and pool"
+    )
 
-    sim_speedup = serial.wall_s / max(pool_shm.wall_s, 1e-9)
-    transport_speedup = pool_local.wall_s / max(pool_shm.wall_s, 1e-9)
+    sim_speedup = serial.wall_s / max(pooled.wall_s, 1e-9)
     cores = available_cpus()
     _REPORT.extend(
         [
@@ -129,26 +110,22 @@ def test_simulation_grid_identical_and_timed():
             f"  serial           {serial.wall_s:7.2f} s  "
             f"(cache {serial.cache_stats['misses']} builds, "
             f"{serial.cache_stats['hits']} hits)",
-            f"  {POOL_WORKERS} workers local   {pool_local.wall_s:7.2f} s  "
-            f"(every worker rebuilds its scenarios)",
-            f"  {POOL_WORKERS} workers shm     {pool_shm.wall_s:7.2f} s  "
-            f"(parent publishes, workers attach)",
-            f"  transport speedup (local/shm)  {transport_speedup:.2f}x",
-            f"  sim speedup (serial/shm)       {sim_speedup:.2f}x"
+            f"  {POOL_WORKERS} workers        {pooled.wall_s:7.2f} s  "
+            f"(cache {pooled.cache_stats['misses']} builds, "
+            f"{pooled.cache_stats['hits']} hits over all workers)",
+            f"  sim speedup (serial/pool)  {sim_speedup:.2f}x"
             + (
                 "  (informational: CPU-bound jobs cannot overlap "
                 "on 1 core)"
                 if cores < 2
                 else ""
             ),
-            "  rows byte-identical across transports: yes",
+            "  rows byte-identical serial vs pool: yes",
         ]
     )
     _METRICS["sim_serial_s"] = round(serial.wall_s, 3)
-    _METRICS["sim_pool_local_s"] = round(pool_local.wall_s, 3)
-    _METRICS["sim_pool_shm_s"] = round(pool_shm.wall_s, 3)
+    _METRICS["sim_pool_s"] = round(pooled.wall_s, 3)
     _METRICS["sim_speedup"] = round(sim_speedup, 2)
-    _METRICS["transport_speedup"] = round(transport_speedup, 2)
     _METRICS["sim_jobs"] = len(specs)
     _METRICS["cores"] = cores
     _METRICS["rows_byte_identical"] = True
@@ -164,74 +141,6 @@ def test_simulation_grid_identical_and_timed():
         )
 
 
-def test_scenario_distribution_cost():
-    """Cold per-worker rebuild vs publish-once + attach, heavy trace.
-
-    Uses a trace-generation-heavy scenario (dense fault arrivals, so the
-    generate + dedup pass dominates the build) because that is the regime
-    the shm transport exists for: under ``transport="local"`` every
-    worker that touches the scenario pays the full build; under shm the
-    parent pays it once and workers pay only the attach.  Best-of-2
-    timings keep the ratio stable on a noisy box.
-    """
-    from repro.parallel.shm import ScenarioPublisher, attach_scenario
-    from repro.parallel.spec import JobSpec
-
-    # Fault arrivals dense enough that the dedup pass rejects most raw
-    # events: build cost keeps scaling with the raw count while the
-    # attach only pays for the surviving ~3.6K, so the ratio is wide.
-    spec = JobSpec(
-        scale=0.5,
-        duration_days=30.0,
-        events_per_10k=4000.0,
-        strategy="none",
-        capacity=0.75,
-        trace_seed=0,
-    )
-
-    def best_of(n, fn):
-        times = []
-        for _ in range(n):
-            start = time.perf_counter()
-            result = fn()
-            times.append(time.perf_counter() - start)
-        return min(times), result
-
-    def cold_build():
-        worker_cache().clear()
-        return worker_cache().get(spec)
-
-    build_s, (topo, trace, _) = best_of(2, cold_build)
-    publisher = ScenarioPublisher()
-    try:
-        publish_s, handle = best_of(1, lambda: publisher.publish(topo, trace))
-        attach_s, _ = best_of(3, lambda: attach_scenario(handle))
-    finally:
-        publisher.close_and_unlink()
-    attach_speedup = build_s / max(attach_s, 1e-9)
-    links = sum(1 for _ in topo.link_ids())
-    _REPORT.extend(
-        [
-            "",
-            f"scenario distribution cost ({links} links, "
-            f"{len(trace.events)} events after dedup)",
-            f"  cold build (per local worker)  {build_s * 1e3:7.1f} ms",
-            f"  publish (parent, once)         {publish_s * 1e3:7.1f} ms",
-            f"  attach (per shm worker)        {attach_s * 1e3:7.1f} ms",
-            f"  attach speedup                 {attach_speedup:.1f}x "
-            f"(target > {ATTACH_TARGET:.1f}x on any core count)",
-        ]
-    )
-    _METRICS["dist_build_s"] = round(build_s, 4)
-    _METRICS["dist_publish_s"] = round(publish_s, 4)
-    _METRICS["dist_attach_s"] = round(attach_s, 4)
-    _METRICS["attach_speedup"] = round(attach_speedup, 2)
-    assert attach_speedup > ATTACH_TARGET, (
-        f"shm attach {attach_speedup:.2f}x not decisively cheaper than "
-        f"a cold rebuild"
-    )
-
-
 def test_write_report():
     """Runs last: persist whatever the two measurements appended."""
     assert _REPORT, "measurements did not run"
@@ -239,7 +148,7 @@ def test_write_report():
         "runtime_parallel_sweep",
         [
             "Deterministic parallel sweep runner: serial vs "
-            f"{POOL_WORKERS}-worker pool (local vs shm transport)",
+            f"{POOL_WORKERS}-worker pool",
             "",
         ]
         + _REPORT,

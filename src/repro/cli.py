@@ -92,6 +92,22 @@ def _add_health_args(
         )
 
 
+def _add_pool_args(parser: argparse.ArgumentParser) -> None:
+    """Parallel-runner flags shared by every campaign command."""
+    group = parser.add_argument_group("parallel runner")
+    group.add_argument("--jobs", type=int, default=1,
+                       help="worker processes (0 = all CPUs)")
+    group.add_argument("--retries", type=int, default=2,
+                       help="retry budget per job after crashes/exceptions")
+    group.add_argument("--timeout", type=float, default=None,
+                       help="no-progress watchdog in seconds")
+    group.add_argument(
+        "--no-timing", action="store_true",
+        help="omit wall-clock fields so outputs are byte-identical "
+             "across --jobs values",
+    )
+
+
 def _load_slo_rules(args: argparse.Namespace):
     """Parsed ``--slo-rules``, or None for the built-in set."""
     path = getattr(args, "slo_rules", None)
@@ -411,10 +427,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
     specs = grid.expand()
     runner = ParallelRunner(
-        jobs=args.jobs,
-        max_retries=args.retries,
-        timeout_s=args.timeout,
-        transport=args.transport,
+        jobs=args.jobs, max_retries=args.retries, timeout_s=args.timeout
     )
     sweep = runner.run(specs)
     for line in summary_lines(sweep):
@@ -456,7 +469,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         max_retries=args.retries,
         timeout_s=args.timeout,
-        transport=args.transport,
     )
     for line in fleet_summary_lines(sweep, dcns):
         print(line)
@@ -1575,28 +1587,13 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--days", type=float, default=30.0)
     sweep.add_argument("--events", type=float, default=4.0)
     sweep.add_argument("--repair-accuracy", type=float, default=0.8)
-    sweep.add_argument("--jobs", type=int, default=1,
-                       help="worker processes (0 = all CPUs)")
-    sweep.add_argument("--retries", type=int, default=2,
-                       help="retry budget per job after crashes/exceptions")
-    sweep.add_argument("--timeout", type=float, default=None,
-                       help="no-progress watchdog in seconds")
     sweep.add_argument("--out", metavar="FILE.jsonl",
                        help="write canonical JSONL results here")
-    sweep.add_argument(
-        "--no-timing", action="store_true",
-        help="omit wall-clock fields so outputs are byte-identical "
-             "across --jobs values",
-    )
     sweep.add_argument("--metrics-out", metavar="FILE",
                        help="write a Prometheus snapshot of sweep metrics")
     sweep.add_argument("--manifest-out", metavar="FILE",
                        help="write the sweep provenance manifest (JSON)")
-    sweep.add_argument(
-        "--transport", choices=("auto", "local", "shm"), default="auto",
-        help="how pool workers acquire scenarios (auto: shared memory "
-             "when available)",
-    )
+    _add_pool_args(sweep)
     sweep.set_defaults(func=_cmd_sweep)
 
     fleet = sub.add_parser(
@@ -1612,23 +1609,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="corruption trace seed")
     fleet.add_argument("--capacity", type=float, default=0.75)
     fleet.add_argument("--strategy", default="corropt")
-    fleet.add_argument("--jobs", type=int, default=1,
-                       help="worker processes (0 = all CPUs)")
-    fleet.add_argument("--retries", type=int, default=2)
-    fleet.add_argument("--timeout", type=float, default=None,
-                       help="no-progress watchdog in seconds")
-    fleet.add_argument(
-        "--transport", choices=("auto", "local", "shm"), default="auto",
-        help="how pool workers acquire scenarios (auto: shared memory "
-             "when available)",
-    )
     fleet.add_argument("--out", metavar="FILE.jsonl",
                        help="write canonical JSONL (results + fleet row)")
-    fleet.add_argument(
-        "--no-timing", action="store_true",
-        help="omit wall-clock fields so outputs are byte-identical "
-             "across --jobs values",
-    )
+    _add_pool_args(fleet)
     fleet.set_defaults(func=_cmd_fleet)
 
     tour = sub.add_parser(
@@ -1661,19 +1644,9 @@ def build_parser() -> argparse.ArgumentParser:
     tour.add_argument("--days", type=float, default=30.0)
     tour.add_argument("--events", type=float, default=4.0)
     tour.add_argument("--repair-accuracy", type=float, default=0.8)
-    tour.add_argument("--jobs", type=int, default=1,
-                      help="worker processes (0 = all CPUs)")
-    tour.add_argument("--retries", type=int, default=2,
-                      help="retry budget per job after crashes/exceptions")
-    tour.add_argument("--timeout", type=float, default=None,
-                      help="no-progress watchdog in seconds")
     tour.add_argument("--out", metavar="FILE.jsonl",
                       help="write canonical JSONL (results + leaderboard)")
-    tour.add_argument(
-        "--no-timing", action="store_true",
-        help="omit wall-clock fields so outputs are byte-identical "
-             "across --jobs values",
-    )
+    _add_pool_args(tour)
     tour.set_defaults(func=_cmd_tournament)
 
     chaos = sub.add_parser(
@@ -1724,19 +1697,9 @@ def build_parser() -> argparse.ArgumentParser:
              "mode through the parallel runner with spec-derived repair "
              "seeds",
     )
-    chaos.add_argument("--jobs", type=int, default=1,
-                       help="campaign worker processes (0 = all CPUs)")
-    chaos.add_argument("--retries", type=int, default=2,
-                       help="campaign retry budget per job")
-    chaos.add_argument("--timeout", type=float, default=None,
-                       help="campaign no-progress watchdog in seconds")
     chaos.add_argument("--out", metavar="FILE.jsonl",
                        help="write campaign results as canonical JSONL")
-    chaos.add_argument(
-        "--no-timing", action="store_true",
-        help="omit wall-clock fields so campaign outputs are "
-             "byte-identical across --jobs values",
-    )
+    _add_pool_args(chaos)
     _add_obs_args(chaos)
     _add_health_args(chaos)
     chaos.add_argument(
@@ -1779,23 +1742,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--events", type=float, default=400.0,
         help="fault arrival intensity (events/10K links/day)",
     )
-    localize.add_argument("--jobs", type=int, default=1,
-                          help="worker processes (0 = all CPUs)")
-    localize.add_argument("--retries", type=int, default=2,
-                          help="retry budget per job")
-    localize.add_argument("--timeout", type=float, default=None,
-                          help="no-progress watchdog in seconds")
     localize.add_argument("--out", metavar="FILE.jsonl",
                           help="write per-job results as canonical JSONL")
     localize.add_argument(
         "--report-out", metavar="FILE.json",
         help="write the merged per-cell accuracy report here",
     )
-    localize.add_argument(
-        "--no-timing", action="store_true",
-        help="omit wall-clock fields so outputs are byte-identical "
-             "across --jobs values",
-    )
+    _add_pool_args(localize)
     localize.set_defaults(func=_cmd_localize)
 
     serve = sub.add_parser(

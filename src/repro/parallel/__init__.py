@@ -9,11 +9,9 @@ bit-identical at any worker count:
 - :class:`~repro.parallel.spec.JobSpec` — picklable job descriptions
   with spec-derived seeds (:func:`~repro.parallel.spec.job_seed`);
 - :class:`~repro.parallel.runner.ParallelRunner` — serial and
-  process-pool backends with worker-local scenario caching, bounded
-  crash retry, and a hang watchdog;
-- :mod:`~repro.parallel.shm` — the shared-memory scenario transport:
-  build each (topology, trace) pair once in the parent, publish the
-  columnar arrays, let workers map them read-only;
+  process-pool backends, bounded crash retry, and a hang watchdog; a
+  worker builds each (topology, trace) pair on first touch and serves
+  later jobs of the same scenario from its LRU;
 - :class:`~repro.parallel.grid.GridSpec` — the declarative `repro
   sweep` grid format;
 - :mod:`~repro.parallel.aggregate` — canonical JSONL output, merged
@@ -53,12 +51,6 @@ from repro.parallel.fleet import (
     run_fleet,
     write_fleet_jsonl,
 )
-from repro.parallel.shm import (
-    ScenarioPublisher,
-    ShmScenarioHandle,
-    attach_scenario,
-    shm_supported,
-)
 from repro.parallel.spec import JobSpec, job_seed
 from repro.parallel.tournament import (
     TOURNAMENT_STRATEGIES,
@@ -84,11 +76,8 @@ __all__ = [
     "JobSpec",
     "ParallelRunner",
     "ScenarioCache",
-    "ScenarioPublisher",
-    "ShmScenarioHandle",
     "SweepResult",
     "TOURNAMENT_STRATEGIES",
-    "attach_scenario",
     "available_cpus",
     "build_strategy",
     "build_sweep_manifest",
@@ -111,7 +100,6 @@ __all__ = [
     "run_sweep",
     "run_tournament",
     "series_digest",
-    "shm_supported",
     "summary_lines",
     "sweep_registry",
     "sweep_rows",

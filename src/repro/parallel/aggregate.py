@@ -28,13 +28,13 @@ from repro.obs.manifest import RunManifest, build_manifest
 from repro.obs.registry import MetricsRegistry
 from repro.parallel.runner import SweepResult
 from repro.parallel.worker import JobRecord
-from repro.simulation.engine import SimulationResult
+from repro.simulation.results import RunResult
 
 #: Bumped when the row shape changes incompatibly.
 SWEEP_FORMAT_VERSION = 1
 
 
-def series_digest(result: SimulationResult) -> str:
+def series_digest(result: RunResult) -> str:
     """SHA-256 over the exact metric change points of one run."""
     payload = [
         result.metrics.penalty.changes(),

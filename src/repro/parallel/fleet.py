@@ -6,8 +6,8 @@ and breakout-cable usage all vary across them.  ``repro fleet`` turns
 that population into one deterministic campaign: one simulation job per
 DCN — mixed plane-wired Clos and fat-tree topologies, a breakout-cable
 fraction on some DCNs, per-DCN fault intensities spread with Table 1's
-corruption-share profile — fanned out through the parallel runner (and
-its shared-memory scenario transport) and written as canonical JSONL:
+corruption-share profile — fanned out through the parallel runner and
+written as canonical JSONL:
 the standard sweep header and per-DCN ``result`` rows, plus one
 ``type="fleet"`` roll-up row with per-DCN health columns.
 
@@ -157,7 +157,6 @@ def run_fleet(
     jobs: int = 1,
     max_retries: int = 2,
     timeout_s: Optional[float] = None,
-    transport: str = "auto",
 ) -> Tuple[SweepResult, List[FleetDCN]]:
     """Run the fleet campaign; returns (sweep, the fleet definition)."""
     dcns = list(dcns) if dcns is not None else fleet_dcns()
@@ -170,10 +169,7 @@ def run_fleet(
         strategy=strategy,
     )
     runner = ParallelRunner(
-        jobs=jobs,
-        max_retries=max_retries,
-        timeout_s=timeout_s,
-        transport=transport,
+        jobs=jobs, max_retries=max_retries, timeout_s=timeout_s
     )
     return runner.run(specs), dcns
 

@@ -23,6 +23,7 @@ are reassembled by submission index.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import time
 from concurrent.futures import FIRST_COMPLETED, Executor, ProcessPoolExecutor, wait
 from concurrent.futures import TimeoutError as FuturesTimeoutError
@@ -42,12 +43,8 @@ from repro.parallel.worker import (
 def available_cpus() -> int:
     """CPUs this process may use (affinity-aware where supported)."""
     try:
-        import os
-
         return len(os.sched_getaffinity(0))
     except (AttributeError, OSError):
-        import os
-
         return os.cpu_count() or 1
 
 
@@ -118,14 +115,6 @@ class ParallelRunner:
             workers are killed) and queued jobs are resubmitted.  ``None``
             disables the watchdog.  Serial runs ignore it (no preemption
             in-process).
-        mp_context: Override the multiprocessing start method (tests).
-        transport: How pool workers acquire scenarios.  ``"local"`` —
-            each worker rebuilds (historic behaviour); ``"shm"`` — the
-            parent builds each distinct scenario once and publishes it
-            via :mod:`repro.parallel.shm`; ``"auto"`` (default) — shm
-            for scenario-bearing sweeps when the platform supports it,
-            local otherwise.  Serial runs always use the in-process
-            cache.  Results are byte-identical across transports.
     """
 
     def __init__(
@@ -133,20 +122,12 @@ class ParallelRunner:
         jobs: int = 1,
         max_retries: int = 2,
         timeout_s: Optional[float] = None,
-        mp_context: Optional[str] = None,
-        transport: str = "auto",
     ):
         if jobs <= 0:
             jobs = available_cpus()
-        if transport not in ("auto", "local", "shm"):
-            raise ValueError(f"unknown transport {transport!r}")
         self.jobs = jobs
         self.max_retries = max(0, max_retries)
         self.timeout_s = timeout_s
-        self._mp_context = mp_context
-        self.transport = transport
-        #: Transport the most recent :meth:`run` actually used.
-        self.last_transport: Optional[str] = None
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -159,7 +140,6 @@ class ParallelRunner:
             spec.validate()
         start = time.perf_counter()
         if self.jobs == 1 or len(specs) <= 1:
-            self.last_transport = "local"
             records = self._run_serial(specs)
             cache_stats = worker_cache().stats.as_dict()
         else:
@@ -224,11 +204,10 @@ class ParallelRunner:
     # ------------------------------------------------------------------ #
 
     def _context(self):
-        method = self._mp_context
-        if method is None:
-            methods = multiprocessing.get_all_start_methods()
-            method = "fork" if "fork" in methods else methods[0]
-        return multiprocessing.get_context(method)
+        methods = multiprocessing.get_all_start_methods()
+        return multiprocessing.get_context(
+            "fork" if "fork" in methods else methods[0]
+        )
 
     def _make_pool(self) -> Executor:
         return ProcessPoolExecutor(
@@ -237,97 +216,26 @@ class ParallelRunner:
             initializer=_init_worker,
         )
 
-    def _resolve_transport(self, specs) -> str:
-        """Which transport this pool run uses (resolves ``"auto"``)."""
-        if self.transport == "local":
-            return "local"
-        if all(spec.kind == "calibrate" for spec in specs):
-            return "local"  # nothing scenario-shaped to publish
-        if self.transport == "shm":
-            return "shm"
-        from repro.parallel.shm import shm_supported
-
-        return "shm" if shm_supported() else "local"
-
-    def _publish_scenarios(self, specs):
-        """Build each distinct scenario once in the parent; publish all.
-
-        Returns ``(publisher, handles)`` where ``handles`` maps spec
-        index → :class:`ShmScenarioHandle` (calibration jobs get none).
-        The parent's own scenario cache does the building, so a serial
-        warm-up or an earlier sweep in the same process is reused.
-        """
-        from repro.parallel.shm import ScenarioPublisher
-
-        publisher = ScenarioPublisher()
-        handles: Dict[int, object] = {}
-        by_key: Dict[tuple, object] = {}
-        try:
-            for index, spec in enumerate(specs):
-                if spec.kind == "calibrate":
-                    continue
-                key = spec.scenario_key()
-                if key not in by_key:
-                    base_topo, trace, _ = worker_cache().get(spec)
-                    by_key[key] = publisher.publish(base_topo, trace)
-                handles[index] = by_key[key]
-        except BaseException:
-            # Never leak segments on a failed publish pass.
-            publisher.close_and_unlink()
-            raise
-        return publisher, handles
-
     def _run_pool(self, specs):
         records: List[Optional[JobRecord]] = [None] * len(specs)
         attempts = [0] * len(specs)
         cache_totals: Dict[str, int] = {}
         worker_stats: Dict[int, Dict[str, int]] = {}
-        pending = list(range(len(specs)))
-
-        self.last_transport = self._resolve_transport(specs)
-        publisher = None
-        handles: Dict[int, object] = {}
-        if self.last_transport == "shm":
-            publisher, handles = self._publish_scenarios(specs)
-        try:
-            pending, broken = self._run_wave(
-                specs, pending, records, attempts, worker_stats, handles
+        unresolved = self._run_wave(
+            specs, range(len(specs)), records, attempts, worker_stats
+        )
+        # Leftovers mean a worker died or the watchdog fired.  A crash is
+        # collective (``BrokenProcessPool`` fails every in-flight future),
+        # so the shared pool can no longer attribute it to the job that
+        # caused it; a watchdog firing leaves queued jobs that never ran.
+        # Either way, finish them one pool per job: crash blame (and the
+        # retry bound) becomes exact and each job gets its own timeout, at
+        # the price of serialising the tail — the rare path pays, not the
+        # common one.
+        for index in unresolved:
+            self._run_isolated(
+                specs[index], index, records, attempts, worker_stats
             )
-            if broken:
-                # A worker died.  ``BrokenProcessPool`` is collective —
-                # every in-flight future fails, so the shared pool can no
-                # longer attribute a crash to the job that caused it.
-                # Finish the survivors one pool per job: crash blame (and
-                # the retry bound) becomes exact, at the price of
-                # serialising the post-crash tail — the rare path pays,
-                # not the common one.
-                for index in pending:
-                    self._run_isolated(
-                        specs[index],
-                        index,
-                        records,
-                        attempts,
-                        worker_stats,
-                        handles.get(index),
-                    )
-            elif pending:
-                # Watchdog fired with queued jobs left over; they never
-                # ran, so give them a fresh (isolated, per-job-timeout)
-                # chance.
-                for index in pending:
-                    self._run_isolated(
-                        specs[index],
-                        index,
-                        records,
-                        attempts,
-                        worker_stats,
-                        handles.get(index),
-                    )
-        finally:
-            # The single place shm segments are unlinked — runs even when
-            # workers crash, hang past the watchdog, or the pool breaks.
-            if publisher is not None:
-                publisher.close_and_unlink()
 
         for stats in worker_stats.values():
             for key, value in stats.items():
@@ -350,17 +258,13 @@ class ParallelRunner:
                 )
         return list(records), cache_totals
 
-    def _run_wave(
-        self, specs, pending, records, attempts, worker_stats, handles=None
-    ):
+    def _run_wave(self, specs, pending, records, attempts, worker_stats):
         """Run ``pending`` in one shared pool.
 
-        Returns ``(unresolved indexes, pool_broke)``.  Raised exceptions
-        are retried in-pool up to the bound; a worker crash or watchdog
-        firing ends the wave (the caller finishes unresolved jobs in
-        isolation).
+        Returns the unresolved indexes.  Raised exceptions are retried
+        in-pool up to the bound; a worker crash or watchdog firing ends
+        the wave (the caller finishes unresolved jobs in isolation).
         """
-        handles = handles or {}
         pool = self._make_pool()
         unresolved: List[int] = []
         broken = False
@@ -369,12 +273,7 @@ class ParallelRunner:
             for index in pending:
                 attempts[index] += 1
                 futures[
-                    pool.submit(
-                        pool_entry,
-                        specs[index],
-                        attempts[index],
-                        handles.get(index),
-                    )
+                    pool.submit(pool_entry, specs[index], attempts[index])
                 ] = index
             not_done = set(futures)
             while not_done and not broken:
@@ -405,7 +304,7 @@ class ParallelRunner:
                             attempts[index] -= 1  # never actually ran
                             unresolved.append(index)
                     self._kill_pool(pool)
-                    return unresolved, False
+                    return unresolved
                 for future in done:
                     index = futures[future]
                     exc = future.exception()
@@ -432,10 +331,7 @@ class ParallelRunner:
                         attempts[index] += 1
                         try:
                             retry_future = pool.submit(
-                                pool_entry,
-                                specs[index],
-                                attempts[index],
-                                handles.get(index),
+                                pool_entry, specs[index], attempts[index]
                             )
                         except (BrokenProcessPool, RuntimeError):
                             # The pool broke while we were draining this
@@ -455,11 +351,9 @@ class ParallelRunner:
                         unresolved.append(index)
         finally:
             pool.shutdown(wait=False, cancel_futures=True)
-        return sorted(unresolved), broken
+        return sorted(unresolved)
 
-    def _run_isolated(
-        self, spec, index, records, attempts, worker_stats, handle=None
-    ):
+    def _run_isolated(self, spec, index, records, attempts, worker_stats):
         """Run one job in its own single-worker pool until resolved.
 
         Crash attribution is exact here, so the retry bound applies to
@@ -472,7 +366,7 @@ class ParallelRunner:
                 mp_context=self._context(),
                 initializer=_init_worker,
             )
-            future = pool.submit(pool_entry, spec, attempts[index], handle)
+            future = pool.submit(pool_entry, spec, attempts[index])
             try:
                 record, stats = future.result(timeout=self.timeout_s)
                 record.attempts = attempts[index]
@@ -543,13 +437,9 @@ def run_sweep(
     jobs: int = 1,
     max_retries: int = 2,
     timeout_s: Optional[float] = None,
-    transport: str = "auto",
 ) -> SweepResult:
     """Convenience wrapper: build a runner and execute ``specs``."""
     runner = ParallelRunner(
-        jobs=jobs,
-        max_retries=max_retries,
-        timeout_s=timeout_s,
-        transport=transport,
+        jobs=jobs, max_retries=max_retries, timeout_s=timeout_s
     )
     return runner.run(specs)

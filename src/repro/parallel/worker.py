@@ -22,30 +22,25 @@ import os
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.core.constraints import CapacityConstraint
-from repro.core.penalty import PENALTY_BY_NAME, PenaltyFn
+from repro.core.penalty import PENALTY_BY_NAME
 from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.parallel.spec import JobSpec
 from repro.simulation.chaos import ChaosSimulation, chaos_preset
-from repro.simulation.engine import MitigationSimulation, SimulationResult
+from repro.simulation.engine import MitigationSimulation
+from repro.simulation.results import RunResult
 from repro.simulation.scenarios import Scenario, make_scenario
 from repro.simulation.strategies import build_strategy
 from repro.topology.graph import Topology
 from repro.workloads.dcn_profiles import DCNProfile, LARGE_DCN, MEDIUM_DCN
 from repro.workloads.trace import CorruptionTrace
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.parallel.shm import ShmScenarioHandle
-
 PRESET_PROFILES: Dict[str, DCNProfile] = {
     "medium": MEDIUM_DCN,
     "large": LARGE_DCN,
 }
-
-#: Alias of the canonical registry (kept under the historical name).
-PENALTY_FNS: Dict[str, PenaltyFn] = dict(PENALTY_BY_NAME)
 
 
 def resolve_profile(spec: JobSpec) -> DCNProfile:
@@ -83,14 +78,6 @@ class ScenarioCache:
 
     Bounded so an adversarially wide grid cannot exhaust worker memory;
     entries are immutable by contract (jobs run on copies).
-
-    Keys are **transport-qualified**: a locally built scenario caches
-    under ``("local", None)`` while one materialized from a shared-memory
-    handle caches under ``("shm", handle.digest)``.  Two specs with the
-    same scenario key but different transports (or two shm publications
-    of topologies that diverged) must never alias — a stale local entry
-    shadowing a republished segment would silently run jobs on the wrong
-    topology.
     """
 
     def __init__(self, max_entries: int = 8):
@@ -100,29 +87,15 @@ class ScenarioCache:
         )
         self.stats = CacheStats()
 
-    def get(
-        self, spec: JobSpec, handle: Optional["ShmScenarioHandle"] = None
-    ) -> Tuple[Topology, CorruptionTrace, bool]:
-        """(base topology, shared trace, was-a-hit) for this spec.
-
-        With ``handle`` the scenario is attached from shared memory
-        instead of rebuilt; the handle's content digest joins the key.
-        """
-        if handle is None:
-            key = ("local", None) + spec.scenario_key()
-        else:
-            key = ("shm", handle.digest) + spec.scenario_key()
+    def get(self, spec: JobSpec) -> Tuple[Topology, CorruptionTrace, bool]:
+        """(base topology, shared trace, was-a-hit) for this spec."""
+        key = spec.scenario_key()
         entry = self._entries.get(key)
         if entry is not None:
             self._entries.move_to_end(key)
             self.stats.hits += 1
             return entry[0], entry[1], True
-        if handle is None:
-            topo, trace = self._build(spec)
-        else:
-            from repro.parallel.shm import attach_scenario
-
-            topo, trace = attach_scenario(handle)
+        topo, trace = self._build(spec)
         self._entries[key] = (topo, trace)
         self.stats.misses += 1
         while len(self._entries) > self.max_entries:
@@ -166,7 +139,7 @@ def worker_cache() -> ScenarioCache:
 class JobRecord:
     """The picklable outcome of one job.
 
-    ``result`` carries the full :class:`SimulationResult` (exact metric
+    ``result`` carries the full :class:`RunResult` (exact metric
     series included) so reworked figure campaigns lose nothing relative
     to in-process runs.  ``error`` is a structured failure instead of an
     exception object so records always unpickle cleanly.
@@ -174,7 +147,7 @@ class JobRecord:
 
     spec: JobSpec
     status: str  # "ok" | "failed"
-    result: Optional[SimulationResult] = None
+    result: Optional[RunResult] = None
     payload: Optional[Dict[str, float]] = None
     error: Optional[Dict[str, str]] = None
     attempts: int = 1
@@ -233,19 +206,17 @@ def execute_job(
     spec: JobSpec,
     attempt: int = 1,
     obs: Recorder = NULL_RECORDER,
-    handle: Optional["ShmScenarioHandle"] = None,
 ) -> JobRecord:
     """Run one job in this process and return its record.
 
     Exceptions propagate (the runner owns retry/failure policy); a
-    returned record always has ``status == "ok"``.  ``handle`` switches
-    scenario acquisition to the shared-memory transport.
+    returned record always has ``status == "ok"``.
     """
     spec.validate()
     if spec.kind == "calibrate":
         return _execute_calibration(spec, attempt)
 
-    base_topo, trace, cache_hit = _CACHE.get(spec, handle=handle)
+    base_topo, trace, cache_hit = _CACHE.get(spec)
     start = time.perf_counter()
     if spec.kind == "chaos":
         return _execute_chaos(
@@ -257,7 +228,7 @@ def execute_job(
         # topology stays pristine and shareable across coverage values.
         topo.assign_lg_capable(spec.lg_coverage)
     constraint = CapacityConstraint(spec.capacity)
-    penalty_fn = PENALTY_FNS[spec.penalty]
+    penalty_fn = PENALTY_BY_NAME[spec.penalty]
     strategy = build_strategy(
         spec.strategy,
         topo,
@@ -346,10 +317,8 @@ def _execute_chaos(
 
 
 def pool_entry(
-    spec: JobSpec,
-    attempt: int,
-    handle: Optional["ShmScenarioHandle"] = None,
+    spec: JobSpec, attempt: int
 ) -> Tuple[JobRecord, Dict[str, int]]:
     """Pool-side wrapper: run the job, attach this worker's cache stats."""
-    record = execute_job(spec, attempt=attempt, handle=handle)
+    record = execute_job(spec, attempt=attempt)
     return record, _CACHE.stats.as_dict()

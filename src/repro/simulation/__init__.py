@@ -10,16 +10,11 @@
 
 from repro.simulation.chaos import (
     CHAOS_PRESETS,
-    ChaosResult,
     ChaosSimulation,
     chaos_preset,
     run_chaos_scenario,
 )
-from repro.simulation.engine import (
-    MitigationSimulation,
-    SimulationResult,
-    run_comparison,
-)
+from repro.simulation.engine import MitigationSimulation, run_comparison
 from repro.simulation.kernel import (
     EVENT_ONSET,
     EVENT_POLL,
@@ -57,7 +52,6 @@ __all__ = [
     "EVENT_POOL_CHECK",
     "EVENT_REPAIR",
     "ChaosMetrics",
-    "ChaosResult",
     "ChaosSimulation",
     "CorrOptStrategy",
     "DrainStrategy",
@@ -71,7 +65,6 @@ __all__ = [
     "SensingPipeline",
     "SimulationKernel",
     "SimulationMetrics",
-    "SimulationResult",
     "StepSeries",
     "SwitchLocalStrategy",
     "TelemetrySensing",

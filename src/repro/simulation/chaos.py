@@ -38,7 +38,7 @@ from repro.faults.telemetry_faults import TelemetryFaultConfig
 from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.registry import require
 from repro.simulation.kernel import DAY_S, SimulationKernel, TelemetrySensing
-from repro.simulation.results import ChaosResult, RunResult
+from repro.simulation.results import RunResult
 from repro.simulation.scenarios import Scenario
 from repro.simulation.voting import FlowVotingSensing
 
@@ -49,7 +49,6 @@ _MISWIRE_SEED_OFFSET = 104729
 
 __all__ = [
     "CHAOS_PRESETS",
-    "ChaosResult",
     "ChaosSimulation",
     "chaos_preset",
     "run_chaos_scenario",

@@ -28,7 +28,7 @@ from typing import Dict, Optional
 from repro.core.penalty import PenaltyFn, linear_penalty
 from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.simulation.kernel import DAY_S, OracleSensing, SimulationKernel
-from repro.simulation.results import RunResult, SimulationResult
+from repro.simulation.results import RunResult
 from repro.simulation.strategies import MitigationStrategy
 from repro.topology.graph import Topology
 from repro.workloads.trace import CorruptionTrace
@@ -37,7 +37,6 @@ __all__ = [
     "DAY_S",
     "MitigationSimulation",
     "RunResult",
-    "SimulationResult",
     "run_comparison",
 ]
 

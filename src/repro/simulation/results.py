@@ -1,13 +1,11 @@
 """Unified run results shared by every sensing pipeline.
 
-Historically the repo carried two copy-pasted result types:
-``SimulationResult`` (oracle sensing, :mod:`repro.simulation.engine`) and
-``ChaosResult`` (telemetry sensing, :mod:`repro.simulation.chaos`), each
-with its own ``penalty_integral`` / ``mean_penalty`` and — on the chaos
-side — ``fingerprint`` / ``invariants_ok``.  :class:`RunResult` supersedes
-both: the chaos-only payloads are optional sections that stay ``None``
-for oracle runs, and the old names remain importable as deprecation
-aliases so downstream code keeps working unchanged.
+:class:`RunResult` is the one result type of oracle-sensing
+(:mod:`repro.simulation.engine`) and telemetry-sensing
+(:mod:`repro.simulation.chaos`) runs: ``penalty_integral`` /
+``mean_penalty`` / ``fingerprint`` / ``invariants_ok`` live here, and the
+chaos-only payloads are optional sections that stay ``None`` for oracle
+runs.
 """
 
 from __future__ import annotations
@@ -23,10 +21,8 @@ from repro.simulation.metrics import ChaosMetrics, SimulationMetrics
 class RunResult:
     """Outcome of one kernel run, whatever the sensing pipeline.
 
-    The first four fields preserve ``SimulationResult``'s positional
-    order; the optional chaos sections preserve ``ChaosResult``'s keyword
-    surface (``chaos``, ``audit``, ``sanitizer_stats``,
-    ``controller_log``).
+    The chaos sections (``chaos``, ``audit``, ``sanitizer_stats``,
+    ``controller_log``) stay ``None`` for oracle runs.
     """
 
     strategy_name: str = ""
@@ -81,8 +77,3 @@ class RunResult:
             self.metrics.disabled_on_activation,
             self.metrics.repairs_completed,
         )
-
-
-#: Deprecated aliases — importable names predating the unified kernel.
-SimulationResult = RunResult
-ChaosResult = RunResult

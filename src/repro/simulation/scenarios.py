@@ -14,7 +14,8 @@ from typing import Dict, Tuple
 from repro.core.constraints import CapacityConstraint
 from repro.core.penalty import penalty_by_name
 from repro.obs.recorder import NULL_RECORDER, Recorder
-from repro.simulation.engine import MitigationSimulation, SimulationResult
+from repro.simulation.engine import MitigationSimulation
+from repro.simulation.results import RunResult
 from repro.simulation.strategies import (
     STRATEGY_NAMES,
     MitigationStrategy,
@@ -213,7 +214,7 @@ def run_scenario(
     lg_coverage: float = 0.0,
     penalty: str = "linear",
     knobs: Tuple[Tuple[str, float], ...] = (),
-) -> SimulationResult:
+) -> RunResult:
     """Run one strategy over a scenario on a fresh topology copy.
 
     Any name from :data:`~repro.simulation.strategies.STRATEGY_NAMES` is

@@ -18,9 +18,8 @@ LinkGuardian fields) is one array.  The representation is
   graph exactly, administrative state and LG protection included;
 - **flat**: :meth:`ColumnarTopology.arrays` exposes the whole topology as
   a dict of contiguous arrays (string tables become UTF-8 blobs plus
-  offset arrays), which is the basis of both the ``.npz`` binary format
-  (:mod:`repro.topology.serialization`) and the shared-memory scenario
-  transport (:mod:`repro.parallel.shm`);
+  offset arrays), which is the basis of the ``.npz`` binary format
+  (:mod:`repro.topology.serialization`);
 - **fast to build**: :meth:`ColumnarTopology.build_clos` constructs the
   paper's plane-wired Clos directly in array space — a 350K-link fleet
   member builds in well under a second instead of tens of seconds.
@@ -61,8 +60,8 @@ _STATE_TO_CODE = {
 }
 _CODE_TO_STATE = {code: state for state, code in _STATE_TO_CODE.items()}
 
-#: Field order of :meth:`ColumnarTopology.arrays` — fixed so digests and
-#: shared-memory layouts are stable.
+#: Field order of :meth:`ColumnarTopology.arrays` — fixed so digests are
+#: stable.
 ARRAY_FIELDS = (
     "switch_blob",
     "switch_offsets",
@@ -122,7 +121,7 @@ class ColumnarTopology:
     uses ``-1`` for "unspecified".
 
     Instances are cheap views over their arrays — construction from
-    :meth:`from_arrays` (the shared-memory attach path) copies nothing.
+    :meth:`from_arrays` (the npz load path) copies nothing.
     Treat the arrays as immutable unless you own them.
     """
 
@@ -457,7 +456,7 @@ class ColumnarTopology:
         )
 
     # ------------------------------------------------------------------ #
-    # Flat-array form (npz / shared memory)
+    # Flat-array form (npz)
     # ------------------------------------------------------------------ #
 
     def arrays(self) -> Dict[str, np.ndarray]:
@@ -465,7 +464,7 @@ class ColumnarTopology:
 
         String tables become UTF-8 blobs + int64 offsets; scalars
         (``name``, ``num_stages``) are *not* included — callers carry them
-        in their own metadata (npz ``meta`` entry, shm handle).
+        in their own metadata (the npz ``meta`` entry).
         """
         switch_blob, switch_offsets = _encode_strings(self.switch_names)
         pod_blob, pod_offsets = _encode_strings(self.pod_names)
@@ -550,8 +549,7 @@ class ColumnarTopology:
         """SHA-256 over the canonical array encoding (content identity).
 
         Two columnar topologies with equal digests decode to identical
-        object topologies; the shm transport uses this as the scenario
-        cache's topology-identity component.
+        object topologies.
         """
         h = hashlib.sha256()
         h.update(
@@ -572,7 +570,7 @@ class ColumnarPathCounter:
     of a 350K-link Clos is milliseconds, so fleet-scale consumers recount
     instead of maintaining dirty regions.
 
-    Construct from a :class:`ColumnarTopology` (the fleet / shm path), or
+    Construct from a :class:`ColumnarTopology` (the fleet path), or
     bind live to an object topology with :meth:`for_topology` — the
     counter then tracks administrative flips by updating its state column
     in place, which is what lets the object-counter equivalence suites

@@ -4,7 +4,7 @@ The fleet is one job per study DCN with heterogeneous builds (mixed
 Clos/fat-tree, breakout fractions, Table-1-spread fault intensities);
 its JSONL is the standard sweep format plus one ``type="fleet"`` roll-up
 row.  The determinism contract — byte-identical output across worker
-counts and transports under ``--no-timing`` — is the CI gate.
+counts under ``--no-timing`` — is the CI gate.
 """
 
 import json
@@ -89,23 +89,18 @@ class TestFleetComposition:
 
 
 class TestFleetDeterminism:
-    def test_rows_byte_identical_across_jobs_and_transports(self):
+    def test_rows_byte_identical_across_jobs(self):
         dcns = small_fleet()
 
-        def canonical(jobs, transport):
-            sweep, _ = run_fleet(
-                dcns=dcns, jobs=jobs, transport=transport, **SMALL
-            )
+        def canonical(jobs):
+            sweep, _ = run_fleet(dcns=dcns, jobs=jobs, **SMALL)
             assert not sweep.failures()
             return [
                 json.dumps(row, sort_keys=True, separators=(",", ":"))
                 for row in fleet_rows(sweep, dcns, timing=False)
             ]
 
-        serial = canonical(1, "auto")
-        pool_local = canonical(2, "local")
-        pool_shm = canonical(2, "shm")
-        assert serial == pool_local == pool_shm
+        assert canonical(1) == canonical(2)
 
     def test_result_rows_tagged_with_dcn(self):
         dcns = small_fleet()

@@ -9,9 +9,11 @@ import dataclasses
 
 import pytest
 
+from repro.cli import main
 from repro.parallel import (
     JobSpec,
     ParallelRunner,
+    run_fleet,
     run_sweep,
     worker_cache,
 )
@@ -84,6 +86,11 @@ def test_scenario_cache_shares_builds_across_jobs():
     # 2 trace seeds -> 2 builds; the other 6 jobs hit the cache.
     assert sweep.cache_stats["misses"] == 2
     assert sweep.cache_stats["hits"] == 6
+    # Pool mode sums per-worker caches: each of the 2 workers builds a
+    # scenario at most once, and how the 8 jobs land decides the split.
+    pooled = ParallelRunner(jobs=2).run(specs).cache_stats
+    assert pooled["hits"] + pooled["misses"] == 8
+    assert 2 <= pooled["misses"] <= 4
 
 
 def test_worker_crash_is_retried_then_succeeds():
@@ -98,17 +105,20 @@ def test_worker_crash_is_retried_then_succeeds():
 
 def test_worker_crash_exhausts_retry_bound_without_collateral():
     """A permanently-crashing job fails structurally; its innocent pool
-    mate — repeatedly killed by the shared pool breaking — still ends ok."""
+    mates — repeatedly killed by the shared pool breaking — still end ok,
+    a real simulation among them."""
     dead = JobSpec(
         kind="calibrate", trace_seed=3, knobs=(("exit_attempts", 99.0),)
     )
     ok = JobSpec(kind="calibrate", trace_seed=4, knobs=(("sleep_ms", 5.0),))
-    sweep = ParallelRunner(jobs=2, max_retries=1).run([dead, ok])
-    dead_rec, ok_rec = sweep.records
+    sim = SIM_GRID.expand()[0]
+    sweep = ParallelRunner(jobs=2, max_retries=1).run([dead, ok, sim])
+    dead_rec, ok_rec, sim_rec = sweep.records
     assert dead_rec.status == "failed"
     assert dead_rec.error["kind"] == "worker-crash"
     assert dead_rec.attempts == 2  # initial + 1 retry
     assert ok_rec.status == "ok"
+    assert sim_rec.status == "ok"
 
 
 def test_raised_exception_becomes_structured_failure():
@@ -138,14 +148,35 @@ def test_hung_job_fails_via_watchdog_without_wedging():
         kind="calibrate", trace_seed=8, knobs=(("hang_s", 120.0),)
     )
     ok = JobSpec(kind="calibrate", trace_seed=9, knobs=(("sleep_ms", 5.0),))
+    sim = SIM_GRID.expand()[0]
     sweep = ParallelRunner(jobs=2, max_retries=0, timeout_s=1.5).run(
-        [hang, ok]
+        [hang, ok, sim]
     )
     assert sweep.wall_s < 60.0
-    hang_rec, ok_rec = sweep.records
+    hang_rec, ok_rec, sim_rec = sweep.records
     assert hang_rec.status == "failed"
     assert hang_rec.error["kind"] == "timeout"
     assert ok_rec.ok
+    assert sim_rec.ok
+
+
+@pytest.mark.parametrize(
+    "call, raised",
+    [
+        (lambda: ParallelRunner(jobs=2, transport="shm"), TypeError),
+        (lambda: run_sweep([], jobs=2, transport="shm"), TypeError),
+        (lambda: run_fleet(jobs=2, transport="shm"), TypeError),
+        (lambda: main(["sweep", "--transport", "shm"]), SystemExit),
+        (lambda: main(["fleet", "--transport", "shm"]), SystemExit),
+    ],
+    ids=["ParallelRunner", "run_sweep", "run_fleet", "cli-sweep", "cli-fleet"],
+)
+def test_transport_argument_is_rejected(call, raised):
+    """A scenario reaches a worker one way; there is nothing to select."""
+    with pytest.raises(raised) as info:
+        call()
+    if raised is SystemExit:
+        assert info.value.code == 2  # argparse: unrecognized arguments
 
 
 def test_jobs_zero_means_all_cpus():
