@@ -2,8 +2,8 @@
 
 ROADMAP item 1's target: digest one 15-minute poll of the paper's 350K
 links (§2) in well under a second.  This times ``SnmpPoller.poll_once``
-(collect → transport → sanitize → store as one array pass, per-sample code
-only for the rows a telemetry fault touched) on ``LARGE_DCN.build(scale=
+(collect → transport → sanitize → store as one array pass; of the fault
+chain only the random draws are a Python loop) on ``LARGE_DCN.build(scale=
 1.0)`` — 36,864 links, 73,728 directions — under the ``none``, ``mild``
 and ``harsh`` chaos presets, and scales the per-direction figure to 350K
 links.  The ``hotspots`` row is ``mild`` with the congestion co-model on
@@ -37,15 +37,22 @@ ROWS = {
     "hotspots": ("mild", "hotspots"),
 }
 PAPER_LINKS = 350_000
-#: Ticks timed per preset, after two that seed baselines and build the
-#: direction table.
+#: Ticks timed per preset, after a warm-up that builds the direction
+#: table, seeds baselines and — under ``harsh`` — lets rebased, frozen and
+#: held directions accumulate (after two ticks almost none are rebased).
 TICKS = 6
+WARMUP_TICKS = 48
 #: Gate, with room for a slow CI box.  Measured on the 2-core reference
-#: host: none 0.18 s, mild 0.59 s ("well under a second"), harsh 1.7 s
-#: (a tenth of its rows take the per-sample path), hotspots 1.5 s (mild
-#: plus one draw pair, one sine and two powers per direction).  The
-#: per-sample loop this replaced needs ~8 s under any preset.
-CEILING_350K_S = 3.0
+#: host: none 0.22 s, mild 0.37 s, harsh 0.54 s ("well under a second":
+#: two more draws per direction than mild, the fault state in columns, a
+#: second and third wave of deliveries; 2.8 s when rebased directions
+#: went through the per-sample API), hotspots 1.54 s (mild plus one draw
+#: pair, one sine and two powers per direction).  The per-sample loop
+#: this replaced needs ~8 s under any preset.  The
+#: co-model's per-direction draws are not the telemetry path's to speed
+#: up, so its row keeps the old gate.
+CEILING_350K_S = 1.5
+CEILING_350K_CO_MODEL_S = 3.0
 #: A direction's traffic state in a checkpoint: twelve 8-byte columns, a
 #: cached Gaussian and a row-index entry (a generator state is ~2.5 KB).
 CEILING_CHECKPOINT_BYTES = 128
@@ -90,7 +97,7 @@ def _tick_seconds(preset: str, congestion=None):
         sanitizer=sanitizer,
         **traffic,
     )
-    poller.run(2)
+    poller.run(WARMUP_TICKS)
     ticks = []
     for _ in range(TICKS):
         start = time.perf_counter()
@@ -98,14 +105,14 @@ def _tick_seconds(preset: str, congestion=None):
         ticks.append(time.perf_counter() - start)
     directions = 2 * topo.num_links
     handled = sanitizer.stats.samples + sanitizer.stats.missing
-    assert handled >= (TICKS + 1) * directions * 0.7
+    assert handled >= (WARMUP_TICKS + TICKS - 1) * directions * 0.7
     return sorted(ticks)[len(ticks) // 2], directions
 
 
 def test_poll_tick_at_paper_scale():
     lines = [
         "one SnmpPoller.poll_once on LARGE_DCN.build(scale=1.0), "
-        f"median of {TICKS} ticks",
+        f"median of {TICKS} ticks after {WARMUP_TICKS}",
         f"{'preset':<8}{'directions':>12}{'tick_ms':>10}"
         f"{'us/direction':>14}{'350K-link tick_s':>18}",
     ]
@@ -122,7 +129,10 @@ def test_poll_tick_at_paper_scale():
         metrics[f"{preset}_tick_ms"] = tick_s * 1e3
         metrics[f"{preset}_us_per_direction"] = us_per_direction
         metrics[f"{preset}_tick_s_at_350k_links"] = at_paper_scale_s
-        assert at_paper_scale_s < CEILING_350K_S, (preset, at_paper_scale_s)
+        ceiling = (
+            CEILING_350K_S if congestion is None else CEILING_350K_CO_MODEL_S
+        )
+        assert at_paper_scale_s < ceiling, (preset, at_paper_scale_s)
         if congestion is not None:
             state_bytes = _traffic_state_bytes(congestion)
             lines.append(

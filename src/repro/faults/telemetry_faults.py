@@ -19,22 +19,32 @@ Faults are seeded, composable, and wired into
 the poller hands each raw :class:`~repro.telemetry.counters.
 CounterSnapshot` to ``transport.deliver``, which returns the list of
 snapshots that actually reach the collector (empty = missed poll, two =
-duplicate or late sample).  The happy path (``transport=None``) never
+duplicate or late sample) — or a whole tick at once to ``transport.
+deliver_rows``, the same chain as column arithmetic around one Python
+loop that only takes the random draws.  Both forms work on one copy of
+the per-direction fault state (row-indexed columns) and take the same
+draws in the same order.  The happy path (``transport=None``) never
 touches this module.
 """
 
 from __future__ import annotations
 
-import math
 import random
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import astuple, dataclass, replace
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.telemetry.columns import EXACT_INT
+from repro.telemetry.columns import (
+    EXACT_INT,
+    NO_DELIVERIES,
+    Baselines,
+    DirectionIndex,
+    Snapshots,
+    grow,
+)
 from repro.telemetry.counters import CounterSnapshot
-from repro.telemetry.poller import OpticalReading
+from repro.telemetry.poller import OpticalReading, deliver_each
 from repro.telemetry.sanitizer import COUNTER_32BIT_MODULUS
 from repro.topology.elements import DirectionId, LinkId
 
@@ -120,6 +130,51 @@ class CounterWrapFault(TelemetryFault):
         ]
 
 
+class _DirectionState(Baselines):
+    """What a stateful fault remembers per direction: one counter snapshot
+    (rebase point, stale reading, held sample) and, for a freeze, the
+    polls it still has to run — row-indexed columns that ``apply`` reaches
+    by direction id and :meth:`FaultyTransport.deliver_rows` by row."""
+
+    def __init__(self):
+        super().__init__()
+        self.index = DirectionIndex()
+        self.left = np.zeros(0, dtype=np.int64)
+
+    def _allocate(self) -> None:
+        if len(self.index) > len(self.left):
+            rows = self.index.capacity_for(len(self.left))
+            self.resize(rows)
+            self.left = grow(self.left, rows)
+
+    def row(self, direction_id: DirectionId) -> int:
+        row = self.index.row(direction_id)
+        self._allocate()
+        return row
+
+    def rows(self, direction_ids: Sequence[DirectionId]) -> np.ndarray:
+        rows = self.index.rows(direction_ids)
+        self._allocate()
+        return rows
+
+    # Pickled as the directions that hold something (most hold nothing);
+    # rows are renumbered on the way back in.
+
+    def __getstate__(self):
+        return [
+            (direction_id, int(self.left[row]), *astuple(self.get(row)))
+            for direction_id, row in self.index.row_of.items()
+            if self.known[row]
+        ]
+
+    def __setstate__(self, holding):
+        self.__init__()
+        for direction_id, left, *snapshot in holding:
+            row = self.row(direction_id)
+            self.set(row, CounterSnapshot(*snapshot))
+            self.left[row] = left
+
+
 class CounterResetFault(TelemetryFault):
     """Switch reboot: counters restart from zero and stay rebased.
 
@@ -130,14 +185,15 @@ class CounterResetFault(TelemetryFault):
 
     def __init__(self, rate: float):
         self.rate = rate
-        self._base: Dict[DirectionId, CounterSnapshot] = {}
+        self._state = _DirectionState()
 
     def apply(self, rng, direction_id, samples):
+        row = self._state.row(direction_id)
         out = []
         for sample in samples:
             if rng.random() < self.rate:
-                self._base[direction_id] = sample
-            base = self._base.get(direction_id)
+                self._state.set(row, sample)
+            base = self._state.get(row)
             if base is None:
                 out.append(sample)
             else:
@@ -158,23 +214,22 @@ class FrozenCounterFault(TelemetryFault):
     def __init__(self, rate: float, duration_polls: int = 3):
         self.rate = rate
         self.duration_polls = duration_polls
-        self._frozen: Dict[DirectionId, CounterSnapshot] = {}
-        self._remaining: Dict[DirectionId, int] = {}
+        self._state = _DirectionState()
 
     def apply(self, rng, direction_id, samples):
+        frozen = self._state
+        row = frozen.row(direction_id)
         out = []
         for sample in samples:
-            remaining = self._remaining.get(direction_id, 0)
-            if remaining > 0:
-                stale = self._frozen[direction_id]
-                self._remaining[direction_id] = remaining - 1
+            if frozen.left[row] > 0:
+                frozen.left[row] -= 1
                 # Stale values, current timestamp: exactly what a wedged
                 # ASIC looks like to the collector.
-                out.append(replace(stale, time_s=sample.time_s))
+                out.append(replace(frozen.get(row), time_s=sample.time_s))
                 continue
             if rng.random() < self.rate:
-                self._frozen[direction_id] = sample
-                self._remaining[direction_id] = self.duration_polls - 1
+                frozen.set(row, sample)
+                frozen.left[row] = self.duration_polls - 1
             out.append(sample)
         return out
 
@@ -216,14 +271,16 @@ class DelayedSampleFault(TelemetryFault):
 
     def __init__(self, rate: float):
         self.rate = rate
-        self._held: Dict[DirectionId, CounterSnapshot] = {}
+        self._state = _DirectionState()
 
     def apply(self, rng, direction_id, samples):
+        row = self._state.row(direction_id)
         out = []
-        held = self._held.pop(direction_id, None)
+        held = self._state.get(row)
+        self._state.forget(row)
         for sample in samples:
             if held is None and rng.random() < self.rate:
-                self._held[direction_id] = sample
+                self._state.set(row, sample)
                 continue
             out.append(sample)
         if held is not None:
@@ -242,21 +299,6 @@ _CONFIG_ORDER = (
     DelayedSampleFault,
     DuplicateSampleFault,
 )
-
-
-class _Replay:
-    """Stands in for the transport RNG while one row re-runs through the
-    scalar chain: hands back the draws :meth:`FaultyTransport.deliver_rows`
-    already took for that row, then draws from the live RNG."""
-
-    def __init__(self, rng: random.Random, drawn: List[float]):
-        self._rng = rng
-        self._drawn = drawn[::-1]
-
-    def random(self) -> float:
-        if self._drawn:
-            return self._drawn.pop()
-        return self._rng.random()
 
 
 class FaultyTransport:
@@ -289,6 +331,7 @@ class FaultyTransport:
             self._faults = []
         self.polls_delivered = 0
         self.polls_missed = 0
+        self._row_cache: Optional[Tuple[list, list]] = None
 
     @staticmethod
     def _faults_from_config(
@@ -346,6 +389,10 @@ class FaultyTransport:
             last = position
         return slots
 
+    def __getstate__(self):
+        # Fault state renumbers its rows when it is unpickled.
+        return {**self.__dict__, "_row_cache": None}
+
     def deliver_rows(
         self,
         direction_ids: Sequence[DirectionId],
@@ -353,95 +400,186 @@ class FaultyTransport:
         total: np.ndarray,
         errors: np.ndarray,
         drops: np.ndarray,
-    ) -> Tuple[
-        np.ndarray,
-        np.ndarray,
-        np.ndarray,
-        np.ndarray,
-        Dict[int, List[CounterSnapshot]],
-    ]:
+    ):
         """Array form of :meth:`deliver` for one poll tick.
 
         Row ``i`` is the raw snapshot ``(time_s, total[i], errors[i],
-        drops[i])`` of ``direction_ids[i]`` (int64 counters in
-        ``[0, 2**53)``).  The result is exactly what calling
+        drops[i])`` of ``direction_ids[i]`` (distinct directions, int64
+        counters in ``[0, 2**53)``).  The result is exactly what calling
         :meth:`deliver` row by row would produce, with every RNG draw
-        taken in that order, but only the rows a fault touches go through
-        it: a row that carries per-direction fault state (rebased, frozen,
-        held) or on which a reset, freeze, delay or duplicate fires now
-        — and every row when the chain is not the one a
-        :class:`TelemetryFaultConfig` builds.
+        taken in that order, on the per-direction fault state
+        :meth:`deliver` keeps, so the two can be mixed.  For the chain a
+        :class:`TelemetryFaultConfig` builds, one Python pass takes the
+        draws (:meth:`_draw`) and the rest is column arithmetic; any other
+        chain sends every row through :meth:`deliver`.
 
         Returns:
-            ``(total, errors, drops, missed, scalar)``: the delivered
-            counters of the rows that got their one snapshot through
-            (wrap applied), a mask of rows where nothing arrived, and
-            ``{row: delivered snapshots}`` for the rows that went through
-            :meth:`deliver`, whose array entries mean nothing.
+            ``(first, missed, later_entry, later, scalar)``: the first
+            snapshot each row delivered (:class:`~repro.telemetry.columns.
+            Snapshots`; a held sample's ``time_s`` is older than the
+            tick's), a mask of rows where nothing arrived, and the
+            deliveries after a row's first — ``later`` entry ``j`` belongs
+            to row ``later_entry[j]``, rows ascending, each row's in
+            arrival order.  ``scalar`` is ``None``, or for a chain without
+            an array form the list :meth:`deliver` returned for each row,
+            the rest meaning nothing.
         """
         rows = len(direction_ids)
-        missed = np.zeros(rows, dtype=bool)
-        scalar: Dict[int, List[CounterSnapshot]] = {}
-
-        def through_chain(row: int, drawn: List[float]) -> None:
-            live = self._rng
-            self._rng = _Replay(live, drawn) if drawn else live
-            try:
-                scalar[row] = self.deliver(
-                    direction_ids[row],
-                    CounterSnapshot(
-                        time_s, int(total[row]), int(errors[row]),
-                        int(drops[row]),
-                    ),
-                )
-            finally:
-                self._rng = live
-
+        times = np.full(rows, time_s)
         chain = self._config_chain()
+        if chain is not None:
+            reset, freeze, wrap, miss, delay, duplicate = chain
+            states = [
+                fault and fault._state for fault in (reset, freeze, delay)
+            ]
+            if any(state and state.inexact_rows() for state in states):
+                chain = None  # a counter the columns cannot hold
         if chain is None:
-            for row in range(rows):
-                through_chain(row, [])
-            return total, errors, drops, missed, scalar
-        reset, freeze, wrap, miss, delay, duplicate = chain
-        drawing = [f for f in (reset, freeze, miss, delay, duplicate) if f]
-        if drawing:
-            stateful = set()
-            if reset is not None:
-                stateful.update(reset._base)
-            if freeze is not None:
-                stateful.update(
-                    did for did, left in freeze._remaining.items() if left > 0
+            scalar = deliver_each(
+                self.deliver, direction_ids, time_s, total, errors, drops
+            )
+            first = Snapshots(times, total, errors, drops)
+            return first, np.zeros(rows, dtype=bool), *NO_DELIVERIES, scalar
+
+        # Each fault's rows of these directions, kept while the ids stay
+        # what they were (the poller's do until a link flaps).
+        if self._row_cache is None or self._row_cache[0] != direction_ids:
+            ids = list(direction_ids)
+            self._row_cache = ids, [
+                state and state.rows(ids) for state in states
+            ]
+        base_rows, frozen_rows, held_rows = self._row_cache[1]
+        no_row = np.zeros(rows, dtype=bool)
+        frozen = freeze._state.left[frozen_rows] > 0 if freeze else no_row
+        held = delay._state.known[held_rows] if delay else no_row
+        reset_at, freeze_at, miss_at, stash_at, again_at, held_again_at = (
+            self._draw(rows, chain, frozen, held)
+        )
+
+        if reset is not None:
+            base = reset._state
+            base.set_rows(
+                base_rows[reset_at], time_s, total[reset_at],
+                errors[reset_at], drops[reset_at],
+            )
+            rebased = base.known[base_rows]
+            total, errors, drops = (
+                np.where(rebased, np.maximum(0, now - zero), now)
+                for now, zero in zip(
+                    (total, errors, drops), base.take(base_rows)[1:]
                 )
-            if delay is not None:
-                stateful.update(delay._held)
-            rand = self._rng.random
-            for row, did in enumerate(direction_ids):
-                if stateful and did in stateful:
-                    through_chain(row, [])
-                    continue
-                for fault in drawing:
-                    draw = rand()
-                    if draw < fault.rate:
-                        break
-                else:
-                    continue
-                if fault is miss:
-                    # Nothing downstream of a miss draws, or keeps state
-                    # for a stateless row.
-                    missed[row] = True
-                else:
-                    # The faults before this one drew values that did not
-                    # fire; infinity replays "did not fire".
-                    through_chain(
-                        row, [math.inf] * drawing.index(fault) + [draw]
-                    )
+            )
+        if freeze is not None:
+            state = freeze._state
+            # Stale values under the current timestamp.
+            total, errors, drops = (
+                np.where(frozen, stale, now)
+                for now, stale in zip(
+                    (total, errors, drops), state.take(frozen_rows)[1:]
+                )
+            )
+            state.left[frozen_rows[frozen]] -= 1
+            state.set_rows(
+                frozen_rows[freeze_at], time_s, total[freeze_at],
+                errors[freeze_at], drops[freeze_at],
+            )
+            state.left[frozen_rows[freeze_at]] = freeze.duration_polls - 1
         if wrap is not None and wrap.modulus < EXACT_INT:
             m = wrap.modulus
             total, errors, drops = total % m, errors % m, drops % m
-        lost = int(np.count_nonzero(missed))
-        self.polls_missed += lost
-        self.polls_delivered += rows - lost - len(scalar)
-        return total, errors, drops, missed, scalar
+        first = released = Snapshots(times, total, errors, drops)
+
+        fresh = np.ones(rows, dtype=bool)
+        fresh[miss_at] = False
+        fresh[stash_at] = False
+        if delay is not None:
+            state = delay._state
+            released = state.take(held_rows)
+            state.forget(held_rows[held])
+            state.set_rows(held_rows[stash_at], *first.take(stash_at))
+        # After a row's first delivery: the fresh sample again, the held
+        # one (it follows a fresh one, or arrives alone), the held again.
+        after = [
+            (again_at, first),
+            (np.flatnonzero(held & fresh), released),
+            (held_again_at, released),
+        ]
+        later_entry = np.concatenate(
+            [np.asarray(at, dtype=np.int64) for at, _ in after]
+        )
+        later = Snapshots.join([source.take(at) for at, source in after])
+        # Row order; stable, so each row's stay in arrival order.
+        order = np.argsort(later_entry, kind="stable")
+        if held.any():
+            first = Snapshots(
+                *(
+                    np.where(fresh, now, was)
+                    for now, was in zip(first, released)
+                )
+            )
+        missed = ~(fresh | held)
+        self.polls_missed += int(np.count_nonzero(missed))
+        self.polls_delivered += rows + len(later_entry) - int(
+            np.count_nonzero(missed)
+        )
+        return first, missed, later_entry[order], later.take(order), None
+
+    def _draw(self, rows: int, chain, frozen: np.ndarray, held: np.ndarray):
+        """Take one tick's draws for :meth:`deliver_rows`: for each row in
+        turn the draws :meth:`deliver` would take (reset one; freeze one
+        unless the row is frozen; miss one; delay one if the sample
+        survived and nothing is held; duplicate one per sample that
+        reaches it).  Returns the rows on which a reset, a freeze, a miss
+        and a delay fired and those whose fresh and whose held sample a
+        duplicate fired on."""
+        reset, freeze, _wrap, miss, delay, duplicate = chain
+        rand = self._rng.random
+        fired = [], [], [], [], [], []
+        reset_at, freeze_at, miss_at, stash_at, again_at, held_again_at = fired
+
+        def finish(row: int, at: int) -> None:
+            # The rest of a row's draws: drawing fault number `at` has just
+            # fired on a row that is neither frozen nor holding a sample
+            # (the ones before it did not), or, at -1, nothing is drawn yet.
+            if at == 0 or (at < 0 and reset and rand() < reset.rate):
+                reset_at.append(row)
+            if at == 1 or (
+                at < 1 and freeze and not frozen[row] and rand() < freeze.rate
+            ):
+                freeze_at.append(row)
+            fresh = True
+            if at == 2 or (at < 2 and miss and rand() < miss.rate):
+                miss_at.append(row)
+                fresh = False
+            if at == 3 or (
+                at < 3 and delay and fresh and not held[row]
+                and rand() < delay.rate
+            ):
+                stash_at.append(row)
+                fresh = False
+            if duplicate:
+                if fresh and (at == 4 or rand() < duplicate.rate):
+                    again_at.append(row)
+                if held[row] and rand() < duplicate.rate:
+                    held_again_at.append(row)
+
+        stages = [
+            (fault.rate, at)
+            for at, fault in enumerate((reset, freeze, miss, delay, duplicate))
+            if fault is not None
+        ]
+        if stages:
+            start = 0
+            for stop in np.flatnonzero(frozen | held).tolist() + [rows]:
+                for row in range(start, stop):
+                    for rate, at in stages:
+                        if rand() < rate:
+                            finish(row, at)
+                            break
+                if stop < rows:
+                    finish(stop, -1)
+                start = stop + 1
+        return fired
 
     def deliver_optical(
         self, link_id: LinkId, reading: OpticalReading

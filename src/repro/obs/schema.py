@@ -543,7 +543,9 @@ CHECKPOINT_FORMAT = "repro-checkpoint"
 #: 2: poller, sanitizer and store keep per-direction state in numpy columns.
 #: 3: the congestion co-model is a table; a direction's traffic stream is
 #: its seed, draw count and cached Gaussian, not a generator state.
-CHECKPOINT_FORMAT_VERSION = 3
+#: 4: telemetry faults keep their per-direction state in numpy columns and
+#: a queued telemetry batch carries snapshot columns, not a dict.
+CHECKPOINT_FORMAT_VERSION = 4
 
 #: Service-report literals, pinned against :mod:`repro.service.service`.
 SERVICE_REPORT_FORMAT = "repro-service-report"

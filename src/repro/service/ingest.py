@@ -18,12 +18,9 @@ fully accounted — see :meth:`BoundedWorkQueue.accounting_ok`.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from itertools import groupby
 from operator import attrgetter
 from typing import Optional
-
-import numpy as np
 
 from repro.service.queues import DROPPED, BoundedWorkQueue
 from repro.telemetry.poller import SnmpPoller, TelemetryBatch
@@ -104,19 +101,11 @@ class IngestingPoller(SnmpPoller):
         return now
 
     def _push_batches(self, collected: TelemetryBatch) -> None:
-        size = self.batch_size
-        for start in range(0, len(collected), size):
-            batch = collected.part(start, start + size)
+        for batch in collected.parts(self.batch_size):
             if self.queue.push(batch) == DROPPED:
                 # The push is gone: downstream this is indistinguishable
                 # from a missed poll, so route it through the same
                 # quality machinery the chaos faults use.
                 self.backpressure_losses += len(batch)
                 self.missed_polls += len(batch)
-                self._rate(
-                    replace(
-                        batch,
-                        missed=np.ones(len(batch), dtype=bool),
-                        scalar={},
-                    )
-                )
+                self._rate(batch.lost())

@@ -76,7 +76,7 @@ from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.simulation.metrics import ChaosMetrics, SimulationMetrics
 from repro.simulation.results import RunResult
 from repro.simulation.strategies import MitigationStrategy
-from repro.telemetry.poller import PerDirectionTraffic, SnmpPoller
+from repro.telemetry.poller import ConstantTraffic, SnmpPoller
 from repro.telemetry.sanitizer import TelemetrySanitizer
 from repro.telemetry.store import TelemetryStore
 from repro.ticketing.queue import TechnicianPoolQueue
@@ -654,19 +654,13 @@ class TelemetrySensing(SensingPipeline):
             congestion_threshold=detection_threshold,
         )
 
-    def _offered_packets(self, _did, _t) -> int:
-        """Offered packets per direction per poll (a bound method rather
-        than a lambda so the whole pipeline stays picklable for
-        checkpoint/restore)."""
-        return self.packets_per_poll
-
     def _traffic_fn(self):
         """The poller's traffic call: the co-model's array form when there
         is one (bound to the poll interval; a ``partial`` so the pipeline
         stays picklable), else constant offered load."""
         model = self._congestion_model
         if model is None:
-            return PerDirectionTraffic(self._offered_packets)
+            return ConstantTraffic(self.packets_per_poll)
         return partial(model.traffic, interval_s=self.poll_interval_s)
 
     def attach(self, kernel: SimulationKernel) -> None:

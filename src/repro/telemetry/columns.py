@@ -8,7 +8,7 @@ thing both the sanitizer and the poller's raw differencing diff against.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -25,6 +25,34 @@ def grow(array: np.ndarray, rows: int) -> np.ndarray:
     grown = np.zeros((rows,) + array.shape[1:], dtype=array.dtype)
     grown[: len(array)] = array
     return grown
+
+
+class Snapshots(NamedTuple):
+    """Counter snapshots as aligned columns, one entry each (int64
+    counters below 2**53)."""
+
+    time_s: np.ndarray
+    total: np.ndarray
+    errors: np.ndarray
+    drops: np.ndarray
+
+    def take(self, index) -> "Snapshots":
+        """The entries ``index`` selects (a slice, a mask or indexes)."""
+        time_s, total, errors, drops = self
+        return Snapshots(
+            time_s[index], total[index], errors[index], drops[index]
+        )
+
+    @classmethod
+    def join(cls, parts: Sequence["Snapshots"]) -> "Snapshots":
+        return cls(*(np.concatenate(columns) for columns in zip(*parts)))
+
+
+#: ``(entry, snapshots)`` of no delivery at all.
+NO_DELIVERIES = (
+    np.zeros(0, dtype=np.int64),
+    Snapshots(np.zeros(0), *(np.zeros(0, dtype=np.int64),) * 3),
+)
 
 
 class DirectionIndex:
@@ -45,11 +73,12 @@ class DirectionIndex:
 
     def rows(self, direction_ids: Sequence[DirectionId]) -> np.ndarray:
         """The rows of many directions, registering the new ones."""
-        return np.fromiter(
-            map(self.row, direction_ids),
-            dtype=np.int64,
-            count=len(direction_ids),
-        )
+        count = len(direction_ids)
+        try:  # one C-level pass when none is new
+            lookup = self.row_of.__getitem__
+            return np.fromiter(map(lookup, direction_ids), np.int64, count)
+        except KeyError:
+            return np.fromiter(map(self.row, direction_ids), np.int64, count)
 
     def capacity_for(self, allocated: int) -> int:
         """Rows to allocate (doubling) so every registered row exists."""
@@ -100,9 +129,17 @@ class Baselines:
             self._objects[row] = snapshot
         self.known[row] = True
 
-    def set_rows(self, rows, time_s: float, total, errors, drops) -> None:
+    def take(self, rows) -> Snapshots:
+        """The snapshots of ``rows`` as columns (rows outside
+        :meth:`inexact_rows`; the entry of an unknown row means nothing)."""
+        return Snapshots(
+            self.time_s[rows], self.total[rows], self.errors[rows],
+            self.drops[rows],
+        )
+
+    def set_rows(self, rows, time_s, total, errors, drops) -> None:
         """Array form of :meth:`set` for rows outside :meth:`inexact_rows`
-        and counters below 2**53."""
+        and counters below 2**53; ``time_s`` is one time or one per row."""
         self.known[rows] = True
         self.time_s[rows] = time_s
         self.total[rows] = total

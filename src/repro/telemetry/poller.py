@@ -8,21 +8,42 @@ TelemetryStore`.
 
 A tick is one array pass over all polled directions: int64 device-counter
 columns are advanced, the transport and the sanitizer work on the columns,
-the store appends a column.  Only the rows a telemetry fault touched go
-through the per-sample API (``transport.deliver``, ``sanitizer.ingest`` /
-``observe_missing``, ``store.append_rates``), in direction order; see
-DESIGN.md §8.
+the store appends a column.  A direction can deliver several snapshots in
+one poll (a duplicate, a sample a delay held back); the first of each is
+one wave of rows, the later ones further, much shorter waves, and the
+sanitizer and the store take a wave per call.  The per-sample API
+(``transport.deliver``, ``sanitizer.ingest`` / ``observe_missing``,
+``store.append_rates``) is left with what the array forms defer: a
+transport or fault chain without an array form, counters the int64
+columns cannot hold, and — while a recorder is enabled — rows whose
+quality push could start or end a quarantine; see DESIGN.md §8.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from itertools import accumulate
+from operator import itemgetter
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
 from repro.obs.recorder import NULL_RECORDER, Recorder
-from repro.telemetry.columns import EXACT_INT, Baselines, grow
+from repro.telemetry.columns import (
+    EXACT_INT,
+    NO_DELIVERIES,
+    Baselines,
+    Snapshots,
+    grow,
+)
 from repro.telemetry.counters import CounterSnapshot
 from repro.telemetry.sanitizer import (
     RatedRows,
@@ -78,64 +99,107 @@ class DirectionTable:
     sanitizer_rows: Optional[np.ndarray]
 
 
+def deliver_each(
+    deliver, direction_ids, time_s: float, total, errors, drops
+) -> List[List[CounterSnapshot]]:
+    """A tick's raw counter columns through a per-sample ``deliver``, row
+    by row: what each direction delivered."""
+    return [
+        deliver(did, CounterSnapshot(time_s, *counters))
+        for did, counters in zip(
+            direction_ids,
+            zip(total.tolist(), errors.tolist(), drops.tolist()),
+        )
+    ]
+
+
 @dataclass(frozen=True)
 class TelemetryBatch:
     """What one poll delivered for a run of directions.
 
-    Entry ``i`` of every column belongs to direction-table row
-    ``rows[i]``: the counters of its one delivered snapshot (taken at
-    ``time_s``), or ``missed[i]`` when nothing arrived.  The rows a
-    telemetry fault touched are in ``scalar`` instead — ``{i: delivered
-    snapshots}``, possibly none or several — and their column entries
-    mean nothing.
+    Entry ``i`` of ``rows``, ``first`` and ``missed`` belongs to
+    direction-table row ``rows[i]``: the first snapshot it delivered (at
+    ``time_s``, or earlier for a sample a delay held back), or
+    ``missed[i]`` when nothing arrived.  A duplicated or late sample
+    makes a direction deliver up to four; those after the first are
+    ``later``, entry ``j`` belonging to batch entry ``later_entry[j]``,
+    entries ascending, each entry's in arrival order.  Under a transport
+    without an array form ``scalar`` lists every entry's delivered
+    snapshots instead, and the columns mean nothing.
     """
 
     time_s: float
     rows: np.ndarray
-    total: np.ndarray
-    errors: np.ndarray
-    drops: np.ndarray
+    first: Snapshots
     missed: np.ndarray
-    scalar: Dict[int, List[CounterSnapshot]]
+    later_entry: np.ndarray
+    later: Snapshots
+    scalar: Optional[List[List[CounterSnapshot]]] = None
 
     def __len__(self) -> int:
         return len(self.rows)
 
-    def part(self, start: int, stop: int) -> "TelemetryBatch":
-        """Entries ``start:stop`` as their own batch."""
-        span = slice(start, stop)
-        return TelemetryBatch(
-            self.time_s,
-            self.rows[span],
-            self.total[span],
-            self.errors[span],
-            self.drops[span],
-            self.missed[span],
-            {
-                i - start: snapshots
-                for i, snapshots in self.scalar.items()
-                if start <= i < stop
-            },
-        )
+    def parts(self, size: int) -> Iterator["TelemetryBatch"]:
+        """Consecutive runs of ``size`` entries (the last may be shorter),
+        each as its own batch."""
+        # later[cuts[k]:cuts[k + 1]] belongs to the k-th run.
+        cuts = self.later_entry.searchsorted(
+            np.arange(0, len(self) + size, size)
+        ).tolist()
+        for k, start in enumerate(range(0, len(self), size)):
+            span = slice(start, start + size)
+            later = NO_DELIVERIES
+            if cuts[k] < cuts[k + 1]:
+                run = slice(cuts[k], cuts[k + 1])
+                later = self.later_entry[run] - start, self.later.take(run)
+            yield TelemetryBatch(
+                self.time_s,
+                self.rows[span],
+                self.first.take(span),
+                self.missed[span],
+                *later,
+                None if self.scalar is None else self.scalar[span],
+            )
 
     @classmethod
     def join(cls, parts: Sequence["TelemetryBatch"]) -> "TelemetryBatch":
         """Batches of one ``time_s`` as one batch, entries in the order
-        given (what :meth:`part` undoes)."""
-        scalar: Dict[int, List[CounterSnapshot]] = {}
-        start = 0
-        for part in parts:
-            for i, snapshots in part.scalar.items():
-                scalar[start + i] = snapshots
-            start += len(part)
+        given (what :meth:`parts` undoes)."""
+        scalar = None
+        if parts[0].scalar is not None:
+            scalar = [snapshots for part in parts for snapshots in part.scalar]
+        # Each part's later entries count from its own first entry.
+        starts = list(accumulate([0] + [len(part) for part in parts[:-1]]))
+        counts = [len(part.later_entry) for part in parts]
         return cls(
             parts[0].time_s,
-            *(
-                np.concatenate([getattr(part, name) for part in parts])
-                for name in ("rows", "total", "errors", "drops", "missed")
-            ),
+            np.concatenate([part.rows for part in parts]),
+            Snapshots.join([part.first for part in parts]),
+            np.concatenate([part.missed for part in parts]),
+            np.concatenate([part.later_entry for part in parts])
+            + np.repeat(starts, counts),
+            Snapshots.join([part.later for part in parts]),
             scalar,
         )
+
+    def lost(self) -> "TelemetryBatch":
+        """The batch with nothing delivered for any entry."""
+        return TelemetryBatch(
+            self.time_s, self.rows, self.first,
+            np.ones(len(self), dtype=bool), *NO_DELIVERIES,
+        )
+
+    def waves(self):
+        """The deliveries as array waves: ``(entries, snapshots)`` with
+        the first delivery of every entry, then every second one, and so
+        on while any entry has one — entries distinct within a wave."""
+        yield np.arange(len(self)), self.first
+        entry = self.later_entry
+        # Arrival number of each later delivery within its entry.
+        nth = np.arange(len(entry)) - np.searchsorted(entry, entry)
+        for wave in range(int(nth.max()) + 1 if len(nth) else 0):
+            pick = nth == wave
+            yield entry[pick], self.later.take(pick)
 
 
 #: A tick's traffic: ``(direction_ids, time_s) -> (offered packets, queue
@@ -170,10 +234,22 @@ class PerDirectionTraffic:
         return offered, losses
 
 
+class ConstantTraffic:
+    """A :data:`TrafficFn` offering every direction the same packets per
+    tick and no queue loss, as one filled array."""
+
+    def __init__(self, packets: int):
+        self.packets = packets
+
+    def __call__(self, direction_ids, time_s):
+        return np.full(len(direction_ids), self.packets, dtype=np.int64), None
+
+
 #: One rated sample on its way to ``store.append_rates``.
 _Sample = Tuple[DirectionId, float, float, float, float, SampleQuality]
-#: A rated batch: the array pass's result and the per-sample path's.
-_Rated = Tuple[TelemetryBatch, RatedRows, List[_Sample]]
+#: A rated batch: per wave the store rows, sample times and array pass's
+#: result, and the per-sample path's samples.
+_Rated = Tuple[List[Tuple[np.ndarray, np.ndarray, RatedRows]], List[_Sample]]
 
 
 class SnmpPoller:
@@ -442,29 +518,33 @@ class SnmpPoller:
         self._total[rows], self._errors[rows], self._drops[rows] = (
             total, errors, drops,
         )
-        missed = np.zeros(len(rows), dtype=bool)
-        scalar: Dict[int, List[CounterSnapshot]] = {}
         transport = self.transport
+        deliver_rows = getattr(transport, "deliver_rows", None)
+        if deliver_rows is not None:
+            return TelemetryBatch(
+                now, rows,
+                *deliver_rows(direction_ids, now, total, errors, drops),
+            )
+        scalar = None
         if transport is not None:
-            deliver_rows = getattr(transport, "deliver_rows", None)
-            if deliver_rows is not None:
-                total, errors, drops, missed, scalar = deliver_rows(
-                    direction_ids, now, total, errors, drops
-                )
-            else:
-                for i, counters in enumerate(
-                    zip(total.tolist(), errors.tolist(), drops.tolist())
-                ):
-                    scalar[i] = transport.deliver(
-                        direction_ids[i], CounterSnapshot(now, *counters)
-                    )
-        return TelemetryBatch(now, rows, total, errors, drops, missed, scalar)
+            scalar = deliver_each(
+                transport.deliver, direction_ids, now, total, errors, drops
+            )
+        return TelemetryBatch(
+            now,
+            rows,
+            Snapshots(np.full(len(rows), now), total, errors, drops),
+            np.zeros(len(rows), dtype=bool),
+            *NO_DELIVERIES,
+            scalar,
+        )
 
     def _sanitize(self, batch: TelemetryBatch) -> _Rated:
         """Count the missed polls of a batch, then rate it."""
-        lost = int(np.count_nonzero(batch.missed)) + sum(
-            1 for snapshots in batch.scalar.values() if not snapshots
-        )
+        if batch.scalar is None:
+            lost = int(np.count_nonzero(batch.missed))
+        else:
+            lost = sum(1 for snapshots in batch.scalar if not snapshots)
         if lost:
             self.missed_polls += lost
             if self.obs.enabled:
@@ -472,58 +552,57 @@ class SnmpPoller:
         return self._rate(batch)
 
     def _rate(self, batch: TelemetryBatch) -> _Rated:
-        """Turn a batch into rated samples: one array pass (the sanitizer,
-        or raw differencing without one), then the per-sample path, in
-        direction order, for the entries that pass left alone."""
+        """Turn a batch into rated samples: one array pass per wave of
+        deliveries (the sanitizer, or raw differencing without one), then
+        the per-sample path, in direction order, for what those deferred
+        — and for every entry of a transport without an array form."""
         table = self.directions
-        capacity = table.capacity_pkts_per_s[batch.rows]
-        defer = np.zeros(len(batch), dtype=bool)
-        if batch.scalar:
-            defer[list(batch.scalar)] = True
-        if self.sanitizer is not None:
-            done = self.sanitizer.ingest_rows(
-                table.sanitizer_rows[batch.rows],
-                batch.time_s,
-                batch.total,
-                batch.errors,
-                batch.drops,
-                capacity,
-                batch.missed,
-                defer,
-            )
-        else:
-            done = self._raw_diff_rows(batch, capacity, defer)
         singles: List[_Sample] = []
-        for entry in np.flatnonzero(done.deferred).tolist():
-            snapshots = batch.scalar.get(entry)
-            if snapshots is None:
-                snapshots = [] if batch.missed[entry] else [
-                    CounterSnapshot(
-                        batch.time_s,
-                        int(batch.total[entry]),
-                        int(batch.errors[entry]),
-                        int(batch.drops[entry]),
-                    )
-                ]
-            self._rate_one(
-                int(batch.rows[entry]),
-                snapshots,
-                batch.time_s,
-                float(capacity[entry]),
-                singles,
+        if batch.scalar is not None:
+            for row, snapshots in zip(batch.rows.tolist(), batch.scalar):
+                self._rate_one(row, snapshots, batch.time_s, singles)
+            return [], singles
+        waves, deferred = [], []
+        defer = np.zeros(len(batch), dtype=bool)
+        for entries, snapshots in batch.waves():
+            rows = batch.rows[entries]
+            if self.sanitizer is None:
+                rate, state_rows = self._raw_diff_rows, rows
+            else:
+                rate = self.sanitizer.ingest_rows
+                state_rows = table.sanitizer_rows[rows]
+            # Only a first delivery can be missing; an entry once deferred
+            # stays deferred, so that its deliveries keep their order.
+            missed = np.zeros(len(rows), dtype=bool) if waves else batch.missed
+            done = rate(
+                state_rows, *snapshots, table.capacity_pkts_per_s[rows],
+                missed, defer[entries],
             )
-        return batch, done, singles
+            defer[entries] = done.deferred
+            waves.append((table.store_rows[rows], snapshots.time_s, done))
+            for i in np.flatnonzero(done.deferred).tolist():
+                delivered = [] if missed[i] else [
+                    CounterSnapshot(*(col[i].item() for col in snapshots))
+                ]
+                deferred.append((int(entries[i]), delivered))
+        # Direction order; the sort is stable, so arrival order within one.
+        for entry, delivered in sorted(deferred, key=itemgetter(0)):
+            self._rate_one(
+                int(batch.rows[entry]), delivered, batch.time_s, singles
+            )
+        return waves, singles
 
     def _rate_one(
         self,
         row: int,
         snapshots: List[CounterSnapshot],
         now: float,
-        capacity: float,
         singles: List[_Sample],
     ) -> None:
         """The per-sample path for one direction's deliveries."""
-        did = self.directions.direction_ids[row]
+        table = self.directions
+        did = table.direction_ids[row]
+        capacity = float(table.capacity_pkts_per_s[row])
         sanitizer = self.sanitizer
         if not snapshots:
             if sanitizer is not None:
@@ -561,36 +640,32 @@ class SnmpPoller:
                 self._previous.set(row, snap)
 
     def _raw_diff_rows(
-        self, batch: TelemetryBatch, capacity: np.ndarray, defer: np.ndarray
+        self, rows, time_s, total, errors, drops, capacity, missed, defer
     ) -> RatedRows:
-        """Raw differencing of one snapshot per entry against the previous
+        """Raw differencing of one snapshot per row against the previous
         one: the array form of :meth:`_rate_one` without a sanitizer."""
         previous = self._previous
-        rows, now = batch.rows, batch.time_s
         deferred = defer
         inexact = previous.inexact_rows()
         if inexact:
-            deferred = defer | (~batch.missed & np.isin(rows, inexact))
-        delivered = ~batch.missed & ~deferred
+            deferred = defer | (~missed & np.isin(rows, inexact))
+        delivered = ~missed & ~deferred
         known = previous.known[rows]
-        dt = now - previous.time_s[rows]
+        dt = time_s - previous.time_s[rows]
         corruption, congestion, utilization = (
             np.clip(ratio, 0.0, 1.0)
             for ratio in delta_ratios(
-                batch.total - previous.total[rows],
-                batch.errors - previous.errors[rows],
-                batch.drops - previous.drops[rows],
+                total - previous.total[rows],
+                errors - previous.errors[rows],
+                drops - previous.drops[rows],
                 capacity,
                 dt,
             )
         )
         reseed = delivered & (~known | (dt >= 0))
         previous.set_rows(
-            rows[reseed],
-            now,
-            batch.total[reseed],
-            batch.errors[reseed],
-            batch.drops[reseed],
+            rows[reseed], time_s[reseed], total[reseed], errors[reseed],
+            drops[reseed],
         )
         return RatedRows(
             deferred,
@@ -603,16 +678,19 @@ class SnmpPoller:
 
     def _store_rated(self, rated: _Rated) -> int:
         """Append a batch's samples to the store; returns how many."""
-        batch, done, singles = rated
-        keep = done.rated
-        self._store.append_rows(
-            self.directions.store_rows[batch.rows[keep]],
-            batch.time_s,
-            done.corruption[keep],
-            done.congestion[keep],
-            done.utilization[keep],
-            done.quality[keep],
-        )
+        waves, singles = rated
+        stored = len(singles)
+        for store_rows, time_s, done in waves:
+            keep = done.rated
+            stored += int(np.count_nonzero(keep))
+            self._store.append_rows(
+                store_rows[keep],
+                time_s[keep],
+                done.corruption[keep],
+                done.congestion[keep],
+                done.utilization[keep],
+                done.quality[keep],
+            )
         for did, time_s, corruption, congestion, utilization, quality in (
             singles
         ):
@@ -624,7 +702,7 @@ class SnmpPoller:
                 utilization=utilization,
                 quality=quality,
             )
-        return int(np.count_nonzero(keep)) + len(singles)
+        return stored
 
     def run(self, num_polls: int) -> None:
         """Run ``num_polls`` consecutive polls."""

@@ -420,7 +420,7 @@ class TelemetrySanitizer:
     def ingest_rows(
         self,
         rows: np.ndarray,
-        time_s: float,
+        time_s: np.ndarray,
         total: np.ndarray,
         errors: np.ndarray,
         drops: np.ndarray,
@@ -430,36 +430,42 @@ class TelemetrySanitizer:
     ) -> RatedRows:
         """Array form of :meth:`ingest` / :meth:`observe_missing`.
 
-        One poll tick's outcome for distinct ``rows`` (from
-        :meth:`rows_for`): either one snapshot taken at ``time_s`` with
-        the given int64 counters (all below 2**53), or, where ``missed``,
-        no delivery.  Every row the pass commits ends in exactly the state
-        the per-sample methods would leave it in.  It defers (leaves
-        untouched, see :class:`RatedRows`) the rows the caller marks in
-        ``defer`` and what the per-sample methods must handle themselves:
-        duplicate or out-of-order timestamps, baselines the int64 columns
-        cannot hold, and — while a recorder is enabled — any row whose
-        push could start or end a quarantine, because the transition
-        events are emitted in direction order.
+        One delivery for each of the distinct ``rows`` (from
+        :meth:`rows_for`): a snapshot taken at ``time_s[i]`` with the
+        given int64 counters (all below 2**53), or, where ``missed``, no
+        delivery.  A row that delivers several snapshots in one poll takes
+        one call per snapshot, in arrival order.  Every row the pass
+        commits ends in exactly the state the per-sample methods would
+        leave it in, duplicate and out-of-order timestamps included.  It
+        defers (leaves untouched, see :class:`RatedRows`) the rows the
+        caller marks in ``defer`` and what the per-sample methods must
+        handle themselves: non-finite timestamps, baselines the int64
+        columns cannot hold, and — while a recorder is enabled — any row
+        whose push could start or end a quarantine, because the
+        transition events are emitted in direction order.
         """
         prev = self._prev
         missed = missed & ~defer
         delivered = ~missed & ~defer
         known = prev.known[rows]
         dt = time_s - prev.time_s[rows]
-        deferred = defer | (delivered & known & ~(dt > 0))
-        if not math.isfinite(time_s):
-            deferred = defer | delivered
+        deferred = defer | (delivered & ~np.isfinite(time_s))
         inexact = prev.inexact_rows()
         if inexact:
             deferred |= delivered & np.isin(rows, inexact)
         seeding = delivered & ~known & ~deferred
-        rated = delivered & known & ~deferred
+        again = delivered & known & ~deferred
+        # Not newer than the baseline: counted, held against the window,
+        # otherwise ignored.
+        duplicate = again & (dt == 0)
+        stale = again & (dt < 0)
+        rated = again & (dt > 0)
 
         d_total = total - prev.total[rows]
         d_errors = errors - prev.errors[rows]
         d_drops = drops - prev.drops[rows]
         quality = np.where(missed, _MISSING, _OK).astype(np.int8)
+        quality[duplicate | stale] = _SUSPECT
         backwards = rated & ((d_total < 0) | (d_errors < 0) | (d_drops < 0))
         wrapped = reset = backwards
         if backwards.any():
@@ -506,14 +512,17 @@ class TelemetrySanitizer:
             risky = quality >= _SUSPECT
             if self._quarantined_rows:
                 risky |= np.isin(rows, list(self._quarantined_rows))
-            risky &= rated | missed
+            risky &= rated | missed | duplicate | stale
             deferred |= risky
-            rated &= ~risky
-            missed = missed & ~risky
+            rated, missed, duplicate, stale = (
+                mask & ~risky for mask in (rated, missed, duplicate, stale)
+            )
 
         stats = self.stats
         stats.samples += int(np.count_nonzero(rated))
         stats.missing += int(np.count_nonzero(missed))
+        stats.duplicates_dropped += int(np.count_nonzero(duplicate))
+        stats.out_of_order_dropped += int(np.count_nonzero(stale))
         stats.wraps_unwrapped += int(np.count_nonzero(wrapped & rated))
         stats.resets_detected += int(np.count_nonzero(reset & rated))
         stats.freezes_detected += int(np.count_nonzero(frozen & rated))
@@ -535,9 +544,10 @@ class TelemetrySanitizer:
 
         commit = rated | seeding
         prev.set_rows(
-            rows[commit], time_s, total[commit], errors[commit], drops[commit]
+            rows[commit], time_s[commit], total[commit], errors[commit],
+            drops[commit],
         )
-        pushed = rated | missed
+        pushed = rated | missed | duplicate | stale
         pushed_rows = rows[pushed]
         self._ring[pushed_rows, self._pushes[pushed_rows] % self.window] = (
             quality[pushed]

@@ -118,30 +118,28 @@ class TelemetryStore:
     def append_rows(
         self,
         rows: np.ndarray,
-        time_s: float,
+        time_s: np.ndarray,
         corruption: np.ndarray,
         congestion: np.ndarray,
         utilization: np.ndarray,
         quality: np.ndarray,
     ) -> int:
-        """Append one sample at ``time_s`` to each of ``rows`` (distinct
-        row numbers from :meth:`rows_for`; ``quality`` holds
-        :attr:`SampleQuality.code` values).  Same dropping rule as
+        """Append one sample to each of ``rows`` (distinct row numbers
+        from :meth:`rows_for`), taken at ``time_s[i]``; ``quality`` holds
+        :attr:`SampleQuality.code` values.  Same dropping rule as
         :meth:`append_rates`; returns how many were stored."""
         if len(rows) == 0:
             return 0
-        if not math.isfinite(time_s):
-            self.dropped_samples += len(rows)
-            return 0
         length = self._length[rows]
         self._ensure_capacity(int(length.max()) + 1)
-        keep = (length == 0) | (
-            time_s > self._time[rows, np.maximum(length, 1) - 1]
+        keep = np.isfinite(time_s) & (
+            (length == 0)
+            | (time_s > self._time[rows, np.maximum(length, 1) - 1])
         )
         kept = int(np.count_nonzero(keep))
         if kept < len(rows):
             self.dropped_samples += len(rows) - kept
-            rows, length = rows[keep], length[keep]
+            rows, length, time_s = rows[keep], length[keep], time_s[keep]
             corruption, congestion = corruption[keep], congestion[keep]
             utilization, quality = utilization[keep], quality[keep]
         self._time[rows, length] = time_s

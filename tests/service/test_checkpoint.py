@@ -8,6 +8,7 @@ at all.
 
 import hashlib
 import json
+import os
 import pickle
 
 import pytest
@@ -31,7 +32,7 @@ def test_schema_literals_pinned_against_service():
         checkpoint.CHECKPOINT_FORMAT_VERSION
         is schema.CHECKPOINT_FORMAT_VERSION
     )
-    assert CHECKPOINT_FORMAT_VERSION == 3
+    assert CHECKPOINT_FORMAT_VERSION == 4
 
 
 def write_sample(path, state=None):
@@ -119,7 +120,7 @@ class TestIntegrity:
         )
         with pytest.raises(
             ValueError,
-            match=rf"unsupported checkpoint version {version} \(expected 3\)",
+            match=rf"unsupported checkpoint version {version} \(expected 4\)",
         ):
             read_checkpoint(path)
         assert validate_checkpoint_file(path) == [
@@ -136,6 +137,11 @@ class TestIntegrity:
         """Version 2 pickled one TrafficProfile, generator state and all,
         per direction; the co-model is a table now."""
         self._refused_by_version(tmp_path, 2, "1.9.0")
+
+    def test_v3_checkpoint_refused_before_unpickling(self, tmp_path):
+        """Version 3 pickled the telemetry faults' per-direction state as
+        dicts of snapshots and queued batches with a ``scalar`` dict."""
+        self._refused_by_version(tmp_path, 3, "1.10.0")
 
     def test_truncated_payload_rejected(self, tmp_path):
         path = tmp_path / "c.ckpt"
@@ -219,3 +225,25 @@ class TestAtomicWrite:
         write_sample(path, state={"heap": [9], "t": 1800.0})
         assert read_checkpoint(path)[1] == {"heap": [9], "t": 1800.0}
         assert [p.name for p in tmp_path.iterdir()] == ["c.ckpt"]
+
+
+def test_serve_ckpt_scenario_checkpoint_stays_within_4_20_mb(tmp_path):
+    """The ``serve_ckpt`` scenario of ``bench/`` (seed 0): 1,008 links,
+    ``mild`` faults, ``hotspots`` congestion, a checkpoint every 3 h.  Its
+    last checkpoint was 4.19 MB with format 3; per-direction fault state
+    in columns is pickled as the directions that hold something, so it
+    must not grow."""
+    from repro.service import ControllerService, ServiceConfig
+
+    service = ControllerService(
+        ServiceConfig(
+            days=0.5, scale=0.25, seed=0, fault_seed=0, chaos_preset="mild",
+            congestion_preset="hotspots", queue_capacity=24,
+        )
+    )
+    status = service.run(
+        checkpoint_every_s=3 * 3600.0, checkpoint_dir=tmp_path
+    )
+    assert status.completed and len(status.checkpoints) == 4
+    # What bench reports as `service.ckpt_mb`.
+    assert os.path.getsize(status.checkpoints[-1]) <= 4.20e6

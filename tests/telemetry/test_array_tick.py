@@ -12,8 +12,10 @@ the transport RNG state (so not one draw was taken out of order).
 
 import copy
 import math
+import pickle
 import random
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -39,6 +41,7 @@ from repro.telemetry import (
     TelemetrySanitizer,
     TelemetryStore,
 )
+from repro.telemetry.poller import OpticalReading
 from repro.topology import Direction, Switch, build_clos
 
 
@@ -238,7 +241,8 @@ class Twins:
     """The array poller and the reference over twin topologies."""
 
     def __init__(self, transport=None, seed=0, sanitizer=True,
-                 traffic=False, miswire=False, queue=None, obs=False):
+                 traffic=False, miswire=False, queue=None, obs=False,
+                 wrap_modulus=2**32):
         self.topos = [build_clos(2, 2, 2, 4), build_clos(2, 2, 2, 4)]
         self.sides = []
         for topo, cls in zip(self.topos, (None, ReferencePoller)):
@@ -246,7 +250,8 @@ class Twins:
             store = TelemetryStore()
             cleaner = (
                 TelemetrySanitizer(obs=recorder, window=4,
-                                   min_window_samples=2)
+                                   min_window_samples=2,
+                                   wrap_modulus=wrap_modulus)
                 if sanitizer else None
             )
             source = Traffic(seed) if traffic else None
@@ -286,6 +291,18 @@ class Twins:
                 )
             elif kind == "clear":
                 topo.clear_corruption(link_id)
+        if kind == "optical":
+            # Optical reads share the transport's RNG with the counters.
+            readings = [
+                side[0].transport.deliver_optical(
+                    link_id, OpticalReading(0.0, -2.0, -3.0, -2.0, -3.0)
+                )
+                for side in self.sides
+                if side[0].transport is not None
+            ]
+            assert [repr(r) for r in readings[:1]] == [
+                repr(r) for r in readings[1:]
+            ]
 
     def tick(self):
         times = [side[0].poll_once() for side in self.sides]
@@ -359,7 +376,9 @@ OPS = st.lists(
         st.just(("poll", 0, 0.0)),
         st.just(("poll", 0, 0.0)),
         st.tuples(
-            st.sampled_from(["disable", "enable", "corrupt", "clear"]),
+            st.sampled_from(
+                ["disable", "enable", "corrupt", "clear", "optical"]
+            ),
             st.integers(0, 23),
             st.sampled_from([1e-7, 1e-5, 1e-3, 0.5]),
         ),
@@ -368,7 +387,9 @@ OPS = st.lists(
     max_size=30,
 )
 
-RATE = st.sampled_from([0.0, 0.05, 0.3])
+# Up to one in two, so that a reset, a freeze, a delay and a duplicate
+# coincide on one row within a few ticks.
+RATE = st.sampled_from([0.0, 0.05, 0.3, 0.5])
 
 FAULT_CONFIGS = st.builds(
     TelemetryFaultConfig,
@@ -377,9 +398,10 @@ FAULT_CONFIGS = st.builds(
     wrap_32bit=st.booleans(),
     reset_rate=RATE,
     freeze_rate=RATE,
-    freeze_duration_polls=st.integers(1, 3),
+    freeze_duration_polls=st.integers(1, 5),
     duplicate_rate=RATE,
     delay_rate=RATE,
+    optical_garbage_rate=RATE,
 )
 
 TRANSPORTS = st.one_of(
@@ -501,27 +523,274 @@ class TestScalarRowsAreTheExceptions:
             poller.poll_once()
         assert calls == []
 
-    def test_mild_preset_fallback_share_is_small(self):
-        topo = build_clos(4, 4, 4, 8)
-        store, cleaner = TelemetryStore(), TelemetrySanitizer()
-        transport = FaultyTransport(chaos_preset("mild", seed=3))
-        poller = SnmpPoller(
-            topo, store, packets_fn=constant_packets,
-            transport=transport, sanitizer=cleaner,
+    @pytest.mark.parametrize("preset", sorted(CHAOS_PRESETS))
+    def test_no_preset_calls_the_per_sample_api(self, preset, monkeypatch):
+        """The chain a config builds is arrays end to end too: resets,
+        freezes, held and duplicated samples, with links flapping."""
+        twins = Twins(preset, seed=3, traffic=True)
+        poller, store, cleaner, _obs = twins.sides[0]
+        calls = []
+        for obj, name in (
+            (poller.transport, "deliver"),
+            (cleaner, "ingest"),
+            (cleaner, "observe_missing"),
+            (store, "append_rates"),
+        ):
+            monkeypatch.setattr(
+                obj, name,
+                lambda *a, _n=name, **k: calls.append(_n),
+            )
+        for tick in range(60):
+            if tick % 5 == 2:
+                twins.apply(("disable", tick, 0.0))
+            if tick % 5 == 4:
+                twins.apply(("enable", tick - 2, 0.0))
+            poller.poll_once()
+        assert calls == []
+        assert cleaner.stats.samples > 0
+        if preset in ("harsh", "flaky-collector"):
+            assert cleaner.stats.out_of_order_dropped > 0
+            assert cleaner.stats.duplicates_dropped > 0
+
+
+# ---------------------------------------------------------------------- #
+# Fault state in columns: one copy, whoever writes it
+# ---------------------------------------------------------------------- #
+
+#: Every stateful fault fires often, so rebased, frozen and held rows
+#: are all present after a few ticks.
+BUSY = TelemetryFaultConfig(
+    seed=4, missed_poll_rate=0.2, wrap_32bit=True, reset_rate=0.2,
+    freeze_rate=0.2, freeze_duration_polls=4, duplicate_rate=0.3,
+    delay_rate=0.3,
+)
+
+
+class DeliverOnly:
+    """A transport's per-sample face: everything but ``deliver_rows``."""
+
+    def __init__(self, transport):
+        self._transport = transport
+
+    def __getattr__(self, name):
+        if name == "deliver_rows":
+            raise AttributeError(name)
+        return getattr(self._transport, name)
+
+
+def stateful_rows(transport):
+    """How many directions are rebased, frozen, holding a sample."""
+    reset, freeze, _wrap, _miss, delay, _duplicate = transport._config_chain()
+    return (
+        int(np.count_nonzero(reset._state.known)),
+        int(np.count_nonzero(freeze._state.left > 0)),
+        int(np.count_nonzero(delay._state.known)),
+    )
+
+
+def as_lists(first, missed, later_entry, later, scalar):
+    """What ``deliver_rows`` returned, as ``deliver``'s list per row."""
+    if scalar is not None:
+        return scalar
+    lists = [
+        [] if gone else [CounterSnapshot(*(c[i].item() for c in first))]
+        for i, gone in enumerate(missed.tolist())
+    ]
+    for j, entry in enumerate(later_entry.tolist()):
+        lists[entry].append(CounterSnapshot(*(c[j].item() for c in later)))
+    return lists
+
+
+class TestFaultStateColumns:
+    @SETTINGS
+    @given(config=FAULT_CONFIGS, seed=st.integers(0, 50))
+    def test_deliver_rows_returns_what_deliver_returns(self, config, seed):
+        """Row by row the same snapshots in the same arrival order, over
+        ticks that poll a changing subset of the directions."""
+        rng = random.Random(seed)
+        array, scalar = FaultyTransport(config), FaultyTransport(config)
+        dids = [("tor%d" % i, "agg") for i in range(12)]
+        counters = np.zeros((3, len(dids)), dtype=np.int64)
+        for tick in range(1, 13):
+            polled = sorted(rng.sample(range(len(dids)), rng.randint(1, 12)))
+            counters[0, polled] += rng.choice([10**6, 3 * 10**9])
+            counters[1:, polled] += rng.randrange(50)
+            ids = [dids[i] for i in polled]
+            total, errors, drops = counters[:, polled]
+            want = [
+                scalar.deliver(did, CounterSnapshot(900.0 * tick, *row))
+                for did, row in zip(ids, counters[:, polled].T.tolist())
+            ]
+            got = as_lists(
+                *array.deliver_rows(ids, 900.0 * tick, total, errors, drops)
+            )
+            assert got == want
+            assert array._rng.getstate() == scalar._rng.getstate()
+            assert (array.polls_delivered, array.polls_missed) == (
+                scalar.polls_delivered, scalar.polls_missed
+            )
+
+    @pytest.mark.parametrize("sanitizer", [True, False])
+    def test_deliver_and_deliver_rows_alternate_on_one_transport(
+        self, sanitizer
+    ):
+        twins = Twins(BUSY, traffic=True, sanitizer=sanitizer)
+        poller = twins.sides[0][0]
+        transport = poller.transport
+        for tick in range(40):
+            poller.transport = (
+                transport if tick % 2 else DeliverOnly(transport)
+            )
+            if tick % 9 == 4:
+                twins.apply(("disable", tick, 0.0))
+            if tick % 9 == 7:
+                twins.apply(("enable", tick - 3, 0.0))
+            twins.tick()
+        assert all(stateful_rows(transport))
+
+    def test_a_deferred_direction_stays_deferred_for_the_tick(self):
+        """A backwards counter under a modulus too wide for int64 defers
+        to ``ingest``; the held sample that follows it in the same poll
+        must wait for it, not be rated first."""
+        twins = Twins(BUSY, traffic=True, wrap_modulus=2**64)
+        for _ in range(30):
+            twins.tick()
+        stats = twins.sides[0][2].stats
+        assert stats.resets_detected and stats.out_of_order_dropped
+
+    def test_pickle_round_trip_mid_run(self):
+        twins = Twins(BUSY, traffic=True)
+        poller = twins.sides[0][0]
+        for _ in range(6):
+            twins.tick()
+        before = stateful_rows(poller.transport)
+        assert all(before)
+        poller.transport = pickle.loads(pickle.dumps(poller.transport))
+        assert stateful_rows(poller.transport) == before
+        for _ in range(10):
+            twins.tick()
+
+    @pytest.mark.parametrize("state", ["frozen", "held"])
+    def test_link_flaps_while_its_direction_is_frozen_or_held(self, state):
+        """Fault state outlives a disable: the freeze resumes where it
+        stopped and the held sample arrives, however late, once the link
+        is polled again."""
+        config = TelemetryFaultConfig(
+            seed=1, freeze_duration_polls=5, duplicate_rate=0.5,
+            **{"freeze_rate" if state == "frozen" else "delay_rate": 1.0},
         )
-        scalar = 0
-        original = transport.deliver
+        twins = Twins(config)
+        for _ in range(3):
+            twins.tick()
+        transport = twins.sides[0][0].transport
+        chain = transport._config_chain()
+        column = (
+            chain[1]._state.left > 0 if state == "frozen"
+            else chain[4]._state.known
+        )
+        assert column[: 2 * twins.topos[0].num_links].all()
+        twins.apply(("disable", 3, 0.0))
+        twins.apply(("disable", 4, 0.0))
+        twins.tick()
+        twins.apply(("enable", 3, 0.0))
+        for _ in range(4):
+            twins.tick()
+        twins.apply(("enable", 4, 0.0))
+        for _ in range(4):
+            twins.tick()
 
-        def counting(did, snap):
-            nonlocal scalar
-            scalar += 1
-            return original(did, snap)
 
-        transport.deliver = counting
-        polls = 40
-        poller.run(polls)
-        directions = 2 * topo.num_links
-        assert 0 < scalar < 0.05 * polls * directions
+# ---------------------------------------------------------------------- #
+# Per-row sample times: a held sample is older than the tick
+# ---------------------------------------------------------------------- #
+
+DID = ("a", "b")
+CAPACITY = 1e6
+FRESH = CounterSnapshot(2700.0, 3_000_000, 30, 3)
+HELD = CounterSnapshot(1800.0, 2_000_000, 20, 2)
+#: What one poll can deliver for a direction, in arrival order.
+ARRIVALS = {
+    "fresh": [FRESH],
+    "fresh, dup": [FRESH, FRESH],
+    "fresh, held": [FRESH, HELD],
+    "held, held-dup": [HELD, HELD],
+}
+
+
+@pytest.mark.parametrize("arrivals", sorted(ARRIVALS))
+@pytest.mark.parametrize("baseline_s", [None, 900.0, 1800.0, 2700.0])
+def test_rows_with_their_own_times_match_the_per_sample_api(
+    arrivals, baseline_s
+):
+    """``ingest_rows`` / ``append_rows`` one delivery at a time against
+    ``ingest`` / ``append_rates``, over baselines older than, equal to
+    and newer than the samples."""
+    sides = []
+    for array in (True, False):
+        cleaner, store = TelemetrySanitizer(), TelemetryStore()
+        if baseline_s is not None:
+            for time_s in (baseline_s - 900.0, baseline_s):
+                sample = cleaner.ingest(
+                    DID, CounterSnapshot(time_s, int(time_s * 1000), 0, 0),
+                    capacity_pkts_per_s=CAPACITY,
+                )
+                if sample is not None:
+                    store.append_rates(DID, sample.time_s, 0.0, 0.0, 0.0)
+        for snap in ARRIVALS[arrivals]:
+            if not array:
+                sample = cleaner.ingest(
+                    DID, snap, capacity_pkts_per_s=CAPACITY
+                )
+                if sample is not None:
+                    store.append_rates(
+                        DID, sample.time_s, sample.corruption,
+                        sample.congestion, sample.utilization,
+                        sample.quality,
+                    )
+                continue
+            one = np.ones(1, dtype=bool)
+            done = cleaner.ingest_rows(
+                cleaner.rows_for([DID]),
+                np.array([snap.time_s]),
+                np.array([snap.total]),
+                np.array([snap.errors]),
+                np.array([snap.drops]),
+                np.array([CAPACITY]),
+                ~one,
+                ~one,
+            )
+            assert not done.deferred.any()
+            keep = done.rated
+            store.append_rows(
+                store.rows_for([DID])[keep],
+                np.array([snap.time_s])[keep],
+                done.corruption[keep],
+                done.congestion[keep],
+                done.utilization[keep],
+                done.quality[keep],
+            )
+        sides.append((cleaner, store))
+    (cleaner, store), (ref_cleaner, ref_store) = sides
+    assert vars(cleaner.stats) == vars(ref_cleaner.stats)
+    assert cleaner.recent_quality(DID) == ref_cleaner.recent_quality(DID)
+    assert cleaner._prev.get(0) == ref_cleaner._prev.get(0)
+    assert store.dropped_samples == ref_store.dropped_samples
+    assert store.times(DID) == ref_store.times(DID)
+    assert store.quality_series(DID) == ref_store.quality_series(DID)
+    assert store.last_sample(DID) == ref_store.last_sample(DID)
+
+
+def test_append_rows_drops_by_each_rows_own_time():
+    store = TelemetryStore()
+    rows = store.rows_for([("a", "b"), ("b", "a"), ("a", "c"), ("c", "a")])
+    zeros, ok = np.zeros(4), np.zeros(4, dtype=np.int8)
+    first = np.full(4, 900.0)
+    assert store.append_rows(rows, first, zeros, zeros, zeros, ok) == 4
+    times = np.array([1800.0, 900.0, 450.0, math.nan])
+    assert store.append_rows(rows, times, zeros, zeros, zeros, ok) == 1
+    assert store.dropped_samples == 3
+    assert store.times(("a", "b")) == [900.0, 1800.0]
+    assert store.times(("c", "a")) == [900.0]
 
 
 class TestCounterRange:
