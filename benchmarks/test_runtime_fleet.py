@@ -32,11 +32,13 @@ from repro.topology.columnar import ColumnarPathCounter, ColumnarTopology
 CLOS_DIMS = (320, 88, 8, 384)
 EXPECTED_LINKS = 348_160
 
-#: "Seconds, not minutes": generous ceilings (measured ~0.02s build,
-#: ~0.01s recount) that only trip if the array path degrades to
-#: per-object work.
+#: "Seconds, not minutes" for the build: a generous ceiling (measured
+#: ~0.01 s) that only trips if the array path degrades to per-object work.
+#: The recount is the segment-sum DP `decide_large` times: its ceiling is
+#: twice what this host measures (1.0 ms), so a fall back to a scatter-add
+#: per stage (3.1 ms here) shows.
 BUILD_CEILING_S = 10.0
-RECOUNT_CEILING_S = 5.0
+RECOUNT_CEILING_S = 0.002
 
 #: Fleet campaign scale: full 15-DCN population, shrunk topologies.
 FLEET_SCALE = 0.2
@@ -83,7 +85,7 @@ def test_columnar_350k_build_and_recount():
             f"(ceiling {BUILD_CEILING_S:.0f} s)",
             f"  counter init (design DP)   {init_s * 1e3:8.1f} ms",
             f"  full recount, 1% disabled  {recount_s * 1e3:8.1f} ms "
-            f"(ceiling {RECOUNT_CEILING_S:.0f} s)",
+            f"(ceiling {RECOUNT_CEILING_S * 1e3:.1f} ms)",
             f"  worst ToR fraction query   {worst_s * 1e3:8.1f} ms",
             "",
         ]

@@ -8,7 +8,7 @@ thresholds".  Realistic configurations place every ToR between 50–75%.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional
+from typing import Dict, List, Mapping, Optional, Sequence
 
 
 class CapacityConstraint:
@@ -51,6 +51,13 @@ class CapacityConstraint:
         75% constraint) count as satisfied despite float rounding.
         """
         return fraction >= self.threshold(tor) - 1e-12
+
+    def floors(self, names: Sequence[str]) -> List[float]:
+        """The column form of :meth:`satisfied_by`: per name, the smallest
+        fraction that still satisfies it (threshold minus the epsilon)."""
+        if not self.per_tor:
+            return [self.default - 1e-12] * len(names)
+        return [self.threshold(name) - 1e-12 for name in names]
 
     def violations(self, fractions: Mapping[str, float]) -> Dict[str, float]:
         """ToRs whose fraction falls below their threshold.

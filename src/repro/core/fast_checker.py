@@ -84,34 +84,34 @@ class FastChecker:
         return result
 
     def _check(self, link_id: LinkId) -> FastCheckResult:
-        link = self._topo.link(link_id)
-        if not link.enabled:
+        topo, counter = self._topo, self.counter
+        row = topo.link_row[link_id]
+        if not topo.link_at[row].enabled:
             # Already mitigated; trivially allowed.
             return FastCheckResult(link_id=link_id, allowed=True)
 
-        affected = sorted(self.counter.affected_tors(link_id))
-        if not affected:
-            # No ToR below the link (can happen in synthetic gadgets where a
-            # subtree was already cut off); disabling affects nobody.
+        # ToR rows in name order; empty when no ToR sits below the link
+        # (can happen in synthetic gadgets where a subtree was already cut
+        # off): disabling affects nobody.
+        tors = counter.affected_rows(row)
+        if not tors:
             return FastCheckResult(link_id=link_id, allowed=True)
 
-        # An incremental counter answers from its live counts plus a
-        # dirty-region overlay; the pruned-closure DP (and the closure
-        # itself) is only needed in recount-per-query mode.
-        closure = (
-            set()
-            if self.counter.incremental
-            else self.counter.upstream_closure(affected)
-        )
-        fractions = self.counter.restricted_fractions(
-            affected, closure, extra_disabled=frozenset({link_id})
-        )
-        violated = self.constraint.violations(fractions)
+        fractions = counter.fractions_at(tors, frozenset((row,)))
+        floors = counter.floors(self.constraint)
+        names = topo.switch_names
+        violated = {
+            names[tor]: fraction
+            for tor, fraction in zip(tors, fractions)
+            if fraction < floors[tor]
+        }
         return FastCheckResult(
             link_id=link_id,
             allowed=not violated,
             violated_tors=violated,
-            fractions_after=fractions,
+            fractions_after={
+                names[tor]: fraction for tor, fraction in zip(tors, fractions)
+            },
         )
 
     def check_and_disable(self, link_id: LinkId) -> FastCheckResult:

@@ -162,9 +162,6 @@ class GlobalOptimizer:
 
     # ------------------------------------------------------------------ #
 
-    def _penalty(self, link_id: LinkId) -> float:
-        return self.penalty_fn(self._topo.link(link_id).max_corruption_rate())
-
     def plan(
         self, candidates: Optional[Sequence[LinkId]] = None
     ) -> OptimizerResult:
@@ -211,26 +208,35 @@ class GlobalOptimizer:
     def _plan(
         self, candidates: Optional[Sequence[LinkId]] = None
     ) -> OptimizerResult:
-        topo = self._topo
+        topo, counter = self._topo, self.counter
         if candidates is None:
             candidates = topo.corrupting_links()
-        candidates = [lid for lid in candidates if topo.link(lid).enabled]
+        link_row, link_at = topo.link_row, topo.link_at
+        candidates = [
+            lid for lid in candidates if link_at[link_row[lid]].enabled
+        ]
         stats = OptimizerStats(num_candidates=len(candidates), runs=1)
         if not candidates:
             return OptimizerResult(stats=stats)
 
         all_candidates = frozenset(candidates)
+        penalty = {
+            lid: self.penalty_fn(link_at[link_row[lid]].max_corruption_rate())
+            for lid in all_candidates
+        }
 
         # ---- Pruning step (Figure 11) --------------------------------- #
         # Disable everything hypothetically; ToRs that survive can never be
         # violated by any subset (path counts are monotone in the set of
         # enabled links).
-        fractions_all_off = self.counter.tor_fractions(all_candidates)
-        violated = set(self.constraint.violations(fractions_all_off))
+        floors = counter.floors(self.constraint)
+        violated = counter.violations(
+            floors, extra=frozenset(map(link_row.__getitem__, all_candidates))
+        )
 
         if not violated:
             stats.num_safe = len(candidates)
-            disabled_penalty = sum(self._penalty(lid) for lid in candidates)
+            disabled_penalty = sum(penalty[lid] for lid in candidates)
             return OptimizerResult(
                 to_disable=set(candidates),
                 kept_active=set(),
@@ -240,41 +246,52 @@ class GlobalOptimizer:
             )
 
         if self.use_pruning:
-            upstream = topo.upstream_links(violated)
-            contested = sorted(all_candidates & upstream)
-            safe = set(all_candidates) - set(contested)
+            # A candidate is upstream of an at-risk ToR exactly when that
+            # ToR sits (structurally) below the candidate's lower endpoint.
+            below, lower = topo.tor_rows_below, topo.lower_row
+            contested = sorted(
+                lid
+                for lid in all_candidates
+                if not violated.keys().isdisjoint(below(lower[link_row[lid]]))
+            )
+            safe = all_candidates.difference(contested)
+            at_risk = {topo.switch_names[tor] for tor in violated}
         else:
             contested = sorted(all_candidates)
-            safe = set()
+            safe = frozenset()
             # Without pruning, every ToR is treated as at risk.
-            violated = set(topo.tors())
+            at_risk = set(topo.tors())
 
         stats.num_safe = len(safe)
         stats.num_contested = len(contested)
 
         # ---- Segment and search --------------------------------------- #
         if self.use_segmentation:
-            segments = segment_links(topo, contested, violated)
+            segments = segment_links(topo, contested, at_risk)
         else:
-            affected = violated & self._tors_below(contested)
-            segments = [Segment(frozenset(contested), frozenset(affected))]
+            reachable = set().union(*map(counter.affected_tors, contested))
+            segments = [
+                Segment(frozenset(contested), frozenset(at_risk & reachable))
+            ]
         stats.num_segments = len(segments)
 
         chosen: Set[LinkId] = set(safe)
-        base_disabled = frozenset(safe)
+        base_disabled = frozenset(map(link_row.__getitem__, safe))
         for segment in segments:
-            best = self._search_segment(segment, base_disabled, stats)
-            chosen.update(best)
+            chosen.update(
+                self._search_segment(
+                    segment, base_disabled, floors, penalty, stats
+                )
+            )
 
         kept = set(all_candidates) - chosen
-        result = OptimizerResult(
+        return OptimizerResult(
             to_disable=chosen,
             kept_active=kept,
-            residual_penalty=sum(self._penalty(lid) for lid in kept),
-            disabled_penalty=sum(self._penalty(lid) for lid in chosen),
+            residual_penalty=sum(penalty[lid] for lid in kept),
+            disabled_penalty=sum(penalty[lid] for lid in chosen),
             stats=stats,
         )
-        return result
 
     def optimize(
         self, candidates: Optional[Sequence[LinkId]] = None
@@ -289,65 +306,58 @@ class GlobalOptimizer:
     # Subset search
     # ------------------------------------------------------------------ #
 
-    def _tors_below(self, links: Sequence[LinkId]) -> Set[str]:
-        tors: Set[str] = set()
-        for lid in links:
-            lower = self._topo.link(lid).lower
-            if self._topo.switch(lower).stage == 0:
-                tors.add(lower)
-            else:
-                tors.update(self._topo.downstream_tors(lower))
-        return tors
-
     def _search_segment(
         self,
         segment: Segment,
-        base_disabled: FrozenSet[LinkId],
+        base_disabled: FrozenSet[int],
+        floors: List[float],
+        penalty: Dict[LinkId, float],
         stats: OptimizerStats,
     ) -> Set[LinkId]:
-        """Find the optimal subset of one segment's links to disable."""
+        """Find the optimal subset of one segment's links to disable.
+
+        The search itself runs on link rows (``base_disabled`` included);
+        ids come back out.
+        """
         # Tie-break equal penalties by link id: a stable sort over frozenset
         # iteration order would leak hash randomisation into which optimal
         # subset wins (visible with step penalties, where everything ties).
-        links = sorted(
-            segment.links, key=lambda lid: (-self._penalty(lid), lid)
-        )
+        links = sorted(segment.links, key=lambda lid: (-penalty[lid], lid))
         if not links:
             return set()
-        tors = sorted(segment.tors)
-        if not tors:
+        if not segment.tors:
             # No at-risk ToR depends on these links: all can go.
             return set(links)
-        # The pruned closure is only needed when the counter reruns the DP
-        # per query; an incremental counter evaluates candidate subsets as
-        # dirty-region overlays on its live counts.
-        closure = (
-            set()
-            if self.counter.incremental
-            else self.counter.upstream_closure(tors)
-        )
+        topo, violations = self._topo, self.counter.violations
+        tors = [topo.switch_row[tor] for tor in sorted(segment.tors)]
+        rows = [topo.link_row[lid] for lid in links]
 
-        def feasible(subset: FrozenSet[LinkId]) -> bool:
+        def feasible(subset: FrozenSet[int]) -> bool:
             stats.feasibility_checks += 1
-            fractions = self.counter.restricted_fractions(
-                tors, closure, extra_disabled=base_disabled | subset
-            )
-            return not self.constraint.violations(fractions)
+            return not violations(floors, tors, base_disabled | subset)
 
-        n = len(links)
         method = self.method
         if method == "auto":
-            method = "exhaustive" if n <= self.exhaustive_limit else "branch_and_bound"
-        if method == "exhaustive":
-            return self._exhaustive(links, feasible, stats)
-        return self._branch_and_bound(links, feasible, stats)
+            method = (
+                "exhaustive"
+                if len(links) <= self.exhaustive_limit
+                else "branch_and_bound"
+            )
+        search = (
+            self._exhaustive
+            if method == "exhaustive"
+            else self._branch_and_bound
+        )
+        best = search(rows, [penalty[lid] for lid in links], feasible, stats)
+        return {lid for lid, row in zip(links, rows) if row in best}
 
     def _exhaustive(
         self,
-        links: List[LinkId],
+        links: List[int],
+        penalties: List[float],
         feasible,
         stats: OptimizerStats,
-    ) -> Set[LinkId]:
+    ) -> Set[int]:
         """The paper's search: iterate subsets, skip supersets of failures.
 
         Subsets are visited largest-penalty-first by enumerating over sizes
@@ -355,7 +365,6 @@ class GlobalOptimizer:
         enumeration, the reject cache only skips provably infeasible sets.
         """
         n = len(links)
-        penalties = [self._penalty(lid) for lid in links]
         rejected: List[int] = []
         best_mask = 0
         best_value = -1.0
@@ -380,25 +389,25 @@ class GlobalOptimizer:
 
     def _branch_and_bound(
         self,
-        links: List[LinkId],
+        links: List[int],
+        penalties: List[float],
         feasible,
         stats: OptimizerStats,
-    ) -> Set[LinkId]:
+    ) -> Set[int]:
         """Exact DFS: include/exclude each link, bounding by suffix sums.
 
         Feasibility is monotone (supersets of infeasible sets are
         infeasible), so a branch dies as soon as its current set fails.
         """
         n = len(links)
-        penalties = [self._penalty(lid) for lid in links]
         suffix = [0.0] * (n + 1)
         for i in range(n - 1, -1, -1):
             suffix[i] = suffix[i + 1] + penalties[i]
 
-        best_set: Set[LinkId] = set()
+        best_set: Set[int] = set()
         best_value = 0.0
 
-        def dfs(index: int, current: FrozenSet[LinkId], value: float) -> None:
+        def dfs(index: int, current: FrozenSet[int], value: float) -> None:
             nonlocal best_set, best_value
             if value > best_value:
                 best_value, best_set = value, set(current)
@@ -431,11 +440,14 @@ def brute_force_optimal(
     """
     if candidates is None:
         candidates = topo.corrupting_links()
-    candidates = [lid for lid in candidates if topo.link(lid).enabled]
+    link_row, link_at = topo.link_row, topo.link_at
+    candidates = [lid for lid in candidates if link_at[link_row[lid]].enabled]
     counter = PathCounter(topo)
-    total = sum(
-        penalty_fn(topo.link(lid).max_corruption_rate()) for lid in candidates
-    )
+    penalty = {
+        lid: penalty_fn(link_at[link_row[lid]].max_corruption_rate())
+        for lid in candidates
+    }
+    total = sum(penalty[lid] for lid in candidates)
     best: Set[LinkId] = set()
     best_value = -1.0
     for size in range(len(candidates), -1, -1):
@@ -443,10 +455,7 @@ def brute_force_optimal(
             fractions = counter.tor_fractions(frozenset(combo))
             if constraint.violations(fractions):
                 continue
-            value = sum(
-                penalty_fn(topo.link(lid).max_corruption_rate())
-                for lid in combo
-            )
+            value = sum(penalty[lid] for lid in combo)
             if value > best_value:
                 best_value = value
                 best = set(combo)

@@ -19,20 +19,41 @@ maintained alongside, so a simulation snapshot costs O(changed ToRs)
 instead of O(|ToRs| · |E|).  Passing ``incremental=False`` restores the
 original recount-per-query behaviour (used as the baseline in
 ``benchmarks/test_runtime_incremental_counter.py``).
+
+Everything below the public methods runs on the topology's interned rows
+(:meth:`Topology._build_rows`): counts and baselines are lists by switch
+row, hypothetical disables are sets of link rows, an overlay maps switch
+row to count.  Names appear only in what the public methods take and
+return; the fast checker, optimizer and repair scheduler use the row
+methods (:meth:`PathCounter.violations` & co.) directly.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import (
+    Collection,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.obs.recorder import NULL_RECORDER, Recorder
-from repro.topology.elements import LinkId
+from repro.topology.elements import LinkId, LinkState
 from repro.topology.graph import Topology
 
-_EMPTY: FrozenSet[LinkId] = frozenset()
+_EMPTY: FrozenSet[int] = frozenset()
+
+#: ``PathCounter._stale`` after unpickling (as opposed to ``True`` after a
+#: structure change): the rebuild must leave ``stats`` as saved.
+_RESTORED = "restored"
 
 #: Bound on the memoization caches (entries), to keep long replays from
 #: accumulating unbounded closure keys.
@@ -83,9 +104,11 @@ class PathCounter:
         * Administrative changes made through ``topo.disable_link`` /
           ``enable_link`` / ``drain_link`` are picked up automatically.
         * Code that flips ``Link.state`` directly must call
-          :meth:`notify_link_change` afterwards.
-        * Structural changes (``add_switch`` / ``add_link``) trigger a full
-          rebuild, including the baseline.
+          :meth:`notify_link_change` afterwards; until then the counter
+          keeps answering for the state it was last told.
+        * Structural changes (``add_switch`` / ``add_link``) mark the
+          counter stale; the next query or change notification rebuilds it
+          once, baseline included.
 
     Example:
         >>> from repro.topology import build_clos
@@ -105,6 +128,11 @@ class PathCounter:
         self._incremental = incremental
         self.obs = obs
         self.stats = PathCounterStats()
+        # What the counter has been told about each link row (1 = carries
+        # traffic): written in ``_on_admin_change`` from ``link.enabled``,
+        # extended for new links on a rebuild, and the one column that is
+        # pickled.
+        self._enabled = bytearray()
         self._rebuild_structure()
         topo.subscribe_admin_changes(self._on_admin_change)
         topo.subscribe_structure_changes(self._on_structure_change)
@@ -126,6 +154,7 @@ class PathCounter:
         """Switch between incremental and recount-per-query modes."""
         if incremental == self._incremental:
             return
+        self._sync()
         self._incremental = incremental
         if incremental:
             self._rebuild_live_state()
@@ -135,49 +164,82 @@ class PathCounter:
         self._topo.unsubscribe_admin_changes(self._on_admin_change)
         self._topo.unsubscribe_structure_changes(self._on_structure_change)
 
+    def __getstate__(self) -> dict:
+        # Everything else is derived from the topology's rows.
+        keep = ("_topo", "_incremental", "obs", "stats", "_enabled")
+        return {name: self.__dict__[name] for name in keep}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        # The topology pickles its listeners, this counter among them, so
+        # it may still be an empty shell here: rebuild on first use.
+        self._stale = _RESTORED
+
+    def _sync(self) -> None:
+        """Rebuild once if a structure change or an unpickle left the
+        derived tables behind."""
+        stale = self._stale
+        if stale:
+            saved = replace(self.stats)
+            self._rebuild_structure()
+            if stale is _RESTORED:
+                # A resumed run reports what the uninterrupted one does.
+                self.stats = saved
+
     def _rebuild_structure(self) -> None:
         topo = self._topo
-        # Switches in stage-descending order (spine first) so a single pass
-        # computes the DP.
-        self._descending: List[str] = []
-        for stage in range(topo.num_stages - 1, -1, -1):
-            self._descending.extend(topo.stage(stage))
-        self._stage_of: Dict[str, int] = {
-            name: topo.switch(name).stage for name in self._descending
-        }
+        self._stale = False
+        # The topology's append-only tables, held by reference.
+        self._names = topo.switch_names
+        self._stage = stage = topo.switch_stage
+        self._up, self._down = topo.up_rows, topo.down_rows
+        self._lower, self._upper = topo.lower_row, topo.upper_row
         self._top = topo.num_stages - 1
-        self._tor_list: List[str] = topo.tors()
-        self._tor_set: Set[str] = set(self._tor_list)
-        self._num_tors = len(self._tor_list)
+        # Switch rows in stage-descending order (spine first, insertion
+        # order within a stage) so a single pass computes the DP.
+        self._descending = sorted(range(len(stage)), key=lambda r: -stage[r])
+        self._tor_rows = [r for r in range(len(stage)) if stage[r] == 0]
+        self._num_tors = len(self._tor_rows)
+        carrying = LinkState.ENABLED  # ``link.enabled``, without the call
+        self._enabled.extend(
+            [
+                link.state is carrying
+                for link in topo.link_at[len(self._enabled) :]
+            ]
+        )
         self._baseline = self._count(ignore_admin_state=True)
-        self._closure_cache: Dict[FrozenSet[str], Set[str]] = {}
-        self._affected_cache: Dict[LinkId, Set[str]] = {}
+        self._closure_cache: Dict[FrozenSet[int], Tuple[Set[int], Set[str]]] = {}
+        self._affected_cache: Dict[int, List[int]] = {}
+        self._floors: Tuple[object, List[float]] = (None, [])
         self._state_version = 0
-        self._full_cache: Optional[Tuple[int, Dict[str, int]]] = None
+        self._full_cache: Optional[Tuple[int, List[int]]] = None
         self._effective_cache: Optional[
-            Tuple[Tuple[int, int], Dict[str, float]]
+            Tuple[Tuple[int, int], List[float]]
         ] = None
         self._rebuild_live_state()
 
     def _rebuild_live_state(self) -> None:
         """(Re)compute the live counts and aggregates with one full DP."""
-        self._counts: Dict[str, int] = self._count()
-        # (state version, link, overlay) of the latest single-link overlay
-        # query on an enabled link.  Every admin change bumps the version,
-        # so a record only ever matches the change right after its query.
-        self._checked: Tuple[int, Optional[LinkId], dict] = (-1, None, {})
-        fracsum = Fraction(0)
-        heap: List[Tuple[float, str]] = []
-        for tor in self._tor_list:
-            base = self._baseline[tor]
+        self._counts: List[int] = self._count()
+        # (state version, link row, overlay) of the latest single-link
+        # overlay query on an enabled link.  Every admin change bumps the
+        # version, so a record only ever matches the change right after
+        # its query.
+        self._checked: Tuple[int, int, Dict[int, int]] = (-1, -1, {})
+        # The mean's numerators: the sum of the live counts of the ToRs
+        # sharing each design count (exact; see average_tor_fraction).
+        self._sums = self._tor_sums(self._counts)
+        self._min_heap = [(self._frac(row), row) for row in self._tor_rows]
+        heapq.heapify(self._min_heap)
+
+    def _tor_sums(self, counts: List[int]) -> Dict[int, int]:
+        sums: Dict[int, int] = {}
+        baseline = self._baseline
+        for row in self._tor_rows:
+            base = baseline[row]
             if base:
-                fracsum += Fraction(self._counts[tor], base)
-                heap.append((self._counts[tor] / base, tor))
-            else:
-                heap.append((0.0, tor))
-        heapq.heapify(heap)
-        self._fracsum = fracsum
-        self._min_heap = heap
+                sums[base] = sums.get(base, 0) + counts[row]
+        return sums
 
     # ------------------------------------------------------------------ #
     # Change notifications
@@ -193,86 +255,44 @@ class PathCounter:
         self._on_admin_change(link_id)
 
     def _on_admin_change(self, link_id: LinkId) -> None:
-        version, checked_link, overlay = self._checked
+        self._sync()
+        row = self._topo.link_row[link_id]
+        enabled = self._topo.link_at[row].enabled
+        version, checked_row, overlay = self._checked
         just_checked = version == self._state_version
         self._state_version += 1
-        # affected_tors depends on enabled downlinks; drop memoized entries.
+        # affected_rows depends on enabled downlinks; drop memoized entries.
         self._affected_cache.clear()
+        self._enabled[row] = enabled
         if not self._incremental:
             return
         self.stats.incremental_updates += 1
-        link = self._topo.link(link_id)
-        if not just_checked or checked_link != link_id or link.enabled:
-            self._propagate_from(link.lower)
-            return
-        # check_and_disable: the fast check walked this very disable on this
-        # very state, so its overlay (in the walk's order) is the new state.
-        counts = self._counts
-        for name, new in overlay.items():
-            old, counts[name] = counts[name], new
-            if name in self._tor_set:
-                self._record_tor_change(name, old, new)
+        if not just_checked or checked_row != row or enabled:
+            overlay = self._walk((self._lower[row],), _EMPTY, "incremental")
+        # Otherwise this is check_and_disable: the fast check walked this
+        # very disable on this very state, so its overlay is the new state.
+        counts, stage = self._counts, self._stage
+        for switch, new in overlay.items():
+            old, counts[switch] = counts[switch], new
+            if stage[switch] == 0:
+                self._record_tor_change(switch, old, new)
 
     def _on_structure_change(self) -> None:
-        self._rebuild_structure()
+        if not self._stale:
+            self._stale = True
 
-    def _frac(self, tor: str) -> float:
+    def _frac(self, tor: int) -> float:
         base = self._baseline[tor]
         return self._counts[tor] / base if base else 0.0
 
-    def _propagate_from(self, start: str) -> None:
-        """Recompute the dirty region below ``start`` into the live state.
-
-        Switches are visited in stage-descending order (a max-heap on
-        stage), so each switch is finalized after every in-region switch
-        above it; propagation stops along branches whose count did not
-        change.
-        """
-        topo = self._topo
-        counts = self._counts
-        stage_of = self._stage_of
-        heap: List[Tuple[int, str]] = [(-stage_of[start], start)]
-        queued = {start}
-        visited = 0
-        while heap:
-            _, name = heapq.heappop(heap)
-            new = 0
-            for lid in topo.uplinks(name):
-                visited += 1
-                link = topo.link(lid)
-                if link.enabled:
-                    new += counts[link.upper]
-            if stage_of[name] == self._top:
-                new = 1
-            if new == counts[name]:
-                continue
-            old = counts[name]
-            counts[name] = new
-            if name in self._tor_set:
-                self._record_tor_change(name, old, new)
-                continue
-            for lid in topo.downlinks(name):
-                link = topo.link(lid)
-                if not link.enabled:
-                    continue
-                below = link.lower
-                if below not in queued:
-                    queued.add(below)
-                    heapq.heappush(heap, (-stage_of[below], below))
-        self.stats.links_visited += visited
-        if self.obs.enabled:
-            self.obs.observe(
-                "path_counter_dirty_region_links", visited, kind="incremental"
-            )
-
-    def _record_tor_change(self, tor: str, old: int, new: int) -> None:
+    def _record_tor_change(self, tor: int, old: int, new: int) -> None:
         base = self._baseline[tor]
         if not base:
             return
-        self._fracsum += Fraction(new - old, base)
+        self._sums[base] += new - old
         heapq.heappush(self._min_heap, (new / base, tor))
         if len(self._min_heap) > 4 * self._num_tors + 64:
-            self._min_heap = [(self._frac(t), t) for t in self._tor_list]
+            self._min_heap = [(self._frac(t), t) for t in self._tor_rows]
             heapq.heapify(self._min_heap)
 
     # ------------------------------------------------------------------ #
@@ -281,106 +301,107 @@ class PathCounter:
 
     def _count(
         self,
-        extra_disabled: FrozenSet[LinkId] = _EMPTY,
+        extra: Collection[int] = _EMPTY,
         ignore_admin_state: bool = False,
-        restrict: Optional[Set[str]] = None,
-    ) -> Dict[str, int]:
-        """Run the full DP; returns path counts for every (restricted) switch.
+        restrict: Optional[Set[int]] = None,
+    ) -> List[int]:
+        """Run the full DP; returns path counts by switch row.
 
         Args:
-            extra_disabled: Links treated as disabled on top of the
-                topology's administrative state.
+            extra: Link rows treated as disabled on top of the
+                administrative state.
             ignore_admin_state: Count over the pristine design topology
                 (used for the baseline denominator).
-            restrict: If given, an *upstream-closed* set of switch names;
-                the DP only visits these.  Used by the recount-per-query
-                mode to evaluate candidate subsets on a pruned region.
+            restrict: If given, an *upstream-closed* set of switch rows;
+                the DP only visits these (the rest read 0).  Used by the
+                recount-per-query mode to evaluate candidate subsets on a
+                pruned region.
         """
-        topo = self._topo
-        top = self._top
-        counts: Dict[str, int] = {}
+        up, upper, stage, top = self._up, self._upper, self._stage, self._top
+        enabled = self._enabled
+        counts = [0] * len(stage)
         visited = 0
-        for name in self._descending:
-            if restrict is not None and name not in restrict:
+        for row in self._descending:
+            if restrict is not None and row not in restrict:
                 continue
-            if self._stage_of[name] == top:
-                counts[name] = 1
+            if stage[row] == top:
+                counts[row] = 1
                 continue
+            links = up[row]
+            visited += len(links)
             total = 0
-            for lid in topo.uplinks(name):
-                visited += 1
-                if lid in extra_disabled:
-                    continue
-                if not ignore_admin_state and not topo.link(lid).enabled:
-                    continue
-                upper = topo.link(lid).upper
-                # With a correct upstream-closed restriction the upper
-                # endpoint is always present.
-                total += counts[upper]
-            counts[name] = total
+            for link in links:
+                if (ignore_admin_state or enabled[link]) and link not in extra:
+                    total += counts[upper[link]]
+            counts[row] = total
         self.stats.links_visited += visited
         self.stats.full_recounts += 1
         return counts
 
-    def _overlay_with_extra(
-        self, extra: FrozenSet[LinkId]
-    ) -> Dict[str, int]:
-        """Counts that change under hypothetical ``extra`` disables.
+    def _walk(
+        self, starts: Collection[int], extra: Collection[int], kind: str
+    ) -> Dict[int, int]:
+        """Dirty-region DP below the switch rows ``starts``.
 
-        Returns only the *changed* switches; everything else keeps its live
-        count.  Same dirty-region walk as :meth:`_propagate_from`, but into
-        an overlay dict instead of the live state.
+        Returns switch row → new count for the switches whose count
+        differs from the live one when the ``extra`` link rows are off;
+        everything else keeps its live count.  Switches are finalized
+        stage by stage, top down, so each is visited after every
+        in-region switch above it; the walk stops along branches whose
+        count did not change.
         """
-        self.stats.overlay_queries += 1
-        topo = self._topo
-        counts = self._counts
-        stage_of = self._stage_of
-        overlay: Dict[str, int] = {}
-        heap: List[Tuple[int, str]] = []
-        queued: Set[str] = set()
-        for lid in extra:
-            link = topo.link(lid)
-            if link.enabled and link.lower not in queued:
-                queued.add(link.lower)
-                heap.append((-stage_of[link.lower], link.lower))
-        heapq.heapify(heap)
-        if len(extra) == 1 and heap:
-            self._checked = (self._state_version, lid, overlay)
+        up, down = self._up, self._down
+        lower, upper = self._lower, self._upper
+        enabled, counts, stage = self._enabled, self._counts, self._stage
+        overlay: Dict[int, int] = {}
+        # Pending switches by stage (a lower endpoint is never a spine).
+        pending: List[List[int]] = [[] for _ in range(self._top)]
+        for switch in starts:
+            pending[stage[switch]].append(switch)
+        queued = set(starts)
         visited = 0
-        while heap:
-            _, name = heapq.heappop(heap)
-            new = 0
-            for lid in topo.uplinks(name):
-                visited += 1
-                if lid in extra:
+        for level in reversed(pending):
+            for switch in level:
+                links = up[switch]
+                visited += len(links)
+                new = 0
+                for link in links:
+                    if enabled[link] and link not in extra:
+                        above = upper[link]
+                        new += (
+                            overlay[above] if above in overlay else counts[above]
+                        )
+                if new == counts[switch]:
                     continue
-                link = topo.link(lid)
-                if not link.enabled:
-                    continue
-                upper = link.upper
-                new += overlay[upper] if upper in overlay else counts[upper]
-            if new == counts[name]:
-                continue
-            overlay[name] = new
-            for lid in topo.downlinks(name):
-                if lid in extra:
-                    continue
-                link = topo.link(lid)
-                if not link.enabled:
-                    continue
-                below = link.lower
-                if below not in queued:
-                    queued.add(below)
-                    heapq.heappush(heap, (-stage_of[below], below))
+                overlay[switch] = new
+                # (An enabled ``extra`` downlink leads to one of ``starts``.)
+                for link in down[switch]:
+                    if enabled[link]:
+                        below = lower[link]
+                        if below not in queued:
+                            queued.add(below)
+                            pending[stage[below]].append(below)
         self.stats.links_visited += visited
         if self.obs.enabled:
-            self.obs.count("path_counter_overlay_queries_total")
             self.obs.observe(
-                "path_counter_dirty_region_links", visited, kind="overlay"
+                "path_counter_dirty_region_links", visited, kind=kind
             )
         return overlay
 
-    def _full_counts(self) -> Dict[str, int]:
+    def _overlay_with_extra(self, extra: FrozenSet[int]) -> Dict[int, int]:
+        """Counts that change under hypothetical ``extra`` disables."""
+        self.stats.overlay_queries += 1
+        if self.obs.enabled:
+            self.obs.count("path_counter_overlay_queries_total")
+        enabled, lower = self._enabled, self._lower
+        starts = {lower[link] for link in extra if enabled[link]}
+        overlay = self._walk(starts, extra, "overlay")
+        if len(extra) == 1 and starts:
+            (link,) = extra
+            self._checked = (self._state_version, link, overlay)
+        return overlay
+
+    def _full_counts(self) -> List[int]:
         """Recount-per-query mode: full DP memoized per state version."""
         if self._full_cache is not None and (
             self._full_cache[0] == self._state_version
@@ -390,31 +411,161 @@ class PathCounter:
         self._full_cache = (self._state_version, counts)
         return counts
 
+    def _hypothetical(
+        self, extra: FrozenSet[int], tors: Optional[Sequence[int]] = None
+    ) -> Tuple[Dict[int, int], List[int]]:
+        """``(overlay, counts)`` with the ``extra`` link rows also off:
+        switch row ``r`` then counts ``overlay[r]`` if present, else
+        ``counts[r]``.  Recount mode reruns the DP, pruned to the upstream
+        closure of the ToR rows ``tors`` when given."""
+        self._sync()
+        if self._incremental:
+            overlay = self._overlay_with_extra(extra) if extra else {}
+            return overlay, self._counts
+        if not extra:
+            return {}, self._full_counts()
+        restrict = None if tors is None else self._closure(tors)[0]
+        return {}, self._count(extra, restrict=restrict)
+
+    def _link_rows(self, link_ids: Optional[Iterable[LinkId]]) -> FrozenSet[int]:
+        if not link_ids:
+            return _EMPTY
+        return frozenset(map(self._topo.link_row.__getitem__, link_ids))
+
+    # ------------------------------------------------------------------ #
+    # Row API (fast checker, optimizer, repair scheduler)
+    # ------------------------------------------------------------------ #
+
+    def floors(self, constraint) -> List[float]:
+        """``constraint``'s threshold column by switch row
+        (:meth:`CapacityConstraint.floors`); the latest one is kept until
+        the structure changes."""
+        self._sync()
+        if self._floors[0] is not constraint:
+            self._floors = (constraint, constraint.floors(self._names))
+        return self._floors[1]
+
+    def fractions_at(
+        self,
+        tors: Optional[Sequence[int]] = None,
+        extra: FrozenSet[int] = _EMPTY,
+    ) -> List[float]:
+        """Path fractions (current / design) of the ToR rows ``tors``, in
+        order, with the ``extra`` link rows hypothetically off.  ``tors``
+        defaults to every ToR, in ``topo.tors()`` order."""
+        overlay, counts = self._hypothetical(extra, tors)
+        baseline = self._baseline
+        return [
+            (overlay[tor] if tor in overlay else counts[tor]) / baseline[tor]
+            if baseline[tor]
+            else 0.0
+            for tor in (self._tor_rows if tors is None else tors)
+        ]
+
+    def violations(
+        self,
+        floors: List[float],
+        tors: Optional[Sequence[int]] = None,
+        extra: FrozenSet[int] = _EMPTY,
+    ) -> Dict[int, float]:
+        """The ToR rows of :meth:`fractions_at` that fall below their
+        floor, mapped to the fraction they would have: the fast checker's
+        and optimizer's feasibility primitive."""
+        fractions = self.fractions_at(tors, extra)
+        return {
+            tor: fraction
+            for tor, fraction in zip(
+                self._tor_rows if tors is None else tors, fractions
+            )
+            if fraction < floors[tor]
+        }
+
+    def affected_rows(self, link: int) -> List[int]:
+        """Rows of the ToRs whose path count could change if link row
+        ``link`` were disabled, sorted by ToR name.
+
+        These are exactly the ToRs downstream of the link's lower endpoint
+        over currently enabled links (§5.1: "check the downstream of l").
+        Memoized per administrative state; treat the result as read-only.
+        """
+        self._sync()
+        cached = self._affected_cache.get(link)
+        if cached is not None:
+            return cached
+        down, lower = self._down, self._lower
+        enabled, stage = self._enabled, self._stage
+        start = lower[link]
+        seen = {start}
+        frontier = [start]
+        tors: List[int] = []
+        while frontier:
+            switch = frontier.pop()
+            if stage[switch] == 0:
+                tors.append(switch)
+                continue
+            for below in down[switch]:
+                if enabled[below] and lower[below] not in seen:
+                    seen.add(lower[below])
+                    frontier.append(lower[below])
+        tors.sort(key=self._names.__getitem__)
+        if len(self._affected_cache) >= _CACHE_LIMIT:
+            self._affected_cache.clear()
+        self._affected_cache[link] = tors
+        return tors
+
+    def _closure(self, tors: Iterable[int]) -> Tuple[Set[int], Set[str]]:
+        """Upstream closure of the ToR rows ``tors``, as rows and as names.
+
+        Memoized (the closure ignores administrative state, so entries
+        stay valid until the structure changes).
+        """
+        self._sync()
+        key = frozenset(tors)
+        cached = self._closure_cache.get(key)
+        if cached is not None:
+            return cached
+        up, upper = self._up, self._upper
+        seen: Set[int] = set(key)
+        frontier = list(key)
+        while frontier:
+            for link in up[frontier.pop()]:
+                above = upper[link]
+                if above not in seen:
+                    seen.add(above)
+                    frontier.append(above)
+        if len(self._closure_cache) >= _CACHE_LIMIT:
+            self._closure_cache.clear()
+        names = self._names
+        cached = self._closure_cache[key] = (seen, {names[r] for r in seen})
+        return cached
+
     # ------------------------------------------------------------------ #
     # Public API
     # ------------------------------------------------------------------ #
 
+    def _by_name(self, values: Sequence) -> Dict[str, object]:
+        names = self._names
+        return {names[row]: values[row] for row in self._descending}
+
     def baseline(self) -> Dict[str, int]:
         """Design path counts (all links enabled) for every switch."""
-        return dict(self._baseline)
+        self._sync()
+        return self._by_name(self._baseline)
 
     def baseline_for(self, switch: str) -> int:
-        return self._baseline[switch]
+        self._sync()
+        return self._baseline[self._topo.switch_row[switch]]
 
     def counts(
         self, extra_disabled: Optional[Iterable[LinkId]] = None
     ) -> Dict[str, int]:
         """Current path counts, optionally with extra hypothetical disables."""
-        extra = frozenset(extra_disabled) if extra_disabled else _EMPTY
-        if not self._incremental:
-            if not extra:
-                return dict(self._full_counts())
-            return self._count(extra)
-        if not extra:
-            return dict(self._counts)
-        result = dict(self._counts)
-        result.update(self._overlay_with_extra(extra))
-        return result
+        overlay, counts = self._hypothetical(self._link_rows(extra_disabled))
+        if overlay:
+            counts = list(counts)
+            for row, count in overlay.items():
+                counts[row] = count
+        return self._by_name(counts)
 
     def tor_fractions(
         self,
@@ -427,25 +578,16 @@ class PathCounter:
             extra_disabled: Hypothetical additional disables.
             tors: Restrict to these ToRs (default: all).
         """
-        extra = frozenset(extra_disabled) if extra_disabled else _EMPTY
-        targets = list(tors) if tors is not None else self._tor_list
-        if not self._incremental:
-            counts = self._full_counts() if not extra else self._count(extra)
-            return {
-                tor: counts[tor] / self._baseline[tor]
-                if self._baseline[tor]
-                else 0.0
-                for tor in targets
-            }
-        overlay = self._overlay_with_extra(extra) if extra else {}
-        counts = self._counts
-        baseline = self._baseline
+        rows = None
+        if tors is not None:
+            rows = list(map(self._topo.switch_row.__getitem__, tors))
+        fractions = self.fractions_at(rows, self._link_rows(extra_disabled))
+        names = self._names
         return {
-            tor: (overlay[tor] if tor in overlay else counts[tor])
-            / baseline[tor]
-            if baseline[tor]
-            else 0.0
-            for tor in targets
+            names[tor]: fraction
+            for tor, fraction in zip(
+                self._tor_rows if rows is None else rows, fractions
+            )
         }
 
     def worst_tor_fraction(self) -> float:
@@ -454,13 +596,14 @@ class PathCounter:
         In incremental mode the value comes from a lazily-cleaned min-heap,
         so a simulation snapshot does not rescan every ToR.
         """
+        self._sync()
         if not self._num_tors:
             return 1.0
         if not self._incremental:
-            counts = self._full_counts()
+            counts, baseline = self._full_counts(), self._baseline
             return min(
-                counts[tor] / self._baseline[tor] if self._baseline[tor] else 0.0
-                for tor in self._tor_list
+                counts[tor] / baseline[tor] if baseline[tor] else 0.0
+                for tor in self._tor_rows
             )
         heap = self._min_heap
         while heap:
@@ -469,97 +612,44 @@ class PathCounter:
                 return frac
             heapq.heappop(heap)
         # Every entry was stale (cannot normally happen): rebuild.
-        self._min_heap = [(self._frac(t), t) for t in self._tor_list]
+        self._min_heap = [(self._frac(t), t) for t in self._tor_rows]
         heapq.heapify(self._min_heap)
         return self._min_heap[0][0]
 
     def average_tor_fraction(self) -> float:
         """Mean ToR path fraction (§7.3 capacity-cost metric), O(1).
 
-        The running sum is kept in exact rational arithmetic so the
-        incremental value is bit-identical to a from-scratch recount.
+        ToRs sharing a design count share a denominator, so the mean is
+        kept as one exact integer sum per distinct design count and only
+        becomes rational here: bit-identical to summing every ToR's
+        fraction exactly, incrementally or from scratch.
         """
+        self._sync()
         if not self._num_tors:
             return 1.0
-        if not self._incremental:
-            counts = self._full_counts()
-            fracsum = Fraction(0)
-            for tor in self._tor_list:
-                base = self._baseline[tor]
-                if base:
-                    fracsum += Fraction(counts[tor], base)
-            return float(fracsum / self._num_tors)
-        return float(self._fracsum / self._num_tors)
+        if self._incremental:
+            sums = self._sums
+        else:
+            sums = self._tor_sums(self._full_counts())
+        fracsum = Fraction(0)
+        for base, total in sums.items():
+            fracsum += Fraction(total, base)
+        return float(fracsum / self._num_tors)
 
     def upstream_closure(self, tors: Iterable[str]) -> Set[str]:
         """All switches on any up-path from the given ToRs (inclusive).
 
-        The returned set is upstream-closed and therefore a valid
-        ``restrict`` argument for :meth:`restricted_fractions`.  Results are
-        memoized (the closure ignores administrative state, so entries stay
-        valid until the structure changes); treat the returned set as
-        read-only.
+        Results are memoized (the closure ignores administrative state, so
+        entries stay valid until the structure changes); treat the returned
+        set as read-only.
         """
-        key = frozenset(tors)
-        cached = self._closure_cache.get(key)
-        if cached is not None:
-            return cached
-        topo = self._topo
-        seen: Set[str] = set(key)
-        frontier = list(key)
-        while frontier:
-            current = frontier.pop()
-            for lid in topo.uplinks(current):
-                upper = topo.link(lid).upper
-                if upper not in seen:
-                    seen.add(upper)
-                    frontier.append(upper)
-        if len(self._closure_cache) >= _CACHE_LIMIT:
-            self._closure_cache.clear()
-        self._closure_cache[key] = seen
-        return seen
-
-    def restricted_fractions(
-        self,
-        tors: List[str],
-        closure: Set[str],
-        extra_disabled: FrozenSet[LinkId] = _EMPTY,
-    ) -> Dict[str, float]:
-        """Path fractions for ``tors`` under hypothetical disables.
-
-        ``closure`` must be (a superset of) ``upstream_closure(tors)``.  In
-        incremental mode the query is answered from the live counts plus a
-        dirty-region overlay (the closure argument is then unused); in
-        recount mode the DP runs restricted to ``closure``.  This is the
-        fast checker's and optimizer's feasibility primitive.
-        """
-        if self._incremental:
-            overlay = (
-                self._overlay_with_extra(frozenset(extra_disabled))
-                if extra_disabled
-                else {}
-            )
-            counts = self._counts
-            return {
-                tor: (overlay[tor] if tor in overlay else counts[tor])
-                / self._baseline[tor]
-                if self._baseline[tor]
-                else 0.0
-                for tor in tors
-            }
-        counts = self._count(extra_disabled, restrict=closure)
-        return {
-            tor: counts[tor] / self._baseline[tor]
-            if self._baseline[tor]
-            else 0.0
-            for tor in tors
-        }
+        return self._closure(map(self._topo.switch_row.__getitem__, tors))[1]
 
     # ------------------------------------------------------------------ #
     # Effective capacity (LinkGuardian-aware)
     # ------------------------------------------------------------------ #
 
-    def _effective_counts(self) -> Dict[str, float]:
+    def _effective_counts(self) -> List[float]:
         """Float DP weighting each uplink by its effective capacity fraction.
 
         LinkGuardian-protected links stay ENABLED but deliver only
@@ -574,22 +664,22 @@ class PathCounter:
         cached = self._effective_cache
         if cached is not None and cached[0] == key:
             return cached[1]
-        topo = self._topo
-        top = self._top
-        counts: Dict[str, float] = {}
+        up, upper, stage, top = self._up, self._upper, self._stage, self._top
+        link_at = self._topo.link_at
+        counts = [0.0] * len(stage)
         visited = 0
-        for name in self._descending:
-            if self._stage_of[name] == top:
-                counts[name] = 1.0
+        for row in self._descending:
+            if stage[row] == top:
+                counts[row] = 1.0
                 continue
+            links = up[row]
+            visited += len(links)
             total = 0.0
-            for lid in topo.uplinks(name):
-                visited += 1
-                link = topo.link(lid)
-                frac = link.effective_capacity_fraction()
+            for link in links:
+                frac = link_at[link].effective_capacity_fraction()
                 if frac:
-                    total += frac * counts[link.upper]
-            counts[name] = total
+                    total += frac * counts[upper[link]]
+            counts[row] = total
         self.stats.links_visited += visited
         self._effective_cache = (key, counts)
         return counts
@@ -602,15 +692,17 @@ class PathCounter:
         """
         if not self._topo.lg_protected_links():
             return self.tor_fractions()
+        self._sync()
         counts = self._effective_counts()
-        baseline = self._baseline
+        baseline, names = self._baseline, self._names
         return {
-            tor: counts[tor] / baseline[tor] if baseline[tor] else 0.0
-            for tor in self._tor_list
+            names[tor]: counts[tor] / baseline[tor] if baseline[tor] else 0.0
+            for tor in self._tor_rows
         }
 
     def effective_average_tor_fraction(self) -> float:
         """Mean effective ToR capacity fraction (LG-aware §7.3 metric)."""
+        self._sync()
         if not self._num_tors:
             return 1.0
         if not self._topo.lg_protected_links():
@@ -620,6 +712,7 @@ class PathCounter:
 
     def effective_worst_tor_fraction(self) -> float:
         """Minimum effective ToR capacity fraction (LG-aware)."""
+        self._sync()
         if not self._num_tors:
             return 1.0
         if not self._topo.lg_protected_links():
@@ -627,21 +720,8 @@ class PathCounter:
         return min(self.effective_tor_fractions().values())
 
     def affected_tors(self, link_id: LinkId) -> Set[str]:
-        """ToRs whose path count could change if ``link_id`` were disabled.
-
-        These are exactly the ToRs downstream of the link's lower endpoint
-        over currently enabled links (§5.1: "check the downstream of l").
-        Memoized per administrative state; treat the result as read-only.
-        """
-        cached = self._affected_cache.get(link_id)
-        if cached is not None:
-            return cached
-        lower = self._topo.link(link_id).lower
-        if self._stage_of[lower] == 0:
-            affected: Set[str] = {lower}
-        else:
-            affected = self._topo.downstream_tors(lower)
-        if len(self._affected_cache) >= _CACHE_LIMIT:
-            self._affected_cache.clear()
-        self._affected_cache[link_id] = affected
-        return affected
+        """ToRs whose path count could change if ``link_id`` were disabled
+        (:meth:`affected_rows`, by name)."""
+        rows = self.affected_rows(self._topo.link_row[link_id])
+        names = self._names
+        return {names[tor] for tor in rows}

@@ -51,14 +51,16 @@ def segment_links(
     Returns:
         Segments in deterministic (sorted) order.
     """
-    # Map each at-risk ToR to the contested links upstream of it.
-    links_of_tor: Dict[str, List[LinkId]] = {}
+    # Map each at-risk ToR to the contested links upstream of it: those
+    # whose lower endpoint has the ToR (structurally) below it.
     contested_set = set(contested)
-    for tor in sorted(at_risk_tors):
-        upstream = topo.upstream_links([tor])
-        mine = sorted(upstream & contested_set)
-        if mine:
-            links_of_tor[tor] = mine
+    names, switch_row = topo.switch_names, topo.switch_row
+    at_risk = {switch_row[tor] for tor in at_risk_tors}
+    below, lower, link_row = topo.tor_rows_below, topo.lower_row, topo.link_row
+    links_of_tor: Dict[str, List[LinkId]] = {}
+    for lid in sorted(contested_set):
+        for tor in at_risk & below(lower[link_row[lid]]):
+            links_of_tor.setdefault(names[tor], []).append(lid)
 
     # Union-find over contested links, unioning links that share a ToR.
     parent: Dict[LinkId, LinkId] = {lid: lid for lid in contested_set}

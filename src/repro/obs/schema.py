@@ -545,7 +545,9 @@ CHECKPOINT_FORMAT = "repro-checkpoint"
 #: its seed, draw count and cached Gaussian, not a generator state.
 #: 4: telemetry faults keep their per-direction state in numpy columns and
 #: a queued telemetry batch carries snapshot columns, not a dict.
-CHECKPOINT_FORMAT_VERSION = 4
+#: 5: a Topology pickles without its interned row tables and a PathCounter
+#: as (topology, mode, stats, told-link-state column); both rebuild the rest.
+CHECKPOINT_FORMAT_VERSION = 5
 
 #: Service-report literals, pinned against :mod:`repro.service.service`.
 SERVICE_REPORT_FORMAT = "repro-service-report"

@@ -2,7 +2,7 @@
 
 A checkpoint file is one JSON header line followed by a pickle payload::
 
-    {"format": "repro-checkpoint", "format_version": 4, ...}\\n
+    {"format": "repro-checkpoint", "format_version": 5, ...}\\n
     <pickle bytes of the whole ControllerService object graph>
 
 It is written to a sibling temporary file and renamed into place, so a

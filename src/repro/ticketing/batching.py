@@ -73,20 +73,21 @@ class CollateralAwareScheduler:
         Already-disabled members cost nothing extra; only the *additional*
         disables matter.
         """
-        extra = frozenset(
-            lid for lid in take_down if self._topo.link(lid).enabled
-        )
-        if not extra:
-            return {}
-        tors: Set[str] = set()
-        for lid in extra:
-            tors.update(self.counter.affected_tors(lid))
+        topo, counter = self._topo, self.counter
+        rows = [topo.link_row[lid] for lid in take_down]
+        extra = frozenset(row for row in rows if topo.link_at[row].enabled)
+        tors: Set[int] = set()
+        for row in extra:
+            tors.update(counter.affected_rows(row))
         if not tors:
             return {}
-        ordered = sorted(tors)
-        closure = self.counter.upstream_closure(ordered)
-        fractions = self.counter.restricted_fractions(ordered, closure, extra)
-        return self.constraint.violations(fractions)
+        names = topo.switch_names
+        violated = counter.violations(
+            counter.floors(self.constraint),
+            sorted(tors, key=names.__getitem__),
+            extra,
+        )
+        return {names[tor]: fraction for tor, fraction in violated.items()}
 
     def plan(self, tickets: Sequence[Ticket]) -> List[RepairBatch]:
         """Group tickets into batches and mark each safe or deferred.

@@ -25,8 +25,8 @@ LinkGuardian fields) is one array.  The representation is
   member builds in well under a second instead of tens of seconds.
 
 :class:`ColumnarPathCounter` is the valley-free DP of §5.1 as array ops:
-one vectorized scatter-add pass per stage, so a *full* recount of a
-350K-link DCN costs milliseconds.  It answers the same queries as
+one segment sum per stage over links pre-sorted by lower endpoint, so a
+*full* recount of a 350K-link DCN costs a millisecond or two.  It answers the same queries as
 :class:`~repro.core.path_counting.PathCounter` (counts, ToR fractions,
 worst/average aggregates — the average in exact rational arithmetic, so
 the two agree bit-for-bit) and can be bound live to an object topology
@@ -170,6 +170,7 @@ class ColumnarTopology:
         self.lg_capacity_fraction = lg_capacity_fraction
         self._link_index: Optional[Dict[LinkId, int]] = None
         self._switch_index: Optional[Dict[str, int]] = None
+        self._link_keys: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     # ------------------------------------------------------------------ #
     # Basic queries
@@ -203,13 +204,46 @@ class ColumnarTopology:
             }
         return self._link_index
 
+    def link_rows(self, link_ids: Iterable[LinkId]) -> np.ndarray:
+        """Array indexes of the given canonical link ids, in order.
+
+        Looked up through :meth:`switch_index` and a sorted key column
+        (``lower * (num_switches + 1) + upper``, one ``searchsorted`` per
+        call) instead of a dict of every link id.  Raises ``KeyError``
+        naming the first id that is not a link.
+        """
+        ids = list(link_ids)
+        base = self.num_switches + 1
+        if self._link_keys is None:
+            keys = self.link_lower.astype(np.int64) * base + self.link_upper
+            order = np.argsort(keys, kind="stable")
+            # A last key no id maps to keeps every search slot readable.
+            self._link_keys = (
+                np.append(keys[order], base * base),
+                order.astype(np.int32),
+            )
+        sorted_keys, order = self._link_keys
+        # An unknown switch reads as index ``base - 1``, which no link has.
+        switch, unknown = self.switch_index().get, base - 1
+        wanted = np.array(
+            [switch(lo, unknown) * base + switch(up, unknown) for lo, up in ids],
+            dtype=np.int64,
+        )
+        slots = np.searchsorted(sorted_keys, wanted)
+        missing = np.nonzero(sorted_keys[slots] != wanted)[0]
+        if len(missing):
+            raise KeyError(ids[int(missing[0])])
+        return order[slots]
+
     def link_ids(self) -> List[LinkId]:
         """Canonical link ids in insertion order."""
-        names = self.switch_names
-        return [
-            (names[lo], names[up])
-            for lo, up in zip(self.link_lower.tolist(), self.link_upper.tolist())
-        ]
+        name = self.switch_names.__getitem__
+        return list(
+            zip(
+                map(name, self.link_lower.tolist()),
+                map(name, self.link_upper.tolist()),
+            )
+        )
 
     def enabled_mask(self) -> np.ndarray:
         """Boolean mask of links currently carrying traffic."""
@@ -566,9 +600,9 @@ class ColumnarPathCounter:
     """Valley-free ToR-to-spine path counting as vectorized array ops.
 
     The same DP as :class:`~repro.core.path_counting.PathCounter` (§5.1),
-    but one scatter-add pass per stage over int64 arrays: a full recount
-    of a 350K-link Clos is milliseconds, so fleet-scale consumers recount
-    instead of maintaining dirty regions.
+    but one segment sum per stage over int64 arrays: a full recount of a
+    350K-link Clos is a millisecond or two, so fleet-scale consumers
+    recount instead of maintaining dirty regions.
 
     Construct from a :class:`ColumnarTopology` (the fleet path), or
     bind live to an object topology with :meth:`for_topology` — the
@@ -606,7 +640,7 @@ class ColumnarPathCounter:
     # ------------------------------------------------------------------ #
 
     def _on_admin_change(self, link_id: LinkId) -> None:
-        index = self._col.link_index()[link_id]
+        index = self._col.link_rows((link_id,))[0]
         state = self._topo.link(link_id).state
         self._state[index] = _STATE_TO_CODE[state]
         self._live_cache = None
@@ -630,12 +664,30 @@ class ColumnarPathCounter:
         col = self._col
         top = col.num_stages - 1
         self._top = top
-        # Links grouped by the stage of their lower endpoint: pass ``s``
-        # of the DP folds stage-``s+1`` counts down into stage ``s``.
+        # Links sorted by the stage of their lower endpoint, then by that
+        # endpoint: pass ``s`` of the DP folds stage-``s+1`` counts down into
+        # stage ``s`` with one segment sum per lower endpoint.  A link's
+        # slot is its place in that order; per stage: (first slot, upper
+        # endpoints, segment starts, the lower endpoint of each segment).
         lower_stage = col.switch_stage[col.link_lower]
-        self._stage_links: List[np.ndarray] = [
-            np.nonzero(lower_stage == s)[0] for s in range(top)
-        ]
+        order = np.lexsort((col.link_lower, lower_stage))
+        self._slot = np.empty(len(order), dtype=np.int32)
+        self._slot[order] = np.arange(len(order), dtype=np.int32)
+        bounds = np.searchsorted(lower_stage[order], np.arange(top + 1))
+        self._stage_links: List[Tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
+        for first, end in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+            links = order[first:end]
+            lowers = col.link_lower[links]
+            starts = np.nonzero(np.diff(lowers, prepend=-1))[0]
+            # (intp: an int32 index array is converted on every use.)
+            self._stage_links.append(
+                (
+                    first,
+                    col.link_upper[links].astype(np.intp),
+                    starts,
+                    lowers[starts].astype(np.intp),
+                )
+            )
         self._tor_indexes = np.nonzero(col.switch_stage == 0)[0]
         self._spine_indexes = np.nonzero(col.switch_stage == top)[0]
         self._baseline = self._count(None)
@@ -654,11 +706,16 @@ class ColumnarPathCounter:
         col = self._col
         counts = np.zeros(col.num_switches, dtype=np.int64)
         counts[self._spine_indexes] = 1
-        for s in range(self._top - 1, -1, -1):
-            idx = self._stage_links[s]
-            if enabled is not None:
-                idx = idx[enabled[idx]]
-            np.add.at(counts, col.link_lower[idx], counts[col.link_upper[idx]])
+        # Slots of the links that are off, sorted: each stage zeroes its own.
+        off = None if enabled is None else np.sort(self._slot[~enabled])
+        for first, uppers, starts, lowers in reversed(self._stage_links):
+            if not len(uppers):
+                continue
+            paths = counts[uppers]
+            if off is not None:
+                mine = np.searchsorted(off, (first, first + len(uppers)))
+                paths[off[mine[0] : mine[1]] - first] = 0
+            counts[lowers] = np.add.reduceat(paths, starts)
         return counts
 
     def _live_counts(self) -> np.ndarray:
@@ -672,9 +729,7 @@ class ColumnarPathCounter:
         if not extra_disabled:
             return self._live_counts()
         enabled = self._state == 0
-        index = self._col.link_index()
-        for lid in extra_disabled:
-            enabled[index[lid]] = False
+        enabled[self._col.link_rows(extra_disabled)] = False
         return self._count(enabled)
 
     # ------------------------------------------------------------------ #
@@ -762,7 +817,7 @@ class ColumnarPathCounter:
     def affected_tors(self, link_id: LinkId) -> Set[str]:
         """ToRs downstream of ``link_id`` over currently enabled links."""
         col = self._col
-        index = col.link_index()[link_id]
+        index = col.link_rows((link_id,))[0]
         lower = int(col.link_lower[index])
         if int(col.switch_stage[lower]) == 0:
             return {col.switch_names[lower]}

@@ -82,6 +82,10 @@ class Switch:
         return self.stage == 0
 
 
+#: Copied (not rebuilt: an enum key hashes in Python) for every new link.
+_HEALTHY = {Direction.UP: 0.0, Direction.DOWN: 0.0}
+
+
 @dataclass
 class Link:
     """A physical, optical switch-to-switch link.
@@ -122,7 +126,7 @@ class Link:
     capacity_gbps: float = 40.0
     breakout_group: Optional[str] = None
     corruption_rate: Dict[Direction, float] = field(
-        default_factory=lambda: {Direction.UP: 0.0, Direction.DOWN: 0.0}
+        default_factory=_HEALTHY.copy
     )
     lg_capable: bool = False
     lg_protected: bool = False

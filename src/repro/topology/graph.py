@@ -14,7 +14,16 @@ structure, so the optimizer can evaluate hypothetical disable-sets cheaply.
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Set,
+)
 
 from repro.topology.elements import (
     Direction,
@@ -23,6 +32,20 @@ from repro.topology.elements import (
     LinkState,
     Switch,
     canonical_link_id,
+)
+
+#: The interned row tables of a :class:`Topology` (see ``_build_rows``).
+_ROW_TABLES = (
+    "switch_row",
+    "switch_names",
+    "switch_stage",
+    "up_rows",
+    "down_rows",
+    "link_row",
+    "link_at",
+    "lower_row",
+    "upper_row",
+    "_tors_below",
 )
 
 
@@ -70,11 +93,67 @@ class Topology:
         # a non-zero corruption rate in either direction (any admin state)
         # and links not ENABLED.  Kept by the mutators of this class;
         # writing ``link.state`` or ``link.corruption_rate`` directly
-        # bypasses them.  ``_link_order`` (position of each link in
-        # ``_links``) is rebuilt on demand after links were added.
+        # bypasses them.
         self._corrupting: Set[LinkId] = set()
         self._disabled: Set[LinkId] = set()
-        self._link_order: Dict[LinkId, int] = {}
+        self._build_rows()
+
+    # ------------------------------------------------------------------ #
+    # Interned rows
+    # ------------------------------------------------------------------ #
+
+    def _build_rows(self) -> None:
+        """(Re)build the row tables: switch / link row ``i`` is the ``i``-th
+        switch / link added.
+
+        Append-only, indexed by row, read-only to everyone else: what the
+        decision path (path counter, fast checker, optimizer, segmentation)
+        walks instead of names.  Derived state, left out of pickles.
+        """
+        self.switch_row: Dict[str, int] = {}
+        self.switch_names: List[str] = []
+        self.switch_stage: List[int] = []
+        #: Per switch row: link rows of its uplinks / downlinks.
+        self.up_rows: List[List[int]] = []
+        self.down_rows: List[List[int]] = []
+        self.link_row: Dict[LinkId, int] = {}
+        self.link_at: List[Link] = []
+        #: Per link row: switch row of its lower / upper endpoint.
+        self.lower_row: List[int] = []
+        self.upper_row: List[int] = []
+        self._tors_below: Dict[int, FrozenSet[int]] = {}
+        for switch in self._switches.values():
+            self._intern_switch(switch)
+        for link in self._links.values():
+            self._intern_link(link)
+
+    def _intern_switch(self, switch: Switch) -> None:
+        self.switch_row[switch.name] = len(self.switch_names)
+        self.switch_names.append(switch.name)
+        self.switch_stage.append(switch.stage)
+        self.up_rows.append([])
+        self.down_rows.append([])
+
+    def _intern_link(self, link: Link) -> None:
+        row = len(self.link_at)
+        lower = self.switch_row[link.lower]
+        upper = self.switch_row[link.upper]
+        self.link_row[(link.lower, link.upper)] = row
+        self.link_at.append(link)
+        self.lower_row.append(lower)
+        self.upper_row.append(upper)
+        self.up_rows[lower].append(row)
+        self.down_rows[upper].append(row)
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        for table in _ROW_TABLES:
+            del state[table]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._build_rows()
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -93,6 +172,7 @@ class Topology:
         self._stages[switch.stage].append(switch.name)
         self._uplinks[switch.name] = []
         self._downlinks[switch.name] = []
+        self._intern_switch(switch)
         self._notify_structure()
 
     def add_link(
@@ -121,6 +201,8 @@ class Topology:
         self._links[link_id] = link
         self._uplinks[lower].append(link_id)
         self._downlinks[upper].append(link_id)
+        self._intern_link(link)
+        self._tors_below.clear()
         self._notify_structure()
         return link_id
 
@@ -163,8 +245,9 @@ class Topology:
             callback(link_id)
 
     def _notify_structure(self) -> None:
-        for callback in list(self._structure_listeners):
-            callback()
+        if self._structure_listeners:
+            for callback in list(self._structure_listeners):
+                callback()
 
     # ------------------------------------------------------------------ #
     # Lookup
@@ -303,7 +386,7 @@ class Topology:
 
         These are the candidates the fast checker and optimizer reason
         about: disabled links are already mitigated.  Answered from the
-        index of links with a non-zero rate, in ``_links`` insertion order.
+        index of links with a non-zero rate, in link-row (insertion) order.
         """
         links = self._links
         # A threshold of zero (or below) also matches healthy links.
@@ -314,9 +397,7 @@ class Topology:
             if links[lid].enabled and links[lid].is_corrupting(threshold)
         ]
         if pool is not links and len(hits) > 1:
-            if len(self._link_order) != len(links):
-                self._link_order = {lid: i for i, lid in enumerate(links)}
-            hits.sort(key=self._link_order.__getitem__)
+            hits.sort(key=self.link_row.__getitem__)
         return hits
 
     def links_with_corruption(self) -> Set[LinkId]:
@@ -506,6 +587,29 @@ class Topology:
                     frontier.append(above)
         return links
 
+    def tor_rows_below(self, switch_row: int) -> FrozenSet[int]:
+        """Rows of the ToRs structurally below a switch row (inclusive).
+
+        The dual of :meth:`upstream_links` (a link is upstream of a ToR
+        exactly when the ToR is below its lower endpoint), and like it blind
+        to administrative state; memoised per switch until a link is added.
+        """
+        cached = self._tors_below.get(switch_row)
+        if cached is None:
+            down, lower = self.down_rows, self.lower_row
+            seen = {switch_row}
+            frontier = [switch_row]
+            while frontier:
+                for link in down[frontier.pop()]:
+                    below = lower[link]
+                    if below not in seen:
+                        seen.add(below)
+                        frontier.append(below)
+            stage = self.switch_stage
+            cached = frozenset(row for row in seen if stage[row] == 0)
+            self._tors_below[switch_row] = cached
+        return cached
+
     def breakout_members(self, group: str) -> List[LinkId]:
         """Link ids belonging to breakout-cable ``group``."""
         return [
@@ -524,7 +628,13 @@ class Topology:
         Node attribute ``stage`` and edge attribute ``corruption`` are set,
         which is convenient for ad-hoc analysis and plotting.
         """
-        import networkx as nx
+        try:
+            import networkx as nx
+        except ImportError as exc:
+            raise ImportError(
+                "Topology.to_networkx() needs networkx: install the "
+                "'graph' extra (pip install 'repro[graph]')"
+            ) from exc
 
         graph = nx.Graph(name=self.name)
         for switch in self._switches.values():
@@ -540,36 +650,46 @@ class Topology:
         return graph
 
     def copy(self) -> "Topology":
-        """Deep copy (administrative state and corruption included)."""
+        """Deep copy (administrative state and corruption included).
+
+        Clones the switch / link objects and every table directly (no
+        listener is carried over); the copy shares nothing mutable with
+        the original.
+        """
         clone = Topology(self.num_stages, name=self.name)
-        for switch in self._switches.values():
-            clone.add_switch(
-                Switch(
-                    name=switch.name,
-                    stage=switch.stage,
-                    pod=switch.pod,
-                    deep_buffer=switch.deep_buffer,
-                    num_ports=switch.num_ports,
-                )
-            )
-        for link in self._links.values():
-            clone.add_link(
+        clone._switches = {
+            name: Switch(sw.name, sw.stage, sw.pod, sw.deep_buffer, sw.num_ports)
+            for name, sw in self._switches.items()
+        }
+        links = [
+            Link(
                 link.lower,
                 link.upper,
-                capacity_gbps=link.capacity_gbps,
-                breakout_group=link.breakout_group,
+                link.state,
+                link.capacity_gbps,
+                link.breakout_group,
+                dict(link.corruption_rate),
+                link.lg_capable,
+                link.lg_protected,
+                link.lg_effective_loss,
+                link.lg_capacity_fraction,
             )
-            new = clone.link(link.link_id)
-            new.state = link.state
-            new.corruption_rate = dict(link.corruption_rate)
-            new.lg_capable = link.lg_capable
-            new.lg_protected = link.lg_protected
-            new.lg_effective_loss = link.lg_effective_loss
-            new.lg_capacity_fraction = link.lg_capacity_fraction
-            if link.lg_protected:
-                clone._lg_protected.add(link.link_id)
+            for link in self.link_at
+        ]
+        clone._links = dict(zip(self._links, links))
+        clone._stages = [list(names) for names in self._stages]
+        clone._uplinks = {n: list(ids) for n, ids in self._uplinks.items()}
+        clone._downlinks = {n: list(ids) for n, ids in self._downlinks.items()}
+        clone._lg_protected = set(self._lg_protected)
         clone._corrupting = set(self._corrupting)
         clone._disabled = set(self._disabled)
+        clone.switch_row, clone.link_row = dict(self.switch_row), dict(self.link_row)
+        clone.switch_names = list(self.switch_names)
+        clone.switch_stage = list(self.switch_stage)
+        clone.up_rows = [list(rows) for rows in self.up_rows]
+        clone.down_rows = [list(rows) for rows in self.down_rows]
+        clone.lower_row, clone.upper_row = list(self.lower_row), list(self.upper_row)
+        clone.link_at = links
         return clone
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

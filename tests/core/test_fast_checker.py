@@ -24,6 +24,37 @@ class TestSingleLinkDecisions:
         assert not result.allowed
         assert "pod0/tor0" in result.violated_tors
 
+    def test_boundary_fraction_satisfies_despite_float_rounding(self):
+        """3 of 10 paths against a threshold of 0.1 + 0.2 (which is
+        0.30000000000000004): the epsilon of ``satisfied_by`` is in the
+        threshold column too, per ToR override included."""
+        from repro.core import GlobalOptimizer
+        from repro.topology import Switch, Topology
+
+        topo = Topology(num_stages=2)
+        for tor in ("t0", "t1"):
+            topo.add_switch(Switch(tor, stage=0))
+        for s in range(10):
+            topo.add_switch(Switch(f"s{s}", stage=1))
+            topo.add_link("t0", f"s{s}")
+            topo.add_link("t1", f"s{s}")
+        for s in range(6):
+            topo.disable_link(("t0", f"s{s}"))
+            topo.disable_link(("t1", f"s{s}"))
+        assert 0.3 < 0.1 + 0.2
+        for constraint in (
+            CapacityConstraint(0.1 + 0.2),
+            CapacityConstraint(0.9, {"t0": 0.1 + 0.2, "t1": 0.1 + 0.2}),
+        ):
+            checker = FastChecker(topo, constraint)
+            for tor in ("t0", "t1"):
+                result = checker.check((tor, "s6"))
+                assert result.allowed and result.fractions_after == {tor: 0.3}
+            topo.set_corruption(("t0", "s6"), 1e-3)
+            plan = GlobalOptimizer(topo, constraint).plan()
+            assert plan.to_disable == {("t0", "s6")}
+            topo.clear_corruption(("t0", "s6"))
+
     def test_check_does_not_mutate(self, medium_clos):
         checker = FastChecker(medium_clos, CapacityConstraint(0.5))
         lid = ("pod0/tor0", "pod0/agg0")

@@ -213,12 +213,28 @@ class TestTieBreakDeterminism:
         )
         return optimizer.plan()
 
-    def test_step_penalty_plan_is_hash_seed_independent(self):
-        import json
-        import os
-        import subprocess
-        import sys
+    def test_ties_resolve_by_link_id_not_by_insertion_order(self):
+        """One ToR, two tied corrupting uplinks, room to lose one: the
+        smaller canonical id goes, although it was added (and interned)
+        last."""
+        from repro.core import step_penalty
+        from repro.topology import Switch, Topology
 
+        topo = Topology(num_stages=2)
+        topo.add_switch(Switch("t0", stage=0))
+        for name in ("b", "a"):
+            topo.add_switch(Switch(name, stage=1))
+            topo.add_link("t0", name)
+            topo.set_corruption(("t0", name), 1e-2)
+        for method in ("exhaustive", "branch_and_bound"):
+            result = GlobalOptimizer(
+                topo, CapacityConstraint(0.5), penalty_fn=step_penalty,
+                method=method,
+            ).plan()
+            assert result.to_disable == {("t0", "a")}, method
+            assert result.kept_active == {("t0", "b")}
+
+    def test_step_penalty_plan_is_hash_seed_independent(self):
         first = self._plan()
         script = (
             "import json, random\n"
@@ -231,14 +247,56 @@ class TestTieBreakDeterminism:
             " penalty_fn=step_penalty).plan()\n"
             "print(json.dumps(sorted(map(list, result.to_disable))))\n"
         )
-        chosen = []
-        for hash_seed in ("1", "2"):
+        chosen = self._under_hash_seeds(script, ("1", "2"))
+        assert chosen[0] == chosen[1]
+        assert chosen[0] == sorted(map(list, first.to_disable))
+
+    @staticmethod
+    def _under_hash_seeds(script, hash_seeds):
+        import json
+        import os
+        import subprocess
+        import sys
+
+        outputs = []
+        for hash_seed in hash_seeds:
             env = dict(os.environ, PYTHONHASHSEED=hash_seed)
             env["PYTHONPATH"] = os.pathsep.join(sys.path)
             out = subprocess.run(
                 [sys.executable, "-c", script],
                 capture_output=True, text=True, check=True, env=env,
             ).stdout
-            chosen.append(json.loads(out))
-        assert chosen[0] == chosen[1]
-        assert chosen[0] == sorted(map(list, first.to_disable))
+            outputs.append(json.loads(out))
+        return outputs
+
+    def test_multi_segment_breakout_plan_is_hash_seed_independent(self):
+        """Several segments, every candidate tied (step penalty), faulty
+        breakout cables corrupting all their members: the plan is the same
+        under any string hashing — sets of rows now sit where sorted names
+        did — and as good as brute force."""
+        script = (
+            "import json, random\n"
+            "from repro.core import (CapacityConstraint, GlobalOptimizer,"
+            " brute_force_optimal, step_penalty)\n"
+            "from repro.topology import assign_breakout_groups, build_clos\n"
+            "topo = build_clos(3, 3, 2, 4)\n"
+            "groups = assign_breakout_groups(topo, fraction=1.0,"
+            " links_per_cable=2)\n"
+            "rng = random.Random(5)\n"
+            "for group in rng.sample(sorted(groups), 6):\n"
+            "    for lid in groups[group]:\n"
+            "        topo.set_corruption(lid, 10 ** rng.uniform(-2.9, -2))\n"
+            "constraint = CapacityConstraint(0.5, {'pod1/tor0': 0.75})\n"
+            "result = GlobalOptimizer(topo, constraint,"
+            " penalty_fn=step_penalty, exhaustive_limit=3).plan()\n"
+            "_best, brute = brute_force_optimal(topo, constraint,"
+            " penalty_fn=step_penalty)\n"
+            "print(json.dumps({'disable': sorted(map(list, result.to_disable)),"
+            " 'segments': result.stats.num_segments,"
+            " 'residual': result.residual_penalty, 'brute': brute}))\n"
+        )
+        plans = self._under_hash_seeds(script, ("0", "1", "4242"))
+        assert plans[0] == plans[1] == plans[2]
+        assert plans[0]["segments"] >= 2
+        assert plans[0]["disable"]
+        assert plans[0]["residual"] == plans[0]["brute"] > 0

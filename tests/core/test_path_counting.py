@@ -69,13 +69,19 @@ class TestCounts:
 
 class TestRestricted:
     def test_restricted_matches_full(self, medium_clos):
-        counter = PathCounter(medium_clos)
+        """The row primitive (an overlay, or in recount mode a DP pruned to
+        the upstream closure) against the unrestricted public query."""
         tors = ["pod0/tor0", "pod0/tor1"]
-        closure = counter.upstream_closure(tors)
         disabled = frozenset({("pod0/agg0", "spine0"), ("pod0/tor0", "pod0/agg1")})
-        restricted = counter.restricted_fractions(tors, closure, disabled)
-        full = counter.tor_fractions(extra_disabled=disabled, tors=tors)
-        assert restricted == pytest.approx(full)
+        for incremental in (True, False):
+            counter = PathCounter(medium_clos, incremental=incremental)
+            restricted = counter.fractions_at(
+                [medium_clos.switch_row[tor] for tor in tors],
+                frozenset(medium_clos.link_row[lid] for lid in disabled),
+            )
+            full = counter.tor_fractions(extra_disabled=disabled, tors=tors)
+            assert dict(zip(tors, restricted)) == full
+            counter.detach()
 
     def test_closure_is_upstream_closed(self, medium_clos):
         counter = PathCounter(medium_clos)

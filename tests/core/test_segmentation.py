@@ -1,7 +1,20 @@
 """Tests for topology segmentation (§8, Figure 20)."""
 
-from repro.core import segment_links, segmentation_summary
-from repro.topology import build_clos
+import random
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import (
+    CapacityConstraint,
+    GlobalOptimizer,
+    PathCounter,
+    segment_links,
+    segmentation_summary,
+)
+from repro.core import optimizer as optimizer_module
+from repro.topology import build_clos, build_irregular_clos, sprinkle_corruption
 
 
 class TestSegmentLinks:
@@ -89,3 +102,87 @@ class TestSummary:
 
     def test_empty_summary(self):
         assert segmentation_summary([]) == (0, 0, 0)
+
+
+# --------------------------------------------------------------------- #
+# Row-space pruning and segmentation against their definition
+# --------------------------------------------------------------------- #
+
+
+def _segments_by_definition(topo, contested, at_risk):
+    """§8 through ``Topology.upstream_links``: a contested link serves an
+    at-risk ToR when it is upstream of it; links sharing a ToR merge."""
+    contested = set(contested)
+    groups = [({lid}, set()) for lid in sorted(contested)]
+    for tor in sorted(at_risk):
+        mine = topo.upstream_links([tor]) & contested
+        if not mine:
+            continue
+        merged = (set(), {tor})
+        for group in [g for g in groups if g[0] & mine]:
+            groups.remove(group)
+            merged[0].update(group[0])
+            merged[1].update(group[1])
+        groups.append(merged)
+    return sorted(
+        (sorted(links), sorted(tors)) for links, tors in groups
+    )
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    capacity=st.sampled_from([0.5, 0.67, 0.75, 0.9]),
+    fraction=st.sampled_from([0.05, 0.15, 0.3]),
+)
+@settings(max_examples=40, deadline=None)
+def test_pruning_and_segments_equal_their_definition(seed, capacity, fraction):
+    rng = random.Random(seed)
+    topo = build_irregular_clos(seed=seed)
+    sprinkle_corruption(topo, fraction=fraction, rng=rng)
+    for lid in rng.sample(sorted(topo.link_ids()), k=3):
+        topo.disable_link(lid)  # structure, not admin state, decides
+    tors = topo.tors()
+    constraint = CapacityConstraint(
+        capacity, {rng.choice(tors): 1.0, rng.choice(tors): 0.1}
+    )
+
+    seen = []
+
+    def spy(topo_, contested, at_risk):
+        seen.append((list(contested), set(at_risk)))
+        return segment_links(topo_, contested, at_risk)
+
+    with mock.patch.object(optimizer_module, "segment_links", spy):
+        GlobalOptimizer(topo, constraint).plan()
+
+    candidates = set(topo.corrupting_links())
+    violated = set(
+        constraint.violations(PathCounter(topo).tor_fractions(candidates))
+    )
+    if not violated:
+        assert not seen
+        return
+    [(contested, at_risk)] = seen
+    assert at_risk == violated
+    assert contested == sorted(candidates & topo.upstream_links(violated))
+
+    # Segments: against the definition, on the optimizer's own input and on
+    # a wider one (every corrupting link contested, a random at-risk set).
+    for links, risky in (
+        (contested, at_risk),
+        (sorted(candidates), set(rng.sample(tors, k=len(tors) // 2))),
+    ):
+        segments = segment_links(topo, links, risky)
+        assert [
+            (sorted(seg.links), sorted(seg.tors)) for seg in segments
+        ] == _segments_by_definition(topo, links, risky)
+    # ... and after a structure change (the downstream memo is dropped).
+    upper = rng.choice(topo.stage(1))
+    lower = next(t for t in tors if not topo.has_link((t, upper)))
+    added = topo.add_link(lower, upper)
+    topo.set_corruption(added, 1e-3)
+    links = sorted(topo.corrupting_links())
+    assert [
+        (sorted(seg.links), sorted(seg.tors))
+        for seg in segment_links(topo, links, set(tors))
+    ] == _segments_by_definition(topo, links, set(tors))

@@ -32,7 +32,7 @@ def test_schema_literals_pinned_against_service():
         checkpoint.CHECKPOINT_FORMAT_VERSION
         is schema.CHECKPOINT_FORMAT_VERSION
     )
-    assert CHECKPOINT_FORMAT_VERSION == 4
+    assert CHECKPOINT_FORMAT_VERSION == 5
 
 
 def write_sample(path, state=None):
@@ -120,7 +120,7 @@ class TestIntegrity:
         )
         with pytest.raises(
             ValueError,
-            match=rf"unsupported checkpoint version {version} \(expected 4\)",
+            match=rf"unsupported checkpoint version {version} \(expected 5\)",
         ):
             read_checkpoint(path)
         assert validate_checkpoint_file(path) == [
@@ -142,6 +142,12 @@ class TestIntegrity:
         """Version 3 pickled the telemetry faults' per-direction state as
         dicts of snapshots and queued batches with a ``scalar`` dict."""
         self._refused_by_version(tmp_path, 3, "1.10.0")
+
+    def test_v4_checkpoint_refused_before_unpickling(self, tmp_path):
+        """Version 4 pickled the topology's ``_link_order`` and every
+        name-keyed dict of the path counter; both rebuild interned row
+        tables on load now and would come up without them."""
+        self._refused_by_version(tmp_path, 4, "1.11.0")
 
     def test_truncated_payload_rejected(self, tmp_path):
         path = tmp_path / "c.ckpt"

@@ -230,3 +230,101 @@ class TestColumnarCounterEquivalence:
         assert fractions.shape == (8 * 8,)
         assert np.all(fractions == 1.0)
         assert cc.baseline_array().max() == cc.baseline_for("pod0/tor0")
+
+
+class TestRowLookupAndSegmentSum:
+    """Ids reach rows through a sorted key column, and a stage folds with a
+    segment sum: both against the obvious reference."""
+
+    def _irregular(self):
+        topo = build_irregular_clos(seed=11)
+        # A switch with no uplinks below the spine, and one with no links.
+        topo.add_switch(Switch("dangling", stage=1))
+        topo.add_link("pod0/tor0", "dangling")
+        topo.add_switch(Switch("orphan", stage=0))
+        return topo
+
+    def test_link_rows_match_the_id_dict(self):
+        col = ColumnarTopology.from_topology(self._irregular())
+        ids = col.link_ids()
+        assert ids == [
+            (col.switch_names[lo], col.switch_names[up])
+            for lo, up in zip(col.link_lower.tolist(), col.link_upper.tolist())
+        ]
+        index = col.link_index()
+        rng = random.Random(0)
+        sample = [rng.choice(ids) for _ in range(200)]  # with repeats
+        assert col.link_rows(sample).tolist() == [index[lid] for lid in sample]
+        assert col.link_rows(iter(sample[:7])).tolist() == [
+            index[lid] for lid in sample[:7]
+        ]
+        assert col.link_rows([]).tolist() == []
+
+    @pytest.mark.parametrize(
+        "unknown",
+        [
+            ("pod0/tor0", "nowhere"),
+            ("nowhere", "spine0"),
+            ("spine0", "pod0/tor0"),  # reversed: not the canonical id
+            ("pod0/tor0", "spine0"),  # both exist, no such link
+            ("orphan", "dangling"),
+        ],
+    )
+    def test_unknown_id_raises_key_error_naming_it(self, unknown):
+        topo = self._irregular()
+        cc = ColumnarPathCounter.for_topology(topo)
+        known = ("pod0/tor0", "dangling")
+        for ids in ([unknown], [known, unknown, ("x", "y")]):
+            with pytest.raises(KeyError) as caught:
+                cc.counts(extra_disabled=ids)
+            assert caught.value.args == (unknown,)
+        with pytest.raises(KeyError):
+            cc.affected_tors(unknown)
+        with pytest.raises(KeyError):
+            ColumnarTopology.build_clos(1, 1, 1, 1).link_rows([unknown])
+
+    def test_extra_disabled_forms(self):
+        topo = self._irregular()
+        pc = PathCounter(topo)
+        cc = ColumnarPathCounter.for_topology(topo)
+        links = sorted(topo.link_ids())
+        extra = random.Random(2).sample(links, 9)
+        want = pc.counts(extra)
+        assert cc.counts(extra) == want
+        assert cc.counts(extra + extra[:4]) == want  # duplicates
+        assert cc.counts(lid for lid in extra) == want  # a generator
+        assert cc.counts(frozenset(extra)) == want
+        assert cc.counts([]) == cc.counts(iter(())) == pc.counts()
+        assert cc.tor_fractions(extra) == pc.tor_fractions(extra)
+
+    def test_segment_sum_equals_scatter_add_on_random_masks(self):
+        def scatter_add(col, enabled):
+            counts = np.zeros(col.num_switches, dtype=np.int64)
+            counts[col.switch_stage == col.num_stages - 1] = 1
+            stage_of_link = col.switch_stage[col.link_lower]
+            for s in range(col.num_stages - 2, -1, -1):
+                idx = np.nonzero((stage_of_link == s) & enabled)[0]
+                np.add.at(
+                    counts, col.link_lower[idx], counts[col.link_upper[idx]]
+                )
+            return counts
+
+        rng = np.random.default_rng(5)
+        for topo in (
+            self._irregular(),
+            build_multi_tier([6, 4, 3, 2], [2, 2, 2]),
+            build_fattree(4),
+        ):
+            col = ColumnarTopology.from_topology(topo)
+            cc = ColumnarPathCounter(col)
+            everything = np.ones(col.num_links, dtype=np.bool_)
+            assert cc._count(None).tolist() == scatter_add(col, everything).tolist()
+            for keep in (0.0, 0.3, 0.8, 1.0):
+                enabled = rng.random(col.num_links) < keep
+                assert cc._count(enabled).tolist() == (
+                    scatter_add(col, enabled).tolist()
+                )
+        names = ColumnarTopology.from_topology(self._irregular()).switch_names
+        counts = ColumnarPathCounter.for_topology(self._irregular()).counts()
+        assert counts["dangling"] == counts["orphan"] == 0
+        assert set(counts) == set(names)

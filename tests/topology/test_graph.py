@@ -209,6 +209,25 @@ class TestTraversal:
         assert lid in small_clos.upstream_links(["pod0/tor0"])
 
 
+    def test_tor_rows_below_follows_structure_not_admin_state(self, small_clos):
+        row, names = small_clos.switch_row, small_clos.switch_names
+
+        def below(switch):
+            return {names[r] for r in small_clos.tor_rows_below(row[switch])}
+
+        pod0 = {"pod0/tor0", "pod0/tor1", "pod0/tor2"}
+        assert below("pod0/agg0") == pod0
+        assert below("pod0/tor1") == {"pod0/tor1"}
+        assert len(below("spine0")) == 6
+        small_clos.disable_link(("pod0/tor0", "pod0/agg0"))
+        assert below("pod0/agg0") == pod0
+        small_clos.add_switch(Switch("new", stage=0))
+        small_clos.add_link("new", "pod0/agg0")
+        assert below("pod0/agg0") == pod0 | {"new"}
+        assert below("pod0/agg1") == pod0
+        assert "new" in below("spine0")
+
+
 class TestInterop:
     def test_copy_preserves_state(self, small_clos):
         lid = ("pod0/tor0", "pod0/agg0")
@@ -221,6 +240,91 @@ class TestInterop:
         # Mutating the clone must not touch the original.
         clone.disable_link(lid)
         assert small_clos.link(lid).enabled
+
+    def test_copy_clones_every_field_and_table(self):
+        import dataclasses
+        import random
+
+        from repro.core import PathCounter
+        from repro.topology import (
+            assign_breakout_groups,
+            build_clos,
+            sprinkle_corruption,
+        )
+
+        topo = build_clos(3, 4, 3, 9)
+        assign_breakout_groups(topo, fraction=0.5)
+        rng = random.Random(3)
+        sprinkle_corruption(topo, fraction=0.25, rng=rng)
+        links = list(topo.link_ids())
+        # Scattered rates, so index order differs from link order.
+        for lid in rng.sample(links, 10):
+            topo.set_corruption(lid, 1e-4, Direction.DOWN)
+        topo.assign_lg_capable(0.5)
+        for lid in rng.sample(links, 8):
+            topo.disable_link(lid)
+        topo.drain_link(rng.choice(links))
+        protected = next(
+            lid for lid in links
+            if topo.link(lid).lg_capable and topo.link(lid).enabled
+        )
+        topo.protect_link(protected, 1e-8, 0.9)
+        counter = PathCounter(topo)
+
+        clone = topo.copy()
+        assert clone.name == topo.name and clone.num_stages == topo.num_stages
+        assert list(clone.link_ids()) == links
+        for mine, theirs in zip(topo.links(), clone.links()):
+            assert mine is not theirs
+            assert mine.corruption_rate is not theirs.corruption_rate
+            assert dataclasses.asdict(mine) == dataclasses.asdict(theirs)
+        assert [dataclasses.asdict(s) for s in clone.switches()] == [
+            dataclasses.asdict(s) for s in topo.switches()
+        ]
+        assert all(a is not b for a, b in zip(topo.switches(), clone.switches()))
+        assert clone.corrupting_links() == topo.corrupting_links()
+        assert clone.links_with_corruption() == topo.links_with_corruption()
+        assert clone.disabled_links() == topo.disabled_links()
+        assert clone.lg_protected_links() == {protected}
+        for stage in range(topo.num_stages):
+            assert clone.stage(stage) == topo.stage(stage)
+        for switch in topo.switches():
+            assert clone.uplinks(switch.name) == topo.uplinks(switch.name)
+            assert clone.downlinks(switch.name) == topo.downlinks(switch.name)
+        assert PathCounter(clone).counts() == counter.counts()
+        # No listener came along: the original's counter ignores the clone.
+        before = counter.stats.incremental_updates
+        clone.enable_link(next(iter(clone.disabled_links())))
+        assert counter.stats.incremental_updates == before
+        assert clone.disabled_links() != topo.disabled_links()
+
+        # Growth on either side stays on that side, in every table.
+        clone.add_switch(Switch("clone-only", stage=0))
+        added = clone.add_link("clone-only", "pod0/agg0")
+        topo.add_switch(Switch("orig-only", stage=1))
+        topo.add_link("pod0/tor0", "orig-only")
+        assert not topo.has_switch("clone-only") and not topo.has_link(added)
+        assert not clone.has_switch("orig-only")
+        assert topo.num_links == clone.num_links == len(links) + 1
+        assert added not in topo.downlinks("pod0/agg0")
+        for side in (topo, clone):
+            rebuilt = Topology(side.num_stages)
+            rebuilt.__setstate__(side.__getstate__())
+            for table in ("switch_row", "switch_names", "switch_stage",
+                          "up_rows", "down_rows", "link_row", "lower_row",
+                          "upper_row"):
+                assert getattr(side, table) == getattr(rebuilt, table), table
+            assert side.link_at == list(side.links())
+            assert PathCounter(side).counts() == PathCounter(rebuilt).counts()
+
+    def test_to_networkx_names_the_extra_when_networkx_is_missing(
+        self, small_clos, monkeypatch
+    ):
+        import sys
+
+        monkeypatch.setitem(sys.modules, "networkx", None)
+        with pytest.raises(ImportError, match=r"repro\[graph\]"):
+            small_clos.to_networkx()
 
     def test_to_networkx_drops_disabled(self, small_clos):
         small_clos.disable_link(("pod0/tor0", "pod0/agg0"))
