@@ -10,8 +10,9 @@ The model is a table with one row per direction, created when the direction
 is first asked about: profile parameters, AR(1) noise state, draw count,
 line-rate packets per second and queue depth K are numpy columns, and every
 row has its own ``random.Random(seed)`` stream.  ``CongestionModel.traffic``
-answers a whole poll tick from the columns; ``utilization`` / ``loss_rate``
-are the per-call form of the same process, on the same state (DESIGN.md §16).
+answers a whole poll tick from the columns, reading each row's stream
+:data:`BLOCK_TICKS` ticks at a time; ``utilization`` / ``loss_rate`` are the
+per-call form of the same process, on the same state (DESIGN.md §16).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import fields
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -29,7 +30,10 @@ from repro.congestion.queueing import (
     congestion_loss_rate,
     congestion_loss_rows,
 )
-from repro.congestion.traffic import DAY_S, TrafficProfile, sample_profile
+from repro.congestion.traffic import (
+    DAY_S, TrafficProfile, elementwise, fast_forward, gauss_pairs,
+    profile_parameters, random_doubles,
+)
 from repro.topology.elements import Direction, DirectionId
 from repro.topology.graph import Topology
 
@@ -43,6 +47,11 @@ _COLUMNS = tuple(
     (name, np.int64 if name in ("seed", "_samples") else np.float64)
     for name in _PROFILE_FIELDS
 ) + (("line_pps", np.float64), ("buffer_k", np.int64))
+#: Ticks a row's stream yields at once: even, so a block starts on a
+#: Gaussian pair.  Each tick pair reads ``[u1, u2, burst, burst]``.
+BLOCK_TICKS = 16
+#: Derived from the columns, left out of checkpoints.
+_DERIVED = ("_streams", "_gauss", "_cached", "_burst", "_cursor", "_by_row")
 
 
 class CongestionModel:
@@ -85,13 +94,24 @@ class CongestionModel:
         self._hot_directions: Set[DirectionId] = set()
         self._pick_hotspots(hotspot_pod_fraction, hotspot_switch_fraction)
         self._assign_hot_directions()
-        # The table.  `_profiles[row]` carries the row's stream (`_rng`);
-        # `_columns` its parameters, noise state and draw count.
+        # The table: parameters, noise state and logical draw count.
         self._row_of: Dict[DirectionId, int] = {}
-        self._profiles: List[TrafficProfile] = []
         self._columns: Dict[str, np.ndarray] = {
             name: np.zeros(0, dtype=dtype) for name, dtype in _COLUMNS
         }
+        self._empty_blocks()
+
+    def _empty_blocks(self) -> None:
+        """Per row: its stream and the block it has read ahead — each
+        tick's ``gauss`` return value and burst flag, each pair's cached
+        variate, the cursor (``BLOCK_TICKS``: nothing buffered).
+        ``_by_row``: table row of each topology direction row, or -1."""
+        self._streams: List[random.Random] = []
+        self._gauss = np.zeros((0, BLOCK_TICKS))
+        self._cached = np.zeros((0, BLOCK_TICKS // 2))
+        self._burst = np.zeros((0, BLOCK_TICKS), dtype=bool)
+        self._cursor = np.zeros(0, dtype=np.int64)
+        self._by_row = np.zeros(0, dtype=np.int64)
 
     def _pick_hotspots(
         self, pod_fraction: float, switch_fraction: float
@@ -144,19 +164,23 @@ class CongestionModel:
         return sorted(self._hot_directions)
 
     def profile(self, direction_id: DirectionId) -> TrafficProfile:
-        """The traffic profile of a direction, at its row's current state
-        and on its stream; draw through :meth:`utilization`, which keeps
-        the row's columns current."""
+        """A detached copy of the direction's traffic profile at its row's
+        logical position, on a stream of its own: stepping it leaves the
+        model alone."""
         row = int(self._rows([direction_id])[0])
-        profile = self._profiles[row]
-        profile._noise_state = self._columns["_noise_state"].item(row)
-        profile._samples = self._columns["_samples"].item(row)
+        profile = TrafficProfile.__new__(TrafficProfile)
+        profile.__setstate__(
+            dict(self._values(row), gauss_next=self._gauss_next([row])[0])
+        )
         return profile
 
     def utilization(self, direction_id: DirectionId, time_s: float) -> float:
-        """Utilization sample for a direction at ``time_s``."""
-        profile = self.profile(direction_id)
-        row = self._row_of[direction_id]
+        """Utilization sample for a direction at ``time_s``: one
+        :meth:`TrafficProfile.utilization` step on the row's stream, put
+        back at its logical position first."""
+        row = int(self._rows([direction_id])[0])
+        profile = TrafficProfile.__new__(TrafficProfile)
+        vars(profile).update(self._values(row), _rng=self._detach(row))
         util = profile.utilization(time_s)
         self._columns["_noise_state"][row] = profile._noise_state
         self._columns["_samples"][row] = profile._samples
@@ -178,78 +202,183 @@ class CongestionModel:
 
     # The table --------------------------------------------------------- #
 
-    def _rows(self, direction_ids: Sequence[DirectionId]) -> np.ndarray:
-        """Row numbers of ``direction_ids``; a new direction gets its row
-        now, in the order given, its parameters drawn from the model's
-        ``_rng``."""
-        row_of = self._row_of
-        try:
-            return np.array(
-                [row_of[did] for did in direction_ids], dtype=np.int64
+    def _rows(
+        self,
+        direction_ids: Sequence[DirectionId],
+        rows: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """Table rows of ``direction_ids``: by one gather through ``_by_row``
+        when their topology direction ``rows`` are given, where only a
+        direction's first appearance is looked up by name; else by name."""
+        if rows is None:
+            return np.array(self._named_rows(direction_ids), dtype=np.int64)
+        if len(rows) and rows.max() >= len(self._by_row):
+            grown = np.full(2 * self._topo.num_links, -1, dtype=np.int64)
+            grown[: len(self._by_row)] = self._by_row
+            self._by_row = grown
+        found = self._by_row[rows]
+        missing = np.flatnonzero(found < 0)
+        if len(missing):
+            found[missing] = self._named_rows(
+                [direction_ids[i] for i in missing.tolist()]
             )
-        except KeyError:
-            pass
-        new = [did for did in dict.fromkeys(direction_ids) if did not in row_of]
+            self._by_row[rows[missing]] = found[missing]
+        return found
+
+    def _named_rows(self, direction_ids: Sequence[DirectionId]) -> List[int]:
+        """Table rows by name.  A new direction gets its row now, in the
+        order given, straight into the columns, its parameters drawn from
+        the model's ``_rng``."""
+        row_of = self._row_of
+        found = [row_of.get(did) for did in direction_ids]
+        new = list(dict.fromkeys(
+            did for did, row in zip(direction_ids, found) if row is None
+        ))
+        if not new:
+            return found
         # Looked up first: an unknown direction raises with nothing changed.
         links = [self._topo.find_link(*did) for did in new]
-        created = []
-        for did, link in zip(new, links):
-            row_of[did] = len(row_of)
-            profile = sample_profile(self._rng, hot=self.is_hot(did))
-            self._profiles.append(profile)
-            created.append(
-                [getattr(profile, name) for name in _PROFILE_FIELDS]
-                + [
-                    link.capacity_gbps * 1e9 / 8.0 / 1000.0,
-                    DEEP_BUFFER_K if self._deep_buffer(did)
-                    else SHALLOW_BUFFER_K,
-                ]
-            )
-        for (name, dtype), values in zip(_COLUMNS, zip(*created)):
+        drawn = [
+            profile_parameters(self._rng, hot=did in self._hot_directions)
+            for did in new
+        ]
+        fresh = {did: len(row_of) + i for i, did in enumerate(new)}
+        row_of.update(fresh)
+        values = list(zip(*drawn)) + [
+            [0.0] * len(new),  # _noise_state
+            [0] * len(new),  # _samples
+            [link.capacity_gbps * 1e9 / 8.0 / 1000.0 for link in links],
+            [DEEP_BUFFER_K if self._deep_buffer(did) else SHALLOW_BUFFER_K
+             for did in new],
+        ]
+        for (name, dtype), column in zip(_COLUMNS, values):
             self._columns[name] = np.concatenate(
-                [self._columns[name], np.array(values, dtype=dtype)]
+                [self._columns[name], np.array(column, dtype=dtype)]
             )
-        return self._rows(direction_ids)
+        self._add_streams([params[-1] for params in drawn])
+        return [
+            fresh[did] if row is None else row
+            for did, row in zip(direction_ids, found)
+        ]
+
+    def _add_streams(self, seeds: List[int]) -> None:
+        """Freshly seeded streams and empty blocks for new rows."""
+        self._streams.extend(map(random.Random, seeds))
+        for name, fill in (
+            ("_gauss", 0.0), ("_cached", 0.0), ("_burst", False),
+            ("_cursor", BLOCK_TICKS),
+        ):
+            block = getattr(self, name)
+            empty = np.full((len(seeds),) + block.shape[1:], fill, block.dtype)
+            setattr(self, name, np.concatenate([block, empty]))
+
+    def _values(self, row: int) -> Dict[str, float]:
+        """A row's :class:`TrafficProfile` fields."""
+        return {name: self._columns[name].item(row) for name in _PROFILE_FIELDS}
+
+    # The draws --------------------------------------------------------- #
+
+    def _gauss_next(self, rows: Sequence[int]) -> List[Optional[float]]:
+        """The cached Gaussian of each row at its logical position: the
+        block's mid-pair variate where the cursor is odd, else the
+        stream's (a block starts and ends on a pair boundary)."""
+        out = [self._streams[row].gauss_next for row in rows]
+        cursor = self._cursor[rows]
+        for i in np.flatnonzero(cursor % 2).tolist():
+            out[i] = self._cached.item(rows[i], cursor[i] // 2)
+        return out
+
+    def _detach(self, row: int) -> random.Random:
+        """The row's stream at its logical position, its block dropped (a
+        fresh stream, fast-forwarded): what a per-call draw steps."""
+        if self._cursor[row] < BLOCK_TICKS:
+            stream = random.Random(self._columns["seed"].item(row))
+            samples = self._columns["_samples"].item(row)
+            fast_forward(stream, samples, self._gauss_next([row])[0])
+            self._streams[row] = stream
+            self._cursor[row] = BLOCK_TICKS
+        return self._streams[row]
+
+    def _refill(self, rows: np.ndarray) -> None:
+        """The next ``BLOCK_TICKS`` ticks of each row's stream into its
+        block, one ``getrandbits`` per row; the rows stand on a pair
+        boundary with nothing buffered."""
+        if not len(rows):
+            return
+        count, pairs, columns = len(rows), BLOCK_TICKS // 2, self._columns
+        streams = [self._streams[row] for row in rows.tolist()]
+        draws = random_doubles(streams, 4 * pairs).reshape(count, pairs, 4)
+        first, second, cached = gauss_pairs(
+            draws[..., 0], draws[..., 1], columns["noise_sigma"][rows, None]
+        )
+        self._gauss[rows] = np.stack([first, second], axis=2).reshape(count, -1)
+        self._cached[rows] = cached
+        burst = draws[..., 2:] < columns["burst_probability"][rows, None, None]
+        self._burst[rows] = burst.reshape(count, -1)
+        self._cursor[rows] = 0
+
+    def _carry(self, rows: np.ndarray) -> None:
+        """Rows on an odd draw count with nothing buffered (restored from
+        a checkpoint, or stepped per call) draw this tick per call, as a
+        one-tick block: ``gauss`` returns the pair's cached second."""
+        for row in rows.tolist():
+            stream = self._streams[row]
+            sigma = self._columns["noise_sigma"].item(row)
+            self._gauss[row, -1] = stream.gauss(0.0, sigma)
+            self._burst[row, -1] = (
+                stream.random() < self._columns["burst_probability"].item(row)
+            )
+        self._cursor[rows] = BLOCK_TICKS - 1
+
+    def _draws(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """This tick's Gaussian and burst flag of each row, from its block
+        (refilled first where nothing is buffered); advances the cursors."""
+        empty = rows[self._cursor[rows] == BLOCK_TICKS]
+        if len(empty):
+            odd = self._columns["_samples"][empty] % 2 == 1
+            self._carry(empty[odd])
+            self._refill(empty[~odd])
+        cursor = self._cursor[rows]
+        self._cursor[rows] = cursor + 1
+        return self._gauss[rows, cursor], self._burst[rows, cursor]
 
     def traffic(
         self,
         direction_ids: Sequence[DirectionId],
         time_s: float,
         interval_s: float,
+        rows: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """One poll tick for distinct ``direction_ids``: the packets each
         offered over the ``interval_s`` ending at ``time_s`` (1000-byte
         packets, int64) and its queue loss rate.
 
+        ``rows``, when given, are the directions' topology direction rows
+        (``2 * link_row``, plus one for the down direction — the poller's
+        table rows): the tick then finds its table rows by one gather.
+
         Entry ``i`` equals ``int(line_rate_packets * u)`` and
         ``loss_rate(direction_ids[i], u)`` for ``u =
         utilization(direction_ids[i], time_s)``, bit for bit, and leaves
-        the direction's stream where that call would: draws come from its
-        own stream, transcendentals from ``math`` (numpy's are not
-        bit-identical to libm on every host), the rest runs on the columns.
-        Line rate and queue depth are those of the direction's first call.
+        the direction at the logical position that call would: draws come
+        from its own stream, read ahead in blocks, transcendentals from
+        ``math`` (numpy's are not bit-identical to libm on every host), the
+        rest runs on the columns.  Line rate and queue depth are those of
+        the direction's first call.
         """
-        rows = self._rows(direction_ids)
+        rows = self._rows(direction_ids, rows)
         columns = self._columns
 
         def column(name: str) -> np.ndarray:
             return columns[name][rows]
 
-        streams = [self._profiles[row]._rng for row in rows.tolist()]
-        gauss = np.array([
-            rng.gauss(0.0, sigma)
-            for rng, sigma in zip(streams, column("noise_sigma").tolist())
-        ])
-        uniform = np.array([rng.random() for rng in streams])
+        gauss, burst = self._draws(rows)
         angle = 2.0 * math.pi * (time_s - column("phase_s")) / DAY_S
-        diurnal = column("amplitude") * np.array(
-            list(map(math.sin, angle.tolist()))
-        )
+        diurnal = column("amplitude") * elementwise(math.sin, angle)
         noise = column("noise_rho") * column("_noise_state") + gauss
         columns["_noise_state"][rows] = noise
         columns["_samples"][rows] += 1
         util = column("mean") + diurnal + noise
-        burst = uniform < column("burst_probability")
         util = np.where(burst, util + column("burst_boost"), util)
         util = np.clip(util, 0.0, 1.0)
         packets = (column("line_pps") * interval_s * util).astype(np.int64)
@@ -258,22 +387,19 @@ class CongestionModel:
     # Checkpoints ------------------------------------------------------- #
 
     def __getstate__(self):
-        """The table without its 625-word generator states: a row's seed,
-        draw count and cached Gaussian determine its stream."""
+        """The table without its streams and blocks: a row's seed, logical
+        draw count and logical cached Gaussian determine its stream."""
         state = self.__dict__.copy()
-        del state["_profiles"]
-        state["gauss_next"] = [p._rng.gauss_next for p in self._profiles]
+        for name in _DERIVED:
+            del state[name]
+        state["gauss_next"] = self._gauss_next(range(len(self._streams)))
         return state
 
     def __setstate__(self, state):
         cached = state.pop("gauss_next")
         self.__dict__.update(state)
-        columns = [self._columns[name].tolist() for name in _PROFILE_FIELDS]
-        self._profiles = []
-        for gauss_next, *values in zip(cached, *columns):
-            # What unpickling a TrafficProfile does.
-            profile = TrafficProfile.__new__(TrafficProfile)
-            profile.__setstate__(
-                dict(zip(_PROFILE_FIELDS, values), gauss_next=gauss_next)
-            )
-            self._profiles.append(profile)
+        self._empty_blocks()
+        self._add_streams(self._columns["seed"].tolist())
+        samples = self._columns["_samples"].tolist()
+        for stream, count, gauss_next in zip(self._streams, samples, cached):
+            fast_forward(stream, count, gauss_next)

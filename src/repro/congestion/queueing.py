@@ -13,7 +13,12 @@ congestion losses).
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache
+
 import numpy as np
+
+from repro.congestion.traffic import elementwise
 
 SHALLOW_BUFFER_K = 120
 DEEP_BUFFER_K = 1200
@@ -69,30 +74,53 @@ def congestion_loss_rate(
     return mm1k_loss(utilization / headroom, buffer_k)
 
 
+@lru_cache(maxsize=None)
+def one_power_cutoff(buffer_k: int) -> float:
+    """The largest load ``ρ`` whose ``ρ^(K+1)``, by libm's ``pow``, is at
+    most 2⁻⁵⁴: there and below, ``1 - ρ^(K+1)`` rounds to 1.0, so an
+    under-loaded queue's loss is ``(1 - ρ) ρ^K`` exactly and the second
+    power need not be taken."""
+    exponent, floor = buffer_k + 1, 2.0**-54
+    cutoff = floor ** (1.0 / exponent)
+    while math.pow(cutoff, exponent) > floor:
+        cutoff = math.nextafter(cutoff, 0.0)
+    while math.pow(math.nextafter(cutoff, 1.0), exponent) <= floor:
+        cutoff = math.nextafter(cutoff, 1.0)
+    return cutoff
+
+
 def congestion_loss_rows(
     utilization: np.ndarray, buffer_k: np.ndarray, headroom: float = 0.92
 ) -> np.ndarray:
     """:func:`congestion_loss_rate` of every row, bit for bit.
 
     ``utilization`` lies in [0, 1] and ``buffer_k`` holds the queue depth
-    (at least 1) of each row.  The powers go through Python's float ``**``
-    one by one (``np.power`` may differ from libm's ``pow`` in the last
-    bit); the rest is array arithmetic in the scalar form's order.
+    (at least 1) of each row.  The powers go through libm's ``pow`` one by
+    one, as the scalar form's float ``**`` does (``np.power`` may differ in
+    the last bit), and a row takes one where the scalar form takes two and
+    the second cannot change the result (overload needs no ``ρ^K``; below
+    :func:`one_power_cutoff`, ``1 - ρ^(K+1)`` is 1.0); the rest is array
+    arithmetic in the scalar form's order.
     """
     rho = utilization / headroom
     over = rho > 1.0
-    # rho^-(K+1) where the queue is overloaded, rho^(K+1) where it is not.
-    exponent = np.where(over, -(buffer_k + 1), buffer_k + 1)
-    bases = rho.tolist()
-    to_k = np.array([b**k for b, k in zip(bases, buffer_k.tolist())])
-    to_next = np.array([b**e for b, e in zip(bases, exponent.tolist())])
+    # rho^-(K+1) where the queue is overloaded, rho^K where it is not ...
+    exponent = np.where(over, -(buffer_k + 1.0), buffer_k)
+    power = elementwise(math.pow, rho, exponent)
+    # ... and rho^(K+1) where it is not and that can move 1 - rho^(K+1).
+    cutoff = np.zeros(int(buffer_k.max(initial=0)) + 1)
+    for depth in np.flatnonzero(np.bincount(buffer_k)).tolist():
+        cutoff[depth] = one_power_cutoff(depth)
+    second = ~over & (rho > cutoff[buffer_k])
+    to_next = np.zeros(len(rho))
+    to_next[second] = elementwise(math.pow, rho[second], buffer_k[second] + 1.0)
     # Each row computes both branches; the one it does not take may
     # divide by zero or overflow.
     with np.errstate(all="ignore"):
         loss = np.where(
             over,
-            np.minimum(1.0, (rho - 1.0) / (rho * (1.0 - to_next))),
-            np.clip((1.0 - rho) * to_k / (1.0 - to_next), 0.0, 1.0),
+            np.minimum(1.0, (rho - 1.0) / (rho * (1.0 - power))),
+            np.clip((1.0 - rho) * power / (1.0 - to_next), 0.0, 1.0),
         )
     loss = np.where(np.abs(rho - 1.0) < 1e-12, 1.0 / (buffer_k + 1), loss)
     return np.where(rho == 0.0, 0.0, loss)

@@ -11,11 +11,53 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
 DAY_S = 86_400.0
+
+
+def random_doubles(streams: Sequence[random.Random], count: int) -> np.ndarray:
+    """The next ``count`` ``random()`` draws of every stream as
+    ``[len(streams), count]`` float64, one ``getrandbits`` call per stream:
+    ``getrandbits(32 * w)`` consumes exactly ``w`` outputs, lowest word
+    first, and ``random()`` is ``((a >> 5) * 2**26 + (b >> 6)) / 2**53`` of
+    two consecutive outputs, so the doubles and the streams' end states are
+    those of ``count`` calls each."""
+    bits = 64 * count
+    blob = b"".join([
+        stream.getrandbits(bits).to_bytes(bits // 8, "little")
+        for stream in streams
+    ])
+    words = np.frombuffer(blob, "<u4").reshape(len(streams), count, 2)
+    doubles = (words[..., 0] >> 5) * 67108864.0
+    doubles += words[..., 1] >> 6
+    doubles *= 1.0 / 9007199254740992.0
+    return doubles
+
+
+def elementwise(function: Callable[..., float], *arrays) -> np.ndarray:
+    """``function`` of the elements of float64 ``arrays``, one call each,
+    fed from memoryviews: the form a ``math`` transcendental needs (numpy's
+    are not bit-identical to libm on every host)."""
+    views = [memoryview(np.ascontiguousarray(a).ravel()) for a in arrays]
+    size, shape = arrays[0].size, arrays[0].shape
+    return np.fromiter(map(function, *views), np.float64, size).reshape(shape)
+
+
+def gauss_pairs(
+    u1: np.ndarray, u2: np.ndarray, sigma: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Two ``random.gauss(0.0, sigma)`` calls that start on a pair and draw
+    the uniforms ``u1``, ``u2``, bit for bit: what the first returns, what
+    the second returns, and the variate cached between them (``gauss_next``).
+    ``np.sqrt`` is correctly rounded, as libm's is."""
+    x = u1 * (2.0 * math.pi)  # random.TWOPI
+    g = np.sqrt(-2.0 * elementwise(math.log, 1.0 - u2))
+    cached = elementwise(math.sin, x) * g
+    first = elementwise(math.cos, x) * g
+    return 0.0 + first * sigma, 0.0 + cached * sigma, cached
 
 
 def fast_forward(
@@ -114,12 +156,13 @@ class TrafficProfile:
         )
 
 
-def sample_profile(
+def profile_parameters(
     rng: random.Random,
     hot: bool = False,
     seed: Optional[int] = None,
-) -> TrafficProfile:
-    """Draw a per-direction traffic profile.
+) -> Tuple[float, float, float, float, float, float, float, int]:
+    """Draw a per-direction traffic profile's parameters, in
+    :class:`TrafficProfile`'s field order (``mean`` … ``seed``).
 
     Args:
         rng: Source of profile parameters.
@@ -135,21 +178,21 @@ def sample_profile(
         # peak around 0.8-0.9 utilization, where the M/M/1/K curve yields
         # weekly mean loss in the 1e-8..1e-5 bucket, with rare saturation
         # bursts supplying the small high-rate tail.
-        return TrafficProfile(
-            mean=rng.uniform(0.5, 0.68),
-            amplitude=rng.uniform(0.08, 0.16),
-            phase_s=rng.uniform(0, DAY_S),
-            noise_sigma=0.04,
-            burst_probability=rng.uniform(0.01, 0.05),
-            burst_boost=rng.uniform(0.12, 0.25),
-            seed=seed,
+        return (
+            rng.uniform(0.5, 0.68), rng.uniform(0.08, 0.16),
+            rng.uniform(0, DAY_S), 0.04, 0.8,
+            rng.uniform(0.01, 0.05), rng.uniform(0.12, 0.25), seed,
         )
-    return TrafficProfile(
-        mean=rng.uniform(0.15, 0.45),
-        amplitude=rng.uniform(0.05, 0.2),
-        phase_s=rng.uniform(0, DAY_S),
-        noise_sigma=0.04,
-        burst_probability=0.005,
-        burst_boost=0.2,
-        seed=seed,
+    return (
+        rng.uniform(0.15, 0.45), rng.uniform(0.05, 0.2),
+        rng.uniform(0, DAY_S), 0.04, 0.8, 0.005, 0.2, seed,
     )
+
+
+def sample_profile(
+    rng: random.Random,
+    hot: bool = False,
+    seed: Optional[int] = None,
+) -> TrafficProfile:
+    """Draw a per-direction traffic profile (see :func:`profile_parameters`)."""
+    return TrafficProfile(*profile_parameters(rng, hot, seed))

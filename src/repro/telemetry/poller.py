@@ -202,11 +202,11 @@ class TelemetryBatch:
             yield entry[pick], self.later.take(pick)
 
 
-#: A tick's traffic: ``(direction_ids, time_s) -> (offered packets, queue
-#: loss rates)``, one entry per direction; ``None`` for no queue loss.
-TrafficFn = Callable[
-    [List[DirectionId], float], Tuple[Sequence[int], Optional[Sequence[float]]]
-]
+#: A tick's traffic: ``(direction_ids, time_s, rows=table rows) ->
+#: (offered packets, queue loss rates)``, one entry per direction; ``None``
+#: for no queue loss.  ``rows`` are the directions' rows in the direction
+#: table (``2 * link_row``, plus one for the down direction).
+TrafficFn = Callable[..., Tuple[Sequence[int], Optional[Sequence[float]]]]
 
 
 class PerDirectionTraffic:
@@ -223,7 +223,7 @@ class PerDirectionTraffic:
         self.packets_fn = packets_fn
         self.congestion_fn = congestion_fn
 
-    def __call__(self, direction_ids, time_s):
+    def __call__(self, direction_ids, time_s, rows=None):
         packets_fn, congestion_fn = self.packets_fn, self.congestion_fn
         if congestion_fn is None:
             return [packets_fn(did, time_s) for did in direction_ids], None
@@ -241,7 +241,7 @@ class ConstantTraffic:
     def __init__(self, packets: int):
         self.packets = packets
 
-    def __call__(self, direction_ids, time_s):
+    def __call__(self, direction_ids, time_s, rows=None):
         return np.full(len(direction_ids), self.packets, dtype=np.int64), None
 
 
@@ -296,8 +296,8 @@ class SnmpPoller:
             ``poll.collect`` / ``poll.sanitize`` / ``poll.store`` children
             plus missed-poll counters (no-op by default).
         traffic_fn: The array form (:data:`TrafficFn`), called once per
-            tick with the polled directions in direction order; instead
-            of ``packets_fn`` / ``congestion_fn``.
+            tick with the polled directions in direction order and their
+            table rows; instead of ``packets_fn`` / ``congestion_fn``.
     """
 
     def __init__(
@@ -481,7 +481,7 @@ class SnmpPoller:
             # re-seed rather than diff against pre-disable counters
             # with a stale time base.
             self._previous.forget(np.flatnonzero(~table.enabled))
-        offered, losses = self._traffic_fn(direction_ids, now)
+        offered, losses = self._traffic_fn(direction_ids, now, rows=rows)
         packets = np.asarray(offered, dtype=np.int64)
         congestion = (
             np.zeros(len(rows)) if losses is None

@@ -1,5 +1,6 @@
 """Tests for the congestion substrate: queueing, traffic, locality."""
 
+import pickle
 import random
 
 import numpy as np
@@ -9,10 +10,11 @@ from repro.congestion import (
     CongestionModel,
     TrafficProfile,
     congestion_loss_rate,
+    congestion_model,
     mm1k_loss,
     sample_profile,
 )
-from repro.topology import build_clos
+from repro.topology import Direction, build_clos
 
 
 class TestMm1k:
@@ -144,7 +146,29 @@ class TestCongestionModel:
     def test_profiles_cached(self, topo):
         model = CongestionModel(topo, seed=3)
         did = ("pod0/tor0", "pod0/agg0")
-        assert model.profile(did) is model.profile(did)
+        assert model.profile(did) == model.profile(did)
+
+    def test_stepping_a_profile_leaves_the_model_alone(self, topo):
+        """``profile()`` once handed out the row's live stream: stepping it
+        moved the stream but not the draw count, so the next tick drew the
+        wrong variates and the checkpoint could not be restored."""
+        model, twin, per_call = (
+            congestion_model("hotspots", topo, seed=3) for _ in range(3)
+        )
+        dids = [link.direction_id(Direction.UP) for link in topo.links()]
+        model.traffic(dids, 900.0, 900.0)
+        twin.traffic(dids, 900.0, 900.0)
+        for did in dids:
+            per_call.utilization(did, 900.0)
+        profile = model.profile(dids[0])
+        # The direction's next two draws, taken on the profile's own stream.
+        assert [profile.utilization(t) for t in (1800.0, 2700.0)] == [
+            per_call.utilization(dids[0], t) for t in (1800.0, 2700.0)
+        ]
+        restored = pickle.loads(pickle.dumps(model, protocol=4))
+        want = twin.traffic(dids, 1800.0, 900.0)[0].tolist()
+        for got in (model, restored):
+            assert got.traffic(dids, 1800.0, 900.0)[0].tolist() == want
 
     def test_invalid_fraction_rejected(self, topo):
         with pytest.raises(ValueError):

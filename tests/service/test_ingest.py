@@ -154,7 +154,9 @@ class TestJoinedDrain:
         poller = cls(
             topo,
             store,
-            traffic_fn=lambda dids, now: model.traffic(dids, now, 900.0),
+            traffic_fn=lambda dids, now, rows: model.traffic(
+                dids, now, 900.0, rows=rows
+            ),
             # Wraps, freezes, duplicates and missed polls: the entries a
             # batch carries in `scalar`, whose indices the join re-bases.
             transport=FaultyTransport(chaos_preset("harsh", seed=4)),
