@@ -6,4 +6,4 @@ artifact with the version — can import it without triggering the full
 package import, and so ``pyproject.toml`` has one place to mirror.
 """
 
-__version__ = "1.12.0"
+__version__ = "1.13.0"

@@ -28,43 +28,26 @@ from repro.faults.root_causes import (
 )
 from repro.faults.miswiring import MiswiringFault
 from repro.faults.shared_component import SharedComponentFault
-from repro.faults.telemetry_faults import (
-    CounterResetFault,
-    CounterWrapFault,
-    DelayedSampleFault,
-    DuplicateSampleFault,
-    FaultyTransport,
-    FrozenCounterFault,
-    MissedPollFault,
-    TelemetryFault,
-    TelemetryFaultConfig,
-)
+from repro.faults.telemetry_faults import FaultyTransport, TelemetryFaultConfig
 from repro.faults.transceiver_fault import LOOSE_PROBABILITY, TransceiverFault
 
 __all__ = [
     "AnyFault",
     "BIDIRECTIONAL_PROBABILITY",
     "ContaminationFault",
-    "CounterResetFault",
-    "CounterWrapFault",
     "DecayingTransmitterFault",
-    "DelayedSampleFault",
-    "DuplicateSampleFault",
     "FaultEvent",
     "FaultInjector",
     "FaultyTransport",
     "FiberDamageFault",
-    "FrozenCounterFault",
     "LOOSE_PROBABILITY",
     "LinkCondition",
-    "MissedPollFault",
     "MiswiringFault",
     "REFLECTIVE_PROBABILITY",
     "RootCause",
     "SharedComponentFault",
     "TABLE2_CONTRIBUTION_RANGE",
     "TABLE2_SYMPTOM",
-    "TelemetryFault",
     "TelemetryFaultConfig",
     "TransceiverFault",
     "apply_event",

@@ -547,7 +547,9 @@ CHECKPOINT_FORMAT = "repro-checkpoint"
 #: a queued telemetry batch carries snapshot columns, not a dict.
 #: 5: a Topology pickles without its interned row tables and a PathCounter
 #: as (topology, mode, stats, told-link-state column); both rebuild the rest.
-CHECKPOINT_FORMAT_VERSION = 5
+#: 6: a fault transport holds its state columns itself, with no fault chain,
+#: and a baseline is column rows only (no object fallback).
+CHECKPOINT_FORMAT_VERSION = 6
 
 #: Service-report literals, pinned against :mod:`repro.service.service`.
 SERVICE_REPORT_FORMAT = "repro-service-report"

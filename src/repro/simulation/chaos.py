@@ -30,6 +30,7 @@ heap events on the shared kernel rather than a private tick loop.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, Optional
 
 from repro.congestion.presets import congestion_model
@@ -241,15 +242,4 @@ def chaos_preset(name: str, seed: int = 0) -> TelemetryFaultConfig:
         raise ValueError(
             f"unknown chaos preset {name!r}; choose from {sorted(CHAOS_PRESETS)}"
         )
-    base = CHAOS_PRESETS[name]
-    return TelemetryFaultConfig(
-        seed=seed,
-        missed_poll_rate=base.missed_poll_rate,
-        wrap_32bit=base.wrap_32bit,
-        reset_rate=base.reset_rate,
-        freeze_rate=base.freeze_rate,
-        freeze_duration_polls=base.freeze_duration_polls,
-        duplicate_rate=base.duplicate_rate,
-        delay_rate=base.delay_rate,
-        optical_garbage_rate=base.optical_garbage_rate,
-    )
+    return replace(CHAOS_PRESETS[name], seed=seed)

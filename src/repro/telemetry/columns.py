@@ -2,17 +2,17 @@
 
 The array-form poll tick keeps per-direction state in numpy columns, one
 row per direction.  :class:`DirectionIndex` hands out the row numbers;
-:class:`Baselines` holds the previous counter snapshot of every row, the
-thing both the sanitizer and the poller's raw differencing diff against.
+:class:`Baselines` holds a counter snapshot per row: the previous one the
+sanitizer and the poller's raw differencing diff against, and the fault
+transport's rebase points, stale readings and held samples.
 """
 
 from __future__ import annotations
 
-from typing import Dict, NamedTuple, Optional, Sequence
+from typing import Dict, NamedTuple, Sequence
 
 import numpy as np
 
-from repro.telemetry.counters import CounterSnapshot
 from repro.topology.elements import DirectionId
 
 #: Integers of smaller magnitude convert to float64 exactly, so int64
@@ -86,14 +86,9 @@ class DirectionIndex:
 
 
 class Baselines:
-    """The previous counter snapshot of each row.
-
-    Counters live in int64 columns.  A snapshot those cannot hold exactly
-    (a value that is not an ``int`` or reaches ±2**53 — garbage from a
-    faulty device, never the poller's own counters) is kept as the object
-    it arrived as; :meth:`inexact_rows` lists those rows so array code can
-    leave them to the scalar path.
-    """
+    """The previous counter snapshot of each row, as int64 counter columns
+    (values below 2**53 in magnitude) and a float64 time column;
+    ``known`` marks the rows that hold one."""
 
     def __init__(self):
         self.known = np.zeros(0, dtype=bool)
@@ -101,45 +96,29 @@ class Baselines:
         self.total = np.zeros(0, dtype=np.int64)
         self.errors = np.zeros(0, dtype=np.int64)
         self.drops = np.zeros(0, dtype=np.int64)
-        self._objects: Dict[int, CounterSnapshot] = {}
 
     def resize(self, rows: int) -> None:
-        for name in ("known", "time_s", "total", "errors", "drops"):
+        for name in _BASELINE_COLUMNS:
             setattr(self, name, grow(getattr(self, name), rows))
 
-    def get(self, row: int) -> Optional[CounterSnapshot]:
-        if not self.known[row]:
-            return None
-        if row in self._objects:
-            return self._objects[row]
-        return CounterSnapshot(
-            self.time_s.item(row),
-            self.total.item(row),
-            self.errors.item(row),
-            self.drops.item(row),
-        )
-
-    def set(self, row: int, snapshot: CounterSnapshot) -> None:
-        counters = (snapshot.total, snapshot.errors, snapshot.drops)
-        if all(type(v) is int and -EXACT_INT < v < EXACT_INT for v in counters):
-            self.time_s[row] = snapshot.time_s
-            self.total[row], self.errors[row], self.drops[row] = counters
-            self._objects.pop(row, None)
-        else:
-            self._objects[row] = snapshot
-        self.known[row] = True
+    def subset(self, rows) -> "Baselines":
+        """The baselines of ``rows`` alone, renumbered from 0."""
+        part = Baselines()
+        for name in _BASELINE_COLUMNS:
+            setattr(part, name, getattr(self, name)[rows])
+        return part
 
     def take(self, rows) -> Snapshots:
-        """The snapshots of ``rows`` as columns (rows outside
-        :meth:`inexact_rows`; the entry of an unknown row means nothing)."""
+        """The snapshots of ``rows`` as columns (the entry of an unknown
+        row means nothing)."""
         return Snapshots(
             self.time_s[rows], self.total[rows], self.errors[rows],
             self.drops[rows],
         )
 
     def set_rows(self, rows, time_s, total, errors, drops) -> None:
-        """Array form of :meth:`set` for rows outside :meth:`inexact_rows`
-        and counters below 2**53; ``time_s`` is one time or one per row."""
+        """Store one snapshot per row; ``time_s`` is one time or one per
+        row."""
         self.known[rows] = True
         self.time_s[rows] = time_s
         self.total[rows] = total
@@ -149,9 +128,6 @@ class Baselines:
     def forget(self, rows) -> None:
         """Drop the baseline of a row, or of an array of rows."""
         self.known[rows] = False
-        if self._objects:
-            for row in np.atleast_1d(rows).tolist():
-                self._objects.pop(row, None)
 
-    def inexact_rows(self) -> Sequence[int]:
-        return list(self._objects)
+
+_BASELINE_COLUMNS = ("known", "time_s", "total", "errors", "drops")

@@ -11,19 +11,16 @@ columns are advanced, the transport and the sanitizer work on the columns,
 the store appends a column.  A direction can deliver several snapshots in
 one poll (a duplicate, a sample a delay held back); the first of each is
 one wave of rows, the later ones further, much shorter waves, and the
-sanitizer and the store take a wave per call.  The per-sample API
-(``transport.deliver``, ``sanitizer.ingest`` / ``observe_missing``,
-``store.append_rates``) is left with what the array forms defer: a
-transport or fault chain without an array form, counters the int64
-columns cannot hold, and — while a recorder is enabled — rows whose
-quality push could start or end a quarantine; see DESIGN.md §8.
+sanitizer and the store take a wave per call.  There is no other path:
+the per-sample methods (``transport.deliver``, ``sanitizer.ingest`` /
+``observe_missing``, ``store.append_rates``) are one-row calls of the
+array forms, and the tick calls none of them; see DESIGN.md §8.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import itemgetter
 from typing import (
     Callable,
     Dict,
@@ -44,10 +41,8 @@ from repro.telemetry.columns import (
     Snapshots,
     grow,
 )
-from repro.telemetry.counters import CounterSnapshot
 from repro.telemetry.sanitizer import (
     RatedRows,
-    SampleQuality,
     TelemetrySanitizer,
     delta_ratios,
 )
@@ -99,20 +94,6 @@ class DirectionTable:
     sanitizer_rows: Optional[np.ndarray]
 
 
-def deliver_each(
-    deliver, direction_ids, time_s: float, total, errors, drops
-) -> List[List[CounterSnapshot]]:
-    """A tick's raw counter columns through a per-sample ``deliver``, row
-    by row: what each direction delivered."""
-    return [
-        deliver(did, CounterSnapshot(time_s, *counters))
-        for did, counters in zip(
-            direction_ids,
-            zip(total.tolist(), errors.tolist(), drops.tolist()),
-        )
-    ]
-
-
 @dataclass(frozen=True)
 class TelemetryBatch:
     """What one poll delivered for a run of directions.
@@ -134,7 +115,6 @@ class TelemetryBatch:
     missed: np.ndarray
     later_entry: np.ndarray
     later: Snapshots
-    scalar: Optional[List[List[CounterSnapshot]]] = None
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -158,16 +138,12 @@ class TelemetryBatch:
                 self.first.take(span),
                 self.missed[span],
                 *later,
-                None if self.scalar is None else self.scalar[span],
             )
 
     @classmethod
     def join(cls, parts: Sequence["TelemetryBatch"]) -> "TelemetryBatch":
         """Batches of one ``time_s`` as one batch, entries in the order
         given (what :meth:`parts` undoes)."""
-        scalar = None
-        if parts[0].scalar is not None:
-            scalar = [snapshots for part in parts for snapshots in part.scalar]
         # Each part's later entries count from its own first entry.
         starts = list(accumulate([0] + [len(part) for part in parts[:-1]]))
         counts = [len(part.later_entry) for part in parts]
@@ -179,7 +155,6 @@ class TelemetryBatch:
             np.concatenate([part.later_entry for part in parts])
             + np.repeat(starts, counts),
             Snapshots.join([part.later for part in parts]),
-            scalar,
         )
 
     def lost(self) -> "TelemetryBatch":
@@ -245,11 +220,9 @@ class ConstantTraffic:
         return np.full(len(direction_ids), self.packets, dtype=np.int64), None
 
 
-#: One rated sample on its way to ``store.append_rates``.
-_Sample = Tuple[DirectionId, float, float, float, float, SampleQuality]
 #: A rated batch: per wave the store rows, sample times and array pass's
-#: result, and the per-sample path's samples.
-_Rated = Tuple[List[Tuple[np.ndarray, np.ndarray, RatedRows]], List[_Sample]]
+#: result.
+_Rated = List[Tuple[np.ndarray, np.ndarray, RatedRows]]
 
 
 class SnmpPoller:
@@ -272,13 +245,13 @@ class SnmpPoller:
             congestion drops (default: none).
         interval_s: Poll spacing.
         transport: Optional delivery shim between the device counters and
-            the collector.  Must expose ``deliver(direction_id, snapshot)
-            -> List[CounterSnapshot]`` (empty = missed poll, several =
-            duplicated / late samples) and ``deliver_optical(link_id,
-            reading) -> OpticalReading``; see :mod:`repro.faults.
-            telemetry_faults`, whose transport also has the array form
-            ``deliver_rows`` the tick prefers.  ``None`` (the default)
-            keeps the happy path untouched.
+            the collector.  Must expose ``deliver_rows(direction_ids,
+            time_s, total, errors, drops)``, returning a tick's
+            deliveries as :class:`TelemetryBatch` columns (``first``,
+            ``missed``, ``later_entry``, ``later``), and
+            ``deliver_optical(link_id, reading) -> OpticalReading``; see
+            :class:`repro.faults.telemetry_faults.FaultyTransport`.
+            ``None`` (the default) keeps the happy path untouched.
         sanitizer: Optional :class:`~repro.telemetry.sanitizer.
             TelemetrySanitizer`.  When set, delivered snapshots are
             diffed, wrap/reset-corrected, and quality-flagged by the
@@ -321,6 +294,8 @@ class SnmpPoller:
             raise ValueError(
                 "traffic_fn replaces packets_fn and congestion_fn"
             )
+        if transport is not None and not hasattr(transport, "deliver_rows"):
+            raise TypeError("a transport must have deliver_rows")
         self._topo = topo
         self._store = store
         self._traffic_fn = traffic_fn
@@ -431,8 +406,8 @@ class SnmpPoller:
         and transport delivery), sanitize (diffing / quality rating), and
         store — each traced as a child span of ``poll``.  Rows are
         processed in direction-table order wherever order can be
-        observed: traffic callables, fault-transport RNG draws, and the
-        per-sample fallback.
+        observed: traffic callables, fault-transport RNG draws, and
+        quarantine transitions.
 
         Returns:
             The poll timestamp.
@@ -518,17 +493,12 @@ class SnmpPoller:
         self._total[rows], self._errors[rows], self._drops[rows] = (
             total, errors, drops,
         )
-        transport = self.transport
-        deliver_rows = getattr(transport, "deliver_rows", None)
-        if deliver_rows is not None:
+        if self.transport is not None:
             return TelemetryBatch(
                 now, rows,
-                *deliver_rows(direction_ids, now, total, errors, drops),
-            )
-        scalar = None
-        if transport is not None:
-            scalar = deliver_each(
-                transport.deliver, direction_ids, now, total, errors, drops
+                *self.transport.deliver_rows(
+                    direction_ids, now, total, errors, drops
+                ),
             )
         return TelemetryBatch(
             now,
@@ -536,15 +506,11 @@ class SnmpPoller:
             Snapshots(np.full(len(rows), now), total, errors, drops),
             np.zeros(len(rows), dtype=bool),
             *NO_DELIVERIES,
-            scalar,
         )
 
     def _sanitize(self, batch: TelemetryBatch) -> _Rated:
         """Count the missed polls of a batch, then rate it."""
-        if batch.scalar is None:
-            lost = int(np.count_nonzero(batch.missed))
-        else:
-            lost = sum(1 for snapshots in batch.scalar if not snapshots)
+        lost = int(np.count_nonzero(batch.missed))
         if lost:
             self.missed_polls += lost
             if self.obs.enabled:
@@ -553,103 +519,43 @@ class SnmpPoller:
 
     def _rate(self, batch: TelemetryBatch) -> _Rated:
         """Turn a batch into rated samples: one array pass per wave of
-        deliveries (the sanitizer, or raw differencing without one), then
-        the per-sample path, in direction order, for what those deferred
-        — and for every entry of a transport without an array form."""
+        deliveries (the sanitizer, or raw differencing without one).  The
+        quarantine transitions of all waves follow, in batch-entry order,
+        each entry's in arrival order."""
         table = self.directions
-        singles: List[_Sample] = []
-        if batch.scalar is not None:
-            for row, snapshots in zip(batch.rows.tolist(), batch.scalar):
-                self._rate_one(row, snapshots, batch.time_s, singles)
-            return [], singles
-        waves, deferred = [], []
-        defer = np.zeros(len(batch), dtype=bool)
-        for entries, snapshots in batch.waves():
+        waves, flips = [], []
+        for wave, (entries, snapshots) in enumerate(batch.waves()):
             rows = batch.rows[entries]
             if self.sanitizer is None:
                 rate, state_rows = self._raw_diff_rows, rows
             else:
                 rate = self.sanitizer.ingest_rows
                 state_rows = table.sanitizer_rows[rows]
-            # Only a first delivery can be missing; an entry once deferred
-            # stays deferred, so that its deliveries keep their order.
+            # Only a first delivery can be missing.
             missed = np.zeros(len(rows), dtype=bool) if waves else batch.missed
             done = rate(
-                state_rows, *snapshots, table.capacity_pkts_per_s[rows],
-                missed, defer[entries],
+                state_rows, *snapshots, table.capacity_pkts_per_s[rows], missed
             )
-            defer[entries] = done.deferred
             waves.append((table.store_rows[rows], snapshots.time_s, done))
-            for i in np.flatnonzero(done.deferred).tolist():
-                delivered = [] if missed[i] else [
-                    CounterSnapshot(*(col[i].item() for col in snapshots))
-                ]
-                deferred.append((int(entries[i]), delivered))
-        # Direction order; the sort is stable, so arrival order within one.
-        for entry, delivered in sorted(deferred, key=itemgetter(0)):
-            self._rate_one(
-                int(batch.rows[entry]), delivered, batch.time_s, singles
-            )
-        return waves, singles
-
-    def _rate_one(
-        self,
-        row: int,
-        snapshots: List[CounterSnapshot],
-        now: float,
-        singles: List[_Sample],
-    ) -> None:
-        """The per-sample path for one direction's deliveries."""
-        table = self.directions
-        did = table.direction_ids[row]
-        capacity = float(table.capacity_pkts_per_s[row])
-        sanitizer = self.sanitizer
-        if not snapshots:
-            if sanitizer is not None:
-                sanitizer.observe_missing(did, now)
-            return
-        for snap in snapshots:
-            if sanitizer is not None:
-                sample = sanitizer.ingest(
-                    did, snap, capacity_pkts_per_s=capacity
-                )
-                if sample is not None:
-                    singles.append((
-                        did,
-                        sample.time_s,
-                        sample.corruption,
-                        sample.congestion,
-                        sample.utilization,
-                        sample.quality,
-                    ))
-                continue
-            previous = self._previous.get(row)
-            if previous is not None and snap.time_s > previous.time_s:
-                interval = snap.time_s - previous.time_s
-                sent = max(0, snap.total - previous.total)
-                singles.append((
-                    did,
-                    snap.time_s,
-                    snap.corruption_rate_since(previous),
-                    snap.congestion_rate_since(previous),
-                    min(1.0, sent / (capacity * interval))
-                    if capacity > 0 else 0.0,
-                    SampleQuality.OK,
-                ))
-            if previous is None or snap.time_s >= previous.time_s:
-                self._previous.set(row, snap)
+            if done.flips is not None:
+                for i in np.flatnonzero(done.flips).tolist():
+                    flips.append((int(entries[i]), wave, done.flips[i] > 0))
+        if flips:
+            ids = table.direction_ids
+            self.sanitizer.emit_transitions([
+                (ids[batch.rows[entry]], entered)
+                for entry, _wave, entered in sorted(flips)
+            ])
+        return waves
 
     def _raw_diff_rows(
-        self, rows, time_s, total, errors, drops, capacity, missed, defer
+        self, rows, time_s, total, errors, drops, capacity, missed
     ) -> RatedRows:
         """Raw differencing of one snapshot per row against the previous
-        one: the array form of :meth:`_rate_one` without a sanitizer."""
+        one (no sanitizer): a sample whenever time advanced, rates
+        clipped to [0, 1], the baseline moved unless time went back."""
         previous = self._previous
-        deferred = defer
-        inexact = previous.inexact_rows()
-        if inexact:
-            deferred = defer | (~missed & np.isin(rows, inexact))
-        delivered = ~missed & ~deferred
+        delivered = ~missed
         known = previous.known[rows]
         dt = time_s - previous.time_s[rows]
         corruption, congestion, utilization = (
@@ -668,7 +574,6 @@ class SnmpPoller:
             drops[reseed],
         )
         return RatedRows(
-            deferred,
             delivered & known & (dt > 0),
             corruption,
             congestion,
@@ -678,9 +583,8 @@ class SnmpPoller:
 
     def _store_rated(self, rated: _Rated) -> int:
         """Append a batch's samples to the store; returns how many."""
-        waves, singles = rated
-        stored = len(singles)
-        for store_rows, time_s, done in waves:
+        stored = 0
+        for store_rows, time_s, done in rated:
             keep = done.rated
             stored += int(np.count_nonzero(keep))
             self._store.append_rows(
@@ -690,17 +594,6 @@ class SnmpPoller:
                 done.congestion[keep],
                 done.utilization[keep],
                 done.quality[keep],
-            )
-        for did, time_s, corruption, congestion, utilization, quality in (
-            singles
-        ):
-            self._store.append_rates(
-                did,
-                time_s,
-                corruption=corruption,
-                congestion=congestion,
-                utilization=utilization,
-                quality=quality,
             )
         return stored
 

@@ -53,8 +53,8 @@ class SampleQuality(enum.Enum):
     MISSING = "missing"            # the poll never arrived
 
     # Members are singletons, so identity hashing is equivalent to the
-    # default name hash — but C-speed, which matters for the per-sample
-    # set probes and count-dict keys on the sanitizer hot path.
+    # default name hash — but C-speed, for the set probes and count-dict
+    # keys that take qualities.
     __hash__ = object.__hash__
 
     @property
@@ -70,8 +70,7 @@ class SampleQuality(enum.Enum):
         return _QUALITY_CODES[self]
 
 
-#: Membership here is the hot-path form of :attr:`SampleQuality.degraded`
-#: (a frozenset probe skips the property descriptor on per-sample paths).
+#: The qualities :attr:`SampleQuality.degraded` holds for.
 _DEGRADED_QUALITIES = frozenset(
     (SampleQuality.SUSPECT, SampleQuality.MISSING)
 )
@@ -93,7 +92,6 @@ class SanitizedSample:
         congestion: Congestion loss rate, guaranteed in [0, 1].
         utilization: Interval utilization, guaranteed in [0, 1].
         quality: Trust flag.
-        note: Human-readable cause when quality is not OK.
     """
 
     direction_id: DirectionId
@@ -102,7 +100,6 @@ class SanitizedSample:
     congestion: float = 0.0
     utilization: float = 0.0
     quality: SampleQuality = SampleQuality.OK
-    note: str = ""
 
 
 @dataclass
@@ -118,14 +115,6 @@ class SanitizerStats:
     freezes_detected: int = 0
     gaps_bridged: int = 0
     clamps: int = 0
-
-
-def _finite(*values) -> bool:
-    try:
-        return all(math.isfinite(v) for v in values)
-    except OverflowError:
-        # An int too large for a float is as unusable as a NaN.
-        return False
 
 
 def delta_ratios(d_total, d_errors, d_drops, capacity, dt):
@@ -153,17 +142,19 @@ def delta_ratios(d_total, d_errors, d_drops, capacity, dt):
 class RatedRows:
     """What :meth:`TelemetrySanitizer.ingest_rows` did with each input row.
 
-    All fields are aligned with the input.  ``deferred`` rows were not
-    touched and must go through the per-sample API, in direction order;
-    ``rated`` rows produced the sample in the four value columns.
+    All fields are aligned with the input.  ``rated`` rows produced the
+    sample in the four value columns.  ``flips`` is ``None`` unless a
+    recorder is enabled; then it holds +1 where the row's push started a
+    quarantine, -1 where it ended one, 0 elsewhere (see
+    :meth:`TelemetrySanitizer.emit_transitions`).
     """
 
-    deferred: np.ndarray
     rated: np.ndarray
     corruption: np.ndarray
     congestion: np.ndarray
     utilization: np.ndarray
     quality: np.ndarray
+    flips: Optional[np.ndarray] = None
 
 
 class TelemetrySanitizer:
@@ -171,14 +162,15 @@ class TelemetrySanitizer:
 
     Per-direction state (the diff baseline and a ring of the last
     ``window`` quality codes) lives in numpy columns, one row per
-    direction.  :meth:`ingest` / :meth:`observe_missing` are the
-    per-sample API; :meth:`ingest_rows` rates one delivery per row for a
-    whole poll tick with the same arithmetic as array operations.
+    direction.  :meth:`ingest_rows` rates one delivery per row for a whole
+    poll tick; :meth:`ingest` / :meth:`observe_missing` are one-row calls
+    of it.
 
     Args:
         interval_s: Nominal polling interval (gap detection baseline).
-        wrap_modulus: Counter width; deltas are unwrapped modulo this when
-            a wrap is the plausible explanation for a backwards counter.
+        wrap_modulus: Counter width, at most 2**53; deltas are unwrapped
+            modulo this when a wrap is the plausible explanation for a
+            backwards counter.
         window: Number of recent samples considered for quarantine.
         quarantine_threshold: Quarantine a direction when the fraction of
             degraded (SUSPECT/MISSING) samples in the window reaches this.
@@ -202,6 +194,11 @@ class TelemetrySanitizer:
             raise ValueError("quarantine threshold outside (0, 1]")
         if window < 1:
             raise ValueError("window must hold at least one sample")
+        if not 0 < wrap_modulus <= EXACT_INT:
+            raise ValueError(
+                f"wrap_modulus {wrap_modulus} outside (0, 2**53]: the "
+                "counter columns are int64 below 2**53"
+            )
         self.interval_s = interval_s
         self.wrap_modulus = wrap_modulus
         self.window = window
@@ -218,71 +215,28 @@ class TelemetrySanitizer:
         self._pushes = np.zeros(0, dtype=np.int64)
         # Observability bookkeeping, only maintained while enabled: the
         # rows last seen quarantined (churn detection) and batched
-        # per-quality sample counts (flushed at scrape time so the
-        # per-sample hot path stays one dict increment).
-        self._quarantined_rows: set = set()
+        # per-quality sample counts (flushed at scrape time).
+        self._flagged = np.zeros(0, dtype=bool)
         self._quality_counts: Dict[SampleQuality, int] = {}
 
     # ------------------------------------------------------------------ #
     # Rows
     # ------------------------------------------------------------------ #
 
-    def _allocate(self) -> None:
-        if len(self._index) > len(self._pushes):
-            rows = self._index.capacity_for(len(self._pushes))
-            self._prev.resize(rows)
-            self._ring = grow(self._ring, rows)
-            self._pushes = grow(self._pushes, rows)
-
-    def _row(self, direction_id: DirectionId) -> int:
-        row = self._index.row(direction_id)
-        self._allocate()
-        return row
-
     def rows_for(self, direction_ids: Sequence[DirectionId]) -> np.ndarray:
         """Row numbers of ``direction_ids`` for :meth:`ingest_rows`."""
         rows = self._index.rows(direction_ids)
-        self._allocate()
+        if len(self._index) > len(self._pushes):
+            size = self._index.capacity_for(len(self._pushes))
+            self._prev.resize(size)
+            self._ring = grow(self._ring, size)
+            self._pushes = grow(self._pushes, size)
+            self._flagged = grow(self._flagged, size)
         return rows
 
     # ------------------------------------------------------------------ #
     # Ingestion
     # ------------------------------------------------------------------ #
-
-    def _push_quality(
-        self, direction_id: DirectionId, row: int, quality: SampleQuality
-    ) -> None:
-        self._ring[row, self._pushes[row] % self.window] = quality.code
-        self._pushes[row] += 1
-        if self.obs.enabled:
-            counts = self._quality_counts
-            counts[quality] = counts.get(quality, 0) + 1
-            # Quarantine can only *start* when the pushed sample is
-            # degraded (a clean sample never raises the degraded fraction)
-            # and only *end* when the direction was quarantined, so the
-            # O(window) verdict is recomputed just for those cases.
-            quarantined_rows = self._quarantined_rows
-            was_quarantined = row in quarantined_rows
-            if was_quarantined or quality in _DEGRADED_QUALITIES:
-                now_quarantined = self.quarantined(direction_id)
-                if now_quarantined != was_quarantined:
-                    if now_quarantined:
-                        quarantined_rows.add(row)
-                    else:
-                        quarantined_rows.discard(row)
-                    self.obs.count(
-                        "sanitizer_quarantine_transitions_total",
-                        transition="enter" if now_quarantined else "leave",
-                    )
-                    self.obs.gauge(
-                        "sanitizer_quarantined_directions",
-                        len(quarantined_rows),
-                    )
-                    self.obs.event(
-                        "quarantine",
-                        direction="->".join(direction_id),
-                        entered=now_quarantined,
-                    )
 
     def flush_obs_counts(self) -> None:
         """Emit the batched per-quality sample counts to the recorder."""
@@ -296,19 +250,55 @@ class TelemetrySanitizer:
             self.obs.count("sanitizer_samples_total", count, quality=quality)
         self._quality_counts.clear()
 
+    def emit_transitions(
+        self, transitions: Sequence[Tuple[DirectionId, bool]]
+    ) -> None:
+        """Emit quarantine transitions ``(direction, entered)`` the passes
+        since the last call flagged (:attr:`RatedRows.flips`), in the order
+        given: a counter, the quarantined-directions gauge at its running
+        count, and a ``quarantine`` event each."""
+        obs = self.obs
+        running = int(np.count_nonzero(self._flagged)) - sum(
+            1 if entered else -1 for _, entered in transitions
+        )
+        for direction_id, entered in transitions:
+            entered = bool(entered)
+            running += 1 if entered else -1
+            obs.count(
+                "sanitizer_quarantine_transitions_total",
+                transition="enter" if entered else "leave",
+            )
+            obs.gauge("sanitizer_quarantined_directions", running)
+            obs.event(
+                "quarantine",
+                direction="->".join(direction_id),
+                entered=entered,
+            )
+
+    def _ingest_one(
+        self, direction_id, time_s, counters, capacity_pkts_per_s, missed
+    ) -> RatedRows:
+        done = self.ingest_rows(
+            self.rows_for([direction_id]),
+            np.array([time_s]),
+            *(np.array([value], dtype=np.int64) for value in counters),
+            np.array([capacity_pkts_per_s], dtype=np.float64),
+            np.array([missed]),
+        )
+        if done.flips is not None and done.flips[0]:
+            self.emit_transitions([(direction_id, done.flips[0] > 0)])
+        return done
+
     def observe_missing(
         self, direction_id: DirectionId, time_s: float
     ) -> SanitizedSample:
-        """Record that a poll for ``direction_id`` never arrived."""
-        self.stats.missing += 1
-        self._push_quality(
-            direction_id, self._row(direction_id), SampleQuality.MISSING
-        )
+        """Record that a poll for ``direction_id`` never arrived: a one-row
+        :meth:`ingest_rows`."""
+        self._ingest_one(direction_id, math.nan, (0, 0, 0), 0.0, True)
         return SanitizedSample(
             direction_id=direction_id,
             time_s=time_s,
             quality=SampleQuality.MISSING,
-            note="poll missed",
         )
 
     def ingest(
@@ -317,104 +307,42 @@ class TelemetrySanitizer:
         snapshot: CounterSnapshot,
         capacity_pkts_per_s: float = 0.0,
     ) -> Optional[SanitizedSample]:
-        """Sanitize one delivered snapshot against the previous one.
+        """Sanitize one delivered snapshot against the previous one: a
+        one-row :meth:`ingest_rows`.
+
+        A snapshot with a non-finite time, or with a counter that is not
+        an int below 2**53 in magnitude, is rated SUSPECT (and counted in
+        ``stats.samples``) with the baseline kept.
 
         Returns:
             A rated sample, or ``None`` when the snapshot only seeds the
             baseline or must be discarded (duplicate / out-of-order).
         """
-        row = self._row(direction_id)
-        if not _finite(
-            snapshot.time_s, snapshot.total, snapshot.errors, snapshot.drops
-        ):
-            # Garbage snapshot: count it, poison the window, keep baseline.
-            self.stats.samples += 1
-            self._push_quality(direction_id, row, SampleQuality.SUSPECT)
-            return SanitizedSample(
-                direction_id=direction_id,
-                time_s=snapshot.time_s if _finite(snapshot.time_s) else 0.0,
-                quality=SampleQuality.SUSPECT,
-                note="non-finite counter values",
-            )
-
-        previous = self._prev.get(row)
-        if previous is None:
-            self._prev.set(row, snapshot)
-            return None  # first sample only seeds the diff baseline
-
-        dt = snapshot.time_s - previous.time_s
-        if dt == 0:
-            self.stats.duplicates_dropped += 1
-            self._push_quality(direction_id, row, SampleQuality.SUSPECT)
+        try:
+            stamp = float(snapshot.time_s)
+        except (OverflowError, TypeError, ValueError):
+            stamp = math.nan
+        counters = (snapshot.total, snapshot.errors, snapshot.drops)
+        exact = all(
+            isinstance(v, (int, np.integer)) and -EXACT_INT < v < EXACT_INT
+            for v in counters
+        )
+        done = self._ingest_one(
+            direction_id,
+            stamp if exact else math.nan,  # NaN: garbage to the pass
+            counters if exact else (0, 0, 0),
+            capacity_pkts_per_s,
+            False,
+        )
+        if not done.rated[0]:
             return None
-        if dt < 0:
-            self.stats.out_of_order_dropped += 1
-            self._push_quality(direction_id, row, SampleQuality.SUSPECT)
-            return None
-
-        self.stats.samples += 1
-        quality = SampleQuality.OK
-        note = ""
-
-        d_total = snapshot.total - previous.total
-        d_errors = snapshot.errors - previous.errors
-        d_drops = snapshot.drops - previous.drops
-
-        if d_total < 0 or d_errors < 0 or d_drops < 0:
-            unwrapped_total = d_total % self.wrap_modulus
-            plausible = self._counters_fit_modulus(
-                previous, snapshot
-            ) and self._wrap_plausible(
-                unwrapped_total, dt, capacity_pkts_per_s
-            )
-            if plausible:
-                # 32-bit wrap: unwrap every counter that went backwards.
-                d_total = unwrapped_total
-                d_errors %= self.wrap_modulus
-                d_drops %= self.wrap_modulus
-                quality = SampleQuality.INTERPOLATED
-                note = "32-bit counter wrap unwrapped"
-                self.stats.wraps_unwrapped += 1
-            else:
-                # Counter reset (switch reboot): the new reading restarts
-                # from zero, so the post-boot values are the best estimate
-                # of the interval's traffic.
-                d_total = snapshot.total
-                d_errors = snapshot.errors
-                d_drops = snapshot.drops
-                quality = SampleQuality.SUSPECT
-                note = "counter reset detected"
-                self.stats.resets_detected += 1
-        elif d_total == 0 and capacity_pkts_per_s > 0:
-            # No packet movement on a link that should carry traffic: a
-            # frozen counter (or a genuinely silent interval — we cannot
-            # tell, which is exactly why it is only SUSPECT).
-            quality = SampleQuality.SUSPECT
-            note = "frozen counters (no movement)"
-            self.stats.freezes_detected += 1
-        elif dt > 1.5 * self.interval_s and quality is SampleQuality.OK:
-            # Rates derived across a polling gap are averages over the
-            # whole gap, not one interval: usable but reconstructed.
-            quality = SampleQuality.INTERPOLATED
-            note = f"bridged {dt / self.interval_s:.1f}-interval gap"
-            self.stats.gaps_bridged += 1
-
-        corruption = self._ratio(d_errors, d_total)
-        congestion = self._ratio(d_drops, d_total)
-        utilization = 0.0
-        if capacity_pkts_per_s > 0 and dt > 0:
-            utilization = self._clamp(d_total / (capacity_pkts_per_s * dt))
-
-        self._prev.set(row, snapshot)
-        self._push_quality(direction_id, row, quality)
         return SanitizedSample(
             direction_id=direction_id,
-            time_s=snapshot.time_s,
-            corruption=corruption,
-            congestion=congestion,
-            utilization=utilization,
-            quality=quality,
-            note=note,
+            time_s=stamp if math.isfinite(stamp) else 0.0,
+            corruption=done.corruption.item(0),
+            congestion=done.congestion.item(0),
+            utilization=done.utilization.item(0),
+            quality=QUALITY_BY_CODE[done.quality.item(0)],
         )
 
     def ingest_rows(
@@ -426,35 +354,30 @@ class TelemetrySanitizer:
         drops: np.ndarray,
         capacity_pkts_per_s: np.ndarray,
         missed: np.ndarray,
-        defer: np.ndarray,
     ) -> RatedRows:
-        """Array form of :meth:`ingest` / :meth:`observe_missing`.
-
-        One delivery for each of the distinct ``rows`` (from
-        :meth:`rows_for`): a snapshot taken at ``time_s[i]`` with the
-        given int64 counters (all below 2**53), or, where ``missed``, no
+        """Rate one delivery for each of the distinct ``rows`` (from
+        :meth:`rows_for`): a snapshot taken at ``time_s[i]`` with the given
+        int64 counters (below 2**53 in magnitude), or, where ``missed``, no
         delivery.  A row that delivers several snapshots in one poll takes
-        one call per snapshot, in arrival order.  Every row the pass
-        commits ends in exactly the state the per-sample methods would
-        leave it in, duplicate and out-of-order timestamps included.  It
-        defers (leaves untouched, see :class:`RatedRows`) the rows the
-        caller marks in ``defer`` and what the per-sample methods must
-        handle themselves: non-finite timestamps, baselines the int64
-        columns cannot hold, and — while a recorder is enabled — any row
-        whose push could start or end a quarantine, because the
-        transition events are emitted in direction order.
+        one call per snapshot, in arrival order.
+
+        Per row: a missed poll pushes MISSING; a non-finite ``time_s`` is
+        garbage, rated SUSPECT with the baseline kept; the first snapshot
+        only seeds the baseline; one not newer than the baseline is a
+        duplicate (``dt == 0``) or out of order (``dt < 0``), dropped with
+        a SUSPECT push; the rest are rated — backwards counters as a wrap
+        when every value fits the modulus and the unwrapped delta fits the
+        interval's capacity with 2x slack, else as a reset; zero movement
+        on a link with capacity as a freeze; a diff across a polling gap
+        as INTERPOLATED — and every ratio clamped to [0, 1].
         """
         prev = self._prev
-        missed = missed & ~defer
-        delivered = ~missed & ~defer
+        delivered = ~missed
         known = prev.known[rows]
         dt = time_s - prev.time_s[rows]
-        deferred = defer | (delivered & ~np.isfinite(time_s))
-        inexact = prev.inexact_rows()
-        if inexact:
-            deferred |= delivered & np.isin(rows, inexact)
-        seeding = delivered & ~known & ~deferred
-        again = delivered & known & ~deferred
+        garbage = delivered & ~np.isfinite(time_s)
+        seeding = delivered & ~garbage & ~known
+        again = delivered & ~garbage & known
         # Not newer than the baseline: counted, held against the window,
         # otherwise ignored.
         duplicate = again & (dt == 0)
@@ -465,41 +388,35 @@ class TelemetrySanitizer:
         d_errors = errors - prev.errors[rows]
         d_drops = drops - prev.drops[rows]
         quality = np.where(missed, _MISSING, _OK).astype(np.int8)
-        quality[duplicate | stale] = _SUSPECT
+        quality[duplicate | stale | garbage] = _SUSPECT
         backwards = rated & ((d_total < 0) | (d_errors < 0) | (d_drops < 0))
         wrapped = reset = backwards
         if backwards.any():
             m = self.wrap_modulus
-            if m >= EXACT_INT:
-                # Too wide for int64 arithmetic: the scalar path's job.
-                deferred |= backwards
-                rated &= ~backwards
-                wrapped = reset = backwards = np.zeros_like(backwards)
-            else:
-                unwrapped_total = d_total % m
-                fits = (
-                    np.maximum.reduce(
-                        (prev.total[rows], prev.errors[rows],
-                         prev.drops[rows], total, errors, drops)
-                    )
-                    < m
+            unwrapped_total = d_total % m
+            fits = (
+                np.maximum.reduce(
+                    (prev.total[rows], prev.errors[rows],
+                     prev.drops[rows], total, errors, drops)
                 )
-                plausible = fits & np.where(
-                    capacity_pkts_per_s > 0,
-                    unwrapped_total <= 2.0 * capacity_pkts_per_s * dt,
-                    unwrapped_total < m // 4,
-                )
-                wrapped = backwards & plausible
-                reset = backwards & ~plausible
-                d_total = np.where(
-                    wrapped, unwrapped_total, np.where(reset, total, d_total)
-                )
-                d_errors = np.where(
-                    wrapped, d_errors % m, np.where(reset, errors, d_errors)
-                )
-                d_drops = np.where(
-                    wrapped, d_drops % m, np.where(reset, drops, d_drops)
-                )
+                < m
+            )
+            plausible = fits & np.where(
+                capacity_pkts_per_s > 0,
+                unwrapped_total <= 2.0 * capacity_pkts_per_s * dt,
+                unwrapped_total < m // 4,
+            )
+            wrapped = backwards & plausible
+            reset = backwards & ~plausible
+            d_total = np.where(
+                wrapped, unwrapped_total, np.where(reset, total, d_total)
+            )
+            d_errors = np.where(
+                wrapped, d_errors % m, np.where(reset, errors, d_errors)
+            )
+            d_drops = np.where(
+                wrapped, d_drops % m, np.where(reset, drops, d_drops)
+            )
         frozen = (
             rated & ~backwards & (d_total == 0) & (capacity_pkts_per_s > 0)
         )
@@ -507,26 +424,15 @@ class TelemetrySanitizer:
         quality[wrapped | bridged] = _INTERPOLATED
         quality[reset | frozen] = _SUSPECT
 
-        obs_enabled = self.obs.enabled
-        if obs_enabled:
-            risky = quality >= _SUSPECT
-            if self._quarantined_rows:
-                risky |= np.isin(rows, list(self._quarantined_rows))
-            risky &= rated | missed | duplicate | stale
-            deferred |= risky
-            rated, missed, duplicate, stale = (
-                mask & ~risky for mask in (rated, missed, duplicate, stale)
-            )
-
         stats = self.stats
-        stats.samples += int(np.count_nonzero(rated))
+        stats.samples += int(np.count_nonzero(rated | garbage))
         stats.missing += int(np.count_nonzero(missed))
         stats.duplicates_dropped += int(np.count_nonzero(duplicate))
         stats.out_of_order_dropped += int(np.count_nonzero(stale))
-        stats.wraps_unwrapped += int(np.count_nonzero(wrapped & rated))
-        stats.resets_detected += int(np.count_nonzero(reset & rated))
-        stats.freezes_detected += int(np.count_nonzero(frozen & rated))
-        stats.gaps_bridged += int(np.count_nonzero(bridged & rated))
+        stats.wraps_unwrapped += int(np.count_nonzero(wrapped))
+        stats.resets_detected += int(np.count_nonzero(reset))
+        stats.freezes_detected += int(np.count_nonzero(frozen))
+        stats.gaps_bridged += int(np.count_nonzero(bridged))
 
         ratios = delta_ratios(
             d_total, d_errors, d_drops, capacity_pkts_per_s, dt
@@ -540,20 +446,21 @@ class TelemetrySanitizer:
                     rated & (~finite | (ratio < 0.0) | (ratio > 1.0))
                 )
             )
-            clamped.append(np.clip(ratio, 0.0, 1.0))
+            clamped.append(np.where(garbage, 0.0, np.clip(ratio, 0.0, 1.0)))
 
         commit = rated | seeding
         prev.set_rows(
             rows[commit], time_s[commit], total[commit], errors[commit],
             drops[commit],
         )
-        pushed = rated | missed | duplicate | stale
+        pushed = rated | garbage | missed | duplicate | stale
         pushed_rows = rows[pushed]
         self._ring[pushed_rows, self._pushes[pushed_rows] % self.window] = (
             quality[pushed]
         )
         self._pushes[pushed_rows] += 1
-        if obs_enabled:
+        flips = None
+        if self.obs.enabled:
             counts = self._quality_counts
             for code, count in enumerate(
                 np.bincount(quality[pushed], minlength=len(QUALITY_BY_CODE))
@@ -561,54 +468,26 @@ class TelemetrySanitizer:
                 if count:
                     member = QUALITY_BY_CODE[code]
                     counts[member] = counts.get(member, 0) + int(count)
-        return RatedRows(deferred, rated, *clamped, quality)
+            flips = self._flip(rows, pushed & (
+                self._flagged[rows] | (quality >= _SUSPECT)
+            ))
+        return RatedRows(rated | garbage, *clamped, quality, flips)
 
-    def _counters_fit_modulus(
-        self, previous: CounterSnapshot, snapshot: CounterSnapshot
-    ) -> bool:
-        """A wrap can only explain a backwards counter on a device whose
-        counters actually live below the modulus; any observed value at or
-        above it proves wider counters, making a reset the only remaining
-        explanation."""
-        m = self.wrap_modulus
-        return all(
-            v < m
-            for v in (
-                previous.total,
-                previous.errors,
-                previous.drops,
-                snapshot.total,
-                snapshot.errors,
-                snapshot.drops,
-            )
+    def _flip(self, rows: np.ndarray, check: np.ndarray) -> np.ndarray:
+        """Re-judge the ``check`` rows after their push and return the
+        flips (see :class:`RatedRows`).  A quarantine can only start on a
+        degraded push and only end on a flagged row, so only those are
+        judged."""
+        checked = rows[check]
+        total = np.minimum(self._pushes[checked], self.window)
+        degraded = np.count_nonzero(self._ring[checked] >= _SUSPECT, axis=1)
+        now = (total >= self.min_window_samples) & (
+            degraded / np.maximum(total, 1) >= self.quarantine_threshold
         )
-
-    def _wrap_plausible(
-        self, unwrapped_total: int, dt: float, capacity_pkts_per_s: float
-    ) -> bool:
-        """A wrap explains a backwards counter only if the unwrapped delta
-        fits in the interval's physical capacity (with 2x slack)."""
-        if capacity_pkts_per_s <= 0:
-            # No capacity reference: accept the wrap when the unwrapped
-            # delta is small relative to the modulus (a reset to near zero
-            # instead produces a delta close to the full modulus minus the
-            # pre-reset value, i.e. usually large).
-            return unwrapped_total < self.wrap_modulus // 4
-        return unwrapped_total <= 2.0 * capacity_pkts_per_s * dt
-
-    def _ratio(self, numerator: int, denominator: int) -> float:
-        if denominator <= 0:
-            return 0.0
-        value = numerator / denominator
-        return self._clamp(value)
-
-    def _clamp(self, value: float) -> float:
-        if not math.isfinite(value):
-            self.stats.clamps += 1
-            return 0.0
-        if value < 0.0 or value > 1.0:
-            self.stats.clamps += 1
-        return min(1.0, max(0.0, value))
+        flips = np.zeros(len(rows), dtype=np.int8)
+        flips[check] = np.where(now, 1, -1) * (now != self._flagged[checked])
+        self._flagged[checked] = now
+        return flips
 
     # ------------------------------------------------------------------ #
     # Quarantine

@@ -13,14 +13,13 @@ deliver them routinely, and the store must never take the pipeline down.
 
 Layout: one row per direction in five ``[rows × capacity]`` columns (time,
 the three rates, a quality code) plus a length vector; capacity doubles
-when a row fills up.  :meth:`TelemetryStore.append_rates` is the
-per-sample API; the poller appends a whole tick with
-:meth:`TelemetryStore.append_rows`.
+when a row fills up.  The poller appends a whole tick with
+:meth:`TelemetryStore.append_rows`; :meth:`TelemetryStore.append_rates`
+is a one-row call of it.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -91,29 +90,24 @@ class TelemetryStore:
         utilization: float,
         quality: SampleQuality = SampleQuality.OK,
     ) -> bool:
-        """Append one poll's derived rates for a direction.
+        """Append one poll's derived rates for a direction: a one-row
+        :meth:`append_rows`.
 
         Returns:
             ``True`` when stored; ``False`` when the sample was dropped
             because its timestamp does not advance the series (or is not
             finite, which would defeat every later comparison).
         """
-        row = self._index.row(direction_id)
-        self._allocate()
-        length = int(self._length[row])
-        if not math.isfinite(time_s) or (
-            length and time_s <= self._time[row, length - 1]
-        ):
-            self.dropped_samples += 1
-            return False
-        self._ensure_capacity(length + 1)
-        self._time[row, length] = time_s
-        self._corruption[row, length] = corruption
-        self._congestion[row, length] = congestion
-        self._utilization[row, length] = utilization
-        self._quality[row, length] = quality.code
-        self._length[row] = length + 1
-        return True
+        return bool(
+            self.append_rows(
+                self.rows_for([direction_id]),
+                np.array([time_s], dtype=np.float64),
+                np.array([corruption], dtype=np.float64),
+                np.array([congestion], dtype=np.float64),
+                np.array([utilization], dtype=np.float64),
+                np.array([quality.code], dtype=np.int8),
+            )
+        )
 
     def append_rows(
         self,
@@ -126,8 +120,9 @@ class TelemetryStore:
     ) -> int:
         """Append one sample to each of ``rows`` (distinct row numbers
         from :meth:`rows_for`), taken at ``time_s[i]``; ``quality`` holds
-        :attr:`SampleQuality.code` values.  Same dropping rule as
-        :meth:`append_rates`; returns how many were stored."""
+        :attr:`SampleQuality.code` values.  A sample whose time is not
+        finite or does not advance its row's series is dropped and counted
+        in :attr:`dropped_samples`; returns how many were stored."""
         if len(rows) == 0:
             return 0
         length = self._length[rows]

@@ -1,27 +1,49 @@
-"""Telemetry fault-model tests: per-fault behavior, composition, seeding."""
+"""Telemetry fault-model tests: per-fault behavior, composition, seeding.
+
+Each per-fault case runs on the reference fault
+(:mod:`tests.telemetry.reference`) and on a :class:`FaultyTransport`
+configured with that fault alone, which must deliver the same.
+"""
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
-from repro.faults import (
+from repro.faults import FaultyTransport, TelemetryFaultConfig
+from repro.telemetry import COUNTER_32BIT_MODULUS, CounterSnapshot, OpticalReading
+from tests.telemetry.reference import (
     CounterResetFault,
     CounterWrapFault,
     DelayedSampleFault,
     DuplicateSampleFault,
-    FaultyTransport,
     FrozenCounterFault,
     MissedPollFault,
-    TelemetryFaultConfig,
 )
-from repro.telemetry import COUNTER_32BIT_MODULUS, CounterSnapshot, OpticalReading
 
 DID = ("sw-a", "sw-b")
 
 
 def snap(t, total, errors=0, drops=0):
     return CounterSnapshot(time_s=t, total=total, errors=errors, drops=drops)
+
+
+def through(fault, transport, sample):
+    """What the reference fault delivers for ``sample``; the transport
+    must deliver the same.  (Rates here are 0 or 1, so the draws'
+    values do not matter.)"""
+    want = fault.apply(random.Random(0), DID, [sample])
+    assert transport.deliver(DID, sample) == want
+    return want
+
+
+def alone(**rates):
+    return FaultyTransport(TelemetryFaultConfig(**rates))
+
+
+def set_rate(transport, **rates):
+    transport.config = replace(transport.config, **rates)
 
 
 class TestConfig:
@@ -33,54 +55,61 @@ class TestConfig:
         with pytest.raises(ValueError):
             TelemetryFaultConfig(freeze_duration_polls=0)
 
-    def test_any_enabled(self):
-        assert not TelemetryFaultConfig().any_enabled()
-        assert TelemetryFaultConfig(wrap_32bit=True).any_enabled()
-        assert TelemetryFaultConfig(delay_rate=0.01).any_enabled()
-
 
 class TestIndividualFaults:
     def test_wrap_applies_modulus(self):
-        fault = CounterWrapFault()
         m = COUNTER_32BIT_MODULUS
-        [out] = fault.apply(random.Random(0), DID, [snap(900, m + 5, m + 1)])
+        fault, transport = CounterWrapFault(), alone(wrap_32bit=True)
+        [out] = through(fault, transport, snap(900, m + 5, m + 1))
         assert out.total == 5 and out.errors == 1
 
     def test_reset_rebases_persistently(self):
-        fault = CounterResetFault(rate=1.0)  # trips on the first sample
-        rng = random.Random(0)
-        [first] = fault.apply(rng, DID, [snap(900, 1000, 50)])
+        # Trips on the first sample.
+        fault, transport = CounterResetFault(rate=1.0), alone(reset_rate=1.0)
+        [first] = through(fault, transport, snap(900, 1000, 50))
         assert first.total == 0 and first.errors == 0
         fault.rate = 0.0  # no further reboots
-        [second] = fault.apply(rng, DID, [snap(1800, 1500, 80)])
+        set_rate(transport, reset_rate=0.0)
+        [second] = through(fault, transport, snap(1800, 1500, 80))
         assert second.total == 500 and second.errors == 30
 
     def test_freeze_repeats_stale_values(self):
         fault = FrozenCounterFault(rate=1.0, duration_polls=3)
-        rng = random.Random(0)
-        [a] = fault.apply(rng, DID, [snap(900, 100)])
+        transport = alone(freeze_rate=1.0, freeze_duration_polls=3)
+        [a] = through(fault, transport, snap(900, 100))
         assert a.total == 100  # freeze starts: first sample passes through
-        [b] = fault.apply(rng, DID, [snap(1800, 200)])
-        [c] = fault.apply(rng, DID, [snap(2700, 300)])
+        [b] = through(fault, transport, snap(1800, 200))
+        [c] = through(fault, transport, snap(2700, 300))
         assert b.total == 100 and c.total == 100  # stale values...
         assert b.time_s == 1800 and c.time_s == 2700  # ...fresh timestamps
 
     def test_missed_poll_drops_everything(self):
-        fault = MissedPollFault(rate=1.0)
-        assert fault.apply(random.Random(0), DID, [snap(900, 1)]) == []
+        fault, transport = MissedPollFault(rate=1.0), alone(missed_poll_rate=1.0)
+        assert through(fault, transport, snap(900, 1)) == []
+        assert transport.polls_missed == 1
 
     def test_duplicate_doubles_sample(self):
         fault = DuplicateSampleFault(rate=1.0)
-        out = fault.apply(random.Random(0), DID, [snap(900, 1)])
+        out = through(fault, alone(duplicate_rate=1.0), snap(900, 1))
         assert len(out) == 2 and out[0] == out[1]
 
     def test_delay_reorders_across_polls(self):
-        fault = DelayedSampleFault(rate=1.0)
-        rng = random.Random(0)
-        assert fault.apply(rng, DID, [snap(900, 100)]) == []  # held
+        fault, transport = DelayedSampleFault(rate=1.0), alone(delay_rate=1.0)
+        assert through(fault, transport, snap(900, 100)) == []  # held
         fault.rate = 0.0
-        out = fault.apply(rng, DID, [snap(1800, 200)])
+        set_rate(transport, delay_rate=0.0)
+        out = through(fault, transport, snap(1800, 200))
         assert [s.time_s for s in out] == [1800, 900]  # stale arrives last
+
+    @pytest.mark.parametrize(
+        "counters",
+        [(-1, 0, 0), (2**53, 0, 0), (0, 2**60, 0), (0, 0, 1.5), (0, 10**400, 0)],
+    )
+    def test_deliver_refuses_counters_outside_the_columns(self, counters):
+        transport = alone(reset_rate=0.5)
+        with pytest.raises(ValueError, match="outside"):
+            transport.deliver(DID, snap(900, *counters))
+        assert transport.polls_delivered == transport.polls_missed == 0
 
 
 class TestTransport:

@@ -11,19 +11,25 @@ from repro.simulation.chaos import ChaosSimulation, chaos_preset
 from repro.simulation.scenarios import chaos_scenario, run_scenario
 
 
-def small_chaos(obs=None):
+def small_chaos(preset, obs=None):
     scenario = chaos_scenario(scale=0.06, duration_days=1.0, seed=3)
-    kwargs = {"fault_config": chaos_preset("mild"), "seed": 3}
+    kwargs = {"fault_config": chaos_preset(preset), "seed": 3}
     if obs is not None:
         kwargs["obs"] = obs
     return ChaosSimulation(scenario, **kwargs)
 
 
 class TestChaosDeterminism:
+    """Under the ``mild`` preset; :class:`TestHarshChaosDeterminism` runs
+    the same tests under ``harsh``, whose quarantines the recorder
+    reports."""
+
+    preset = "mild"
+
     def test_instrumented_run_bit_identical(self):
-        baseline = small_chaos().run()
+        baseline = small_chaos(self.preset).run()
         obs = ObsRecorder(manifest=build_manifest("test", with_git=False))
-        instrumented = small_chaos(obs=obs).run()
+        instrumented = small_chaos(self.preset, obs=obs).run()
 
         assert instrumented.fingerprint() == baseline.fingerprint()
         assert instrumented.chaos.polls == baseline.chaos.polls
@@ -36,9 +42,13 @@ class TestChaosDeterminism:
         assert len(obs.tracer.spans) > 0
 
     def test_two_instrumented_runs_identical(self):
-        first = small_chaos(obs=ObsRecorder()).run()
-        second = small_chaos(obs=ObsRecorder()).run()
+        first = small_chaos(self.preset, obs=ObsRecorder()).run()
+        second = small_chaos(self.preset, obs=ObsRecorder()).run()
         assert first.fingerprint() == second.fingerprint()
+
+
+class TestHarshChaosDeterminism(TestChaosDeterminism):
+    preset = "harsh"
 
 
 class TestEngineDeterminism:

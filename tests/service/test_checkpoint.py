@@ -32,7 +32,7 @@ def test_schema_literals_pinned_against_service():
         checkpoint.CHECKPOINT_FORMAT_VERSION
         is schema.CHECKPOINT_FORMAT_VERSION
     )
-    assert CHECKPOINT_FORMAT_VERSION == 5
+    assert CHECKPOINT_FORMAT_VERSION == 6
 
 
 def write_sample(path, state=None):
@@ -120,7 +120,7 @@ class TestIntegrity:
         )
         with pytest.raises(
             ValueError,
-            match=rf"unsupported checkpoint version {version} \(expected 5\)",
+            match=rf"unsupported checkpoint version {version} \(expected 6\)",
         ):
             read_checkpoint(path)
         assert validate_checkpoint_file(path) == [
@@ -148,6 +148,11 @@ class TestIntegrity:
         name-keyed dict of the path counter; both rebuild interned row
         tables on load now and would come up without them."""
         self._refused_by_version(tmp_path, 4, "1.11.0")
+
+    def test_v5_checkpoint_refused_before_unpickling(self, tmp_path):
+        """Version 5 pickled the fault transport's chain of fault objects,
+        each with its own state, and baselines with an object fallback."""
+        self._refused_by_version(tmp_path, 5, "1.12.0")
 
     def test_truncated_payload_rejected(self, tmp_path):
         path = tmp_path / "c.ckpt"

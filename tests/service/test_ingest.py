@@ -157,8 +157,8 @@ class TestJoinedDrain:
             traffic_fn=lambda dids, now, rows: model.traffic(
                 dids, now, 900.0, rows=rows
             ),
-            # Wraps, freezes, duplicates and missed polls: the entries a
-            # batch carries in `scalar`, whose indices the join re-bases.
+            # Wraps, freezes, duplicates and missed polls: the later
+            # deliveries a batch carries, whose entries the join re-bases.
             transport=FaultyTransport(chaos_preset("harsh", seed=4)),
             sanitizer=sanitizer,
             queue=queue,

@@ -89,7 +89,7 @@ class TestPresets:
         assert set(CHAOS_PRESETS) == {
             "none", "mild", "harsh", "reboot-storm", "flaky-collector"
         }
-        assert not CHAOS_PRESETS["none"].any_enabled()
+        assert CHAOS_PRESETS["none"] == TelemetryFaultConfig()
 
     def test_unknown_preset_raises(self):
         with pytest.raises(ValueError, match="unknown chaos preset"):
@@ -97,6 +97,10 @@ class TestPresets:
 
     def test_preset_reseed(self):
         assert chaos_preset("harsh", seed=7).seed == 7
+        # Every other field is the preset's, and the preset is not shared.
+        config = chaos_preset("harsh", seed=7)
+        assert config is not CHAOS_PRESETS["harsh"]
+        assert vars(config) == {**vars(CHAOS_PRESETS["harsh"]), "seed": 7}
 
 
 class TestChaosFuzz:

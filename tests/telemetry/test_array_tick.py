@@ -1,13 +1,13 @@
-"""Differential tests: the array-form poll tick against the per-sample API.
+"""Differential tests: the array-form poll tick against the per-sample
+reference in :mod:`tests.telemetry.reference`.
 
-``ReferencePoller`` is the pre-array poll loop, written only in terms of
-the public per-sample methods (``DirectionCounters.record_interval``,
-``FaultyTransport.deliver``, ``TelemetrySanitizer.ingest`` /
-``observe_missing``, ``TelemetryStore.append_rates``).  Every test drives
-it and the real poller over twin topologies with identical inputs and
-requires identical state after every tick — sanitizer stats, every stored
-series, quality windows, quarantine, missed-poll and drop counters, and
-the transport RNG state (so not one draw was taken out of order).
+Every test drives the real poller (array transport, sanitizer and store)
+and :class:`~tests.telemetry.reference.ReferencePoller` (a dict-state
+fault chain, sanitizer and store, one sample at a time) over twin
+topologies with identical inputs and requires identical state after
+every tick — sanitizer stats, every stored series, quality windows,
+quarantine and its transitions, missed-poll and drop counters, and the
+transport RNG state (so not one draw was taken out of order).
 """
 
 import copy
@@ -20,151 +20,26 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.faults import (
-    CounterWrapFault,
-    DuplicateSampleFault,
-    FaultyTransport,
-    FrozenCounterFault,
-    MissedPollFault,
-    TelemetryFault,
-    TelemetryFaultConfig,
-)
+from repro.faults import FaultyTransport, TelemetryFaultConfig
 from repro.obs import ObsRecorder
 from repro.obs.recorder import NULL_RECORDER
 from repro.service.ingest import IngestingPoller
-from repro.service.queues import DROPPED, BoundedWorkQueue
+from repro.service.queues import BoundedWorkQueue
 from repro.simulation.chaos import CHAOS_PRESETS, chaos_preset
 from repro.telemetry import (
     CounterSnapshot,
-    DirectionCounters,
     SnmpPoller,
     TelemetrySanitizer,
     TelemetryStore,
 )
 from repro.telemetry.poller import OpticalReading
 from repro.topology import Direction, Switch, build_clos
-
-
-# ---------------------------------------------------------------------- #
-# The reference: the per-sample loop
-# ---------------------------------------------------------------------- #
-
-
-class ReferencePoller:
-    """The per-sample poll loop the array tick replaced."""
-
-    def __init__(self, topo, store, packets_fn, congestion_fn=None,
-                 interval_s=900.0, transport=None, sanitizer=None,
-                 attribution_fn=None, queue=None, batch_size=64,
-                 drain_budget=None):
-        self.topo = topo
-        self.store = store
-        self.packets_fn = packets_fn
-        self.congestion_fn = congestion_fn or (lambda did, t: 0.0)
-        self.interval_s = interval_s
-        self.transport = transport
-        self.sanitizer = sanitizer
-        self.attribution_fn = attribution_fn
-        self.queue = queue
-        self.batch_size = batch_size
-        self.drain_budget = drain_budget
-        self.counters = {}
-        self.previous = {}
-        self.missed_polls = 0
-        self.backpressure_losses = 0
-        self.time_s = 0.0
-
-    def poll_once(self):
-        self.time_s += self.interval_s
-        now = self.time_s
-        deliveries = self.collect(now)
-        if self.queue is None:
-            self.rate_and_store(deliveries, now)
-            return now
-        for i in range(0, len(deliveries), self.batch_size):
-            batch = (now, deliveries[i:i + self.batch_size])
-            if self.queue.push(batch) == DROPPED:
-                for did, _ in batch[1]:
-                    self.backpressure_losses += 1
-                    self.missed_polls += 1
-                    if self.sanitizer is not None:
-                        self.sanitizer.observe_missing(did, now)
-        for time_s, batch in self.queue.drain(self.drain_budget):
-            self.rate_and_store(batch, time_s)
-        return now
-
-    def collect(self, now):
-        deliveries = []
-        for link in self.topo.links():
-            if not link.enabled:
-                for direction in (Direction.UP, Direction.DOWN):
-                    self.previous.pop(link.direction_id(direction), None)
-                continue
-            source = link
-            if self.attribution_fn is not None:
-                source = self.topo.link(self.attribution_fn(link.link_id))
-            for direction in (Direction.UP, Direction.DOWN):
-                did = link.direction_id(direction)
-                packets = self.packets_fn(did, now)
-                corruption = (
-                    source.corruption_rate[direction] if source.enabled
-                    else 0.0
-                )
-                congestion = self.congestion_fn(did, now)
-                counters = self.counters.setdefault(
-                    did, DirectionCounters(did)
-                )
-                counters.record_interval(packets, corruption, congestion)
-                snap = counters.snapshot(now)
-                delivered = (
-                    [snap] if self.transport is None
-                    else self.transport.deliver(did, snap)
-                )
-                deliveries.append((did, delivered))
-        return deliveries
-
-    def capacity(self, did):
-        return self.topo.find_link(*did).capacity_gbps * 1e9 / 8.0 / 1000.0
-
-    def rate_and_store(self, deliveries, now):
-        for did, delivered in deliveries:
-            if not delivered:
-                self.missed_polls += 1
-                if self.sanitizer is not None:
-                    self.sanitizer.observe_missing(did, now)
-            for snap in delivered:
-                self.rate_one(did, snap)
-
-    def rate_one(self, did, snap):
-        capacity = self.capacity(did)
-        if self.sanitizer is not None:
-            sample = self.sanitizer.ingest(
-                did, snap, capacity_pkts_per_s=capacity
-            )
-            if sample is not None:
-                self.store.append_rates(
-                    did,
-                    sample.time_s,
-                    corruption=sample.corruption,
-                    congestion=sample.congestion,
-                    utilization=sample.utilization,
-                    quality=sample.quality,
-                )
-            return
-        previous = self.previous.get(did)
-        if previous is not None and snap.time_s > previous.time_s:
-            interval = snap.time_s - previous.time_s
-            sent = max(0, snap.total - previous.total)
-            self.store.append_rates(
-                did,
-                snap.time_s,
-                corruption=snap.corruption_rate_since(previous),
-                congestion=snap.congestion_rate_since(previous),
-                utilization=min(1.0, sent / (capacity * interval)),
-            )
-        if previous is None or snap.time_s >= previous.time_s:
-            self.previous[did] = snap
-
+from tests.telemetry.reference import (
+    ReferencePoller,
+    ReferenceSanitizer,
+    ReferenceStore,
+    ReferenceTransport,
+)
 
 # ---------------------------------------------------------------------- #
 # Twin set-ups
@@ -189,46 +64,31 @@ def constant_packets(_did, _t):
     return 10_000_000
 
 
-class GarbageFault(TelemetryFault):
-    """A user-supplied fault: sometimes mangles the sample in ways no
-    built-in does (non-finite, unrepresentable, non-int counters)."""
-
-    def __init__(self, rate):
-        self.rate = rate
-
-    def apply(self, rng, direction_id, samples):
-        out = []
-        for sample in samples:
-            if rng.random() < self.rate:
-                total = rng.choice(
-                    [float("nan"), 10**400, 2**60, float(sample.total)]
-                )
-                sample = CounterSnapshot(
-                    sample.time_s, total, sample.errors, sample.drops
-                )
-            out.append(sample)
-        return out
-
-
-def custom_chain():
-    """Built-ins out of config order around a user fault."""
-    return [
-        DuplicateSampleFault(0.1),
-        MissedPollFault(0.1),
-        GarbageFault(0.1),
-        CounterWrapFault(),
-        FrozenCounterFault(0.05, 2),
-    ]
-
-
-def make_transport(kind, seed):
+def make_transport(kind, seed, cls):
     if kind is None:
         return None
-    if kind == "custom":
-        return FaultyTransport(faults=custom_chain(), seed=seed)
     if isinstance(kind, TelemetryFaultConfig):
-        return FaultyTransport(copy.copy(kind))
-    return FaultyTransport(chaos_preset(kind, seed=seed))
+        return cls(copy.copy(kind))
+    return cls(chaos_preset(kind, seed=seed))
+
+
+class TransitionLog(ObsRecorder):
+    """A recorder that also keeps every quarantine counter and gauge call
+    in order, so a gauge's intermediate values can be compared too."""
+
+    def __init__(self):
+        super().__init__()
+        self.log = []
+
+    def count(self, name, value=1.0, **labels):
+        if name.startswith("sanitizer_quarantine"):
+            self.log.append((name, value, labels))
+        super().count(name, value, **labels)
+
+    def gauge(self, name, value, **labels):
+        if name.startswith("sanitizer_quarantine"):
+            self.log.append((name, value, labels))
+        super().gauge(name, value, **labels)
 
 
 def swap_first_two(topo):
@@ -237,29 +97,36 @@ def swap_first_two(topo):
     return lambda link_id: mapping.get(link_id, link_id)
 
 
+SERIES = ("corruption_series", "congestion_series", "utilization_series")
+
+
+def stored(store, did):
+    """A real store's samples of one direction, as the reference keeps
+    them."""
+    if not store.times(did):
+        return []
+    return list(
+        zip(
+            store.times(did),
+            *(getattr(store, series)(did).values.tolist() for series in SERIES),
+            store.quality_series(did),
+        )
+    )
+
+
 class Twins:
     """The array poller and the reference over twin topologies."""
 
     def __init__(self, transport=None, seed=0, sanitizer=True,
-                 traffic=False, miswire=False, queue=None, obs=False,
-                 wrap_modulus=2**32):
+                 traffic=False, miswire=False, queue=None, obs=False):
         self.topos = [build_clos(2, 2, 2, 4), build_clos(2, 2, 2, 4)]
         self.sides = []
-        for topo, cls in zip(self.topos, (None, ReferencePoller)):
-            recorder = ObsRecorder() if obs else NULL_RECORDER
-            store = TelemetryStore()
-            cleaner = (
-                TelemetrySanitizer(obs=recorder, window=4,
-                                   min_window_samples=2,
-                                   wrap_modulus=wrap_modulus)
-                if sanitizer else None
-            )
+        for topo, reference in zip(self.topos, (False, True)):
+            recorder = TransitionLog() if obs else NULL_RECORDER
             source = Traffic(seed) if traffic else None
             kwargs = dict(
                 packets_fn=source.packets if traffic else constant_packets,
                 congestion_fn=source.congestion if traffic else None,
-                transport=make_transport(transport, seed),
-                sanitizer=cleaner,
                 attribution_fn=swap_first_two(topo) if miswire else None,
             )
             if queue is not None:
@@ -269,11 +136,25 @@ class Twins:
                     batch_size=5,
                     drain_budget=budget,
                 )
-            if cls is None:
+            cleaner_cls, store_cls, transport_cls = (
+                (ReferenceSanitizer, ReferenceStore, ReferenceTransport)
+                if reference
+                else (TelemetrySanitizer, TelemetryStore, FaultyTransport)
+            )
+            store = store_cls()
+            cleaner = (
+                cleaner_cls(obs=recorder, window=4, min_window_samples=2)
+                if sanitizer else None
+            )
+            kwargs.update(
+                transport=make_transport(transport, seed, transport_cls),
+                sanitizer=cleaner,
+            )
+            if reference:
+                poller = ReferencePoller(topo, store, **kwargs)
+            else:
                 cls = SnmpPoller if queue is None else IngestingPoller
                 poller = cls(topo, store, obs=recorder, **kwargs)
-            else:
-                poller = cls(topo, store, **kwargs)
             self.sides.append((poller, store, cleaner, recorder))
 
     def apply(self, op):
@@ -316,18 +197,11 @@ class Twins:
         assert new.missed_polls == ref.missed_polls
         assert store.dropped_samples == ref_store.dropped_samples
         assert set(store.directions()) == set(ref_store.directions())
-        assert store.num_directions() == ref_store.num_directions()
+        assert store.num_directions() == len(ref_store.directions())
         for did in ref_store.directions():
-            assert store.times(did) == ref_store.times(did)
-            for series in ("corruption_series", "congestion_series",
-                           "utilization_series"):
-                got = getattr(store, series)(did)
-                want = getattr(ref_store, series)(did)
-                assert got.values.tolist() == want.values.tolist(), series
-                assert got.interval_s == want.interval_s
-                assert got.start_s == want.start_s
-            assert store.quality_series(did) == ref_store.quality_series(did)
-            assert store.last_sample(did) == ref_store.last_sample(did)
+            samples = ref_store.samples(did)
+            assert stored(store, did) == samples
+            assert store.last_sample(did) == samples[-1]
         if new.transport is not None:
             assert new.transport.polls_delivered == ref.transport.polls_delivered
             assert new.transport.polls_missed == ref.transport.polls_missed
@@ -357,14 +231,10 @@ class Twins:
             cleaner.flush_obs_counts()
             ref_cleaner.flush_obs_counts()
             assert obs.events == ref_obs.events
-            for name in ("sanitizer_samples_total",
-                         "sanitizer_quarantine_transitions_total"):
-                assert obs.registry.counter_total(name) == (
-                    ref_obs.registry.counter_total(name)
-                )
-            assert obs.registry.get_value(
-                "sanitizer_quarantined_directions"
-            ) == ref_obs.registry.get_value("sanitizer_quarantined_directions")
+            assert obs.log == ref_obs.log
+            assert obs.registry.counter_total("sanitizer_samples_total") == (
+                ref_obs.registry.counter_total("sanitizer_samples_total")
+            )
 
 
 # ---------------------------------------------------------------------- #
@@ -407,7 +277,6 @@ FAULT_CONFIGS = st.builds(
 TRANSPORTS = st.one_of(
     st.none(),
     st.sampled_from(sorted(CHAOS_PRESETS)),
-    st.just("custom"),
     FAULT_CONFIGS,
 )
 
@@ -436,6 +305,19 @@ def run(twins, ops):
             twins.apply(op)
     twins.tick()
     twins.tick()
+
+
+def churn(twins, ticks, seed=11):
+    """``ticks`` polls with links disabled, corrupted and re-enabled."""
+    rng = random.Random(seed)
+    for tick in range(ticks):
+        if tick % 7 == 3:
+            twins.apply(
+                (rng.choice(["disable", "corrupt"]), rng.randrange(24), 1e-4)
+            )
+        if tick % 7 == 6:
+            twins.apply(("enable", rng.randrange(24), 0.0))
+        twins.tick()
 
 
 class TestDifferential:
@@ -468,7 +350,7 @@ class TestDifferential:
     def test_raw_diff_tick_equals_per_sample_loop(
         self, transport, seed, traffic, ops
     ):
-        """``sanitizer=None``: the study benches' raw differencing."""
+        """``sanitizer=None``: raw differencing."""
         run(Twins(transport, seed, sanitizer=False, traffic=traffic), ops)
 
     @pytest.mark.parametrize("preset", sorted(CHAOS_PRESETS))
@@ -476,21 +358,17 @@ class TestDifferential:
     def test_every_preset_long_run(self, preset, queue):
         """Sixty ticks per preset with churn, long enough for rebased,
         frozen and quarantined rows to accumulate."""
-        twins = Twins(preset, seed=7, traffic=True, miswire=True, queue=queue)
-        rng = random.Random(11)
-        for tick in range(60):
-            if tick % 7 == 3:
-                twins.apply(
-                    (rng.choice(["disable", "corrupt"]), rng.randrange(24), 1e-4)
-                )
-            if tick % 7 == 6:
-                twins.apply(("enable", rng.randrange(24), 0.0))
-            twins.tick()
+        churn(Twins(preset, seed=7, traffic=True, miswire=True, queue=queue), 60)
 
-    def test_custom_chain_with_recorder(self):
-        twins = Twins("custom", seed=2, traffic=True, obs=True)
-        for _ in range(40):
-            twins.tick()
+    @pytest.mark.parametrize("preset", ["harsh", "flaky-collector"])
+    @pytest.mark.parametrize("queue", [None, (2, "drop", None)])
+    def test_quarantine_transitions_in_entry_order(self, preset, queue):
+        """With a recorder, the transitions of a tick's waves come out as
+        the per-sample loop emits them: by direction, each direction's in
+        arrival order, the gauge at its running count."""
+        twins = Twins(preset, seed=5, traffic=True, queue=queue, obs=True)
+        churn(twins, 60)
+        assert twins.sides[0][3].log
 
     def test_link_added_after_the_first_poll(self):
         twins = Twins("flaky-collector", seed=1)
@@ -503,43 +381,45 @@ class TestDifferential:
             twins.tick()
 
 
+PER_SAMPLE_API = ("deliver", "ingest", "observe_missing", "append_rates")
+
+
+def spy_per_sample_api(monkeypatch, poller, store, cleaner):
+    """Replace every per-sample method with a call recorder."""
+    calls = []
+    for obj, name in zip(
+        (poller.transport, cleaner, cleaner, store), PER_SAMPLE_API
+    ):
+        monkeypatch.setattr(
+            obj, name, lambda *a, _n=name, **k: calls.append(_n)
+        )
+    return calls
+
+
 class TestScalarRowsAreTheExceptions:
-    def test_clean_transport_never_calls_the_per_sample_api(self, monkeypatch):
+    @pytest.mark.parametrize("obs", [False, True])
+    def test_clean_transport_never_calls_the_per_sample_api(
+        self, obs, monkeypatch
+    ):
         """With a fault-free transport the tick is arrays end to end."""
-        twins = Twins("none", seed=0, traffic=True)
-        poller, _store, cleaner, _obs = twins.sides[0]
-        calls = []
-        for obj, name in (
-            (poller.transport, "deliver"),
-            (cleaner, "ingest"),
-            (cleaner, "observe_missing"),
-            (poller._store, "append_rates"),
-        ):
-            monkeypatch.setattr(
-                obj, name,
-                lambda *a, _n=name, **k: calls.append(_n),
-            )
+        twins = Twins("none", seed=0, traffic=True, obs=obs)
+        poller, store, cleaner, _obs = twins.sides[0]
+        calls = spy_per_sample_api(monkeypatch, poller, store, cleaner)
         for _ in range(5):
             poller.poll_once()
         assert calls == []
 
+    @pytest.mark.parametrize("obs", [False, True])
     @pytest.mark.parametrize("preset", sorted(CHAOS_PRESETS))
-    def test_no_preset_calls_the_per_sample_api(self, preset, monkeypatch):
-        """The chain a config builds is arrays end to end too: resets,
-        freezes, held and duplicated samples, with links flapping."""
-        twins = Twins(preset, seed=3, traffic=True)
-        poller, store, cleaner, _obs = twins.sides[0]
-        calls = []
-        for obj, name in (
-            (poller.transport, "deliver"),
-            (cleaner, "ingest"),
-            (cleaner, "observe_missing"),
-            (store, "append_rates"),
-        ):
-            monkeypatch.setattr(
-                obj, name,
-                lambda *a, _n=name, **k: calls.append(_n),
-            )
+    def test_no_preset_calls_the_per_sample_api(
+        self, preset, obs, monkeypatch
+    ):
+        """Resets, freezes, held and duplicated samples, quarantines
+        entered and left, links flapping: arrays end to end, recorder on
+        or off."""
+        twins = Twins(preset, seed=3, traffic=True, obs=obs)
+        poller, store, cleaner, recorder = twins.sides[0]
+        calls = spy_per_sample_api(monkeypatch, poller, store, cleaner)
         for tick in range(60):
             if tick % 5 == 2:
                 twins.apply(("disable", tick, 0.0))
@@ -551,10 +431,12 @@ class TestScalarRowsAreTheExceptions:
         if preset in ("harsh", "flaky-collector"):
             assert cleaner.stats.out_of_order_dropped > 0
             assert cleaner.stats.duplicates_dropped > 0
+            if obs:
+                assert any(e["name"] == "quarantine" for e in recorder.events)
 
 
 # ---------------------------------------------------------------------- #
-# Fault state in columns: one copy, whoever writes it
+# Fault state in columns
 # ---------------------------------------------------------------------- #
 
 #: Every stateful fault fires often, so rebased, frozen and held rows
@@ -566,32 +448,17 @@ BUSY = TelemetryFaultConfig(
 )
 
 
-class DeliverOnly:
-    """A transport's per-sample face: everything but ``deliver_rows``."""
-
-    def __init__(self, transport):
-        self._transport = transport
-
-    def __getattr__(self, name):
-        if name == "deliver_rows":
-            raise AttributeError(name)
-        return getattr(self._transport, name)
-
-
 def stateful_rows(transport):
     """How many directions are rebased, frozen, holding a sample."""
-    reset, freeze, _wrap, _miss, delay, _duplicate = transport._config_chain()
     return (
-        int(np.count_nonzero(reset._state.known)),
-        int(np.count_nonzero(freeze._state.left > 0)),
-        int(np.count_nonzero(delay._state.known)),
+        int(np.count_nonzero(transport._rebase.known)),
+        int(np.count_nonzero(transport._left > 0)),
+        int(np.count_nonzero(transport._held.known)),
     )
 
 
-def as_lists(first, missed, later_entry, later, scalar):
-    """What ``deliver_rows`` returned, as ``deliver``'s list per row."""
-    if scalar is not None:
-        return scalar
+def as_lists(first, missed, later_entry, later):
+    """What ``deliver_rows`` returned, as one list per row."""
     lists = [
         [] if gone else [CounterSnapshot(*(c[i].item() for c in first))]
         for i, gone in enumerate(missed.tolist())
@@ -605,10 +472,11 @@ class TestFaultStateColumns:
     @SETTINGS
     @given(config=FAULT_CONFIGS, seed=st.integers(0, 50))
     def test_deliver_rows_returns_what_deliver_returns(self, config, seed):
-        """Row by row the same snapshots in the same arrival order, over
-        ticks that poll a changing subset of the directions."""
+        """Row by row the same snapshots in the same arrival order as the
+        reference chain, over ticks that poll a changing subset of the
+        directions."""
         rng = random.Random(seed)
-        array, scalar = FaultyTransport(config), FaultyTransport(config)
+        array, scalar = FaultyTransport(config), ReferenceTransport(config)
         dids = [("tor%d" % i, "agg") for i in range(12)]
         counters = np.zeros((3, len(dids)), dtype=np.int64)
         for tick in range(1, 13):
@@ -629,34 +497,6 @@ class TestFaultStateColumns:
             assert (array.polls_delivered, array.polls_missed) == (
                 scalar.polls_delivered, scalar.polls_missed
             )
-
-    @pytest.mark.parametrize("sanitizer", [True, False])
-    def test_deliver_and_deliver_rows_alternate_on_one_transport(
-        self, sanitizer
-    ):
-        twins = Twins(BUSY, traffic=True, sanitizer=sanitizer)
-        poller = twins.sides[0][0]
-        transport = poller.transport
-        for tick in range(40):
-            poller.transport = (
-                transport if tick % 2 else DeliverOnly(transport)
-            )
-            if tick % 9 == 4:
-                twins.apply(("disable", tick, 0.0))
-            if tick % 9 == 7:
-                twins.apply(("enable", tick - 3, 0.0))
-            twins.tick()
-        assert all(stateful_rows(transport))
-
-    def test_a_deferred_direction_stays_deferred_for_the_tick(self):
-        """A backwards counter under a modulus too wide for int64 defers
-        to ``ingest``; the held sample that follows it in the same poll
-        must wait for it, not be rated first."""
-        twins = Twins(BUSY, traffic=True, wrap_modulus=2**64)
-        for _ in range(30):
-            twins.tick()
-        stats = twins.sides[0][2].stats
-        assert stats.resets_detected and stats.out_of_order_dropped
 
     def test_pickle_round_trip_mid_run(self):
         twins = Twins(BUSY, traffic=True)
@@ -683,10 +523,9 @@ class TestFaultStateColumns:
         for _ in range(3):
             twins.tick()
         transport = twins.sides[0][0].transport
-        chain = transport._config_chain()
         column = (
-            chain[1]._state.left > 0 if state == "frozen"
-            else chain[4]._state.known
+            transport._left > 0 if state == "frozen"
+            else transport._held.known
         )
         assert column[: 2 * twins.topos[0].num_links].all()
         twins.apply(("disable", 3, 0.0))
@@ -717,17 +556,27 @@ ARRIVALS = {
 }
 
 
+def baseline(cleaner, did):
+    """The sanitizer's diff baseline of a direction, or ``None``."""
+    [row] = cleaner.rows_for([did])
+    if not cleaner._prev.known[row]:
+        return None
+    return CounterSnapshot(*(c.item(0) for c in cleaner._prev.take([row])))
+
+
 @pytest.mark.parametrize("arrivals", sorted(ARRIVALS))
 @pytest.mark.parametrize("baseline_s", [None, 900.0, 1800.0, 2700.0])
 def test_rows_with_their_own_times_match_the_per_sample_api(
     arrivals, baseline_s
 ):
     """``ingest_rows`` / ``append_rows`` one delivery at a time against
-    ``ingest`` / ``append_rates``, over baselines older than, equal to
-    and newer than the samples."""
+    the reference's ``ingest`` / ``append_rates``, over baselines older
+    than, equal to and newer than the samples."""
     sides = []
-    for array in (True, False):
-        cleaner, store = TelemetrySanitizer(), TelemetryStore()
+    for cleaner, store in (
+        (TelemetrySanitizer(), TelemetryStore()),
+        (ReferenceSanitizer(), ReferenceStore()),
+    ):
         if baseline_s is not None:
             for time_s in (baseline_s - 900.0, baseline_s):
                 sample = cleaner.ingest(
@@ -737,7 +586,7 @@ def test_rows_with_their_own_times_match_the_per_sample_api(
                 if sample is not None:
                     store.append_rates(DID, sample.time_s, 0.0, 0.0, 0.0)
         for snap in ARRIVALS[arrivals]:
-            if not array:
+            if isinstance(cleaner, ReferenceSanitizer):
                 sample = cleaner.ingest(
                     DID, snap, capacity_pkts_per_s=CAPACITY
                 )
@@ -748,7 +597,6 @@ def test_rows_with_their_own_times_match_the_per_sample_api(
                         sample.quality,
                     )
                 continue
-            one = np.ones(1, dtype=bool)
             done = cleaner.ingest_rows(
                 cleaner.rows_for([DID]),
                 np.array([snap.time_s]),
@@ -756,10 +604,8 @@ def test_rows_with_their_own_times_match_the_per_sample_api(
                 np.array([snap.errors]),
                 np.array([snap.drops]),
                 np.array([CAPACITY]),
-                ~one,
-                ~one,
+                np.zeros(1, dtype=bool),
             )
-            assert not done.deferred.any()
             keep = done.rated
             store.append_rows(
                 store.rows_for([DID])[keep],
@@ -773,11 +619,9 @@ def test_rows_with_their_own_times_match_the_per_sample_api(
     (cleaner, store), (ref_cleaner, ref_store) = sides
     assert vars(cleaner.stats) == vars(ref_cleaner.stats)
     assert cleaner.recent_quality(DID) == ref_cleaner.recent_quality(DID)
-    assert cleaner._prev.get(0) == ref_cleaner._prev.get(0)
+    assert baseline(cleaner, DID) == ref_cleaner.prev.get(DID)
     assert store.dropped_samples == ref_store.dropped_samples
-    assert store.times(DID) == ref_store.times(DID)
-    assert store.quality_series(DID) == ref_store.quality_series(DID)
-    assert store.last_sample(DID) == ref_store.last_sample(DID)
+    assert stored(store, DID) == ref_store.samples(DID)
 
 
 def test_append_rows_drops_by_each_rows_own_time():

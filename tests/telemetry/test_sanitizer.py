@@ -13,6 +13,7 @@ from repro.telemetry import (
     TelemetrySanitizer,
     optical_reading_plausible,
 )
+from tests.telemetry.reference import GarbageFault, ReferenceSanitizer
 
 CAP_PPS = 5_000_000.0  # 40G at 1000B packets
 
@@ -105,15 +106,79 @@ class TestWrapReset:
         out = s.ingest(("a", "b"), snap(2700, 3_000_000, 20), CAP_PPS)
         assert out.corruption == pytest.approx(1e-5)
 
-    def test_counters_beyond_int64_still_diff_exactly(self):
-        """The baseline columns are int64; wider values take the object
-        path and keep Python's exact integer arithmetic."""
-        s = TelemetrySanitizer(wrap_modulus=2**80)
-        big = 2**70
-        s.ingest(("a", "b"), snap(900, big, big), 0.0)
-        out = s.ingest(("a", "b"), snap(1800, big + 1000, big + 1), 0.0)
-        assert out.quality is SampleQuality.OK
-        assert out.corruption == 1 / 1000
+    def test_modulus_beyond_the_columns_rejected(self):
+        TelemetrySanitizer(wrap_modulus=2**53)
+        for modulus in (2**64, 2**53 + 1, 0):
+            with pytest.raises(ValueError, match="wrap_modulus"):
+                TelemetrySanitizer(wrap_modulus=modulus)
+
+
+#: Snapshots no device should send: a NaN counter, one no float can
+#: hold, one beyond the int64 columns' exact range, a float counter, a
+#: NaN and an unrepresentable time.
+GARBAGE = {
+    "nan-counter": snap(1800.0, float("nan")),
+    "huge-counter": snap(1800.0, 10**400),
+    "2**60-counter": snap(1800.0, 2**60),
+    "float-counter": snap(1800.0, 2_000_000.0),
+    "-2**53-counter": snap(1800.0, 2_000_000, drops=-(2**53)),
+    "nan-time": snap(float("nan"), 2_000_000),
+    "huge-time": snap(10**400, 2_000_000),
+}
+
+
+class TestGarbage:
+    @pytest.mark.parametrize("seeded", [False, True])
+    @pytest.mark.parametrize("bad", sorted(GARBAGE))
+    def test_garbage_is_suspect_and_keeps_the_baseline(self, bad, seeded):
+        bad = GARBAGE[bad]
+        s = TelemetrySanitizer()
+        if seeded:
+            s.ingest(("a", "b"), snap(900, 1_000_000), CAP_PPS)
+        out = s.ingest(("a", "b"), bad, CAP_PPS)
+        assert out.quality is SampleQuality.SUSPECT
+        assert math.isfinite(out.time_s)
+        assert (out.corruption, out.congestion, out.utilization) == (0, 0, 0)
+        assert s.stats.samples == 1
+        assert s.recent_quality(("a", "b")) == (1, 1)
+        # The baseline survived (or is still unset): the next clean
+        # sample diffs against it (or seeds it).
+        out = s.ingest(("a", "b"), snap(2700, 3_000_000, 20), CAP_PPS)
+        if seeded:
+            assert out.corruption == pytest.approx(1e-5)
+        else:
+            assert out is None
+
+    def test_garbage_stream_matches_the_reference(self):
+        """A counter stream a garbage fault mangles now and then, through
+        ``ingest`` and the reference's: the same samples, stats, windows
+        and baseline."""
+        rng = random.Random(3)
+        garbage = GarbageFault(0.2)
+        sides = TelemetrySanitizer(), ReferenceSanitizer()
+        did, total, mangled = ("x", "y"), 0, 0
+        for i in range(1, 300):
+            total += rng.randrange(0, 10_000_000)
+            [sample] = garbage.apply(
+                rng, did, [snap(900.0 * i, total, total // 10**5)]
+            )
+            mangled += type(sample.total) is not int or sample.total != total
+            got, want = (s.ingest(did, sample, CAP_PPS) for s in sides)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert (
+                    got.time_s, got.corruption, got.congestion,
+                    got.utilization, got.quality,
+                ) == (
+                    want.time_s, want.corruption, want.congestion,
+                    want.utilization, want.quality,
+                )
+        new, ref = sides
+        assert vars(new.stats) == vars(ref.stats)
+        assert mangled > 20
+        assert new.recent_quality(did) == ref.recent_quality(did)
+        [row] = new.rows_for([did])
+        assert new._prev.total[row] == ref.prev[did].total
 
 
 class TestPropertyStyle:
@@ -146,7 +211,7 @@ class TestPropertyStyle:
             total += 100_000_000
             out = s.ingest(did, snap(t, total, int(total * 1e-5)), CAP_PPS)
             if out is not None:
-                assert out.quality is SampleQuality.OK, out.note
+                assert out.quality is SampleQuality.OK
         # Now inject one reset: exactly that sample is flagged.
         total = rng.randrange(1000)
         out = s.ingest(did, snap(t + 900.0, total, 0), CAP_PPS)
