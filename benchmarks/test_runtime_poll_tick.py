@@ -2,8 +2,9 @@
 
 ROADMAP item 1's target: digest one 15-minute poll of the paper's 350K
 links (§2) in well under a second.  This times ``SnmpPoller.poll_once``
-(collect → transport → sanitize → store as one array pass; of the fault
-chain only the random draws are a Python loop) on ``LARGE_DCN.build(scale=
+(collect → transport → sanitize → store as one array pass; the fault
+chain's draws are read ahead in blocks, and Python runs only where a
+fault fires and on frozen and held directions) on ``LARGE_DCN.build(scale=
 1.0)`` — 36,864 links, 73,728 directions — under the ``none``, ``mild``
 and ``harsh`` chaos presets, and scales the per-direction figure to 350K
 links.  The ``hotspots`` row is ``mild`` with the congestion co-model on
@@ -48,15 +49,20 @@ TICKS = 6
 #: Whole blocks, so the first timed tick of the co-model row refills.
 WARMUP_TICKS = 3 * BLOCK_TICKS
 #: Gate, with room for a slow CI box.  Measured on the 2-core reference
-#: host: none 0.22 s, mild 0.37 s, harsh 0.54 s ("well under a second":
-#: two more draws per direction than mild, the fault state in columns, a
-#: second and third wave of deliveries; 2.8 s when rebased directions
-#: went through the per-sample API).  The per-sample loop this replaced
-#: needs ~8 s under any preset.  hotspots: 1.54 s with one Python
-#: ``gauss`` and ``random`` call, a sine and two powers per direction;
-#: 0.42 s median and 0.58 s over a block from a refill with each stream
-#: read 16 ticks at a time (per direction and tick: half a Gaussian
-#: pair's log, cos and sin, a sine, one power — two near saturation).
+#: host, medians of five runs alternated with a per-row draw loop (one
+#: ``random()`` call per drawing fault per direction): mild 0.31 s with
+#: that loop, 0.25 s with the draws read ahead in blocks and Python run
+#: only where a fault fires; harsh 0.44 s either way (a fault fires on
+#: about one direction in six, and each of those runs its rest in
+#: Python; two more draws per direction than mild, the fault state in
+#: columns, a second and third wave of deliveries; 2.8 s when rebased
+#: directions went through the per-sample API); none 0.18-0.21 s.  The
+#: per-sample loop this replaced needs ~8 s under any preset.  hotspots:
+#: 1.54 s with one Python ``gauss`` and ``random`` call, a sine and two
+#: powers per direction; 0.42 s median and 0.58 s over a block from a
+#: refill with each stream read 16 ticks at a time (per direction and
+#: tick: half a Gaussian pair's log, cos and sin, a sine, one power — two
+#: near saturation), 0.37 s and 0.52 s with the fault draws in blocks.
 #: The co-model gate is twice the block mean.
 CEILING_350K_S = 1.5
 CEILING_350K_CO_MODEL_S = 1.2

@@ -1662,7 +1662,8 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--freezes", type=float, default=0.0)
     chaos.add_argument("--duplicates", type=float, default=0.0)
     chaos.add_argument("--delays", type=float, default=0.0)
-    chaos.add_argument("--garbage-optics", type=float, default=0.0)
+    chaos.add_argument("--garbage-optics", type=float, default=0.0,
+                       help="inert: no run sends optical reads to faults")
     chaos.add_argument("--wrap-32bit", action="store_true")
     chaos.add_argument("--days", type=float, default=4.0)
     chaos.add_argument("--scale", type=float, default=0.12)

@@ -31,9 +31,9 @@ from repro.congestion.queueing import (
     congestion_loss_rows,
 )
 from repro.congestion.traffic import (
-    DAY_S, TrafficProfile, elementwise, fast_forward, gauss_pairs,
-    profile_parameters, random_doubles,
+    DAY_S, TrafficProfile, elementwise, gauss_pairs, profile_parameters,
 )
+from repro.streams import fast_forward, random_doubles
 from repro.topology.elements import Direction, DirectionId
 from repro.topology.graph import Topology
 

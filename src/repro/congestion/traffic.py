@@ -11,30 +11,13 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
+from repro.streams import fast_forward
+
 DAY_S = 86_400.0
-
-
-def random_doubles(streams: Sequence[random.Random], count: int) -> np.ndarray:
-    """The next ``count`` ``random()`` draws of every stream as
-    ``[len(streams), count]`` float64, one ``getrandbits`` call per stream:
-    ``getrandbits(32 * w)`` consumes exactly ``w`` outputs, lowest word
-    first, and ``random()`` is ``((a >> 5) * 2**26 + (b >> 6)) / 2**53`` of
-    two consecutive outputs, so the doubles and the streams' end states are
-    those of ``count`` calls each."""
-    bits = 64 * count
-    blob = b"".join([
-        stream.getrandbits(bits).to_bytes(bits // 8, "little")
-        for stream in streams
-    ])
-    words = np.frombuffer(blob, "<u4").reshape(len(streams), count, 2)
-    doubles = (words[..., 0] >> 5) * 67108864.0
-    doubles += words[..., 1] >> 6
-    doubles *= 1.0 / 9007199254740992.0
-    return doubles
 
 
 def elementwise(function: Callable[..., float], *arrays) -> np.ndarray:
@@ -58,27 +41,6 @@ def gauss_pairs(
     cached = elementwise(math.sin, x) * g
     first = elementwise(math.cos, x) * g
     return 0.0 + first * sigma, 0.0 + cached * sigma, cached
-
-
-def fast_forward(
-    rng: random.Random, samples: int, gauss_next: Optional[float]
-) -> None:
-    """Move a freshly seeded ``rng`` to where it stands after ``samples``
-    utilization draws (one ``gauss``, then one ``random``, each).
-
-    ``gauss`` draws two ``random()`` on every other call and caches the
-    second variate (``gauss_next``, saved by the caller); ``random()`` takes
-    two 32-bit MT outputs; ``getrandbits(32 * w)`` consumes exactly ``w``.
-    """
-    if (gauss_next is not None) != bool(samples % 2):
-        raise ValueError(
-            f"cached Gaussian {gauss_next!r} after {samples} draws: not a "
-            "position in a utilization stream"
-        )
-    words = 4 * ((samples + 1) // 2) + 2 * samples
-    if words:
-        rng.getrandbits(32 * words)
-    rng.gauss_next = gauss_next
 
 
 @dataclass

@@ -17,8 +17,9 @@ polling path so the rest of the pipeline can be tested against them:
 A :class:`TelemetryFaultConfig` sets the rates; a seeded
 :class:`FaultyTransport` applies them between the device counters of
 :class:`~repro.telemetry.poller.SnmpPoller` and the collector, a whole
-tick at once (``deliver_rows``): one Python loop takes the random draws,
-the rest is column arithmetic over the per-direction fault state.
+tick at once (``deliver_rows``): the random draws are read ahead in
+blocks and Python runs only on the rows where a fault fires; the rest is
+column arithmetic over the per-direction fault state.
 ``deliver`` is a one-row call of it.  The happy path (``transport=None``)
 never touches this module.
 """
@@ -26,11 +27,13 @@ never touches this module.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.streams import ReadAhead
 from repro.telemetry.columns import (
     EXACT_INT,
     Baselines,
@@ -112,6 +115,8 @@ class FaultyTransport:
         self._held = Baselines()
         self._left = np.zeros(0, dtype=np.int64)
         self._row_cache: Optional[Tuple[list, np.ndarray]] = None
+        # The draws of `_rng`, read ahead from its state (not pickled).
+        self._ahead: Optional[ReadAhead] = None
 
     def _rows(self, direction_ids: Sequence[DirectionId]) -> np.ndarray:
         rows = self._index.rows(direction_ids)
@@ -123,7 +128,8 @@ class FaultyTransport:
         return rows
 
     # Pickled as the directions that hold something (most hold nothing);
-    # rows are renumbered on the way back in.
+    # rows are renumbered on the way back in; the stream at its logical
+    # position, without the read-ahead.
 
     def __getstate__(self):
         holding = np.flatnonzero(
@@ -131,6 +137,9 @@ class FaultyTransport:
         )
         ids = list(self._index.row_of)
         state = dict(self.__dict__, _row_cache=None, _left=self._left[holding])
+        del state["_ahead"]
+        state["_rng"] = random.Random()
+        state["_rng"].setstate(self.rng_state())
         state["_index"] = [ids[row] for row in holding.tolist()]
         for name in _STATES:
             state[name] = getattr(self, name).subset(holding)
@@ -138,7 +147,7 @@ class FaultyTransport:
 
     def __setstate__(self, state):
         ids = state.pop("_index")
-        self.__dict__.update(state)
+        self.__dict__.update(state, _ahead=None)
         self._index = DirectionIndex()
         self._index.rows(ids)
 
@@ -182,8 +191,8 @@ class FaultyTransport:
 
         Row ``i`` is the raw snapshot ``(time_s, total[i], errors[i],
         drops[i])`` of ``direction_ids[i]`` (distinct directions, int64
-        counters in ``[0, 2**53)``).  One Python pass takes the draws
-        (:meth:`_draw`); the rest is column arithmetic.
+        counters in ``[0, 2**53)``).  :meth:`_draw` takes the draws; the
+        rest is column arithmetic.
 
         Returns:
             ``(first, missed, later_entry, later)``: the first snapshot
@@ -285,7 +294,9 @@ class FaultyTransport:
         nothing is held; duplicate one per sample that reaches it.
         Returns the rows on which a reset, a freeze, a miss and a delay
         fired and those whose fresh and whose held sample a duplicate
-        fired on."""
+        fired on.  Python runs only on frozen and held rows and where a
+        fault fires: the draws are read ahead, and the other rows take one
+        draw per drawing fault each, a stride-``k`` stretch of the block."""
         config = self.config
         reset, freeze, miss, delay, duplicate = rates = (
             config.reset_rate,
@@ -294,19 +305,18 @@ class FaultyTransport:
             config.delay_rate,
             config.duplicate_rate,
         )
-        rand = self._rng.random
         fired = [], [], [], [], [], []
         reset_at, freeze_at, miss_at, stash_at, again_at, held_again_at = fired
 
-        def finish(row: int, at: int) -> None:
+        def finish(row: int, at: int, stuck=False, holds=False) -> None:
             # The rest of a row's draws: drawing fault number `at` has just
             # fired on a row that is neither frozen nor holding a sample
-            # (the ones before it did not), or, at -1, nothing is drawn yet.
+            # (the ones before it did not), or, at -1, nothing is drawn yet
+            # on a row that is frozen (`stuck`) or holds one (`holds`).
             if at == 0 or (at < 0 and reset > 0 and rand() < reset):
                 reset_at.append(row)
             if at == 1 or (
-                at < 1 and freeze > 0 and not frozen[row]
-                and rand() < freeze
+                at < 1 and freeze > 0 and not stuck and rand() < freeze
             ):
                 freeze_at.append(row)
             fresh = True
@@ -314,7 +324,7 @@ class FaultyTransport:
                 miss_at.append(row)
                 fresh = False
             if at == 3 or (
-                at < 3 and delay > 0 and fresh and not held[row]
+                at < 3 and delay > 0 and fresh and not holds
                 and rand() < delay
             ):
                 stash_at.append(row)
@@ -322,29 +332,71 @@ class FaultyTransport:
             if duplicate > 0:
                 if fresh and (at == 4 or rand() < duplicate):
                     again_at.append(row)
-                if held[row] and rand() < duplicate:
+                if holds and rand() < duplicate:
                     held_again_at.append(row)
 
         stages = [(rate, at) for at, rate in enumerate(rates) if rate > 0]
-        if stages:
-            start = 0
-            for stop in np.flatnonzero(frozen | held).tolist() + [rows]:
-                for row in range(start, stop):
-                    for rate, at in stages:
-                        if rand() < rate:
-                            finish(row, at)
-                            break
-                if stop < rows:
-                    finish(stop, -1)
-                start = stop + 1
+        if not stages:
+            return fired
+        if self._ahead is None:
+            self._ahead = ReadAhead(self._rng)
+        k = len(stages)
+        # A row takes at most one draw per stage, plus a held duplicate's.
+        block = self._ahead.take(rows * k + int(np.count_nonzero(held)))
+        draws = memoryview(block)
+        # Loud draws: below some stage's rate (no other draw can fire); then
+        # the block's end, which no run of quiet rows passes.
+        loud = np.flatnonzero(block < max(rates))
+        level = block[loud].tolist()
+        loud = loud.tolist() + [len(block)]
+        pos = i = start = 0
+
+        def rand() -> float:
+            nonlocal pos
+            pos += 1
+            return draws[pos - 1]
+
+        for stop in np.flatnonzero(frozen | held).tolist() + [rows]:
+            while True:
+                # Rows start..stop-1 take k draws each from pos until a
+                # loud draw is below the rate of the stage it falls on.
+                end = pos + (stop - start) * k
+                i = bisect_left(loud, pos, i)
+                while loud[i] < end:
+                    row, stage = divmod(loud[i] - pos, k)
+                    if level[i] < stages[stage][0]:
+                        break
+                    i += 1
+                else:
+                    pos = end
+                    break
+                pos = loud[i] + 1
+                finish(start + row, stages[stage][1])
+                start += row + 1
+            if stop < rows:
+                finish(stop, -1, frozen[stop], held[stop])
+            start = stop + 1
+        self._ahead.consume(pos)
         return fired
+
+    def rng_state(self) -> tuple:
+        """The fault stream's ``getstate()`` past every draw taken so far;
+        the draws still to come are unchanged."""
+        if self._ahead is None:
+            return self._rng.getstate()
+        return self._ahead.getstate()
 
     def deliver_optical(
         self, link_id: LinkId, reading: OpticalReading
     ) -> OpticalReading:
-        """Possibly corrupt an optical power reading (NaN / absurd dBm)."""
+        """Possibly corrupt an optical power reading (NaN / absurd dBm).
+        No run calls this: ``optical_garbage_rate`` is inert there."""
         rate = self.config.optical_garbage_rate
-        if rate <= 0 or self._rng.random() >= rate:
+        if rate <= 0:
+            return reading
+        self._rng.setstate(self.rng_state())  # settle before drawing per call
+        self._ahead = None
+        if self._rng.random() >= rate:
             return reading
         fields = ["tx_lower_dbm", "rx_lower_dbm", "tx_upper_dbm", "rx_upper_dbm"]
         victim = self._rng.choice(fields)

@@ -33,7 +33,8 @@ from repro.congestion import (
 )
 from repro.congestion.losses import BLOCK_TICKS
 from repro.congestion.queueing import congestion_loss_rows, one_power_cutoff
-from repro.congestion.traffic import gauss_pairs, random_doubles
+from repro.congestion.traffic import gauss_pairs
+from repro.streams import random_doubles
 from repro.telemetry import SnmpPoller, TelemetryStore
 from repro.topology import Direction, build_clos
 

@@ -208,10 +208,7 @@ class TestJoinedDrain:
         ]
         assert poller.missed_polls == ref_poller.missed_polls
         assert poller.backpressure_losses == ref_poller.backpressure_losses
-        assert (
-            poller.transport._rng.getstate()
-            == ref_poller.transport._rng.getstate()
-        )
+        assert poller.transport.rng_state() == ref_poller.transport.rng_state()
         assert list(store.directions()) == list(ref_store.directions())
         for did in ref_store.directions():
             assert store.times(did) == ref_store.times(did)

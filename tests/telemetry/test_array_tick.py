@@ -7,7 +7,8 @@ fault chain, sanitizer and store, one sample at a time) over twin
 topologies with identical inputs and requires identical state after
 every tick — sanitizer stats, every stored series, quality windows,
 quarantine and its transitions, missed-poll and drop counters, and the
-transport RNG state (so not one draw was taken out of order).
+transport stream's logical state (so not one draw was taken out of
+order), read without disturbing its read-ahead.
 """
 
 import copy
@@ -205,9 +206,7 @@ class Twins:
         if new.transport is not None:
             assert new.transport.polls_delivered == ref.transport.polls_delivered
             assert new.transport.polls_missed == ref.transport.polls_missed
-            assert (
-                new.transport._rng.getstate() == ref.transport._rng.getstate()
-            )
+            assert new.transport.rng_state() == ref.transport._rng.getstate()
         if cleaner is not None:
             assert vars(cleaner.stats) == vars(ref_cleaner.stats)
             dids = [
@@ -493,7 +492,7 @@ class TestFaultStateColumns:
                 *array.deliver_rows(ids, 900.0 * tick, total, errors, drops)
             )
             assert got == want
-            assert array._rng.getstate() == scalar._rng.getstate()
+            assert array.rng_state() == scalar._rng.getstate()
             assert (array.polls_delivered, array.polls_missed) == (
                 scalar.polls_delivered, scalar.polls_missed
             )
