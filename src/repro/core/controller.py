@@ -509,12 +509,17 @@ class CorrOptController:
 
     def worst_tor_fraction(self) -> float:
         """The minimum path fraction across ToRs (Figures 15–16 metric)."""
-        fractions = self.tor_fractions()
-        return min(fractions.values()) if fractions else 1.0
+        return self.counter.worst_tor_fraction()
 
     def average_tor_fraction(self) -> float:
-        """Mean path fraction across ToRs (§7.3 capacity-cost metric)."""
-        fractions = self.tor_fractions()
+        """Mean path fraction across ToRs (§7.3 capacity-cost metric).
+
+        A float sum of the ToR fractions in ``topo.tors()`` order, so it
+        can differ in the last bits from the exact, rational
+        :meth:`PathCounter.average_tor_fraction`; changing either one
+        would move the committed goldens.
+        """
+        fractions = self.counter.fractions_at()
         if not fractions:
             return 1.0
-        return sum(fractions.values()) / len(fractions)
+        return sum(fractions) / len(fractions)

@@ -10,15 +10,15 @@ design path count (all links enabled) — the metric of §5.1, illustrated by
 Figure 10 where ToR ``T`` retains "9 out of 25 paths".
 
 The counter is **incremental**: it subscribes to the topology's
-administrative-change notifications and, when a link flips, recomputes only
-the *dirty region* — the switches whose up-path counts flow through the
-changed link — instead of rerunning the full-topology DP.  Hypothetical
-queries (``extra_disabled``) are answered the same way, as an overlay delta
-on the live counts.  Per-ToR fraction aggregates (worst / average) are
-maintained alongside, so a simulation snapshot costs O(changed ToRs)
-instead of O(|ToRs| · |E|).  Passing ``incremental=False`` restores the
-original recount-per-query behaviour (used as the baseline in
-``benchmarks/test_runtime_incremental_counter.py``).
+administrative-change notifications and, when a link flips, pushes the
+count change down the *dirty region* — the switches whose up-path counts
+flow through the changed link — instead of rerunning the full DP.
+Hypothetical queries (``extra_disabled``) are answered the same way, as
+an overlay delta on the live counts.  Per-ToR fraction aggregates (worst
+/ average) are maintained alongside, so a simulation snapshot costs
+O(changed ToRs) instead of O(|ToRs| · |E|).  Passing ``incremental=False``
+restores the original recount-per-query behaviour (used as the baseline
+in ``benchmarks/test_runtime_incremental_counter.py``).
 
 Everything below the public methods runs on the topology's interned rows
 (:meth:`Topology._build_rows`): counts and baselines are lists by switch
@@ -65,8 +65,10 @@ class PathCounterStats:
     """Work accounting for one counter (primarily for benchmarks).
 
     Attributes:
-        links_visited: Uplinks examined across all DP work (the paper's
-            O(|E|) unit of cost).
+        links_visited: Links the DP crosses (the paper's O(|E|) unit of
+            cost): every uplink in a full pass; in a walk, each enabled
+            ``extra`` link or the flipped one, plus each enabled downlink
+            a change is pushed through.
         full_recounts: Full-topology DP passes executed.
         incremental_updates: Dirty-region updates triggered by admin
             changes.
@@ -210,7 +212,8 @@ class PathCounter:
         self._baseline = self._count(ignore_admin_state=True)
         self._closure_cache: Dict[FrozenSet[int], Tuple[Set[int], Set[str]]] = {}
         self._affected_cache: Dict[int, List[int]] = {}
-        self._floors: Tuple[object, List[float]] = (None, [])
+        # (constraint, its floors column, the highest ToR floor in it)
+        self._floors: Tuple[object, List[float], float] = (None, [], 0.0)
         self._state_version = 0
         self._full_cache: Optional[Tuple[int, List[int]]] = None
         self._effective_cache: Optional[
@@ -263,12 +266,17 @@ class PathCounter:
         self._state_version += 1
         # affected_rows depends on enabled downlinks; drop memoized entries.
         self._affected_cache.clear()
+        flipped = enabled != self._enabled[row]
         self._enabled[row] = enabled
         if not self._incremental:
             return
         self.stats.incremental_updates += 1
+        if not flipped:
+            return
         if not just_checked or checked_row != row or enabled:
-            overlay = self._walk((self._lower[row],), _EMPTY, "incremental")
+            overlay = self._walk(
+                (row,), 1 if enabled else -1, _EMPTY, "incremental"
+            )
         # Otherwise this is check_and_disable: the fast check walked this
         # very disable on this very state, so its overlay is the new state.
         counts, stage = self._counts, self._stage
@@ -339,47 +347,51 @@ class PathCounter:
         return counts
 
     def _walk(
-        self, starts: Collection[int], extra: Collection[int], kind: str
+        self,
+        seeds: Collection[int],
+        sign: int,
+        extra: Collection[int],
+        kind: str,
     ) -> Dict[int, int]:
-        """Dirty-region DP below the switch rows ``starts``.
+        """Dirty-region DP as count deltas pushed down from the link rows
+        ``seeds``, each of which adds (``sign`` +1) or removes (-1) the
+        live count of its upper endpoint at its lower endpoint.
 
-        Returns switch row → new count for the switches whose count
-        differs from the live one when the ``extra`` link rows are off;
-        everything else keeps its live count.  Switches are finalized
-        stage by stage, top down, so each is visited after every
-        in-region switch above it; the walk stops along branches whose
-        count did not change.
+        Returns switch row → new count for exactly the switches whose
+        count differs from the live one with the ``extra`` link rows off.
+        Switches are taken stage by stage, top down, so a switch's delta
+        is complete when it is taken; a nonzero one goes on through every
+        enabled downlink not in ``extra`` (an enabled ``extra`` link is a
+        seed: its whole live contribution is gone already).
         """
-        up, down = self._up, self._down
-        lower, upper = self._lower, self._upper
+        down, lower, upper = self._down, self._lower, self._upper
         enabled, counts, stage = self._enabled, self._counts, self._stage
-        overlay: Dict[int, int] = {}
+        deltas: Dict[int, int] = {}
         # Pending switches by stage (a lower endpoint is never a spine).
         pending: List[List[int]] = [[] for _ in range(self._top)]
-        for switch in starts:
-            pending[stage[switch]].append(switch)
-        queued = set(starts)
-        visited = 0
+        for link in seeds:
+            below = lower[link]
+            if below in deltas:
+                deltas[below] += sign * counts[upper[link]]
+            else:
+                deltas[below] = sign * counts[upper[link]]
+                pending[stage[below]].append(below)
+        overlay: Dict[int, int] = {}
+        visited = len(seeds)
         for level in reversed(pending):
             for switch in level:
-                links = up[switch]
-                visited += len(links)
-                new = 0
-                for link in links:
-                    if enabled[link] and link not in extra:
-                        above = upper[link]
-                        new += (
-                            overlay[above] if above in overlay else counts[above]
-                        )
-                if new == counts[switch]:
+                delta = deltas[switch]
+                if not delta:
                     continue
-                overlay[switch] = new
-                # (An enabled ``extra`` downlink leads to one of ``starts``.)
+                overlay[switch] = counts[switch] + delta
                 for link in down[switch]:
-                    if enabled[link]:
+                    if enabled[link] and link not in extra:
+                        visited += 1
                         below = lower[link]
-                        if below not in queued:
-                            queued.add(below)
+                        if below in deltas:
+                            deltas[below] += delta
+                        else:
+                            deltas[below] = delta
                             pending[stage[below]].append(below)
         self.stats.links_visited += visited
         if self.obs.enabled:
@@ -393,10 +405,10 @@ class PathCounter:
         self.stats.overlay_queries += 1
         if self.obs.enabled:
             self.obs.count("path_counter_overlay_queries_total")
-        enabled, lower = self._enabled, self._lower
-        starts = {lower[link] for link in extra if enabled[link]}
-        overlay = self._walk(starts, extra, "overlay")
-        if len(extra) == 1 and starts:
+        enabled = self._enabled
+        seeds = [link for link in extra if enabled[link]]
+        overlay = self._walk(seeds, -1, extra, "overlay")
+        if len(extra) == 1 and seeds:
             (link,) = extra
             self._checked = (self._state_version, link, overlay)
         return overlay
@@ -442,8 +454,12 @@ class PathCounter:
         the structure changes."""
         self._sync()
         if self._floors[0] is not constraint:
-            self._floors = (constraint, constraint.floors(self._names))
+            floors = constraint.floors(self._names)
+            self._floors = (constraint, floors, self._top_floor(floors))
         return self._floors[1]
+
+    def _top_floor(self, floors: List[float]) -> float:
+        return max((floors[tor] for tor in self._tor_rows), default=0.0)
 
     def fractions_at(
         self,
@@ -470,15 +486,47 @@ class PathCounter:
     ) -> Dict[int, float]:
         """The ToR rows of :meth:`fractions_at` that fall below their
         floor, mapped to the fraction they would have: the fast checker's
-        and optimizer's feasibility primitive."""
-        fractions = self.fractions_at(tors, extra)
-        return {
-            tor: fraction
-            for tor, fraction in zip(
-                self._tor_rows if tors is None else tors, fractions
-            )
-            if fraction < floors[tor]
-        }
+        and optimizer's feasibility primitive.
+
+        Over every ToR (``tors`` None), an incremental counter scans none:
+        the answer is the overlay's ToRs below their floor plus the live
+        ones already below theirs, read off the worst-fraction heap (and
+        keyed in no particular order)."""
+        if tors is not None or not self._incremental:
+            fractions = self.fractions_at(tors, extra)
+            return {
+                tor: fraction
+                for tor, fraction in zip(
+                    self._tor_rows if tors is None else tors, fractions
+                )
+                if fraction < floors[tor]
+            }
+        overlay, _ = self._hypothetical(extra)
+        baseline, stage = self._baseline, self._stage
+        found: Dict[int, float] = {}
+        for row, count in overlay.items():
+            if stage[row] == 0 and count / baseline[row] < floors[row]:
+                found[row] = count / baseline[row]
+        _, cached, top = self._floors
+        if floors is not cached:
+            top = self._top_floor(floors)
+        # Every ToR's live fraction is in the heap, and no entry is below
+        # its parent: only the entries under the highest floor are read.
+        heap = self._min_heap
+        stack = [0]
+        while stack:
+            index = stack.pop()
+            if index >= len(heap) or heap[index][0] >= top:
+                continue
+            fraction, tor = heap[index]
+            if (
+                fraction < floors[tor]
+                and tor not in overlay
+                and fraction == self._frac(tor)
+            ):
+                found[tor] = fraction
+            stack += (2 * index + 1, 2 * index + 2)
+        return found
 
     def affected_rows(self, link: int) -> List[int]:
         """Rows of the ToRs whose path count could change if link row

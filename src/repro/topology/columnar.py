@@ -237,11 +237,11 @@ class ColumnarTopology:
 
     def link_ids(self) -> List[LinkId]:
         """Canonical link ids in insertion order."""
-        name = self.switch_names.__getitem__
+        names = np.array(self.switch_names, dtype=object)
         return list(
             zip(
-                map(name, self.link_lower.tolist()),
-                map(name, self.link_upper.tolist()),
+                names[self.link_lower].tolist(),
+                names[self.link_upper].tolist(),
             )
         )
 

@@ -386,19 +386,20 @@ class Topology:
 
         These are the candidates the fast checker and optimizer reason
         about: disabled links are already mitigated.  Answered from the
-        index of links with a non-zero rate, in link-row (insertion) order.
+        indexes (links with a non-zero rate, minus links not carrying
+        traffic), in link-row (insertion) order.
         """
         links = self._links
+        if threshold > 0:
+            pool = self._corrupting - self._disabled
+            hits = [lid for lid in pool if links[lid].is_corrupting(threshold)]
+            return sorted(hits, key=self.link_row.__getitem__)
         # A threshold of zero (or below) also matches healthy links.
-        pool = self._corrupting if threshold > 0 else links
-        hits = [
+        return [
             lid
-            for lid in pool
-            if links[lid].enabled and links[lid].is_corrupting(threshold)
+            for lid, link in links.items()
+            if link.enabled and link.is_corrupting(threshold)
         ]
-        if pool is not links and len(hits) > 1:
-            hits.sort(key=self.link_row.__getitem__)
-        return hits
 
     def links_with_corruption(self) -> Set[LinkId]:
         """Ids of links with a non-zero corruption rate in either

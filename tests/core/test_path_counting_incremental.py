@@ -143,7 +143,9 @@ class TestIncrementalMatchesFullDP:
                 topo.drain_link(lid)
             else:
                 topo.disable_link(lid)
-            if was_enabled and counter.stats.links_visited == before:
+            # (A notification where nothing flipped visits nothing either.)
+            flipped = was_enabled and not topo.link(lid).enabled
+            if flipped and counter.stats.links_visited == before:
                 commits += 1
             assert counter.counts() == oracle.counts()
             assert counter.worst_tor_fraction() == oracle.worst_tor_fraction()

@@ -18,6 +18,7 @@ from repro.core import CapacityConstraint, FastChecker, PathCounter
 from repro.topology import (
     LinkState,
     Switch,
+    Topology,
     assign_breakout_groups,
     build_clos,
     build_fattree,
@@ -157,6 +158,52 @@ def _naive_check(topo, constraint, lid):
     return allowed, after
 
 
+def naive_corrupting(topo, threshold):
+    return [
+        lid
+        for lid in topo.link_ids()
+        if topo.link(lid).enabled
+        and topo.link(lid).max_corruption_rate() >= threshold
+    ]
+
+
+def assert_decisions_match_oracle(counter, topo, constraint, rng):
+    """The optimizer's pruning query over every ToR, the delta overlay
+    behind it, and the candidate list, each against a scan."""
+    links = list(topo.link_ids())
+    extra = set(rng.sample(links, k=min(rng.randint(1, 8), len(links))))
+    rows = frozenset(topo.link_row[lid] for lid in extra)
+    names = topo.switch_names
+    want = {
+        tor: fraction
+        for tor, fraction in naive_fractions(topo, extra).items()
+        if not constraint.satisfied_by(tor, fraction)
+    }
+    floors = counter.floors(constraint)
+    # The counter's own column, then an equal one it has not seen.
+    for column in (floors, list(floors)):
+        violated = counter.violations(column, None, rows)
+        assert {names[tor]: f for tor, f in violated.items()} == want
+    if counter.incremental:
+        live, after = naive_counts(topo), naive_counts(topo, extra)
+        overlay = counter._overlay_with_extra(rows)
+        assert {names[row]: count for row, count in overlay.items()} == {
+            name: count for name, count in after.items() if count != live[name]
+        }
+    for threshold in (1e-8, 0.0):
+        assert topo.corrupting_links(threshold) == naive_corrupting(
+            topo, threshold
+        )
+
+
+#: The topology's API for putting a link into each state.
+SET_STATE = {
+    LinkState.ENABLED: Topology.enable_link,
+    LinkState.DISABLED: Topology.disable_link,
+    LinkState.DRAINED: Topology.drain_link,
+}
+
+
 @given(
     builder=st.sampled_from(sorted(BUILDERS)),
     seed=st.integers(0, 10_000),
@@ -172,7 +219,12 @@ def test_counter_equals_naive_oracle_after_every_step(builder, seed, incremental
         rng.choice([0.4, 0.5, 0.75]), {hot[0]: 0.9, hot[1]: 0.3}
     )
     checker = FastChecker(topo, constraint, counter=counter)
+    links = list(topo.link_ids())
+    for lid in rng.sample(links, k=len(links) // 4):
+        # Rates on both sides of the 1e-8 candidate threshold.
+        topo.set_corruption(lid, 10 ** rng.uniform(-10, -3))
     assert_matches_oracle(counter, topo, rng)
+    assert_decisions_match_oracle(counter, topo, constraint, rng)
     for _step in range(25):
         links = list(topo.link_ids())
         lid = rng.choice(links)
@@ -187,9 +239,15 @@ def test_counter_equals_naive_oracle_after_every_step(builder, seed, incremental
             # Direct write: the counter answers for what it was told until
             # notified (asked in between, it must not take the new state).
             before = counter.counts()
-            topo.link(lid).state = rng.choice(list(LinkState))
+            link = topo.link(lid)
+            old, new = link.state, rng.choice(list(LinkState))
+            link.state = new
             assert counter.counts() == before
             counter.notify_link_change(lid)
+            # The same state through the API, so the topology's own indexes
+            # agree again; the counter, told already, sees nothing flip.
+            link.state = old
+            SET_STATE[new](topo, lid)
         elif roll < 0.85:
             allowed, after = _naive_check(topo, constraint, lid)
             was_enabled = topo.link(lid).enabled
@@ -204,12 +262,14 @@ def test_counter_equals_naive_oracle_after_every_step(builder, seed, incremental
             }
             assert topo.link(lid).enabled == (was_enabled and not allowed)
         elif roll < 0.92:
+            topo.set_corruption(lid, 10 ** rng.uniform(-10, -3))
             if topo.link(lid).enabled:
                 topo.set_lg_capable(lid, True)
                 topo.protect_link(lid, 1e-9, rng.choice([0.5, 0.9]))
         else:
             _add_link_somewhere(topo, rng)
         assert_matches_oracle(counter, topo, rng)
+        assert_decisions_match_oracle(counter, topo, constraint, rng)
     counter.detach()
 
 
@@ -254,27 +314,51 @@ def test_enable_refreshes_the_told_state_column():
 
 def test_walk_visits_the_dirty_region_and_nothing_else():
     """``links_visited`` is the paper's unit of cost (and a benchmark
-    counter): a walk must not descend through a downlink that is off, nor
-    re-enter a switch, nor go on below an unchanged count."""
-    topo = build_clos(2, 3, 2, 4)  # ToR: 2 uplinks; agg: 2 uplinks
+    counter): a walk crosses each link a change enters by, then pushes the
+    change through enabled downlinks only, never through a link that is
+    itself named, and never below a switch whose count did not move."""
+    topo = build_clos(2, 3, 2, 4)  # pod0/agg0 -> spine0, spine1
     counter = PathCounter(topo)
     topo.disable_link(("pod0/tor0", "pod0/agg0"))
     counter.stats.reset()
-    # agg0 changes (2 uplinks), then the two ToRs still hanging off it.
+    # agg0 loses spine0's path (1 link), pushed down to tor1 and tor2 (2);
+    # the downlink to tor0 is off.
     counter.tor_fractions([("pod0/agg0", "spine0")])
-    assert counter.stats.links_visited == 2 + 2 * 2
-    # The same with one of those ToRs' own downlink named as well: it is a
-    # start, visited once.
-    counter.tor_fractions([("pod0/agg0", "spine0"), ("pod0/tor1", "pod0/agg0")])
-    assert counter.stats.links_visited == 2 * (2 + 2 * 2)
-    # A link that is off already starts nothing.
+    assert counter.stats.links_visited == 1 + 2
+    # Naming tor1's uplink as well: two links in (tor1 loses agg0's whole
+    # live count of 2), and agg0's change reaches tor2 only (1).
+    assert counter.counts(
+        [("pod0/agg0", "spine0"), ("pod0/tor1", "pod0/agg0")]
+    )["pod0/tor1"] == 2
+    assert counter.stats.links_visited == 3 + 2 + 1
+    # A link that is off already lets nothing in.
     counter.tor_fractions([("pod0/tor0", "pod0/agg0")])
-    assert counter.stats.links_visited == 2 * (2 + 2 * 2)
-    # Committing walks from the lower endpoint only: tor0 (2 uplinks).
+    assert counter.stats.links_visited == 6
+    # Enabling tor0's uplink: the link itself, and a ToR has no downlinks.
     topo.enable_link(("pod0/tor0", "pod0/agg0"))
-    assert counter.stats.links_visited == 2 * (2 + 2 * 2) + 2
+    assert counter.stats.links_visited == 6 + 1
+    # A notification where nothing flipped lets nothing in.
+    counter.notify_link_change(("pod0/tor0", "pod0/agg0"))
+    assert counter.stats.links_visited == 7
     assert counter.stats.overlay_queries == 3
-    assert counter.stats.incremental_updates == 1
+    assert counter.stats.incremental_updates == 2
+
+    # spine -> core -> agg -> two ToRs, the core's uplink off: every count
+    # below it is 0, so the agg's uplink carries nothing and moves nothing.
+    topo = Topology(num_stages=4)
+    for name, stage in (("s", 3), ("c", 2), ("a", 1), ("t0", 0), ("t1", 0)):
+        topo.add_switch(Switch(name, stage=stage))
+    for lower, upper in (("c", "s"), ("a", "c"), ("t0", "a"), ("t1", "a")):
+        topo.add_link(lower, upper)
+    counter = PathCounter(topo)
+    topo.disable_link(("c", "s"))
+    counter.stats.reset()
+    topo.disable_link(("a", "c"))
+    assert counter.stats.links_visited == 1
+    assert counter.counts() == naive_counts(topo)
+    topo.enable_link(("a", "c"))
+    assert counter.counts([("a", "c")]) == naive_counts(topo, {("a", "c")})
+    assert counter.stats.links_visited == 1 + 1 + 1
 
 
 def test_overlay_commit_updates_the_aggregates():
