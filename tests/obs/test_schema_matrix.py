@@ -99,9 +99,14 @@ def _build_artifacts(out: Path) -> dict:
         "--out", str(out / "service-report"),
     ]) == 0
 
-    # One benchmark of the committed trajectory keeps the matrix small.
+    # One benchmark of the committed trajectory (the first with a runtime
+    # metric, so its baseline is not empty) keeps the matrix small.
     trajectory = json.loads((ROOT / "BENCH_trajectory.json").read_text())
-    first = min(trajectory["benchmarks"])
+    first = min(
+        name
+        for name, entry in trajectory["benchmarks"].items()
+        if entry["runtime_metrics"]
+    )
     trajectory["benchmarks"] = {first: trajectory["benchmarks"][first]}
     trajectory["baseline"] = {
         name: entry
@@ -109,10 +114,17 @@ def _build_artifacts(out: Path) -> dict:
         if name == first
     }
     artifacts = {
-        label: (out / label).read_text().splitlines()
+        label: [
+            json.dumps(_without_git_sha(json.loads(line)))
+            for line in (out / label).read_text().splitlines()
+        ]
         for label in JSONL_VALIDATORS
     }
-    artifacts["trace"] = json.loads((out / "trace").read_text())
+    # The event stream has no row count; one row per shape keeps it short.
+    artifacts["events"] = _one_row_per_shape(artifacts["events"])
+    artifacts["trace"] = _without_git_sha(
+        json.loads((out / "trace").read_text())
+    )
     artifacts["health"] = json.loads((out / "health").read_text())
     artifacts["metrics"] = (out / "metrics").read_text()
     artifacts["benchmark"] = json.loads(BENCHMARK_RECORD.read_text())
@@ -121,6 +133,32 @@ def _build_artifacts(out: Path) -> dict:
         out / "ck" / "checkpoint-000001.ckpt"
     ).read_bytes()
     return artifacts
+
+
+def _without_git_sha(value):
+    """``value`` with every ``git_sha`` nulled: it is null outside a git
+    checkout, and the matrix must not depend on where it runs."""
+    if isinstance(value, dict):
+        return {
+            key: None if key == "git_sha" else _without_git_sha(item)
+            for key, item in value.items()
+        }
+    if isinstance(value, list):
+        return [_without_git_sha(item) for item in value]
+    return value
+
+
+def _shape(record: dict):
+    return record.get("type"), tuple(sorted(record))
+
+
+def _one_row_per_shape(lines):
+    """The first row of each distinct ``type`` and key set, in order."""
+    shapes = [_shape(json.loads(line)) for line in lines]
+    return [
+        line for index, line in enumerate(lines)
+        if shapes[index] not in shapes[:index]
+    ]
 
 
 def _paths(value, prefix=()):
@@ -228,10 +266,9 @@ def _jsonl_rows(label, validate, lines):
     seen = set()
     for index, line in enumerate(lines):
         record = json.loads(line)
-        shape = (record.get("type"), tuple(sorted(record)))
-        if shape in seen:
+        if _shape(record) in seen:
             continue
-        seen.add(shape)
+        seen.add(_shape(record))
         kind = str(record.get("type"))
         edits = [("garbage", lines[:index] + ["not json"] + lines[index + 1:])]
         if len(lines) > 1:
