@@ -43,10 +43,12 @@ from typing import List, Optional
 #: so ``--help`` works without importing the simulation stack while the
 #: names stay pinned to the single canonical registry.
 from repro.registry import (
+    CHAOS_PRESETS as CHAOS_CHOICES,
     CONGESTION_PRESETS as CONGESTION_CHOICES,
     PENALTIES as PENALTY_CHOICES,
     SENSING_PIPELINES as SENSING_CHOICES,
     STRATEGIES as STRATEGY_CHOICES,
+    TOPO_KINDS as TOPO_CHOICES,
 )
 
 
@@ -1034,9 +1036,17 @@ def _cmd_gadget(args: argparse.Namespace) -> int:
     return 0 if agreement else 1
 
 
-def _read_lines(path: str) -> List[str]:
+def _read_text(path: str) -> str:
     with open(path, "r", encoding="utf-8") as handle:
-        return handle.read().splitlines()
+        return handle.read()
+
+
+def _read_lines(path: str) -> List[str]:
+    return _read_text(path).splitlines()
+
+
+def _read_json(path: str):
+    return json.loads(_read_text(path))
 
 
 def _print_audit(lines: List[str], limit: int) -> None:
@@ -1355,6 +1365,31 @@ def _cmd_bench_track(args: argparse.Namespace) -> int:
     return 0
 
 
+def _print_checkpoint(path: str) -> None:
+    with open(path, "rb") as handle:
+        header = json.loads(handle.readline())
+    print(
+        f"checkpoint {path}: boundary "
+        f"{header['boundary_index']}, sim "
+        f"t={header['sim_time_s'] / 3600.0:.1f}h, "
+        f"{header['payload_bytes']} payload bytes, digest OK"
+    )
+
+
+def _print_service_report(path: str, lines: List[str]) -> None:
+    for line in lines:
+        record = json.loads(line)
+        if record.get("type") == "result":
+            print(
+                f"service report {path}: penalty "
+                f"{record.get('penalty_integral', 0.0):.3e}, "
+                f"fingerprint {record.get('fingerprint', '?')[:18]}..., "
+                f"invariants "
+                f"{'OK' if record.get('invariants_ok') else 'VIOLATED'}"
+            )
+            return
+
+
 def _cmd_obs(args: argparse.Namespace) -> int:
     from repro.obs import (
         summarize_scorecard,
@@ -1369,101 +1404,57 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         validate_sweep_jsonl,
     )
 
-    if not any(
-        (args.audit, args.metrics, args.events, args.trace, args.sweep,
-         args.checkpoint, args.service_report, args.health, args.alerts)
-    ):
+    # (path, load, validate, summarize) per artifact, in print order.
+    artifacts = [
+        (args.metrics, _read_text, validate_prometheus_text,
+         _print_metrics_summary),
+        (args.events, _read_lines, validate_events_jsonl,
+         _print_events_summary),
+        (args.trace, _read_json, validate_chrome_trace, _print_trace_summary),
+        (args.sweep, _read_lines, validate_sweep_jsonl, _print_sweep_summary),
+        (args.audit, _read_lines, validate_audit_jsonl,
+         lambda lines: _print_audit(lines, args.limit)),
+        *[(path, str, validate_checkpoint_file, _print_checkpoint)
+          for path in args.checkpoint or ()],
+        (args.health, _read_json, validate_health_scorecard,
+         lambda card: print("\n".join(summarize_scorecard(card)))),
+        (args.alerts, _read_lines, validate_alerts_jsonl,
+         _print_alerts_summary),
+        (args.service_report, _read_lines, validate_service_report_jsonl,
+         lambda lines: _print_service_report(args.service_report, lines)),
+    ]
+    if not any(path for path, *_ in artifacts):
         print(
             "nothing to inspect: pass --audit/--metrics/--events/--trace/"
             "--sweep/--checkpoint/--service-report/--health/--alerts"
         )
         return 2
 
+    # Summaries assume a well-formed artifact, so a file is summarized
+    # only once its validator passes; a bad file gets an INVALID line.
     problems: List[str] = []
-    if args.metrics:
-        text = "\n".join(_read_lines(args.metrics))
-        if args.validate:
-            problems += [f"{args.metrics}: {p}" for p in
-                         validate_prometheus_text(text)]
-        _print_metrics_summary(text)
-    if args.events:
-        lines = _read_lines(args.events)
-        if args.validate:
-            problems += [f"{args.events}: {p}" for p in
-                         validate_events_jsonl(lines)]
-        _print_events_summary(lines)
-    if args.trace:
-        with open(args.trace, "r", encoding="utf-8") as handle:
-            obj = json.load(handle)
-        if args.validate:
-            problems += [f"{args.trace}: {p}" for p in
-                         validate_chrome_trace(obj)]
-        _print_trace_summary(obj)
-    if args.sweep:
-        lines = _read_lines(args.sweep)
-        if args.validate:
-            problems += [f"{args.sweep}: {p}" for p in
-                         validate_sweep_jsonl(lines)]
-        _print_sweep_summary(lines)
-    if args.audit:
-        lines = _read_lines(args.audit)
-        if args.validate:
-            problems += [f"{args.audit}: {p}" for p in
-                         validate_audit_jsonl(lines)]
-        _print_audit(lines, args.limit)
-    if args.checkpoint:
-        for path in args.checkpoint:
-            found = validate_checkpoint_file(path)
+    for path, load, validate, summarize in artifacts:
+        if not path:
+            continue
+        try:
+            content = load(path)
+        except (OSError, ValueError, RecursionError) as exc:
+            problems.append(f"{path}: unreadable ({exc})")
+            continue
+        found = validate(content)
+        if found:
+            print(f"{path}: INVALID ({len(found)} problem(s))")
             if args.validate:
                 problems += [f"{path}: {p}" for p in found]
-            if not found:
-                with open(path, "rb") as handle:
-                    header = json.loads(handle.readline())
-                print(
-                    f"checkpoint {path}: boundary "
-                    f"{header['boundary_index']}, sim "
-                    f"t={header['sim_time_s'] / 3600.0:.1f}h, "
-                    f"{header['payload_bytes']} payload bytes, digest OK"
-                )
-            else:
-                print(f"checkpoint {path}: INVALID ({len(found)} problem(s))")
-    if args.health:
-        with open(args.health, "r", encoding="utf-8") as handle:
-            card = json.load(handle)
-        if args.validate:
-            problems += [f"{args.health}: {p}" for p in
-                         validate_health_scorecard(card)]
-        for line in summarize_scorecard(card):
-            print(line)
-    if args.alerts:
-        lines = _read_lines(args.alerts)
-        if args.validate:
-            problems += [f"{args.alerts}: {p}" for p in
-                         validate_alerts_jsonl(lines)]
-        _print_alerts_summary(lines)
-    if args.service_report:
-        lines = _read_lines(args.service_report)
-        if args.validate:
-            problems += [f"{args.service_report}: {p}" for p in
-                         validate_service_report_jsonl(lines)]
-        for line in lines:
-            record = json.loads(line)
-            if record.get("type") == "result":
-                print(
-                    f"service report {args.service_report}: penalty "
-                    f"{record.get('penalty_integral', 0.0):.3e}, "
-                    f"fingerprint {record.get('fingerprint', '?')[:18]}..., "
-                    f"invariants "
-                    f"{'OK' if record.get('invariants_ok') else 'VIOLATED'}"
-                )
-                break
+        else:
+            summarize(content)
 
+    if problems:
+        print(f"validation: {len(problems)} problem(s)")
+        for problem in problems:
+            print(f"  {problem}")
+        return 1
     if args.validate:
-        if problems:
-            print(f"validation: {len(problems)} problem(s)")
-            for problem in problems:
-                print(f"  {problem}")
-            return 1
         print("validation: OK")
     return 0
 
@@ -1476,7 +1467,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     topo = sub.add_parser("topology", help="build a topology")
-    topo.add_argument("--kind", choices=["clos", "fattree"], default="clos")
+    topo.add_argument("--kind", choices=list(TOPO_CHOICES), default="clos")
     topo.add_argument("--pods", type=int, default=4)
     topo.add_argument("--tors", type=int, default=8)
     topo.add_argument("--aggs", type=int, default=4)
@@ -1654,7 +1645,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos.add_argument(
         "--preset",
-        choices=["none", "mild", "harsh", "reboot-storm", "flaky-collector"],
+        choices=list(CHAOS_CHOICES),
         help="named fault mix (overrides the individual rate flags)",
     )
     chaos.add_argument("--missed-polls", type=float, default=0.0)
@@ -1729,7 +1720,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     localize.add_argument(
         "--chaos-preset", default="none",
-        choices=["none", "mild", "harsh", "reboot-storm", "flaky-collector"],
+        choices=list(CHAOS_CHOICES),
         help="telemetry-fault mix layered under every cell",
     )
     localize.add_argument("--seeds", default="0", metavar="LIST",
@@ -1764,7 +1755,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--fault-seed", type=int, default=0)
     serve.add_argument(
         "--chaos-preset", default=None,
-        choices=["none", "mild", "harsh", "reboot-storm", "flaky-collector"],
+        choices=list(CHAOS_CHOICES),
         help="inject this telemetry-fault mix into the live stream",
     )
     serve.add_argument(

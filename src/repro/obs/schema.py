@@ -1,9 +1,20 @@
-"""Schema validation for the three exporter formats.
+"""Schema validation for every artifact format the system writes.
 
-Shared by the golden-file tests, the ``repro obs --validate`` CLI, and the
-CI artifact job, so "the emitted artifact is well-formed" means the same
-thing everywhere.  Validators collect human-readable problems instead of
-raising: an empty list means valid.
+Each format is declared once, as a field table: a dict from key to
+:class:`Field` — the kind of value the key holds, whether it may be null
+or absent, and any nested table, item table or cross-row rule.  A
+:class:`Switch` picks a table by a discriminator (``type``, ``status``,
+``spec.kind``, ``sensing``, ``ph``); a :class:`Stream` is a JSONL file: a
+header table, a table per record ``type`` and the row counts the header
+declares.  One interpreter walks them, so the tables below *are* the
+format specification.  Only the Prometheus text parser and the
+checkpoint file's byte framing are hand-written.
+
+Shared by the golden-file tests, ``repro obs --validate``, ``repro
+health``, ``benchtrack`` and the CI artifact jobs, so "the emitted
+artifact is well-formed" means the same thing everywhere.  Validators
+collect human-readable problems instead of raising — an empty list means
+valid — and every problem names its line or index and its key.
 """
 
 from __future__ import annotations
@@ -11,10 +22,13 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from typing import Dict, List, Sequence
+from collections import Counter
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.registry import SENSING_PIPELINES as _SENSING_PIPELINES
 from repro.registry import STRATEGIES as SWEEP_STRATEGY_NAMES
+from repro.registry import TOPO_KINDS as _TOPO_KINDS
 
 _SAMPLE_RE = re.compile(
     r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
@@ -79,462 +93,241 @@ def validate_prometheus_text(text: str) -> List[str]:
     return problems
 
 
-def validate_events_jsonl(lines: Sequence[str]) -> List[str]:
-    """Problems with a JSONL event stream (empty list = valid)."""
-    problems: List[str] = []
-    if not lines:
-        return ["empty stream"]
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        return [f"line 1: invalid JSON ({exc})"]
-    if not isinstance(header, dict) or header.get("type") != "header":
-        problems.append("line 1: first record must have type 'header'")
-    else:
-        if header.get("format") != "repro-obs-events":
-            problems.append("line 1: wrong or missing 'format'")
-        if not isinstance(header.get("format_version"), int):
-            problems.append("line 1: missing integer 'format_version'")
-        if not header.get("repro_version"):
-            problems.append("line 1: missing 'repro_version'")
-
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            problems.append(f"line {lineno}: invalid JSON ({exc})")
-            continue
-        if not isinstance(record, dict):
-            problems.append(f"line {lineno}: record is not an object")
-            continue
-        if record.get("type") != "event":
-            problems.append(f"line {lineno}: unknown type {record.get('type')!r}")
-        if not isinstance(record.get("name"), str):
-            problems.append(f"line {lineno}: missing string 'name'")
-        if not isinstance(record.get("sim_time_s"), (int, float)):
-            problems.append(f"line {lineno}: missing numeric 'sim_time_s'")
-    return problems
+# --------------------------------------------------------------------- #
+# The interpreter
+# --------------------------------------------------------------------- #
 
 
-def validate_chrome_trace(obj: object) -> List[str]:
-    """Problems with a Chrome-trace object (empty list = valid)."""
-    problems: List[str] = []
-    if not isinstance(obj, dict):
-        return ["trace is not a JSON object"]
-    events = obj.get("traceEvents")
-    if not isinstance(events, list):
-        return ["missing 'traceEvents' list"]
-    other = obj.get("otherData")
-    if not isinstance(other, dict) or not other.get("repro_version"):
-        problems.append("missing otherData.repro_version provenance")
-    for index, event in enumerate(events):
-        where = f"traceEvents[{index}]"
-        if not isinstance(event, dict):
-            problems.append(f"{where}: not an object")
-            continue
-        if not isinstance(event.get("name"), str):
-            problems.append(f"{where}: missing string 'name'")
-        ph = event.get("ph")
-        if ph not in ("X", "M", "B", "E", "i"):
-            problems.append(f"{where}: unsupported phase {ph!r}")
-        if ph == "X":
-            for key in ("ts", "dur"):
-                value = event.get(key)
-                if not isinstance(value, (int, float)) or value < 0:
-                    problems.append(f"{where}: bad {key!r} {value!r}")
-        for key in ("pid", "tid"):
-            if not isinstance(event.get(key), int):
-                problems.append(f"{where}: missing integer {key!r}")
-    return problems
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-def validate_audit_jsonl(lines: Sequence[str]) -> List[str]:
-    """Problems with an AuditLog JSONL export (empty list = valid)."""
-    problems: List[str] = []
-    if not lines:
-        return ["empty stream"]
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        return [f"line 1: invalid JSON ({exc})"]
-    if not isinstance(header, dict) or header.get("type") != "header":
-        problems.append("line 1: first record must have type 'header'")
-    elif header.get("format") != "repro-audit":
-        problems.append("line 1: wrong or missing 'format'")
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            problems.append(f"line {lineno}: invalid JSON ({exc})")
-            continue
-        if not isinstance(record, dict):
-            problems.append(f"line {lineno}: record is not an object")
-            continue
-        if record.get("type") != "decision":
-            problems.append(
-                f"line {lineno}: unknown type {record.get('type')!r}"
-            )
-        if not isinstance(record.get("sim_time_s"), (int, float)):
-            problems.append(f"line {lineno}: missing numeric 'sim_time_s'")
-        if not isinstance(record.get("verdict"), str):
-            problems.append(f"line {lineno}: missing string 'verdict'")
-    return problems
+#: Kind -> (test, noun in problems).  Numbers never accept bools; only a
+#: benchmark ``metric`` does (benchmarks record flags as metrics).
+_KINDS = {
+    "int": (_is_int, "integer "),
+    "number": (lambda v: _is_int(v) or isinstance(v, float), "numeric "),
+    "metric": (lambda v: isinstance(v, (int, float)), "numeric "),
+    "str": (lambda v: isinstance(v, str), "string "),
+    "bool": (lambda v: isinstance(v, bool), "boolean "),
+    "object": (lambda v: isinstance(v, dict), "object "),
+    "list": (lambda v: isinstance(v, list), "list "),
+    "sha256": (lambda v: str(v).startswith("sha256:"), "sha256 "),
+    "present": (bool, ""),
+}
 
 
-#: ``SWEEP_STRATEGY_NAMES`` (the strategy names a sweep/tournament row
-#: may carry) is an alias into :mod:`repro.registry` — itself
-#: stdlib-only, so the schema module stays import-light.
+@dataclass(frozen=True)
+class Field:
+    """One table entry: the kind of value a key holds and its rules.
 
-#: Integer-count chaos columns every ok chaos row must carry.
-CHAOS_COUNT_COLUMNS = (
-    "polls",
-    "missed_polls",
-    "degraded_samples",
-    "false_disables",
-    "missed_mitigations",
-    "detections",
-    "decisions_in_degraded_mode",
-    "quarantined_peak",
-    "quarantine_violations",
-    "capacity_violations",
-)
-
-
-def _chaos_row_problems(chaos: object, lineno: int) -> List[str]:
-    """Problems with one ok chaos row's ``chaos`` column block."""
-    if not isinstance(chaos, dict):
-        return [f"line {lineno}: chaos job missing object 'chaos'"]
-    problems: List[str] = []
-    if not isinstance(chaos.get("invariants_ok"), bool):
-        problems.append(
-            f"line {lineno}: chaos block missing boolean 'invariants_ok'"
-        )
-    if not isinstance(chaos.get("preset"), str):
-        problems.append(f"line {lineno}: chaos block missing 'preset'")
-    if not isinstance(chaos.get("detection_lag_polls"), (int, float)):
-        problems.append(
-            f"line {lineno}: chaos block missing numeric "
-            "'detection_lag_polls'"
-        )
-    for key in CHAOS_COUNT_COLUMNS:
-        value = chaos.get(key)
-        if not isinstance(value, int) or isinstance(value, bool):
-            problems.append(
-                f"line {lineno}: chaos block missing integer {key!r}"
-            )
-    return problems
-
-
-#: Keys of the compact per-run health block (HealthReport.row()) with
-#: their expected shapes: int counters, numeric-or-null latencies,
-#: numeric rates, one boolean verdict.
-_HEALTH_ROW_INT_KEYS = (
-    "detections",
-    "detection_pending",
-    "false_disables",
-    "quarantine_peak",
-    "alerts_fired",
-)
-_HEALTH_ROW_OPTIONAL_NUM_KEYS = (
-    "detection_latency_p50_s",
-    "detection_latency_p95_s",
-    "ttm_p50_s",
-    "ttm_p95_s",
-    "headroom_min",
-)
-_HEALTH_ROW_NUM_KEYS = ("false_disable_rate", "breaker_open_duty")
-
-
-def _health_row_problems(health: object, where: str) -> List[str]:
-    """Problems with one compact ``health`` block (empty list = valid)."""
-    if not isinstance(health, dict):
-        return [f"{where}: 'health' is not an object"]
-    problems: List[str] = []
-    for key in _HEALTH_ROW_INT_KEYS:
-        value = health.get(key)
-        if not isinstance(value, int) or isinstance(value, bool):
-            problems.append(f"{where}: health missing integer {key!r}")
-    for key in _HEALTH_ROW_OPTIONAL_NUM_KEYS:
-        value = health.get(key)
-        if value is not None and (
-            not isinstance(value, (int, float)) or isinstance(value, bool)
-        ):
-            problems.append(
-                f"{where}: health {key!r} must be numeric or null"
-            )
-    for key in _HEALTH_ROW_NUM_KEYS:
-        value = health.get(key)
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            problems.append(f"{where}: health missing numeric {key!r}")
-    if not isinstance(health.get("slo_ok"), bool):
-        problems.append(f"{where}: health missing boolean 'slo_ok'")
-    return problems
-
-
-#: Integer counters every sweep-row ``diagnosis`` block must carry
-#: (DiagnosisStats.row() plus the spec axes stamped by the aggregator).
-_DIAGNOSIS_ROW_INT_KEYS = (
-    "diagnoses",
-    "congestion_mitigations",
-    "missed_corrupting",
-)
-
-
-def _diagnosis_row_problems(diagnosis: object, where: str) -> List[str]:
-    """Problems with one sweep-row ``diagnosis`` block (empty = valid).
-
-    The block is optional — plain chaos rows (no congestion co-model, no
-    miswiring, telemetry sensing) omit it entirely — but when present it
-    must carry the sensing/congestion/miswire axes plus the confusion
-    counters, and every ``precision_*``/``recall_*`` column must be
-    numeric or null (null = cause never seen in truth/verdicts).
+    ``kind`` is a :data:`_KINDS` name or ``"enum"`` (one of ``choices``,
+    compared type-strictly, so ``true`` is never ``1``).
     """
-    if not isinstance(diagnosis, dict):
-        return [f"{where}: 'diagnosis' is not an object"]
-    problems: List[str] = []
-    if diagnosis.get("sensing") not in _SENSING_PIPELINES:
-        problems.append(
-            f"{where}: diagnosis has unknown sensing "
-            f"{diagnosis.get('sensing')!r}"
-        )
-    preset = diagnosis.get("congestion_preset")
-    if preset is not None and not isinstance(preset, str):
-        problems.append(
-            f"{where}: diagnosis 'congestion_preset' must be string or null"
-        )
-    pairs = diagnosis.get("miswire_pairs")
-    if not isinstance(pairs, int) or isinstance(pairs, bool) or pairs < 0:
-        problems.append(
-            f"{where}: diagnosis missing non-negative integer 'miswire_pairs'"
-        )
-    for key in _DIAGNOSIS_ROW_INT_KEYS:
-        value = diagnosis.get(key)
-        if not isinstance(value, int) or isinstance(value, bool):
-            problems.append(f"{where}: diagnosis missing integer {key!r}")
-    for key, value in diagnosis.items():
-        if not key.startswith(("precision_", "recall_")):
-            continue
-        if value is not None and (
-            not isinstance(value, (int, float)) or isinstance(value, bool)
-        ):
-            problems.append(
-                f"{where}: diagnosis {key!r} must be numeric or null"
-            )
-    return problems
+
+    kind: str
+    choices: tuple = ()
+    nullable: bool = False  # null or absent is valid
+    optional: bool = False  # absent is valid, null is not
+    nonempty: bool = False
+    min: Optional[float] = None
+    table: object = None  # object: a nested table or Switch
+    values: Optional["Field"] = None  # object: every value's field
+    items: object = None  # list: every item's table or Switch
+    count: Optional[str] = None  # list: length == this sibling integer
+    keys_of: Optional[str] = None  # list: items are keys of this sibling
+    position: Optional[int] = None  # value == row index + position
+    monotone: bool = False  # never decreases down a stream
+    doc: str = ""  # appended to problems where the key is cryptic
 
 
-def _leaderboard_row_problems(record: Dict, lineno: int) -> List[str]:
-    """Problems with one ``type="leaderboard"`` tournament row."""
-    problems: List[str] = []
-    for key in ("preset", "penalty"):
-        if not isinstance(record.get(key), str):
-            problems.append(f"line {lineno}: leaderboard missing string {key!r}")
-    for key in ("capacity", "lg_coverage"):
-        if not isinstance(record.get(key), (int, float)):
-            problems.append(
-                f"line {lineno}: leaderboard missing numeric {key!r}"
-            )
-    entries = record.get("entries")
-    if not isinstance(entries, list) or not entries:
-        return problems + [
-            f"line {lineno}: leaderboard missing non-empty 'entries'"
-        ]
-    for position, entry in enumerate(entries):
-        where = f"line {lineno}: entries[{position}]"
-        if not isinstance(entry, dict):
-            problems.append(f"{where}: not an object")
-            continue
-        rank = entry.get("rank")
-        if not isinstance(rank, int) or rank != position + 1:
-            problems.append(f"{where}: bad rank {rank!r} (want {position + 1})")
-        strategy = entry.get("strategy")
-        if strategy not in SWEEP_STRATEGY_NAMES:
-            problems.append(f"{where}: unknown strategy {strategy!r}")
-        if not isinstance(entry.get("mean_penalty_integral"), (int, float)):
-            problems.append(f"{where}: missing numeric 'mean_penalty_integral'")
-        runs = entry.get("runs")
-        if not isinstance(runs, int) or runs <= 0:
-            problems.append(f"{where}: missing positive integer 'runs'")
-    return problems
+@dataclass(frozen=True)
+class Switch:
+    """A table chosen by the string at dotted path ``key``.
+
+    Values without a case use ``default``; with no default they are a
+    problem (``unknown 'type' ...``).
+    """
+
+    key: str
+    cases: Mapping[str, object]
+    default: object = None
 
 
-#: Numeric health columns every ok per-DCN entry of a fleet roll-up row
-#: must carry.
-FLEET_DCN_COLUMNS = (
-    "penalty_integral",
-    "mean_penalty",
-    "onsets",
-    "disabled_on_onset",
-    "repairs_completed",
-    "failed_repairs",
-    "worst_tor_fraction_min",
+@dataclass(frozen=True)
+class Stream:
+    """A JSONL format: header table, record tables keyed by ``type``, and
+    ``(type, header key or exact number)`` row counts."""
+
+    header: Mapping[str, Field]
+    records: Switch
+    counts: Tuple[Tuple[str, Union[str, int]], ...] = ()
+
+
+INT, NUM, STR, BOOL, OBJECT, LIST, SHA256, PRESENT, METRIC = (
+    Field(kind)
+    for kind in (
+        "int", "number", "str", "bool", "object", "list", "sha256",
+        "present", "metric",
+    )
 )
+NULLABLE_NUM = Field("number", nullable=True)
 
 
-def _fleet_row_problems(record: Dict, lineno: int) -> List[str]:
-    """Problems with one ``type="fleet"`` roll-up row."""
-    problems: List[str] = []
-    for key in ("dcns", "ok", "failed", "links_design_total"):
-        value = record.get(key)
-        if not isinstance(value, int) or isinstance(value, bool):
-            problems.append(f"line {lineno}: fleet missing integer {key!r}")
-    for key in ("penalty_integral_total", "onsets_total", "repairs_total"):
-        value = record.get(key)
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            problems.append(f"line {lineno}: fleet missing numeric {key!r}")
-    health = record.get("health")
-    if not isinstance(health, dict):
-        problems.append(f"line {lineno}: fleet missing object 'health'")
-    else:
-        for key in ("healthy_dcns", "degraded_dcns", "failed_dcns"):
-            value = health.get(key)
-            if not isinstance(value, int) or isinstance(value, bool):
-                problems.append(
-                    f"line {lineno}: fleet health missing integer {key!r}"
-                )
-    per_dcn = record.get("per_dcn")
-    if not isinstance(per_dcn, list) or not per_dcn:
-        return problems + [
-            f"line {lineno}: fleet missing non-empty 'per_dcn'"
-        ]
-    if isinstance(record.get("dcns"), int) and len(per_dcn) != record["dcns"]:
-        problems.append(
-            f"line {lineno}: fleet says dcns={record['dcns']} but "
-            f"per_dcn has {len(per_dcn)} entries"
-        )
-    for position, entry in enumerate(per_dcn):
-        where = f"line {lineno}: per_dcn[{position}]"
-        if not isinstance(entry, dict):
-            problems.append(f"{where}: not an object")
-            continue
-        if not isinstance(entry.get("dcn"), str):
-            problems.append(f"{where}: missing string 'dcn'")
-        if entry.get("topo_kind") not in ("clos", "fattree"):
-            problems.append(
-                f"{where}: bad topo_kind {entry.get('topo_kind')!r}"
-            )
-        if not isinstance(entry.get("healthy"), bool):
-            problems.append(f"{where}: missing boolean 'healthy'")
-        status = entry.get("status")
-        if status not in ("ok", "failed"):
-            problems.append(f"{where}: bad status {status!r}")
-        elif status == "ok":
-            for key in FLEET_DCN_COLUMNS:
-                value = entry.get(key)
-                if not isinstance(value, (int, float)) or isinstance(
-                    value, bool
-                ):
-                    problems.append(f"{where}: missing numeric {key!r}")
-    return problems
+def enum(*choices, **rules) -> Field:
+    return Field("enum", choices=choices, **rules)
 
 
-def validate_sweep_jsonl(lines: Sequence[str]) -> List[str]:
-    """Problems with a ``repro sweep`` JSONL export (empty list = valid)."""
-    problems: List[str] = []
+def obj(table=None, **rules) -> Field:
+    return Field("object", table=table, **rules)
+
+
+_ABSENT = object()
+
+
+def _show(value) -> str:
+    text = repr(None if value is _ABSENT else value)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
+class _Walk:
+    """One validation pass: the problems so far and stream column state."""
+
+    def __init__(self) -> None:
+        self.problems: List[str] = []
+        self.last: Dict[str, object] = {}
+
+    def add(self, line: str, path: str, text: str) -> None:
+        self.problems.append(f"{line}{path}: {text}" if path else line + text)
+
+    def table(self, value, table, line="", path="", index=None) -> None:
+        """Check ``value`` against a table (or a Switch of tables)."""
+        if not isinstance(value, dict):
+            self.add(line, path, "not an object")
+            return
+        while isinstance(table, Switch):
+            choice = value
+            for step in table.key.split("."):
+                choice = choice.get(step) if isinstance(choice, dict) else None
+            key, default = table.key, table.default
+            table = table.cases.get(choice) if isinstance(choice, str) else None
+            table = default if table is None else table
+            if table is None:
+                self.add(line, path, f"unknown {key!r} {_show(choice)}")
+                return
+        for key, field in table.items():
+            if key.endswith("*"):
+                for name in value:
+                    if name.startswith(key[:-1]):
+                        self.field(value[name], field, name, value, line,
+                                   path, index)
+            else:
+                self.field(value.get(key, _ABSENT), field, key, value, line,
+                           path, index)
+
+    def field(self, value, field, key, parent, line, path, index) -> None:
+        """Check one keyed value (and whatever its field nests)."""
+        if value is _ABSENT and field.optional:
+            return
+        if (value is _ABSENT or value is None) and field.nullable:
+            return
+        doc = f" ({field.doc})" if field.doc else ""
+        if field.kind == "enum":
+            if not any(
+                value == choice and type(value) is type(choice)
+                for choice in field.choices
+            ):
+                self.add(line, path, f"unsupported {key!r} {_show(value)}{doc}")
+            return
+        test, noun = _KINDS[field.kind]
+        noun = "non-empty " + noun if field.nonempty else noun
+        if value is _ABSENT or value is None:
+            self.add(line, path, f"missing {noun}{key!r}{doc}")
+            return
+        if not test(value) or (field.nonempty and not value):
+            self.add(line, path, f"bad {noun}{key!r}{doc}: {_show(value)}")
+            return
+        if field.min is not None and value < field.min:
+            self.add(line, path, f"{key!r} is {value!r}, below {field.min}")
+        if field.position is not None and index is not None:
+            want = index + field.position
+            if value != want:
+                self.add(line, path,
+                         f"out-of-order {key!r} {value!r} (want {want})")
+        if field.monotone:
+            last = self.last.get(key)
+            if last is not None and value < last:
+                self.add(line, path,
+                         f"{key!r} {value!r} decreases from {last!r}")
+            else:
+                self.last[key] = value
+        child = f"{path}.{key}" if path else key
+        if field.table is not None:
+            self.table(value, field.table, line, child)
+        if field.values is not None:
+            for name, item in value.items():
+                self.field(item, field.values, name, value, line, child, None)
+        if field.items is not None:
+            for position, item in enumerate(value):
+                self.table(item, field.items, line, f"{child}[{position}]",
+                           position)
+        declared = parent.get(field.count) if field.count else None
+        if _is_int(declared) and len(value) != declared:
+            self.add(line, path, f"{field.count}={declared} but {key!r} "
+                                 f"has {len(value)} entries")
+        other = parent.get(field.keys_of) if field.keys_of else None
+        if isinstance(other, dict):
+            for name in value:
+                if not isinstance(name, str) or name not in other:
+                    self.add(line, path, f"{key!r} entry {_show(name)} not "
+                                         f"in {field.keys_of!r}")
+
+
+def _check_document(value, table, what: str) -> List[str]:
+    if not isinstance(value, dict):
+        return [f"{what} is not a JSON object"]
+    walk = _Walk()
+    walk.table(value, table)
+    return walk.problems
+
+
+def _check_stream(lines: Sequence[str], stream: Stream) -> List[str]:
     if not lines:
         return ["empty stream"]
     try:
         header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         return [f"line 1: invalid JSON ({exc})"]
-    if not isinstance(header, dict) or header.get("type") != "header":
-        problems.append("line 1: first record must have type 'header'")
-    else:
-        if header.get("format") != "repro-sweep":
-            problems.append("line 1: wrong or missing 'format'")
-        if not isinstance(header.get("format_version"), int):
-            problems.append("line 1: missing integer 'format_version'")
-        if not header.get("repro_version"):
-            problems.append("line 1: missing 'repro_version'")
-        if not isinstance(header.get("jobs_total"), int):
-            problems.append("line 1: missing integer 'jobs_total'")
-        digest = header.get("grid_digest", "")
-        if not (isinstance(digest, str) and digest.startswith("sha256:")):
-            problems.append("line 1: missing sha256 'grid_digest'")
-
-    jobs_seen = 0
+    walk = _Walk()
+    walk.table(header, stream.header, "line 1: ")
+    seen: Counter = Counter()
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            problems.append(f"line {lineno}: invalid JSON ({exc})")
+        except (ValueError, RecursionError) as exc:
+            walk.add(f"line {lineno}: ", "", f"invalid JSON ({exc})")
             continue
-        if not isinstance(record, dict):
-            problems.append(f"line {lineno}: record is not an object")
-            continue
-        if record.get("type") == "leaderboard":
-            # Tournament files append ranked leaderboard rows after the
-            # result rows; they do not count toward jobs_total.
-            problems.extend(_leaderboard_row_problems(record, lineno))
-            continue
-        if record.get("type") == "fleet":
-            # Fleet files append one roll-up row after the per-DCN
-            # result rows; it does not count toward jobs_total.
-            problems.extend(_fleet_row_problems(record, lineno))
-            continue
-        if record.get("type") != "result":
-            problems.append(
-                f"line {lineno}: unknown type {record.get('type')!r}"
-            )
-            continue
-        jobs_seen += 1
-        if not isinstance(record.get("job"), int):
-            problems.append(f"line {lineno}: missing integer 'job'")
-        if not isinstance(record.get("spec"), dict):
-            problems.append(f"line {lineno}: missing object 'spec'")
-        if not isinstance(record.get("seed_used"), int):
-            problems.append(f"line {lineno}: missing integer 'seed_used'")
-        status = record.get("status")
-        if status not in ("ok", "failed"):
-            problems.append(f"line {lineno}: bad status {status!r}")
-        elif status == "ok" and record.get("spec", {}).get("kind") != (
-            "calibrate"
-        ):
-            for key in ("penalty_integral", "duration_s"):
-                if not isinstance(record.get(key), (int, float)):
-                    problems.append(
-                        f"line {lineno}: ok result missing numeric {key!r}"
-                    )
-            digest = record.get("series_digest", "")
-            if not (isinstance(digest, str) and digest.startswith("sha256:")):
-                problems.append(
-                    f"line {lineno}: missing sha256 'series_digest'"
-                )
-            if record.get("spec", {}).get("kind") == "chaos":
-                problems.extend(
-                    _chaos_row_problems(record.get("chaos"), lineno)
-                )
-                problems.extend(
-                    _health_row_problems(
-                        record.get("health"), f"line {lineno}"
-                    )
-                )
-                if "diagnosis" in record:
-                    problems.extend(
-                        _diagnosis_row_problems(
-                            record["diagnosis"], f"line {lineno}"
-                        )
-                    )
-        elif status == "failed":
-            error = record.get("error")
-            if not (isinstance(error, dict) and error.get("kind")):
-                problems.append(
-                    f"line {lineno}: failed result missing structured 'error'"
-                )
-    if isinstance(header, dict) and isinstance(header.get("jobs_total"), int):
-        if jobs_seen != header["jobs_total"]:
-            problems.append(
-                f"header says jobs_total={header['jobs_total']} but stream "
-                f"has {jobs_seen} result rows"
-            )
-    return problems
+        kind = record.get("type") if isinstance(record, dict) else None
+        kind = kind if isinstance(kind, str) else None
+        walk.table(record, stream.records, f"line {lineno}: ", "", seen[kind])
+        seen[kind] += 1
+    for kind, want in stream.counts:
+        if isinstance(want, int):
+            if seen[kind] != want:
+                walk.add("", "", f"stream has {seen[kind]} {kind} rows "
+                                 f"(want {want})")
+        elif isinstance(header, dict) and _is_int(header.get(want)):
+            if seen[kind] != header[want]:
+                walk.add("", "", f"header says {want}={header[want]} but "
+                                 f"stream has {seen[kind]} {kind} rows")
+    return walk.problems
 
+
+# --------------------------------------------------------------------- #
+# Format literals
+# --------------------------------------------------------------------- #
 
 #: Checkpoint literals, defined here (this module is import-light) and
 #: imported by :mod:`repro.service.checkpoint`.
@@ -555,13 +348,314 @@ CHECKPOINT_FORMAT_VERSION = 6
 SERVICE_REPORT_FORMAT = "repro-service-report"
 SERVICE_REPORT_FORMAT_VERSION = 1
 
+#: Health/SLO literals, pinned against :mod:`repro.obs.health` and
+#: :mod:`repro.obs.slo` by the health tests.
+HEALTH_FORMAT = "repro-health-scorecard"
+HEALTH_FORMAT_VERSION = 1
+ALERTS_FORMAT = "repro-health-alerts"
+ALERTS_FORMAT_VERSION = 1
+
+#: Benchmark-trajectory literals, pinned against :mod:`repro.benchtrack`.
+BENCH_TRAJECTORY_FORMAT = "repro-bench-trajectory"
+BENCH_TRAJECTORY_FORMAT_VERSION = 1
+
+#: ``SWEEP_STRATEGY_NAMES`` (the strategy names a sweep/tournament row
+#: may carry) is an alias into :mod:`repro.registry` — itself
+#: stdlib-only, so the schema module stays import-light.
+
+#: Integer-count chaos columns every ok chaos row must carry.
+CHAOS_COUNT_COLUMNS = (
+    "polls", "missed_polls", "degraded_samples", "false_disables",
+    "missed_mitigations", "detections", "decisions_in_degraded_mode",
+    "quarantined_peak", "quarantine_violations", "capacity_violations",
+)
+
+#: Numeric health columns every ok per-DCN entry of a fleet roll-up row
+#: must carry.
+FLEET_DCN_COLUMNS = (
+    "penalty_integral", "mean_penalty", "onsets", "disabled_on_onset",
+    "repairs_completed", "failed_repairs", "worst_tor_fraction_min",
+)
+
+# --------------------------------------------------------------------- #
+# The tables
+# --------------------------------------------------------------------- #
+
+_HEADER = {"type": enum("header")}
+_VERSIONED = {**_HEADER, "format_version": INT, "repro_version": PRESENT}
+
+_EVENTS = Stream(
+    header={**_VERSIONED, "format": enum("repro-obs-events")},
+    records=Switch("type", {"event": {"name": STR, "sim_time_s": NUM}}),
+)
+
+_AUDIT = Stream(
+    header={**_HEADER, "format": enum("repro-audit")},
+    records=Switch("type", {"decision": {"sim_time_s": NUM, "verdict": STR}}),
+)
+
+_TRACE_EVENT = {
+    "name": STR,
+    "ph": enum("X", "M", "B", "E", "i", doc="phase"),
+    "pid": INT,
+    "tid": INT,
+}
+_TRACE = {
+    "traceEvents": Field("list", items=Switch("ph", {
+        "X": {**_TRACE_EVENT, "ts": Field("number", min=0),
+              "dur": Field("number", min=0)},
+    }, default=_TRACE_EVENT)),
+    "otherData": obj({"repro_version": PRESENT}),
+}
+
+#: The compact per-run health block (HealthReport.row()).
+_HEALTH_ROW = {
+    **dict.fromkeys(
+        ("detections", "detection_pending", "false_disables",
+         "quarantine_peak", "alerts_fired"), INT),
+    **dict.fromkeys(
+        ("detection_latency_p50_s", "detection_latency_p95_s", "ttm_p50_s",
+         "ttm_p95_s", "headroom_min"), NULLABLE_NUM),
+    "false_disable_rate": NUM,
+    "breaker_open_duty": NUM,
+    "slo_ok": BOOL,
+}
+
+_CHAOS_COUNTS = dict.fromkeys(CHAOS_COUNT_COLUMNS, INT)
+
+#: A sweep row's optional ``diagnosis`` block (DiagnosisStats.row() plus
+#: the spec axes); a precision/recall is null when the cause never
+#: appeared in truth or verdicts.
+_DIAGNOSIS_ROW = {
+    "sensing": enum(*_SENSING_PIPELINES),
+    "congestion_preset": Field("str", nullable=True),
+    "miswire_pairs": Field("int", min=0),
+    **dict.fromkeys(
+        ("diagnoses", "congestion_mitigations", "missed_corrupting"), INT),
+    "precision_*": NULLABLE_NUM,
+    "recall_*": NULLABLE_NUM,
+}
+
+_RESULT = {
+    "job": INT, "spec": OBJECT, "seed_used": INT,
+    "status": enum("ok", "failed"),
+}
+_RESULT_OK = {
+    **_RESULT, "penalty_integral": NUM, "duration_s": NUM,
+    "series_digest": SHA256,
+}
+_RESULT_ROW = Switch("status", {
+    "ok": Switch("spec.kind", {
+        "calibrate": _RESULT,
+        "chaos": {
+            **_RESULT_OK,
+            "chaos": obj({
+                "invariants_ok": BOOL, "preset": STR,
+                "detection_lag_polls": NUM, **_CHAOS_COUNTS,
+            }),
+            "health": obj(_HEALTH_ROW),
+            "diagnosis": obj(_DIAGNOSIS_ROW, optional=True),
+        },
+    }, default=_RESULT_OK),
+    "failed": {**_RESULT, "error": obj({"kind": PRESENT})},
+}, default=_RESULT)
+
+#: Tournament files append ranked leaderboard rows after the results.
+_LEADERBOARD_ROW = {
+    "preset": STR, "penalty": STR, "capacity": NUM, "lg_coverage": NUM,
+    "entries": Field("list", nonempty=True, items={
+        "rank": Field("int", position=1),
+        "strategy": enum(*SWEEP_STRATEGY_NAMES),
+        "mean_penalty_integral": NUM,
+        "runs": Field("int", min=1),
+    }),
+}
+
+#: Fleet files append one roll-up row after the per-DCN results.
+_FLEET_DCN = {
+    "dcn": STR, "topo_kind": enum(*_TOPO_KINDS), "healthy": BOOL,
+    "status": enum("ok", "failed"),
+}
+_FLEET_ROW = {
+    **dict.fromkeys(("dcns", "ok", "failed", "links_design_total"), INT),
+    **dict.fromkeys(
+        ("penalty_integral_total", "onsets_total", "repairs_total"), NUM),
+    "health": obj(dict.fromkeys(
+        ("healthy_dcns", "degraded_dcns", "failed_dcns"), INT)),
+    "per_dcn": Field("list", nonempty=True, count="dcns", items=Switch(
+        "status",
+        {"ok": {**_FLEET_DCN, **dict.fromkeys(FLEET_DCN_COLUMNS, NUM)}},
+        default=_FLEET_DCN,
+    )),
+}
+
+_SWEEP = Stream(
+    header={**_VERSIONED, "format": enum("repro-sweep"), "jobs_total": INT,
+            "grid_digest": SHA256},
+    records=Switch("type", {
+        "result": _RESULT_ROW,
+        "leaderboard": _LEADERBOARD_ROW,
+        "fleet": _FLEET_ROW,
+    }),
+    counts=(("result", "jobs_total"),),
+)
+
+_SERVICE_REPORT = Stream(
+    header={**_VERSIONED, "format": enum(SERVICE_REPORT_FORMAT),
+            "config": OBJECT, "shards": Field("int", min=1)},
+    records=Switch("type", {
+        "result": {
+            "penalty_integral": NUM, "mean_penalty": NUM,
+            "fingerprint": SHA256, "invariants_ok": BOOL,
+            "chaos": obj(_CHAOS_COUNTS),
+            "queue": obj({
+                "accounting_ok": enum(True),
+                **dict.fromkeys(
+                    ("offered", "accepted", "deferred", "requeued",
+                     "dropped", "drained", "pending", "backpressure_losses"),
+                    INT),
+            }),
+            "audit": obj({"evicted_decisions": INT}),
+            "health": obj(_HEALTH_ROW),
+        },
+        "shard": {"shard": Field("int", position=0), "log": OBJECT,
+                  "links": INT, "tors": INT},
+    }),
+    counts=(("result", 1), ("shard", "shards")),
+)
+
+_CHECKPOINT_HEADER = {
+    "format": enum(CHECKPOINT_FORMAT),
+    "format_version": enum(CHECKPOINT_FORMAT_VERSION),
+    "repro_version": PRESENT,
+    "sim_time_s": NUM,
+    "boundary_index": INT,
+    "config": OBJECT,
+}
+
+_BENCHMARK = {
+    "format": enum("repro-benchmark"),
+    "format_version": INT,
+    "repro_version": PRESENT,
+    "name": Field("str", nonempty=True),
+    "environment": obj({"cpus": INT}),
+    "metrics": Field("object", nonempty=True, values=METRIC),
+}
+
+_SCORECARD = {
+    "format": enum(HEALTH_FORMAT),
+    "format_version": enum(HEALTH_FORMAT_VERSION),
+    "repro_version": PRESENT,
+    "sensing": enum("telemetry", "oracle"),
+    "complete": BOOL,
+    "end_s": NUM,
+    "fleet": OBJECT,
+    "shards": Field("list", items={"shard": Field("int", position=0)}),
+    "links": Field("list", items={"link": STR, "onset_s": NUM}),
+    "links_omitted": INT,
+    "slo": obj({
+        "rules": Field("list", items={"state": enum("ok", "firing")}),
+        "alerts": Field("list", count="alerts_fired"),
+        "alerts_fired": INT,
+        "ok": BOOL,
+    }),
+}
+_SCORECARD_BY_SENSING = Switch("sensing", {"telemetry": {
+    **_SCORECARD,
+    "fleet": obj({
+        **dict.fromkeys(
+            ("mitigation", "penalty", "capacity", "quarantine", "breaker",
+             "debounce"), OBJECT),
+        "detection": obj(dict.fromkeys(("count", "pending", "overdue"), INT)),
+        "disables": obj({"false_rate": NUM}),
+    }),
+}}, default=_SCORECARD)
+
+_ALERTS = Stream(
+    header={**_HEADER, "format": enum(ALERTS_FORMAT),
+            "format_version": enum(ALERTS_FORMAT_VERSION),
+            "repro_version": PRESENT, "rules": LIST, "alerts": INT},
+    records=Switch("type", {"alert": {
+        "sim_time_s": Field("number", monotone=True),
+        "rule": STR,
+        "state": enum("firing", "resolved"),
+        "severity": enum("info", "warning", "critical"),
+        "value": NUM,
+    }}),
+    counts=(("alert", "alerts"),),
+)
+
+_TRAJECTORY = {
+    "format": enum(BENCH_TRAJECTORY_FORMAT),
+    "format_version": enum(BENCH_TRAJECTORY_FORMAT_VERSION),
+    "repro_version": PRESENT,
+    "benchmarks": Field("object", nonempty=True, values=obj({
+        "metrics": Field("object", nonempty=True, values=METRIC),
+        "runtime_metrics": Field("list", keys_of="metrics"),
+    })),
+    "baseline": Field("object", values=Field("object", values=NUM)),
+}
+
+# --------------------------------------------------------------------- #
+# Validators (empty list = valid)
+# --------------------------------------------------------------------- #
+
+
+def validate_events_jsonl(lines: Sequence[str]) -> List[str]:
+    """Problems with a JSONL event stream."""
+    return _check_stream(lines, _EVENTS)
+
+
+def validate_chrome_trace(obj: object) -> List[str]:
+    """Problems with a Chrome-trace object."""
+    return _check_document(obj, _TRACE, "trace")
+
+
+def validate_audit_jsonl(lines: Sequence[str]) -> List[str]:
+    """Problems with an AuditLog JSONL export."""
+    return _check_stream(lines, _AUDIT)
+
+
+def validate_sweep_jsonl(lines: Sequence[str]) -> List[str]:
+    """Problems with a ``repro sweep``/``tournament``/``fleet`` JSONL."""
+    return _check_stream(lines, _SWEEP)
+
+
+def validate_service_report_jsonl(lines: Sequence[str]) -> List[str]:
+    """Problems with a ``repro serve`` report."""
+    return _check_stream(lines, _SERVICE_REPORT)
+
+
+def validate_alerts_jsonl(lines: Sequence[str]) -> List[str]:
+    """Problems with an SLO alert stream."""
+    return _check_stream(lines, _ALERTS)
+
+
+def validate_health_scorecard(obj: object) -> List[str]:
+    """Problems with a health scorecard object."""
+    return _check_document(obj, _SCORECARD_BY_SENSING, "scorecard")
+
+
+def validate_benchmark_record(record: object) -> List[str]:
+    """Problems with a machine-readable benchmark result.
+
+    Every ``benchmarks/test_runtime_*`` module writes one of these next to
+    its human-readable summary so regressions are diffable by tooling.
+    """
+    return _check_document(record, _BENCHMARK, "benchmark record")
+
+
+def validate_bench_trajectory(obj: object) -> List[str]:
+    """Problems with a benchmark trajectory file."""
+    return _check_document(obj, _TRAJECTORY, "trajectory")
+
 
 def validate_checkpoint_file(path) -> List[str]:
-    """Problems with a service checkpoint file (empty list = valid).
+    """Problems with a service checkpoint file.
 
-    Validates the JSON header (format, version, required fields) and the
-    payload integrity (length and SHA-256 digest) **without unpickling**
-    — safe to run on untrusted or truncated files.
+    Validates the JSON header against its table and the payload integrity
+    (length and SHA-256 digest) **without unpickling** — safe to run on
+    untrusted or truncated files.
     """
     try:
         with open(path, "rb") as handle:
@@ -573,25 +667,11 @@ def validate_checkpoint_file(path) -> List[str]:
         return ["no header line (not a checkpoint)"]
     try:
         header = json.loads(raw[:newline].decode("utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         return [f"header line is not JSON ({exc})"]
     if not isinstance(header, dict):
         return ["header is not an object"]
-    problems: List[str] = []
-    if header.get("format") != CHECKPOINT_FORMAT:
-        problems.append(f"wrong or missing 'format' {header.get('format')!r}")
-    if header.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-        problems.append(
-            f"unsupported 'format_version' {header.get('format_version')!r}"
-        )
-    if not header.get("repro_version"):
-        problems.append("missing 'repro_version'")
-    if not isinstance(header.get("sim_time_s"), (int, float)):
-        problems.append("missing numeric 'sim_time_s'")
-    if not isinstance(header.get("boundary_index"), int):
-        problems.append("missing integer 'boundary_index'")
-    if not isinstance(header.get("config"), dict):
-        problems.append("missing object 'config'")
+    problems = _check_document(header, _CHECKPOINT_HEADER, "header")
     payload = raw[newline + 1 :]
     if header.get("payload_bytes") != len(payload):
         problems.append(
@@ -603,387 +683,4 @@ def validate_checkpoint_file(path) -> List[str]:
         problems.append("missing 'state_digest'")
     elif hashlib.sha256(payload).hexdigest() != digest:
         problems.append("state_digest mismatch (corrupt payload)")
-    return problems
-
-
-def validate_service_report_jsonl(lines: Sequence[str]) -> List[str]:
-    """Problems with a ``repro serve`` report (empty list = valid)."""
-    problems: List[str] = []
-    if not lines:
-        return ["empty stream"]
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        return [f"line 1: invalid JSON ({exc})"]
-    if not isinstance(header, dict) or header.get("type") != "header":
-        problems.append("line 1: first record must have type 'header'")
-    else:
-        if header.get("format") != SERVICE_REPORT_FORMAT:
-            problems.append("line 1: wrong or missing 'format'")
-        if not isinstance(header.get("format_version"), int):
-            problems.append("line 1: missing integer 'format_version'")
-        if not header.get("repro_version"):
-            problems.append("line 1: missing 'repro_version'")
-        if not isinstance(header.get("config"), dict):
-            problems.append("line 1: missing object 'config'")
-        shards = header.get("shards")
-        if not isinstance(shards, int) or shards < 1:
-            problems.append("line 1: missing positive integer 'shards'")
-
-    results_seen = 0
-    shards_seen = 0
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            problems.append(f"line {lineno}: invalid JSON ({exc})")
-            continue
-        if not isinstance(record, dict):
-            problems.append(f"line {lineno}: record is not an object")
-            continue
-        kind = record.get("type")
-        if kind == "result":
-            results_seen += 1
-            for key in ("penalty_integral", "mean_penalty"):
-                if not isinstance(record.get(key), (int, float)):
-                    problems.append(
-                        f"line {lineno}: result missing numeric {key!r}"
-                    )
-            digest = record.get("fingerprint", "")
-            if not (isinstance(digest, str) and digest.startswith("sha256:")):
-                problems.append(
-                    f"line {lineno}: missing sha256 'fingerprint'"
-                )
-            if not isinstance(record.get("invariants_ok"), bool):
-                problems.append(
-                    f"line {lineno}: missing boolean 'invariants_ok'"
-                )
-            chaos = record.get("chaos")
-            if not isinstance(chaos, dict):
-                problems.append(f"line {lineno}: missing object 'chaos'")
-            else:
-                for key in CHAOS_COUNT_COLUMNS:
-                    value = chaos.get(key)
-                    if not isinstance(value, int) or isinstance(value, bool):
-                        problems.append(
-                            f"line {lineno}: chaos block missing integer "
-                            f"{key!r}"
-                        )
-            queue = record.get("queue")
-            if not isinstance(queue, dict):
-                problems.append(f"line {lineno}: missing object 'queue'")
-            else:
-                if queue.get("accounting_ok") is not True:
-                    problems.append(
-                        f"line {lineno}: queue accounting not ok"
-                    )
-                for key in (
-                    "offered",
-                    "accepted",
-                    "deferred",
-                    "requeued",
-                    "dropped",
-                    "drained",
-                    "pending",
-                    "backpressure_losses",
-                ):
-                    value = queue.get(key)
-                    if not isinstance(value, int) or isinstance(value, bool):
-                        problems.append(
-                            f"line {lineno}: queue missing integer {key!r}"
-                        )
-            audit = record.get("audit")
-            if not isinstance(audit, dict) or not isinstance(
-                audit.get("evicted_decisions"), int
-            ):
-                problems.append(
-                    f"line {lineno}: missing audit.evicted_decisions"
-                )
-            problems.extend(
-                _health_row_problems(record.get("health"), f"line {lineno}")
-            )
-        elif kind == "shard":
-            if record.get("shard") != shards_seen:
-                problems.append(
-                    f"line {lineno}: shard rows out of order "
-                    f"(got {record.get('shard')!r}, want {shards_seen})"
-                )
-            shards_seen += 1
-            if not isinstance(record.get("log"), dict):
-                problems.append(f"line {lineno}: shard missing object 'log'")
-            for key in ("links", "tors"):
-                if not isinstance(record.get(key), int):
-                    problems.append(
-                        f"line {lineno}: shard missing integer {key!r}"
-                    )
-        else:
-            problems.append(f"line {lineno}: unknown type {kind!r}")
-    if results_seen != 1:
-        problems.append(f"stream has {results_seen} result rows (want 1)")
-    if isinstance(header, dict) and isinstance(header.get("shards"), int):
-        if shards_seen != header["shards"]:
-            problems.append(
-                f"header says shards={header['shards']} but stream has "
-                f"{shards_seen} shard rows"
-            )
-    return problems
-
-
-def validate_benchmark_record(record: object) -> List[str]:
-    """Problems with a machine-readable benchmark result (empty = valid).
-
-    Every ``benchmarks/test_runtime_*`` module writes one of these next to
-    its human-readable summary so regressions are diffable by tooling.
-    """
-    problems: List[str] = []
-    if not isinstance(record, dict):
-        return ["benchmark record is not a JSON object"]
-    if record.get("format") != "repro-benchmark":
-        problems.append("wrong or missing 'format' (want 'repro-benchmark')")
-    if not isinstance(record.get("format_version"), int):
-        problems.append("missing integer 'format_version'")
-    if not record.get("repro_version"):
-        problems.append("missing 'repro_version'")
-    if not isinstance(record.get("name"), str) or not record.get("name"):
-        problems.append("missing non-empty string 'name'")
-    env = record.get("environment")
-    if not isinstance(env, dict) or not isinstance(env.get("cpus"), int):
-        problems.append("missing environment.cpus")
-    metrics = record.get("metrics")
-    if not isinstance(metrics, dict) or not metrics:
-        problems.append("missing non-empty 'metrics' object")
-    else:
-        for key, value in metrics.items():
-            if not isinstance(value, (int, float, bool)):
-                problems.append(f"metrics[{key!r}] is not numeric")
-    return problems
-
-
-#: Health/SLO literals, pinned against :mod:`repro.obs.health` and
-#: :mod:`repro.obs.slo` by the health tests.
-HEALTH_FORMAT = "repro-health-scorecard"
-HEALTH_FORMAT_VERSION = 1
-ALERTS_FORMAT = "repro-health-alerts"
-ALERTS_FORMAT_VERSION = 1
-
-
-def validate_health_scorecard(obj: object) -> List[str]:
-    """Problems with a health scorecard object (empty list = valid)."""
-    if not isinstance(obj, dict):
-        return ["scorecard is not a JSON object"]
-    problems: List[str] = []
-    if obj.get("format") != HEALTH_FORMAT:
-        problems.append(f"wrong or missing 'format' {obj.get('format')!r}")
-    if obj.get("format_version") != HEALTH_FORMAT_VERSION:
-        problems.append(
-            f"unsupported 'format_version' {obj.get('format_version')!r}"
-        )
-    if not obj.get("repro_version"):
-        problems.append("missing 'repro_version'")
-    sensing = obj.get("sensing")
-    if sensing not in ("telemetry", "oracle"):
-        problems.append(f"bad 'sensing' {sensing!r}")
-    if not isinstance(obj.get("complete"), bool):
-        problems.append("missing boolean 'complete'")
-    if not isinstance(obj.get("end_s"), (int, float)):
-        problems.append("missing numeric 'end_s'")
-    fleet = obj.get("fleet")
-    if not isinstance(fleet, dict):
-        problems.append("missing object 'fleet'")
-    elif sensing == "telemetry":
-        for section in (
-            "detection",
-            "mitigation",
-            "disables",
-            "penalty",
-            "capacity",
-            "quarantine",
-            "breaker",
-            "debounce",
-        ):
-            if not isinstance(fleet.get(section), dict):
-                problems.append(f"fleet missing object {section!r}")
-        detection = fleet.get("detection")
-        if isinstance(detection, dict):
-            for key in ("count", "pending", "overdue"):
-                value = detection.get(key)
-                if not isinstance(value, int) or isinstance(value, bool):
-                    problems.append(
-                        f"fleet.detection missing integer {key!r}"
-                    )
-        disables = fleet.get("disables")
-        if isinstance(disables, dict):
-            rate = disables.get("false_rate")
-            if not isinstance(rate, (int, float)) or isinstance(rate, bool):
-                problems.append("fleet.disables missing numeric 'false_rate'")
-    shards = obj.get("shards")
-    if not isinstance(shards, list):
-        problems.append("missing list 'shards'")
-    else:
-        for index, shard in enumerate(shards):
-            if not isinstance(shard, dict) or shard.get("shard") != index:
-                problems.append(f"shards[{index}]: bad or out-of-order row")
-    links = obj.get("links")
-    if not isinstance(links, list):
-        problems.append("missing list 'links'")
-    else:
-        for index, link in enumerate(links):
-            if not isinstance(link, dict) or not isinstance(
-                link.get("link"), str
-            ):
-                problems.append(f"links[{index}]: missing string 'link'")
-            elif not isinstance(link.get("onset_s"), (int, float)):
-                problems.append(f"links[{index}]: missing numeric 'onset_s'")
-    if not isinstance(obj.get("links_omitted"), int):
-        problems.append("missing integer 'links_omitted'")
-    slo = obj.get("slo")
-    if not isinstance(slo, dict):
-        problems.append("missing object 'slo'")
-    else:
-        if not isinstance(slo.get("rules"), list):
-            problems.append("slo missing list 'rules'")
-        if not isinstance(slo.get("alerts"), list):
-            problems.append("slo missing list 'alerts'")
-        elif slo.get("alerts_fired") != len(slo["alerts"]):
-            problems.append(
-                "slo.alerts_fired disagrees with len(slo.alerts)"
-            )
-        if not isinstance(slo.get("ok"), bool):
-            problems.append("slo missing boolean 'ok'")
-        for index, rule in enumerate(slo.get("rules") or []):
-            if not isinstance(rule, dict) or rule.get("state") not in (
-                "ok",
-                "firing",
-            ):
-                problems.append(f"slo.rules[{index}]: bad 'state'")
-    return problems
-
-
-def validate_alerts_jsonl(lines: Sequence[str]) -> List[str]:
-    """Problems with an SLO alert stream (empty list = valid)."""
-    problems: List[str] = []
-    if not lines:
-        return ["empty stream"]
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        return [f"line 1: invalid JSON ({exc})"]
-    declared_alerts = None
-    if not isinstance(header, dict) or header.get("type") != "header":
-        problems.append("line 1: first record must have type 'header'")
-    else:
-        if header.get("format") != ALERTS_FORMAT:
-            problems.append("line 1: wrong or missing 'format'")
-        if header.get("format_version") != ALERTS_FORMAT_VERSION:
-            problems.append("line 1: unsupported 'format_version'")
-        if not header.get("repro_version"):
-            problems.append("line 1: missing 'repro_version'")
-        if not isinstance(header.get("rules"), list):
-            problems.append("line 1: missing list 'rules'")
-        declared_alerts = header.get("alerts")
-        if not isinstance(declared_alerts, int):
-            problems.append("line 1: missing integer 'alerts'")
-            declared_alerts = None
-
-    alerts_seen = 0
-    last_time = None
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            problems.append(f"line {lineno}: invalid JSON ({exc})")
-            continue
-        if not isinstance(record, dict) or record.get("type") != "alert":
-            problems.append(f"line {lineno}: not an alert record")
-            continue
-        alerts_seen += 1
-        time_s = record.get("sim_time_s")
-        if not isinstance(time_s, (int, float)):
-            problems.append(f"line {lineno}: missing numeric 'sim_time_s'")
-        elif last_time is not None and time_s < last_time:
-            problems.append(f"line {lineno}: alerts out of event-time order")
-        else:
-            last_time = time_s
-        if not isinstance(record.get("rule"), str):
-            problems.append(f"line {lineno}: missing string 'rule'")
-        if record.get("state") not in ("firing", "resolved"):
-            problems.append(
-                f"line {lineno}: bad state {record.get('state')!r}"
-            )
-        if record.get("severity") not in ("info", "warning", "critical"):
-            problems.append(
-                f"line {lineno}: bad severity {record.get('severity')!r}"
-            )
-        value = record.get("value")
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            problems.append(f"line {lineno}: missing numeric 'value'")
-    if declared_alerts is not None and alerts_seen != declared_alerts:
-        problems.append(
-            f"header says alerts={declared_alerts} but stream has "
-            f"{alerts_seen} alert rows"
-        )
-    return problems
-
-
-#: Benchmark-trajectory literals, pinned against :mod:`repro.benchtrack`.
-BENCH_TRAJECTORY_FORMAT = "repro-bench-trajectory"
-BENCH_TRAJECTORY_FORMAT_VERSION = 1
-
-
-def validate_bench_trajectory(obj: object) -> List[str]:
-    """Problems with a benchmark trajectory file (empty list = valid)."""
-    if not isinstance(obj, dict):
-        return ["trajectory is not a JSON object"]
-    problems: List[str] = []
-    if obj.get("format") != BENCH_TRAJECTORY_FORMAT:
-        problems.append(f"wrong or missing 'format' {obj.get('format')!r}")
-    if obj.get("format_version") != BENCH_TRAJECTORY_FORMAT_VERSION:
-        problems.append(
-            f"unsupported 'format_version' {obj.get('format_version')!r}"
-        )
-    if not obj.get("repro_version"):
-        problems.append("missing 'repro_version'")
-    benchmarks = obj.get("benchmarks")
-    if not isinstance(benchmarks, dict) or not benchmarks:
-        problems.append("missing non-empty object 'benchmarks'")
-        benchmarks = {}
-    for name, entry in benchmarks.items():
-        where = f"benchmarks[{name!r}]"
-        if not isinstance(entry, dict):
-            problems.append(f"{where}: not an object")
-            continue
-        metrics = entry.get("metrics")
-        if not isinstance(metrics, dict) or not metrics:
-            problems.append(f"{where}: missing non-empty 'metrics'")
-            continue
-        for key, value in metrics.items():
-            if not isinstance(value, (int, float, bool)):
-                problems.append(f"{where}: metrics[{key!r}] is not numeric")
-        runtime = entry.get("runtime_metrics")
-        if not isinstance(runtime, list):
-            problems.append(f"{where}: missing list 'runtime_metrics'")
-        else:
-            for key in runtime:
-                if key not in metrics:
-                    problems.append(
-                        f"{where}: runtime metric {key!r} not in metrics"
-                    )
-    baseline = obj.get("baseline")
-    if not isinstance(baseline, dict):
-        problems.append("missing object 'baseline'")
-    else:
-        for name, entry in baseline.items():
-            where = f"baseline[{name!r}]"
-            if not isinstance(entry, dict):
-                problems.append(f"{where}: not an object")
-                continue
-            for key, value in entry.items():
-                if not isinstance(value, (int, float)) or isinstance(
-                    value, bool
-                ):
-                    problems.append(f"{where}: {key!r} is not numeric")
     return problems

@@ -87,6 +87,50 @@ class TestObsCommand:
         assert code == 1
 
 
+class TestObsValidateNeverCrashes:
+    """A file ``repro obs --validate`` exists to reject gets a verdict, not
+    a traceback: ``<path>: <problem>``, no summary, exit 1."""
+
+    def _validate(self, capsys, flag, path):
+        code = main(["obs", "--validate", flag, str(path)])
+        out = capsys.readouterr().out
+        assert code == 1, out
+        assert f"{path}: " in out
+        return out
+
+    def test_sweep_with_a_line_that_is_not_json(self, tmp_path, capsys):
+        sweep = tmp_path / "sweep.jsonl"
+        header = {
+            "type": "header", "format": "repro-sweep", "format_version": 1,
+            "repro_version": "1", "jobs_total": 0, "grid_digest": "sha256:0",
+        }
+        sweep.write_text(json.dumps(header) + "\nnot json\n")
+        out = self._validate(capsys, "--sweep", sweep)
+        assert "line 2: invalid JSON" in out
+        assert "jobs ok" not in out
+
+    def test_events_file_of_garbage(self, tmp_path, capsys):
+        events = tmp_path / "events.jsonl"
+        events.write_text("garbage\n{{{\n")
+        out = self._validate(capsys, "--events", events)
+        assert "line 1: invalid JSON" in out
+        assert "event stream:" not in out
+
+    def test_scorecard_that_is_a_json_list(self, tmp_path, capsys):
+        card = tmp_path / "health.json"
+        card.write_text("[1, 2, 3]\n")
+        out = self._validate(capsys, "--health", card)
+        assert "scorecard is not a JSON object" in out
+        assert "health scorecard (" not in out
+
+    def test_trace_that_is_not_json(self, tmp_path, capsys):
+        trace = tmp_path / "trace.json"
+        trace.write_text("{not json")
+        out = self._validate(capsys, "--trace", trace)
+        assert "unreadable" in out
+        assert "chrome trace:" not in out
+
+
 class TestSimulateArtifacts:
     def test_metrics_and_trace_flags(self, tmp_path, capsys):
         metrics = tmp_path / "sim.prom"

@@ -338,3 +338,51 @@ def test_verdict_matrix_matches_snapshot(built):
         if expected.get(key) != matrix.get(key)
     }
     assert not changed, json.dumps(changed, indent=1)
+
+
+def _with(lines, index, **changes):
+    row = json.loads(lines[index])
+    row.update(changes)
+    return lines[:index] + [json.dumps(row)] + lines[index + 1:]
+
+
+@pytest.mark.parametrize("spec", [None, [], 5])
+def test_non_object_spec_on_an_ok_row_is_a_problem(built, spec):
+    lines = _with(built[1]["sweep-chaos"], 1, spec=spec)
+    problems = schema.validate_sweep_jsonl(lines)
+    assert any(p.startswith("line 2: ") and "'spec'" in p for p in problems)
+
+
+def test_truthy_non_list_slo_rules_is_a_problem(built):
+    card = json.loads(json.dumps(built[1]["health"]))
+    card["slo"]["rules"] = 5
+    problems = schema.validate_health_scorecard(card)
+    assert any("'rules'" in p for p in problems)
+
+
+@pytest.mark.parametrize("label, index, key", [
+    ("events", 1, "sim_time_s"),
+    ("audit", 1, "sim_time_s"),
+    ("alerts", 1, "sim_time_s"),
+    ("tournament", -1, "capacity"),
+    ("tournament", -1, "lg_coverage"),
+    ("sweep-chaos", 1, "penalty_integral"),
+    ("sweep-chaos", 1, "duration_s"),
+])
+def test_numbers_never_accept_bools(built, label, index, key):
+    lines = list(built[1][label])
+    lines = _with(lines, index % len(lines), **{key: True})
+    assert any(key in p for p in JSONL_VALIDATORS[label](lines))
+
+
+@pytest.mark.parametrize("key", ["ts", "dur"])
+def test_span_times_never_accept_bools(built, key):
+    trace = json.loads(json.dumps(built[1]["trace"]))
+    next(e for e in trace["traceEvents"] if e["ph"] == "X")[key] = True
+    assert any(key in p for p in schema.validate_chrome_trace(trace))
+
+
+def test_benchmark_metrics_still_accept_bools(built):
+    record = json.loads(json.dumps(built[1]["benchmark"]))
+    record["metrics"]["flag"] = True
+    assert schema.validate_benchmark_record(record) == []

@@ -178,7 +178,10 @@ class TestSweepPlumbing:
     def test_diagnosis_row_validates_against_sweep_schema(
         self, congestion_result
     ):
-        from repro.obs.schema import _diagnosis_row_problems
+        import json
+
+        from repro.obs.schema import validate_sweep_jsonl
+        from repro.parallel import GridSpec, ParallelRunner, sweep_rows
 
         row = {
             "sensing": "telemetry",
@@ -186,7 +189,18 @@ class TestSweepPlumbing:
             "miswire_pairs": 0,
         }
         row.update(congestion_result.diagnosis.row())
-        assert _diagnosis_row_problems(row, "here") == []
+        grid = GridSpec(
+            presets=["medium"],
+            chaos_presets=["none"],
+            capacities=[0.75],
+            trace_seeds=[0],
+            scale=0.06,
+            duration_days=0.5,
+        )
+        rows = sweep_rows(ParallelRunner(jobs=1).run(grid.expand()),
+                          timing=False)
+        rows[1]["diagnosis"] = row
+        assert validate_sweep_jsonl([json.dumps(r) for r in rows]) == []
 
     def test_sweep_rows_identical_across_worker_counts(self):
         from repro.parallel import GridSpec, ParallelRunner, sweep_rows

@@ -96,10 +96,44 @@ def test_cli_choices_alias_registry():
     assert cli.SENSING_CHOICES is registry.SENSING_PIPELINES
 
 
+def test_cli_chaos_and_topology_choices_alias_registry():
+    import argparse
+
+    from repro import cli
+
+    assert cli.CHAOS_CHOICES is registry.CHAOS_PRESETS
+    assert cli.TOPO_CHOICES is registry.TOPO_KINDS
+    commands = next(
+        action for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ).choices
+
+    def choices(command, dest):
+        (found,) = [
+            action.choices for action in commands[command]._actions
+            if action.dest == dest
+        ]
+        return found
+
+    for command, dest in (
+        ("chaos", "preset"),
+        ("localize", "chaos_preset"),
+        ("serve", "chaos_preset"),
+    ):
+        assert choices(command, dest) == list(registry.CHAOS_PRESETS)
+    assert choices("topology", "kind") == list(registry.TOPO_KINDS)
+
+
 def test_schema_strategy_names_alias_registry():
     from repro.obs import schema
 
     assert schema.SWEEP_STRATEGY_NAMES is registry.STRATEGIES
+
+
+def test_schema_fleet_topo_kinds_are_the_registry():
+    from repro.obs import schema
+
+    assert schema._FLEET_DCN["topo_kind"].choices == registry.TOPO_KINDS
 
 
 # --------------------------------------------------------------------- #
