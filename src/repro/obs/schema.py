@@ -112,7 +112,9 @@ _KINDS = {
     "bool": (lambda v: isinstance(v, bool), "boolean "),
     "object": (lambda v: isinstance(v, dict), "object "),
     "list": (lambda v: isinstance(v, list), "list "),
-    "sha256": (lambda v: str(v).startswith("sha256:"), "sha256 "),
+    "sha256": (
+        lambda v: isinstance(v, str) and v.startswith("sha256:"), "sha256 "
+    ),
     "present": (bool, ""),
 }
 

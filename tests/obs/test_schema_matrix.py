@@ -154,11 +154,13 @@ def _shape(record: dict):
 
 def _one_row_per_shape(lines):
     """The first row of each distinct ``type`` and key set, in order."""
-    shapes = [_shape(json.loads(line)) for line in lines]
-    return [
-        line for index, line in enumerate(lines)
-        if shapes[index] not in shapes[:index]
-    ]
+    seen, kept = set(), []
+    for line in lines:
+        shape = _shape(json.loads(line))
+        if shape not in seen:
+            seen.add(shape)
+            kept.append(line)
+    return kept
 
 
 def _paths(value, prefix=()):
