@@ -39,7 +39,9 @@ from repro.core.constraints import CapacityConstraint
 from repro.core.fast_checker import FastChecker, FastCheckResult
 from repro.core.optimizer import GlobalOptimizer, OptimizerResult, OptimizerStats
 from repro.core.path_counting import PathCounter
-from repro.core.penalty import PenaltyFn, linear_penalty, total_penalty
+from repro.core.penalty import (
+    PenaltyFn, linear_penalty, ordered_sum, total_penalty,
+)
 from repro.core.recommendation import (
     LinkObservation,
     Recommendation,
@@ -522,4 +524,4 @@ class CorrOptController:
         fractions = self.counter.fractions_at()
         if not fractions:
             return 1.0
-        return sum(fractions) / len(fractions)
+        return ordered_sum(fractions) / len(fractions)

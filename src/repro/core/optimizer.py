@@ -27,7 +27,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.core.constraints import CapacityConstraint
 from repro.core.path_counting import PathCounter
-from repro.core.penalty import PenaltyFn, linear_penalty
+from repro.core.penalty import PenaltyFn, linear_penalty, ordered_sum
 from repro.core.segmentation import Segment, segment_links
 from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.topology.elements import LinkId
@@ -236,7 +236,7 @@ class GlobalOptimizer:
 
         if not violated:
             stats.num_safe = len(candidates)
-            disabled_penalty = sum(penalty[lid] for lid in candidates)
+            disabled_penalty = ordered_sum(penalty[lid] for lid in candidates)
             return OptimizerResult(
                 to_disable=set(candidates),
                 kept_active=set(),
@@ -288,8 +288,8 @@ class GlobalOptimizer:
         return OptimizerResult(
             to_disable=chosen,
             kept_active=kept,
-            residual_penalty=sum(penalty[lid] for lid in kept),
-            disabled_penalty=sum(penalty[lid] for lid in chosen),
+            residual_penalty=ordered_sum(penalty[lid] for lid in kept),
+            disabled_penalty=ordered_sum(penalty[lid] for lid in chosen),
             stats=stats,
         )
 
@@ -370,7 +370,9 @@ class GlobalOptimizer:
         best_value = -1.0
 
         for mask in range(1, 1 << n):
-            value = sum(penalties[i] for i in range(n) if mask >> i & 1)
+            value = ordered_sum(
+                penalties[i] for i in range(n) if mask >> i & 1
+            )
             if value <= best_value:
                 continue
             if self.use_reject_cache and any(
@@ -447,7 +449,7 @@ def brute_force_optimal(
         lid: penalty_fn(link_at[link_row[lid]].max_corruption_rate())
         for lid in candidates
     }
-    total = sum(penalty[lid] for lid in candidates)
+    total = ordered_sum(penalty[lid] for lid in candidates)
     best: Set[LinkId] = set()
     best_value = -1.0
     for size in range(len(candidates), -1, -1):
@@ -455,7 +457,7 @@ def brute_force_optimal(
             fractions = counter.tor_fractions(frozenset(combo))
             if constraint.violations(fractions):
                 continue
-            value = sum(penalty[lid] for lid in combo)
+            value = ordered_sum(penalty[lid] for lid in combo)
             if value > best_value:
                 best_value = value
                 best = set(combo)

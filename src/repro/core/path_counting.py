@@ -45,6 +45,7 @@ from typing import (
     Tuple,
 )
 
+from repro.core.penalty import ordered_sum
 from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.topology.elements import LinkId, LinkState
 from repro.topology.graph import Topology
@@ -738,7 +739,7 @@ class PathCounter:
         Identical to :meth:`tor_fractions` when no link is protected
         (the common case short-circuits to the exact integer counts).
         """
-        if not self._topo.lg_protected_links():
+        if not self._topo.has_lg_protection():
             return self.tor_fractions()
         self._sync()
         counts = self._effective_counts()
@@ -753,17 +754,17 @@ class PathCounter:
         self._sync()
         if not self._num_tors:
             return 1.0
-        if not self._topo.lg_protected_links():
+        if not self._topo.has_lg_protection():
             return self.average_tor_fraction()
         fractions = self.effective_tor_fractions()
-        return sum(fractions.values()) / self._num_tors
+        return ordered_sum(fractions.values()) / self._num_tors
 
     def effective_worst_tor_fraction(self) -> float:
         """Minimum effective ToR capacity fraction (LG-aware)."""
         self._sync()
         if not self._num_tors:
             return 1.0
-        if not self._topo.lg_protected_links():
+        if not self._topo.has_lg_protection():
             return self.worst_tor_fraction()
         return min(self.effective_tor_fractions().values())
 

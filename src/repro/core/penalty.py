@@ -18,6 +18,8 @@ We also provide two alternatives called out by the paper's citations:
 from __future__ import annotations
 
 import math
+from functools import reduce
+from operator import add
 from typing import Callable, Iterable
 
 from repro.topology.graph import Topology
@@ -75,6 +77,16 @@ def penalty_by_name(name: str) -> PenaltyFn:
         ) from None
 
 
+def ordered_sum(values: Iterable[float], start: float = 0) -> float:
+    """``sum(values, start)`` added strictly left to right.
+
+    From Python 3.12 the builtin ``sum`` of floats compensates rounding
+    (``sum([1.0, 1e-16, 1e-16])`` is ``1.0000000000000002`` there, ``1.0``
+    before), so every float sum that a golden pins goes through here.
+    """
+    return reduce(add, values, start)
+
+
 def total_penalty(
     topo: Topology,
     penalty_fn: PenaltyFn = linear_penalty,
@@ -86,7 +98,7 @@ def total_penalty(
     Summed over the topology's live corrupting index, which lists the same
     links in the same order a walk over every link would.
     """
-    return sum(
+    return ordered_sum(
         penalty_fn(topo.link(lid).max_corruption_rate())
         for lid in topo.corrupting_links(threshold)
     )
@@ -98,6 +110,6 @@ def penalty_of_links(
     penalty_fn: PenaltyFn = linear_penalty,
 ) -> float:
     """Sum of penalties of the given links (regardless of state)."""
-    return sum(
+    return ordered_sum(
         penalty_fn(topo.link(lid).max_corruption_rate()) for lid in link_ids
     )

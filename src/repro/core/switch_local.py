@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.constraints import CapacityConstraint
 from repro.topology.elements import LinkId
@@ -71,17 +71,20 @@ class SwitchLocalChecker:
             raise ValueError(f"sc={sc} outside [0, 1]")
         self.sc = sc
 
-    def max_disabled(self, switch: str) -> int:
-        """How many of ``switch``'s uplinks may be disabled in total.
+    def _budget(self, row: int) -> Tuple[int, int]:
+        """``(m, max_disabled)`` for the switch at ``row``.
 
-        Exactly ``floor(m * (1 - sc)) = m - ceil(m * sc)``, computed with an
-        epsilon guard so exact-threshold cases (``m * sc`` a whole number,
-        e.g. ``sc = c ** (1/r)`` landing on 0.7 or 0.8) do not float-round
-        across the integer boundary.
+        ``max_disabled`` is exactly ``floor(m * (1 - sc)) = m - ceil(m *
+        sc)``, computed with an epsilon guard so exact-threshold cases
+        (``m * sc`` a whole number, e.g. ``sc = c ** (1/r)`` landing on 0.7
+        or 0.8) do not float-round across the integer boundary.
         """
-        m = len(self._topo.uplinks(switch))
-        required = math.ceil(m * self.sc - 1e-9)
-        return m - min(m, max(0, required))
+        m = len(self._topo.up_rows[row])
+        return m, m - min(m, max(0, math.ceil(m * self.sc - 1e-9)))
+
+    def max_disabled(self, switch: str) -> int:
+        """How many of ``switch``'s uplinks may be disabled in total."""
+        return self._budget(self._topo.switch_row[switch])[1]
 
     def check(self, link_id: LinkId) -> SwitchLocalResult:
         """Decide whether the lower switch can afford to lose this uplink.
@@ -89,32 +92,20 @@ class SwitchLocalChecker:
         A link that is already disabled (or drained) is *already mitigated*
         and reported as ``allowed`` without consuming any uplink budget —
         the same semantics as :meth:`FastChecker.check`, so strategy-level
-        comparisons count onsets on mitigated links identically.
+        comparisons count onsets on mitigated links identically.  O(1):
+        the topology keeps each switch's count of uplinks not ENABLED.
         """
-        link = self._topo.link(link_id)
-        switch = link.lower
-        uplinks = self._topo.uplinks(switch)
-        m = len(uplinks)
-        active = sum(1 for lid in uplinks if self._topo.link(lid).enabled)
-        max_disabled = self.max_disabled(switch)
-        required_active = m - max_disabled
-        if not link.enabled:
-            # Already mitigated; trivially allowed (no re-disable needed).
-            return SwitchLocalResult(
-                link_id=link_id,
-                allowed=True,
-                switch=switch,
-                active_uplinks=active,
-                required_active=required_active,
-            )
-        disabled = m - active
-        allowed = disabled + 1 <= max_disabled
+        topo = self._topo
+        link = topo.link(link_id)
+        row = topo.switch_row[link.lower]
+        m, max_disabled = self._budget(row)
+        disabled = topo.up_disabled[row]
         return SwitchLocalResult(
             link_id=link_id,
-            allowed=allowed,
-            switch=switch,
-            active_uplinks=active,
-            required_active=required_active,
+            allowed=not link.enabled or disabled < max_disabled,
+            switch=link.lower,
+            active_uplinks=m - disabled,
+            required_active=m - max_disabled,
         )
 
     def check_and_disable(self, link_id: LinkId) -> SwitchLocalResult:
@@ -136,11 +127,20 @@ class SwitchLocalChecker:
         Returns:
             The links that were newly disabled.
         """
+        topo = self._topo
         if candidates is None:
-            candidates = self._topo.corrupting_links()
+            candidates = topo.corrupting_links()
+
+        def open_candidate(lid: LinkId) -> bool:
+            link = topo.link(lid)
+            row = topo.switch_row[link.lower]
+            return link.enabled and topo.up_disabled[row] < self._budget(row)[1]
+
+        # Budgets only shrink during the sweep, so a switch with none left
+        # now rejects its candidates later too: dropping them is exact.
         ordered = sorted(
-            (lid for lid in candidates if self._topo.link(lid).enabled),
-            key=lambda lid: self._topo.link(lid).max_corruption_rate(),
+            filter(open_candidate, candidates),
+            key=lambda lid: topo.link(lid).max_corruption_rate(),
             reverse=True,
         )
         newly_disabled = []
@@ -157,13 +157,12 @@ def uplink_budget_report(
     topo = checker._topo
     report: Dict[str, Dict[str, int]] = {}
     for switch in topo.switches():
-        uplinks = topo.uplinks(switch.name)
-        if not uplinks:
-            continue
-        active = sum(1 for lid in uplinks if topo.link(lid).enabled)
-        report[switch.name] = {
-            "total": len(uplinks),
-            "active": active,
-            "max_disabled": checker.max_disabled(switch.name),
-        }
+        row = topo.switch_row[switch.name]
+        m, max_disabled = checker._budget(row)
+        if m:
+            report[switch.name] = {
+                "total": m,
+                "active": m - topo.up_disabled[row],
+                "max_disabled": max_disabled,
+            }
     return report

@@ -128,10 +128,6 @@ class MitigationSimulation:
     def _counter(self):
         return self.pipeline._counter
 
-    @property
-    def _rates(self):
-        return self.pipeline._rates
-
     def run(self) -> RunResult:
         """Execute the full trace; returns the recorded metrics.
 

@@ -63,7 +63,7 @@ from repro.core.diagnosis import (
     LinkDiagnosis,
 )
 from repro.core.path_counting import PathCounter
-from repro.core.penalty import PenaltyFn, linear_penalty
+from repro.core.penalty import PenaltyFn, linear_penalty, ordered_sum
 from repro.core.resilience import (
     AuditLog,
     BreakerState,
@@ -432,7 +432,10 @@ class OracleSensing(SensingPipeline):
         self.penalty_fn = penalty_fn
         self.track_capacity = track_capacity
         self._counter: Optional[PathCounter] = None
-        self._rates: Dict[LinkId, float] = {}
+        #: One penalty term per outstanding fault, in onset order.
+        self._terms: Dict[LinkId, float] = {}
+        self._total = 0.0
+        self._stale = True
 
     @property
     def strategy_name(self) -> str:  # type: ignore[override]
@@ -450,13 +453,13 @@ class OracleSensing(SensingPipeline):
                 self._counter = shared
             else:
                 self._counter = PathCounter(topo)
-        # Links with an outstanding fault, in onset order.  Doubles as
-        # the penalty support set: the total penalty only ranges over
-        # these, so a snapshot costs O(#corrupting links), not O(|E|).
-        self._rates = {
-            lid: topo.link(lid).max_corruption_rate()
-            for lid in topo.corrupting_links()
+        # Links with an outstanding fault, in onset order, each with its
+        # current penalty term (see current_penalty).
+        self._terms = {
+            lid: self._term(topo.link(lid)) for lid in topo.corrupting_links()
         }
+        self._lg_version = topo.lg_version
+        topo.subscribe_admin_changes(self._set_term)
 
     def bootstrap(self) -> None:
         for event in self.trace.events:
@@ -470,13 +473,14 @@ class OracleSensing(SensingPipeline):
         metrics = kernel.metrics
         for link_id, condition in zip(event.link_ids, event.conditions):
             link = topo.link(link_id)
-            if not link.enabled or link_id in self._rates:
+            if not link.enabled or link_id in self._terms:
                 continue  # already mitigated or already corrupting
             metrics.onsets += 1
-            self._rates[link_id] = condition.fwd_rate
             topo.set_corruption(link_id, condition.fwd_rate, Direction.UP)
             if condition.rev_rate > 0:
                 topo.set_corruption(link_id, condition.rev_rate, Direction.DOWN)
+            self._terms[link_id] = self._term(link)
+            self._stale = True
             if self.strategy.on_onset(link_id):
                 metrics.disabled_on_onset += 1
                 kernel.schedule_repair(time_s, link_id)
@@ -491,7 +495,7 @@ class OracleSensing(SensingPipeline):
             success = kernel.rng.random() < kernel.repair_accuracy
         if success:
             kernel.topo.clear_corruption(link_id)
-            self._rates.pop(link_id, None)
+            self._drop_term(link_id)
             metrics.repairs_completed += 1
         else:
             metrics.failed_repairs += 1
@@ -513,7 +517,7 @@ class OracleSensing(SensingPipeline):
     def pool_repair_succeeded(self, time_s: float, link_id: LinkId) -> None:
         kernel = self.kernel
         kernel.topo.clear_corruption(link_id)
-        self._rates.pop(link_id, None)
+        self._drop_term(link_id)
         kernel.metrics.repairs_completed += 1
         kernel.topo.enable_link(link_id)
         for newly_disabled in self.strategy.on_activation():
@@ -522,6 +526,24 @@ class OracleSensing(SensingPipeline):
 
     # -- snapshots ------------------------------------------------------ #
 
+    def _term(self, link) -> float:
+        """The link's ``(1 - d_l) * I(f_l)``: exactly 0.0 while it is not
+        enabled or its effective rate is below the 1e-8 lossy floor."""
+        if not link.enabled:
+            return 0.0
+        rate = link.effective_corruption_rate()
+        return self.penalty_fn(rate) if rate >= 1e-8 else 0.0
+
+    def _set_term(self, link_id: LinkId) -> None:
+        """Admin listener: re-set the term of an outstanding fault."""
+        if link_id in self._terms:
+            self._terms[link_id] = self._term(self.kernel.topo.link(link_id))
+            self._stale = True
+
+    def _drop_term(self, link_id: LinkId) -> None:
+        self._terms.pop(link_id, None)
+        self._stale = True
+
     def current_penalty(self) -> float:
         """§5.1's ``sum_l (1 - d_l) * I(f_l)`` over outstanding faults.
 
@@ -529,18 +551,19 @@ class OracleSensing(SensingPipeline):
         unprotected link that is its raw rate (identical to the original
         binary up/down accounting), while a LinkGuardian-protected link
         contributes the residual post-retransmission loss — usually below
-        the 1e-8 lossy floor, i.e. nothing.
+        the 1e-8 lossy floor, i.e. nothing.  Terms are kept as events
+        change them; the total is re-summed, in onset order, only after one
+        did, and every term again after a LinkGuardian change.
         """
         topo = self.kernel.topo
-        total = 0.0
-        for lid in self._rates:
-            link = topo.link(lid)
-            if not link.enabled:
-                continue
-            rate = link.effective_corruption_rate()
-            if rate >= 1e-8:
-                total += self.penalty_fn(rate)
-        return total
+        if topo.lg_version != self._lg_version:
+            self._lg_version = topo.lg_version
+            for lid in self._terms:
+                self._set_term(lid)
+        if self._stale:
+            self._total = ordered_sum(self._terms.values(), 0.0)
+            self._stale = False
+        return self._total
 
     def tor_fractions(self) -> Optional[Tuple[float, float]]:
         if self._counter is None:
@@ -554,7 +577,7 @@ class OracleSensing(SensingPipeline):
         # LG-aware effective capacity: only recorded when protections can
         # exist, so non-LG runs keep their exact metric footprint.
         counter = self._counter
-        if counter is not None and self.kernel.topo.lg_protected_links():
+        if counter is not None and self.kernel.topo.has_lg_protection():
             self.kernel.metrics.effective_capacity.record(
                 time_s, counter.effective_average_tor_fraction()
             )
@@ -562,6 +585,8 @@ class OracleSensing(SensingPipeline):
     # -- run end -------------------------------------------------------- #
 
     def finish(self) -> None:
+        # Unsubscribed, the topology no longer keeps this run alive.
+        self.kernel.topo.unsubscribe_admin_changes(self._set_term)
         self.kernel.metrics.lg_protections = getattr(
             self.strategy, "protections", 0
         )

@@ -41,6 +41,7 @@ _ROW_TABLES = (
     "switch_stage",
     "up_rows",
     "down_rows",
+    "up_disabled",
     "link_row",
     "link_at",
     "lower_row",
@@ -116,6 +117,8 @@ class Topology:
         #: Per switch row: link rows of its uplinks / downlinks.
         self.up_rows: List[List[int]] = []
         self.down_rows: List[List[int]] = []
+        #: Per switch row: how many of its uplinks are not ENABLED.
+        self.up_disabled: List[int] = []
         self.link_row: Dict[LinkId, int] = {}
         self.link_at: List[Link] = []
         #: Per link row: switch row of its lower / upper endpoint.
@@ -126,6 +129,9 @@ class Topology:
             self._intern_switch(switch)
         for link in self._links.values():
             self._intern_link(link)
+        # add_link makes ENABLED links; only a restored graph has others.
+        for lower, _upper in self._disabled:
+            self.up_disabled[self.switch_row[lower]] += 1
 
     def _intern_switch(self, switch: Switch) -> None:
         self.switch_row[switch.name] = len(self.switch_names)
@@ -133,6 +139,7 @@ class Topology:
         self.switch_stage.append(switch.stage)
         self.up_rows.append([])
         self.down_rows.append([])
+        self.up_disabled.append(0)
 
     def _intern_link(self, link: Link) -> None:
         row = len(self.link_at)
@@ -340,10 +347,13 @@ class Topology:
         flipped = link.enabled != (state is LinkState.ENABLED)
         link.state = state
         if flipped:
+            lower = self.switch_row[link.lower]
             if link.enabled:
                 self._disabled.discard(link_id)
+                self.up_disabled[lower] -= 1
             else:
                 self._disabled.add(link_id)
+                self.up_disabled[lower] += 1
             self._notify_admin(link_id)
 
     def _restore_link(
@@ -362,6 +372,7 @@ class Topology:
         link.corruption_rate[Direction.DOWN] = corruption_down
         if state is not LinkState.ENABLED:
             self._disabled.add(link_id)
+            self.up_disabled[self.switch_row[link.lower]] += 1
         if corruption_up != 0 or corruption_down != 0:
             self._corrupting.add(link_id)
 
@@ -518,6 +529,10 @@ class Topology:
         """Ids of links currently under LinkGuardian protection."""
         return set(self._lg_protected)
 
+    def has_lg_protection(self) -> bool:
+        """Whether any link is under protection (without copying the set)."""
+        return bool(self._lg_protected)
+
     def lg_capable_count(self) -> int:
         """Number of LG-capable links."""
         return sum(1 for link in self._links.values() if link.lg_capable)
@@ -669,7 +684,7 @@ class Topology:
                 link.state,
                 link.capacity_gbps,
                 link.breakout_group,
-                dict(link.corruption_rate),
+                link.corruption_rate.copy(),
                 link.lg_capable,
                 link.lg_protected,
                 link.lg_effective_loss,
@@ -689,6 +704,7 @@ class Topology:
         clone.switch_stage = list(self.switch_stage)
         clone.up_rows = [list(rows) for rows in self.up_rows]
         clone.down_rows = [list(rows) for rows in self.down_rows]
+        clone.up_disabled = list(self.up_disabled)
         clone.lower_row, clone.upper_row = list(self.lower_row), list(self.upper_row)
         clone.link_at = links
         return clone

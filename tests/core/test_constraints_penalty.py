@@ -13,6 +13,7 @@ from repro.core import (
     tcp_throughput_penalty,
     total_penalty,
 )
+from repro.core.penalty import ordered_sum
 from repro.topology import build_clos
 from repro.topology.elements import Direction
 
@@ -97,11 +98,11 @@ class TestTotalPenalty:
         must come out in the full walk's order, hence bit-equal."""
 
         def full_walk(topo, penalty_fn, threshold):
-            return sum(
-                penalty_fn(link.max_corruption_rate())
-                for link in topo.links()
-                if link.enabled and link.is_corrupting(threshold)
-            )
+            total = 0
+            for link in topo.links():
+                if link.enabled and link.is_corrupting(threshold):
+                    total += penalty_fn(link.max_corruption_rate())
+            return total
 
         topo = build_clos(3, 3, 3, 9)
         link_ids = [link.link_id for link in topo.links()]
@@ -139,3 +140,16 @@ class TestTotalPenalty:
         topo = build_clos(2, 2, 2, 4)
         topo.set_corruption(("pod0/tor0", "pod0/agg0"), 1e-2)
         assert total_penalty(topo, step_penalty) == 1.0
+
+
+class TestOrderedSum:
+    def test_adds_left_to_right(self):
+        """Python 3.12's ``sum`` compensates and returns
+        1.0000000000000002 here; the pinned sums must not."""
+        assert ordered_sum([1.0, 1e-16, 1e-16]) == 1.0
+        assert ordered_sum([1e-16, 1e-16, 1.0]) == 1.0000000000000002
+
+    def test_matches_the_builtin_start_and_empty_case(self):
+        assert ordered_sum([]) == 0 and type(ordered_sum([])) is int
+        assert type(ordered_sum([], 0.0)) is float
+        assert ordered_sum(iter([0.5, 0.25]), 1.0) == 1.75
