@@ -13,6 +13,7 @@ from typing import List
 
 import numpy as np
 
+from repro.core.penalty import ordered_sum
 from repro.workloads.study import DcnStudy, StudyDataset
 
 
@@ -90,11 +91,11 @@ def total_loss_ratio(dataset: StudyDataset, samples_per_day: int = 96) -> float:
     DCNs is far less sensitive to per-DCN heavy-tail sampling noise than
     the per-DCN ratios of Figure 1.
     """
-    corruption = sum(
+    corruption = ordered_sum(
         float(np.sum(_daily_losses(dcn, "corruption", samples_per_day)))
         for dcn in dataset.dcns
     )
-    congestion = sum(
+    congestion = ordered_sum(
         float(np.sum(_daily_losses(dcn, "congestion", samples_per_day)))
         for dcn in dataset.dcns
     )

@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from typing import List, Sequence, Tuple
 
+from repro.core.penalty import ordered_sum
 from repro.workloads.rates import LOSSY_THRESHOLD
 from repro.workloads.study import DcnStudy, StudyDataset
 
@@ -109,6 +110,6 @@ def locality_curve(
             for dcn in dataset.dcns
             if dcn.records_of_kind(kind)
         ]
-        mean_ratio = sum(ratios) / len(ratios) if ratios else 1.0
+        mean_ratio = ordered_sum(ratios) / len(ratios) if ratios else 1.0
         curve.append((fraction, mean_ratio))
     return curve

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.penalty import ordered_sum
 from repro.topology.elements import Direction, LinkId
 
 #: The cause taxonomy.  ``corruption`` and ``congestion`` are the §3
@@ -107,11 +108,11 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     if n < 3:
         return 0.0
     xs, ys = xs[-n:], ys[-n:]
-    mean_x = sum(xs) / n
-    mean_y = sum(ys) / n
-    cov = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-    var_x = sum((x - mean_x) ** 2 for x in xs)
-    var_y = sum((y - mean_y) ** 2 for y in ys)
+    mean_x = ordered_sum(xs) / n
+    mean_y = ordered_sum(ys) / n
+    cov = ordered_sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
+    var_x = ordered_sum((x - mean_x) ** 2 for x in xs)
+    var_y = ordered_sum((y - mean_y) ** 2 for y in ys)
     if var_x <= 0.0 or var_y <= 0.0:
         return 0.0
     return cov / (var_x * var_y) ** 0.5

@@ -30,7 +30,7 @@ from repro.core.path_counting import PathCounter
 from repro.core.penalty import PenaltyFn, linear_penalty, ordered_sum
 from repro.core.segmentation import Segment, segment_links
 from repro.obs.recorder import NULL_RECORDER, Recorder
-from repro.topology.elements import LinkId
+from repro.topology.elements import LinkId, LinkState
 from repro.topology.graph import Topology
 
 
@@ -211,17 +211,16 @@ class GlobalOptimizer:
         topo, counter = self._topo, self.counter
         if candidates is None:
             candidates = topo.corrupting_links()
-        link_row, link_at = topo.link_row, topo.link_at
-        candidates = [
-            lid for lid in candidates if link_at[link_row[lid]].enabled
-        ]
+        link_row, state = topo.link_row, topo.link_state
+        enabled = LinkState.ENABLED
+        candidates = [lid for lid in candidates if state[link_row[lid]] is enabled]
         stats = OptimizerStats(num_candidates=len(candidates), runs=1)
         if not candidates:
             return OptimizerResult(stats=stats)
 
         all_candidates = frozenset(candidates)
         penalty = {
-            lid: self.penalty_fn(link_at[link_row[lid]].max_corruption_rate())
+            lid: self.penalty_fn(topo.max_rate(link_row[lid]))
             for lid in all_candidates
         }
 
@@ -442,12 +441,11 @@ def brute_force_optimal(
     """
     if candidates is None:
         candidates = topo.corrupting_links()
-    link_row, link_at = topo.link_row, topo.link_at
-    candidates = [lid for lid in candidates if link_at[link_row[lid]].enabled]
+    link_row, state, enabled = topo.link_row, topo.link_state, LinkState.ENABLED
+    candidates = [lid for lid in candidates if state[link_row[lid]] is enabled]
     counter = PathCounter(topo)
     penalty = {
-        lid: penalty_fn(link_at[link_row[lid]].max_corruption_rate())
-        for lid in candidates
+        lid: penalty_fn(topo.max_rate(link_row[lid])) for lid in candidates
     }
     total = ordered_sum(penalty[lid] for lid in candidates)
     best: Set[LinkId] = set()

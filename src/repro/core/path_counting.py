@@ -203,11 +203,11 @@ class PathCounter:
         self._descending = sorted(range(len(stage)), key=lambda r: -stage[r])
         self._tor_rows = [r for r in range(len(stage)) if stage[r] == 0]
         self._num_tors = len(self._tor_rows)
-        carrying = LinkState.ENABLED  # ``link.enabled``, without the call
+        carrying = LinkState.ENABLED
         self._enabled.extend(
             [
-                link.state is carrying
-                for link in topo.link_at[len(self._enabled) :]
+                state is carrying
+                for state in topo.link_state[len(self._enabled) :]
             ]
         )
         self._baseline = self._count(ignore_admin_state=True)
@@ -261,7 +261,7 @@ class PathCounter:
     def _on_admin_change(self, link_id: LinkId) -> None:
         self._sync()
         row = self._topo.link_row[link_id]
-        enabled = self._topo.link_at[row].enabled
+        enabled = self._topo.link_state[row] is LinkState.ENABLED
         version, checked_row, overlay = self._checked
         just_checked = version == self._state_version
         self._state_version += 1
@@ -714,7 +714,9 @@ class PathCounter:
         if cached is not None and cached[0] == key:
             return cached[1]
         up, upper, stage, top = self._up, self._upper, self._stage, self._top
-        link_at = self._topo.link_at
+        topo = self._topo
+        state, protected = topo.link_state, topo.lg_protected
+        fraction, carrying = topo.lg_capacity_fraction, LinkState.ENABLED
         counts = [0.0] * len(stage)
         visited = 0
         for row in self._descending:
@@ -725,7 +727,9 @@ class PathCounter:
             visited += len(links)
             total = 0.0
             for link in links:
-                frac = link_at[link].effective_capacity_fraction()
+                if state[link] is not carrying:
+                    continue
+                frac = fraction[link] if protected[link] else 1.0
                 if frac:
                     total += frac * counts[upper[link]]
             counts[row] = total

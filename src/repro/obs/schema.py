@@ -344,7 +344,9 @@ CHECKPOINT_FORMAT = "repro-checkpoint"
 #: as (topology, mode, stats, told-link-state column); both rebuild the rest.
 #: 6: a fault transport holds its state columns itself, with no fault chain,
 #: and a baseline is column rows only (no object fallback).
-CHECKPOINT_FORMAT_VERSION = 6
+#: 7: a Topology keeps link state in per-link-row columns, not ``Link``
+#: objects (a ``Link`` is a view of one row).
+CHECKPOINT_FORMAT_VERSION = 7
 
 #: Service-report literals, pinned against :mod:`repro.service.service`.
 SERVICE_REPORT_FORMAT = "repro-service-report"

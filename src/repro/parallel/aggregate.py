@@ -24,6 +24,7 @@ from typing import Any, Dict, List, Optional, Union
 
 from repro._version import __version__
 from repro.core.optimizer import OptimizerStats
+from repro.core.penalty import ordered_sum
 from repro.obs.manifest import RunManifest, build_manifest
 from repro.obs.registry import MetricsRegistry
 from repro.parallel.runner import SweepResult
@@ -258,7 +259,7 @@ def summary_lines(sweep: SweepResult) -> List[str]:
             f"{cache.get('misses', 0)} builds"
         )
     for (preset, strategy, capacity), values in sorted(groups.items()):
-        mean = sum(values) / len(values)
+        mean = ordered_sum(values) / len(values)
         lines.append(
             f"  {preset:>7s} c={capacity:.0%} {strategy:<18s} "
             f"penalty∫ mean={mean:.3e} over {len(values)} seed(s)"

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.core.penalty import ordered_sum
 from repro.parallel.runner import ParallelRunner, SweepResult
 from repro.parallel.spec import JobSpec
 from repro.parallel.aggregate import sweep_rows
@@ -234,7 +235,7 @@ def fleet_rollup_row(
         "ok": len(ok),
         "failed": len(per_dcn) - len(ok),
         "links_design_total": sum(col["links_design"] for col in per_dcn),
-        "penalty_integral_total": sum(
+        "penalty_integral_total": ordered_sum(
             col["penalty_integral"] for col in ok
         ),
         "onsets_total": sum(col["onsets"] for col in ok),

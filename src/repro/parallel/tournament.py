@@ -19,6 +19,7 @@ import json
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
+from repro.core.penalty import ordered_sum
 from repro.parallel.aggregate import sweep_rows
 from repro.parallel.grid import GridSpec
 from repro.parallel.runner import ParallelRunner, SweepResult
@@ -101,7 +102,7 @@ def leaderboard_rows(sweep: SweepResult) -> List[Dict[str, Any]]:
         preset, capacity, penalty, lg_coverage = key
         ranked = sorted(
             (
-                (sum(values) / len(values), strategy, len(values))
+                (ordered_sum(values) / len(values), strategy, len(values))
                 for strategy, values in groups[key].items()
             ),
             key=lambda item: (item[0], item[1]),

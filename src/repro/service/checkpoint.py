@@ -2,8 +2,11 @@
 
 A checkpoint file is one JSON header line followed by a pickle payload::
 
-    {"format": "repro-checkpoint", "format_version": 5, ...}\\n
+    {"format": "repro-checkpoint", "format_version": <N>, ...}\\n
     <pickle bytes of the whole ControllerService object graph>
+
+where ``<N>`` is :data:`~repro.obs.schema.CHECKPOINT_FORMAT_VERSION`; a
+reader refuses any other version before unpickling.
 
 It is written to a sibling temporary file and renamed into place, so a
 crash mid-write leaves the previous checkpoint at ``path``, never a torn

@@ -18,7 +18,7 @@ from repro.core.constraints import CapacityConstraint
 from repro.core.path_counting import PathCounter
 from repro.ticketing.ticket import Ticket
 from repro.topology.breakout import repair_collateral
-from repro.topology.elements import LinkId
+from repro.topology.elements import LinkId, LinkState
 from repro.topology.graph import Topology
 
 
@@ -75,7 +75,8 @@ class CollateralAwareScheduler:
         """
         topo, counter = self._topo, self.counter
         rows = [topo.link_row[lid] for lid in take_down]
-        extra = frozenset(row for row in rows if topo.link_at[row].enabled)
+        state, enabled = topo.link_state, LinkState.ENABLED
+        extra = frozenset(row for row in rows if state[row] is enabled)
         tors: Set[int] = set()
         for row in extra:
             tors.update(counter.affected_rows(row))

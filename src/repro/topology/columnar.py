@@ -2,10 +2,10 @@
 
 The paper's study spans ~350K optical links across 15 DCNs (§2).  The
 object :class:`~repro.topology.graph.Topology` is the right substrate for
-the mitigation algorithms — per-link Python objects, observer hooks, an
+the mitigation algorithms — per-link-row Python lists, observer hooks, an
 incremental DP — but it is the wrong substrate for fleet-scale footprints:
-350K ``Link`` instances cost hundreds of megabytes and minutes of pure
-Python to build and recount.
+building and recounting 350K links one Python call at a time takes
+seconds to minutes.
 
 :class:`ColumnarTopology` stores the same information as parallel numpy
 arrays: switch and link identities are interned to ``int32`` indexes
@@ -15,7 +15,8 @@ per-element attribute (stage, pod, state, capacity, corruption rates, the
 LinkGuardian fields) is one array.  The representation is
 
 - **lossless**: ``from_topology`` → ``to_topology`` reproduces the object
-  graph exactly, administrative state and LG protection included;
+  graph exactly, administrative state and LG protection included (each
+  converts the topology's link columns whole, no per-link object);
 - **flat**: :meth:`ColumnarTopology.arrays` exposes the whole topology as
   a dict of contiguous arrays (string tables become UTF-8 blobs plus
   offset arrays), which is the basis of the ``.npz`` binary format
@@ -41,12 +42,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.topology.elements import (
-    Direction,
-    LinkId,
-    LinkState,
-    Switch,
-)
+from repro.topology.elements import LinkId, LinkState, Switch
 from repro.topology.graph import Topology
 
 #: Bumped when the array layout changes incompatibly.
@@ -59,6 +55,18 @@ _STATE_TO_CODE = {
     LinkState.DRAINED: 2,
 }
 _CODE_TO_STATE = {code: state for state, code in _STATE_TO_CODE.items()}
+
+#: The link columns a :class:`Topology` and the arrays hold alike:
+#: topology column → (array field, dtype).
+_SAME_COLUMNS = {
+    "capacity_gbps": ("link_capacity", np.float64),
+    "rate_up": ("corruption_up", np.float64),
+    "rate_down": ("corruption_down", np.float64),
+    "lg_capable": ("lg_capable", np.bool_),
+    "lg_protected": ("lg_protected", np.bool_),
+    "lg_effective_loss": ("lg_effective_loss", np.float64),
+    "lg_capacity_fraction": ("lg_capacity_fraction", np.float64),
+}
 
 #: Field order of :meth:`ColumnarTopology.arrays` — fixed so digests are
 #: stable.
@@ -255,142 +263,83 @@ class ColumnarTopology:
 
     @classmethod
     def from_topology(cls, topo: Topology) -> "ColumnarTopology":
-        """Intern an object topology into arrays (lossless)."""
-        switch_names: List[str] = []
-        stages: List[int] = []
-        pods: List[int] = []
-        deep: List[bool] = []
-        ports: List[int] = []
-        pod_names: List[str] = []
-        pod_intern: Dict[str, int] = {}
-        switch_idx: Dict[str, int] = {}
-        for sw in topo.switches():
-            switch_idx[sw.name] = len(switch_names)
-            switch_names.append(sw.name)
-            stages.append(sw.stage)
-            if sw.pod is None:
-                pods.append(-1)
-            else:
-                interned = pod_intern.get(sw.pod)
-                if interned is None:
-                    interned = pod_intern[sw.pod] = len(pod_names)
-                    pod_names.append(sw.pod)
-                pods.append(interned)
-            deep.append(sw.deep_buffer)
-            ports.append(-1 if sw.num_ports is None else sw.num_ports)
-
-        num_links = topo.num_links
-        lower = np.empty(num_links, dtype=np.int32)
-        upper = np.empty(num_links, dtype=np.int32)
-        state = np.empty(num_links, dtype=np.int8)
-        capacity = np.empty(num_links, dtype=np.float64)
-        breakout = np.empty(num_links, dtype=np.int32)
-        corr_up = np.empty(num_links, dtype=np.float64)
-        corr_down = np.empty(num_links, dtype=np.float64)
-        capable = np.empty(num_links, dtype=np.bool_)
-        protected = np.empty(num_links, dtype=np.bool_)
-        eff_loss = np.empty(num_links, dtype=np.float64)
-        cap_frac = np.empty(num_links, dtype=np.float64)
-        breakout_names: List[str] = []
-        breakout_intern: Dict[str, int] = {}
-        for i, link in enumerate(topo.links()):
-            lower[i] = switch_idx[link.lower]
-            upper[i] = switch_idx[link.upper]
-            state[i] = _STATE_TO_CODE[link.state]
-            capacity[i] = link.capacity_gbps
-            if link.breakout_group is None:
-                breakout[i] = -1
-            else:
-                interned = breakout_intern.get(link.breakout_group)
-                if interned is None:
-                    interned = breakout_intern[link.breakout_group] = len(
-                        breakout_names
-                    )
-                    breakout_names.append(link.breakout_group)
-                breakout[i] = interned
-            corr_up[i] = link.corruption_rate[Direction.UP]
-            corr_down[i] = link.corruption_rate[Direction.DOWN]
-            capable[i] = link.lg_capable
-            protected[i] = link.lg_protected
-            eff_loss[i] = link.lg_effective_loss
-            cap_frac[i] = link.lg_capacity_fraction
-
+        """Intern an object topology into arrays (lossless): its link
+        columns, converted."""
+        switches = list(topo.switches())
+        pods = [p for p in dict.fromkeys(s.pod for s in switches) if p is not None]
+        groups = [g for g in dict.fromkeys(topo.breakout_group) if g is not None]
+        pod_code = {None: -1, **{pod: i for i, pod in enumerate(pods)}}
+        group_code = {None: -1, **{group: i for i, group in enumerate(groups)}}
         return cls(
             name=topo.name,
             num_stages=topo.num_stages,
-            switch_names=switch_names,
-            switch_stage=np.asarray(stages, dtype=np.int32),
-            switch_pod=np.asarray(pods, dtype=np.int32),
-            switch_deep_buffer=np.asarray(deep, dtype=np.bool_),
-            switch_num_ports=np.asarray(ports, dtype=np.int32),
-            pod_names=pod_names,
-            link_lower=lower,
-            link_upper=upper,
-            link_state=state,
-            link_capacity=capacity,
-            link_breakout=breakout,
-            breakout_names=breakout_names,
-            corruption_up=corr_up,
-            corruption_down=corr_down,
-            lg_capable=capable,
-            lg_protected=protected,
-            lg_effective_loss=eff_loss,
-            lg_capacity_fraction=cap_frac,
+            switch_names=list(topo.switch_names),
+            switch_stage=np.array(topo.switch_stage, dtype=np.int32),
+            switch_pod=np.array(
+                [pod_code[sw.pod] for sw in switches], dtype=np.int32
+            ),
+            switch_deep_buffer=np.array(
+                [sw.deep_buffer for sw in switches], dtype=np.bool_
+            ),
+            switch_num_ports=np.array(
+                [-1 if sw.num_ports is None else sw.num_ports for sw in switches],
+                dtype=np.int32,
+            ),
+            pod_names=pods,
+            link_lower=np.array(topo.lower_row, dtype=np.int32),
+            link_upper=np.array(topo.upper_row, dtype=np.int32),
+            link_state=np.array(
+                list(map(_STATE_TO_CODE.__getitem__, topo.link_state)),
+                dtype=np.int8,
+            ),
+            link_breakout=np.array(
+                list(map(group_code.__getitem__, topo.breakout_group)),
+                dtype=np.int32,
+            ),
+            breakout_names=groups,
+            **{
+                field: np.array(getattr(topo, column), dtype=dtype)
+                for column, (field, dtype) in _SAME_COLUMNS.items()
+            },
         )
 
     def to_topology(self) -> Topology:
         """Materialize the object topology (inverse of ``from_topology``).
 
-        Switches and links are re-added in array order, so the rebuilt
-        topology iterates identically to the original — the property the
+        Switches and links keep their array order, so the rebuilt topology
+        iterates identically to the original — the property the
         byte-identical simulation guarantees rest on.
         """
         topo = Topology(num_stages=self.num_stages, name=self.name)
         pods = self.pod_names
-        stages = self.switch_stage.tolist()
-        pod_idx = self.switch_pod.tolist()
-        deep = self.switch_deep_buffer.tolist()
-        ports = self.switch_num_ports.tolist()
-        for i, name in enumerate(self.switch_names):
+        for name, stage, pod, deep, ports in zip(
+            self.switch_names,
+            self.switch_stage.tolist(),
+            self.switch_pod.tolist(),
+            self.switch_deep_buffer.tolist(),
+            self.switch_num_ports.tolist(),
+        ):
             topo.add_switch(
                 Switch(
                     name=name,
-                    stage=stages[i],
-                    pod=None if pod_idx[i] < 0 else pods[pod_idx[i]],
-                    deep_buffer=deep[i],
-                    num_ports=None if ports[i] < 0 else ports[i],
+                    stage=stage,
+                    pod=None if pod < 0 else pods[pod],
+                    deep_buffer=deep,
+                    num_ports=None if ports < 0 else ports,
                 )
             )
-        names = self.switch_names
-        groups = self.breakout_names
-        lower = self.link_lower.tolist()
-        upper = self.link_upper.tolist()
-        state = self.link_state.tolist()
-        capacity = self.link_capacity.tolist()
-        breakout = self.link_breakout.tolist()
-        corr_up = self.corruption_up.tolist()
-        corr_down = self.corruption_down.tolist()
-        capable = self.lg_capable.tolist()
-        protected = self.lg_protected.tolist()
-        eff_loss = self.lg_effective_loss.tolist()
-        cap_frac = self.lg_capacity_fraction.tolist()
-        for i in range(self.num_links):
-            lid = topo.add_link(
-                names[lower[i]],
-                names[upper[i]],
-                capacity_gbps=capacity[i],
-                breakout_group=None if breakout[i] < 0 else groups[breakout[i]],
-            )
-            topo._restore_link(
-                lid, _CODE_TO_STATE[state[i]], corr_up[i], corr_down[i]
-            )
-            link = topo.link(lid)
-            link.lg_capable = capable[i]
-            link.lg_protected = protected[i]
-            link.lg_effective_loss = eff_loss[i]
-            link.lg_capacity_fraction = cap_frac[i]
-            if protected[i]:
-                topo._lg_protected.add(lid)
+        columns = {
+            column: getattr(self, field).tolist()
+            for column, (field, _dtype) in _SAME_COLUMNS.items()
+        }
+        columns["link_state"] = list(
+            map(_CODE_TO_STATE.__getitem__, self.link_state.tolist())
+        )
+        groups = [None] + self.breakout_names  # code -1 reads slot 0
+        columns["breakout_group"] = [
+            groups[code + 1] for code in self.link_breakout.tolist()
+        ]
+        topo._restore_links(self.link_ids(), columns)
         return topo
 
     # ------------------------------------------------------------------ #
@@ -640,9 +589,10 @@ class ColumnarPathCounter:
     # ------------------------------------------------------------------ #
 
     def _on_admin_change(self, link_id: LinkId) -> None:
-        index = self._col.link_rows((link_id,))[0]
-        state = self._topo.link(link_id).state
-        self._state[index] = _STATE_TO_CODE[state]
+        # Bound columns keep the topology's link rows (a structure change
+        # re-interns them).
+        row = self._topo.link_row[link_id]
+        self._state[row] = _STATE_TO_CODE[self._topo.link_state[row]]
         self._live_cache = None
 
     def notify_link_change(self, link_id: LinkId) -> None:

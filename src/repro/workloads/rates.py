@@ -23,6 +23,8 @@ import math
 import random
 from typing import List, Sequence, Tuple
 
+from repro.core.penalty import ordered_sum
+
 #: Bucket edges shared by Table 1 and our analyses.  The top bucket is
 #: capped at 10% loss: beyond that a link is effectively dead.
 BUCKET_EDGES: List[Tuple[float, float]] = [
@@ -51,7 +53,7 @@ def sample_from_buckets(
     edges = edges or BUCKET_EDGES
     if len(shares) != len(edges):
         raise ValueError("one share per bucket required")
-    roll = rng.random() * sum(shares)
+    roll = rng.random() * ordered_sum(shares)
     cumulative = 0.0
     chosen = edges[-1]
     for share, edge in zip(shares, edges):

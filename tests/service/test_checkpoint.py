@@ -32,7 +32,7 @@ def test_schema_literals_pinned_against_service():
         checkpoint.CHECKPOINT_FORMAT_VERSION
         is schema.CHECKPOINT_FORMAT_VERSION
     )
-    assert CHECKPOINT_FORMAT_VERSION == 6
+    assert CHECKPOINT_FORMAT_VERSION == 7
 
 
 def write_sample(path, state=None):
@@ -120,7 +120,7 @@ class TestIntegrity:
         )
         with pytest.raises(
             ValueError,
-            match=rf"unsupported checkpoint version {version} \(expected 6\)",
+            match=rf"unsupported checkpoint version {version} \(expected 7\)",
         ):
             read_checkpoint(path)
         assert validate_checkpoint_file(path) == [
@@ -153,6 +153,12 @@ class TestIntegrity:
         """Version 5 pickled the fault transport's chain of fault objects,
         each with its own state, and baselines with an object fallback."""
         self._refused_by_version(tmp_path, 5, "1.12.0")
+
+    def test_v6_checkpoint_refused_before_unpickling(self, tmp_path):
+        """Version 6 pickled every link as a ``Link`` object; a topology
+        keeps link state in row columns now and would come up without
+        them."""
+        self._refused_by_version(tmp_path, 6, "1.13.0")
 
     def test_truncated_payload_rejected(self, tmp_path):
         path = tmp_path / "c.ckpt"

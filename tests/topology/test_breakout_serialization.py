@@ -4,6 +4,7 @@ import pytest
 
 from repro.topology import (
     Direction,
+    Switch,
     assign_breakout_groups,
     build_clos,
     load_topology,
@@ -68,11 +69,51 @@ class TestSerialization:
         topo.set_corruption(lid, 1e-4, Direction.UP)
         topo.set_corruption(lid, 1e-6, Direction.DOWN)
         topo.disable_link(lid)
+        topo.add_switch(Switch("extra/tor", stage=0, num_ports=48))
+        topo.add_link("extra/tor", "pod0/agg0")
+        assert topo.assign_lg_capable(0.5) > 0
+        protected = next(
+            other
+            for other in topo.link_ids()
+            if topo.link(other).lg_capable and topo.link(other).enabled
+        )
+        topo.set_corruption(protected, 1e-3, Direction.DOWN)
+        topo.protect_link(protected, 1e-9, 0.8)
         clone = topology_from_dict(topology_to_dict(topo))
         link = clone.link(lid)
         assert not link.enabled
         assert link.corruption_rate[Direction.UP] == 1e-4
         assert link.corruption_rate[Direction.DOWN] == 1e-6
+        assert clone.switch("extra/tor").num_ports == 48
+        assert clone.switch("pod0/tor0").num_ports is None
+        for mine, theirs in zip(topo.links(), clone.links()):
+            assert mine.lg_capable == theirs.lg_capable, mine
+        assert clone.lg_capable_count() == topo.lg_capable_count()
+        assert clone.lg_protected_links() == {protected}
+        assert clone.lg_version > 0
+        shielded = clone.link(protected)
+        assert shielded.lg_protected
+        assert shielded.lg_effective_loss == 1e-9
+        assert shielded.lg_capacity_fraction == 0.8
+        # Protection survives as topology state: repairing the clone's
+        # link drops it through the index the loader filled.
+        clone.clear_corruption(protected)
+        assert not clone.has_lg_protection()
+
+    def test_version_1_file_without_new_keys_loads(self):
+        """Files written before ``num_ports`` and the LinkGuardian fields
+        were saved load with their defaults."""
+        data = topology_to_dict(build_clos(2, 2, 2, 4))
+        for sw in data["switches"]:
+            del sw["num_ports"]
+        for entry in data["links"]:
+            for key in ("lg_capable", "lg_protected", "lg_effective_loss",
+                        "lg_capacity_fraction"):
+                del entry[key]
+        clone = topology_from_dict(data)
+        assert topology_to_dict(clone) == topology_to_dict(
+            build_clos(2, 2, 2, 4)
+        )
 
     def test_file_roundtrip(self, tmp_path):
         topo = build_clos(2, 2, 2, 4)
@@ -109,8 +150,8 @@ class TestNpzSerialization:
         assert topology_to_dict(clone) == topology_to_dict(topo)
         assert list(clone.link_ids()) == list(topo.link_ids())
 
-    def test_npz_preserves_lg_fields_json_path_does_not(self, tmp_path):
-        """The columnar archive is lossless beyond the JSON surface."""
+    def test_npz_preserves_lg_fields(self, tmp_path):
+        """The columnar archive keeps the LinkGuardian fields."""
         from repro.topology import load_topology_npz, save_topology_npz
 
         topo = build_clos(2, 2, 2, 4)

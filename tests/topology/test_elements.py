@@ -4,11 +4,19 @@ import pytest
 
 from repro.topology.elements import (
     Direction,
-    Link,
     LinkState,
     Switch,
     canonical_link_id,
 )
+from repro.topology.graph import Topology
+
+
+def Link(lower, upper):
+    """A view of the one link of a two-switch topology."""
+    topo = Topology(num_stages=2)
+    topo.add_switch(Switch(lower, stage=0))
+    topo.add_switch(Switch(upper, stage=1))
+    return topo.link(topo.add_link(lower, upper))
 
 
 class TestDirection:

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.topology import Direction, Switch, Topology
+from repro.topology import Direction, Link, LinkState, Switch, Topology
+from repro.topology.graph import LINK_COLUMNS
 
 
 class TestConstruction:
@@ -33,7 +34,10 @@ class TestLookup:
     def test_find_link_either_order(self, small_clos):
         a = small_clos.find_link("pod0/tor0", "pod0/agg0")
         b = small_clos.find_link("pod0/agg0", "pod0/tor0")
-        assert a is b
+        assert a.link_id == b.link_id == ("pod0/tor0", "pod0/agg0")
+        # Two views of one link: a write through one shows through both.
+        a.state = LinkState.DRAINED
+        assert b.state is LinkState.DRAINED
 
     def test_tors_and_spines(self, small_clos):
         assert len(small_clos.tors()) == 6
@@ -274,10 +278,24 @@ class TestInterop:
         clone = topo.copy()
         assert clone.name == topo.name and clone.num_stages == topo.num_stages
         assert list(clone.link_ids()) == links
+        # Every Link field (each one a property of the view), the ten a
+        # Link dataclass had among them.
+        fields = [
+            name
+            for name, value in vars(Link).items()
+            if isinstance(value, property)
+        ]
+        assert {
+            "lower", "upper", "state", "capacity_gbps", "breakout_group",
+            "corruption_rate", "lg_capable", "lg_protected",
+            "lg_effective_loss", "lg_capacity_fraction",
+        } <= set(fields)
         for mine, theirs in zip(topo.links(), clone.links()):
-            assert mine is not theirs
-            assert mine.corruption_rate is not theirs.corruption_rate
-            assert dataclasses.asdict(mine) == dataclasses.asdict(theirs)
+            for name in fields:
+                assert getattr(mine, name) == getattr(theirs, name), name
+        for name in LINK_COLUMNS:
+            assert getattr(clone, name) == getattr(topo, name), name
+            assert getattr(clone, name) is not getattr(topo, name), name
         assert [dataclasses.asdict(s) for s in clone.switches()] == [
             dataclasses.asdict(s) for s in topo.switches()
         ]
@@ -311,10 +329,13 @@ class TestInterop:
             rebuilt = Topology(side.num_stages)
             rebuilt.__setstate__(side.__getstate__())
             for table in ("switch_row", "switch_names", "switch_stage",
-                          "up_rows", "down_rows", "link_row", "lower_row",
-                          "upper_row"):
+                          "up_rows", "down_rows", "up_disabled", "link_row",
+                          "lower_row", "upper_row", "_stages", "_uplinks",
+                          "_downlinks") + LINK_COLUMNS:
                 assert getattr(side, table) == getattr(rebuilt, table), table
-            assert side.link_at == list(side.links())
+            assert [link.link_id for link in side.links()] == list(
+                side.link_ids()
+            )
             assert PathCounter(side).counts() == PathCounter(rebuilt).counts()
 
     def test_to_networkx_names_the_extra_when_networkx_is_missing(

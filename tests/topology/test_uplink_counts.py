@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.topology.clos import build_clos
+from repro.topology.elements import LinkState
 from repro.topology.serialization import (
     load_topology_npz,
     save_topology_npz,
@@ -28,7 +29,7 @@ OPS = ("enable_link", "disable_link", "drain_link")
 def scanned(topo):
     """The count by a walk over every switch's uplinks."""
     return [
-        sum(1 for row in rows if not topo.link_at[row].enabled)
+        sum(1 for row in rows if topo.link_state[row] is not LinkState.ENABLED)
         for rows in topo.up_rows
     ]
 
