@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.constraints import CapacityConstraint
-from repro.topology.elements import LinkId
+from repro.topology.elements import LinkId, LinkState
 from repro.topology.graph import Topology
 
 
@@ -96,14 +96,15 @@ class SwitchLocalChecker:
         the topology keeps each switch's count of uplinks not ENABLED.
         """
         topo = self._topo
-        link = topo.link(link_id)
-        row = topo.switch_row[link.lower]
+        link = topo.link_row[link_id]
+        row = topo.lower_row[link]
         m, max_disabled = self._budget(row)
         disabled = topo.up_disabled[row]
+        enabled = topo.link_state[link] is LinkState.ENABLED
         return SwitchLocalResult(
             link_id=link_id,
-            allowed=not link.enabled or disabled < max_disabled,
-            switch=link.lower,
+            allowed=not enabled or disabled < max_disabled,
+            switch=link_id[0],
             active_uplinks=m - disabled,
             required_active=m - max_disabled,
         )
@@ -111,8 +112,10 @@ class SwitchLocalChecker:
     def check_and_disable(self, link_id: LinkId) -> SwitchLocalResult:
         """Run :meth:`check` and disable the link when allowed."""
         result = self.check(link_id)
-        if result.allowed and self._topo.link(link_id).enabled:
-            self._topo.disable_link(link_id)
+        topo = self._topo
+        enabled = topo.link_state[topo.link_row[link_id]] is LinkState.ENABLED
+        if result.allowed and enabled:
+            topo.disable_link(link_id)
         return result
 
     def reevaluate(self, candidates: Optional[List[LinkId]] = None) -> List[LinkId]:
@@ -131,16 +134,19 @@ class SwitchLocalChecker:
         if candidates is None:
             candidates = topo.corrupting_links()
 
+        link_row, state = topo.link_row, topo.link_state
+
         def open_candidate(lid: LinkId) -> bool:
-            link = topo.link(lid)
-            row = topo.switch_row[link.lower]
-            return link.enabled and topo.up_disabled[row] < self._budget(row)[1]
+            link = link_row[lid]
+            row = topo.lower_row[link]
+            enabled = state[link] is LinkState.ENABLED
+            return enabled and topo.up_disabled[row] < self._budget(row)[1]
 
         # Budgets only shrink during the sweep, so a switch with none left
         # now rejects its candidates later too: dropping them is exact.
         ordered = sorted(
             filter(open_candidate, candidates),
-            key=lambda lid: topo.link(lid).max_corruption_rate(),
+            key=lambda lid: topo.max_rate(link_row[lid]),
             reverse=True,
         )
         newly_disabled = []
