@@ -312,7 +312,11 @@ class ParallelRunner:
                         record, stats = future.result()
                         record.attempts = attempts[index]
                         records[index] = record
-                        worker_stats[record.worker_pid] = stats
+                        # A worker's stats are cumulative, but futures done
+                        # together leave ``wait`` in any order: keep the max.
+                        seen = worker_stats.setdefault(record.worker_pid, {})
+                        for key, value in stats.items():
+                            seen[key] = max(value, seen.get(key, 0))
                     elif isinstance(exc, BrokenProcessPool):
                         broken = True
                         unresolved.append(index)
