@@ -23,7 +23,13 @@ from conftest import (
     write_report,
 )
 
-from repro.simulation import CorrOptStrategy, MitigationSimulation, make_scenario
+from repro.simulation import (
+    CorrOptStrategy,
+    OracleSensing,
+    SimulationKernel,
+    make_scenario,
+)
+from repro.simulation.kernel import DAY_S
 from repro.workloads import LARGE_DCN, MEDIUM_DCN
 
 #: Shorter horizon than the 60-day figure scenarios: the recount-per-query
@@ -57,13 +63,18 @@ def _replay(scenario, incremental):
     strategy = CorrOptStrategy(topo, scenario.constraint())
     strategy.counter.set_incremental(incremental)
     strategy.counter.stats.reset()
-    sim = MitigationSimulation(
-        topo, scenario.trace, strategy, repair_accuracy=0.8, seed=7
+    kernel = SimulationKernel(
+        topo,
+        scenario.trace.duration_days * DAY_S,
+        OracleSensing(scenario.trace, strategy),
+        repair_accuracy=0.8,
+        seed=7,
     )
     start = time.perf_counter()
-    result = sim.run()
+    result = kernel.run()
     wall_s = time.perf_counter() - start
-    assert sim._counter is strategy.counter  # one shared DP per run
+    # One shared DP per run.
+    assert kernel.pipeline._counter is strategy.counter
     return result, wall_s, strategy.counter.stats
 
 

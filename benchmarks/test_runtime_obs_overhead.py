@@ -40,7 +40,7 @@ def _run_once(preset, obs=None):
         kwargs["obs"] = obs
     sim = ChaosSimulation(scenario, **kwargs)
     start = time.perf_counter()
-    result = sim.run()
+    result = sim.kernel.run()
     return result, time.perf_counter() - start
 
 

@@ -52,6 +52,18 @@ from repro.registry import (
 )
 
 
+def _strategy_list(text: str) -> List[str]:
+    """``--strategies a,b,c``: a comma list of known strategy names."""
+    names = [part.strip() for part in text.split(",") if part.strip()]
+    unknown = [name for name in names if name not in STRATEGY_CHOICES]
+    if unknown or not names:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {', '.join(map(repr, unknown)) or 'none'} "
+            f"(choose from {', '.join(map(repr, STRATEGY_CHOICES))})"
+        )
+    return names
+
+
 def _add_obs_args(parser: argparse.ArgumentParser) -> None:
     """Observability artifact flags shared by ``simulate`` and ``chaos``."""
     group = parser.add_argument_group("observability")
@@ -273,6 +285,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
     from repro.obs import NULL_RECORDER
 
+    if args.strategies:
+        return _simulate_comparison(args)
     profile = MEDIUM_DCN if args.dcn == "medium" else LARGE_DCN
     scenario = make_scenario(
         profile=profile,
@@ -282,8 +296,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         capacity=args.capacity,
         events_per_10k_links_per_day=args.events,
     )
-    if args.strategies:
-        return _simulate_comparison(args, scenario)
     obs = NULL_RECORDER
     if _wants_obs(args):
         obs = _build_obs(
@@ -337,33 +349,50 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _simulate_comparison(args: argparse.Namespace, scenario) -> int:
-    """``simulate --strategies a,b,c``: same trace, several strategies."""
-    from repro.parallel.grid import parse_str_list
-    from repro.simulation.engine import run_comparison
-    from repro.simulation.scenarios import StrategyFactory
+def _simulate_comparison(args: argparse.Namespace) -> int:
+    """``simulate --strategies a,b,c``: same trace, several strategies.
 
-    names = parse_str_list(args.strategies)
-    factories = {
-        name: StrategyFactory(name, scenario.capacity, penalty=args.penalty)
+    One job per strategy, all on the trace seed's scenario with repair
+    seed ``--seed``, through the same runner and worker as ``sweep``.
+    """
+    from repro.parallel import JobSpec, ParallelRunner, worker_cache
+
+    names = args.strategies
+    specs = [
+        JobSpec(
+            preset=args.dcn,
+            scale=args.scale,
+            duration_days=args.days,
+            trace_seed=args.seed,
+            events_per_10k=args.events,
+            capacity=args.capacity,
+            strategy=name,
+            penalty=args.penalty,
+            repair_accuracy=args.repair_accuracy,
+            repair_seed=args.seed,
+            lg_coverage=args.lg_coverage,
+        )
         for name in names
-    }
-    results = run_comparison(
-        scenario.topo_factory,
-        scenario.trace,
-        factories,
-        repair_accuracy=args.repair_accuracy,
-        seed=args.seed,
-        jobs=args.jobs,
-    )
+    ]
+    # Built here for the header; a serial run then reuses the cached build.
+    scenario, _ = worker_cache().get(specs[0])
+    sweep = ParallelRunner(jobs=args.jobs).run(specs)
+    failures = sweep.failures()
+    for record in failures:
+        print(
+            f"{record.spec.strategy}: {record.error['message']}",
+            file=sys.stderr,
+        )
+    if failures:
+        return 1
     print(
-        f"{args.dcn} DCN (scale {args.scale}), c={scenario.capacity:.0%}, "
+        f"{args.dcn} DCN (scale {args.scale}), c={args.capacity:.0%}, "
         f"{len(scenario.trace)} events / {args.days} days, "
         f"{args.jobs} worker(s)"
     )
-    baseline = results[names[0]].penalty_integral
-    for name in names:
-        result = results[name]
+    baseline = sweep.records[0].result.penalty_integral
+    for name, record in zip(names, sweep.records):
+        result = record.result
         ratio = (
             result.penalty_integral / baseline if baseline > 0 else float("nan")
         )
@@ -693,7 +722,7 @@ def _cmd_localize(args: argparse.Namespace) -> int:
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.faults import TelemetryFaultConfig
-    from repro.simulation import chaos_preset, chaos_scenario, run_chaos_scenario
+    from repro.simulation import ChaosSimulation, chaos_preset, chaos_scenario
 
     if args.seeds is not None or args.jobs != 1:
         return _cmd_chaos_campaign(args)
@@ -730,9 +759,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             },
             topo=scenario._base_topo,
         )
-    result = run_chaos_scenario(
+    result = ChaosSimulation(
         scenario,
-        config,
+        fault_config=config,
         repair_accuracy=args.repair_accuracy,
         seed=args.seed,
         congestion_preset=args.congestion_preset,
@@ -740,7 +769,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         sensing=args.sensing,
         obs=obs,
         slo_rules=_load_slo_rules(args),
-    )
+    ).kernel.run()
     metrics, chaos = result.metrics, result.chaos
     print(
         f"chaos run: medium DCN (scale {args.scale}), c={args.capacity:.0%}, "
@@ -1492,7 +1521,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sim.add_argument(
         "--penalty", choices=list(PENALTY_CHOICES), default="linear",
-        help="penalty function the optimizer-driven strategies minimize",
+        help="penalty function I(f): the optimizer-driven strategies "
+             "minimize it and the run integrates it",
     )
     sim.add_argument(
         "--lg-coverage", type=float, default=0.0, metavar="FRAC",
@@ -1506,7 +1536,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--events", type=float, default=15.0)
     sim.add_argument("--repair-accuracy", type=float, default=0.8)
     sim.add_argument(
-        "--strategies", metavar="A,B,...",
+        "--strategies", metavar="A,B,...", type=_strategy_list,
         help="comparison mode: run several strategies over the same trace "
              "(overrides --strategy; observability flags are ignored)",
     )

@@ -39,7 +39,7 @@ class OptimizerStats:
     """Search-effort accounting for one optimizer run.
 
     Also used as an *aggregate* across runs (see :meth:`merge`): the
-    controller, the strategies, and ``run_comparison`` accumulate every
+    controller, the strategies, and sweep aggregation accumulate every
     run's stats so search effort is visible end-to-end instead of being
     computed and dropped.
     """

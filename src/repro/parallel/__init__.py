@@ -10,8 +10,8 @@ bit-identical at any worker count:
   with spec-derived seeds (:func:`~repro.parallel.spec.job_seed`);
 - :class:`~repro.parallel.runner.ParallelRunner` — serial and
   process-pool backends, bounded crash retry, and a hang watchdog; a
-  worker builds each (topology, trace) pair on first touch and serves
-  later jobs of the same scenario from its LRU;
+  worker builds each scenario (topology + trace) on first touch and
+  serves later jobs of the same scenario from its LRU;
 - :class:`~repro.parallel.grid.GridSpec` — the declarative `repro
   sweep` grid format;
 - :mod:`~repro.parallel.aggregate` — canonical JSONL output, merged
@@ -64,7 +64,6 @@ from repro.parallel.tournament import (
 from repro.parallel.worker import (
     JobRecord,
     ScenarioCache,
-    build_strategy,
     execute_job,
     worker_cache,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "SweepResult",
     "TOURNAMENT_STRATEGIES",
     "available_cpus",
-    "build_strategy",
     "build_sweep_manifest",
     "calibration_grid",
     "execute_job",

@@ -29,7 +29,7 @@ from concurrent.futures import FIRST_COMPLETED, Executor, ProcessPoolExecutor, w
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.parallel.spec import JobSpec
 from repro.parallel.worker import (
@@ -151,23 +151,6 @@ class ParallelRunner:
             wall_s=time.perf_counter() - start,
             cache_stats=cache_stats,
         )
-
-    def map_tasks(
-        self, fn: Callable, payloads: Sequence[object]
-    ) -> List[object]:
-        """Order-preserving map used by :func:`run_comparison`.
-
-        Serial mode calls ``fn`` in-process in order (bit-identical to a
-        plain loop).  Pool mode requires ``fn`` and every payload to be
-        picklable; no retry policy applies (tasks here wrap arbitrary
-        callables whose failure semantics belong to the caller).
-        """
-        payloads = list(payloads)
-        if self.jobs == 1 or len(payloads) <= 1:
-            return [fn(payload) for payload in payloads]
-        with self._make_pool() as pool:
-            futures = [pool.submit(fn, payload) for payload in payloads]
-            return [future.result() for future in futures]
 
     # ------------------------------------------------------------------ #
     # Serial backend

@@ -305,8 +305,8 @@ class JobSpec:
         """Worker-cache key: everything that shapes the topology + trace.
 
         Deliberately excludes capacity, strategy, and repair-model knobs —
-        jobs differing only in those share one cached (topology, trace)
-        pair and run on per-job copies.
+        jobs differing only in those share one cached scenario (each job
+        sets its own capacity on it) and run on per-job copies.
         """
         return (
             self.preset,

@@ -1,12 +1,15 @@
 """Per-worker job execution with scenario memoisation.
 
 ``execute_job`` is the single function a pool worker runs.  Expensive
-shared state — the (topology, trace) pair behind a scenario — is built
-once per worker per :meth:`~repro.parallel.spec.JobSpec.scenario_key`
-and then *copied* per job, so a 16-job capacity sweep over one preset
-builds its trace once per worker instead of 16 times.  The cached trace
-is shared by reference and must therefore stay immutable; the engine
-never writes to it and :class:`~repro.faults.injector.FaultEvent` is
+shared state — the :class:`~repro.simulation.scenarios.Scenario`
+(topology + trace) that ``make_scenario`` builds — is built once per
+worker per :meth:`~repro.parallel.spec.JobSpec.scenario_key` and then
+*copied* per job, so a 16-job capacity sweep over one preset builds its
+trace once per worker instead of 16 times.  Oracle jobs run through
+:func:`~repro.simulation.scenarios.run_scenario`, chaos jobs through
+:class:`~repro.simulation.chaos.ChaosSimulation`.  The cached trace is
+shared by reference and must therefore stay immutable; the kernel never
+writes to it and :class:`~repro.faults.injector.FaultEvent` is
 frozen (see ``tests/simulation/test_trace_immutability.py``).
 
 Calibration jobs (``kind="calibrate"``) exercise the harness itself:
@@ -21,21 +24,15 @@ from __future__ import annotations
 import os
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Tuple
 
-from repro.core.constraints import CapacityConstraint
-from repro.core.penalty import PENALTY_BY_NAME
 from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.parallel.spec import JobSpec
 from repro.simulation.chaos import ChaosSimulation, chaos_preset
-from repro.simulation.engine import MitigationSimulation
 from repro.simulation.results import RunResult
-from repro.simulation.scenarios import Scenario, make_scenario
-from repro.simulation.strategies import build_strategy
-from repro.topology.graph import Topology
+from repro.simulation.scenarios import Scenario, make_scenario, run_scenario
 from repro.workloads.dcn_profiles import DCNProfile, LARGE_DCN, MEDIUM_DCN
-from repro.workloads.trace import CorruptionTrace
 
 PRESET_PROFILES: Dict[str, DCNProfile] = {
     "medium": MEDIUM_DCN,
@@ -74,7 +71,7 @@ class CacheStats:
 
 
 class ScenarioCache:
-    """LRU of (base topology, trace) pairs keyed by scenario shape.
+    """LRU of scenarios keyed by scenario shape.
 
     Bounded so an adversarially wide grid cannot exhaust worker memory;
     entries are immutable by contract (jobs run on copies).
@@ -82,28 +79,22 @@ class ScenarioCache:
 
     def __init__(self, max_entries: int = 8):
         self.max_entries = max_entries
-        self._entries: "OrderedDict[Tuple, Tuple[Topology, CorruptionTrace]]" = (
-            OrderedDict()
-        )
+        self._entries: "OrderedDict[Tuple, Scenario]" = OrderedDict()
         self.stats = CacheStats()
 
-    def get(self, spec: JobSpec) -> Tuple[Topology, CorruptionTrace, bool]:
-        """(base topology, shared trace, was-a-hit) for this spec."""
+    def get(self, spec: JobSpec) -> Tuple[Scenario, bool]:
+        """(cached scenario, was-a-hit) for this spec.
+
+        :meth:`JobSpec.scenario_key` leaves capacity out, so the cached
+        scenario carries the capacity of whichever job built it; callers
+        override it per job.
+        """
         key = spec.scenario_key()
-        entry = self._entries.get(key)
-        if entry is not None:
+        scenario = self._entries.get(key)
+        if scenario is not None:
             self._entries.move_to_end(key)
             self.stats.hits += 1
-            return entry[0], entry[1], True
-        topo, trace = self._build(spec)
-        self._entries[key] = (topo, trace)
-        self.stats.misses += 1
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-            self.stats.evictions += 1
-        return topo, trace, False
-
-    def _build(self, spec: JobSpec) -> Tuple[Topology, CorruptionTrace]:
+            return scenario, True
         scenario = make_scenario(
             profile=resolve_profile(spec),
             scale=spec.scale,
@@ -115,7 +106,12 @@ class ScenarioCache:
             topo_kind=spec.topo_kind,
             breakout_fraction=spec.breakout_fraction,
         )
-        return scenario._base_topo, scenario.trace
+        self._entries[key] = scenario
+        self.stats.misses += 1
+        while len(self._entries) > self.max_entries:
+            self._entries.popitem(last=False)
+            self.stats.evictions += 1
+        return scenario, False
 
     def clear(self) -> None:
         self._entries.clear()
@@ -216,96 +212,45 @@ def execute_job(
     if spec.kind == "calibrate":
         return _execute_calibration(spec, attempt)
 
-    base_topo, trace, cache_hit = _CACHE.get(spec)
+    cached, cache_hit = _CACHE.get(spec)
+    scenario = replace(cached, capacity=spec.capacity)
     start = time.perf_counter()
     if spec.kind == "chaos":
-        return _execute_chaos(
-            spec, base_topo, trace, cache_hit, start, attempt, obs
+        result = ChaosSimulation(
+            scenario,
+            fault_config=chaos_preset(spec.chaos_preset, seed=spec.fault_seed),
+            repair_accuracy=spec.repair_accuracy,
+            service_days=spec.service_days,
+            seed=spec.seed_used(),
+            congestion_preset=spec.congestion_preset,
+            miswire_pairs=spec.miswire_pairs,
+            sensing=spec.sensing,
+            obs=obs,
+        ).kernel.run()
+        # Slim the result for the pool: audit/controller logs are
+        # process-local debugging payloads that would dominate pickling
+        # cost (optimizer stats are lifted out first so sweeps still merge
+        # search-effort telemetry).  result.health stays: its compact
+        # row() becomes the sweep row's "health" block.
+        result.optimizer_stats = result.controller_log.optimizer_stats
+        result.sanitizer_stats = dict(vars(result.sanitizer_stats))
+        result.audit = None
+        result.controller_log = None
+    else:
+        result = run_scenario(
+            scenario,
+            spec.strategy,
+            repair_accuracy=spec.repair_accuracy,
+            seed=spec.seed_used(),
+            track_capacity=spec.track_capacity,
+            obs=obs,
+            lg_coverage=spec.lg_coverage,
+            penalty=spec.penalty,
+            knobs=spec.knobs,
+            service_days=spec.service_days,
+            full_repair_cycles=spec.full_repair_cycles,
+            technician_pool=spec.technician_pool,
         )
-    topo = base_topo.copy()
-    if spec.lg_coverage:
-        # LG capability is flagged on the per-job copy so the cached base
-        # topology stays pristine and shareable across coverage values.
-        topo.assign_lg_capable(spec.lg_coverage)
-    constraint = CapacityConstraint(spec.capacity)
-    penalty_fn = PENALTY_BY_NAME[spec.penalty]
-    strategy = build_strategy(
-        spec.strategy,
-        topo,
-        constraint,
-        penalty_fn=penalty_fn,
-        obs=obs,
-        knobs=spec.knobs_dict() or None,
-    )
-    sim = MitigationSimulation(
-        topo,
-        trace,
-        strategy,
-        repair_accuracy=spec.repair_accuracy,
-        service_days=spec.service_days,
-        penalty_fn=penalty_fn,
-        seed=spec.seed_used(),
-        track_capacity=spec.track_capacity,
-        full_repair_cycles=spec.full_repair_cycles,
-        technician_pool=spec.technician_pool,
-        obs=obs,
-    )
-    result = sim.run()
-    return JobRecord(
-        spec=spec,
-        status="ok",
-        result=result,
-        attempts=attempt,
-        wall_s=time.perf_counter() - start,
-        cache_hit=cache_hit,
-    )
-
-
-def _execute_chaos(
-    spec: JobSpec,
-    base_topo: Topology,
-    trace: CorruptionTrace,
-    cache_hit: bool,
-    start: float,
-    attempt: int,
-    obs: Recorder,
-) -> JobRecord:
-    """Run one closed-loop chaos job (telemetry sensing) from the cache.
-
-    The cached (topology, trace) pair is shared with ``simulate`` jobs of
-    the same scenario shape; :meth:`Scenario.topo_factory` hands the
-    simulation its own copy.  The returned result is slimmed for the
-    pool: audit/controller logs are process-local debugging payloads that
-    would dominate pickling cost, while rows only need the metric series
-    and chaos counters (optimizer stats are lifted out first so sweeps
-    still merge search-effort telemetry).
-    """
-    scenario = Scenario(
-        name=f"{spec.preset}-chaos",
-        profile=resolve_profile(spec),
-        scale=spec.scale,
-        trace=trace,
-        capacity=spec.capacity,
-    )
-    scenario._base_topo = base_topo
-    sim = ChaosSimulation(
-        scenario,
-        fault_config=chaos_preset(spec.chaos_preset, seed=spec.fault_seed),
-        repair_accuracy=spec.repair_accuracy,
-        service_days=spec.service_days,
-        seed=spec.seed_used(),
-        congestion_preset=spec.congestion_preset,
-        miswire_pairs=spec.miswire_pairs,
-        sensing=spec.sensing,
-        obs=obs,
-    )
-    result = sim.run()
-    result.optimizer_stats = result.controller_log.optimizer_stats
-    result.sanitizer_stats = dict(vars(result.sanitizer_stats))
-    result.audit = None
-    result.controller_log = None
-    # result.health stays: a bounded HealthReport whose compact row()
-    # becomes the sweep row's "health" block.
     return JobRecord(
         spec=spec,
         status="ok",

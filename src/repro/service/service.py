@@ -33,16 +33,14 @@ from repro.obs.slo import rules_from_json
 from repro.parallel.aggregate import series_digest
 from repro.service.checkpoint import read_checkpoint
 from repro.service.checkpoint import write_checkpoint as _write_checkpoint
-from repro.congestion.presets import CONGESTION_PRESETS, congestion_model
-from repro.faults.miswiring import MiswiringFault
+from repro.congestion.presets import CONGESTION_PRESETS
 from repro.service.ingest import IngestingPoller
 from repro.service.queues import POLICIES, BoundedWorkQueue
 from repro.service.shards import ShardRouter, build_shards
 from repro.simulation.chaos import (
-    _CONGESTION_SEED_OFFSET,
-    _MISWIRE_SEED_OFFSET,
     CHAOS_PRESETS,
     chaos_preset,
+    diagnosis_layers,
 )
 from repro.simulation.kernel import DAY_S, SimulationKernel, TelemetrySensing
 from repro.simulation.results import RunResult
@@ -432,24 +430,12 @@ class ControllerService:
                 config.chaos_preset, seed=config.fault_seed
             )
         self.topo = self.scenario.topo_factory()
-        # Diagnosis scenario layers: seeded with the same offsets the
-        # batch ChaosSimulation uses, so a serve run and a chaos run of
-        # the same (seed, preset, pairs) see the same hot links and the
-        # same swapped cables.
-        cmodel = None
-        if config.congestion_preset is not None:
-            cmodel = congestion_model(
-                config.congestion_preset,
-                self.topo,
-                seed=config.seed + _CONGESTION_SEED_OFFSET,
-            )
-        miswiring = None
-        if config.miswire_pairs:
-            miswiring = MiswiringFault.sample(
-                self.topo,
-                config.miswire_pairs,
-                seed=config.seed + _MISWIRE_SEED_OFFSET,
-            )
+        cmodel, miswiring = diagnosis_layers(
+            self.topo,
+            config.seed,
+            config.congestion_preset,
+            config.miswire_pairs,
+        )
         slo_rules = (
             rules_from_json(config.slo_rules_json)
             if config.slo_rules_json is not None

@@ -1,20 +1,27 @@
 """Event-driven mitigation simulation (§7.1's evaluation apparatus).
 
-- :class:`~repro.simulation.engine.MitigationSimulation` — replay a
-  corruption trace under a strategy + repair model;
+One :class:`~repro.simulation.kernel.SimulationKernel` runs every
+simulation; each run kind has one builder over it:
+
+- :func:`~repro.simulation.scenarios.run_scenario` — replay a scenario's
+  corruption trace under a strategy + repair model, oracle sensing;
+- :class:`~repro.simulation.chaos.ChaosSimulation` — the same loop with
+  the telemetry pipeline in it (``sim.kernel.run()``);
 - strategies: CorrOpt, fast-checker-only, switch-local, none, drain;
 - :class:`~repro.simulation.metrics.StepSeries` — exact piecewise-constant
   penalty/capacity series;
 - scenario presets for the medium/large DCNs.
+
+Tests and tools that need a custom topology or strategy build
+``SimulationKernel(topo, duration_s, OracleSensing(trace, strategy))``
+directly.
 """
 
 from repro.simulation.chaos import (
     CHAOS_PRESETS,
     ChaosSimulation,
     chaos_preset,
-    run_chaos_scenario,
 )
-from repro.simulation.engine import MitigationSimulation, run_comparison
 from repro.simulation.kernel import (
     EVENT_ONSET,
     EVENT_POLL,
@@ -34,7 +41,6 @@ from repro.simulation.scenarios import (
     make_scenario,
     medium_scenario,
     run_scenario,
-    standard_strategies,
 )
 from repro.simulation.strategies import (
     CorrOptStrategy,
@@ -56,7 +62,6 @@ __all__ = [
     "CorrOptStrategy",
     "DrainStrategy",
     "FastCheckerOnlyStrategy",
-    "MitigationSimulation",
     "MitigationStrategy",
     "NoMitigationStrategy",
     "OracleSensing",
@@ -73,8 +78,5 @@ __all__ = [
     "large_scenario",
     "make_scenario",
     "medium_scenario",
-    "run_chaos_scenario",
-    "run_comparison",
     "run_scenario",
-    "standard_strategies",
 ]

@@ -1,10 +1,9 @@
 """Closed-loop chaos simulation: CorrOpt with telemetry in the loop.
 
-The oracle-sensing engine (:mod:`repro.simulation.engine`) hands
+Oracle sensing (:func:`repro.simulation.scenarios.run_scenario`) hands
 ground-truth corruption onsets straight to the strategy — it answers "how
 good are the decisions when the inputs are perfect?".  This module answers
-the harder question from the ISSUE: **how does CorrOpt behave when its
-inputs lie?**
+the harder question: **how does CorrOpt behave when its inputs lie?**
 
 Here nothing reaches the controller except through the monitoring path:
 
@@ -22,26 +21,31 @@ Determinism contract: with a fault config whose rates are all zero (or no
 config at all) the run is bit-identical to the fault-free run — the chaos
 apparatus itself must not perturb the system it observes.
 
-Since the kernel unification, :class:`ChaosSimulation` is a thin shim
-composing :class:`~repro.simulation.kernel.SimulationKernel` with
-:class:`~repro.simulation.kernel.TelemetrySensing`; polls are scheduled
-heap events on the shared kernel rather than a private tick loop.
+:class:`ChaosSimulation` is the one builder of a batch telemetry run: it
+pairs :class:`~repro.simulation.kernel.SimulationKernel` with
+:class:`~repro.simulation.kernel.TelemetrySensing` (or flow voting) and
+exposes both as ``kernel`` and ``pipeline``; ``sim.kernel.run()`` runs it.
+Polls are scheduled heap events on the shared kernel.  The continuous
+service (:mod:`repro.service`) builds its own pipeline but takes its
+diagnosis layers from :func:`diagnosis_layers`, so a serve run and a chaos
+run of the same seed see the same world.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
+from repro.congestion.losses import CongestionModel
 from repro.congestion.presets import congestion_model
 from repro.faults.miswiring import MiswiringFault
 from repro.faults.telemetry_faults import TelemetryFaultConfig
 from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.registry import require
 from repro.simulation.kernel import DAY_S, SimulationKernel, TelemetrySensing
-from repro.simulation.results import RunResult
 from repro.simulation.scenarios import Scenario
 from repro.simulation.voting import FlowVotingSensing
+from repro.topology.graph import Topology
 
 #: Deterministic offsets separating the congestion / miswiring RNG
 #: streams from the repair stream derived from the same run seed.
@@ -52,8 +56,34 @@ __all__ = [
     "CHAOS_PRESETS",
     "ChaosSimulation",
     "chaos_preset",
-    "run_chaos_scenario",
+    "diagnosis_layers",
 ]
+
+
+def diagnosis_layers(
+    topo: Topology,
+    seed: int,
+    congestion_preset: Optional[str] = None,
+    miswire_pairs: int = 0,
+) -> Tuple[Optional[CongestionModel], Optional[MiswiringFault]]:
+    """The congestion co-model and miswiring fault of a telemetry run.
+
+    Both are seeded from the run seed plus a fixed offset, so they never
+    perturb the repair RNG stream, and a batch chaos run and a service
+    run of the same (seed, preset, pairs) see the same hot links and the
+    same swapped cables.  ``None`` / 0 leave the layer out.
+    """
+    cmodel = None
+    if congestion_preset is not None:
+        cmodel = congestion_model(
+            congestion_preset, topo, seed=seed + _CONGESTION_SEED_OFFSET
+        )
+    miswiring = None
+    if miswire_pairs:
+        miswiring = MiswiringFault.sample(
+            topo, miswire_pairs, seed=seed + _MISWIRE_SEED_OFFSET
+        )
+    return cmodel, miswiring
 
 
 class ChaosSimulation:
@@ -67,7 +97,8 @@ class ChaosSimulation:
         packets_per_poll: Offered packets per direction per poll; sets the
             smallest observable corruption rate (1 / packets_per_poll).
         repair_accuracy: First-attempt repair success probability (failed
-            first attempts fold into a doubled stay, as in the engine).
+            first attempts fold into a doubled stay, as under oracle
+            sensing).
         service_days: Ticket service time per attempt.
         seed: Seed for the repair RNG (independent of the telemetry fault
             RNG so fault injection never perturbs repair outcomes).
@@ -115,20 +146,10 @@ class ChaosSimulation:
         obs: Recorder = NULL_RECORDER,
     ):
         require("sensing", sensing)
-        self.scenario = scenario
-        self.topo = scenario.topo_factory()
-        cmodel = None
-        if congestion_preset is not None:
-            cmodel = congestion_model(
-                congestion_preset,
-                self.topo,
-                seed=seed + _CONGESTION_SEED_OFFSET,
-            )
-        miswiring = None
-        if miswire_pairs:
-            miswiring = MiswiringFault.sample(
-                self.topo, miswire_pairs, seed=seed + _MISWIRE_SEED_OFFSET
-            )
+        topo = scenario.topo_factory()
+        cmodel, miswiring = diagnosis_layers(
+            topo, seed, congestion_preset, miswire_pairs
+        )
         pipeline_cls = (
             FlowVotingSensing if sensing == "voting" else TelemetrySensing
         )
@@ -149,7 +170,7 @@ class ChaosSimulation:
             **extra,
         )
         self.kernel = SimulationKernel(
-            self.topo,
+            topo,
             duration_s=scenario.trace.duration_days * DAY_S,
             pipeline=self.pipeline,
             repair_accuracy=repair_accuracy,
@@ -157,58 +178,6 @@ class ChaosSimulation:
             seed=seed,
             obs=obs,
         )
-
-    # Historic surface, delegated to the kernel/pipeline ---------------- #
-
-    @property
-    def metrics(self):
-        return self.kernel.metrics
-
-    @property
-    def chaos(self):
-        return self.pipeline.chaos
-
-    @property
-    def store(self):
-        return self.pipeline.store
-
-    @property
-    def sanitizer(self):
-        return self.pipeline.sanitizer
-
-    @property
-    def transport(self):
-        return self.pipeline.transport
-
-    @property
-    def poller(self):
-        return self.pipeline.poller
-
-    @property
-    def audit(self):
-        return self.pipeline.audit
-
-    @property
-    def controller(self):
-        return self.pipeline.controller
-
-    @property
-    def diagnosis(self):
-        """The cause-attribution ledger (``None`` on plain runs)."""
-        return self.pipeline.diagnosis
-
-    def run(self) -> RunResult:
-        """Execute the scenario's full horizon, one poll event at a time."""
-        return self.kernel.run()
-
-
-def run_chaos_scenario(
-    scenario: Scenario,
-    fault_config: Optional[TelemetryFaultConfig] = None,
-    **kwargs,
-) -> RunResult:
-    """Convenience wrapper: build and run a :class:`ChaosSimulation`."""
-    return ChaosSimulation(scenario, fault_config=fault_config, **kwargs).run()
 
 
 #: Named fault presets for the CLI and CI chaos-fuzz job.

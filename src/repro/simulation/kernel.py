@@ -3,12 +3,11 @@
 One loop, two senses.  The paper's evaluation (§7) and the chaos
 extension exercise the *same* mitigation loop — corruption onsets,
 checker/optimizer decisions, ticketing, repair completions, penalty
-accounting — but until this module the repo maintained it twice: the
-event-driven ``MitigationSimulation`` and the tick-based
-``ChaosSimulation`` each owned a private heap, repair scheduler and
-snapshot bookkeeping.  :class:`SimulationKernel` owns all of that once,
-parameterized by a :class:`SensingPipeline` that decides how the world is
-*observed*:
+accounting — but until this module the repo maintained it twice: an
+event-driven oracle loop and a tick-based chaos loop each owned a
+private heap, repair scheduler and snapshot bookkeeping.
+:class:`SimulationKernel` owns all of that once, parameterized by a
+:class:`SensingPipeline` that decides how the world is *observed*:
 
 - :class:`OracleSensing` — ground-truth onsets reach the strategy
   directly (the §7.1 apparatus);

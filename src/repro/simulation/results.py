@@ -1,7 +1,7 @@
 """Unified run results shared by every sensing pipeline.
 
 :class:`RunResult` is the one result type of oracle-sensing
-(:mod:`repro.simulation.engine`) and telemetry-sensing
+(:func:`repro.simulation.scenarios.run_scenario`) and telemetry-sensing
 (:mod:`repro.simulation.chaos`) runs: ``penalty_integral`` /
 ``mean_penalty`` / ``fingerprint`` / ``invariants_ok`` live here, and the
 chaos-only payloads are optional sections that stay ``None`` for oracle

@@ -4,23 +4,24 @@ Bundles (topology factory, trace, constraint) the way the paper's
 simulations do: medium/large DCN topologies with Oct–Dec-style corruption
 traces.  A ``scale`` knob shrinks topologies shape-preservingly so tests
 and CI runs stay fast; benchmarks can run closer to paper size.
+
+:func:`run_scenario` is the one builder of an oracle-sensing run: it
+pairs :class:`~repro.simulation.kernel.OracleSensing` with
+:class:`~repro.simulation.kernel.SimulationKernel` for the CLI, the pool
+worker and every campaign.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 from repro.core.constraints import CapacityConstraint
 from repro.core.penalty import penalty_by_name
 from repro.obs.recorder import NULL_RECORDER, Recorder
-from repro.simulation.engine import MitigationSimulation
+from repro.simulation.kernel import DAY_S, OracleSensing, SimulationKernel
 from repro.simulation.results import RunResult
-from repro.simulation.strategies import (
-    STRATEGY_NAMES,
-    MitigationStrategy,
-    build_strategy,
-)
+from repro.simulation.strategies import build_strategy
 from repro.topology.graph import Topology
 from repro.workloads.dcn_profiles import DCNProfile, LARGE_DCN, MEDIUM_DCN
 from repro.workloads.generator import deduplicate_active, generate_trace
@@ -119,15 +120,14 @@ def make_scenario(
     )
     if dedup:
         trace = deduplicate_active(trace)
-    scenario = Scenario(
+    return Scenario(
         name=f"{profile.name}-x{scale}",
         profile=profile,
         scale=scale,
         trace=trace,
         capacity=capacity,
+        _base_topo=topo,
     )
-    scenario._base_topo = topo
-    return scenario
 
 
 def medium_scenario(**kwargs) -> Scenario:
@@ -145,10 +145,10 @@ def chaos_scenario(**kwargs) -> Scenario:
 
     The chaos simulation (:mod:`repro.simulation.chaos`) keeps the whole
     telemetry pipeline in the loop — every link direction is polled every
-    15 minutes — so a simulated day costs far more than in the
-    event-driven engine.  This preset shrinks the horizon and raises the
-    event rate so telemetry faults and mitigation decisions interact
-    within a short run; everything is overridable.
+    15 minutes — so a simulated day costs far more than under oracle
+    sensing (:func:`run_scenario`).  This preset shrinks the horizon and
+    raises the event rate so telemetry faults and mitigation decisions
+    interact within a short run; everything is overridable.
     """
     defaults = dict(
         profile=MEDIUM_DCN,
@@ -158,50 +158,6 @@ def chaos_scenario(**kwargs) -> Scenario:
     )
     defaults.update(kwargs)
     return make_scenario(**defaults)
-
-
-@dataclass(frozen=True)
-class StrategyFactory:
-    """A picklable strategy constructor: ``factory(topo) → strategy``.
-
-    Replaces the closure-based factories so comparison campaigns can ship
-    factories to pool workers (``run_comparison(jobs=N)``); with a no-op
-    recorder every field pickles.  Live recorders still work for serial
-    runs but make the factory unpicklable — the runner rejects that
-    combination explicitly.
-    """
-
-    name: str
-    capacity: float
-    obs: Recorder = field(default=NULL_RECORDER, compare=False)
-    #: Penalty-function name fed to the strategies that run the global
-    #: optimizer.  Previously ``build_strategy``'s default was always
-    #: used; the name (not the callable) is stored to stay picklable.
-    penalty: str = "linear"
-    #: Per-strategy knobs as a sorted (name, value) tuple — hashable and
-    #: picklable, unlike a dict on a frozen dataclass.
-    knobs: Tuple[Tuple[str, float], ...] = ()
-
-    def __call__(self, topo: Topology) -> MitigationStrategy:
-        return build_strategy(
-            self.name,
-            topo,
-            CapacityConstraint(self.capacity),
-            penalty_fn=penalty_by_name(self.penalty),
-            obs=self.obs,
-            knobs=dict(self.knobs) or None,
-        )
-
-
-def standard_strategies(
-    capacity: float,
-    obs: Recorder = NULL_RECORDER,
-) -> Dict[str, StrategyFactory]:
-    """The paper's strategy lineup, as factories over a fresh topology."""
-    return {
-        name: StrategyFactory(name, capacity, obs=obs)
-        for name in ("corropt", "fast-checker-only", "switch-local", "none")
-    }
 
 
 def run_scenario(
@@ -214,36 +170,63 @@ def run_scenario(
     lg_coverage: float = 0.0,
     penalty: str = "linear",
     knobs: Tuple[Tuple[str, float], ...] = (),
+    service_days: float = 2.0,
+    full_repair_cycles: bool = False,
+    technician_pool: Optional[int] = None,
 ) -> RunResult:
     """Run one strategy over a scenario on a fresh topology copy.
 
-    Any name from :data:`~repro.simulation.strategies.STRATEGY_NAMES` is
-    accepted.  ``lg_coverage`` flags that fraction of links LG-capable on
-    the run's private topology copy (the scenario's base stays pristine).
+    The one place an oracle-sensing run is assembled: the CLI, the pool
+    worker and every campaign come through here.  Any name from
+    :data:`~repro.simulation.strategies.STRATEGY_NAMES` is accepted.
+
+    Args:
+        scenario: Topology + trace + capacity.
+        strategy_name: Mitigation policy.
+        repair_accuracy: First-attempt repair success probability (0.8
+            with CorrOpt recommendations, 0.5 without; §7.2).
+        seed: Repair RNG seed.
+        track_capacity: Record the ToR path-fraction series.
+        obs: Observability recorder (no-op by default).
+        lg_coverage: Fraction of links flagged LG-capable on the run's
+            private topology copy (the scenario's base stays pristine).
+        penalty: Penalty-function name ``I(f)``: the optimizer-driven
+            strategies minimize it and the run integrates it.
+        knobs: Per-strategy knobs as ``(name, value)`` pairs.
+        service_days: Ticket service time per attempt (§5.2: two days).
+        full_repair_cycles: Simulate failed repairs as re-enable →
+            re-detect → re-disable cycles (Figure 12) instead of folding
+            them into a doubled service time.
+        technician_pool: When set, repairs flow through a FIFO queue
+            drained by this many technicians instead of the fixed
+            2-or-4-day model.
     """
-    if strategy_name not in STRATEGY_NAMES:
-        raise ValueError(
-            f"unknown strategy {strategy_name!r}; "
-            f"choose from {list(STRATEGY_NAMES)}"
-        )
-    factory = StrategyFactory(
-        strategy_name,
-        scenario.capacity,
-        obs=obs,
-        penalty=penalty,
-        knobs=tuple(sorted(knobs)),
-    )
     topo = scenario.topo_factory()
     if lg_coverage:
         topo.assign_lg_capable(lg_coverage)
-    strategy = factory(topo)
-    sim = MitigationSimulation(
+    penalty_fn = penalty_by_name(penalty)
+    strategy = build_strategy(
+        strategy_name,
         topo,
-        scenario.trace,
-        strategy,
+        scenario.constraint(),
+        penalty_fn=penalty_fn,
+        obs=obs,
+        knobs=dict(knobs) or None,
+    )
+    kernel = SimulationKernel(
+        topo,
+        duration_s=scenario.trace.duration_days * DAY_S,
+        pipeline=OracleSensing(
+            scenario.trace,
+            strategy,
+            penalty_fn=penalty_fn,
+            track_capacity=track_capacity,
+        ),
         repair_accuracy=repair_accuracy,
+        service_s=service_days * DAY_S,
         seed=seed,
-        track_capacity=track_capacity,
+        full_repair_cycles=full_repair_cycles,
+        technician_pool=technician_pool,
         obs=obs,
     )
-    return sim.run()
+    return kernel.run()

@@ -115,6 +115,9 @@ class TestObsSweepValidation:
 
 
 class TestSimulateComparison:
+    CELL = ["--scale", "0.2", "--days", "8", "--events", "300",
+            "--capacity", "0.6", "--seed", "3"]
+
     def test_multi_strategy_comparison(self, capsys):
         code = main([
             "simulate", "--strategies", "corropt,none", "--jobs", "2",
@@ -124,3 +127,41 @@ class TestSimulateComparison:
         out = capsys.readouterr().out
         assert "corropt" in out and "none" in out
         assert "penalty" in out
+
+    def test_matches_one_cell_sweep(self, tmp_path, capsys):
+        """``simulate --strategies`` and ``sweep`` are one oracle run: the
+        same cell gives the same integrals, under --penalty and
+        --lg-coverage too."""
+        names = "linkguardian,lg+corropt,corropt"
+        assert main([
+            "simulate", "--strategies", names, *self.CELL,
+            "--penalty", "step", "--lg-coverage", "0.5",
+        ]) == 0
+        printed = [
+            line.split()[3]
+            for line in capsys.readouterr().out.splitlines()
+            if "penalty integral" in line
+        ]
+        out = tmp_path / "cell.jsonl"
+        assert main([
+            "sweep", "--strategies", names, "--capacities", "0.6",
+            "--seeds", "3", "--repair-seeds", "3", "--scale", "0.2",
+            "--days", "8", "--events", "300", "--penalties", "step",
+            "--lg-coverages", "0.5", "--out", str(out),
+        ]) == 0
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        swept = [
+            f"{row['penalty_integral']:.3e}"
+            for row in rows
+            if row.get("type") == "result"
+        ]
+        assert printed == swept
+        assert len(set(printed)) > 1
+
+    def test_unknown_strategy_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", "--strategies", "corropt,bogus", *self.CELL])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert "'bogus'" in err

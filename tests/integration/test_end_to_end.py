@@ -135,11 +135,18 @@ class TestCapacityAccounting:
             events_per_10k_links_per_day=40,
         )
         topo = scenario.topo_factory()
-        from repro.simulation import CorrOptStrategy, MitigationSimulation
+        from repro.simulation import (
+            CorrOptStrategy,
+            OracleSensing,
+            SimulationKernel,
+        )
 
         strategy = CorrOptStrategy(topo, scenario.constraint())
-        sim = MitigationSimulation(topo, scenario.trace, strategy)
-        result = sim.run()
+        result = SimulationKernel(
+            topo,
+            scenario.trace.duration_days * 86_400.0,
+            OracleSensing(scenario.trace, strategy),
+        ).run()
         final = min(PathCounter(topo).tor_fractions().values())
         recorded = result.metrics.worst_tor_fraction.value_at(
             scenario.trace.duration_days * 86_400.0

@@ -27,9 +27,9 @@ class TestChaosDeterminism:
     preset = "mild"
 
     def test_instrumented_run_bit_identical(self):
-        baseline = small_chaos(self.preset).run()
+        baseline = small_chaos(self.preset).kernel.run()
         obs = ObsRecorder(manifest=build_manifest("test", with_git=False))
-        instrumented = small_chaos(self.preset, obs=obs).run()
+        instrumented = small_chaos(self.preset, obs=obs).kernel.run()
 
         assert instrumented.fingerprint() == baseline.fingerprint()
         assert instrumented.chaos.polls == baseline.chaos.polls
@@ -42,8 +42,8 @@ class TestChaosDeterminism:
         assert len(obs.tracer.spans) > 0
 
     def test_two_instrumented_runs_identical(self):
-        first = small_chaos(self.preset, obs=ObsRecorder()).run()
-        second = small_chaos(self.preset, obs=ObsRecorder()).run()
+        first = small_chaos(self.preset, obs=ObsRecorder()).kernel.run()
+        second = small_chaos(self.preset, obs=ObsRecorder()).kernel.run()
         assert first.fingerprint() == second.fingerprint()
 
 

@@ -14,7 +14,7 @@ from repro.obs import (
 )
 from repro.obs.health import alert_lines_from_report
 from repro.parallel import GridSpec, ParallelRunner, write_sweep_jsonl
-from repro.simulation.chaos import chaos_preset, run_chaos_scenario
+from repro.simulation.chaos import ChaosSimulation, chaos_preset
 from repro.simulation.scenarios import chaos_scenario
 
 SERVE_FAST = [
@@ -25,9 +25,9 @@ SERVE_FAST = [
 
 def _chaos_health():
     scenario = chaos_scenario(scale=0.06, duration_days=1.0, seed=3)
-    result = run_chaos_scenario(
+    result = ChaosSimulation(
         scenario, chaos_preset("mild", seed=3), seed=3
-    )
+    ).kernel.run()
     return result.health
 
 

@@ -38,7 +38,7 @@ def instrumented_run():
     scenario = chaos_scenario(scale=0.06, duration_days=3.0, seed=3)
     result = ChaosSimulation(
         scenario, fault_config=chaos_preset("mild"), seed=3, obs=obs
-    ).run()
+    ).kernel.run()
     return obs, result
 
 

@@ -2,7 +2,7 @@
 
 Covers the spec/grid surface (validation, canonical-JSON back-compat),
 the worker path (pool result bit-identical to a direct
-:func:`run_chaos_scenario` call), aggregation (chaos row block, schema
+:class:`ChaosSimulation` run), aggregation (chaos row block, schema
 validation) and the determinism gate (jobs=1 vs jobs=N byte-identical).
 """
 
@@ -17,7 +17,7 @@ from repro.parallel.aggregate import sweep_rows, write_sweep_jsonl
 from repro.parallel.grid import GridSpec
 from repro.parallel.spec import KNOWN_CHAOS_PRESETS
 from repro.simulation import make_scenario
-from repro.simulation.chaos import CHAOS_PRESETS, chaos_preset, run_chaos_scenario
+from repro.simulation.chaos import CHAOS_PRESETS, ChaosSimulation, chaos_preset
 
 CHAOS_GRID = GridSpec(
     chaos_presets=["none", "mild"],
@@ -85,7 +85,7 @@ def test_chaos_grid_expansion_order_and_fault_seed():
 
 
 def test_chaos_job_matches_direct_run():
-    """The pool path is bit-identical to calling run_chaos_scenario."""
+    """The pool path is bit-identical to a directly built ChaosSimulation."""
     spec = JobSpec(
         kind="chaos",
         chaos_preset="mild",
@@ -105,13 +105,13 @@ def test_chaos_job_matches_direct_run():
         capacity=0.75,
         events_per_10k_links_per_day=400.0,
     )
-    direct = run_chaos_scenario(
+    direct = ChaosSimulation(
         scenario,
         fault_config=chaos_preset("mild", seed=0),
         repair_accuracy=spec.repair_accuracy,
         service_days=spec.service_days,
         seed=spec.seed_used(),
-    )
+    ).kernel.run()
     assert record.result.fingerprint() == direct.fingerprint()
     assert record.result.chaos.polls == direct.chaos.polls
     assert (

@@ -224,7 +224,8 @@ class TestTopoKindAxis:
             [FleetDCN(profile=study_profiles()[2], topo_kind="fattree")],
             **SMALL,
         )[0]
-        topo, _, _ = worker_cache().get(spec)
+        scenario, _ = worker_cache().get(spec)
+        topo = scenario.topo_factory()
         assert topo.num_stages == 3
         assert topo.name == "dcn03"
 
@@ -237,7 +238,8 @@ class TestTopoKindAxis:
             ],
             **SMALL,
         )[0]
-        topo, _, _ = worker_cache().get(spec)
+        scenario, _ = worker_cache().get(spec)
+        topo = scenario.topo_factory()
         grouped = sum(
             1
             for lid in topo.link_ids()

@@ -42,18 +42,28 @@ def _cold_cache():
     worker_cache().clear()
 
 
-def test_serial_matches_legacy_run_scenario():
-    """jobs=1 is bit-identical to the historic in-process loop."""
+@pytest.mark.parametrize(
+    "strategy,penalty,lg_coverage",
+    [("corropt", "linear", 0.0), ("lg+corropt", "step", 0.5)],
+)
+def test_serial_matches_legacy_run_scenario(strategy, penalty, lg_coverage):
+    """jobs=1 is bit-identical to the in-process run_scenario call, under
+    every penalty function and LG coverage the spec carries.  A c=0.9 job
+    builds the cached scenario first: the checked job must still run at
+    its own capacity (the cache key leaves capacity out)."""
     spec = JobSpec(
         scale=0.2,
         duration_days=8.0,
         trace_seed=3,
         events_per_10k=300.0,
         capacity=0.6,
-        strategy="corropt",
+        strategy=strategy,
+        penalty=penalty,
+        lg_coverage=lg_coverage,
         repair_seed=0,
     )
-    record = ParallelRunner(jobs=1).run([spec]).records[0]
+    warm = dataclasses.replace(spec, capacity=0.9)
+    record = ParallelRunner(jobs=1).run([warm, spec]).records[1]
     scenario = make_scenario(
         scale=0.2,
         duration_days=8.0,
@@ -61,7 +71,9 @@ def test_serial_matches_legacy_run_scenario():
         capacity=0.6,
         events_per_10k_links_per_day=300.0,
     )
-    legacy = run_scenario(scenario, "corropt")
+    legacy = run_scenario(
+        scenario, strategy, penalty=penalty, lg_coverage=lg_coverage
+    )
     assert record.ok
     assert record.result.penalty_integral == legacy.penalty_integral
     assert (

@@ -137,12 +137,20 @@ class TestReport:
 
 
 class TestParity:
+    @pytest.mark.parametrize(
+        "layers",
+        [{}, {"congestion_preset": "hotspots", "miswire_pairs": 2}],
+        ids=["off", "on"],
+    )
     def test_sharded_service_matches_single_controller_chaos_run(
-        self, baseline
+        self, layers
     ):
         """With an ample queue the sharded, queue-fed service is
-        decision-for-decision identical to the monolithic chaos run."""
-        _lines, service_result = baseline
+        decision-for-decision identical to the monolithic chaos run, with
+        the diagnosis layers (congestion co-model, miswiring) on too."""
+        status = ControllerService(ServiceConfig(**FAST, **layers)).run()
+        assert status.completed
+        service_result = status.result
         scenario = chaos_scenario(
             scale=FAST["scale"],
             duration_days=FAST["days"],
@@ -156,10 +164,14 @@ class TestParity:
                 FAST["chaos_preset"], seed=FAST["fault_seed"]
             ),
             seed=FAST["seed"],
+            **layers,
         )
-        mono = sim.run()
+        mono = sim.kernel.run()
         assert series_digest(mono) == series_digest(service_result)
         assert mono.penalty_integral == service_result.penalty_integral
+        if layers:
+            # Cause attribution sees the swapped cables the series cannot.
+            assert mono.diagnosis.row() == service_result.diagnosis.row()
 
 
 class TestCheckpointDeterminism:

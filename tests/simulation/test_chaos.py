@@ -13,9 +13,9 @@ import pytest
 from repro.faults import TelemetryFaultConfig
 from repro.simulation import (
     CHAOS_PRESETS,
+    ChaosSimulation,
     chaos_preset,
     chaos_scenario,
-    run_chaos_scenario,
 )
 
 DURATION_DAYS = 2.0
@@ -28,7 +28,7 @@ def scenario():
 
 @pytest.fixture(scope="module")
 def clean_result(scenario):
-    return run_chaos_scenario(scenario)
+    return ChaosSimulation(scenario).kernel.run()
 
 
 class TestAcceptance:
@@ -36,7 +36,9 @@ class TestAcceptance:
         """The headline acceptance run: medium-DCN chaos scenario under the
         harsh telemetry-fault preset completes end-to-end, never disables a
         quarantined link, and never violates the capacity constraint."""
-        result = run_chaos_scenario(scenario, chaos_preset("harsh", seed=11))
+        result = ChaosSimulation(
+            scenario, chaos_preset("harsh", seed=11)
+        ).kernel.run()
         assert result.chaos.polls == int(DURATION_DAYS * 96)
         assert result.chaos.quarantine_violations == 0
         assert result.chaos.capacity_violations == 0
@@ -52,13 +54,15 @@ class TestAcceptance:
         """A config with every rate at zero must reproduce the fault-free
         run's metric series bit-identically: the chaos apparatus itself
         cannot perturb the system it observes."""
-        zeroed = run_chaos_scenario(scenario, TelemetryFaultConfig())
+        zeroed = ChaosSimulation(scenario, TelemetryFaultConfig()).kernel.run()
         assert zeroed.fingerprint() == clean_result.fingerprint()
 
     def test_same_seed_reproducible(self, scenario):
         config = chaos_preset("mild", seed=5)
-        a = run_chaos_scenario(scenario, config)
-        b = run_chaos_scenario(scenario, chaos_preset("mild", seed=5))
+        a = ChaosSimulation(scenario, config).kernel.run()
+        b = ChaosSimulation(
+            scenario, chaos_preset("mild", seed=5)
+        ).kernel.run()
         assert a.fingerprint() == b.fingerprint()
         assert a.chaos.missed_polls == b.chaos.missed_polls
 
@@ -120,7 +124,7 @@ class TestChaosFuzz:
             delay_rate=rng.uniform(0.0, 0.05),
             optical_garbage_rate=rng.uniform(0.0, 0.1),
         )
-        result = run_chaos_scenario(scenario, config)
+        result = ChaosSimulation(scenario, config).kernel.run()
         assert result.invariants_ok(), (
             f"invariants violated for CHAOS_FUZZ_SEED={seed}: "
             f"quarantine={result.chaos.quarantine_violations} "

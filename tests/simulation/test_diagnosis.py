@@ -19,7 +19,7 @@ path (``diagnosis is None``, identical fingerprints).
 import pytest
 
 from repro.core.diagnosis import CAUSE_CONGESTION, CAUSE_CORRUPTION
-from repro.simulation import chaos_scenario, run_chaos_scenario
+from repro.simulation import ChaosSimulation, chaos_scenario
 
 DURATION_DAYS = 2.0
 
@@ -31,12 +31,14 @@ def scenario():
 
 @pytest.fixture(scope="module")
 def baseline(scenario):
-    return run_chaos_scenario(scenario)
+    return ChaosSimulation(scenario).kernel.run()
 
 
 @pytest.fixture(scope="module")
 def congestion_result(scenario):
-    return run_chaos_scenario(scenario, congestion_preset="hotspots")
+    return ChaosSimulation(
+        scenario, congestion_preset="hotspots"
+    ).kernel.run()
 
 
 class TestCompatibilityShim:
@@ -48,7 +50,7 @@ class TestCompatibilityShim:
     def test_none_preset_byte_identical_to_baseline(self, scenario, baseline):
         """``congestion_preset="none"`` is the explicit spelling of "no
         co-model" and must not perturb a single byte."""
-        none = run_chaos_scenario(scenario, congestion_preset="none")
+        none = ChaosSimulation(scenario, congestion_preset="none").kernel.run()
         assert none.diagnosis is None
         assert none.fingerprint() == baseline.fingerprint()
 
@@ -92,13 +94,17 @@ class TestCongestionDiscrimination:
         """The adversarial regime (hot pods everywhere) may force
         cause="both" verdicts but still never disables congestion-only
         links."""
-        result = run_chaos_scenario(scenario, congestion_preset="incast")
+        result = ChaosSimulation(
+            scenario, congestion_preset="incast"
+        ).kernel.run()
         assert result.diagnosis.congestion_mitigations == 0
         assert result.chaos.false_disables == 0
         assert result.invariants_ok()
 
     def test_same_seed_reproducible(self, scenario, congestion_result):
-        again = run_chaos_scenario(scenario, congestion_preset="hotspots")
+        again = ChaosSimulation(
+            scenario, congestion_preset="hotspots"
+        ).kernel.run()
         assert again.fingerprint() == congestion_result.fingerprint()
         assert again.diagnosis.row() == congestion_result.diagnosis.row()
 
@@ -109,7 +115,7 @@ class TestMiswiring:
     @pytest.fixture(scope="class")
     def result(self):
         scenario = chaos_scenario(duration_days=DURATION_DAYS, seed=0)
-        return run_chaos_scenario(scenario, miswire_pairs=12)
+        return ChaosSimulation(scenario, miswire_pairs=12).kernel.run()
 
     def test_probe_cross_check_flags_swapped_cables(self, result):
         assert result.chaos.miswires_flagged == 1
@@ -121,7 +127,7 @@ class TestMiswiring:
         assert result.invariants_ok()
 
     def test_zero_pairs_is_the_identity(self, scenario, baseline):
-        zero = run_chaos_scenario(scenario, miswire_pairs=0)
+        zero = ChaosSimulation(scenario, miswire_pairs=0).kernel.run()
         assert zero.diagnosis is None
         assert zero.fingerprint() == baseline.fingerprint()
 
@@ -131,7 +137,7 @@ class TestFlowVoting:
 
     @pytest.fixture(scope="class")
     def voting_result(self, scenario):
-        return run_chaos_scenario(scenario, sensing="voting")
+        return ChaosSimulation(scenario, sensing="voting").kernel.run()
 
     def test_voting_finds_corruption_with_perfect_precision(
         self, voting_result
@@ -142,7 +148,7 @@ class TestFlowVoting:
         assert voting_result.chaos.detections > 0
 
     def test_voting_is_deterministic(self, scenario, voting_result):
-        again = run_chaos_scenario(scenario, sensing="voting")
+        again = ChaosSimulation(scenario, sensing="voting").kernel.run()
         assert again.fingerprint() == voting_result.fingerprint()
         assert again.diagnosis.row() == voting_result.diagnosis.row()
 
@@ -158,16 +164,16 @@ class TestFlowVoting:
         """Voting blames paths, not counters, so a wrong wiring map
         cannot hide a corrupting link from it (the A3 failure mode that
         defeats counter attribution)."""
-        result = run_chaos_scenario(
+        result = ChaosSimulation(
             scenario, sensing="voting", miswire_pairs=12
-        )
+        ).kernel.run()
         assert result.diagnosis.row()["recall_miswired"] == 1.0
         assert result.invariants_ok()
 
     def test_voting_never_disables_congestion_only_links(self, scenario):
-        result = run_chaos_scenario(
+        result = ChaosSimulation(
             scenario, sensing="voting", congestion_preset="hotspots"
-        )
+        ).kernel.run()
         assert result.diagnosis.congestion_mitigations == 0
         assert result.chaos.false_disables == 0
 

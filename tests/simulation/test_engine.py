@@ -1,24 +1,23 @@
-"""Tests for the mitigation simulation engine and strategies."""
+"""Tests for the oracle-sensing simulation and strategies."""
 
 import pytest
 
-from repro.core import CapacityConstraint
+from repro.parallel import JobSpec, ParallelRunner
 from repro.simulation import (
     CorrOptStrategy,
     DrainStrategy,
-    MitigationSimulation,
     NoMitigationStrategy,
-    SwitchLocalStrategy,
+    OracleSensing,
+    SimulationKernel,
     make_scenario,
-    run_comparison,
     run_scenario,
-    standard_strategies,
 )
+from repro.simulation.kernel import DAY_S
 from repro.topology import LinkState
-from repro.workloads import MEDIUM_DCN
 from repro.workloads.dcn_profiles import DCNProfile
 
 PROFILE = DCNProfile("sim-test", 8, 8, 8, 64)
+STANDARD = ("corropt", "fast-checker-only", "switch-local", "none")
 
 
 @pytest.fixture(scope="module")
@@ -31,6 +30,36 @@ def scenario():
         capacity=0.75,
         events_per_10k_links_per_day=30,
     )
+
+
+def oracle_kernel(scenario, strategy, **kwargs):
+    """A kernel over the strategy's own topology (custom-strategy runs)."""
+    return SimulationKernel(
+        strategy.topo,
+        scenario.trace.duration_days * DAY_S,
+        OracleSensing(scenario.trace, strategy),
+        **kwargs,
+    )
+
+
+def comparison(names):
+    """The ``simulate --strategies`` run: one job per strategy on the
+    fixture's scenario, one shared repair seed."""
+    specs = [
+        JobSpec(
+            profile_shape=("sim-test", 8, 8, 8, 64),
+            scale=1.0,
+            duration_days=40,
+            trace_seed=11,
+            events_per_10k=30,
+            capacity=0.75,
+            strategy=name,
+            repair_seed=0,
+        )
+        for name in names
+    ]
+    records = ParallelRunner(jobs=1).run(specs).records
+    return {r.spec.strategy: r.result for r in records if r.ok}
 
 
 class TestEngineBasics:
@@ -51,10 +80,7 @@ class TestEngineBasics:
     def test_repairs_return_links(self, scenario):
         topo = scenario.topo_factory()
         strategy = CorrOptStrategy(topo, scenario.constraint())
-        sim = MitigationSimulation(
-            topo, scenario.trace, strategy, repair_accuracy=1.0
-        )
-        result = sim.run()
+        result = oracle_kernel(scenario, strategy, repair_accuracy=1.0).run()
         assert result.metrics.repairs_completed == (
             result.metrics.disabled_on_onset
             + result.metrics.disabled_on_activation
@@ -74,11 +100,8 @@ class TestEngineBasics:
     def test_invalid_accuracy(self, scenario):
         topo = scenario.topo_factory()
         with pytest.raises(ValueError):
-            MitigationSimulation(
-                topo,
-                scenario.trace,
-                NoMitigationStrategy(topo),
-                repair_accuracy=1.5,
+            oracle_kernel(
+                scenario, NoMitigationStrategy(topo), repair_accuracy=1.5
             )
 
 
@@ -136,24 +159,15 @@ class TestPaperShapes:
 
 class TestComparison:
     def test_run_comparison_covers_all(self, scenario):
-        results = run_comparison(
-            scenario.topo_factory,
-            scenario.trace,
-            standard_strategies(scenario.capacity),
+        results = comparison(STANDARD)
+        assert set(results) == set(STANDARD)
+        # Every job ran the fixture's trace, not a rebuilt look-alike.
+        assert results["none"].metrics.onsets == (
+            run_scenario(scenario, "none").metrics.onsets
         )
-        assert set(results) == {
-            "corropt",
-            "fast-checker-only",
-            "switch-local",
-            "none",
-        }
 
     def test_fast_checker_only_not_better_than_corropt(self, scenario):
-        results = run_comparison(
-            scenario.topo_factory,
-            scenario.trace,
-            standard_strategies(scenario.capacity),
-        )
+        results = comparison(("corropt", "fast-checker-only"))
         assert (
             results["corropt"].penalty_integral
             <= results["fast-checker-only"].penalty_integral + 1e-12
@@ -164,8 +178,7 @@ class TestDrainStrategy:
     def test_drain_marks_links_drained(self, scenario):
         topo = scenario.topo_factory()
         strategy = DrainStrategy(topo, scenario.constraint())
-        sim = MitigationSimulation(topo, scenario.trace, strategy)
-        result = sim.run()
+        result = oracle_kernel(scenario, strategy).run()
         assert result.metrics.disabled_on_onset > 0
 
     def test_drain_state_used(self):
@@ -186,6 +199,6 @@ class TestDrainStrategy:
             drained_states.append(topo.link(lid).state)
 
         topo.drain_link = spy
-        MitigationSimulation(topo, scenario.trace, strategy).run()
+        oracle_kernel(scenario, strategy).run()
         assert drained_states
         assert all(s is LinkState.DRAINED for s in drained_states)

@@ -1,8 +1,10 @@
 """Regression tests for simulation-correctness fixes.
 
 Covers: metric recording clamped to the run window, technician-pool check
-deduplication, and ``run_comparison`` forwarding its repair-model knobs.
+deduplication, and comparison jobs forwarding their repair-model knobs.
 """
+
+import dataclasses
 
 import pytest
 
@@ -10,11 +12,14 @@ from repro.core import CapacityConstraint
 from repro.faults import ContaminationFault, FaultEvent
 from repro.faults.condition import LinkCondition
 from repro.optics import TECH_40G_LR4
+from repro.parallel import JobSpec, execute_job, worker_cache
 from repro.simulation import (
     CorrOptStrategy,
-    MitigationSimulation,
-    run_comparison,
+    OracleSensing,
+    SimulationKernel,
+    make_scenario,
 )
+from repro.simulation.kernel import DAY_S
 from repro.topology import build_clos
 from repro.workloads import CorruptionTrace
 
@@ -37,13 +42,23 @@ def make_event(time_s, link_id, rate=1e-3):
     )
 
 
+def oracle_kernel(topo, trace, strategy, service_days=2.0, **kwargs):
+    return SimulationKernel(
+        topo,
+        trace.duration_days * DAY_S,
+        OracleSensing(trace, strategy),
+        service_s=service_days * DAY_S,
+        **kwargs,
+    )
+
+
 def build_sim(events, duration_days=30.0, **kwargs):
     topo = build_clos(2, 3, 3, 9)
     trace = CorruptionTrace(
         dcn_name=topo.name, duration_days=duration_days, events=events
     )
     strategy = CorrOptStrategy(topo, CapacityConstraint(0.5))
-    return topo, MitigationSimulation(topo, trace, strategy, **kwargs)
+    return topo, oracle_kernel(topo, trace, strategy, **kwargs)
 
 
 class TestRunWindowClamping:
@@ -154,79 +169,76 @@ class TestPoolCheckDeduplication:
 
 
 class TestRunComparisonForwarding:
-    def _strategies(self):
-        return {
-            "corropt": lambda topo: CorrOptStrategy(
-                topo, CapacityConstraint(0.5)
-            )
-        }
+    """Comparison runs (``simulate --strategies``, sweeps) are JobSpecs
+    through the pool worker: each repair-model knob on the spec must
+    reach the kernel, exactly as on a hand-built kernel."""
 
-    def _trace(self):
-        events = [
-            make_event(0.0, ("pod0/tor0", "pod0/agg0")),
-            make_event(DAY, ("pod0/tor1", "pod0/agg1"), rate=1e-4),
-        ]
-        return CorruptionTrace(
-            dcn_name="clos", duration_days=30.0, events=events
+    SPEC = JobSpec(
+        scale=0.2,
+        duration_days=12.0,
+        trace_seed=4,
+        events_per_10k=300.0,
+        capacity=0.5,
+        strategy="corropt",
+        repair_seed=5,
+    )
+
+    @pytest.fixture(autouse=True)
+    def _cold_cache(self):
+        worker_cache().clear()
+        yield
+        worker_cache().clear()
+
+    def _via_worker(self, **knobs):
+        return execute_job(dataclasses.replace(self.SPEC, **knobs)).result
+
+    def _manual(self, repair_accuracy=0.8, **kwargs):
+        scenario = make_scenario(
+            scale=0.2, duration_days=12.0, seed=4, capacity=0.5,
+            events_per_10k_links_per_day=300.0,
         )
-
-    def _manual(self, trace, **kwargs):
-        topo = build_clos(2, 3, 3, 9)
-        strategy = CorrOptStrategy(topo, CapacityConstraint(0.5))
-        return MitigationSimulation(topo, trace, strategy, **kwargs).run()
+        topo = scenario.topo_factory()
+        strategy = CorrOptStrategy(topo, scenario.constraint())
+        return oracle_kernel(
+            topo, scenario.trace, strategy,
+            repair_accuracy=repair_accuracy, seed=5, **kwargs
+        ).run()
 
     def test_service_days_forwarded(self):
-        trace = self._trace()
-        via_comparison = run_comparison(
-            lambda: build_clos(2, 3, 3, 9),
-            trace,
-            self._strategies(),
-            repair_accuracy=1.0,
-            service_days=5.0,
-        )["corropt"]
-        manual = self._manual(trace, repair_accuracy=1.0, service_days=5.0)
-        default = self._manual(trace, repair_accuracy=1.0)
+        via_worker = self._via_worker(repair_accuracy=1.0, service_days=5.0)
+        manual = self._manual(repair_accuracy=1.0, service_days=5.0)
+        default = self._manual(repair_accuracy=1.0)
         assert (
-            via_comparison.metrics.worst_tor_fraction.changes()
+            via_worker.metrics.worst_tor_fraction.changes()
             == manual.metrics.worst_tor_fraction.changes()
         )
         # Proof the knob actually took effect (5-day visits end later).
         assert (
-            via_comparison.metrics.worst_tor_fraction.changes()
+            via_worker.metrics.worst_tor_fraction.changes()
             != default.metrics.worst_tor_fraction.changes()
         )
 
     def test_full_repair_cycles_forwarded(self):
-        trace = self._trace()
-        via_comparison = run_comparison(
-            lambda: build_clos(2, 3, 3, 9),
-            trace,
-            self._strategies(),
-            repair_accuracy=0.3,
-            seed=5,
-            full_repair_cycles=True,
-        )["corropt"]
-        manual = self._manual(
-            trace, repair_accuracy=0.3, seed=5, full_repair_cycles=True
+        via_worker = self._via_worker(
+            repair_accuracy=0.3, full_repair_cycles=True
         )
-        assert via_comparison.metrics.failed_repairs > 0
+        manual = self._manual(repair_accuracy=0.3, full_repair_cycles=True)
+        assert via_worker.metrics.failed_repairs > 0
         assert (
-            via_comparison.metrics.failed_repairs
+            via_worker.metrics.failed_repairs
             == manual.metrics.failed_repairs
         )
+        assert via_worker.penalty_integral == manual.penalty_integral
 
     def test_technician_pool_forwarded(self):
-        trace = self._trace()
-        via_comparison = run_comparison(
-            lambda: build_clos(2, 3, 3, 9),
-            trace,
-            self._strategies(),
-            repair_accuracy=1.0,
-            technician_pool=1,
-        )["corropt"]
-        manual = self._manual(trace, repair_accuracy=1.0, technician_pool=1)
+        via_worker = self._via_worker(repair_accuracy=1.0, technician_pool=1)
+        manual = self._manual(repair_accuracy=1.0, technician_pool=1)
+        default = self._manual(repair_accuracy=1.0)
         assert (
-            via_comparison.metrics.worst_tor_fraction.changes()
+            via_worker.metrics.worst_tor_fraction.changes()
             == manual.metrics.worst_tor_fraction.changes()
         )
-        assert via_comparison.metrics.repairs_completed == 2
+        assert (
+            via_worker.metrics.worst_tor_fraction.changes()
+            != default.metrics.worst_tor_fraction.changes()
+        )

@@ -1,4 +1,4 @@
-"""Edge cases of the mitigation engine's event handling."""
+"""Edge cases of the oracle-sensing kernel's event handling."""
 
 import pytest
 
@@ -6,7 +6,8 @@ from repro.core import CapacityConstraint
 from repro.faults import ContaminationFault, FaultEvent
 from repro.faults.condition import LinkCondition
 from repro.optics import TECH_40G_LR4
-from repro.simulation import CorrOptStrategy, MitigationSimulation
+from repro.simulation import CorrOptStrategy, OracleSensing, SimulationKernel
+from repro.simulation.kernel import DAY_S
 from repro.topology import build_clos
 from repro.workloads import CorruptionTrace
 
@@ -27,13 +28,16 @@ def make_event(time_s, link_id, rate=1e-3, rev_rate=0.0):
     )
 
 
-def build_sim(events, duration_days=30.0, **kwargs):
+def build_sim(events, duration_days=30.0, track_capacity=True, **kwargs):
     topo = build_clos(2, 3, 3, 9)
     trace = CorruptionTrace(
         dcn_name=topo.name, duration_days=duration_days, events=events
     )
     strategy = CorrOptStrategy(topo, CapacityConstraint(0.5))
-    return topo, MitigationSimulation(topo, trace, strategy, **kwargs)
+    pipeline = OracleSensing(trace, strategy, track_capacity=track_capacity)
+    return topo, SimulationKernel(
+        topo, duration_days * DAY_S, pipeline, **kwargs
+    )
 
 
 class TestEventHandling:

@@ -1,11 +1,12 @@
 """Golden equivalence suite: the kernel refactor must not move a bit.
 
 The unified event-driven kernel (:mod:`repro.simulation.kernel`) replaced
-two independent loops — the event-driven ``MitigationSimulation`` and the
-tick-based ``ChaosSimulation``.  This suite pins their observable behavior
-with SHA-256 digests computed *before* the refactor (commit 329298e), so
-any drift in event ordering, RNG consumption, repair scheduling, or
-snapshot bookkeeping fails loudly.
+two independent loops — an event-driven oracle loop and a tick-based chaos
+loop.  This suite pins their observable behavior, through today's two
+builders (:func:`run_scenario` and :class:`ChaosSimulation`), with SHA-256
+digests computed *before* the refactor (commit 329298e), so any drift in
+event ordering, RNG consumption, repair scheduling, or snapshot
+bookkeeping fails loudly.
 
 Regenerate (only when a behavior change is intended and understood)::
 
@@ -20,14 +21,13 @@ import pytest
 
 from repro.simulation import (
     CHAOS_PRESETS,
-    MitigationSimulation,
+    ChaosSimulation,
     chaos_preset,
     chaos_scenario,
     make_scenario,
-    run_chaos_scenario,
+    run_scenario,
 )
-from repro.simulation.strategies import STRATEGY_NAMES, build_strategy
-from repro.core.constraints import CapacityConstraint
+from repro.simulation.strategies import STRATEGY_NAMES
 from repro.workloads.dcn_profiles import MEDIUM_DCN
 
 GOLDEN_PATH = Path(__file__).parent / "golden_kernel_equivalence.json"
@@ -103,12 +103,7 @@ def _chaos_case():
 
 
 def _run_engine(scenario, strategy_name, **kwargs):
-    topo = scenario.topo_factory()
-    strategy = build_strategy(
-        strategy_name, topo, CapacityConstraint(scenario.capacity)
-    )
-    sim = MitigationSimulation(topo, scenario.trace, strategy, seed=5, **kwargs)
-    return sim.run()
+    return run_scenario(scenario, strategy_name, seed=5, **kwargs)
 
 
 def compute_all():
@@ -130,12 +125,12 @@ def compute_all():
 
     scenario = _chaos_case()
     for name in sorted(CHAOS_PRESETS):
-        result = run_chaos_scenario(
+        result = ChaosSimulation(
             scenario, chaos_preset(name, seed=11), seed=3
-        )
+        ).kernel.run()
         digests[f"chaos/{name}"] = chaos_digest(result)
     digests["chaos/fault-free"] = chaos_digest(
-        run_chaos_scenario(scenario, None, seed=3)
+        ChaosSimulation(scenario, None, seed=3).kernel.run()
     )
     return digests
 

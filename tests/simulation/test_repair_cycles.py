@@ -4,7 +4,8 @@ re-disable, repeatedly, until a repair finally lands."""
 import pytest
 
 from repro.core import CapacityConstraint
-from repro.simulation import CorrOptStrategy, MitigationSimulation
+from repro.simulation import CorrOptStrategy, OracleSensing, SimulationKernel
+from repro.simulation.kernel import DAY_S
 from repro.workloads import burst_trace
 from repro.workloads.dcn_profiles import DCNProfile
 
@@ -15,17 +16,22 @@ def build_sim(repair_accuracy: float, seed: int = 0):
     topo = PROFILE.build()
     trace = burst_trace(topo, num_events=12, seed=seed, spacing_s=7200.0)
     trace.duration_days = 40.0  # leave room for repeated cycles
-    strategy = CorrOptStrategy(topo, CapacityConstraint(0.5))
-    sim = MitigationSimulation(
+    return topo, cycles_kernel(topo, trace, repair_accuracy, seed)
+
+
+def cycles_kernel(topo, trace, repair_accuracy, seed, full_repair_cycles=True):
+    return SimulationKernel(
         topo,
-        trace,
-        strategy,
+        trace.duration_days * DAY_S,
+        OracleSensing(
+            trace,
+            CorrOptStrategy(topo, CapacityConstraint(0.5)),
+            track_capacity=False,
+        ),
         repair_accuracy=repair_accuracy,
         seed=seed,
-        full_repair_cycles=True,
-        track_capacity=False,
+        full_repair_cycles=full_repair_cycles,
     )
-    return topo, sim
 
 
 class TestRepairCycles:
@@ -59,17 +65,7 @@ class TestRepairCycles:
         topo = PROFILE.build()
         trace = burst_trace(topo, num_events=1, seed=3)
         trace.duration_days = 60.0
-        strategy = CorrOptStrategy(topo, CapacityConstraint(0.5))
-        sim = MitigationSimulation(
-            topo,
-            trace,
-            strategy,
-            repair_accuracy=0.2,
-            seed=5,
-            full_repair_cycles=True,
-            track_capacity=False,
-        )
-        result = sim.run()
+        result = cycles_kernel(topo, trace, repair_accuracy=0.2, seed=5).run()
         total_disables = (
             result.metrics.disabled_on_onset
             + result.metrics.disabled_on_activation
@@ -85,10 +81,8 @@ class TestRepairCycles:
         topo = PROFILE.build()
         trace = burst_trace(topo, num_events=1, seed=4)
         trace.duration_days = 30.0
-        strategy = CorrOptStrategy(topo, CapacityConstraint(0.5))
-        sim = MitigationSimulation(
-            topo, trace, strategy, repair_accuracy=1.0, track_capacity=False
-        )
-        result = sim.run()
+        result = cycles_kernel(
+            topo, trace, repair_accuracy=1.0, seed=0, full_repair_cycles=False
+        ).run()
         onset_time = trace.events[0].time_s
         assert result.metrics.penalty.value_at(onset_time + 1.0) == 0.0

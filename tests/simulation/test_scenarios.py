@@ -1,14 +1,13 @@
-"""Tests for scenario presets and strategy factories."""
+"""Tests for scenario presets and the strategy factory."""
 
 import pytest
 
-from repro.simulation import (
-    large_scenario,
-    make_scenario,
-    medium_scenario,
-    standard_strategies,
-)
+from repro.core import CapacityConstraint
+from repro.simulation import large_scenario, make_scenario, medium_scenario
+from repro.simulation.strategies import build_strategy
 from repro.workloads.dcn_profiles import DCNProfile
+
+STANDARD = ("corropt", "fast-checker-only", "switch-local", "none")
 
 
 class TestMakeScenario:
@@ -59,26 +58,18 @@ class TestMakeScenario:
 
 class TestStrategyFactories:
     def test_all_four_strategies(self):
-        factories = standard_strategies(0.75)
-        assert set(factories) == {
-            "corropt",
-            "fast-checker-only",
-            "switch-local",
-            "none",
-        }
         from repro.topology import build_clos
 
         topo = build_clos(2, 2, 2, 4)
-        for name, factory in factories.items():
-            strategy = factory(topo)
+        for name in STANDARD:
+            strategy = build_strategy(name, topo, CapacityConstraint(0.75))
             assert strategy.name == name
 
     def test_strategies_bound_to_given_topology(self):
         from repro.topology import build_clos
 
-        factories = standard_strategies(0.5)
         topo = build_clos(2, 2, 2, 4)
-        strategy = factories["corropt"](topo)
+        strategy = build_strategy("corropt", topo, CapacityConstraint(0.5))
         assert strategy.topo is topo
         lid = ("pod0/tor0", "pod0/agg0")
         topo.set_corruption(lid, 1e-3)

@@ -9,7 +9,8 @@ links kept active.
 import pytest
 
 from repro.core import CapacityConstraint
-from repro.simulation import CorrOptStrategy, MitigationSimulation
+from repro.simulation import CorrOptStrategy, OracleSensing, SimulationKernel
+from repro.simulation.kernel import DAY_S
 from repro.workloads import burst_trace
 from repro.workloads.dcn_profiles import DCNProfile
 
@@ -23,14 +24,13 @@ def run_with_pool(
     trace = burst_trace(topo, num_events=25, seed=seed, spacing_s=1800.0)
     trace.duration_days = 60.0
     strategy = CorrOptStrategy(topo, CapacityConstraint(capacity))
-    sim = MitigationSimulation(
+    sim = SimulationKernel(
         topo,
-        trace,
-        strategy,
+        trace.duration_days * DAY_S,
+        OracleSensing(trace, strategy, track_capacity=track_capacity),
         repair_accuracy=accuracy,
         seed=seed,
         technician_pool=pool_size,
-        track_capacity=track_capacity,
     )
     return topo, sim.run()
 
@@ -68,11 +68,14 @@ class TestTechnicianPool:
         topo = PROFILE.build()
         trace = burst_trace(topo, num_events=3, seed=4)
         trace.duration_days = 20.0
-        sim = MitigationSimulation(
+        sim = SimulationKernel(
             topo,
-            trace,
-            CorrOptStrategy(topo, CapacityConstraint(0.5)),
-            track_capacity=False,
+            trace.duration_days * DAY_S,
+            OracleSensing(
+                trace,
+                CorrOptStrategy(topo, CapacityConstraint(0.5)),
+                track_capacity=False,
+            ),
         )
         assert sim._pool is None
         sim.run()
