@@ -31,6 +31,7 @@ from repro.congestion.losses import BLOCK_TICKS
 from repro.faults import FaultyTransport
 from repro.simulation.chaos import chaos_preset
 from repro.telemetry import SnmpPoller, TelemetrySanitizer, TelemetryStore
+from repro.telemetry.poller import ConstantTraffic
 from repro.topology import Direction, sprinkle_corruption
 from repro.workloads import LARGE_DCN
 
@@ -71,10 +72,6 @@ CEILING_350K_CO_MODEL_S = 1.2
 CEILING_CHECKPOINT_BYTES = 128
 
 
-def _packets(_did, _t):
-    return 10_000_000
-
-
 def _traffic_state_bytes(congestion: str) -> float:
     """What one direction's traffic state adds to the pickled co-model
     (measured away from a poller, which would hang its own state off the
@@ -99,7 +96,7 @@ def _tick_seconds(preset: str, congestion=None):
     transport = FaultyTransport(chaos_preset(preset, seed=1))
     sanitizer = TelemetrySanitizer()
     if congestion is None:
-        traffic = dict(packets_fn=_packets)
+        traffic = dict(traffic_fn=ConstantTraffic(10_000_000))
     else:
         model = congestion_model(congestion, topo, seed=1)
         traffic = dict(traffic_fn=partial(model.traffic, interval_s=900.0))

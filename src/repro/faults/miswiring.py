@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.topology.elements import LinkId
 from repro.topology.graph import Topology
@@ -79,6 +79,3 @@ class MiswiringFault:
 
     def affects(self, link_id: LinkId) -> bool:
         return link_id in self._map
-
-    def affected_links(self) -> FrozenSet[LinkId]:
-        return frozenset(self._map)

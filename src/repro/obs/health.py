@@ -507,8 +507,8 @@ def write_scorecard(path, report: HealthReport, extra=None) -> None:
 def alert_lines_from_report(report: HealthReport) -> List[str]:
     """The report's alert stream as canonical JSONL (header + rows).
 
-    Mirrors :meth:`repro.obs.slo.SLOEngine.alert_lines` for contexts
-    that only hold the finished report (CLI artifact flush).
+    The header names the report's SLO rules and counts its alerts; the
+    rows are the alert transitions in the order they fired.
     """
     header = {
         "type": "header",

@@ -323,23 +323,3 @@ class SLOEngine:
             entry["breaches"] = state.breaches
             out.append(entry)
         return out
-
-    def alerts_fired(self) -> int:
-        """Alert transitions recorded so far."""
-        return len(self.alerts)
-
-    def alert_lines(self, repro_version: str) -> List[str]:
-        """The alert stream as canonical JSONL (header + transitions)."""
-        header = {
-            "type": "header",
-            "format": ALERTS_FORMAT,
-            "format_version": ALERTS_FORMAT_VERSION,
-            "repro_version": repro_version,
-            "rules": [rule.name for rule in self.rules],
-            "alerts": len(self.alerts),
-        }
-        rows = [header] + self.alerts
-        return [
-            json.dumps(row, sort_keys=True, separators=(",", ":"))
-            for row in rows
-        ]

@@ -376,10 +376,6 @@ class SimulationKernel:
         """Events still on the heap."""
         return len(self._heap)
 
-    def next_event_time(self) -> Optional[float]:
-        """Heap time of the next event, or ``None`` when drained."""
-        return self._heap[0][0] if self._heap else None
-
     def finish(self) -> RunResult:
         """End-of-run accounting; assemble the result (idempotent)."""
         if self._result is None:

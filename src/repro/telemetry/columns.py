@@ -3,8 +3,8 @@
 The array-form poll tick keeps per-direction state in numpy columns, one
 row per direction.  :class:`DirectionIndex` hands out the row numbers;
 :class:`Baselines` holds a counter snapshot per row: the previous one the
-sanitizer and the poller's raw differencing diff against, and the fault
-transport's rebase points, stale readings and held samples.
+sanitizer diffs against, and the fault transport's rebase points, stale
+readings and held samples.
 """
 
 from __future__ import annotations

@@ -14,10 +14,7 @@ interface counters; loss *rates* come from differencing successive polls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
-
-from repro.topology.elements import DirectionId
+from dataclasses import dataclass
 
 
 @dataclass
@@ -53,58 +50,3 @@ class CounterSnapshot:
         if sent <= 0:
             return 0.0
         return min(1.0, max(0.0, (self.drops - earlier.drops) / sent))
-
-
-@dataclass
-class DirectionCounters:
-    """Cumulative counters of one link direction.
-
-    Attributes:
-        direction_id: ``(src, dst)`` switch pair.
-        total: Cumulative packets sent.
-        errors: Cumulative corruption (CRC) drops.
-        drops: Cumulative congestion drops.
-    """
-
-    direction_id: DirectionId
-    total: int = 0
-    errors: int = 0
-    drops: int = 0
-    _last_snapshot: Optional[CounterSnapshot] = field(default=None, repr=False)
-
-    def record_interval(
-        self, packets: int, corruption_rate: float, congestion_rate: float
-    ) -> None:
-        """Accumulate one monitoring interval's traffic.
-
-        Args:
-            packets: Packets offered in the interval.
-            corruption_rate: Fraction lost to corruption.
-            congestion_rate: Fraction lost to congestion.
-
-        Raises:
-            ValueError: On negative packets or rates outside [0, 1].
-        """
-        if packets < 0:
-            raise ValueError("packet count cannot be negative")
-        for name, rate in (
-            ("corruption", corruption_rate),
-            ("congestion", congestion_rate),
-        ):
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{name} rate {rate} outside [0, 1]")
-        self.total += packets
-        # Corruption and congestion losses are disjoint counter events: a
-        # corrupted frame is dropped at the CRC check, a congested one at
-        # the queue.  Sub-packet expectations are rounded half-up so tiny
-        # rates over large intervals still register.
-        self.errors += int(packets * corruption_rate + 0.5)
-        self.drops += int(packets * congestion_rate + 0.5)
-
-    def snapshot(self, time_s: float) -> CounterSnapshot:
-        """Take a cumulative snapshot at ``time_s``."""
-        snap = CounterSnapshot(
-            time_s=time_s, total=self.total, errors=self.errors, drops=self.drops
-        )
-        self._last_snapshot = snap
-        return snap

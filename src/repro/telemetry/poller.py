@@ -36,15 +36,10 @@ from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.telemetry.columns import (
     EXACT_INT,
     NO_DELIVERIES,
-    Baselines,
     Snapshots,
     grow,
 )
-from repro.telemetry.sanitizer import (
-    RatedRows,
-    TelemetrySanitizer,
-    delta_ratios,
-)
+from repro.telemetry.sanitizer import RatedRows, TelemetrySanitizer
 from repro.telemetry.store import TelemetryStore
 from repro.topology.elements import Direction, DirectionId, Link, LinkId
 from repro.topology.graph import Topology
@@ -78,7 +73,7 @@ class DirectionTable:
         source: For each row, the row whose cable its FCS counter really
             reads; ``None`` without an ``attribution_fn`` (its own).
         store_rows: Each row's row number in the telemetry store.
-        sanitizer_rows: Each row's row number in the sanitizer, if any.
+        sanitizer_rows: Each row's row number in the sanitizer.
     """
 
     links: List[Link]
@@ -87,7 +82,7 @@ class DirectionTable:
     enabled: np.ndarray
     source: Optional[np.ndarray]
     store_rows: np.ndarray
-    sanitizer_rows: Optional[np.ndarray]
+    sanitizer_rows: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -180,31 +175,6 @@ class TelemetryBatch:
 TrafficFn = Callable[..., Tuple[Sequence[int], Optional[Sequence[float]]]]
 
 
-class PerDirectionTraffic:
-    """A :data:`TrafficFn` over per-direction callables: ``packets_fn``
-    and then ``congestion_fn`` (if any) for each direction in turn, so a
-    pair that shares state per (direction, tick) sees its calls side by
-    side.  (A class, not a closure: pollers are pickled.)"""
-
-    def __init__(
-        self,
-        packets_fn: Callable[[DirectionId, float], int],
-        congestion_fn: Optional[Callable[[DirectionId, float], float]] = None,
-    ):
-        self.packets_fn = packets_fn
-        self.congestion_fn = congestion_fn
-
-    def __call__(self, direction_ids, time_s, rows=None):
-        packets_fn, congestion_fn = self.packets_fn, self.congestion_fn
-        if congestion_fn is None:
-            return [packets_fn(did, time_s) for did in direction_ids], None
-        offered, losses = [], []
-        for did in direction_ids:
-            offered.append(packets_fn(did, time_s))
-            losses.append(congestion_fn(did, time_s))
-        return offered, losses
-
-
 class ConstantTraffic:
     """A :data:`TrafficFn` offering every direction the same packets per
     tick and no queue loss, as one filled array."""
@@ -225,20 +195,18 @@ class SnmpPoller:
     """Polls a topology every 15 minutes into a telemetry store.
 
     Traffic is supplied by a callable (the congestion substrate provides
-    realistic diurnal traffic; tests can use constants): either
-    ``traffic_fn`` for a whole tick at once, or ``packets_fn`` with an
-    optional ``congestion_fn`` per direction, which the poller wraps in a
-    :class:`PerDirectionTraffic`.
+    realistic diurnal traffic; :class:`ConstantTraffic` a fixed load).
 
     Args:
         topo: Topology to monitor.
         store: Destination store.
-        packets_fn: ``(direction_id, time_s) -> offered packets`` (a whole
-            number) for the interval ending at ``time_s``.  Called once
-            per polled direction per tick, in direction order,
-            alternating with ``congestion_fn``.
-        congestion_fn: Optional ``(direction_id, time_s) -> loss rate`` for
-            congestion drops (default: none).
+        traffic_fn: The tick's traffic (:data:`TrafficFn`), called once
+            per tick with the polled directions in direction order and
+            their table rows.
+        sanitizer: The :class:`~repro.telemetry.sanitizer.
+            TelemetrySanitizer` that diffs delivered snapshots, corrects
+            wraps and resets, and flags each sample's quality; every store
+            append carries that flag.
         interval_s: Poll spacing.
         transport: Optional delivery shim between the device counters and
             the collector.  Must expose ``deliver_rows(direction_ids,
@@ -248,11 +216,6 @@ class SnmpPoller:
             ``deliver_optical(link_id, reading) -> OpticalReading``; see
             :class:`repro.faults.telemetry_faults.FaultyTransport`.
             ``None`` (the default) keeps the happy path untouched.
-        sanitizer: Optional :class:`~repro.telemetry.sanitizer.
-            TelemetrySanitizer`.  When set, delivered snapshots are
-            diffed, wrap/reset-corrected, and quality-flagged by the
-            sanitizer instead of the poller's raw differencing, and every
-            store append carries the sample's quality flag.
         attribution_fn: Optional ``link_id -> link_id`` map modelling a
             wrong inventory database (A3-style miswiring): the FCS
             signature recorded for a link is read from the *physical*
@@ -264,32 +227,19 @@ class SnmpPoller:
         obs: Observability recorder; each poll emits a ``poll`` span with
             ``poll.collect`` / ``poll.sanitize`` / ``poll.store`` children
             plus missed-poll counters (no-op by default).
-        traffic_fn: The array form (:data:`TrafficFn`), called once per
-            tick with the polled directions in direction order and their
-            table rows; instead of ``packets_fn`` / ``congestion_fn``.
     """
 
     def __init__(
         self,
         topo: Topology,
         store: TelemetryStore,
-        packets_fn: Optional[Callable[[DirectionId, float], int]] = None,
-        congestion_fn: Optional[Callable[[DirectionId, float], float]] = None,
+        traffic_fn: TrafficFn,
+        sanitizer: TelemetrySanitizer,
         interval_s: float = POLL_INTERVAL_S,
         transport=None,
-        sanitizer: Optional[TelemetrySanitizer] = None,
         attribution_fn: Optional[Callable[[LinkId], LinkId]] = None,
         obs: Recorder = NULL_RECORDER,
-        traffic_fn: Optional[TrafficFn] = None,
     ):
-        if traffic_fn is None:
-            if packets_fn is None:
-                raise ValueError("give traffic_fn or packets_fn")
-            traffic_fn = PerDirectionTraffic(packets_fn, congestion_fn)
-        elif packets_fn is not None or congestion_fn is not None:
-            raise ValueError(
-                "traffic_fn replaces packets_fn and congestion_fn"
-            )
         if transport is not None and not hasattr(transport, "deliver_rows"):
             raise TypeError("a transport must have deliver_rows")
         self._topo = topo
@@ -310,8 +260,6 @@ class SnmpPoller:
         self._total = np.zeros(0, dtype=np.int64)
         self._errors = np.zeros(0, dtype=np.int64)
         self._drops = np.zeros(0, dtype=np.int64)
-        # Raw mode (no sanitizer): the last delivered snapshot per row.
-        self._previous = Baselines()
         topo.subscribe_admin_changes(self._on_admin_change)
         topo.subscribe_structure_changes(self._on_structure_change)
 
@@ -343,7 +291,6 @@ class SnmpPoller:
         rows = len(direction_ids)
         for name in ("_total", "_errors", "_drops"):
             setattr(self, name, grow(getattr(self, name), rows))
-        self._previous.resize(rows)
         self._polled = None
         return DirectionTable(
             links=links,
@@ -354,10 +301,7 @@ class SnmpPoller:
             enabled=np.repeat([link.enabled for link in links], 2),
             source=source,
             store_rows=self._store.rows_for(direction_ids),
-            sanitizer_rows=(
-                None if self.sanitizer is None
-                else self.sanitizer.rows_for(direction_ids)
-            ),
+            sanitizer_rows=self.sanitizer.rows_for(direction_ids),
         )
 
     def _on_admin_change(self, link_id: LinkId) -> None:
@@ -441,13 +385,6 @@ class SnmpPoller:
         transport delivery."""
         table = self.directions
         rows, direction_ids = self._polled_rows()
-        if self.sanitizer is None and len(rows) < len(table.direction_ids):
-            # A disabled link carries no traffic (§8 notes monitoring
-            # data stops flowing when a link is disabled).  Drop the
-            # raw-mode baseline: the first poll after re-enable must
-            # re-seed rather than diff against pre-disable counters
-            # with a stale time base.
-            self._previous.forget(np.flatnonzero(~table.enabled))
         offered, losses = self._traffic_fn(direction_ids, now, rows=rows)
         packets = np.asarray(offered, dtype=np.int64)
         congestion = (
@@ -510,23 +447,18 @@ class SnmpPoller:
         return self._rate(batch)
 
     def _rate(self, batch: TelemetryBatch) -> _Rated:
-        """Turn a batch into rated samples: one array pass per wave of
-        deliveries (the sanitizer, or raw differencing without one).  The
-        quarantine transitions of all waves follow, in batch-entry order,
-        each entry's in arrival order."""
+        """Turn a batch into rated samples: one sanitizer pass per wave
+        of deliveries.  The quarantine transitions of all waves follow, in
+        batch-entry order, each entry's in arrival order."""
         table = self.directions
         waves, flips = [], []
         for wave, (entries, snapshots) in enumerate(batch.waves()):
             rows = batch.rows[entries]
-            if self.sanitizer is None:
-                rate, state_rows = self._raw_diff_rows, rows
-            else:
-                rate = self.sanitizer.ingest_rows
-                state_rows = table.sanitizer_rows[rows]
             # Only a first delivery can be missing.
             missed = np.zeros(len(rows), dtype=bool) if waves else batch.missed
-            done = rate(
-                state_rows, *snapshots, table.capacity_pkts_per_s[rows], missed
+            done = self.sanitizer.ingest_rows(
+                table.sanitizer_rows[rows], *snapshots,
+                table.capacity_pkts_per_s[rows], missed,
             )
             waves.append((table.store_rows[rows], snapshots.time_s, done))
             if done.flips is not None:
@@ -539,39 +471,6 @@ class SnmpPoller:
                 for entry, _wave, entered in sorted(flips)
             ])
         return waves
-
-    def _raw_diff_rows(
-        self, rows, time_s, total, errors, drops, capacity, missed
-    ) -> RatedRows:
-        """Raw differencing of one snapshot per row against the previous
-        one (no sanitizer): a sample whenever time advanced, rates
-        clipped to [0, 1], the baseline moved unless time went back."""
-        previous = self._previous
-        delivered = ~missed
-        known = previous.known[rows]
-        dt = time_s - previous.time_s[rows]
-        corruption, congestion, utilization = (
-            np.clip(ratio, 0.0, 1.0)
-            for ratio in delta_ratios(
-                total - previous.total[rows],
-                errors - previous.errors[rows],
-                drops - previous.drops[rows],
-                capacity,
-                dt,
-            )
-        )
-        reseed = delivered & (~known | (dt >= 0))
-        previous.set_rows(
-            rows[reseed], time_s[reseed], total[reseed], errors[reseed],
-            drops[reseed],
-        )
-        return RatedRows(
-            delivered & known & (dt > 0),
-            corruption,
-            congestion,
-            utilization,
-            np.zeros(len(rows), dtype=np.int8),
-        )
 
     def _store_rated(self, rated: _Rated) -> int:
         """Append a batch's samples to the store; returns how many."""

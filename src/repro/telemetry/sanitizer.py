@@ -123,8 +123,8 @@ def delta_ratios(d_total, d_errors, d_drops, capacity, dt):
     ``(d_errors / d_total, d_drops / d_total, d_total / (capacity * dt))``
     element-wise, with the loss ratios 0 where nothing was sent and the
     utilization 0 where no capacity is known.  The one differencing rule
-    of the poll tick: the sanitizer clamps the result and counts the
-    clamps, the poller's raw mode (no sanitizer) only clips it.
+    of the poll tick; the sanitizer clamps the result and counts the
+    clamps.
     """
     sent = d_total > 0
     denominator = np.where(sent, d_total, 1)
@@ -525,15 +525,6 @@ class TelemetrySanitizer:
                 & (degraded / np.maximum(total, 1) >= self.quarantine_threshold)
             )
         )
-
-    def forget(self, direction_id: DirectionId) -> None:
-        """Drop the diff baseline for a direction (e.g. after re-cabling).
-
-        The quality window is kept: trust must be re-earned, not reset.
-        """
-        row = self._index.row_of.get(direction_id)
-        if row is not None:
-            self._prev.forget(row)
 
 
 def optical_reading_plausible(reading) -> bool:

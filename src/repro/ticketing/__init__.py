@@ -7,11 +7,7 @@ cycle the link back through disable → ticket → repair (Figure 12).
 """
 
 from repro.ticketing.batching import CollateralAwareScheduler, RepairBatch
-from repro.ticketing.queue import (
-    TWO_DAYS_S,
-    FixedDelayQueue,
-    TechnicianPoolQueue,
-)
+from repro.ticketing.queue import TWO_DAYS_S, TechnicianPoolQueue
 from repro.ticketing.repair import (
     MAX_ATTEMPTS,
     CampaignResult,
@@ -35,7 +31,6 @@ __all__ = [
     "CollateralAwareScheduler",
     "RepairBatch",
     "CampaignResult",
-    "FixedDelayQueue",
     "LEGACY_SEQUENCE",
     "LegacyTechnician",
     "MAX_ATTEMPTS",

@@ -41,10 +41,6 @@ class RepairBatch:
     safe_now: bool
     violated_tors: Dict[str, float] = field(default_factory=dict)
 
-    @property
-    def batch_key(self) -> LinkId:
-        return min(self.take_down)
-
 
 class CollateralAwareScheduler:
     """Plans repair visits that respect capacity despite collateral.

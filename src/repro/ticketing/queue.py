@@ -4,12 +4,8 @@
 takes two days for technicians to resolve a ticket; this means, each failed
 repair attempt adds two more days during which the link must be disabled."
 
-Two service models are provided:
-
-- :class:`FixedDelayQueue` — every ticket completes service a fixed time
-  after creation (the model §7.1's simulations use);
-- :class:`TechnicianPoolQueue` — ``k`` technicians each work one ticket at
-  a time (an extension that makes queueing delay grow with backlog).
+:class:`TechnicianPoolQueue` — ``k`` technicians each work one ticket at a
+time (an extension that makes queueing delay grow with backlog).
 """
 
 from __future__ import annotations
@@ -22,57 +18,6 @@ from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.ticketing.ticket import Ticket, TicketStatus
 
 TWO_DAYS_S = 2 * 86_400.0
-
-
-class FixedDelayQueue:
-    """Tickets complete service ``service_time_s`` after submission.
-
-    This matches the paper's simulation simplification: "Links stay in that
-    queue for two days, the average service time in our DCNs."
-    """
-
-    def __init__(
-        self,
-        service_time_s: float = TWO_DAYS_S,
-        obs: Recorder = NULL_RECORDER,
-    ):
-        if service_time_s < 0:
-            raise ValueError("service time cannot be negative")
-        self.service_time_s = service_time_s
-        self.obs = obs
-        self._heap: List[Tuple[float, int, Ticket]] = []
-
-    def submit(self, ticket: Ticket, now_s: float) -> float:
-        """Enqueue a ticket; returns its service-completion time."""
-        done_s = now_s + self.service_time_s
-        heapq.heappush(self._heap, (done_s, ticket.ticket_id, ticket))
-        ticket.status = TicketStatus.IN_SERVICE
-        if self.obs.enabled:
-            self.obs.count("ticket_submissions_total", queue="fixed")
-            self.obs.gauge("ticket_queue_depth", len(self._heap), queue="fixed")
-        return done_s
-
-    def pop_due(self, now_s: float) -> List[Ticket]:
-        """Tickets whose service completes at or before ``now_s``."""
-        due = []
-        while self._heap and self._heap[0][0] <= now_s:
-            due.append(heapq.heappop(self._heap)[2])
-        if self.obs.enabled and due:
-            for ticket in due:
-                self.obs.observe(
-                    "ticket_wait_seconds",
-                    now_s - ticket.created_s,
-                    queue="fixed",
-                )
-            self.obs.gauge("ticket_queue_depth", len(self._heap), queue="fixed")
-        return due
-
-    def next_completion(self) -> Optional[float]:
-        """Timestamp of the next completion, or None when idle."""
-        return self._heap[0][0] if self._heap else None
-
-    def __len__(self) -> int:
-        return len(self._heap)
 
 
 class TechnicianPoolQueue:

@@ -37,9 +37,7 @@ from repro.topology.random_topo import (
 from repro.topology.columnar import ColumnarPathCounter, ColumnarTopology
 from repro.topology.serialization import (
     load_topology,
-    load_topology_npz,
     save_topology,
-    save_topology_npz,
     topology_from_dict,
     topology_to_dict,
 )
@@ -65,10 +63,8 @@ __all__ = [
     "degrade",
     "is_connected_to_spine",
     "load_topology",
-    "load_topology_npz",
     "repair_collateral",
     "save_topology",
-    "save_topology_npz",
     "sprinkle_corruption",
     "topology_from_dict",
     "topology_to_dict",

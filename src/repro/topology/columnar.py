@@ -17,10 +17,6 @@ LinkGuardian fields) is one array.  The representation is
 - **lossless**: ``from_topology`` → ``to_topology`` reproduces the object
   graph exactly, administrative state and LG protection included (each
   converts the topology's link columns whole, no per-link object);
-- **flat**: :meth:`ColumnarTopology.arrays` exposes the whole topology as
-  a dict of contiguous arrays (string tables become UTF-8 blobs plus
-  offset arrays), which is the basis of the ``.npz`` binary format
-  (:mod:`repro.topology.serialization`);
 - **fast to build**: :meth:`ColumnarTopology.build_clos` constructs the
   paper's plane-wired Clos directly in array space — a 350K-link fleet
   member builds in well under a second instead of tens of seconds.
@@ -36,17 +32,13 @@ for drop-in use.
 
 from __future__ import annotations
 
-import hashlib
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.topology.elements import LinkId, LinkState, Switch
 from repro.topology.graph import Topology
-
-#: Bumped when the array layout changes incompatibly.
-COLUMNAR_FORMAT_VERSION = 1
 
 #: ``LinkState`` interning for the ``link_state`` int8 column.
 _STATE_TO_CODE = {
@@ -68,56 +60,6 @@ _SAME_COLUMNS = {
     "lg_capacity_fraction": ("lg_capacity_fraction", np.float64),
 }
 
-#: Field order of :meth:`ColumnarTopology.arrays` — fixed so digests are
-#: stable.
-ARRAY_FIELDS = (
-    "switch_blob",
-    "switch_offsets",
-    "switch_stage",
-    "switch_pod",
-    "switch_deep_buffer",
-    "switch_num_ports",
-    "pod_blob",
-    "pod_offsets",
-    "link_lower",
-    "link_upper",
-    "link_state",
-    "link_capacity",
-    "link_breakout",
-    "breakout_blob",
-    "breakout_offsets",
-    "corruption_up",
-    "corruption_down",
-    "lg_capable",
-    "lg_protected",
-    "lg_effective_loss",
-    "lg_capacity_fraction",
-)
-
-
-def _encode_strings(strings: Sequence[str]) -> Tuple[np.ndarray, np.ndarray]:
-    """UTF-8 blob + offsets encoding of a string table.
-
-    ``offsets`` has ``len(strings) + 1`` entries; string ``i`` occupies
-    ``blob[offsets[i]:offsets[i + 1]]``.
-    """
-    encoded = [s.encode("utf-8") for s in strings]
-    offsets = np.zeros(len(encoded) + 1, dtype=np.int64)
-    if encoded:
-        np.cumsum([len(b) for b in encoded], out=offsets[1:])
-    blob = np.frombuffer(b"".join(encoded), dtype=np.uint8).copy()
-    return blob, offsets
-
-
-def _decode_strings(blob: np.ndarray, offsets: np.ndarray) -> List[str]:
-    """Inverse of :func:`_encode_strings`."""
-    raw = blob.tobytes()
-    bounds = offsets.tolist()
-    return [
-        raw[bounds[i] : bounds[i + 1]].decode("utf-8")
-        for i in range(len(bounds) - 1)
-    ]
-
 
 class ColumnarTopology:
     """A staged DCN as parallel numpy arrays.
@@ -128,8 +70,6 @@ class ColumnarTopology:
     labels into side tables (``-1`` means "none"); ``switch_num_ports``
     uses ``-1`` for "unspecified".
 
-    Instances are cheap views over their arrays — construction from
-    :meth:`from_arrays` (the npz load path) copies nothing.
     Treat the arrays as immutable unless you own them.
     """
 
@@ -438,112 +378,6 @@ class ColumnarTopology:
             lg_capacity_fraction=np.ones(num_links, dtype=np.float64),
         )
 
-    # ------------------------------------------------------------------ #
-    # Flat-array form (npz)
-    # ------------------------------------------------------------------ #
-
-    def arrays(self) -> Dict[str, np.ndarray]:
-        """The whole topology as contiguous arrays, :data:`ARRAY_FIELDS` order.
-
-        String tables become UTF-8 blobs + int64 offsets; scalars
-        (``name``, ``num_stages``) are *not* included — callers carry them
-        in their own metadata (the npz ``meta`` entry).
-        """
-        switch_blob, switch_offsets = _encode_strings(self.switch_names)
-        pod_blob, pod_offsets = _encode_strings(self.pod_names)
-        breakout_blob, breakout_offsets = _encode_strings(self.breakout_names)
-        out = {
-            "switch_blob": switch_blob,
-            "switch_offsets": switch_offsets,
-            "switch_stage": self.switch_stage,
-            "switch_pod": self.switch_pod,
-            "switch_deep_buffer": self.switch_deep_buffer,
-            "switch_num_ports": self.switch_num_ports,
-            "pod_blob": pod_blob,
-            "pod_offsets": pod_offsets,
-            "link_lower": self.link_lower,
-            "link_upper": self.link_upper,
-            "link_state": self.link_state,
-            "link_capacity": self.link_capacity,
-            "link_breakout": self.link_breakout,
-            "breakout_blob": breakout_blob,
-            "breakout_offsets": breakout_offsets,
-            "corruption_up": self.corruption_up,
-            "corruption_down": self.corruption_down,
-            "lg_capable": self.lg_capable,
-            "lg_protected": self.lg_protected,
-            "lg_effective_loss": self.lg_effective_loss,
-            "lg_capacity_fraction": self.lg_capacity_fraction,
-        }
-        return {field: out[field] for field in ARRAY_FIELDS}
-
-    @classmethod
-    def from_arrays(
-        cls, name: str, num_stages: int, arrays: Dict[str, np.ndarray]
-    ) -> "ColumnarTopology":
-        """Rebuild from :meth:`arrays` output (zero-copy where possible)."""
-        missing = [f for f in ARRAY_FIELDS if f not in arrays]
-        if missing:
-            raise ValueError(f"missing columnar fields: {missing}")
-        return cls(
-            name=name,
-            num_stages=num_stages,
-            switch_names=_decode_strings(
-                arrays["switch_blob"], arrays["switch_offsets"]
-            ),
-            switch_stage=np.asarray(arrays["switch_stage"], dtype=np.int32),
-            switch_pod=np.asarray(arrays["switch_pod"], dtype=np.int32),
-            switch_deep_buffer=np.asarray(
-                arrays["switch_deep_buffer"], dtype=np.bool_
-            ),
-            switch_num_ports=np.asarray(
-                arrays["switch_num_ports"], dtype=np.int32
-            ),
-            pod_names=_decode_strings(
-                arrays["pod_blob"], arrays["pod_offsets"]
-            ),
-            link_lower=np.asarray(arrays["link_lower"], dtype=np.int32),
-            link_upper=np.asarray(arrays["link_upper"], dtype=np.int32),
-            link_state=np.asarray(arrays["link_state"], dtype=np.int8),
-            link_capacity=np.asarray(
-                arrays["link_capacity"], dtype=np.float64
-            ),
-            link_breakout=np.asarray(arrays["link_breakout"], dtype=np.int32),
-            breakout_names=_decode_strings(
-                arrays["breakout_blob"], arrays["breakout_offsets"]
-            ),
-            corruption_up=np.asarray(
-                arrays["corruption_up"], dtype=np.float64
-            ),
-            corruption_down=np.asarray(
-                arrays["corruption_down"], dtype=np.float64
-            ),
-            lg_capable=np.asarray(arrays["lg_capable"], dtype=np.bool_),
-            lg_protected=np.asarray(arrays["lg_protected"], dtype=np.bool_),
-            lg_effective_loss=np.asarray(
-                arrays["lg_effective_loss"], dtype=np.float64
-            ),
-            lg_capacity_fraction=np.asarray(
-                arrays["lg_capacity_fraction"], dtype=np.float64
-            ),
-        )
-
-    def digest(self) -> str:
-        """SHA-256 over the canonical array encoding (content identity).
-
-        Two columnar topologies with equal digests decode to identical
-        object topologies.
-        """
-        h = hashlib.sha256()
-        h.update(
-            f"columnar:{COLUMNAR_FORMAT_VERSION}:{self.name}:"
-            f"{self.num_stages}".encode("utf-8")
-        )
-        for field, array in self.arrays().items():
-            h.update(field.encode("utf-8"))
-            h.update(np.ascontiguousarray(array).tobytes())
-        return "sha256:" + h.hexdigest()
-
 
 class ColumnarPathCounter:
     """Valley-free ToR-to-spine path counting as vectorized array ops.
@@ -698,12 +532,6 @@ class ColumnarPathCounter:
 
     def baseline_for(self, switch: str) -> int:
         return int(self._baseline[self._col.switch_index()[switch]])
-
-    def counts_array(
-        self, extra_disabled: Optional[Iterable[LinkId]] = None
-    ) -> np.ndarray:
-        """Current path counts by switch index."""
-        return self._counts_for(extra_disabled)
 
     def counts(
         self, extra_disabled: Optional[Iterable[LinkId]] = None

@@ -664,35 +664,8 @@ class Topology:
         ]
 
     # ------------------------------------------------------------------ #
-    # Interop
+    # Copies
     # ------------------------------------------------------------------ #
-
-    def to_networkx(self):
-        """Export to a :class:`networkx.Graph` (enabled links only).
-
-        Node attribute ``stage`` and edge attribute ``corruption`` are set,
-        which is convenient for ad-hoc analysis and plotting.
-        """
-        try:
-            import networkx as nx
-        except ImportError as exc:
-            raise ImportError(
-                "Topology.to_networkx() needs networkx: install the "
-                "'graph' extra (pip install 'repro[graph]')"
-            ) from exc
-
-        graph = nx.Graph(name=self.name)
-        for switch in self._switches.values():
-            graph.add_node(switch.name, stage=switch.stage, pod=switch.pod)
-        for link in self.links():
-            if link.enabled:
-                graph.add_edge(
-                    link.lower,
-                    link.upper,
-                    corruption=link.max_corruption_rate(),
-                    capacity=link.capacity_gbps,
-                )
-        return graph
 
     def copy(self) -> "Topology":
         """Deep copy (administrative state and corruption included).

@@ -1,15 +1,8 @@
-"""JSON and binary (de)serialization of topologies.
+"""JSON (de)serialization of topologies.
 
 Operators exchange topology snapshots between the monitoring system and the
 CorrOpt controller (Figure 13); a stable, human-inspectable JSON format
 makes traces and simulation scenarios reproducible artifacts.
-
-For fleet-scale snapshots (§2: ~350K links across 15 DCNs) the JSON form
-is impractically large and slow; :func:`save_topology_npz` /
-:func:`load_topology_npz` store the columnar array form
-(:mod:`repro.topology.columnar`) as a compressed ``.npz`` — tens of times
-smaller and loadable in milliseconds, with the same lossless round-trip
-guarantees.
 """
 
 from __future__ import annotations
@@ -107,63 +100,3 @@ def load_topology(path: Union[str, Path]) -> Topology:
     """Read a topology from a JSON file."""
     with open(path, encoding="utf-8") as handle:
         return topology_from_dict(json.load(handle))
-
-
-def save_topology_npz(topo: Topology, path: Union[str, Path]) -> None:
-    """Write a topology as a compressed columnar ``.npz`` archive.
-
-    The archive holds the :meth:`ColumnarTopology.arrays` columns plus a
-    JSON ``meta`` entry (format version, name, stage count).  Lossless:
-    administrative state, corruption rates, breakout groups, and the
-    LinkGuardian fields all survive the round trip.
-    """
-    import numpy as np
-
-    from repro.topology.columnar import (
-        COLUMNAR_FORMAT_VERSION,
-        ColumnarTopology,
-    )
-
-    col = ColumnarTopology.from_topology(topo)
-    meta = json.dumps(
-        {
-            "format": "repro-topology-npz",
-            "version": COLUMNAR_FORMAT_VERSION,
-            "name": col.name,
-            "num_stages": col.num_stages,
-        },
-        sort_keys=True,
-    )
-    arrays = col.arrays()
-    arrays["meta"] = np.frombuffer(meta.encode("utf-8"), dtype=np.uint8)
-    with open(path, "wb") as handle:
-        np.savez_compressed(handle, **arrays)
-
-
-def load_topology_npz(path: Union[str, Path]) -> Topology:
-    """Read a topology written by :func:`save_topology_npz`."""
-    import numpy as np
-
-    from repro.topology.columnar import (
-        COLUMNAR_FORMAT_VERSION,
-        ColumnarTopology,
-    )
-
-    with np.load(path) as archive:
-        if "meta" not in archive:
-            raise ValueError(f"{path}: not a repro topology .npz (no meta)")
-        meta = json.loads(archive["meta"].tobytes().decode("utf-8"))
-        if meta.get("format") != "repro-topology-npz":
-            raise ValueError(
-                f"{path}: unexpected archive format {meta.get('format')!r}"
-            )
-        if meta.get("version") != COLUMNAR_FORMAT_VERSION:
-            raise ValueError(
-                f"{path}: unsupported columnar format version "
-                f"{meta.get('version')!r}"
-            )
-        arrays = {key: archive[key] for key in archive.files if key != "meta"}
-    col = ColumnarTopology.from_arrays(
-        meta["name"], meta["num_stages"], arrays
-    )
-    return col.to_topology()

@@ -11,7 +11,6 @@ proportionally more corruption events).
 
 from __future__ import annotations
 
-import random
 from typing import Dict, Optional
 
 from repro.faults.injector import FaultInjector
@@ -112,8 +111,3 @@ def deduplicate_active(trace: CorruptionTrace) -> CorruptionTrace:
         duration_days=trace.duration_days,
         events=kept,
     )
-
-
-def deterministic_rng(seed: int) -> random.Random:
-    """A seeded RNG helper for callers composing their own generators."""
-    return random.Random(seed)

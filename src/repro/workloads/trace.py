@@ -11,10 +11,8 @@ locality from shared components).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Iterator, List, Union
+from typing import Iterator, List
 
 from repro.faults.injector import FaultEvent
 
@@ -69,8 +67,3 @@ class CorruptionTrace:
             "causes": dict(causes),
             "max_rate": max(rates) if rates else 0.0,
         }
-
-    def save_summary(self, path: Union[str, Path]) -> None:
-        """Persist the summary as JSON (full traces stay in memory)."""
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.summary(), handle, indent=1)

@@ -35,7 +35,7 @@ from repro.congestion.losses import BLOCK_TICKS
 from repro.congestion.queueing import congestion_loss_rows, one_power_cutoff
 from repro.congestion.traffic import gauss_pairs
 from repro.streams import random_doubles
-from repro.telemetry import SnmpPoller, TelemetryStore
+from repro.telemetry import SnmpPoller, TelemetrySanitizer, TelemetryStore
 from repro.topology import Direction, build_clos
 
 SETTINGS = settings(
@@ -369,6 +369,7 @@ class TestNoPerDirectionCalls:
             topo,
             TelemetryStore(),
             traffic_fn=partial(model.traffic, interval_s=INTERVAL_S),
+            sanitizer=TelemetrySanitizer(),
         )
         poller.poll_once()  # every direction's first appearance
         directions = len(model._row_of)

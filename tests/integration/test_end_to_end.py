@@ -10,8 +10,9 @@ from repro.core import (
 )
 from repro.faults import FaultInjector, observation_from_condition
 from repro.simulation import make_scenario, run_scenario
-from repro.telemetry import SnmpPoller, TelemetryStore
-from repro.ticketing import FixedDelayQueue, Ticket
+from repro.telemetry import SnmpPoller, TelemetrySanitizer, TelemetryStore
+from repro.telemetry.poller import ConstantTraffic
+from repro.ticketing import TechnicianPoolQueue, Ticket
 from repro.topology import Direction, build_clos
 from repro.workloads import sample_corruption_rate
 from repro.workloads.dcn_profiles import DCNProfile
@@ -25,7 +26,6 @@ class TestMonitorToControllerPipeline:
         injector = FaultInjector(
             topo, seed=0, rate_sampler=sample_corruption_rate
         )
-        queue = FixedDelayQueue()
         tickets = []
 
         # Wire the observation provider to the latest fault conditions.
@@ -56,6 +56,7 @@ class TestMonitorToControllerPipeline:
 
         assert controller.log.reports >= 10
         assert tickets, "disabling must generate tickets"
+        queue = TechnicianPoolQueue(num_technicians=len(tickets))
         for ticket in tickets:
             assert ticket.recommendation is not None
             queue.submit(ticket, 0.0)
@@ -68,7 +69,10 @@ class TestMonitorToControllerPipeline:
     def test_telemetry_sees_corruption_the_controller_acts_on(self):
         topo = build_clos(1, 2, 2, 4)
         store = TelemetryStore()
-        poller = SnmpPoller(topo, store, packets_fn=lambda did, t: 10_000_000)
+        poller = SnmpPoller(
+            topo, store, traffic_fn=ConstantTraffic(10_000_000),
+            sanitizer=TelemetrySanitizer(),
+        )
         lid = ("pod0/tor0", "pod0/agg0")
         topo.set_corruption(lid, 1e-3, Direction.UP)
         poller.run(3)

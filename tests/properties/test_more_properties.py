@@ -14,7 +14,7 @@ from repro.core import (
     brute_force_optimal,
     segment_links,
 )
-from repro.ticketing import FixedDelayQueue, TechnicianPoolQueue, Ticket
+from repro.ticketing import TechnicianPoolQueue, Ticket
 from repro.topology import (
     build_clos,
     topology_from_dict,
@@ -118,7 +118,10 @@ def test_serialization_roundtrip_preserves_path_counts(dims, disable_seed):
 )
 @settings(max_examples=30, deadline=None)
 def test_fixed_delay_queue_completes_everything_in_order(submissions):
-    queue = FixedDelayQueue(service_time_s=100.0)
+    # Enough technicians that no ticket waits: a fixed service delay.
+    queue = TechnicianPoolQueue(
+        num_technicians=len(submissions), service_time_s=100.0
+    )
     tickets = []
     for offset in sorted(submissions):
         ticket = Ticket(link_id=("a", "b"), created_s=offset)

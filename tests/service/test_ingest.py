@@ -14,11 +14,11 @@ from repro.service.ingest import IngestingPoller, TelemetryBatch
 from repro.service.queues import BoundedWorkQueue
 from repro.simulation.chaos import chaos_preset
 from repro.telemetry import SnmpPoller, TelemetrySanitizer, TelemetryStore
+from repro.telemetry.poller import ConstantTraffic
 from repro.topology import Direction, build_clos
 
 
-def packets(_did, _t):
-    return 1_000_000
+PACKETS = ConstantTraffic(1_000_000)
 
 
 def build_poller(topo, capacity=1024, policy="defer", batch_size=10,
@@ -29,7 +29,7 @@ def build_poller(topo, capacity=1024, policy="defer", batch_size=10,
     poller = IngestingPoller(
         topo,
         store,
-        packets_fn=packets,
+        traffic_fn=PACKETS,
         sanitizer=sanitizer,
         queue=queue,
         batch_size=batch_size,
@@ -68,7 +68,7 @@ class TestAmpleQueueParity:
         streaming, store_a, _, queue = build_poller(topo_a)
         store_b = TelemetryStore()
         plain = SnmpPoller(
-            topo_b, store_b, packets_fn=packets,
+            topo_b, store_b, traffic_fn=PACKETS,
             sanitizer=TelemetrySanitizer(),
         )
         for _ in range(4):

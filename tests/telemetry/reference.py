@@ -437,15 +437,35 @@ class ReferenceStore:
 # ---------------------------------------------------------------------- #
 
 
+class PerDirectionTraffic:
+    """A poller ``traffic_fn`` over the reference's per-direction
+    callables: ``packets_fn`` and then ``congestion_fn`` (if any) for each
+    direction in turn, so a pair that shares state per (direction, tick)
+    sees its calls in the order :class:`ReferencePoller` makes them."""
+
+    def __init__(self, packets_fn, congestion_fn=None):
+        self.packets_fn = packets_fn
+        self.congestion_fn = congestion_fn
+
+    def __call__(self, direction_ids, time_s, rows=None):
+        packets_fn, congestion_fn = self.packets_fn, self.congestion_fn
+        if congestion_fn is None:
+            return [packets_fn(did, time_s) for did in direction_ids], None
+        offered, losses = [], []
+        for did in direction_ids:
+            offered.append(packets_fn(did, time_s))
+            losses.append(congestion_fn(did, time_s))
+        return offered, losses
+
+
 class ReferencePoller:
-    """The per-sample poll loop: counters, transport, sanitizer (or raw
-    differencing) and store, one direction at a time, in link order, UP
-    before DOWN.  With a ``queue`` (a bounded work queue whose ``push``
+    """The per-sample poll loop: counters, transport, sanitizer and store,
+    one direction at a time, in link order, UP before DOWN.  With a ``queue`` (a bounded work queue whose ``push``
     returns ``"dropped"`` for a lost push), deliveries travel in pushes of
     ``batch_size`` directions."""
 
-    def __init__(self, topo, store, packets_fn, congestion_fn=None,
-                 interval_s=900.0, transport=None, sanitizer=None,
+    def __init__(self, topo, store, packets_fn, sanitizer,
+                 congestion_fn=None, interval_s=900.0, transport=None,
                  attribution_fn=None, queue=None, batch_size=64,
                  drain_budget=None):
         self.topo = topo
@@ -460,7 +480,6 @@ class ReferencePoller:
         self.batch_size = batch_size
         self.drain_budget = drain_budget
         self.counters = {}
-        self.previous = {}
         self.missed_polls = 0
         self.backpressure_losses = 0
         self.time_s = 0.0
@@ -478,8 +497,7 @@ class ReferencePoller:
                 for did, _ in batch[1]:
                     self.backpressure_losses += 1
                     self.missed_polls += 1
-                    if self.sanitizer is not None:
-                        self.sanitizer.observe_missing(did, now)
+                    self.sanitizer.observe_missing(did, now)
         for time_s, batch in self.queue.drain(self.drain_budget):
             self.rate_and_store(batch, time_s)
         return now
@@ -503,8 +521,6 @@ class ReferencePoller:
         deliveries = []
         for link in self.topo.links():
             if not link.enabled:
-                for direction in (Direction.UP, Direction.DOWN):
-                    self.previous.pop(link.direction_id(direction), None)
                 continue
             source = link
             if self.attribution_fn is not None:
@@ -534,33 +550,16 @@ class ReferencePoller:
         for did, delivered in deliveries:
             if not delivered:
                 self.missed_polls += 1
-                if self.sanitizer is not None:
-                    self.sanitizer.observe_missing(did, now)
+                self.sanitizer.observe_missing(did, now)
             for snap in delivered:
                 self.rate_one(did, snap)
 
     def rate_one(self, did, snap):
-        capacity = self.capacity(did)
-        if self.sanitizer is not None:
-            sample = self.sanitizer.ingest(
-                did, snap, capacity_pkts_per_s=capacity
-            )
-            if sample is not None:
-                self.store.append_rates(
-                    did, sample.time_s, sample.corruption, sample.congestion,
-                    sample.utilization, sample.quality,
-                )
-            return
-        previous = self.previous.get(did)
-        if previous is not None and snap.time_s > previous.time_s:
-            interval = snap.time_s - previous.time_s
-            sent = max(0, snap.total - previous.total)
+        sample = self.sanitizer.ingest(
+            did, snap, capacity_pkts_per_s=self.capacity(did)
+        )
+        if sample is not None:
             self.store.append_rates(
-                did,
-                snap.time_s,
-                snap.corruption_rate_since(previous),
-                snap.congestion_rate_since(previous),
-                min(1.0, sent / (capacity * interval)),
+                did, sample.time_s, sample.corruption, sample.congestion,
+                sample.utilization, sample.quality,
             )
-        if previous is None or snap.time_s >= previous.time_s:
-            self.previous[did] = snap

@@ -33,9 +33,10 @@ from repro.telemetry import (
     TelemetrySanitizer,
     TelemetryStore,
 )
-from repro.telemetry.poller import OpticalReading
+from repro.telemetry.poller import ConstantTraffic, OpticalReading
 from repro.topology import Direction, Switch, build_clos
 from tests.telemetry.reference import (
+    PerDirectionTraffic,
     ReferencePoller,
     ReferenceSanitizer,
     ReferenceStore,
@@ -118,16 +119,16 @@ def stored(store, did):
 class Twins:
     """The array poller and the reference over twin topologies."""
 
-    def __init__(self, transport=None, seed=0, sanitizer=True,
-                 traffic=False, miswire=False, queue=None, obs=False):
+    def __init__(self, transport=None, seed=0, traffic=False, miswire=False,
+                 queue=None, obs=False):
         self.topos = [build_clos(2, 2, 2, 4), build_clos(2, 2, 2, 4)]
         self.sides = []
         for topo, reference in zip(self.topos, (False, True)):
             recorder = TransitionLog() if obs else NULL_RECORDER
             source = Traffic(seed) if traffic else None
+            packets_fn = source.packets if traffic else constant_packets
+            congestion_fn = source.congestion if traffic else None
             kwargs = dict(
-                packets_fn=source.packets if traffic else constant_packets,
-                congestion_fn=source.congestion if traffic else None,
                 attribution_fn=swap_first_two(topo) if miswire else None,
             )
             if queue is not None:
@@ -143,19 +144,23 @@ class Twins:
                 else (TelemetrySanitizer, TelemetryStore, FaultyTransport)
             )
             store = store_cls()
-            cleaner = (
-                cleaner_cls(obs=recorder, window=4, min_window_samples=2)
-                if sanitizer else None
-            )
+            cleaner = cleaner_cls(obs=recorder, window=4, min_window_samples=2)
             kwargs.update(
                 transport=make_transport(transport, seed, transport_cls),
                 sanitizer=cleaner,
             )
             if reference:
-                poller = ReferencePoller(topo, store, **kwargs)
+                poller = ReferencePoller(
+                    topo, store, packets_fn, congestion_fn=congestion_fn,
+                    **kwargs
+                )
             else:
                 cls = SnmpPoller if queue is None else IngestingPoller
-                poller = cls(topo, store, obs=recorder, **kwargs)
+                poller = cls(
+                    topo, store,
+                    traffic_fn=PerDirectionTraffic(packets_fn, congestion_fn),
+                    obs=recorder, **kwargs,
+                )
             self.sides.append((poller, store, cleaner, recorder))
 
     def apply(self, op):
@@ -338,19 +343,6 @@ class TestDifferential:
                   queue=queue, obs=obs),
             ops,
         )
-
-    @SETTINGS
-    @given(
-        transport=TRANSPORTS,
-        seed=st.integers(0, 3),
-        traffic=st.booleans(),
-        ops=OPS,
-    )
-    def test_raw_diff_tick_equals_per_sample_loop(
-        self, transport, seed, traffic, ops
-    ):
-        """``sanitizer=None``: raw differencing."""
-        run(Twins(transport, seed, sanitizer=False, traffic=traffic), ops)
 
     @pytest.mark.parametrize("preset", sorted(CHAOS_PRESETS))
     @pytest.mark.parametrize("queue", [None, (3, "defer", 4), (2, "drop", None)])
@@ -640,7 +632,8 @@ class TestCounterRange:
     def test_counter_beyond_exact_range_is_refused(self):
         topo = build_clos(1, 1, 1, 1)
         poller = SnmpPoller(
-            topo, TelemetryStore(), packets_fn=lambda did, t: 2**52
+            topo, TelemetryStore(), traffic_fn=ConstantTraffic(2**52),
+            sanitizer=TelemetrySanitizer(),
         )
         poller.poll_once()
         with pytest.raises(OverflowError):
@@ -648,13 +641,15 @@ class TestCounterRange:
 
     def test_rate_checks_match_record_interval(self):
         topo = build_clos(1, 1, 1, 1)
-        for kwargs, message in (
-            (dict(packets_fn=lambda d, t: -1), "packet count"),
-            (dict(packets_fn=constant_packets,
-                  congestion_fn=lambda d, t: 1.5), "congestion rate 1.5"),
-            (dict(packets_fn=constant_packets,
-                  congestion_fn=lambda d, t: math.nan), "congestion rate nan"),
+        for fns, message in (
+            ((lambda d, t: -1,), "packet count"),
+            ((constant_packets, lambda d, t: 1.5), "congestion rate 1.5"),
+            ((constant_packets, lambda d, t: math.nan), "congestion rate nan"),
         ):
-            poller = SnmpPoller(topo, TelemetryStore(), **kwargs)
+            poller = SnmpPoller(
+                topo, TelemetryStore(),
+                traffic_fn=PerDirectionTraffic(*fns),
+                sanitizer=TelemetrySanitizer(),
+            )
             with pytest.raises(ValueError, match=message):
                 poller.poll_once()

@@ -1,27 +1,72 @@
-"""Tests for SNMP counters and the TimeSeries reductions."""
+"""Tests for SNMP counters (the poller's device counters and their
+snapshots) and the TimeSeries reductions."""
 
 import numpy as np
 import pytest
 
 from repro.telemetry import (
     CounterSnapshot,
-    DirectionCounters,
+    SnmpPoller,
+    TelemetrySanitizer,
+    TelemetryStore,
     TimeSeries,
     cdf_points,
     percentile,
 )
+from repro.topology import build_clos
+from tests.telemetry.reference import PerDirectionTraffic
+
+
+class Counters:
+    """One direction's cumulative device counters, as an
+    :class:`SnmpPoller` keeps them: each ``record_interval`` is one poll
+    of that traffic."""
+
+    def __init__(self):
+        self.topo = build_clos(1, 1, 1, 1)
+        self.link_id = next(iter(self.topo.link_ids()))
+        self.traffic = [0, 0.0]
+        self.poller = SnmpPoller(
+            self.topo,
+            TelemetryStore(),
+            traffic_fn=PerDirectionTraffic(
+                lambda did, t: self.traffic[0], lambda did, t: self.traffic[1]
+            ),
+            sanitizer=TelemetrySanitizer(),
+        )
+        self.poller.directions  # builds the (zeroed) counter columns
+
+    def record_interval(self, packets, corruption_rate, congestion_rate):
+        self.topo.set_corruption(self.link_id, corruption_rate)
+        self.traffic[:] = packets, congestion_rate
+        self.poller.poll_once()
+
+    @property
+    def total(self):
+        return int(self.poller._total[0])
+
+    @property
+    def errors(self):
+        return int(self.poller._errors[0])
+
+    @property
+    def drops(self):
+        return int(self.poller._drops[0])
+
+    def snapshot(self, time_s):
+        return CounterSnapshot(time_s, self.total, self.errors, self.drops)
 
 
 class TestCounters:
     def test_accumulation(self):
-        counters = DirectionCounters(("a", "b"))
+        counters = Counters()
         counters.record_interval(1_000_000, corruption_rate=1e-3, congestion_rate=1e-4)
         assert counters.total == 1_000_000
         assert counters.errors == 1000
         assert counters.drops == 100
 
     def test_monotonic_accumulation(self):
-        counters = DirectionCounters(("a", "b"))
+        counters = Counters()
         for _ in range(5):
             before = (counters.total, counters.errors, counters.drops)
             counters.record_interval(10_000, 1e-2, 1e-3)
@@ -29,7 +74,7 @@ class TestCounters:
             assert all(b <= a for b, a in zip(before, after))
 
     def test_rates_from_snapshot_diff(self):
-        counters = DirectionCounters(("a", "b"))
+        counters = Counters()
         counters.record_interval(100_000, 1e-3, 0.0)
         snap1 = counters.snapshot(900.0)
         counters.record_interval(100_000, 5e-3, 2e-3)
@@ -38,20 +83,20 @@ class TestCounters:
         assert snap2.congestion_rate_since(snap1) == pytest.approx(2e-3, rel=0.01)
 
     def test_zero_traffic_yields_zero_rate(self):
-        counters = DirectionCounters(("a", "b"))
+        counters = Counters()
         snap1 = counters.snapshot(0.0)
         snap2 = counters.snapshot(900.0)
         assert snap2.corruption_rate_since(snap1) == 0.0
 
     def test_validation(self):
-        counters = DirectionCounters(("a", "b"))
+        counters = Counters()
         with pytest.raises(ValueError):
             counters.record_interval(-1, 0.0, 0.0)
         with pytest.raises(ValueError):
-            counters.record_interval(10, 1.5, 0.0)
+            counters.record_interval(10, 0.0, 1.5)
 
     def test_small_rates_still_register(self):
-        counters = DirectionCounters(("a", "b"))
+        counters = Counters()
         counters.record_interval(10_000_000, 1e-6, 0.0)
         assert counters.errors == 10
 

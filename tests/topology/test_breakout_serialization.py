@@ -126,67 +126,3 @@ class TestSerialization:
     def test_unsupported_version_rejected(self):
         with pytest.raises(ValueError, match="version"):
             topology_from_dict({"version": 99})
-
-
-class TestNpzSerialization:
-    def test_npz_round_trip_equals_topology_to_dict(self, tmp_path):
-        """The binary path must agree with the canonical dict form."""
-        from repro.topology import (
-            load_topology_npz,
-            save_topology_npz,
-            sprinkle_corruption,
-        )
-        import random
-
-        topo = build_clos(3, 4, 3, 9, name="npz-case")
-        assign_breakout_groups(topo, fraction=0.5)
-        rng = random.Random(11)
-        sprinkle_corruption(topo, fraction=0.2, rng=rng)
-        for lid in rng.sample(list(topo.link_ids()), 6):
-            topo.disable_link(lid)
-        path = tmp_path / "topo.npz"
-        save_topology_npz(topo, path)
-        clone = load_topology_npz(path)
-        assert topology_to_dict(clone) == topology_to_dict(topo)
-        assert list(clone.link_ids()) == list(topo.link_ids())
-
-    def test_npz_preserves_lg_fields(self, tmp_path):
-        """The columnar archive keeps the LinkGuardian fields."""
-        from repro.topology import load_topology_npz, save_topology_npz
-
-        topo = build_clos(2, 2, 2, 4)
-        lid = ("pod0/tor0", "pod0/agg0")
-        topo.set_lg_capable(lid, True)
-        topo.set_corruption(lid, 1e-4, Direction.UP)
-        topo.protect_link(lid, 1e-8, 0.9)
-        path = tmp_path / "topo.npz"
-        save_topology_npz(topo, path)
-        clone = load_topology_npz(path)
-        link = clone.link(lid)
-        assert link.lg_capable and link.lg_protected
-        assert link.lg_effective_loss == 1e-8
-        assert link.lg_capacity_fraction == 0.9
-        assert clone.lg_protected_links() == {lid}
-
-    def test_npz_is_compact(self, tmp_path):
-        """Binary form should be far smaller than the JSON snapshot."""
-        import os
-
-        from repro.topology import save_topology_npz
-
-        topo = build_clos(6, 8, 4, 16)
-        json_path = tmp_path / "topo.json"
-        npz_path = tmp_path / "topo.npz"
-        save_topology(topo, json_path)
-        save_topology_npz(topo, npz_path)
-        assert os.path.getsize(npz_path) < os.path.getsize(json_path) / 4
-
-    def test_rejects_foreign_archives(self, tmp_path):
-        import numpy as np
-
-        from repro.topology import load_topology_npz
-
-        path = tmp_path / "foreign.npz"
-        np.savez(path, data=np.arange(3))
-        with pytest.raises(ValueError, match="meta"):
-            load_topology_npz(path)

@@ -19,7 +19,6 @@ from repro.topology import (
     sprinkle_corruption,
 )
 from repro.topology.columnar import (
-    ARRAY_FIELDS,
     ColumnarPathCounter,
     ColumnarTopology,
 )
@@ -76,30 +75,6 @@ class TestRoundTrip:
         assert rebuilt.switch("s0").num_ports is None
         assert rebuilt.link(("t0", "s0")).capacity_gbps == 100.0
 
-    def test_arrays_round_trip_preserves_digest(self):
-        col = ColumnarTopology.from_topology(mutated_clos())
-        arrays = col.arrays()
-        assert tuple(arrays) == ARRAY_FIELDS
-        again = ColumnarTopology.from_arrays(col.name, col.num_stages, arrays)
-        assert again.digest() == col.digest()
-        assert topology_to_dict(again.to_topology()) == topology_to_dict(
-            col.to_topology()
-        )
-
-    def test_from_arrays_rejects_missing_fields(self):
-        col = ColumnarTopology.from_topology(build_clos(2, 2, 2, 4))
-        arrays = col.arrays()
-        del arrays["link_state"]
-        with pytest.raises(ValueError, match="link_state"):
-            ColumnarTopology.from_arrays(col.name, col.num_stages, arrays)
-
-    def test_digest_tracks_content(self):
-        a = ColumnarTopology.from_topology(build_clos(2, 2, 2, 4))
-        topo = build_clos(2, 2, 2, 4)
-        topo.disable_link(("pod0/tor0", "pod0/agg0"))
-        b = ColumnarTopology.from_topology(topo)
-        assert a.digest() != b.digest()
-
     @pytest.mark.parametrize(
         "builder",
         [
@@ -115,18 +90,25 @@ class TestRoundTrip:
         assert topology_to_dict(rebuilt) == topology_to_dict(topo)
 
 
+def same_content(a, b):
+    """Both decode to the same object topology, order included."""
+    return (a.name, a.num_stages) == (b.name, b.num_stages) and (
+        topology_to_dict(a.to_topology()) == topology_to_dict(b.to_topology())
+    )
+
+
 class TestDirectClosBuilder:
     def test_matches_object_builder_exactly(self):
         direct = ColumnarTopology.build_clos(3, 4, 3, 9, name="clos")
         via_object = ColumnarTopology.from_topology(build_clos(3, 4, 3, 9))
-        assert direct.digest() == via_object.digest()
+        assert same_content(direct, via_object)
 
     def test_matches_on_asymmetric_shape(self):
         direct = ColumnarTopology.build_clos(5, 7, 2, 8, name="odd")
         via_object = ColumnarTopology.from_topology(
             build_clos(5, 7, 2, 8, name="odd")
         )
-        assert direct.digest() == via_object.digest()
+        assert same_content(direct, via_object)
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError, match="divisible"):

@@ -127,14 +127,12 @@ class TestLiveIndexes:
         }
 
     def test_order_survives_interleaved_mutation_and_round_trips(
-        self, small_clos, tmp_path
+        self, small_clos
     ):
         import random
 
         from repro.topology.columnar import ColumnarTopology
         from repro.topology.serialization import (
-            load_topology_npz,
-            save_topology_npz,
             topology_from_dict,
             topology_to_dict,
         )
@@ -161,13 +159,10 @@ class TestLiveIndexes:
                 topo.enable_link(lid)
             self.check(topo)
             if step % 40 == 39:
-                npz = tmp_path / f"t{step}.npz"
-                save_topology_npz(topo, npz)
                 for clone in (
                     topo.copy(),
                     topology_from_dict(topology_to_dict(topo)),
                     ColumnarTopology.from_topology(topo).to_topology(),
-                    load_topology_npz(npz),
                 ):
                     self.check(clone)
                     assert clone.corrupting_links() == topo.corrupting_links()
@@ -337,18 +332,3 @@ class TestInterop:
                 side.link_ids()
             )
             assert PathCounter(side).counts() == PathCounter(rebuilt).counts()
-
-    def test_to_networkx_names_the_extra_when_networkx_is_missing(
-        self, small_clos, monkeypatch
-    ):
-        import sys
-
-        monkeypatch.setitem(sys.modules, "networkx", None)
-        with pytest.raises(ImportError, match=r"repro\[graph\]"):
-            small_clos.to_networkx()
-
-    def test_to_networkx_drops_disabled(self, small_clos):
-        small_clos.disable_link(("pod0/tor0", "pod0/agg0"))
-        graph = small_clos.to_networkx()
-        assert graph.number_of_edges() == small_clos.num_links - 1
-        assert graph.number_of_nodes() == small_clos.num_switches

@@ -7,21 +7,15 @@ every way a topology is cloned or stored.
 
 from __future__ import annotations
 
-import os
 import pickle
-import tempfile
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.topology.clos import build_clos
 from repro.topology.elements import LinkState
-from repro.topology.serialization import (
-    load_topology_npz,
-    save_topology_npz,
-    topology_from_dict,
-    topology_to_dict,
-)
+from repro.topology.columnar import ColumnarTopology
+from repro.topology.serialization import topology_from_dict, topology_to_dict
 
 OPS = ("enable_link", "disable_link", "drain_link")
 
@@ -32,13 +26,6 @@ def scanned(topo):
         sum(1 for row in rows if topo.link_state[row] is not LinkState.ENABLED)
         for rows in topo.up_rows
     ]
-
-
-def npz_round_trip(topo):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "topo.npz")
-        save_topology_npz(topo, path)
-        return load_topology_npz(path)
 
 
 def apply(topo, ops):
@@ -63,7 +50,7 @@ def test_count_equals_scan_through_every_clone(ops, more):
         topo.copy(),
         pickle.loads(pickle.dumps(topo)),
         topology_from_dict(topology_to_dict(topo)),
-        npz_round_trip(topo),
+        ColumnarTopology.from_topology(topo).to_topology(),
     ]
     before = list(topo.up_disabled)
     for clone in clones:
