@@ -30,7 +30,6 @@ from repro.analysis.stats import (
     pearson_log_loss_vs_utilization,
     stage_link_shares,
     stage_loss_shares,
-    summarize_distribution,
 )
 
 __all__ = [
@@ -52,7 +51,6 @@ __all__ = [
     "pearson_log_loss_vs_utilization",
     "stage_link_shares",
     "stage_loss_shares",
-    "summarize_distribution",
     "total_loss_ratio",
     "worst_links",
 ]

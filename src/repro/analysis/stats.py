@@ -9,7 +9,7 @@ probability (§3's "corruption is uncorrelated with link location").
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -136,15 +136,3 @@ def stage_link_shares(dataset: StudyDataset) -> Dict[int, float]:
     if total == 0:
         return {}
     return {stage: count / total for stage, count in counts.items()}
-
-
-def summarize_distribution(values: Sequence[float]) -> Tuple[float, float, float]:
-    """(mean, median, 80th percentile) of a distribution."""
-    if not values:
-        return (0.0, 0.0, 0.0)
-    arr = np.asarray(values, dtype=float)
-    return (
-        float(np.mean(arr)),
-        float(np.median(arr)),
-        float(np.percentile(arr, 80)),
-    )

@@ -160,20 +160,6 @@ class CongestionModel:
         """Whether this direction rides a hotspot."""
         return direction_id in self._hot_directions
 
-    def hot_directions(self) -> List[DirectionId]:
-        return sorted(self._hot_directions)
-
-    def profile(self, direction_id: DirectionId) -> TrafficProfile:
-        """A detached copy of the direction's traffic profile at its row's
-        logical position, on a stream of its own: stepping it leaves the
-        model alone."""
-        row = int(self._rows([direction_id])[0])
-        profile = TrafficProfile.__new__(TrafficProfile)
-        profile.__setstate__(
-            dict(self._values(row), gauss_next=self._gauss_next([row])[0])
-        )
-        return profile
-
     def utilization(self, direction_id: DirectionId, time_s: float) -> float:
         """Utilization sample for a direction at ``time_s``: one
         :meth:`TrafficProfile.utilization` step on the row's stream, put

@@ -43,7 +43,6 @@ from repro.core.path_counting import PathCounter, PathCounterStats
 from repro.core.penalty import (
     PenaltyFn,
     linear_penalty,
-    penalty_of_links,
     step_penalty,
     tcp_throughput_penalty,
     total_penalty,
@@ -64,11 +63,10 @@ from repro.core.resilience import (
     OnsetDebouncer,
     retry_with_backoff,
 )
-from repro.core.segmentation import Segment, segment_links, segmentation_summary
+from repro.core.segmentation import Segment, segment_links
 from repro.core.switch_local import (
     SwitchLocalChecker,
     SwitchLocalResult,
-    uplink_budget_report,
 )
 
 __all__ = [
@@ -107,11 +105,8 @@ __all__ = [
     "deployed_engine",
     "full_engine",
     "linear_penalty",
-    "penalty_of_links",
     "segment_links",
-    "segmentation_summary",
     "step_penalty",
     "tcp_throughput_penalty",
     "total_penalty",
-    "uplink_budget_report",
 ]

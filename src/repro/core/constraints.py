@@ -71,12 +71,6 @@ class CapacityConstraint:
             if not self.satisfied_by(tor, frac)
         }
 
-    def all_satisfied(self, fractions: Mapping[str, float]) -> bool:
-        """Whether every ToR in ``fractions`` meets its requirement."""
-        return all(
-            self.satisfied_by(tor, frac) for tor, frac in fractions.items()
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         extra = f", per_tor={len(self.per_tor)} overrides" if self.per_tor else ""
         return f"CapacityConstraint({self.default}{extra})"

@@ -33,7 +33,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, FrozenSet, List, Optional
+from typing import Callable, Deque, FrozenSet, List, Optional
 
 from repro.core.constraints import CapacityConstraint
 from repro.core.fast_checker import FastChecker, FastCheckResult
@@ -504,10 +504,6 @@ class CorrOptController:
     def current_penalty(self) -> float:
         """Total penalty per second of active corrupting links."""
         return total_penalty(self.topo, self.optimizer.penalty_fn)
-
-    def tor_fractions(self) -> Dict[str, float]:
-        """Current available-path fraction of every ToR."""
-        return self.counter.tor_fractions()
 
     def worst_tor_fraction(self) -> float:
         """The minimum path fraction across ToRs (Figures 15–16 metric)."""

@@ -87,20 +87,6 @@ class LinkDiagnosis:
         """May the controller mitigate (disable/ticket) on this verdict?"""
         return self.cause in ACTIONABLE_CAUSES
 
-    def row(self) -> Dict[str, object]:
-        """Flat JSON-safe projection for audit / event streams."""
-        return {
-            "link": list(self.link_id),
-            "direction": self.direction.value,
-            "cause": self.cause,
-            "confidence": round(self.confidence, 6),
-            "corruption_rate": self.corruption_rate,
-            "congestion_rate": self.congestion_rate,
-            "utilization": self.utilization,
-            "evidence": list(self.evidence),
-            "time_s": self.time_s,
-        }
-
 
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Pearson correlation; 0.0 when degenerate (short or flat series)."""

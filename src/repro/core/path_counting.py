@@ -106,9 +106,9 @@ class PathCounter:
     Invalidation contract:
         * Administrative changes made through ``topo.disable_link`` /
           ``enable_link`` / ``drain_link`` are picked up automatically.
-        * Code that flips ``Link.state`` directly must call
-          :meth:`notify_link_change` afterwards; until then the counter
-          keeps answering for the state it was last told.
+        * Code that flips ``Link.state`` directly bypasses the
+          notification: the counter keeps answering for the state it was
+          last told.
         * Structural changes (``add_switch`` / ``add_link``) mark the
           counter stale; the next query or change notification rebuilds it
           once, baseline included.
@@ -117,8 +117,8 @@ class PathCounter:
         >>> from repro.topology import build_clos
         >>> topo = build_clos(2, 2, 2, 4)
         >>> counter = PathCounter(topo)
-        >>> counter.baseline()["pod0/tor0"]
-        4
+        >>> counter.tor_fractions()["pod0/tor0"]
+        1.0
     """
 
     def __init__(
@@ -148,10 +148,6 @@ class PathCounter:
     def topo(self) -> Topology:
         """The topology this counter is bound to."""
         return self._topo
-
-    @property
-    def incremental(self) -> bool:
-        return self._incremental
 
     def set_incremental(self, incremental: bool) -> None:
         """Switch between incremental and recount-per-query modes."""
@@ -211,7 +207,7 @@ class PathCounter:
             ]
         )
         self._baseline = self._count(ignore_admin_state=True)
-        self._closure_cache: Dict[FrozenSet[int], Tuple[Set[int], Set[str]]] = {}
+        self._closure_cache: Dict[FrozenSet[int], Set[int]] = {}
         self._affected_cache: Dict[int, List[int]] = {}
         # (constraint, its floors column, the highest ToR floor in it)
         self._floors: Tuple[object, List[float], float] = (None, [], 0.0)
@@ -248,15 +244,6 @@ class PathCounter:
     # ------------------------------------------------------------------ #
     # Change notifications
     # ------------------------------------------------------------------ #
-
-    def notify_link_change(self, link_id: LinkId) -> None:
-        """Tell the counter a link's effective state flipped.
-
-        Only needed when ``Link.state`` was mutated directly; the topology's
-        ``disable_link`` / ``enable_link`` / ``drain_link`` notify
-        automatically.
-        """
-        self._on_admin_change(link_id)
 
     def _on_admin_change(self, link_id: LinkId) -> None:
         self._sync()
@@ -437,7 +424,7 @@ class PathCounter:
             return overlay, self._counts
         if not extra:
             return {}, self._full_counts()
-        restrict = None if tors is None else self._closure(tors)[0]
+        restrict = None if tors is None else self._closure(tors)
         return {}, self._count(extra, restrict=restrict)
 
     def _link_rows(self, link_ids: Optional[Iterable[LinkId]]) -> FrozenSet[int]:
@@ -562,8 +549,9 @@ class PathCounter:
         self._affected_cache[link] = tors
         return tors
 
-    def _closure(self, tors: Iterable[int]) -> Tuple[Set[int], Set[str]]:
-        """Upstream closure of the ToR rows ``tors``, as rows and as names.
+    def _closure(self, tors: Iterable[int]) -> Set[int]:
+        """Upstream closure of the ToR rows ``tors``: every switch row on
+        an up-path from them, themselves included.
 
         Memoized (the closure ignores administrative state, so entries
         stay valid until the structure changes).
@@ -584,37 +572,12 @@ class PathCounter:
                     frontier.append(above)
         if len(self._closure_cache) >= _CACHE_LIMIT:
             self._closure_cache.clear()
-        names = self._names
-        cached = self._closure_cache[key] = (seen, {names[r] for r in seen})
-        return cached
+        self._closure_cache[key] = seen
+        return seen
 
     # ------------------------------------------------------------------ #
     # Public API
     # ------------------------------------------------------------------ #
-
-    def _by_name(self, values: Sequence) -> Dict[str, object]:
-        names = self._names
-        return {names[row]: values[row] for row in self._descending}
-
-    def baseline(self) -> Dict[str, int]:
-        """Design path counts (all links enabled) for every switch."""
-        self._sync()
-        return self._by_name(self._baseline)
-
-    def baseline_for(self, switch: str) -> int:
-        self._sync()
-        return self._baseline[self._topo.switch_row[switch]]
-
-    def counts(
-        self, extra_disabled: Optional[Iterable[LinkId]] = None
-    ) -> Dict[str, int]:
-        """Current path counts, optionally with extra hypothetical disables."""
-        overlay, counts = self._hypothetical(self._link_rows(extra_disabled))
-        if overlay:
-            counts = list(counts)
-            for row, count in overlay.items():
-                counts[row] = count
-        return self._by_name(counts)
 
     def tor_fractions(
         self,
@@ -685,15 +648,6 @@ class PathCounter:
             fracsum += Fraction(total, base)
         return float(fracsum / self._num_tors)
 
-    def upstream_closure(self, tors: Iterable[str]) -> Set[str]:
-        """All switches on any up-path from the given ToRs (inclusive).
-
-        Results are memoized (the closure ignores administrative state, so
-        entries stay valid until the structure changes); treat the returned
-        set as read-only.
-        """
-        return self._closure(map(self._topo.switch_row.__getitem__, tors))[1]
-
     # ------------------------------------------------------------------ #
     # Effective capacity (LinkGuardian-aware)
     # ------------------------------------------------------------------ #
@@ -762,15 +716,6 @@ class PathCounter:
             return self.average_tor_fraction()
         fractions = self.effective_tor_fractions()
         return ordered_sum(fractions.values()) / self._num_tors
-
-    def effective_worst_tor_fraction(self) -> float:
-        """Minimum effective ToR capacity fraction (LG-aware)."""
-        self._sync()
-        if not self._num_tors:
-            return 1.0
-        if not self._topo.has_lg_protection():
-            return self.worst_tor_fraction()
-        return min(self.effective_tor_fractions().values())
 
     def affected_tors(self, link_id: LinkId) -> Set[str]:
         """ToRs whose path count could change if ``link_id`` were disabled

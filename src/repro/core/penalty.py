@@ -102,14 +102,3 @@ def total_penalty(
         penalty_fn(topo.link(lid).max_corruption_rate())
         for lid in topo.corrupting_links(threshold)
     )
-
-
-def penalty_of_links(
-    topo: Topology,
-    link_ids: Iterable,
-    penalty_fn: PenaltyFn = linear_penalty,
-) -> float:
-    """Sum of penalties of the given links (regardless of state)."""
-    return ordered_sum(
-        penalty_fn(topo.link(lid).max_corruption_rate()) for lid in link_ids
-    )

@@ -126,9 +126,6 @@ class OnsetDebouncer:
         self._streak[link_id] = streak
         return False
 
-    def is_confirmed(self, link_id: LinkId) -> bool:
-        return self._confirmed.get(link_id, False)
-
     def confirmed_count(self) -> int:
         """Links currently holding a confirmed onset."""
         return sum(1 for v in self._confirmed.values() if v)
@@ -352,14 +349,8 @@ class AuditLog:
     def records(self) -> List[AuditRecord]:
         return list(self._records)
 
-    def count(self, event: str) -> int:
-        return self.counts.get(event, 0)
-
     def total(self) -> int:
         return sum(self.counts.values())
-
-    def fail_safe_records(self) -> List[AuditRecord]:
-        return [r for r in self._records if r.fail_safe]
 
     # ------------------------------------------------------------------ #
     # Structured JSONL export

@@ -9,7 +9,7 @@ that can be optimized independently, shrinking the search space from
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Set
 
 from repro.topology.elements import LinkId
 from repro.topology.graph import Topology
@@ -96,11 +96,3 @@ def segment_links(
     ]
     segments.sort(key=lambda seg: sorted(seg.links)[0])
     return segments
-
-
-def segmentation_summary(segments: List[Segment]) -> Tuple[int, int, int]:
-    """(number of segments, largest segment size, total links) for reporting."""
-    if not segments:
-        return (0, 0, 0)
-    sizes = [len(seg.links) for seg in segments]
-    return (len(segments), max(sizes), sum(sizes))

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.constraints import CapacityConstraint
 from repro.topology.elements import LinkId, LinkState
@@ -81,10 +81,6 @@ class SwitchLocalChecker:
         """
         m = len(self._topo.up_rows[row])
         return m, m - min(m, max(0, math.ceil(m * self.sc - 1e-9)))
-
-    def max_disabled(self, switch: str) -> int:
-        """How many of ``switch``'s uplinks may be disabled in total."""
-        return self._budget(self._topo.switch_row[switch])[1]
 
     def check(self, link_id: LinkId) -> SwitchLocalResult:
         """Decide whether the lower switch can afford to lose this uplink.
@@ -154,21 +150,3 @@ class SwitchLocalChecker:
             if self.check_and_disable(lid).allowed:
                 newly_disabled.append(lid)
         return newly_disabled
-
-
-def uplink_budget_report(
-    checker: SwitchLocalChecker,
-) -> Dict[str, Dict[str, int]]:
-    """Per-switch uplink budget (total / active / max disable) for debugging."""
-    topo = checker._topo
-    report: Dict[str, Dict[str, int]] = {}
-    for switch in topo.switches():
-        row = topo.switch_row[switch.name]
-        m, max_disabled = checker._budget(row)
-        if m:
-            report[switch.name] = {
-                "total": m,
-                "active": m - topo.up_disabled[row],
-                "max_disabled": max_disabled,
-            }
-    return report

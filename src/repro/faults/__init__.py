@@ -14,8 +14,6 @@ from repro.faults.injector import (
     AnyFault,
     FaultEvent,
     FaultInjector,
-    apply_event,
-    clear_event,
     default_rate_sampler,
 )
 from repro.faults.root_causes import (
@@ -50,9 +48,7 @@ __all__ = [
     "TABLE2_SYMPTOM",
     "TelemetryFaultConfig",
     "TransceiverFault",
-    "apply_event",
     "cause_mix_midpoint",
-    "clear_event",
     "default_rate_sampler",
     "observation_from_condition",
     "repairs_that_fix",

@@ -42,10 +42,6 @@ class LinkCondition:
     rev_rate: float = 0.0
     co_located: bool = False
 
-    def is_bidirectional(self, threshold: float = 1e-8) -> bool:
-        """Whether both directions corrupt above ``threshold`` (§3)."""
-        return self.fwd_rate >= threshold and self.rev_rate >= threshold
-
 
 def observation_from_condition(
     link_id: LinkId,

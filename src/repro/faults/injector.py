@@ -79,10 +79,6 @@ class FaultEvent:
         object.__setattr__(self, "link_ids", tuple(self.link_ids))
         object.__setattr__(self, "conditions", tuple(self.conditions))
 
-    @property
-    def root_cause(self) -> RootCause:
-        return self.fault.cause
-
 
 class FaultInjector:
     """Seeded generator of fault events over a topology.
@@ -199,24 +195,3 @@ class FaultInjector:
                 break
             events.append(self.sample_fault(time_s))
         return events
-
-
-def apply_event(topo: Topology, event: FaultEvent) -> None:
-    """Write a fault event's corruption rates onto the topology.
-
-    Sets the UP direction to the forward rate and DOWN to the reverse rate
-    for every affected link (the orientation convention of
-    :class:`~repro.faults.condition.LinkCondition`).
-    """
-    from repro.topology.elements import Direction
-
-    for lid, condition in zip(event.link_ids, event.conditions):
-        topo.set_corruption(lid, condition.fwd_rate, Direction.UP)
-        if condition.rev_rate > 0:
-            topo.set_corruption(lid, condition.rev_rate, Direction.DOWN)
-
-
-def clear_event(topo: Topology, event: FaultEvent) -> None:
-    """Remove a fault event's corruption (post-repair)."""
-    for lid in event.link_ids:
-        topo.clear_corruption(lid)

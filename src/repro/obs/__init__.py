@@ -21,7 +21,6 @@ from repro.obs.exporters import (  # noqa: F401
     chrome_trace,
     events_jsonl_lines,
     prometheus_text,
-    unescape_label,
     write_chrome_trace,
     write_events_jsonl,
     write_prometheus,
@@ -98,7 +97,6 @@ __all__ = [
     "scorecard_json",
     "summarize_scorecard",
     "topology_digest",
-    "unescape_label",
     "validate_alerts_jsonl",
     "validate_audit_jsonl",
     "validate_bench_trajectory",

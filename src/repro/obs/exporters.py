@@ -53,36 +53,6 @@ def _escape_label(value: str) -> str:
     )
 
 
-def unescape_label(value: str) -> str:
-    """Invert :func:`_escape_label` (Prometheus label-value escaping).
-
-    Escape sequences must be decoded left-to-right in one pass —
-    chained ``str.replace`` calls would mangle ``\\\\n`` (an escaped
-    backslash followed by ``n``) into a newline.
-    """
-    out: List[str] = []
-    i = 0
-    while i < len(value):
-        ch = value[i]
-        if ch == "\\" and i + 1 < len(value):
-            nxt = value[i + 1]
-            if nxt == "\\":
-                out.append("\\")
-                i += 2
-                continue
-            if nxt == '"':
-                out.append('"')
-                i += 2
-                continue
-            if nxt == "n":
-                out.append("\n")
-                i += 2
-                continue
-        out.append(ch)
-        i += 1
-    return "".join(out)
-
-
 def _format_labels(key, extra: Optional[Dict[str, str]] = None) -> str:
     pairs = list(key) + sorted((extra or {}).items())
     if not pairs:

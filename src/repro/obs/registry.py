@@ -12,7 +12,6 @@ both sim time and provenance headers at write time.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -69,26 +68,6 @@ class Histogram:
         running += self.counts[-1]
         out.append(("+Inf", running))
         return out
-
-    def quantile(self, q: float) -> Optional[float]:
-        """Nearest-rank quantile as a bucket upper bound.
-
-        Prometheus-style: the answer is the smallest bucket bound whose
-        cumulative count reaches rank ``ceil(q * count)`` — an upper
-        bound on the true quantile, ``inf`` when it falls in the
-        overflow bucket, ``None`` for an empty histogram.
-        """
-        if self.count == 0:
-            return None
-        if not 0.0 < q <= 1.0:
-            raise ValueError("q outside (0, 1]")
-        rank = min(self.count, max(1, math.ceil(q * self.count)))
-        running = 0
-        for upper, n in zip(self.buckets, self.counts):
-            running += n
-            if running >= rank:
-                return float(upper)
-        return float("inf")
 
 
 @dataclass
@@ -166,10 +145,6 @@ class MetricsRegistry:
             inst.histograms[key] = histogram
         histogram.observe(value)
 
-    def describe(self, name: str, help: str, kind: str = "counter") -> None:
-        """Pre-register a metric with a help string (optional nicety)."""
-        self._get(name, kind, help=help)
-
     # ------------------------------------------------------------------ #
     # Reading
     # ------------------------------------------------------------------ #
@@ -177,21 +152,5 @@ class MetricsRegistry:
     def instruments(self) -> List[Instrument]:
         return [self._instruments[k] for k in sorted(self._instruments)]
 
-    def get_value(self, name: str, **labels) -> Optional[float]:
-        inst = self._instruments.get(name)
-        if inst is None:
-            return None
-        return inst.values.get(_label_key(labels))
-
-    def counter_total(self, name: str) -> float:
-        """Sum of a counter across all label-sets (0 when absent)."""
-        inst = self._instruments.get(name)
-        if inst is None:
-            return 0.0
-        return sum(inst.values.values())
-
     def __len__(self) -> int:
         return len(self._instruments)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._instruments

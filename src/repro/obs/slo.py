@@ -306,14 +306,6 @@ class SLOEngine:
 
     # -- reading -------------------------------------------------------- #
 
-    def firing(self) -> List[str]:
-        """Names of currently firing rules, in rule order."""
-        return [
-            rule.name
-            for rule, state in zip(self.rules, self._states)
-            if state.firing
-        ]
-
     def rule_states(self) -> List[Dict[str, object]]:
         """One canonical dict per rule: definition + current state."""
         out = []

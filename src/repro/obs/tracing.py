@@ -123,14 +123,3 @@ class SpanTracer:
             self.dropped += 1
             return
         self.spans.append(record)
-
-    @property
-    def depth(self) -> int:
-        """Current nesting depth (open spans)."""
-        return len(self._stack)
-
-    def by_name(self, name: str) -> List[SpanRecord]:
-        return [s for s in self.spans if s.name == name]
-
-    def total_wall_us(self, name: str) -> float:
-        return sum(s.dur_wall_us for s in self.by_name(name))

@@ -16,28 +16,18 @@ from repro.optics.power import (
     PowerThresholds,
     TransceiverTech,
     attenuate,
-    dbm_to_mw,
-    mw_to_dbm,
 )
-from repro.optics.transceiver import (
-    LinkOptics,
-    Transceiver,
-    decode_corruption_rate,
-)
+from repro.optics.transceiver import decode_corruption_rate
 
 __all__ = [
     "DEPLOYED_SINGLE_RX_THRESHOLD_DBM",
     "DEPLOYED_SINGLE_TX_THRESHOLD_DBM",
-    "LinkOptics",
     "PowerThresholds",
     "TECH_100G_CWDM4",
     "TECH_10G_SR",
     "TECH_40G_LR4",
     "TECHNOLOGIES",
-    "Transceiver",
     "TransceiverTech",
     "attenuate",
-    "dbm_to_mw",
     "decode_corruption_rate",
-    "mw_to_dbm",
 ]

@@ -9,24 +9,7 @@ technology and loss budget of links"); §5.2 uses ``PowerThreshRx`` and
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-
-
-def dbm_to_mw(dbm: float) -> float:
-    """Convert dBm to milliwatts."""
-    return 10.0 ** (dbm / 10.0)
-
-
-def mw_to_dbm(mw: float) -> float:
-    """Convert milliwatts to dBm.
-
-    Raises:
-        ValueError: If ``mw`` is not positive.
-    """
-    if mw <= 0:
-        raise ValueError(f"power must be positive, got {mw} mW")
-    return 10.0 * math.log10(mw)
 
 
 def attenuate(dbm: float, loss_db: float) -> float:
@@ -48,9 +31,6 @@ class PowerThresholds:
 
     def rx_is_low(self, rx_dbm: float) -> bool:
         return rx_dbm < self.rx_min_dbm
-
-    def tx_is_low(self, tx_dbm: float) -> bool:
-        return tx_dbm < self.tx_min_dbm
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Transceiver state: laser aging, seating, and signal decoding.
+"""Transceiver signal decoding.
 
 §4's root causes act through the transceivers at the two ends of a link:
 lasers decay (root cause 3), modules can be bad or loosely seated (root
@@ -11,51 +11,8 @@ fault models a physically-motivated knob.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from repro.optics.power import TransceiverTech
-
-
-@dataclass
-class Transceiver:
-    """One optical module on one end of a link.
-
-    Attributes:
-        tech: Transceiver technology (sets nominal power and thresholds).
-        tx_degradation_db: Loss of launch power due to laser aging.
-        seated: Whether the module is firmly plugged in.
-        defective: Whether the module's electronics are bad (root cause 4):
-            it corrupts regardless of optical power levels.
-        recently_reseated: Repair-history flag used by Algorithm 1.
-    """
-
-    tech: TransceiverTech
-    tx_degradation_db: float = 0.0
-    seated: bool = True
-    defective: bool = False
-    recently_reseated: bool = False
-
-    def tx_power_dbm(self) -> float:
-        """Actual launch power after aging degradation."""
-        return self.tech.nominal_tx_dbm - self.tx_degradation_db
-
-    def age_laser(self, additional_db: float) -> None:
-        """Apply further laser decay (root cause 3)."""
-        if additional_db < 0:
-            raise ValueError("laser decay cannot be negative")
-        self.tx_degradation_db += additional_db
-
-    def reseat(self) -> None:
-        """Re-seat the module; fixes loose seating but not bad electronics."""
-        self.seated = True
-        self.recently_reseated = True
-
-    def replace(self) -> None:
-        """Swap in a fresh module."""
-        self.tx_degradation_db = 0.0
-        self.seated = True
-        self.defective = False
-        self.recently_reseated = False
 
 
 def decode_corruption_rate(
@@ -110,60 +67,3 @@ def required_margin_for_rate(rate: float) -> float:
     level = min(max(level, 1e-9), 1 - 1e-9)
     midpoint, steepness = -1.0, 1.6
     return midpoint + math.log(1.0 / level - 1.0) / steepness
-
-
-@dataclass
-class LinkOptics:
-    """The optical assembly of one link: two transceivers plus fiber loss.
-
-    Attributes:
-        tech: Shared technology of both ends.
-        side_a: Transceiver at the lower switch.
-        side_b: Transceiver at the upper switch.
-        fiber_loss_ab_db: One-way loss from A's laser to B's receiver.
-        fiber_loss_ba_db: One-way loss from B's laser to A's receiver.
-            Fibers are unidirectional (§4), so contamination can raise loss
-            in one direction only — the source of corruption asymmetry.
-    """
-
-    tech: TransceiverTech
-    side_a: Transceiver = None  # type: ignore[assignment]
-    side_b: Transceiver = None  # type: ignore[assignment]
-    fiber_loss_ab_db: float = field(default=0.0)
-    fiber_loss_ba_db: float = field(default=0.0)
-
-    def __post_init__(self):
-        if self.side_a is None:
-            self.side_a = Transceiver(self.tech)
-        if self.side_b is None:
-            self.side_b = Transceiver(self.tech)
-        if not self.fiber_loss_ab_db:
-            self.fiber_loss_ab_db = self.tech.fiber_loss_db
-        if not self.fiber_loss_ba_db:
-            self.fiber_loss_ba_db = self.tech.fiber_loss_db
-
-    def rx_power_at_b(self) -> float:
-        """Power B receives: A's launch power minus the A→B fiber loss."""
-        return self.side_a.tx_power_dbm() - self.fiber_loss_ab_db
-
-    def rx_power_at_a(self) -> float:
-        """Power A receives: B's launch power minus the B→A fiber loss."""
-        return self.side_b.tx_power_dbm() - self.fiber_loss_ba_db
-
-    def corruption_toward_b(self) -> float:
-        """Loss rate of the A→B direction (decoded at B)."""
-        return decode_corruption_rate(
-            self.rx_power_at_b(),
-            self.tech,
-            defective_receiver=self.side_b.defective,
-            loose_seating=not self.side_b.seated,
-        )
-
-    def corruption_toward_a(self) -> float:
-        """Loss rate of the B→A direction (decoded at A)."""
-        return decode_corruption_rate(
-            self.rx_power_at_a(),
-            self.tech,
-            defective_receiver=self.side_a.defective,
-            loose_seating=not self.side_a.seated,
-        )

@@ -33,7 +33,6 @@ from repro.parallel.grid import (
     calibration_grid,
     parse_float_list,
     parse_int_list,
-    parse_str_list,
 )
 from repro.parallel.runner import (
     ParallelRunner,
@@ -92,7 +91,6 @@ __all__ = [
     "merge_optimizer_stats",
     "parse_float_list",
     "parse_int_list",
-    "parse_str_list",
     "record_row",
     "run_fleet",
     "run_sweep",

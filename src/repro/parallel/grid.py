@@ -34,10 +34,6 @@ def parse_float_list(text: str) -> List[float]:
     return [float(part) for part in text.split(",") if part.strip()]
 
 
-def parse_str_list(text: str) -> List[str]:
-    return [part.strip() for part in text.split(",") if part.strip()]
-
-
 @dataclass
 class GridSpec:
     """A sweep grid; every list axis multiplies the job count.

@@ -117,9 +117,6 @@ class ScenarioCache:
         self._entries.clear()
         self.stats = CacheStats()
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
 
 #: One cache per process: the serial backend reuses it across a whole
 #: sweep; each pool worker populates its own on first touch.

@@ -14,7 +14,6 @@ from repro.service.checkpoint import (
     CHECKPOINT_FORMAT,
     CHECKPOINT_FORMAT_VERSION,
     read_checkpoint,
-    read_checkpoint_header,
     write_checkpoint,
 )
 from repro.service.ingest import IngestingPoller, TelemetryBatch
@@ -46,6 +45,5 @@ __all__ = [
     "TelemetryBatch",
     "build_shards",
     "read_checkpoint",
-    "read_checkpoint_header",
     "write_checkpoint",
 ]

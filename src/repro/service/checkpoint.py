@@ -88,12 +88,6 @@ def _split(path) -> Tuple[Dict[str, Any], bytes]:
     return header, raw[newline + 1 :]
 
 
-def read_checkpoint_header(path) -> Dict[str, Any]:
-    """Parse and return just the header (no unpickling)."""
-    header, _payload = _split(path)
-    return header
-
-
 def read_checkpoint(path) -> Tuple[Dict[str, Any], Any]:
     """Load a checkpoint; verifies format, version, and digest.
 

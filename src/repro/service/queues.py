@@ -91,9 +91,6 @@ class BoundedWorkQueue:
 
     # ------------------------------------------------------------------ #
 
-    def __len__(self) -> int:
-        return len(self._ring)
-
     def pending(self) -> int:
         """Items awaiting the consumer (ring + overflow)."""
         return len(self._ring) + len(self._overflow)

@@ -37,9 +37,7 @@ from repro.simulation.results import RunResult
 from repro.simulation.scenarios import (
     Scenario,
     chaos_scenario,
-    large_scenario,
     make_scenario,
-    medium_scenario,
     run_scenario,
 )
 from repro.simulation.strategies import (
@@ -75,8 +73,6 @@ __all__ = [
     "TelemetrySensing",
     "chaos_preset",
     "chaos_scenario",
-    "large_scenario",
     "make_scenario",
-    "medium_scenario",
     "run_scenario",
 ]

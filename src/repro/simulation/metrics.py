@@ -91,9 +91,6 @@ class StepSeries:
         """All (time, value) change points."""
         return list(zip(self._times, self._values))
 
-    def __len__(self) -> int:
-        return len(self._times)
-
 
 @dataclass
 class SimulationMetrics:

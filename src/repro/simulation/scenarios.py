@@ -23,7 +23,7 @@ from repro.simulation.kernel import DAY_S, OracleSensing, SimulationKernel
 from repro.simulation.results import RunResult
 from repro.simulation.strategies import build_strategy
 from repro.topology.graph import Topology
-from repro.workloads.dcn_profiles import DCNProfile, LARGE_DCN, MEDIUM_DCN
+from repro.workloads.dcn_profiles import DCNProfile, MEDIUM_DCN
 from repro.workloads.generator import deduplicate_active, generate_trace
 from repro.workloads.trace import CorruptionTrace
 
@@ -128,16 +128,6 @@ def make_scenario(
         capacity=capacity,
         _base_topo=topo,
     )
-
-
-def medium_scenario(**kwargs) -> Scenario:
-    """§7.1's medium DCN (O(15K) links at scale 1.0)."""
-    return make_scenario(profile=MEDIUM_DCN, **kwargs)
-
-
-def large_scenario(**kwargs) -> Scenario:
-    """§7.1's large DCN (O(35K) links at scale 1.0)."""
-    return make_scenario(profile=LARGE_DCN, **kwargs)
 
 
 def chaos_scenario(**kwargs) -> Scenario:

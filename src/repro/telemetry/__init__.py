@@ -4,8 +4,8 @@
   direction's cumulative total/error/drop counters;
 - :class:`~repro.telemetry.poller.SnmpPoller` — 15-minute polling loop;
 - :class:`~repro.telemetry.store.TelemetryStore` — per-direction series;
-- :class:`~repro.telemetry.timeseries.TimeSeries` — the reductions the
-  paper's figures use (CV, Pearson, daily sums, CDFs).
+- :mod:`~repro.telemetry.timeseries` — the CDFs and percentiles the
+  paper's figures use.
 """
 
 from repro.telemetry.counters import CounterSnapshot
@@ -19,7 +19,7 @@ from repro.telemetry.sanitizer import (
     optical_reading_plausible,
 )
 from repro.telemetry.store import TelemetryStore
-from repro.telemetry.timeseries import TimeSeries, cdf_points, percentile
+from repro.telemetry.timeseries import cdf_points, percentile
 
 __all__ = [
     "COUNTER_32BIT_MODULUS",
@@ -32,7 +32,6 @@ __all__ = [
     "SnmpPoller",
     "TelemetrySanitizer",
     "TelemetryStore",
-    "TimeSeries",
     "cdf_points",
     "optical_reading_plausible",
     "percentile",

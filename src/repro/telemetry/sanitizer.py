@@ -58,22 +58,12 @@ class SampleQuality(enum.Enum):
     __hash__ = object.__hash__
 
     @property
-    def degraded(self) -> bool:
-        """Whether this sample should count against quarantine."""
-        return self in _DEGRADED_QUALITIES
-
-    @property
     def code(self) -> int:
         """Position in :data:`QUALITY_BY_CODE`: the int8 the quality
         columns store.  Degraded qualities are the codes from
         ``SUSPECT.code`` up."""
         return _QUALITY_CODES[self]
 
-
-#: The qualities :attr:`SampleQuality.degraded` holds for.
-_DEGRADED_QUALITIES = frozenset(
-    (SampleQuality.SUSPECT, SampleQuality.MISSING)
-)
 
 #: Code → member, in definition order (OK, INTERPOLATED, SUSPECT, MISSING).
 QUALITY_BY_CODE: Tuple[SampleQuality, ...] = tuple(SampleQuality)

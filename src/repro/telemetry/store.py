@@ -2,8 +2,8 @@
 
 The measurement analyses (§2–3) consume exactly three aligned series per
 link direction: corruption loss rate, congestion loss rate, and utilization.
-The store accumulates appends from the poller and exposes them as
-:class:`~repro.telemetry.timeseries.TimeSeries`.
+The store accumulates appends from the poller; runs read a direction's
+timestamps, its last sample or its tail.
 
 Appends are **gap-tolerant**: timestamps may jump forward (missed polls,
 disabled links), and each sample carries a :class:`~repro.telemetry.
@@ -20,13 +20,12 @@ is a one-row call of it.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.telemetry.columns import DirectionIndex, grow
 from repro.telemetry.sanitizer import QUALITY_BY_CODE, SampleQuality
-from repro.telemetry.timeseries import TimeSeries
 from repro.topology.elements import DirectionId
 
 _COLUMNS = ("_time", "_corruption", "_congestion", "_utilization", "_quality")
@@ -37,9 +36,7 @@ class TelemetryStore:
 
     Samples should arrive in time order per direction; ties, regressions
     and non-finite timestamps are dropped (counted in
-    :attr:`dropped_samples`) instead of raising.  The nominal sampling
-    interval is inferred per direction from the smallest observed gap, so
-    missed-poll holes do not skew it.
+    :attr:`dropped_samples`) instead of raising.
     """
 
     def __init__(self):
@@ -160,32 +157,6 @@ class TelemetryStore:
             did for did, row in self._index.row_of.items() if length[row]
         )
 
-    def num_directions(self) -> int:
-        return int(np.count_nonzero(self._length))
-
-    def _series(self, column: np.ndarray, direction_id: DirectionId):
-        row, length = self._used(direction_id)
-        if not length:
-            raise KeyError(direction_id)
-        times = self._time[row, :length]
-        # Smallest positive gap: robust against missed-poll holes.
-        interval = float(np.diff(times).min()) if length >= 2 else 900.0
-        return TimeSeries(
-            column[row, :length], interval_s=interval, start_s=float(times[0])
-        )
-
-    def corruption_series(self, direction_id: DirectionId) -> TimeSeries:
-        """Corruption loss-rate series of one direction."""
-        return self._series(self._corruption, direction_id)
-
-    def congestion_series(self, direction_id: DirectionId) -> TimeSeries:
-        """Congestion loss-rate series of one direction."""
-        return self._series(self._congestion, direction_id)
-
-    def utilization_series(self, direction_id: DirectionId) -> TimeSeries:
-        """Utilization series of one direction."""
-        return self._series(self._utilization, direction_id)
-
     def times(self, direction_id: DirectionId) -> List[float]:
         """Sample timestamps of one direction (may contain gaps)."""
         row, length = self._used(direction_id)
@@ -195,7 +166,7 @@ class TelemetryStore:
         self, direction_id: DirectionId, count: int
     ) -> Tuple[List[float], List[float]]:
         """The last ``count`` (utilization, congestion) values of a
-        direction, oldest first — O(count), unlike the full series."""
+        direction, oldest first — O(count)."""
         row, length = self._used(direction_id)
         if not length:
             return [], []
@@ -236,29 +207,6 @@ class TelemetryStore:
         last = np.maximum(length, 1) - 1
         times = np.where(length > 0, self._time[rows, last], np.nan)
         return times, self._corruption[rows, last], self._congestion[rows, last]
-
-    def quality_series(self, direction_id: DirectionId) -> List[SampleQuality]:
-        """Per-sample quality flags, aligned with the rate series."""
-        row, length = self._used(direction_id)
-        if not length:
-            return []
-        return [QUALITY_BY_CODE[c] for c in self._quality[row, :length].tolist()]
-
-    def quality_counts(
-        self, direction_id: DirectionId
-    ) -> Dict[SampleQuality, int]:
-        """Histogram of sample quality for one direction."""
-        counts: Dict[SampleQuality, int] = {}
-        for q in self.quality_series(direction_id):
-            counts[q] = counts.get(q, 0) + 1
-        return counts
-
-    def mean_rates(self, direction_id: DirectionId) -> Tuple[float, float]:
-        """(mean corruption rate, mean congestion rate) for a direction."""
-        return (
-            self.corruption_series(direction_id).mean(),
-            self.congestion_series(direction_id).mean(),
-        )
 
     # ------------------------------------------------------------------ #
     # Pickling (service checkpoints): only the used part of each column

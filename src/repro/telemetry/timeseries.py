@@ -1,112 +1,11 @@
-"""Fixed-interval time series with the statistics the paper uses.
-
-The measurement study reduces per-link series to a handful of summary
-statistics: coefficient of variation (Figure 2b), Pearson correlation with
-utilization (Figure 3b), and means/maxima.  This module provides a small,
-numpy-backed series type with exactly those reductions.
-"""
+"""The distribution helpers the paper's figures use: empirical CDFs and
+percentiles."""
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
-
-
-class TimeSeries:
-    """A regularly sampled time series.
-
-    Args:
-        values: Sample values.
-        interval_s: Spacing between samples in seconds (default: the
-            paper's 15-minute SNMP polling interval).
-        start_s: Timestamp of the first sample.
-    """
-
-    def __init__(
-        self,
-        values: Iterable[float],
-        interval_s: float = 900.0,
-        start_s: float = 0.0,
-    ):
-        self.values = np.asarray(list(values), dtype=float)
-        if interval_s <= 0:
-            raise ValueError("interval must be positive")
-        self.interval_s = interval_s
-        self.start_s = start_s
-
-    # ------------------------------------------------------------------ #
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def times(self) -> np.ndarray:
-        """Sample timestamps in seconds."""
-        return self.start_s + self.interval_s * np.arange(len(self.values))
-
-    def mean(self) -> float:
-        return float(np.mean(self.values)) if len(self.values) else 0.0
-
-    def std(self) -> float:
-        return float(np.std(self.values)) if len(self.values) else 0.0
-
-    def max(self) -> float:
-        return float(np.max(self.values)) if len(self.values) else 0.0
-
-    def coefficient_of_variation(self) -> float:
-        """CV = std / mean (Figure 2b's stability metric).
-
-        Returns 0 for an all-zero (or empty) series: a link that never
-        loses packets is perfectly stable.
-        """
-        mean = self.mean()
-        if mean == 0.0:
-            return 0.0
-        return self.std() / mean
-
-    def pearson_with(self, other: "TimeSeries") -> float:
-        """Pearson correlation coefficient with another series.
-
-        Returns 0 when either series is constant (correlation undefined) —
-        the conservative choice for Figure 3's "no correlation" claim.
-        """
-        if len(self.values) != len(other.values):
-            raise ValueError(
-                f"length mismatch: {len(self.values)} vs {len(other.values)}"
-            )
-        if len(self.values) < 2:
-            return 0.0
-        a, b = self.values, other.values
-        if np.std(a) == 0.0 or np.std(b) == 0.0:
-            return 0.0
-        return float(np.corrcoef(a, b)[0, 1])
-
-    def log10(self, floor: float = 1e-10) -> "TimeSeries":
-        """Element-wise log10 with a floor (the paper correlates utilization
-        with the *logarithm* of loss rate; zeros are floored)."""
-        return TimeSeries(
-            np.log10(np.maximum(self.values, floor)),
-            interval_s=self.interval_s,
-            start_s=self.start_s,
-        )
-
-    def resample_daily(self) -> List[float]:
-        """Sum samples into day buckets (Figure 1 counts losses per day)."""
-        per_day = int(round(86_400.0 / self.interval_s))
-        if per_day <= 0:
-            raise ValueError("interval larger than a day")
-        sums: List[float] = []
-        for start in range(0, len(self.values), per_day):
-            sums.append(float(np.sum(self.values[start : start + per_day])))
-        return sums
-
-    def slice(self, start: int, stop: Optional[int] = None) -> "TimeSeries":
-        """Sub-series by sample index."""
-        return TimeSeries(
-            self.values[start:stop],
-            interval_s=self.interval_s,
-            start_s=self.start_s + start * self.interval_s,
-        )
 
 
 def cdf_points(values: Sequence[float]) -> List[tuple]:

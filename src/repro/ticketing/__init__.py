@@ -6,12 +6,10 @@ succeed only when the action matches the root cause, and failed attempts
 cycle the link back through disable → ticket → repair (Figure 12).
 """
 
-from repro.ticketing.batching import CollateralAwareScheduler, RepairBatch
 from repro.ticketing.queue import TWO_DAYS_S, TechnicianPoolQueue
 from repro.ticketing.repair import (
     MAX_ATTEMPTS,
     CampaignResult,
-    repair_duration_days,
     run_repair_campaign,
 )
 from repro.ticketing.technician import (
@@ -28,8 +26,6 @@ from repro.ticketing.ticket import (
 
 __all__ = [
     "AttemptResult",
-    "CollateralAwareScheduler",
-    "RepairBatch",
     "CampaignResult",
     "LEGACY_SEQUENCE",
     "LegacyTechnician",
@@ -40,6 +36,5 @@ __all__ = [
     "TechnicianPoolQueue",
     "Ticket",
     "TicketStatus",
-    "repair_duration_days",
     "run_repair_campaign",
 ]

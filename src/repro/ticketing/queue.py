@@ -84,10 +84,3 @@ class TechnicianPoolQueue:
 
     def next_completion(self) -> Optional[float]:
         return self._in_service[0][0] if self._in_service else None
-
-    def backlog(self) -> int:
-        """Tickets waiting for a technician."""
-        return len(self._waiting)
-
-    def __len__(self) -> int:
-        return len(self._waiting) + len(self._in_service)

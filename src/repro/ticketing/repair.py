@@ -45,18 +45,6 @@ _FAULT_CLASSES = {
 MAX_ATTEMPTS = 6
 
 
-def repair_duration_days(accuracy: float, rng: random.Random) -> float:
-    """§7.1's simplified repair model.
-
-    "With CorrOpt, 80% [of] the links are repaired in two days and the rest
-    in four days (i.e., requiring two attempts).  Without CorrOpt, 50% of
-    the links are repaired in two days and the rest in four days."
-    """
-    if not 0.0 <= accuracy <= 1.0:
-        raise ValueError(f"accuracy {accuracy} outside [0, 1]")
-    return 2.0 if rng.random() < accuracy else 4.0
-
-
 @dataclass
 class CampaignResult:
     """Aggregate outcome of a repair campaign.
@@ -96,10 +84,9 @@ class CampaignResult:
     def mean_repair_days(self, service_days: float = 2.0) -> float:
         """Average days-to-fix under §7.1's two-point repair model.
 
-        Mirrors :func:`repair_duration_days`: a ticket fixed on the first
-        visit takes ``service_days``; anything slower takes
-        ``2 * service_days`` total ("the rest in four days"), regardless
-        of how many extra visits Figure 12's escalation needed.  The
+        A ticket fixed on the first visit takes ``service_days``; anything
+        slower takes ``2 * service_days`` total ("the rest in four days"),
+        regardless of how many extra visits Figure 12's escalation needed.  The
         previous ``mean_attempts() * service_days`` overcounted
         multi-attempt tickets relative to that model.
         """

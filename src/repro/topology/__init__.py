@@ -11,12 +11,11 @@ Public API:
   :func:`~repro.topology.clos.build_multi_tier`,
   :func:`~repro.topology.fattree.build_fattree`,
   :func:`~repro.topology.random_topo.build_irregular_clos`;
-- breakout cables: :func:`~repro.topology.breakout.assign_breakout_groups`,
-  :func:`~repro.topology.breakout.repair_collateral`;
+- breakout cables: :func:`~repro.topology.breakout.assign_breakout_groups`;
 - validation and JSON serialization.
 """
 
-from repro.topology.breakout import assign_breakout_groups, repair_collateral
+from repro.topology.breakout import assign_breakout_groups
 from repro.topology.clos import build_clos, build_multi_tier
 from repro.topology.elements import (
     Direction,
@@ -63,7 +62,6 @@ __all__ = [
     "degrade",
     "is_connected_to_spine",
     "load_topology",
-    "repair_collateral",
     "save_topology",
     "sprinkle_corruption",
     "topology_from_dict",

@@ -3,17 +3,15 @@
 §4 (root cause 5): a breakout cable splits one high-speed port into several
 lower-speed links; when the cable is faulty, *all* of its member links
 corrupt at the same time — the primary source of the weak spatial locality
-of corruption observed in §3.  §8 further notes that *repairing* a breakout
-cable takes its healthy members down too (collateral damage).
+of corruption observed in §3.
 
-This module assigns breakout groups to an existing topology and computes the
-collateral set of a repair.
+This module assigns breakout groups to an existing topology.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 from repro.topology.elements import LinkId
 from repro.topology.graph import Topology
@@ -70,16 +68,3 @@ def assign_breakout_groups(
     # future randomized placement policies.
     del rng
     return groups
-
-
-def repair_collateral(topo: Topology, link_id: LinkId) -> Set[LinkId]:
-    """Links that must be taken down to repair ``link_id``.
-
-    For a plain link this is the link itself.  For a breakout member it is
-    the whole cable (§8: "to repair the breakout cable, an additional three,
-    healthy links have to be turned off").
-    """
-    link = topo.link(link_id)
-    if link.breakout_group is None:
-        return {link_id}
-    return set(topo.breakout_members(link.breakout_group))

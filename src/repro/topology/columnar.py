@@ -23,17 +23,15 @@ LinkGuardian fields) is one array.  The representation is
 
 :class:`ColumnarPathCounter` is the valley-free DP of §5.1 as array ops:
 one segment sum per stage over links pre-sorted by lower endpoint, so a
-*full* recount of a 350K-link DCN costs a millisecond or two.  It answers the same queries as
-:class:`~repro.core.path_counting.PathCounter` (counts, ToR fractions,
-worst/average aggregates — the average in exact rational arithmetic, so
-the two agree bit-for-bit) and can be bound live to an object topology
-for drop-in use.
+*full* recount of a 350K-link DCN costs a millisecond or two.  It answers
+:class:`~repro.core.path_counting.PathCounter`'s ToR-fraction queries
+(per ToR and the worst) from a snapshot of an object or columnar
+topology.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -116,7 +114,6 @@ class ColumnarTopology:
         self.lg_protected = lg_protected
         self.lg_effective_loss = lg_effective_loss
         self.lg_capacity_fraction = lg_capacity_fraction
-        self._link_index: Optional[Dict[LinkId, int]] = None
         self._switch_index: Optional[Dict[str, int]] = None
         self._link_keys: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
@@ -139,18 +136,6 @@ class ColumnarTopology:
                 name: i for i, name in enumerate(self.switch_names)
             }
         return self._switch_index
-
-    def link_index(self) -> Dict[LinkId, int]:
-        """Canonical link id → array index (lazily built, then memoized)."""
-        if self._link_index is None:
-            names = self.switch_names
-            lower = self.link_lower.tolist()
-            upper = self.link_upper.tolist()
-            self._link_index = {
-                (names[lo], names[up]): i
-                for i, (lo, up) in enumerate(zip(lower, upper))
-            }
-        return self._link_index
 
     def link_rows(self, link_ids: Iterable[LinkId]) -> np.ndarray:
         """Array indexes of the given canonical link ids, in order.
@@ -387,58 +372,20 @@ class ColumnarPathCounter:
     350K-link Clos is a millisecond or two, so fleet-scale consumers
     recount instead of maintaining dirty regions.
 
-    Construct from a :class:`ColumnarTopology` (the fleet path), or
-    bind live to an object topology with :meth:`for_topology` — the
-    counter then tracks administrative flips by updating its state column
-    in place, which is what lets the object-counter equivalence suites
-    run both implementations side by side.
+    Construct from a :class:`ColumnarTopology` (the fleet path), or from
+    an object topology's current state with :meth:`for_topology`.  The
+    counter does not follow later changes: build another to recount.
     """
 
     def __init__(self, col: ColumnarTopology):
         self._col = col
         self._state = col.link_state.copy()
-        self._topo: Optional[Topology] = None
         self._rebuild_structure()
 
     @classmethod
     def for_topology(cls, topo: Topology) -> "ColumnarPathCounter":
-        """Bind to a live object topology (admin changes tracked)."""
-        counter = cls(ColumnarTopology.from_topology(topo))
-        counter._topo = topo
-        topo.subscribe_admin_changes(counter._on_admin_change)
-        topo.subscribe_structure_changes(counter._on_structure_change)
-        return counter
-
-    def detach(self) -> None:
-        """Unsubscribe from a live topology (no-op for array-only use)."""
-        if self._topo is not None:
-            self._topo.unsubscribe_admin_changes(self._on_admin_change)
-            self._topo.unsubscribe_structure_changes(
-                self._on_structure_change
-            )
-            self._topo = None
-
-    # ------------------------------------------------------------------ #
-    # Live-binding notifications
-    # ------------------------------------------------------------------ #
-
-    def _on_admin_change(self, link_id: LinkId) -> None:
-        # Bound columns keep the topology's link rows (a structure change
-        # re-interns them).
-        row = self._topo.link_row[link_id]
-        self._state[row] = _STATE_TO_CODE[self._topo.link_state[row]]
-        self._live_cache = None
-
-    def notify_link_change(self, link_id: LinkId) -> None:
-        """Tell a live-bound counter a link's state was mutated directly."""
-        if self._topo is not None:
-            self._on_admin_change(link_id)
-
-    def _on_structure_change(self) -> None:
-        topo = self._topo
-        self._col = ColumnarTopology.from_topology(topo)
-        self._state = self._col.link_state.copy()
-        self._rebuild_structure()
+        """A counter of ``topo`` as it stands."""
+        return cls(ColumnarTopology.from_topology(topo))
 
     # ------------------------------------------------------------------ #
     # Structure
@@ -476,10 +423,6 @@ class ColumnarPathCounter:
         self._spine_indexes = np.nonzero(col.switch_stage == top)[0]
         self._baseline = self._count(None)
         self._live_cache: Optional[np.ndarray] = None
-
-    @property
-    def columnar(self) -> ColumnarTopology:
-        return self._col
 
     # ------------------------------------------------------------------ #
     # DP kernel
@@ -520,26 +463,6 @@ class ColumnarPathCounter:
     # Public API (PathCounter-compatible surface)
     # ------------------------------------------------------------------ #
 
-    def baseline_array(self) -> np.ndarray:
-        """Design path counts by switch index (treat as read-only)."""
-        return self._baseline
-
-    def baseline(self) -> Dict[str, int]:
-        """Design path counts (all links enabled) for every switch."""
-        return dict(
-            zip(self._col.switch_names, self._baseline.tolist())
-        )
-
-    def baseline_for(self, switch: str) -> int:
-        return int(self._baseline[self._col.switch_index()[switch]])
-
-    def counts(
-        self, extra_disabled: Optional[Iterable[LinkId]] = None
-    ) -> Dict[str, int]:
-        """Current path counts, optionally with extra hypothetical disables."""
-        counts = self._counts_for(extra_disabled)
-        return dict(zip(self._col.switch_names, counts.tolist()))
-
     def tor_fraction_array(
         self, extra_disabled: Optional[Iterable[LinkId]] = None
     ) -> np.ndarray:
@@ -568,46 +491,3 @@ class ColumnarPathCounter:
         if not len(self._tor_indexes):
             return 1.0
         return float(self.tor_fraction_array().min())
-
-    def average_tor_fraction(self) -> float:
-        """Mean ToR path fraction, bit-identical to the object counter.
-
-        :class:`PathCounter` keeps the running sum as exact
-        :class:`fractions.Fraction`; matching it requires exact rational
-        arithmetic here too.  ToRs are grouped by their (few distinct)
-        baseline denominators, counts are summed per group as integers,
-        and only the handful of per-group fractions touch ``Fraction``.
-        """
-        num_tors = len(self._tor_indexes)
-        if not num_tors:
-            return 1.0
-        counts = self._counts_for(None)[self._tor_indexes]
-        bases = self._baseline[self._tor_indexes]
-        uniques, inverse = np.unique(bases, return_inverse=True)
-        sums = np.zeros(len(uniques), dtype=np.int64)
-        np.add.at(sums, inverse, counts)
-        fracsum = Fraction(0)
-        for total, base in zip(sums.tolist(), uniques.tolist()):
-            if base:
-                fracsum += Fraction(total, base)
-        return float(fracsum / num_tors)
-
-    def affected_tors(self, link_id: LinkId) -> Set[str]:
-        """ToRs downstream of ``link_id`` over currently enabled links."""
-        col = self._col
-        index = col.link_rows((link_id,))[0]
-        lower = int(col.link_lower[index])
-        if int(col.switch_stage[lower]) == 0:
-            return {col.switch_names[lower]}
-        enabled = self._state == 0
-        frontier = np.array([lower], dtype=np.int64)
-        seen = np.zeros(col.num_switches, dtype=np.bool_)
-        seen[lower] = True
-        while len(frontier):
-            member = np.isin(col.link_upper, frontier) & enabled
-            below = np.unique(col.link_lower[member])
-            below = below[~seen[below]]
-            seen[below] = True
-            frontier = below
-        tors = np.nonzero(seen & (col.switch_stage == 0))[0]
-        return {col.switch_names[i] for i in tors.tolist()}

@@ -78,10 +78,6 @@ class Switch:
     deep_buffer: bool = False
     num_ports: Optional[int] = None
 
-    def is_tor(self) -> bool:
-        """Whether this switch is a top-of-rack switch (stage 0)."""
-        return self.stage == 0
-
 
 #: The topology column that holds each direction's corruption rate.
 _RATE_COLUMNS = {Direction.UP: "rate_up", Direction.DOWN: "rate_down"}
@@ -89,8 +85,7 @@ _RATE_COLUMNS = {Direction.UP: "rate_up", Direction.DOWN: "rate_down"}
 
 class _Rates(Mapping):
     """``link.corruption_rate``: one row of the topology's ``rate_up`` /
-    ``rate_down`` columns, keyed by :class:`Direction` (``UP`` first);
-    item assignment writes the column."""
+    ``rate_down`` columns, keyed by :class:`Direction` (``UP`` first)."""
 
     __slots__ = ("_topo", "_row")
 
@@ -99,9 +94,6 @@ class _Rates(Mapping):
 
     def __getitem__(self, direction: Direction) -> float:
         return getattr(self._topo, _RATE_COLUMNS[direction])[self._row]
-
-    def __setitem__(self, direction: Direction, rate: float) -> None:
-        getattr(self._topo, _RATE_COLUMNS[direction])[self._row] = rate
 
     def __iter__(self) -> Iterator[Direction]:
         return iter(_RATE_COLUMNS)
@@ -205,38 +197,6 @@ class Link:
         is all-or-nothing (§3 footnote 3).
         """
         return self._topo.max_rate(self._row)
-
-    def effective_corruption_rate(self) -> float:
-        """Corruption rate as experienced by traffic.
-
-        Equal to :meth:`max_corruption_rate` normally; while LinkGuardian
-        protection is active the link delivers the (far lower) residual
-        loss rate of the retransmission layer instead.
-        """
-        if self.lg_protected:
-            return self.lg_effective_loss
-        return self.max_corruption_rate()
-
-    def effective_capacity_fraction(self) -> float:
-        """Fraction of nominal capacity this link contributes to paths.
-
-        0.0 when not enabled; ``lg_capacity_fraction`` while protected
-        (retransmissions steal bandwidth); 1.0 otherwise.
-        """
-        if not self.enabled:
-            return 0.0
-        if self.lg_protected:
-            return self.lg_capacity_fraction
-        return 1.0
-
-    def is_corrupting(self, threshold: float = 1e-8) -> bool:
-        """Whether either direction corrupts above ``threshold``.
-
-        The paper conservatively deems a link lossy at loss rate 1e-8
-        (§3, footnote 2: the IEEE 802.3 floor), while operators typically
-        act around 1e-6.
-        """
-        return self.max_corruption_rate() >= threshold
 
     def direction_id(self, direction: Direction) -> DirectionId:
         """The ``(src, dst)`` pair for ``direction``."""

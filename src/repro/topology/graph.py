@@ -320,9 +320,6 @@ class Topology:
         """A view of the link with canonical id ``link_id``."""
         return Link(self, self.link_row[link_id])
 
-    def has_link(self, link_id: LinkId) -> bool:
-        return link_id in self.link_row
-
     def find_link(self, a: str, b: str) -> Link:
         """A view of the link between ``a`` and ``b``, in either order."""
         row = self.link_row.get((a, b))
@@ -354,10 +351,6 @@ class Topology:
     def uplinks(self, switch: str) -> List[LinkId]:
         """Link ids whose lower endpoint is ``switch``."""
         return list(self._uplinks[switch])
-
-    def downlinks(self, switch: str) -> List[LinkId]:
-        """Link ids whose upper endpoint is ``switch``."""
-        return list(self._downlinks[switch])
 
     def enabled_uplinks(self, switch: str) -> List[LinkId]:
         """Enabled uplink ids of ``switch``."""
@@ -508,14 +501,6 @@ class Topology:
         self._lg_version += 1
         return count
 
-    def set_lg_capable(self, link_id: LinkId, capable: bool) -> None:
-        """Set one link's LG capability explicitly (tests, small setups)."""
-        row = self.link_row[link_id]
-        if self.lg_protected[row] and not capable:
-            self.unprotect_link(link_id)
-        self.lg_capable[row] = capable
-        self._lg_version += 1
-
     def protect_link(
         self, link_id: LinkId, effective_loss: float, capacity_fraction: float
     ) -> None:
@@ -553,17 +538,9 @@ class Topology:
         self._lg_protected.discard(link_id)
         self._lg_version += 1
 
-    def lg_protected_links(self) -> Set[LinkId]:
-        """Ids of links currently under LinkGuardian protection."""
-        return set(self._lg_protected)
-
     def has_lg_protection(self) -> bool:
         """Whether any link is under protection (without copying the set)."""
         return bool(self._lg_protected)
-
-    def lg_capable_count(self) -> int:
-        """Number of LG-capable links."""
-        return self.lg_capable.count(True)
 
     # ------------------------------------------------------------------ #
     # Traversal

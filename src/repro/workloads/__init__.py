@@ -25,7 +25,6 @@ from repro.workloads.rates import (
     TABLE1_CONGESTION_SHARES,
     TABLE1_CORRUPTION_SHARES,
     bucket_shares,
-    sample_congestion_rate,
     sample_corruption_rate,
     sample_from_buckets,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "generate_dcn_study",
     "generate_study",
     "generate_trace",
-    "sample_congestion_rate",
     "sample_corruption_rate",
     "sample_flow_population",
     "sample_from_buckets",

@@ -70,11 +70,6 @@ def sample_corruption_rate(rng: random.Random) -> float:
     return sample_from_buckets(rng, TABLE1_CORRUPTION_SHARES)
 
 
-def sample_congestion_rate(rng: random.Random) -> float:
-    """A congestion loss rate following Table 1's congestion column."""
-    return sample_from_buckets(rng, TABLE1_CONGESTION_SHARES)
-
-
 def bucket_shares(
     rates: Sequence[float],
     edges: Sequence[Tuple[float, float]] = None,

@@ -150,7 +150,7 @@ def _utilization_matrix(
         burst_p = rng.uniform(0.005, 0.02, size=(num_series, 1))
         burst_boost = rng.uniform(0.05, 0.12, size=(num_series, 1))
     elif hot:
-        # Matches repro.congestion.traffic.sample_profile(hot=True).
+        # Matches repro.congestion.traffic.profile_parameters(hot=True).
         means = rng.uniform(0.5, 0.68, size=(num_series, 1))
         amps = rng.uniform(0.08, 0.16, size=(num_series, 1))
         burst_p = rng.uniform(0.01, 0.05, size=(num_series, 1))

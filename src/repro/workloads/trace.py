@@ -12,7 +12,7 @@ locality from shared components).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List
+from typing import List
 
 from repro.faults.injector import FaultEvent
 
@@ -34,9 +34,6 @@ class CorruptionTrace:
     def __len__(self) -> int:
         return len(self.events)
 
-    def __iter__(self) -> Iterator[FaultEvent]:
-        return iter(self.events)
-
     def validate(self) -> None:
         """Check time-ordering and alignment invariants."""
         previous = -1.0
@@ -46,24 +43,3 @@ class CorruptionTrace:
             previous = event.time_s
             if len(event.link_ids) != len(event.conditions):
                 raise ValueError("event link/condition arity mismatch")
-
-    def links_affected(self) -> int:
-        """Total number of link-onsets (shared events count each member)."""
-        return sum(len(event.link_ids) for event in self.events)
-
-    def summary(self) -> dict:
-        """Human-readable trace statistics."""
-        from collections import Counter
-
-        causes = Counter(event.root_cause.value for event in self.events)
-        rates = [
-            cond.fwd_rate for event in self.events for cond in event.conditions
-        ]
-        return {
-            "dcn": self.dcn_name,
-            "days": self.duration_days,
-            "events": len(self.events),
-            "link_onsets": self.links_affected(),
-            "causes": dict(causes),
-            "max_rate": max(rates) if rates else 0.0,
-        }

@@ -18,7 +18,6 @@ from repro.analysis import (
     mean_pearson,
     stage_link_shares,
     stage_loss_shares,
-    summarize_distribution,
     worst_links,
 )
 from repro.telemetry import percentile
@@ -70,13 +69,6 @@ class TestStability:
         corr_cv = cv_distribution(dataset, "corruption")
         cong_cv = cv_distribution(dataset, "congestion")
         assert np.median(cong_cv) > np.median(corr_cv)
-
-    def test_summarize_distribution(self, dataset):
-        mean, median, p80 = summarize_distribution(
-            cv_distribution(dataset, "corruption")
-        )
-        assert 0 <= median <= mean or median <= p80
-        assert p80 >= median
 
 
 class TestUtilizationCorrelation:

@@ -16,6 +16,29 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["bogus"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--strategies", "corropt,bogus"],
+            ["sweep", "--presets", "bogus"],
+            ["sweep", "--penalties", "bogus"],
+            ["sweep", "--chaos-preset", "mild,bogus"],
+            ["sweep", "--congestion-presets", "bogus"],
+            ["tournament", "--strategies", "bogus"],
+            ["tournament", "--presets", "bogus"],
+            ["tournament", "--penalties", "bogus"],
+            ["localize", "--sensing", "bogus"],
+            ["localize", "--congestion-presets", "bogus"],
+            ["fleet", "--strategy", "bogus"],
+            ["simulate", "--strategies", "bogus"],
+        ],
+    )
+    def test_unknown_name_in_a_list_flag_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(argv)
+        assert caught.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
 
 class TestTopologyCommand:
     def test_builds_and_saves(self, tmp_path, capsys):

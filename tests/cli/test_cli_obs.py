@@ -131,6 +131,23 @@ class TestObsValidateNeverCrashes:
         assert "chrome trace:" not in out
 
 
+class TestHealthUnreadableInput:
+    """``repro health`` reports a missing or truncated file, as ``repro
+    obs`` does, instead of raising."""
+
+    @pytest.mark.parametrize("flag", ["--scorecard", "--service-report"])
+    @pytest.mark.parametrize(
+        "content", [None, '{"type": "result", "health": {"detect'],
+        ids=["missing", "truncated"],
+    )
+    def test_reported_and_exits_1(self, tmp_path, capsys, flag, content):
+        path = tmp_path / "artifact"
+        if content is not None:
+            path.write_text(content)
+        assert main(["health", flag, str(path)]) == 1
+        assert f"{path}: unreadable (" in capsys.readouterr().out
+
+
 class TestSimulateArtifacts:
     def test_metrics_and_trace_flags(self, tmp_path, capsys):
         metrics = tmp_path / "sim.prom"

@@ -26,7 +26,6 @@ from repro.congestion import (
     CONGESTION_PRESETS,
     DEEP_BUFFER_K,
     SHALLOW_BUFFER_K,
-    TrafficProfile,
     congestion_loss_rate,
     congestion_model,
     mm1k_loss,
@@ -505,29 +504,3 @@ class TestCheckpointState:
             if isinstance(value, random.Random)
         ]
         assert streams == [model._rng]  # the model's own, one per model
-
-
-class TestTrafficProfilePickle:
-    @pytest.mark.parametrize("draws", [0, 1, 2, 5, 400])
-    def test_resumes_exactly_at_any_phase(self, draws):
-        profile = TrafficProfile(mean=0.5, burst_probability=0.3, seed=9)
-        for i in range(draws):
-            profile.utilization(i * 900.0)
-        blob = pickle.dumps(profile, protocol=4)
-        assert len(blob) < 400
-        restored = pickle.loads(blob)
-        assert restored == profile
-        assert restored._rng.getstate() == profile._rng.getstate()
-        assert (restored._rng.gauss_next is not None) == bool(draws % 2)
-        assert [restored.utilization(t) for t in (1e3, 2e3, 3e3)] == [
-            profile.utilization(t) for t in (1e3, 2e3, 3e3)
-        ]
-
-    def test_inconsistent_position_is_refused(self):
-        profile = TrafficProfile(seed=1)
-        profile.utilization(0.0)
-        saved = profile.__getstate__()
-        assert saved["gauss_next"] is not None
-        saved["_samples"] = 2  # an even count cannot hold a cached Gaussian
-        with pytest.raises(ValueError, match="cached Gaussian"):
-            TrafficProfile.__new__(TrafficProfile).__setstate__(saved)

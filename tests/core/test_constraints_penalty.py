@@ -8,7 +8,6 @@ from repro.core import (
     CapacityConstraint,
     connectivity_constraint,
     linear_penalty,
-    penalty_of_links,
     step_penalty,
     tcp_throughput_penalty,
     total_penalty,
@@ -34,11 +33,6 @@ class TestCapacityConstraint:
         c = CapacityConstraint(0.5)
         violations = c.violations({"a": 0.4, "b": 0.6, "c": 0.49})
         assert violations == {"a": 0.4, "c": 0.49}
-
-    def test_all_satisfied(self):
-        c = CapacityConstraint(0.5)
-        assert c.all_satisfied({"a": 0.5, "b": 1.0})
-        assert not c.all_satisfied({"a": 0.5, "b": 0.3})
 
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):
@@ -100,7 +94,7 @@ class TestTotalPenalty:
         def full_walk(topo, penalty_fn, threshold):
             total = 0
             for link in topo.links():
-                if link.enabled and link.is_corrupting(threshold):
+                if link.enabled and link.max_corruption_rate() >= threshold:
                     total += penalty_fn(link.max_corruption_rate())
             return total
 
@@ -128,13 +122,6 @@ class TestTotalPenalty:
                         topo, fn, threshold
                     ), step
         assert total_penalty(topo) > 0
-
-    def test_penalty_of_links(self):
-        topo = build_clos(2, 2, 2, 4)
-        a, b = ("pod0/tor0", "pod0/agg0"), ("pod0/tor1", "pod0/agg0")
-        topo.set_corruption(a, 1e-4)
-        topo.set_corruption(b, 1e-5)
-        assert penalty_of_links(topo, [a, b]) == pytest.approx(1.1e-4)
 
     def test_custom_penalty_fn(self):
         topo = build_clos(2, 2, 2, 4)

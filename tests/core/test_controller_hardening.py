@@ -30,7 +30,7 @@ class TestFailSafeRule:
         # The untrusted rate must not leak into ground-truth state.
         assert LID not in medium_clos.corrupting_links()
         assert controller.log.fail_safe_keeps == 1
-        assert controller.audit.count("quarantined-report") == 1
+        assert controller.audit.counts["quarantined-report"] == 1
 
     def test_quarantine_lift_restores_normal_path(self, medium_clos):
         quarantined = {LID}
@@ -69,7 +69,7 @@ class TestFailSafeRule:
         decision = controller.report_corruption(LID, 1e-3, time_s=900.0)
         assert not decision.disabled and decision.degraded
         assert medium_clos.link(LID).enabled
-        assert controller.audit.count("fast-check-error") == 1
+        assert controller.audit.counts["fast-check-error"] == 1
 
 
 class TestDebounce:
@@ -90,7 +90,7 @@ class TestDebounce:
         controller.report_corruption(LID, 1e-3, time_s=0.0)
         controller.report_corruption(LID, 1e-3, time_s=900.0)
         controller.activate_link(LID, repaired=True, time_s=1800.0)
-        assert not debouncer.is_confirmed(LID)
+        assert debouncer.confirmed_count() == 0
         # After repair a fresh onset must be re-confirmed from scratch.
         assert not controller.report_corruption(
             LID, 1e-3, time_s=2700.0
@@ -111,7 +111,7 @@ class TestOptimizerProtection:
         result = controller.activate_link(LID, repaired=True, time_s=900.0)
         assert controller.log.optimizer_failures == 1
         assert controller.log.optimizer_fallbacks == 1
-        assert controller.audit.count("optimizer-error") == 1
+        assert controller.audit.counts["optimizer-error"] == 1
         # The fallback sweep still mitigates what it safely can.
         assert other in result.to_disable
         assert not medium_clos.link(other).enabled
@@ -131,7 +131,7 @@ class TestOptimizerProtection:
         controller.activate_link(LID, repaired=True, time_s=1800.0)
         assert controller.log.optimizer_failures == 2  # unchanged
         assert controller.log.optimizer_fallbacks == 3
-        assert controller.audit.count("optimizer-breaker-open") == 1
+        assert controller.audit.counts["optimizer-breaker-open"] == 1
 
     def test_retry_masks_transient_failure(self, medium_clos, monkeypatch):
         controller = make_controller(medium_clos, optimizer_attempts=2)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import CapacityConstraint, FastChecker, PathCounter
 from repro.topology import build_clos
+from tests.path_counts import counts_of
 
 
 class TestSingleLinkDecisions:
@@ -139,4 +140,4 @@ class TestSweep:
         assert checker.counter is counter
         lid = ("pod0/tor0", "pod0/agg0")
         checker.check_and_disable(lid)
-        assert counter.counts()["pod0/tor0"] == 12
+        assert counts_of(counter)["pod0/tor0"] == 12

@@ -18,6 +18,7 @@ from repro.core import (
     SwitchLocalChecker,
     brute_force_optimal,
 )
+from tests.path_counts import baseline_of
 
 C = 0.6
 
@@ -42,7 +43,7 @@ class TestFigure10:
         assert len(corrupting) == 16
 
     def test_baseline_25_paths(self, figure10_topology):
-        assert PathCounter(figure10_topology).baseline_for("T") == 25
+        assert baseline_of(PathCounter(figure10_topology))["T"] == 25
 
     def test_sqrt_local_disables_at_most_one_per_switch(
         self, figure10_topology

@@ -21,6 +21,7 @@ from repro.core import (
     SwitchLocalChecker,
 )
 from repro.topology import build_clos, build_multi_tier
+from tests.path_counts import baseline_of
 
 
 class TestHeterogeneousConstraints:
@@ -34,7 +35,7 @@ class TestHeterogeneousConstraints:
         assert local.sc == pytest.approx(math.sqrt(0.95))
         # No switch can disable anything.
         for switch in ("pod0/tor0", "pod3/tor3", "pod2/agg1"):
-            assert local.max_disabled(switch) == 0
+            assert local._budget(topo.switch_row[switch])[1] == 0
 
         # CorrOpt still freely disables links in other pods.
         exact = FastChecker(topo, constraint)
@@ -79,13 +80,13 @@ class TestMultiTier:
 
     def test_baseline_paths(self, four_stage):
         counter = PathCounter(four_stage)
-        assert counter.baseline_for("tor0") == 4 * 4 * 4
+        assert baseline_of(counter)["tor0"] == 4 * 4 * 4
 
     def test_local_threshold_uses_cube_root(self, four_stage):
         checker = SwitchLocalChecker(four_stage, CapacityConstraint(0.5))
         assert checker.sc == pytest.approx(0.5 ** (1 / 3))
         # cube root of 0.5 ~ 0.794: floor(4 * 0.206) = 0 disables allowed.
-        assert checker.max_disabled("tor0") == 0
+        assert checker._budget(four_stage.switch_row["tor0"])[1] == 0
 
     def test_fast_checker_disables_where_local_cannot(self, four_stage):
         constraint = CapacityConstraint(0.5)
@@ -125,4 +126,4 @@ class TestMultiTier:
         checker = FastChecker(four_stage, constraint)
         checker.sweep(four_stage.corrupting_links())
         fractions = PathCounter(four_stage).tor_fractions()
-        assert constraint.all_satisfied(fractions)
+        assert not constraint.violations(fractions)

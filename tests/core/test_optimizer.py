@@ -83,7 +83,7 @@ class TestExactness:
         from repro.core import PathCounter
 
         fractions = PathCounter(medium_clos).tor_fractions()
-        assert constraint.all_satisfied(fractions)
+        assert not constraint.violations(fractions)
         assert result.to_disable.isdisjoint(result.kept_active)
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import PathCounter
 from repro.topology import build_clos, build_multi_tier
+from tests.path_counts import baseline_of, counts_of
 
 
 class TestBaseline:
@@ -11,44 +12,44 @@ class TestBaseline:
         counter = PathCounter(small_clos)
         # Each ToR: 2 aggs x 2 spines per plane = 4 paths.
         for tor in small_clos.tors():
-            assert counter.baseline_for(tor) == 4
+            assert baseline_of(counter)[tor] == 4
 
     def test_mesh_baseline(self):
         topo = build_clos(2, 2, 2, 4, mesh_spine=True)
         counter = PathCounter(topo)
         # 2 aggs x 4 spines = 8 paths.
-        assert counter.baseline_for("pod0/tor0") == 8
+        assert baseline_of(counter)["pod0/tor0"] == 8
 
     def test_four_tier_baseline_multiplies(self):
         topo = build_multi_tier([4, 4, 4, 4], [2, 2, 2])
         counter = PathCounter(topo)
-        assert counter.baseline_for("tor0") == 2 * 2 * 2
+        assert baseline_of(counter)["tor0"] == 2 * 2 * 2
 
     def test_baseline_ignores_admin_state(self, small_clos):
         small_clos.disable_link(("pod0/tor0", "pod0/agg0"))
         counter = PathCounter(small_clos)
-        assert counter.baseline_for("pod0/tor0") == 4
+        assert baseline_of(counter)["pod0/tor0"] == 4
 
 
 class TestCounts:
     def test_counts_reflect_disabled_links(self, small_clos):
         counter = PathCounter(small_clos)
         small_clos.disable_link(("pod0/tor0", "pod0/agg0"))
-        counts = counter.counts()
+        counts = counts_of(counter)
         assert counts["pod0/tor0"] == 2  # lost agg0's 2 spine paths
         assert counts["pod0/tor1"] == 4  # unaffected
 
     def test_extra_disabled_is_hypothetical(self, small_clos):
         counter = PathCounter(small_clos)
-        counts = counter.counts(extra_disabled=[("pod0/tor0", "pod0/agg0")])
+        counts = counts_of(counter, [("pod0/tor0", "pod0/agg0")])
         assert counts["pod0/tor0"] == 2
         # Topology itself untouched.
         assert small_clos.link(("pod0/tor0", "pod0/agg0")).enabled
-        assert counter.counts()["pod0/tor0"] == 4
+        assert counts_of(counter)["pod0/tor0"] == 4
 
     def test_agg_spine_disable_affects_whole_plane(self, small_clos):
         counter = PathCounter(small_clos)
-        counts = counter.counts(extra_disabled=[("pod0/agg0", "spine0")])
+        counts = counts_of(counter, [("pod0/agg0", "spine0")])
         assert counts["pod0/tor0"] == 3
         assert counts["pod1/tor0"] == 4  # other pod has its own agg
 
@@ -85,7 +86,8 @@ class TestRestricted:
 
     def test_closure_is_upstream_closed(self, medium_clos):
         counter = PathCounter(medium_clos)
-        closure = counter.upstream_closure(["pod0/tor0"])
+        rows = counter._closure([medium_clos.switch_row["pod0/tor0"]])
+        closure = {medium_clos.switch_names[row] for row in rows}
         for name in closure:
             for lid in medium_clos.uplinks(name):
                 assert medium_clos.link(lid).upper in closure

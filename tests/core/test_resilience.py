@@ -12,6 +12,7 @@ from repro.core import (
     retry_with_backoff,
 )
 from repro.obs import ObsRecorder
+from tests.metrics import total, value
 
 LID = ("a", "b")
 
@@ -21,7 +22,7 @@ class TestOnsetDebouncer:
         d = OnsetDebouncer(confirm=2, high=1e-8)
         assert not d.update(LID, 1e-6, 0.0)
         assert d.update(LID, 1e-6, 900.0)  # second consecutive report
-        assert d.is_confirmed(LID)
+        assert d.confirmed_count() == 1
         assert not d.update(LID, 1e-6, 1800.0)  # already fired: no re-churn
 
     def test_confirm_one_acts_immediately(self):
@@ -40,10 +41,10 @@ class TestOnsetDebouncer:
         assert d.update(LID, 1e-5, 0.0)
         # Rate sags into [low, high): confirmed state persists, no re-fire.
         assert not d.update(LID, 7e-7, 900.0)
-        assert d.is_confirmed(LID)
+        assert d.confirmed_count() == 1
         # Below low: cleared; a fresh over-threshold report re-fires.
         d.update(LID, 1e-7, 1800.0)
-        assert not d.is_confirmed(LID)
+        assert d.confirmed_count() == 0
         assert d.update(LID, 1e-5, 2700.0)
 
     def test_stale_window_restarts_streak(self):
@@ -57,7 +58,7 @@ class TestOnsetDebouncer:
         d = OnsetDebouncer(confirm=1)
         d.update(LID, 1e-5, 0.0)
         d.clear(LID)
-        assert not d.is_confirmed(LID)
+        assert d.confirmed_count() == 0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -156,7 +157,7 @@ class TestCircuitBreaker:
         reg = obs.registry
 
         def transitions(src, dst):
-            return reg.get_value(
+            return value(reg,
                 "breaker_transitions_total",
                 breaker="shard0",
                 **{"from": src, "to": dst},
@@ -166,7 +167,7 @@ class TestCircuitBreaker:
         assert transitions("open", "half_open") == 2
         assert transitions("half_open", "open") == 1  # the re-trip
         assert transitions("half_open", "closed") == 1
-        assert reg.get_value("breaker_state", breaker="shard0") == (
+        assert value(reg, "breaker_state", breaker="shard0") == (
             CircuitBreaker.STATE_VALUES[BreakerState.CLOSED]
         )
 
@@ -186,7 +187,7 @@ class TestCircuitBreaker:
         b = CircuitBreaker(failure_threshold=3, obs=obs)
         b.record_failure(0.0)  # stays closed
         b.record_success()     # stays closed
-        assert obs.registry.counter_total("breaker_transitions_total") == 0
+        assert total(obs.registry, "breaker_transitions_total") == 0
 
 
 class TestDebouncerObs:
@@ -199,13 +200,13 @@ class TestDebouncerObs:
         d.update(LID, 1e-6, 900.0)   # confirmed
         d.clear(LID)                 # cleared (repair)
         reg = obs.registry
-        assert reg.get_value(
+        assert value(reg,
             "debounce_transitions_total", debouncer="shard1", to="confirmed"
         ) == 1
-        assert reg.get_value(
+        assert value(reg,
             "debounce_transitions_total", debouncer="shard1", to="cleared"
         ) == 1
-        assert reg.get_value(
+        assert value(reg,
             "debounce_confirmed_links", debouncer="shard1"
         ) == 0
 
@@ -214,7 +215,7 @@ class TestDebouncerObs:
         d = OnsetDebouncer(confirm=1, high=1e-8, obs=obs, name="d")
         d.update(("a", "b"), 1e-5, 0.0)
         d.update(("c", "d"), 1e-5, 0.0)
-        assert obs.registry.get_value(
+        assert value(obs.registry,
             "debounce_confirmed_links", debouncer="d"
         ) == 2
 
@@ -226,9 +227,10 @@ class TestAuditLog:
             log.record(float(i), "optimizer-error", detail=f"#{i}")
         log.record(100.0, "quarantined-report", link_id=LID, fail_safe=True)
         assert len(log.records()) == 10  # buffer evicted old entries...
-        assert log.count("optimizer-error") == 100  # ...counts stay exact
+        assert log.counts["optimizer-error"] == 100  # ...counts stay exact
         assert log.total() == 101
-        assert log.fail_safe_records()[-1].link_id == LID
+        assert log.records()[-1].fail_safe
+        assert log.records()[-1].link_id == LID
 
     def test_records_are_structured(self):
         log = AuditLog()

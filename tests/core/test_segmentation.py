@@ -11,7 +11,6 @@ from repro.core import (
     GlobalOptimizer,
     PathCounter,
     segment_links,
-    segmentation_summary,
 )
 from repro.core import optimizer as optimizer_module
 from repro.topology import build_clos, build_irregular_clos, sprinkle_corruption
@@ -95,13 +94,7 @@ class TestSummary:
         segments = segment_links(
             medium_clos, contested, {"pod0/tor0", "pod1/tor0"}
         )
-        count, largest, total = segmentation_summary(segments)
-        assert count == 2
-        assert largest == 2
-        assert total == 3
-
-    def test_empty_summary(self):
-        assert segmentation_summary([]) == (0, 0, 0)
+        assert sorted(len(segment.links) for segment in segments) == [1, 2]
 
 
 # --------------------------------------------------------------------- #
@@ -184,7 +177,7 @@ def test_pruning_and_segments_equal_their_definition(seed, capacity, fraction):
         ] == _segments_by_definition(topo, links, risky)
     # ... and after a structure change (the downstream memo is dropped).
     upper = rng.choice(topo.stage(1))
-    lower = next(t for t in tors if not topo.has_link((t, upper)))
+    lower = next(t for t in tors if (t, upper) not in topo.link_row)
     added = topo.add_link(lower, upper)
     topo.set_corruption(added, 1e-3)
     links = sorted(topo.corrupting_links())

@@ -9,9 +9,7 @@ from repro.faults import (
     FaultInjector,
     RootCause,
     TABLE2_CONTRIBUTION_RANGE,
-    apply_event,
     cause_mix_midpoint,
-    clear_event,
     sample_root_cause,
 )
 from repro.topology import assign_breakout_groups, build_clos
@@ -52,7 +50,7 @@ class TestInjector:
         b = FaultInjector(topo, seed=5).generate(10.0)
         assert len(a) == len(b)
         assert [e.link_ids for e in a] == [e.link_ids for e in b]
-        assert [e.root_cause for e in a] == [e.root_cause for e in b]
+        assert [e.fault.cause for e in a] == [e.fault.cause for e in b]
 
     def test_poisson_volume(self, topo):
         events = FaultInjector(topo, seed=1, events_per_day=20).generate(30.0)
@@ -67,7 +65,9 @@ class TestInjector:
     def test_shared_faults_are_co_located(self, topo):
         injector = FaultInjector(topo, seed=3, events_per_day=30)
         events = injector.generate(60.0)
-        shared = [e for e in events if e.root_cause is RootCause.SHARED_COMPONENT]
+        shared = [
+            e for e in events if e.fault.cause is RootCause.SHARED_COMPONENT
+        ]
         assert shared
         for event in shared:
             assert len(event.link_ids) >= 2
@@ -83,7 +83,9 @@ class TestInjector:
         groups = assign_breakout_groups(topo, fraction=0.5)
         injector = FaultInjector(topo, seed=4, events_per_day=30)
         events = injector.generate(60.0)
-        shared = [e for e in events if e.root_cause is RootCause.SHARED_COMPONENT]
+        shared = [
+            e for e in events if e.fault.cause is RootCause.SHARED_COMPONENT
+        ]
         grouped = [
             e
             for e in shared
@@ -98,18 +100,6 @@ class TestInjector:
         events = FaultInjector(topo, seed=6, events_per_day=10).generate(20.0)
         for event in events:
             assert len(event.link_ids) == len(event.conditions)
-
-    def test_apply_and_clear_event(self, topo):
-        injector = FaultInjector(topo, seed=7)
-        event = injector.sample_fault()
-        apply_event(topo, event)
-        for lid, cond in zip(event.link_ids, event.conditions):
-            assert topo.link(lid).max_corruption_rate() == pytest.approx(
-                max(cond.fwd_rate, cond.rev_rate)
-            )
-        clear_event(topo, event)
-        for lid in event.link_ids:
-            assert topo.link(lid).max_corruption_rate() == 0.0
 
     def test_invalid_rate_rejected(self, topo):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Integration tests: full pipelines across modules."""
 
+import numpy as np
 import pytest
 
 from repro.core import (
@@ -16,6 +17,7 @@ from repro.ticketing import TechnicianPoolQueue, Ticket
 from repro.topology import Direction, build_clos
 from repro.workloads import sample_corruption_rate
 from repro.workloads.dcn_profiles import DCNProfile
+from tests.telemetry.stored import column
 
 
 class TestMonitorToControllerPipeline:
@@ -76,16 +78,16 @@ class TestMonitorToControllerPipeline:
         lid = ("pod0/tor0", "pod0/agg0")
         topo.set_corruption(lid, 1e-3, Direction.UP)
         poller.run(3)
-        observed = store.corruption_series(lid).mean()
+        observed = float(np.mean(column(store, lid, "corruption")))
         assert observed == pytest.approx(1e-3, rel=0.05)
 
         controller = CorrOptController(topo, CapacityConstraint(0.5))
         decision = controller.report_corruption(lid, observed)
         assert decision.disabled
         # Disabled links drop out of subsequent polls.
-        before = store.num_directions()
+        before = len(list(store.directions()))
         poller.poll_once()
-        assert store.num_directions() == before
+        assert len(list(store.directions())) == before
 
 
 class TestScenarioReproducibility:

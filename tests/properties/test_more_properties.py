@@ -20,6 +20,7 @@ from repro.topology import (
     topology_from_dict,
     topology_to_dict,
 )
+from tests.path_counts import counts_of
 
 
 # --------------------------------------------------------------------- #
@@ -101,7 +102,7 @@ def test_serialization_roundtrip_preserves_path_counts(dims, disable_seed):
         if rng.random() < 0.2:
             topo.set_corruption(lid, 10 ** rng.uniform(-7, -2))
     clone = topology_from_dict(topology_to_dict(topo))
-    assert PathCounter(clone).counts() == PathCounter(topo).counts()
+    assert counts_of(PathCounter(clone)) == counts_of(PathCounter(topo))
     assert sorted(clone.corrupting_links()) == sorted(topo.corrupting_links())
     assert clone.disabled_links() == topo.disabled_links()
 
@@ -152,4 +153,4 @@ def test_pool_queue_conserves_tickets(num_technicians, count):
         if drained == count:
             break
     assert drained == count
-    assert len(queue) == 0
+    assert queue.next_completion() is None

@@ -11,6 +11,7 @@ from repro.routing import (
     plan_reroute,
 )
 from repro.topology import build_clos
+from tests.path_counts import counts_of
 
 
 @pytest.fixture
@@ -81,13 +82,13 @@ class TestEnumeratePaths:
     def test_count_matches_path_counter(self, topo):
         counter = PathCounter(topo)
         paths = enumerate_up_paths(topo, "pod0/tor0")
-        assert len(paths) == counter.counts()["pod0/tor0"]
+        assert len(paths) == counts_of(counter)["pod0/tor0"]
 
     def test_respects_disables(self, topo):
         topo.disable_link(("pod0/tor0", "pod0/agg0"))
         counter = PathCounter(topo)
         paths = enumerate_up_paths(topo, "pod0/tor0")
-        assert len(paths) == counter.counts()["pod0/tor0"]
+        assert len(paths) == counts_of(counter)["pod0/tor0"]
 
     def test_limit(self, topo):
         paths = enumerate_up_paths(topo, "pod0/tor0", limit=2)

@@ -19,7 +19,6 @@ from repro.service.checkpoint import (
     CHECKPOINT_FORMAT,
     CHECKPOINT_FORMAT_VERSION,
     read_checkpoint,
-    read_checkpoint_header,
     write_checkpoint,
 )
 
@@ -58,12 +57,6 @@ class TestRoundTrip:
         assert header["sim_time_s"] == 1800.0
         assert header["config"]["seed"] == 7
         assert len(header["state_digest"]) == 64
-
-    def test_header_readable_without_unpickling(self, tmp_path):
-        path = tmp_path / "c.ckpt"
-        write_sample(path)
-        header = read_checkpoint_header(path)
-        assert header["payload_bytes"] > 0
 
     def test_validator_accepts_valid_file(self, tmp_path):
         path = tmp_path / "c.ckpt"

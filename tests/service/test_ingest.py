@@ -16,6 +16,7 @@ from repro.simulation.chaos import chaos_preset
 from repro.telemetry import SnmpPoller, TelemetrySanitizer, TelemetryStore
 from repro.telemetry.poller import ConstantTraffic
 from repro.topology import Direction, build_clos
+from tests.telemetry.stored import column, samples
 
 
 PACKETS = ConstantTraffic(1_000_000)
@@ -42,7 +43,7 @@ def store_contents(store):
     return {
         did: (
             store.times(did),
-            store.corruption_series(did).values.tolist(),
+            column(store, did, "corruption"),
         )
         for did in store.directions()
     }
@@ -211,14 +212,7 @@ class TestJoinedDrain:
         assert poller.transport.rng_state() == ref_poller.transport.rng_state()
         assert list(store.directions()) == list(ref_store.directions())
         for did in ref_store.directions():
-            assert store.times(did) == ref_store.times(did)
-            for series in ("corruption_series", "congestion_series",
-                           "utilization_series"):
-                assert (
-                    getattr(store, series)(did).values.tolist()
-                    == getattr(ref_store, series)(did).values.tolist()
-                )
-            assert store.quality_series(did) == ref_store.quality_series(did)
+            assert samples(store, did) == samples(ref_store, did)
             assert sanitizer.recent_quality(did) == (
                 ref_sanitizer.recent_quality(did)
             )

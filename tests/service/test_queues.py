@@ -15,6 +15,7 @@ from repro.service.queues import (
     BoundedWorkQueue,
     QueueStats,
 )
+from tests.metrics import value
 
 
 class TestValidation:
@@ -129,11 +130,11 @@ class TestStatsAndObs:
             q.push(i)
         q.drain()
         reg = obs.registry
-        assert reg.get_value(
+        assert value(reg,
             "service_queue_pushes_total", queue="t", outcome="accepted"
         ) == 2
-        assert reg.get_value(
+        assert value(reg,
             "service_queue_pushes_total", queue="t", outcome="dropped"
         ) == 3
-        assert reg.get_value("service_queue_drained_total", queue="t") == 2
-        assert reg.get_value("service_queue_depth", queue="t") == 0
+        assert value(reg, "service_queue_drained_total", queue="t") == 2
+        assert value(reg, "service_queue_depth", queue="t") == 0

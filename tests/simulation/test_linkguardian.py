@@ -119,47 +119,44 @@ class TestTopologyLgPlumbing:
 
     def test_protect_and_clear_roundtrip(self, small_clos):
         link_id = _some_link(small_clos).link_id
-        small_clos.set_lg_capable(link_id, True)
+        small_clos.link(link_id).lg_capable = True
         small_clos.set_corruption(link_id, 1e-3)
         small_clos.protect_link(link_id, 1e-8, 0.985)
         link = small_clos.link(link_id)
         assert link.lg_protected
-        assert link.effective_corruption_rate() == pytest.approx(1e-8)
-        assert link.effective_capacity_fraction() == pytest.approx(0.985)
-        assert small_clos.lg_protected_links() == {link_id}
+        assert link.lg_effective_loss == pytest.approx(1e-8)
+        assert link.lg_capacity_fraction == pytest.approx(0.985)
+        assert small_clos._lg_protected == {link_id}
         # Repair clears corruption -> protection must drop too (the
         # invariant is protected implies corrupting).
         small_clos.clear_corruption(link_id)
         assert not small_clos.link(link_id).lg_protected
-        assert not small_clos.lg_protected_links()
-        assert link.effective_capacity_fraction() == 1.0
+        assert not small_clos.has_lg_protection()
+        assert link.lg_capacity_fraction == 1.0
 
     def test_copy_preserves_lg_state(self, small_clos):
         link_id = _some_link(small_clos).link_id
-        small_clos.set_lg_capable(link_id, True)
+        small_clos.link(link_id).lg_capable = True
         small_clos.set_corruption(link_id, 1e-3)
         small_clos.protect_link(link_id, 1e-8, 0.985)
         clone = small_clos.copy()
-        assert clone.lg_protected_links() == {link_id}
+        assert clone._lg_protected == {link_id}
         assert clone.link(link_id).lg_capacity_fraction == pytest.approx(0.985)
         # And the clone's protections are independent of the original.
         clone.unprotect_link(link_id)
-        assert small_clos.lg_protected_links() == {link_id}
+        assert small_clos._lg_protected == {link_id}
 
 
 class TestEffectiveCapacityCounting:
     def test_matches_integer_dp_without_protections(self, small_clos):
         counter = PathCounter(small_clos)
         assert counter.effective_tor_fractions() == counter.tor_fractions()
-        assert counter.effective_worst_tor_fraction() == (
-            counter.worst_tor_fraction()
-        )
 
     def test_protected_link_counts_fractionally(self, figure10_topology):
         topo = figure10_topology
         counter = PathCounter(topo)
         link_id = ("T", "A")
-        topo.set_lg_capable(link_id, True)
+        topo.link(link_id).lg_capable = True
         topo.set_corruption(link_id, 1e-3)
         topo.protect_link(link_id, 1e-8, 0.9)
         # T has 5 uplinks; one now carries 90% of its paths.
@@ -173,7 +170,7 @@ class TestEffectiveCapacityCounting:
         topo = figure10_topology
         counter = PathCounter(topo)
         link_id = ("T", "A")
-        topo.set_lg_capable(link_id, True)
+        topo.link(link_id).lg_capable = True
         topo.set_corruption(link_id, 1e-3)
         topo.protect_link(link_id, 1e-8, 0.9)
         topo.disable_link(link_id)
@@ -201,7 +198,7 @@ class TestLinkGuardianStrategy:
         assert medium_clos.link(link_id).lg_protected
         assert strategy.protections == 1
         # The masked rate is below the corruption-penalty threshold.
-        assert medium_clos.link(link_id).effective_corruption_rate() < 1e-7
+        assert medium_clos.link(link_id).lg_effective_loss < 1e-7
 
     def test_respects_operating_limit(self, medium_clos):
         constraint = _strategy_env(medium_clos)

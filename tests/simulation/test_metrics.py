@@ -35,7 +35,7 @@ class TestStepSeries:
     def test_no_change_is_compacted(self):
         series = StepSeries(1.0)
         series.record(10.0, 1.0)
-        assert len(series) == 1
+        assert len(series.changes()) == 1
 
     def test_integral_exact(self):
         series = StepSeries(1.0)

@@ -34,7 +34,11 @@ def walk_penalty(pipeline: OracleSensing) -> float:
         link = topo.link(lid)
         if not link.enabled:
             continue
-        rate = link.effective_corruption_rate()
+        # LinkGuardian protection masks the raw rate with its residual loss.
+        if link.lg_protected:
+            rate = link.lg_effective_loss
+        else:
+            rate = link.max_corruption_rate()
         if rate >= 1e-8:
             total += pipeline.penalty_fn(rate)
     return total

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.core import CapacityConstraint
-from repro.simulation import large_scenario, make_scenario, medium_scenario
+from repro.simulation import make_scenario
 from repro.simulation.strategies import build_strategy
-from repro.workloads.dcn_profiles import DCNProfile
+from repro.workloads.dcn_profiles import LARGE_DCN, MEDIUM_DCN, DCNProfile
 
 STANDARD = ("corropt", "fast-checker-only", "switch-local", "none")
 
@@ -20,7 +20,7 @@ class TestMakeScenario:
             events_per_10k_links_per_day=100,
         )
         seen = set()
-        for event in scenario.trace:
+        for event in scenario.trace.events:
             for lid in event.link_ids:
                 assert lid not in seen
                 seen.add(lid)
@@ -49,8 +49,12 @@ class TestMakeScenario:
         assert scenario.constraint().default == 0.6
 
     def test_medium_and_large_presets(self):
-        medium = medium_scenario(scale=0.15, duration_days=5, seed=4)
-        large = large_scenario(scale=0.1, duration_days=5, seed=4)
+        medium = make_scenario(
+            profile=MEDIUM_DCN, scale=0.15, duration_days=5, seed=4
+        )
+        large = make_scenario(
+            profile=LARGE_DCN, scale=0.1, duration_days=5, seed=4
+        )
         assert medium.profile.name == "medium"
         assert large.profile.name == "large"
         assert medium.topo_factory().num_links > 0

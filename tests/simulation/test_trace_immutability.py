@@ -27,9 +27,9 @@ def trace_fingerprint(trace):
                 (cond.fwd_rate, cond.rev_rate, cond.rx1_dbm, cond.rx2_dbm)
                 for cond in event.conditions
             ),
-            event.root_cause,
+            event.fault.cause,
         )
-        for event in trace
+        for event in trace.events
     )
 
 

@@ -42,6 +42,8 @@ from tests.telemetry.reference import (
     ReferenceStore,
     ReferenceTransport,
 )
+from tests.telemetry.stored import samples as stored
+from tests.metrics import total
 
 # ---------------------------------------------------------------------- #
 # Twin set-ups
@@ -97,23 +99,6 @@ def swap_first_two(topo):
     first, second = list(topo.link_ids())[:2]
     mapping = {first: second, second: first}
     return lambda link_id: mapping.get(link_id, link_id)
-
-
-SERIES = ("corruption_series", "congestion_series", "utilization_series")
-
-
-def stored(store, did):
-    """A real store's samples of one direction, as the reference keeps
-    them."""
-    if not store.times(did):
-        return []
-    return list(
-        zip(
-            store.times(did),
-            *(getattr(store, series)(did).values.tolist() for series in SERIES),
-            store.quality_series(did),
-        )
-    )
 
 
 class Twins:
@@ -203,7 +188,6 @@ class Twins:
         assert new.missed_polls == ref.missed_polls
         assert store.dropped_samples == ref_store.dropped_samples
         assert set(store.directions()) == set(ref_store.directions())
-        assert store.num_directions() == len(ref_store.directions())
         for did in ref_store.directions():
             samples = ref_store.samples(did)
             assert stored(store, did) == samples
@@ -236,8 +220,8 @@ class Twins:
             ref_cleaner.flush_obs_counts()
             assert obs.events == ref_obs.events
             assert obs.log == ref_obs.log
-            assert obs.registry.counter_total("sanitizer_samples_total") == (
-                ref_obs.registry.counter_total("sanitizer_samples_total")
+            assert total(obs.registry, "sanitizer_samples_total") == (
+                total(ref_obs.registry, "sanitizer_samples_total")
             )
 
 

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.telemetry import (
@@ -13,6 +14,7 @@ from repro.telemetry import (
 from repro.telemetry.poller import ConstantTraffic
 from repro.topology import Direction, build_clos
 from tests.telemetry.reference import PerDirectionTraffic
+from tests.telemetry.stored import column
 
 
 @pytest.fixture
@@ -39,11 +41,11 @@ class TestPoller:
         lid = ("pod0/tor0", "pod0/agg0")
         topo.set_corruption(lid, 1e-3, Direction.UP)
         poller.poll_once()
-        assert store.num_directions() == 0  # first poll only seeds
+        assert list(store.directions()) == []  # first poll only seeds
         poller.poll_once()
-        series = store.corruption_series(lid)
+        series = column(store, lid, "corruption")
         assert len(series) == 1
-        assert series.values[0] == pytest.approx(1e-3, rel=0.01)
+        assert series[0] == pytest.approx(1e-3, rel=0.01)
 
     def test_disabled_links_not_polled(self, setup):
         topo, store, poller = setup
@@ -52,17 +54,17 @@ class TestPoller:
         poller.run(3)
         assert lid not in list(store.directions())
         # Other links were recorded.
-        assert store.num_directions() == 2 * (topo.num_links - 1)
+        assert len(list(store.directions())) == 2 * (topo.num_links - 1)
 
     def test_corruption_only_on_set_direction(self, setup):
         topo, store, poller = setup
         lid = ("pod0/tor0", "pod0/agg0")
         topo.set_corruption(lid, 1e-3, Direction.UP)
         poller.run(3)
-        up = store.corruption_series(lid)
-        down = store.corruption_series(("pod0/agg0", "pod0/tor0"))
-        assert up.mean() > 1e-4
-        assert down.mean() == 0.0
+        up = column(store, lid, "corruption")
+        down = column(store, ("pod0/agg0", "pod0/tor0"), "corruption")
+        assert np.mean(up) > 1e-4
+        assert np.mean(down) == 0.0
 
     def test_congestion_fn_feeds_drops(self):
         topo = build_clos(1, 2, 2, 4)
@@ -76,15 +78,15 @@ class TestPoller:
             sanitizer=TelemetrySanitizer(),
         )
         poller.run(3)
-        series = store.congestion_series(("pod0/tor0", "pod0/agg0"))
-        assert series.mean() == pytest.approx(1e-4, rel=0.05)
+        series = column(store, ("pod0/tor0", "pod0/agg0"), "congestion")
+        assert np.mean(series) == pytest.approx(1e-4, rel=0.05)
 
     def test_utilization_recorded(self, setup):
         _topo, store, poller = setup
         poller.run(3)
-        series = store.utilization_series(("pod0/tor0", "pod0/agg0"))
+        series = column(store, ("pod0/tor0", "pod0/agg0"), "utilization")
         # 1e6 packets of 1000B over 900s on 40G: 8e9/4.5e12.
-        assert 0.0 < series.mean() < 0.01
+        assert 0.0 < np.mean(series) < 0.01
 
 
 class TestStore:
@@ -96,7 +98,7 @@ class TestStore:
         assert not store.append_rates(("a", "b"), 900.0, 0.0, 0.0, 0.1)
         assert not store.append_rates(("a", "b"), 450.0, 0.0, 0.0, 0.1)
         assert store.dropped_samples == 2
-        assert len(store.corruption_series(("a", "b"))) == 1
+        assert store.times(("a", "b")) == [900.0]
 
     def test_non_finite_timestamp_dropped(self):
         """Regression: ``nan <= times[-1]`` is false, so a NaN timestamp
@@ -122,9 +124,7 @@ class TestStore:
         utilization, congestion = store.tail(did, 3)
         assert utilization == pytest.approx([0.3, 0.4, 0.5])
         assert congestion == pytest.approx([3e-3, 4e-3, 5e-3])
-        assert store.tail(did, 99)[0] == store.utilization_series(
-            did
-        ).values.tolist()
+        assert store.tail(did, 99)[0] == column(store, did, "utilization")
 
     def test_columns_grow_and_pickle_trimmed(self):
         import pickle
@@ -141,20 +141,6 @@ class TestStore:
         assert clone.append_rates(("a", "b"), 900.0 * 40, 0.0, 0.0, 0.0)
         assert len(clone.times(("a", "b"))) == 40
 
-    def test_mean_rates(self):
-        store = TelemetryStore()
-        store.append_rates(("a", "b"), 900.0, 1e-3, 1e-5, 0.5)
-        store.append_rates(("a", "b"), 1800.0, 3e-3, 3e-5, 0.5)
-        corruption, congestion = store.mean_rates(("a", "b"))
-        assert corruption == pytest.approx(2e-3)
-        assert congestion == pytest.approx(2e-5)
-
-    def test_series_interval_inferred(self):
-        store = TelemetryStore()
-        store.append_rates(("a", "b"), 900.0, 0, 0, 0)
-        store.append_rates(("a", "b"), 1800.0, 0, 0, 0)
-        assert store.corruption_series(("a", "b")).interval_s == 900.0
-
     def test_gap_tolerant_append(self):
         store = TelemetryStore()
         store.append_rates(("a", "b"), 900.0, 0, 0, 0)
@@ -169,13 +155,10 @@ class TestStore:
         store.append_rates(
             ("a", "b"), 1800.0, 0, 0, 0, quality=SampleQuality.SUSPECT
         )
-        assert store.quality_series(("a", "b")) == [
+        assert column(store, ("a", "b"), "quality") == [
             SampleQuality.OK,
             SampleQuality.SUSPECT,
         ]
-        counts = store.quality_counts(("a", "b"))
-        assert counts[SampleQuality.OK] == 1
-        assert counts[SampleQuality.SUSPECT] == 1
 
     def test_last_sample(self):
         store = TelemetryStore()

@@ -14,6 +14,7 @@ from repro.telemetry import (
     optical_reading_plausible,
 )
 from tests.telemetry.reference import GarbageFault, ReferenceSanitizer
+from tests.metrics import value
 
 CAP_PPS = 5_000_000.0  # 40G at 1000B packets
 
@@ -285,20 +286,20 @@ class TestQuarantine:
             s.observe_missing(did, 900.0)
             s.observe_missing(did, 1800.0)
         reg = obs.registry
-        assert reg.get_value(
+        assert value(reg,
             "sanitizer_quarantine_transitions_total", transition="enter"
         ) == 2
-        assert reg.get_value("sanitizer_quarantined_directions") == 2
+        assert value(reg, "sanitizer_quarantined_directions") == 2
         # Clean out one window: exactly one leave transition.
         total = 1_000_000
         s.ingest(second, snap(9000.0, total), CAP_PPS)
         for i in range(1, 5):
             total += 1_000_000
             s.ingest(second, snap(9000.0 + i * 900, total), CAP_PPS)
-        assert reg.get_value(
+        assert value(reg,
             "sanitizer_quarantine_transitions_total", transition="leave"
         ) == 1
-        assert reg.get_value("sanitizer_quarantined_directions") == 1
+        assert value(reg, "sanitizer_quarantined_directions") == 1
         # The event stream preserves the enter/leave ordering.
         quarantine_events = [
             e for e in obs.events if e["name"] == "quarantine"

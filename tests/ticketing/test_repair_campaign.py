@@ -1,12 +1,9 @@
 """Tests reproducing §7.2's repair-accuracy numbers."""
 
-import random
-
 import pytest
 
 from repro.ticketing import (
     CampaignResult,
-    repair_duration_days,
     run_repair_campaign,
 )
 
@@ -78,27 +75,3 @@ class TestCampaignMechanics:
         assert result.first_attempt_accuracy == 0.0
         assert result.followed_accuracy == 0.0
         assert result.mean_attempts() == 0.0
-
-
-class TestDurationModel:
-    def test_paper_durations_only(self):
-        rng = random.Random(0)
-        durations = {repair_duration_days(0.8, rng) for _ in range(200)}
-        assert durations == {2.0, 4.0}
-
-    def test_accuracy_controls_mix(self):
-        rng = random.Random(1)
-        fast = sum(
-            1 for _ in range(2000) if repair_duration_days(0.8, rng) == 2.0
-        )
-        assert fast / 2000 == pytest.approx(0.8, abs=0.03)
-
-    def test_perfect_accuracy_always_two_days(self):
-        rng = random.Random(2)
-        assert all(
-            repair_duration_days(1.0, rng) == 2.0 for _ in range(50)
-        )
-
-    def test_invalid_accuracy_rejected(self):
-        with pytest.raises(ValueError):
-            repair_duration_days(1.5, random.Random(0))

@@ -60,7 +60,7 @@ class TestQueues:
         assert queue.next_completion() == 100.0
         assert queue.pop_due(99.0) == []
         assert queue.pop_due(100.0) == [ticket]
-        assert len(queue) == 0
+        assert queue.next_completion() is None
 
     def test_fixed_delay_fifo_order(self):
         queue = TechnicianPoolQueue(num_technicians=2, service_time_s=10.0)
@@ -77,7 +77,6 @@ class TestQueues:
         tickets = [make_ticket() for _ in range(3)]
         for t in tickets:
             queue.submit(t, 0.0)
-        assert queue.backlog() == 2
         assert queue.pop_due(10.0) == [tickets[0]]
         # Next ticket entered service at t=10.
         assert queue.pop_due(20.0) == [tickets[1]]
@@ -88,7 +87,6 @@ class TestQueues:
         tickets = [make_ticket() for _ in range(3)]
         for t in tickets:
             queue.submit(t, 0.0)
-        assert queue.backlog() == 0
         assert set(t.ticket_id for t in queue.pop_due(10.0)) == {
             t.ticket_id for t in tickets
         }

@@ -42,10 +42,6 @@ ALLOWED: Dict[str, str] = {
     "sum(self.confusion.get(cause, {}).values())": "integer counts",
     "core/resilience.py:AuditLog.total: sum(self.counts.values())":
         "integer counts",
-    "core/segmentation.py:segmentation_summary: sum(sizes)":
-        "integer segment sizes",
-    "workloads/trace.py:CorruptionTrace.links_affected: "
-    "sum(len(event.link_ids) for event in self.events)": "integer lengths",
     "parallel/fleet.py:fleet_rollup_row: "
     'sum(col["links_design"] for col in per_dcn)': "integer link counts",
     'parallel/fleet.py:fleet_rollup_row: sum(col["onsets"] for col in ok)':

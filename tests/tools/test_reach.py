@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import re
 import textwrap
 
 from repro.cli import build_parser
@@ -93,3 +94,12 @@ def test_production_set_runs_every_subcommand():
 def test_every_allowlist_entry_names_a_function_and_gives_a_reason():
     assert problems([], functions(PACKAGE), ALLOWED) == []
     assert all(reason.strip() for reason in ALLOWED.values())
+
+
+def test_no_entry_stays_because_only_tests_call_it():
+    """Code that only tests reach is deleted, or moved under ``tests/``; a
+    reason saying so is not a reason to keep it in ``src/``."""
+    only_tests = re.compile(r"\bonly tests?\b", re.IGNORECASE)
+    assert [
+        key for key, reason in ALLOWED.items() if only_tests.search(reason)
+    ] == []

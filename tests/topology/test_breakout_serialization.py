@@ -8,7 +8,6 @@ from repro.topology import (
     assign_breakout_groups,
     build_clos,
     load_topology,
-    repair_collateral,
     save_topology,
     topology_from_dict,
     topology_to_dict,
@@ -37,17 +36,6 @@ class TestBreakout:
             for lid in members:
                 assert topo.link(lid).breakout_group == group_id
             assert sorted(topo.breakout_members(group_id)) == sorted(members)
-
-    def test_collateral_of_plain_link_is_itself(self):
-        topo = build_clos(2, 2, 2, 4)
-        lid = ("pod0/tor0", "pod0/agg0")
-        assert repair_collateral(topo, lid) == {lid}
-
-    def test_collateral_of_breakout_member_is_whole_cable(self):
-        topo = build_clos(2, 4, 8, 32)
-        groups = assign_breakout_groups(topo, fraction=0.5)
-        group_id, members = next(iter(groups.items()))
-        assert repair_collateral(topo, members[0]) == set(members)
 
     def test_invalid_fraction_rejected(self):
         topo = build_clos(2, 2, 2, 4)
@@ -88,8 +76,8 @@ class TestSerialization:
         assert clone.switch("pod0/tor0").num_ports is None
         for mine, theirs in zip(topo.links(), clone.links()):
             assert mine.lg_capable == theirs.lg_capable, mine
-        assert clone.lg_capable_count() == topo.lg_capable_count()
-        assert clone.lg_protected_links() == {protected}
+        assert clone.lg_capable == topo.lg_capable
+        assert clone._lg_protected == {protected}
         assert clone.lg_version > 0
         shielded = clone.link(protected)
         assert shielded.lg_protected

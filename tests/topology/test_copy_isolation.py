@@ -16,6 +16,7 @@ from repro.core import PathCounter
 from repro.topology import Direction, LinkState, Switch, assign_breakout_groups
 from repro.topology.clos import build_clos
 from repro.topology.graph import LINK_COLUMNS
+from tests.path_counts import counts_of
 
 
 def build():
@@ -45,7 +46,7 @@ def _protect(topo, lid, value):
 
 
 def _write_rate(topo, lid, value):
-    topo.link(lid).corruption_rate[Direction.UP] = value
+    topo.set_corruption(lid, value, Direction.UP)
 
 
 def _write_lg(topo, lid, value):
@@ -75,7 +76,7 @@ def _cross_link(topo, lid, value):
     it that it has no link to."""
     lower = lid[0]
     above = topo.stage(topo.switch(lower).stage + 1)
-    free = [name for name in above if not topo.has_link((lower, name))]
+    free = [name for name in above if (lower, name) not in topo.link_row]
     if not free:
         raise ValueError("no free upper switch")
     topo.add_link(lower, free[int(value * (len(free) - 1))])
@@ -91,7 +92,9 @@ MUTATORS = (
     lambda topo, lid, value: topo.clear_corruption(lid),
     _protect,
     lambda topo, lid, value: topo.unprotect_link(lid),
-    lambda topo, lid, value: topo.set_lg_capable(lid, value > 0.5),
+    lambda topo, lid, value: setattr(
+        topo.link(lid), "lg_capable", value > 0.5
+    ),
     lambda topo, lid, value: topo.assign_lg_capable(value, salt=7),
     # The view setters: they write columns and bypass the indexes.
     lambda topo, lid, value: setattr(
@@ -120,14 +123,14 @@ def snapshot(topo, counter):
         [getattr(topo, name) for name in LINK_COLUMNS],
         sorted(topo.links_with_corruption()),
         sorted(topo.disabled_links()),
-        sorted(topo.lg_protected_links()),
+        sorted(topo._lg_protected),
         topo.corrupting_links(),
         topo.up_disabled,
         topo.up_rows,
         topo.down_rows,
         [topo.stage(stage) for stage in range(topo.num_stages)],
         [topo.switch_links(name) for name in topo.switch_names],
-        counter.counts(),
+        counts_of(counter),
         counter.effective_tor_fractions(),
         counter.stats.incremental_updates,
     )

@@ -32,9 +32,6 @@ class TestDirection:
 
 
 class TestSwitch:
-    def test_tor_detection(self):
-        assert Switch("t", stage=0).is_tor()
-        assert not Switch("a", stage=1).is_tor()
 
     def test_defaults(self):
         sw = Switch("x", stage=2)
@@ -50,7 +47,6 @@ class TestLink:
     def test_new_link_is_enabled_and_healthy(self):
         link = Link(lower="a", upper="b")
         assert link.enabled
-        assert not link.is_corrupting()
         assert link.max_corruption_rate() == 0.0
 
     def test_disabled_states_not_enabled(self):
@@ -62,16 +58,17 @@ class TestLink:
 
     def test_max_corruption_rate_takes_worse_direction(self):
         link = Link(lower="a", upper="b")
-        link.corruption_rate[Direction.UP] = 1e-6
-        link.corruption_rate[Direction.DOWN] = 1e-3
+        link._topo.set_corruption(link.link_id, 1e-6, Direction.UP)
+        link._topo.set_corruption(link.link_id, 1e-3, Direction.DOWN)
         assert link.max_corruption_rate() == 1e-3
 
     def test_is_corrupting_threshold(self):
         link = Link(lower="a", upper="b")
-        link.corruption_rate[Direction.UP] = 1e-9
-        assert not link.is_corrupting(threshold=1e-8)
-        link.corruption_rate[Direction.UP] = 1e-8
-        assert link.is_corrupting(threshold=1e-8)
+        topo = link._topo
+        topo.set_corruption(link.link_id, 1e-9, Direction.UP)
+        assert link.link_id not in topo.corrupting_links(threshold=1e-8)
+        topo.set_corruption(link.link_id, 1e-8, Direction.UP)
+        assert link.link_id in topo.corrupting_links(threshold=1e-8)
 
     def test_direction_ids(self):
         link = Link(lower="a", upper="b")

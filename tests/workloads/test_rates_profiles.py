@@ -8,10 +8,8 @@ from repro.workloads import (
     BUCKET_EDGES,
     LARGE_DCN,
     MEDIUM_DCN,
-    TABLE1_CONGESTION_SHARES,
     TABLE1_CORRUPTION_SHARES,
     bucket_shares,
-    sample_congestion_rate,
     sample_corruption_rate,
     study_profiles,
 )
@@ -25,27 +23,11 @@ class TestTable1Sampling:
         for observed, expected in zip(shares, TABLE1_CORRUPTION_SHARES):
             assert observed == pytest.approx(expected, abs=0.02)
 
-    def test_congestion_shares_recovered(self):
-        rng = random.Random(1)
-        rates = [sample_congestion_rate(rng) for _ in range(20000)]
-        shares = bucket_shares(rates)
-        for observed, expected in zip(shares, TABLE1_CONGESTION_SHARES):
-            assert observed == pytest.approx(expected, abs=0.02)
-
     def test_rates_within_global_bounds(self):
         rng = random.Random(2)
         for _ in range(1000):
             rate = sample_corruption_rate(rng)
             assert BUCKET_EDGES[0][0] <= rate <= BUCKET_EDGES[-1][1]
-
-    def test_corruption_has_heavier_tail_than_congestion(self):
-        """§3: corruption plagues fewer links but with heavier rates."""
-        rng = random.Random(3)
-        corr = [sample_corruption_rate(rng) for _ in range(5000)]
-        cong = [sample_congestion_rate(rng) for _ in range(5000)]
-        heavy_corr = sum(1 for r in corr if r >= 1e-3) / len(corr)
-        heavy_cong = sum(1 for r in cong if r >= 1e-3) / len(cong)
-        assert heavy_corr > 20 * heavy_cong
 
 
 class TestBucketShares:

@@ -25,7 +25,7 @@ class TestTraceGeneration:
     def test_deterministic(self, topo):
         a = generate_trace(topo, 30, seed=1)
         b = generate_trace(topo, 30, seed=1)
-        assert [e.time_s for e in a] == [e.time_s for e in b]
+        assert [e.time_s for e in a.events] == [e.time_s for e in b.events]
 
     def test_volume_scales_with_size_and_rate(self, topo):
         sparse = generate_trace(
@@ -40,13 +40,6 @@ class TestTraceGeneration:
         trace = generate_trace(topo, 30, seed=3)
         trace.validate()  # no exception
 
-    def test_summary_fields(self, topo):
-        trace = generate_trace(topo, 30, seed=4, events_per_10k_links_per_day=40)
-        summary = trace.summary()
-        assert summary["events"] == len(trace)
-        assert summary["link_onsets"] >= summary["events"]
-        assert set(summary["causes"]) <= {c.value for c in RootCause}
-
     def test_cause_mix_override(self, topo):
         trace = generate_trace(
             topo,
@@ -56,19 +49,21 @@ class TestTraceGeneration:
             cause_mix={RootCause.CONNECTOR_CONTAMINATION: 1.0},
         )
         assert all(
-            e.root_cause is RootCause.CONNECTOR_CONTAMINATION for e in trace
+            e.fault.cause is RootCause.CONNECTOR_CONTAMINATION
+            for e in trace.events
         )
 
     def test_burst_trace_spacing(self, topo):
         trace = burst_trace(topo, num_events=10, spacing_s=100.0)
         assert len(trace) == 10
-        assert [e.time_s for e in trace] == [i * 100.0 for i in range(10)]
+        times = [e.time_s for e in trace.events]
+        assert times == [i * 100.0 for i in range(10)]
 
     def test_deduplicate_active(self, topo):
         trace = generate_trace(topo, 90, seed=6, events_per_10k_links_per_day=80)
         deduped = deduplicate_active(trace)
         seen = set()
-        for event in deduped:
+        for event in deduped.events:
             for lid in event.link_ids:
                 assert lid not in seen
                 seen.add(lid)
