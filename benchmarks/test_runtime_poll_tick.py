@@ -28,6 +28,7 @@ from conftest import write_benchmark_json, write_report
 
 from repro.congestion import congestion_model
 from repro.congestion.losses import BLOCK_TICKS
+from repro.core.diagnosis import CauseClassifier
 from repro.faults import FaultyTransport
 from repro.simulation.chaos import chaos_preset
 from repro.telemetry import SnmpPoller, TelemetrySanitizer, TelemetryStore
@@ -102,7 +103,7 @@ def _tick_seconds(preset: str, congestion=None):
         traffic = dict(traffic_fn=partial(model.traffic, interval_s=900.0))
     poller = SnmpPoller(
         topo,
-        TelemetryStore(),
+        TelemetryStore(CauseClassifier().correlation_window),
         transport=transport,
         sanitizer=sanitizer,
         **traffic,

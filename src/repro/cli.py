@@ -816,15 +816,54 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return 0 if result.invariants_ok() else 1
 
 
+def _serve_config(args: argparse.Namespace):
+    """A fresh run's config; ``ValueError`` lists the values it refuses."""
+    from repro.service import ServiceConfig
+
+    slo_rules_json = None
+    if args.slo_rules:
+        with open(args.slo_rules, "r", encoding="utf-8") as handle:
+            slo_rules_json = handle.read()
+    config = ServiceConfig(
+        days=args.days,
+        scale=args.scale,
+        capacity=args.capacity,
+        seed=args.seed,
+        fault_seed=args.fault_seed,
+        chaos_preset=args.chaos_preset,
+        congestion_preset=args.congestion_preset,
+        miswire_pairs=args.miswire_pairs,
+        events_per_10k_links_per_day=args.events,
+        poll_interval_s=args.poll_interval,
+        repair_accuracy=args.repair_accuracy,
+        queue_capacity=args.queue_capacity,
+        queue_policy=args.queue_policy,
+        batch_size=args.batch_size,
+        drain_budget=args.drain_budget,
+        audit_maxlen=args.audit_maxlen,
+        slo_rules_json=slo_rules_json,
+    )
+    config.validate()
+    return config
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     import signal
 
     from repro.obs import NULL_RECORDER
-    from repro.service import ControllerService, ServiceConfig
+    from repro.service import ControllerService
 
     checkpoint_every_s = (
-        args.checkpoint_every * 3600.0 if args.checkpoint_every else None
+        args.checkpoint_every * 3600.0
+        if args.checkpoint_every is not None
+        else None
     )
+    try:
+        ControllerService.check_checkpoint_every(checkpoint_every_s)
+        config = None if args.resume_from else _serve_config(args)
+    except ValueError as exc:
+        print(f"repro serve: error: {exc}", file=sys.stderr)
+        return 2
 
     if args.resume_from:
         header, service = ControllerService.restore(args.resume_from)
@@ -836,29 +875,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"sim t={header['sim_time_s'] / 3600.0:.1f}h)"
         )
     else:
-        slo_rules_json = None
-        if args.slo_rules:
-            with open(args.slo_rules, "r", encoding="utf-8") as handle:
-                slo_rules_json = handle.read()
-        config = ServiceConfig(
-            days=args.days,
-            scale=args.scale,
-            capacity=args.capacity,
-            seed=args.seed,
-            fault_seed=args.fault_seed,
-            chaos_preset=args.chaos_preset,
-            congestion_preset=args.congestion_preset,
-            miswire_pairs=args.miswire_pairs,
-            events_per_10k_links_per_day=args.events,
-            poll_interval_s=args.poll_interval,
-            repair_accuracy=args.repair_accuracy,
-            queue_capacity=args.queue_capacity,
-            queue_policy=args.queue_policy,
-            batch_size=args.batch_size,
-            drain_budget=args.drain_budget,
-            audit_maxlen=args.audit_maxlen,
-            slo_rules_json=slo_rules_json,
-        )
         obs = NULL_RECORDER
         if _wants_obs(args):
             obs = _build_obs(

@@ -129,6 +129,8 @@ class CauseClassifier:
         congestion_threshold: float = 1e-7,
         correlation_window: int = 16,
     ):
+        if correlation_window < 1:
+            raise ValueError("correlation_window must be >= 1")
         self.corruption_threshold = corruption_threshold
         self.congestion_threshold = congestion_threshold
         self.correlation_window = correlation_window

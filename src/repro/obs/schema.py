@@ -346,7 +346,9 @@ CHECKPOINT_FORMAT = "repro-checkpoint"
 #: and a baseline is column rows only (no object fallback).
 #: 7: a Topology keeps link state in per-link-row columns, not ``Link``
 #: objects (a ``Link`` is a view of one row).
-CHECKPOINT_FORMAT_VERSION = 7
+#: 8: the telemetry store is a ring of each direction's newest samples,
+#: ``[rows × window]`` columns plus the count of samples ever stored.
+CHECKPOINT_FORMAT_VERSION = 8
 
 #: Service-report literals, pinned against :mod:`repro.service.service`.
 SERVICE_REPORT_FORMAT = "repro-service-report"

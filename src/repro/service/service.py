@@ -509,6 +509,12 @@ class ControllerService:
 
     # -- the loop -------------------------------------------------------- #
 
+    @staticmethod
+    def check_checkpoint_every(checkpoint_every_s: Optional[float]) -> None:
+        """Raise ``ValueError`` for a boundary spacing :meth:`run` refuses."""
+        if checkpoint_every_s is not None and checkpoint_every_s <= 0:
+            raise ValueError("checkpoint_every_s must be > 0")
+
     def run(
         self,
         checkpoint_every_s: Optional[float] = None,
@@ -532,8 +538,7 @@ class ControllerService:
         checkpoints: List[str] = []
         processed = 0
         if checkpoint_every_s is not None:
-            if checkpoint_every_s <= 0:
-                raise ValueError("checkpoint_every_s must be > 0")
+            self.check_checkpoint_every(checkpoint_every_s)
             if checkpoint_dir is None:
                 raise ValueError("checkpointing requires checkpoint_dir")
             directory = Path(checkpoint_dir)

@@ -702,7 +702,9 @@ class TelemetrySensing(SensingPipeline):
             tick += interval
             self._ticks.append(tick)
 
-        self.store = TelemetryStore()
+        # The store keeps what the longest reader reads: the classifier's
+        # correlation window.
+        self.store = TelemetryStore(self.classifier.correlation_window)
         self.sanitizer = TelemetrySanitizer(interval_s=interval, obs=obs)
         self.transport = (
             FaultyTransport(self.fault_config)

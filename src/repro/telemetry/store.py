@@ -11,9 +11,13 @@ sanitizer.SampleQuality` flag.  Duplicate or out-of-order timestamps are
 dropped and counted rather than raised — production monitoring feeds
 deliver them routinely, and the store must never take the pipeline down.
 
-Layout: one row per direction in five ``[rows × capacity]`` columns (time,
-the three rates, a quality code) plus a length vector; capacity doubles
-when a row fills up.  The poller appends a whole tick with
+Layout: one row per direction in five ``[rows × window]`` columns (time,
+the three rates, a quality code) plus a vector counting the samples each
+row ever stored.  The columns are a ring: sample *k* of a row lives in
+slot *k* mod ``window``, so a row keeps its newest ``window`` samples and
+the store's size does not grow with the run.  The window is what the
+longest reader reads (the cause classifier's correlation window); runs
+read nothing older.  The poller appends a whole tick with
 :meth:`TelemetryStore.append_rows`; :meth:`TelemetryStore.append_rates`
 is a one-row call of it.
 """
@@ -32,29 +36,25 @@ _COLUMNS = ("_time", "_corruption", "_congestion", "_utilization", "_quality")
 
 
 class TelemetryStore:
-    """Accumulates per-direction monitoring samples.
+    """Keeps the newest ``window`` monitoring samples of each direction.
 
     Samples should arrive in time order per direction; ties, regressions
     and non-finite timestamps are dropped (counted in
     :attr:`dropped_samples`) instead of raising.
     """
 
-    def __init__(self):
+    def __init__(self, window: int):
         self._index = DirectionIndex()
+        self.window = window
+        #: Samples each row ever stored; the newest is in slot
+        #: ``(length - 1) % window``.
         self._length = np.zeros(0, dtype=np.int64)
         for name in _COLUMNS:
             dtype = np.int8 if name == "_quality" else np.float64
-            setattr(self, name, np.zeros((0, 0), dtype=dtype))
+            setattr(self, name, np.zeros((0, window), dtype=dtype))
         #: Appends discarded for duplicate / backwards / non-finite
         #: timestamps.
         self.dropped_samples: int = 0
-
-    def _resize(self, rows: int, capacity: int) -> None:
-        for name in _COLUMNS:
-            old = getattr(self, name)
-            new = np.zeros((rows, capacity), dtype=old.dtype)
-            new[: old.shape[0], : old.shape[1]] = old
-            setattr(self, name, new)
 
     # ------------------------------------------------------------------ #
     # Appends
@@ -64,7 +64,8 @@ class TelemetryStore:
         if len(self._index) > len(self._length):
             rows = self._index.capacity_for(len(self._length))
             self._length = grow(self._length, rows)
-            self._resize(rows, self._time.shape[1])
+            for name in _COLUMNS:
+                setattr(self, name, grow(getattr(self, name), rows))
 
     def rows_for(self, direction_ids: Sequence[DirectionId]) -> np.ndarray:
         """Row numbers of ``direction_ids`` for :meth:`append_rows` and
@@ -72,11 +73,6 @@ class TelemetryStore:
         rows = self._index.rows(direction_ids)
         self._allocate()
         return rows
-
-    def _ensure_capacity(self, needed: int) -> None:
-        capacity = self._time.shape[1]
-        if needed > capacity:
-            self._resize(len(self._length), max(16, 2 * capacity, needed))
 
     def append_rates(
         self,
@@ -123,10 +119,9 @@ class TelemetryStore:
         if len(rows) == 0:
             return 0
         length = self._length[rows]
-        self._ensure_capacity(int(length.max()) + 1)
+        window = self.window
         keep = np.isfinite(time_s) & (
-            (length == 0)
-            | (time_s > self._time[rows, np.maximum(length, 1) - 1])
+            (length == 0) | (time_s > self._time[rows, (length - 1) % window])
         )
         kept = int(np.count_nonzero(keep))
         if kept < len(rows):
@@ -134,11 +129,12 @@ class TelemetryStore:
             rows, length, time_s = rows[keep], length[keep], time_s[keep]
             corruption, congestion = corruption[keep], congestion[keep]
             utilization, quality = utilization[keep], quality[keep]
-        self._time[rows, length] = time_s
-        self._corruption[rows, length] = corruption
-        self._congestion[rows, length] = congestion
-        self._utilization[rows, length] = utilization
-        self._quality[rows, length] = quality
+        slot = length % window
+        self._time[rows, slot] = time_s
+        self._corruption[rows, slot] = corruption
+        self._congestion[rows, slot] = congestion
+        self._utilization[rows, slot] = utilization
+        self._quality[rows, slot] = quality
         self._length[rows] = length + 1
         return kept
 
@@ -146,9 +142,12 @@ class TelemetryStore:
     # Reads
     # ------------------------------------------------------------------ #
 
-    def _used(self, direction_id: DirectionId) -> Tuple[Optional[int], int]:
+    def _slots(self, direction_id: DirectionId, count: int):
+        """The row of a direction and the slots of its newest ``count``
+        samples (``count`` at most the window), oldest first."""
         row = self._index.row_of.get(direction_id)
-        return (row, int(self._length[row])) if row is not None else (None, 0)
+        length = 0 if row is None else int(self._length[row])
+        return row, np.arange(max(0, length - count), length) % self.window
 
     def directions(self) -> Iterator[DirectionId]:
         """Directions holding at least one sample."""
@@ -158,22 +157,28 @@ class TelemetryStore:
         )
 
     def times(self, direction_id: DirectionId) -> List[float]:
-        """Sample timestamps of one direction (may contain gaps)."""
-        row, length = self._used(direction_id)
-        return self._time[row, :length].tolist() if length else []
+        """Timestamps of the samples a direction keeps, oldest first (may
+        contain gaps)."""
+        row, slots = self._slots(direction_id, self.window)
+        return self._time[row, slots].tolist() if len(slots) else []
 
     def tail(
         self, direction_id: DirectionId, count: int
     ) -> Tuple[List[float], List[float]]:
         """The last ``count`` (utilization, congestion) values of a
-        direction, oldest first — O(count)."""
-        row, length = self._used(direction_id)
-        if not length:
+        direction, oldest first — O(count).
+
+        Raises:
+            ValueError: ``count`` exceeds the window the store keeps.
+        """
+        if count > self.window:
+            raise ValueError(f"tail of {count}: the store keeps {self.window}")
+        row, slots = self._slots(direction_id, count)
+        if not len(slots):
             return [], []
-        span = slice(max(0, length - count), length)
         return (
-            self._utilization[row, span].tolist(),
-            self._congestion[row, span].tolist(),
+            self._utilization[row, slots].tolist(),
+            self._congestion[row, slots].tolist(),
         )
 
     def last_sample(
@@ -185,10 +190,10 @@ class TelemetryStore:
             ``(time_s, corruption, congestion, utilization, quality)``.
             O(1); the chaos loop reads this for every fresh detection.
         """
-        row, length = self._used(direction_id)
-        if not length:
+        row, slots = self._slots(direction_id, 1)
+        if not len(slots):
             return None
-        last = length - 1
+        last = slots.item()
         return (
             self._time.item(row, last),
             self._corruption.item(row, last),
@@ -203,20 +208,17 @@ class TelemetryStore:
         """``(time_s, corruption, congestion)`` of the most recent sample
         of each of ``rows``; the time is NaN for a row without samples."""
         length = self._length[rows]
-        self._ensure_capacity(1)
-        last = np.maximum(length, 1) - 1
+        last = (length - 1) % self.window
         times = np.where(length > 0, self._time[rows, last], np.nan)
         return times, self._corruption[rows, last], self._congestion[rows, last]
 
     # ------------------------------------------------------------------ #
-    # Pickling (service checkpoints): only the used part of each column
+    # Pickling (service checkpoints): only the registered rows
     # ------------------------------------------------------------------ #
 
     def __getstate__(self):
         state = dict(self.__dict__)
         rows = len(self._index)
-        used = int(self._length[:rows].max()) if rows else 0
-        state["_length"] = self._length[:rows]
-        for name in _COLUMNS:
-            state[name] = getattr(self, name)[:rows, :used]
+        for name in ("_length",) + _COLUMNS:
+            state[name] = getattr(self, name)[:rows]
         return state

@@ -34,6 +34,27 @@ class TestServe:
         with pytest.raises(SystemExit):
             main(["serve", "--queue-policy", "block"])
 
+    @pytest.mark.parametrize("flags", [
+        ["--poll-interval", "0"],
+        ["--days", "0"],
+        ["--scale", "0"],
+        ["--capacity", "1.5"],
+        ["--batch-size", "0"],
+        ["--queue-capacity", "0"],
+        ["--audit-maxlen", "0"],
+        ["--checkpoint-every", "-1"],
+        ["--checkpoint-every", "0", "--checkpoint-dir", "ck"],
+    ])
+    def test_bad_numeric_flag_is_a_usage_error(self, flags, tmp_path, capsys):
+        """ServiceConfig's and the checkpoint spacing's rules, reported
+        as one usage line with exit 2: no traceback, no run."""
+        flags = [str(tmp_path / f) if f == "ck" else f for f in flags]
+        code = main(["serve", "--scale", "0.1", "--days", "0.05", *flags])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("repro serve: error: ")
+        assert not (tmp_path / "ck").exists()
+
     def test_stop_and_resume_reports_are_byte_identical(
         self, tmp_path, capsys
     ):

@@ -36,6 +36,7 @@ from repro.congestion.traffic import gauss_pairs
 from repro.streams import random_doubles
 from repro.telemetry import SnmpPoller, TelemetrySanitizer, TelemetryStore
 from repro.topology import Direction, build_clos
+from tests.telemetry.stored import WINDOW
 
 SETTINGS = settings(
     max_examples=40,
@@ -366,7 +367,7 @@ class TestNoPerDirectionCalls:
         topo, model = build("hotspots", 1)
         poller = SnmpPoller(
             topo,
-            TelemetryStore(),
+            TelemetryStore(WINDOW),
             traffic_fn=partial(model.traffic, interval_s=INTERVAL_S),
             sanitizer=TelemetrySanitizer(),
         )

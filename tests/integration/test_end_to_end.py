@@ -17,7 +17,7 @@ from repro.ticketing import TechnicianPoolQueue, Ticket
 from repro.topology import Direction, build_clos
 from repro.workloads import sample_corruption_rate
 from repro.workloads.dcn_profiles import DCNProfile
-from tests.telemetry.stored import column
+from tests.telemetry.stored import WINDOW, column
 
 
 class TestMonitorToControllerPipeline:
@@ -70,7 +70,7 @@ class TestMonitorToControllerPipeline:
 
     def test_telemetry_sees_corruption_the_controller_acts_on(self):
         topo = build_clos(1, 2, 2, 4)
-        store = TelemetryStore()
+        store = TelemetryStore(WINDOW)
         poller = SnmpPoller(
             topo, store, traffic_fn=ConstantTraffic(10_000_000),
             sanitizer=TelemetrySanitizer(),

@@ -31,7 +31,7 @@ def test_schema_literals_pinned_against_service():
         checkpoint.CHECKPOINT_FORMAT_VERSION
         is schema.CHECKPOINT_FORMAT_VERSION
     )
-    assert CHECKPOINT_FORMAT_VERSION == 7
+    assert CHECKPOINT_FORMAT_VERSION == 8
 
 
 def write_sample(path, state=None):
@@ -113,7 +113,7 @@ class TestIntegrity:
         )
         with pytest.raises(
             ValueError,
-            match=rf"unsupported checkpoint version {version} \(expected 7\)",
+            match=rf"unsupported checkpoint version {version} \(expected 8\)",
         ):
             read_checkpoint(path)
         assert validate_checkpoint_file(path) == [
@@ -152,6 +152,12 @@ class TestIntegrity:
         keeps link state in row columns now and would come up without
         them."""
         self._refused_by_version(tmp_path, 6, "1.13.0")
+
+    def test_v7_checkpoint_refused_before_unpickling(self, tmp_path):
+        """Version 7 pickled every telemetry sample of the run; the store
+        is a ring of the newest samples now, and would read a full-history
+        column as one."""
+        self._refused_by_version(tmp_path, 7, "1.13.0")
 
     def test_truncated_payload_rejected(self, tmp_path):
         path = tmp_path / "c.ckpt"
@@ -257,3 +263,46 @@ def test_serve_ckpt_scenario_checkpoint_stays_within_4_20_mb(tmp_path):
     assert status.completed and len(status.checkpoints) == 4
     # What bench reports as `service.ckpt_mb`.
     assert os.path.getsize(status.checkpoints[-1]) <= 4.20e6
+
+
+def test_store_and_checkpoint_stay_flat_once_the_ring_fills(tmp_path):
+    """A tiny service checkpointed every ``W`` polls, ``W`` the window the
+    telemetry store keeps.  Once every row's ring has filled, neither the
+    store's columns nor its pickled size grow with the run, and the whole
+    payload grows by under 10% (per-fault state only)."""
+    from repro.service import ControllerService, ServiceConfig
+    from tests.telemetry.stored import WINDOW
+
+    service = ControllerService(
+        ServiceConfig(
+            days=21 / 24, scale=0.06, seed=7, fault_seed=7,
+            chaos_preset="mild", congestion_preset="hotspots",
+        )
+    )
+    store = service.pipeline.store
+    column_bytes, pickled = [], []
+
+    def at_boundary():
+        column_bytes.append(sum(
+            getattr(store, name).nbytes
+            for name in ("_time", "_corruption", "_congestion",
+                         "_utilization", "_quality")
+        ))
+        pickled.append(len(pickle.dumps(store)))
+        return False
+
+    interval = service.config.poll_interval_s
+    status = service.run(
+        checkpoint_every_s=WINDOW * interval, checkpoint_dir=tmp_path,
+        should_stop=at_boundary,
+    )
+    assert status.completed and len(status.checkpoints) >= 5
+    assert int(store._length.max()) > 4 * WINDOW  # every ring wrapped
+    # Boundary k lands just after poll k * W.
+    assert column_bytes[1] == column_bytes[4]  # polls 2W and 5W
+    assert pickled[0] == pickled[3]  # polls W and 4W
+    payload = []
+    for path in status.checkpoints:
+        with open(path, "rb") as handle:
+            payload.append(json.loads(handle.readline())["payload_bytes"])
+    assert payload[3] < 1.10 * payload[0]

@@ -16,7 +16,7 @@ from repro.simulation.chaos import chaos_preset
 from repro.telemetry import SnmpPoller, TelemetrySanitizer, TelemetryStore
 from repro.telemetry.poller import ConstantTraffic
 from repro.topology import Direction, build_clos
-from tests.telemetry.stored import column, samples
+from tests.telemetry.stored import WINDOW, column, samples
 
 
 PACKETS = ConstantTraffic(1_000_000)
@@ -24,7 +24,7 @@ PACKETS = ConstantTraffic(1_000_000)
 
 def build_poller(topo, capacity=1024, policy="defer", batch_size=10,
                  drain_budget=None):
-    store = TelemetryStore()
+    store = TelemetryStore(WINDOW)
     sanitizer = TelemetrySanitizer()
     queue = BoundedWorkQueue(capacity, policy=policy)
     poller = IngestingPoller(
@@ -67,7 +67,7 @@ class TestAmpleQueueParity:
         topo_a = build_clos(2, 3, 2, 4)
         topo_b = build_clos(2, 3, 2, 4)
         streaming, store_a, _, queue = build_poller(topo_a)
-        store_b = TelemetryStore()
+        store_b = TelemetryStore(WINDOW)
         plain = SnmpPoller(
             topo_b, store_b, traffic_fn=PACKETS,
             sanitizer=TelemetrySanitizer(),
@@ -148,7 +148,7 @@ class TestJoinedDrain:
         topo = build_clos(2, 3, 2, 4)  # 40 directions, 6 batches of 7
         topo.set_corruption(("pod0/tor0", "pod0/agg0"), 1e-4)
         topo.set_corruption(("pod1/tor1", "pod1/agg0"), 1e-3, Direction.DOWN)
-        store = TelemetryStore()
+        store = TelemetryStore(WINDOW)
         sanitizer = TelemetrySanitizer(window=4, min_window_samples=2)
         queue = BoundedWorkQueue(capacity, policy=policy)
         model = congestion_model("incast", topo, seed=4)

@@ -42,7 +42,7 @@ from tests.telemetry.reference import (
     ReferenceStore,
     ReferenceTransport,
 )
-from tests.telemetry.stored import samples as stored
+from tests.telemetry.stored import WINDOW, samples as stored
 from tests.metrics import total
 
 # ---------------------------------------------------------------------- #
@@ -101,8 +101,17 @@ def swap_first_two(topo):
     return lambda link_id: mapping.get(link_id, link_id)
 
 
+def ring_store():
+    """The store a run builds: the newest ``WINDOW`` samples of each
+    direction."""
+    return TelemetryStore(WINDOW)
+
+
 class Twins:
-    """The array poller and the reference over twin topologies."""
+    """The array poller and the reference over twin topologies.
+
+    The reference store keeps every sample; :meth:`check` compares the
+    ring with its last ``WINDOW`` after every tick."""
 
     def __init__(self, transport=None, seed=0, traffic=False, miswire=False,
                  queue=None, obs=False):
@@ -126,7 +135,7 @@ class Twins:
             cleaner_cls, store_cls, transport_cls = (
                 (ReferenceSanitizer, ReferenceStore, ReferenceTransport)
                 if reference
-                else (TelemetrySanitizer, TelemetryStore, FaultyTransport)
+                else (TelemetrySanitizer, ring_store, FaultyTransport)
             )
             store = store_cls()
             cleaner = cleaner_cls(obs=recorder, window=4, min_window_samples=2)
@@ -190,7 +199,7 @@ class Twins:
         assert set(store.directions()) == set(ref_store.directions())
         for did in ref_store.directions():
             samples = ref_store.samples(did)
-            assert stored(store, did) == samples
+            assert stored(store, did) == samples[-WINDOW:]
             assert store.last_sample(did) == samples[-1]
         if new.transport is not None:
             assert new.transport.polls_delivered == ref.transport.polls_delivered
@@ -549,7 +558,7 @@ def test_rows_with_their_own_times_match_the_per_sample_api(
     than, equal to and newer than the samples."""
     sides = []
     for cleaner, store in (
-        (TelemetrySanitizer(), TelemetryStore()),
+        (TelemetrySanitizer(), TelemetryStore(WINDOW)),
         (ReferenceSanitizer(), ReferenceStore()),
     ):
         if baseline_s is not None:
@@ -596,11 +605,11 @@ def test_rows_with_their_own_times_match_the_per_sample_api(
     assert cleaner.recent_quality(DID) == ref_cleaner.recent_quality(DID)
     assert baseline(cleaner, DID) == ref_cleaner.prev.get(DID)
     assert store.dropped_samples == ref_store.dropped_samples
-    assert stored(store, DID) == ref_store.samples(DID)
+    assert stored(store, DID) == ref_store.samples(DID)[-WINDOW:]
 
 
 def test_append_rows_drops_by_each_rows_own_time():
-    store = TelemetryStore()
+    store = TelemetryStore(WINDOW)
     rows = store.rows_for([("a", "b"), ("b", "a"), ("a", "c"), ("c", "a")])
     zeros, ok = np.zeros(4), np.zeros(4, dtype=np.int8)
     first = np.full(4, 900.0)
@@ -616,7 +625,7 @@ class TestCounterRange:
     def test_counter_beyond_exact_range_is_refused(self):
         topo = build_clos(1, 1, 1, 1)
         poller = SnmpPoller(
-            topo, TelemetryStore(), traffic_fn=ConstantTraffic(2**52),
+            topo, TelemetryStore(WINDOW), traffic_fn=ConstantTraffic(2**52),
             sanitizer=TelemetrySanitizer(),
         )
         poller.poll_once()
@@ -631,7 +640,7 @@ class TestCounterRange:
             ((constant_packets, lambda d, t: math.nan), "congestion rate nan"),
         ):
             poller = SnmpPoller(
-                topo, TelemetryStore(),
+                topo, TelemetryStore(WINDOW),
                 traffic_fn=PerDirectionTraffic(*fns),
                 sanitizer=TelemetrySanitizer(),
             )

@@ -13,6 +13,7 @@ from repro.telemetry import (
 )
 from repro.topology import build_clos
 from tests.telemetry.reference import PerDirectionTraffic
+from tests.telemetry.stored import WINDOW
 
 
 class Counters:
@@ -24,7 +25,7 @@ class Counters:
         self.topo = build_clos(1, 1, 1, 1)
         self.link_id = next(iter(self.topo.link_ids()))
         self.traffic = [0, 0.0]
-        self.store = TelemetryStore()
+        self.store = TelemetryStore(WINDOW)
         self.poller = SnmpPoller(
             self.topo,
             self.store,

@@ -203,6 +203,14 @@ PRODUCTION_SET: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
         "serve", "--resume-from", "service/ck-hot-kill/checkpoint-000001.ckpt",
         "--checkpoint-dir", "service/ck-hot-kill",
         "--out", "service/report-hot-resumed.jsonl")),
+    ("serve-hotspots-wrap-kill", _repro(
+        *_SERVE, "--chaos-preset", "mild", "--congestion-preset", "hotspots",
+        "--checkpoint-every", "0.75", "--checkpoint-dir", "service/ck-hot-wrap",
+        "--stop-after-checkpoint", "7")),
+    ("serve-hotspots-wrap-resume", _repro(
+        "serve", "--resume-from", "service/ck-hot-wrap/checkpoint-000007.ckpt",
+        "--checkpoint-dir", "service/ck-hot-wrap",
+        "--out", "service/report-hot-wrap.jsonl")),
     ("serve-harsh-full", _repro(
         *_SERVE, "--chaos-preset", "harsh", "--checkpoint-every", "0.75",
         "--checkpoint-dir", "service/ck-harsh-full",
