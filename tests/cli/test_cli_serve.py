@@ -44,7 +44,7 @@ class TestServe:
         ["--audit-maxlen", "0"],
         ["--checkpoint-every", "-1"],
         ["--checkpoint-every", "0", "--checkpoint-dir", "ck"],
-    ])
+    ], ids=" ".join)
     def test_bad_numeric_flag_is_a_usage_error(self, flags, tmp_path, capsys):
         """ServiceConfig's and the checkpoint spacing's rules, reported
         as one usage line with exit 2: no traceback, no run."""
