@@ -24,10 +24,7 @@ Subcommands mirror the system's operational surfaces:
   ``simulate``/``chaos`` via ``--metrics-out``/``--trace-out`` etc.;
 - ``health``    — summarize any run's health artifacts (scorecards,
   service reports, sweep/tournament JSONL) into per-shard and fleet
-  SLO scorecards;
-- ``bench-track`` — fold ``benchmarks/results/*.json`` into the
-  canonical ``BENCH_trajectory.json`` and gate CI on runtime
-  regressions against the tracked baseline.
+  SLO scorecards.
 
 Run ``python -m repro <subcommand> --help`` for options.
 """
@@ -35,6 +32,7 @@ Run ``python -m repro <subcommand> --help`` for options.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from typing import List, Optional
@@ -72,6 +70,46 @@ def _registered(group: str):
         return names
 
     return parse
+
+
+def _numbers(kind: str):
+    """An argparse type for a comma list of ``kind`` (``"int"`` or
+    ``"float"``) numbers; an int list also takes an ``a:b`` range.  A
+    malformed or empty list is a usage error."""
+
+    def parse(text: str) -> list:
+        from repro.parallel import grid
+
+        try:
+            values = getattr(grid, f"parse_{kind}_list")(text)
+        except ValueError:
+            values = []
+        if not values:
+            raise argparse.ArgumentTypeError(f"invalid {kind} list: {text!r}")
+        return values
+
+    return parse
+
+
+class _Refused(Exception):
+    """A value that a run's config, scenario or grid refused before the
+    run started; :func:`main` reports it as one usage line, exit 2."""
+
+
+@contextlib.contextmanager
+def _refusing():
+    """Raise a ``ValueError`` of the block as :class:`_Refused`."""
+    try:
+        yield
+    except ValueError as exc:
+        raise _Refused(exc) from None
+
+
+def _checked(specs):
+    """``specs``, each validated before any job runs."""
+    for spec in specs:
+        spec.validate()
+    return specs
 
 
 def _add_obs_args(parser: argparse.ArgumentParser) -> None:
@@ -298,14 +336,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.strategies:
         return _simulate_comparison(args)
     profile = MEDIUM_DCN if args.dcn == "medium" else LARGE_DCN
-    scenario = make_scenario(
-        profile=profile,
-        scale=args.scale,
-        duration_days=args.days,
-        seed=args.seed,
-        capacity=args.capacity,
-        events_per_10k_links_per_day=args.events,
-    )
+    with _refusing():
+        scenario = make_scenario(
+            profile=profile,
+            scale=args.scale,
+            duration_days=args.days,
+            seed=args.seed,
+            capacity=args.capacity,
+            events_per_10k_links_per_day=args.events,
+        )
+        scenario.constraint()  # the capacity rule lives there
     obs = NULL_RECORDER
     if _wants_obs(args):
         obs = _build_obs(
@@ -384,6 +424,8 @@ def _simulate_comparison(args: argparse.Namespace) -> int:
         )
         for name in names
     ]
+    with _refusing():
+        _checked(specs)
     # Built here for the header; a serial run then reuses the cached build.
     scenario, _ = worker_cache().get(specs[0])
     sweep = ParallelRunner(jobs=args.jobs).run(specs)
@@ -419,8 +461,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         GridSpec,
         ParallelRunner,
         build_sweep_manifest,
-        parse_float_list,
-        parse_int_list,
         summary_lines,
         sweep_registry,
         write_sweep_jsonl,
@@ -432,13 +472,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         grid = GridSpec(
             presets=args.presets,
             strategies=args.strategies,
-            capacities=parse_float_list(args.capacities),
-            trace_seeds=parse_int_list(args.seeds),
-            repair_seeds=(
-                parse_int_list(args.repair_seeds)
-                if args.repair_seeds
-                else None
-            ),
+            capacities=args.capacities,
+            trace_seeds=args.seeds,
+            repair_seeds=args.repair_seeds,
             scale=args.scale,
             duration_days=args.days,
             events_per_10k=args.events,
@@ -446,16 +482,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             chaos_presets=args.chaos_preset,
             fault_seed=args.fault_seed,
             penalties=args.penalties,
-            lg_coverages=(
-                parse_float_list(args.lg_coverages)
-                if args.lg_coverages
-                else None
-            ),
+            lg_coverages=args.lg_coverages,
             congestion_presets=args.congestion_presets,
             miswire_pairs=args.miswire_pairs,
             sensing=args.sensing,
         )
-    specs = grid.expand()
+    with _refusing():
+        specs = _checked(grid.expand())
     runner = ParallelRunner(
         jobs=args.jobs, max_retries=args.retries, timeout_s=args.timeout
     )
@@ -481,25 +514,28 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
     """Simulate the §2 fleet: one job per study DCN, one roll-up row."""
+    from repro.parallel import ParallelRunner
     from repro.parallel.fleet import (
         fleet_dcns,
+        fleet_specs,
         fleet_summary_lines,
-        run_fleet,
         write_fleet_jsonl,
     )
 
-    dcns = fleet_dcns(args.dcns)
-    sweep, dcns = run_fleet(
-        dcns=dcns,
-        scale=args.scale,
-        duration_days=args.days,
-        trace_seed=args.seed,
-        capacity=args.capacity,
-        strategy=args.strategy,
-        jobs=args.jobs,
-        max_retries=args.retries,
-        timeout_s=args.timeout,
+    with _refusing():
+        dcns = fleet_dcns(args.dcns)
+        specs = _checked(fleet_specs(
+            dcns,
+            scale=args.scale,
+            duration_days=args.days,
+            trace_seed=args.seed,
+            capacity=args.capacity,
+            strategy=args.strategy,
+        ))
+    runner = ParallelRunner(
+        jobs=args.jobs, max_retries=args.retries, timeout_s=args.timeout
     )
+    sweep = runner.run(specs)
     for line in fleet_summary_lines(sweep, dcns):
         print(line)
     if args.out:
@@ -512,8 +548,6 @@ def _cmd_tournament(args: argparse.Namespace) -> int:
     """Run every strategy head-to-head and print the leaderboard."""
     from repro.parallel import (
         leaderboard_lines,
-        parse_float_list,
-        parse_int_list,
         run_tournament,
         summary_lines,
         tournament_grid,
@@ -522,16 +556,18 @@ def _cmd_tournament(args: argparse.Namespace) -> int:
 
     grid = tournament_grid(
         presets=args.presets,
-        capacities=parse_float_list(args.capacities),
+        capacities=args.capacities,
         penalties=args.penalties,
-        lg_coverages=parse_float_list(args.lg_coverages),
+        lg_coverages=args.lg_coverages,
         strategies=args.strategies,
-        trace_seeds=parse_int_list(args.seeds),
+        trace_seeds=args.seeds,
         scale=args.scale,
         duration_days=args.days,
         events_per_10k=args.events,
         repair_accuracy=args.repair_accuracy,
     )
+    with _refusing():
+        _checked(grid.expand())
     sweep = run_tournament(
         grid,
         jobs=args.jobs,
@@ -559,7 +595,6 @@ def _cmd_chaos_campaign(args: argparse.Namespace) -> int:
     from repro.parallel import (
         GridSpec,
         ParallelRunner,
-        parse_int_list,
         summary_lines,
         write_sweep_jsonl,
     )
@@ -586,7 +621,7 @@ def _cmd_chaos_campaign(args: argparse.Namespace) -> int:
         presets=["medium"],
         chaos_presets=[args.preset],
         capacities=[args.capacity],
-        trace_seeds=parse_int_list(args.seeds or "0"),
+        trace_seeds=args.seeds or [0],
         scale=args.scale,
         duration_days=args.days,
         events_per_10k=args.events,
@@ -598,10 +633,12 @@ def _cmd_chaos_campaign(args: argparse.Namespace) -> int:
         miswire_pairs=args.miswire_pairs,
         sensing=args.sensing,
     )
+    with _refusing():
+        specs = _checked(grid.expand())
     runner = ParallelRunner(
         jobs=args.jobs, max_retries=args.retries, timeout_s=args.timeout
     )
-    sweep = runner.run(grid.expand())
+    sweep = runner.run(specs)
     for line in summary_lines(sweep):
         print(line)
     violations = sum(
@@ -633,32 +670,29 @@ def _cmd_localize(args: argparse.Namespace) -> int:
     from repro.parallel import (
         GridSpec,
         ParallelRunner,
-        parse_int_list,
         summary_lines,
         write_sweep_jsonl,
     )
 
-    sensings = args.sensing
-    congestions = args.congestion_presets
-    pair_counts = parse_int_list(args.miswire_pairs)
     specs = []
-    for sensing in sensings:
-        for pairs in pair_counts:
-            grid = GridSpec(
-                presets=["medium"],
-                chaos_presets=[args.chaos_preset],
-                capacities=[args.capacity],
-                trace_seeds=parse_int_list(args.seeds),
-                scale=args.scale,
-                duration_days=args.days,
-                events_per_10k=args.events,
-                repair_accuracy=args.repair_accuracy,
-                fault_seed=args.fault_seed,
-                congestion_presets=congestions,
-                miswire_pairs=pairs,
-                sensing=sensing,
-            )
-            specs.extend(grid.expand())
+    with _refusing():
+        for sensing in args.sensing:
+            for pairs in args.miswire_pairs:
+                grid = GridSpec(
+                    presets=["medium"],
+                    chaos_presets=[args.chaos_preset],
+                    capacities=[args.capacity],
+                    trace_seeds=args.seeds,
+                    scale=args.scale,
+                    duration_days=args.days,
+                    events_per_10k=args.events,
+                    repair_accuracy=args.repair_accuracy,
+                    fault_seed=args.fault_seed,
+                    congestion_presets=args.congestion_presets,
+                    miswire_pairs=pairs,
+                    sensing=sensing,
+                )
+                specs.extend(_checked(grid.expand()))
     runner = ParallelRunner(
         jobs=args.jobs, max_retries=args.retries, timeout_s=args.timeout
     )
@@ -705,7 +739,7 @@ def _cmd_localize(args: argparse.Namespace) -> int:
         report = {
             "format": "repro-localize-report",
             "format_version": 1,
-            "seeds": parse_int_list(args.seeds),
+            "seeds": args.seeds,
             "cells": report_cells,
         }
         with open(args.report_out, "w", encoding="utf-8") as handle:
@@ -721,27 +755,29 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
     if args.seeds is not None or args.jobs != 1:
         return _cmd_chaos_campaign(args)
-    if args.preset is not None:
-        config = chaos_preset(args.preset, seed=args.fault_seed)
-    else:
-        config = TelemetryFaultConfig(
-            seed=args.fault_seed,
-            missed_poll_rate=args.missed_polls,
-            wrap_32bit=args.wrap_32bit,
-            reset_rate=args.resets,
-            freeze_rate=args.freezes,
-            duplicate_rate=args.duplicates,
-            delay_rate=args.delays,
-            optical_garbage_rate=args.garbage_optics,
+    with _refusing():
+        if args.preset is not None:
+            config = chaos_preset(args.preset, seed=args.fault_seed)
+        else:
+            config = TelemetryFaultConfig(
+                seed=args.fault_seed,
+                missed_poll_rate=args.missed_polls,
+                wrap_32bit=args.wrap_32bit,
+                reset_rate=args.resets,
+                freeze_rate=args.freezes,
+                duplicate_rate=args.duplicates,
+                delay_rate=args.delays,
+                optical_garbage_rate=args.garbage_optics,
+            )
+        scenario = chaos_scenario(
+            scale=args.scale,
+            duration_days=args.days,
+            seed=args.seed,
+            capacity=args.capacity,
         )
+        scenario.constraint()  # the capacity rule lives there
     from repro.obs import NULL_RECORDER
 
-    scenario = chaos_scenario(
-        scale=args.scale,
-        duration_days=args.days,
-        seed=args.seed,
-        capacity=args.capacity,
-    )
     obs = NULL_RECORDER
     if _wants_obs(args):
         obs = _build_obs(
@@ -858,12 +894,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if args.checkpoint_every is not None
         else None
     )
-    try:
+    with _refusing():
         ControllerService.check_checkpoint_every(checkpoint_every_s)
         config = None if args.resume_from else _serve_config(args)
-    except ValueError as exc:
-        print(f"repro serve: error: {exc}", file=sys.stderr)
-        return 2
 
     if args.resume_from:
         header, service = ControllerService.restore(args.resume_from)
@@ -1391,46 +1424,6 @@ def _cmd_health(args: argparse.Namespace) -> int:
     return 1 if problems else exit_code
 
 
-def _cmd_bench_track(args: argparse.Namespace) -> int:
-    """Aggregate benchmark results and gate on runtime regressions."""
-    from repro import benchtrack
-
-    records, problems = benchtrack.load_results(args.results_dir)
-    if problems:
-        print(f"benchmark records: {len(problems)} problem(s)")
-        for problem in problems:
-            print(f"  {problem}")
-    if not records:
-        print(f"no benchmark records in {args.results_dir}")
-        return 2
-    previous = benchtrack.load_trajectory(args.out)
-    trajectory = benchtrack.build_trajectory(
-        records, previous, update_baseline=args.update_baseline
-    )
-    tracked = sum(len(v) for v in trajectory["baseline"].values())
-    print(
-        f"trajectory: {len(records)} benchmarks, "
-        f"{tracked} tracked runtime metrics "
-        f"({'baseline reset' if args.update_baseline else 'baseline carried'})"
-    )
-    if args.check:
-        regressions = benchtrack.find_regressions(
-            trajectory, args.max_regression
-        )
-        if regressions:
-            print(
-                f"regression gate: FAILED — {len(regressions)} metric(s) "
-                f"grew more than {args.max_regression:.0%} over baseline"
-            )
-            for regression in regressions:
-                print(f"  {regression.describe()}")
-            return 1
-        print(f"regression gate: OK (allowed +{args.max_regression:.0%})")
-    benchtrack.write_trajectory(args.out, trajectory)
-    print(f"bench trajectory: {args.out}")
-    return 0
-
-
 def _print_checkpoint(path: str) -> None:
     with open(path, "rb") as handle:
         header = json.loads(handle.readline())
@@ -1592,12 +1585,12 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--strategies", default="corropt",
                        type=_registered("strategy"),
                        help="comma list of strategies")
-    sweep.add_argument("--capacities", default="0.75",
+    sweep.add_argument("--capacities", type=_numbers("float"), default="0.75",
                        help="comma list of capacity constraints")
-    sweep.add_argument("--seeds", default="0",
+    sweep.add_argument("--seeds", type=_numbers("int"), default="0",
                        help="trace seeds: comma list or 'a:b' range")
     sweep.add_argument(
-        "--repair-seeds", default=None,
+        "--repair-seeds", type=_numbers("int"), default=None,
         help="explicit repair seeds aligned 1:1 with --seeds "
              "(default: derived per job from its spec)",
     )
@@ -1618,7 +1611,8 @@ def build_parser() -> argparse.ArgumentParser:
              "(linear,tcp-throughput,step); adds a grid axis",
     )
     sweep.add_argument(
-        "--lg-coverages", default=None, metavar="FRACS",
+        "--lg-coverages", type=_numbers("float"), default=None,
+        metavar="FRACS",
         help="comma list of LinkGuardian coverage fractions; adds a "
              "grid axis (simulate grids only)",
     )
@@ -1683,7 +1677,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma list of strategies (default: all of them)",
     )
     tour.add_argument(
-        "--capacities", default="0.75,0.9",
+        "--capacities", type=_numbers("float"), default="0.75,0.9",
         help="comma list of capacity constraints (0.75 is the paper's "
              "realistic regime; 0.9 squeezes CorrOpt in LG's favor)",
     )
@@ -1694,10 +1688,11 @@ def build_parser() -> argparse.ArgumentParser:
              "(linear,tcp-throughput,step)",
     )
     tour.add_argument(
-        "--lg-coverages", default="0.9", metavar="FRACS",
+        "--lg-coverages", type=_numbers("float"), default="0.9",
+        metavar="FRACS",
         help="comma list of LinkGuardian coverage fractions",
     )
-    tour.add_argument("--seeds", default="0",
+    tour.add_argument("--seeds", type=_numbers("int"), default="0",
                       help="trace seeds: comma list or 'a:b' range")
     tour.add_argument("--scale", type=float, default=0.25)
     tour.add_argument("--days", type=float, default=30.0)
@@ -1752,7 +1747,7 @@ def build_parser() -> argparse.ArgumentParser:
              "campaign runs",
     )
     chaos.add_argument(
-        "--seeds", default=None, metavar="LIST",
+        "--seeds", type=_numbers("int"), default=None, metavar="LIST",
         help="trace seeds (comma list or 'a:b'); switches to campaign "
              "mode through the parallel runner with spec-derived repair "
              "seeds",
@@ -1785,7 +1780,8 @@ def build_parser() -> argparse.ArgumentParser:
              "(none,hotspots,incast)",
     )
     localize.add_argument(
-        "--miswire-pairs", default="0", metavar="LIST",
+        "--miswire-pairs", type=_numbers("int"), default="0",
+        metavar="LIST",
         help="comma list of swapped-cable-pair counts (A3 miswiring)",
     )
     localize.add_argument(
@@ -1793,7 +1789,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=list(CHAOS_CHOICES),
         help="telemetry-fault mix layered under every cell",
     )
-    localize.add_argument("--seeds", default="0", metavar="LIST",
+    localize.add_argument("--seeds", type=_numbers("int"), default="0",
+                          metavar="LIST",
                           help="trace seeds: comma list or 'a:b' range")
     localize.add_argument("--days", type=float, default=4.0)
     localize.add_argument("--scale", type=float, default=0.12)
@@ -1966,33 +1963,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     health.set_defaults(func=_cmd_health)
 
-    bench = sub.add_parser(
-        "bench-track",
-        help="aggregate benchmark results into the canonical trajectory",
-    )
-    bench.add_argument(
-        "--results-dir", default="benchmarks/results", metavar="DIR",
-        help="directory of machine-readable benchmark records",
-    )
-    bench.add_argument(
-        "--out", default="BENCH_trajectory.json", metavar="FILE",
-        help="trajectory file to read the baseline from and rewrite",
-    )
-    bench.add_argument(
-        "--check", action="store_true",
-        help="fail (exit 1, trajectory untouched) when any runtime "
-             "metric regressed past --max-regression",
-    )
-    bench.add_argument(
-        "--max-regression", type=float, default=0.5, metavar="RATIO",
-        help="allowed runtime growth over baseline (0.5 = +50%%)",
-    )
-    bench.add_argument(
-        "--update-baseline", action="store_true",
-        help="reset every baseline to the current values",
-    )
-    bench.set_defaults(func=_cmd_bench_track)
-
     return parser
 
 
@@ -2000,7 +1970,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _Refused as exc:
+        print(f"repro {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -51,7 +51,6 @@ from repro.obs.registry import MetricsRegistry  # noqa: F401
 from repro.obs.schema import (  # noqa: F401
     validate_alerts_jsonl,
     validate_audit_jsonl,
-    validate_bench_trajectory,
     validate_benchmark_record,
     validate_checkpoint_file,
     validate_chrome_trace,
@@ -99,7 +98,6 @@ __all__ = [
     "topology_digest",
     "validate_alerts_jsonl",
     "validate_audit_jsonl",
-    "validate_bench_trajectory",
     "validate_benchmark_record",
     "validate_checkpoint_file",
     "validate_chrome_trace",

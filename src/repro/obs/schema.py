@@ -11,7 +11,7 @@ format specification.  Only the Prometheus text parser and the
 checkpoint file's byte framing are hand-written.
 
 Shared by the golden-file tests, ``repro obs --validate``, ``repro
-health``, ``benchtrack`` and the CI artifact jobs, so "the emitted
+health``, the benchmarks and the CI artifact jobs, so "the emitted
 artifact is well-formed" means the same thing everywhere.  Validators
 collect human-readable problems instead of raising — an empty list means
 valid — and every problem names its line or index and its key.
@@ -137,7 +137,6 @@ class Field:
     values: Optional["Field"] = None  # object: every value's field
     items: object = None  # list: every item's table or Switch
     count: Optional[str] = None  # list: length == this sibling integer
-    keys_of: Optional[str] = None  # list: items are keys of this sibling
     position: Optional[int] = None  # value == row index + position
     monotone: bool = False  # never decreases down a stream
     doc: str = ""  # appended to problems where the key is cryptic
@@ -277,12 +276,6 @@ class _Walk:
         if _is_int(declared) and len(value) != declared:
             self.add(line, path, f"{field.count}={declared} but {key!r} "
                                  f"has {len(value)} entries")
-        other = parent.get(field.keys_of) if field.keys_of else None
-        if isinstance(other, dict):
-            for name in value:
-                if not isinstance(name, str) or name not in other:
-                    self.add(line, path, f"{key!r} entry {_show(name)} not "
-                                         f"in {field.keys_of!r}")
 
 
 def _check_document(value, table, what: str) -> List[str]:
@@ -348,7 +341,10 @@ CHECKPOINT_FORMAT = "repro-checkpoint"
 #: objects (a ``Link`` is a view of one row).
 #: 8: the telemetry store is a ring of each direction's newest samples,
 #: ``[rows × window]`` columns plus the count of samples ever stored.
-CHECKPOINT_FORMAT_VERSION = 8
+#: 9: the sanitizer keeps each direction's quarantine verdict and degraded
+#: count as columns, judged on every push, and its per-quality counts as
+#: one int array.
+CHECKPOINT_FORMAT_VERSION = 9
 
 #: Service-report literals, pinned against :mod:`repro.service.service`.
 SERVICE_REPORT_FORMAT = "repro-service-report"
@@ -360,10 +356,6 @@ HEALTH_FORMAT = "repro-health-scorecard"
 HEALTH_FORMAT_VERSION = 1
 ALERTS_FORMAT = "repro-health-alerts"
 ALERTS_FORMAT_VERSION = 1
-
-#: Benchmark-trajectory literals, pinned against :mod:`repro.benchtrack`.
-BENCH_TRAJECTORY_FORMAT = "repro-bench-trajectory"
-BENCH_TRAJECTORY_FORMAT_VERSION = 1
 
 #: ``SWEEP_STRATEGY_NAMES`` (the strategy names a sweep/tournament row
 #: may carry) is an alias into :mod:`repro.registry` — itself
@@ -591,17 +583,6 @@ _ALERTS = Stream(
     counts=(("alert", "alerts"),),
 )
 
-_TRAJECTORY = {
-    "format": enum(BENCH_TRAJECTORY_FORMAT),
-    "format_version": enum(BENCH_TRAJECTORY_FORMAT_VERSION),
-    "repro_version": PRESENT,
-    "benchmarks": Field("object", nonempty=True, values=obj({
-        "metrics": Field("object", nonempty=True, values=METRIC),
-        "runtime_metrics": Field("list", keys_of="metrics"),
-    })),
-    "baseline": Field("object", values=Field("object", values=NUM)),
-}
-
 # --------------------------------------------------------------------- #
 # Validators (empty list = valid)
 # --------------------------------------------------------------------- #
@@ -649,11 +630,6 @@ def validate_benchmark_record(record: object) -> List[str]:
     its human-readable summary so regressions are diffable by tooling.
     """
     return _check_document(record, _BENCHMARK, "benchmark record")
-
-
-def validate_bench_trajectory(obj: object) -> List[str]:
-    """Problems with a benchmark trajectory file."""
-    return _check_document(obj, _TRAJECTORY, "trajectory")
 
 
 def validate_checkpoint_file(path) -> List[str]:

@@ -461,9 +461,8 @@ class SnmpPoller:
                 table.capacity_pkts_per_s[rows], missed,
             )
             waves.append((table.store_rows[rows], snapshots.time_s, done))
-            if done.flips is not None:
-                for i in np.flatnonzero(done.flips).tolist():
-                    flips.append((int(entries[i]), wave, done.flips[i] > 0))
+            for i in np.flatnonzero(done.flips).tolist():
+                flips.append((int(entries[i]), wave, done.flips[i] > 0))
         if flips:
             ids = table.direction_ids
             self.sanitizer.emit_transitions([

@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -133,9 +133,8 @@ class RatedRows:
     """What :meth:`TelemetrySanitizer.ingest_rows` did with each input row.
 
     All fields are aligned with the input.  ``rated`` rows produced the
-    sample in the four value columns.  ``flips`` is ``None`` unless a
-    recorder is enabled; then it holds +1 where the row's push started a
-    quarantine, -1 where it ended one, 0 elsewhere (see
+    sample in the four value columns.  ``flips`` holds +1 where the row's
+    push started a quarantine, -1 where it ended one, 0 elsewhere (see
     :meth:`TelemetrySanitizer.emit_transitions`).
     """
 
@@ -144,15 +143,17 @@ class RatedRows:
     congestion: np.ndarray
     utilization: np.ndarray
     quality: np.ndarray
-    flips: Optional[np.ndarray] = None
+    flips: np.ndarray
 
 
 class TelemetrySanitizer:
     """Stateful per-direction snapshot sanitizer.
 
-    Per-direction state (the diff baseline and a ring of the last
-    ``window`` quality codes) lives in numpy columns, one row per
-    direction.  :meth:`ingest_rows` rates one delivery per row for a whole
+    Per-direction state (the diff baseline, a ring of the last
+    ``window`` quality codes, its degraded count and the quarantine
+    verdict) lives in numpy columns, one row per direction.  Every push
+    re-judges its row, so the verdict is the same with a recorder or
+    without.  :meth:`ingest_rows` rates one delivery per row for a whole
     poll tick; :meth:`ingest` / :meth:`observe_missing` are one-row calls
     of it.
 
@@ -199,15 +200,16 @@ class TelemetrySanitizer:
         self._index = DirectionIndex()
         self._prev = Baselines()
         # Quality ring: the last `window` codes of each row (unwritten
-        # slots hold OK, which never counts as degraded) and how many
-        # codes the row has been given in total.
+        # slots hold OK, which never counts as degraded), how many codes
+        # the row has been given in total, how many of the ring's are
+        # degraded, and whether the row is quarantined.
         self._ring = np.zeros((0, window), dtype=np.int8)
         self._pushes = np.zeros(0, dtype=np.int64)
-        # Observability bookkeeping, only maintained while enabled: the
-        # rows last seen quarantined (churn detection) and batched
-        # per-quality sample counts (flushed at scrape time).
+        self._degraded = np.zeros(0, dtype=np.int64)
         self._flagged = np.zeros(0, dtype=bool)
-        self._quality_counts: Dict[SampleQuality, int] = {}
+        # Per-quality sample counts, indexed by code, flushed to the
+        # recorder at scrape time.
+        self._quality_counts = np.zeros(len(QUALITY_BY_CODE), dtype=np.int64)
 
     # ------------------------------------------------------------------ #
     # Rows
@@ -221,6 +223,7 @@ class TelemetrySanitizer:
             self._prev.resize(size)
             self._ring = grow(self._ring, size)
             self._pushes = grow(self._pushes, size)
+            self._degraded = grow(self._degraded, size)
             self._flagged = grow(self._flagged, size)
         return rows
 
@@ -233,12 +236,13 @@ class TelemetrySanitizer:
         if not self.obs.enabled:
             return
         counts = sorted(
-            (quality.value, count)
-            for quality, count in self._quality_counts.items()
+            (quality.value, int(count))
+            for quality, count in zip(QUALITY_BY_CODE, self._quality_counts)
+            if count
         )
         for quality, count in counts:
             self.obs.count("sanitizer_samples_total", count, quality=quality)
-        self._quality_counts.clear()
+        self._quality_counts[:] = 0
 
     def emit_transitions(
         self, transitions: Sequence[Tuple[DirectionId, bool]]
@@ -275,7 +279,7 @@ class TelemetrySanitizer:
             np.array([capacity_pkts_per_s], dtype=np.float64),
             np.array([missed]),
         )
-        if done.flips is not None and done.flips[0]:
+        if done.flips[0]:
             self.emit_transitions([(direction_id, done.flips[0] > 0)])
         return done
 
@@ -443,62 +447,39 @@ class TelemetrySanitizer:
             rows[commit], time_s[commit], total[commit], errors[commit],
             drops[commit],
         )
+        # Push each delivery's quality into its row's ring, keeping the
+        # ring's degraded count, then re-judge every pushed row.
         pushed = rated | garbage | missed | duplicate | stale
         pushed_rows = rows[pushed]
-        self._ring[pushed_rows, self._pushes[pushed_rows] % self.window] = (
-            quality[pushed]
-        )
+        pushed_quality = quality[pushed]
+        slots = self._pushes[pushed_rows] % self.window
+        self._degraded[pushed_rows] += (pushed_quality >= _SUSPECT).astype(
+            np.int64
+        ) - (self._ring[pushed_rows, slots] >= _SUSPECT)
+        self._ring[pushed_rows, slots] = pushed_quality
         self._pushes[pushed_rows] += 1
-        flips = None
-        if self.obs.enabled:
-            counts = self._quality_counts
-            for code, count in enumerate(
-                np.bincount(quality[pushed], minlength=len(QUALITY_BY_CODE))
-            ):
-                if count:
-                    member = QUALITY_BY_CODE[code]
-                    counts[member] = counts.get(member, 0) + int(count)
-            flips = self._flip(rows, pushed & (
-                self._flagged[rows] | (quality >= _SUSPECT)
-            ))
-        return RatedRows(rated | garbage, *clamped, quality, flips)
-
-    def _flip(self, rows: np.ndarray, check: np.ndarray) -> np.ndarray:
-        """Re-judge the ``check`` rows after their push and return the
-        flips (see :class:`RatedRows`).  A quarantine can only start on a
-        degraded push and only end on a flagged row, so only those are
-        judged."""
-        checked = rows[check]
-        total = np.minimum(self._pushes[checked], self.window)
-        degraded = np.count_nonzero(self._ring[checked] >= _SUSPECT, axis=1)
-        now = (total >= self.min_window_samples) & (
-            degraded / np.maximum(total, 1) >= self.quarantine_threshold
+        self._quality_counts += np.bincount(
+            pushed_quality, minlength=len(QUALITY_BY_CODE)
+        )
+        held = np.minimum(self._pushes[pushed_rows], self.window)
+        now = (held >= self.min_window_samples) & (
+            self._degraded[pushed_rows] / held >= self.quarantine_threshold
         )
         flips = np.zeros(len(rows), dtype=np.int8)
-        flips[check] = np.where(now, 1, -1) * (now != self._flagged[checked])
-        self._flagged[checked] = now
-        return flips
+        flips[pushed] = np.subtract(
+            now, self._flagged[pushed_rows], dtype=np.int8
+        )
+        self._flagged[pushed_rows] = now
+        return RatedRows(rated | garbage, *clamped, quality, flips)
 
     # ------------------------------------------------------------------ #
     # Quarantine
     # ------------------------------------------------------------------ #
 
-    def recent_quality(
-        self, direction_id: DirectionId
-    ) -> Tuple[int, int]:
-        """(degraded, total) sample counts in the direction's window."""
-        row = self._index.row_of.get(direction_id)
-        if row is None:
-            return (0, 0)
-        degraded = int(np.count_nonzero(self._ring[row] >= _SUSPECT))
-        return (degraded, min(int(self._pushes[row]), self.window))
-
     def quarantined(self, direction_id: DirectionId) -> bool:
         """Whether the direction's recent telemetry is untrustworthy."""
-        degraded, total = self.recent_quality(direction_id)
-        if total < self.min_window_samples:
-            return False
-        return degraded / total >= self.quarantine_threshold
+        row = self._index.row_of.get(direction_id)
+        return row is not None and bool(self._flagged[row])
 
     def link_quarantined(self, link_id: LinkId) -> bool:
         """Whether either direction of a link is quarantined."""
@@ -507,14 +488,7 @@ class TelemetrySanitizer:
 
     def quarantined_directions(self) -> int:
         """How many directions are currently quarantined."""
-        total = np.minimum(self._pushes, self.window)
-        degraded = np.count_nonzero(self._ring >= _SUSPECT, axis=1)
-        return int(
-            np.count_nonzero(
-                (total >= max(1, self.min_window_samples))
-                & (degraded / np.maximum(total, 1) >= self.quarantine_threshold)
-            )
-        )
+        return int(np.count_nonzero(self._flagged))
 
 
 def optical_reading_plausible(reading) -> bool:

@@ -39,6 +39,55 @@ class TestParser:
         assert caught.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--seeds", "3:1"],
+            ["sweep", "--seeds", "a:b"],
+            ["sweep", "--repair-seeds", ","],
+            ["sweep", "--capacities", "abc"],
+            ["sweep", "--lg-coverages", ""],
+            ["tournament", "--seeds", "x"],
+            ["tournament", "--capacities", "0.5,y"],
+            ["tournament", "--lg-coverages", "0.9:1"],
+            ["chaos", "--seeds", "2:2"],
+            ["localize", "--seeds", ""],
+            ["localize", "--miswire-pairs", "x"],
+        ],
+        ids=" ".join,
+    )
+    def test_malformed_or_empty_number_list_is_a_usage_error(
+        self, argv, capsys
+    ):
+        with pytest.raises(SystemExit) as caught:
+            main(argv)
+        assert caught.value.code == 2
+        assert "list:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["chaos", "--capacity", "1.5"],
+            ["chaos", "--scale", "0"],
+            ["chaos", "--missed-polls", "2"],
+            ["chaos", "--days", "-1"],
+            ["simulate", "--capacity", "1.5"],
+            ["simulate", "--scale", "0"],
+            ["fleet", "--dcns", "20"],
+            ["tournament", "--lg-coverages", "2"],
+        ],
+        ids=" ".join,
+    )
+    def test_refused_numeric_flag_is_a_usage_error(self, argv, capsys):
+        """The config's own rule, reported as one usage line with exit 2:
+        no traceback, no run."""
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"repro {argv[0]}: error: ")
+        assert captured.out == ""
+
 
 class TestTopologyCommand:
     def test_builds_and_saves(self, tmp_path, capsys):

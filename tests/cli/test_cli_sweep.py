@@ -74,12 +74,14 @@ class TestSweepCommand:
         data = json.loads(manifest.read_text())
         assert data["config"]["grid_digest"].startswith("sha256:")
 
-    def test_invalid_grid_rejected_upfront(self):
-        with pytest.raises(ValueError, match="capacity"):
-            main([
-                "sweep", "--strategies", "corropt", "--capacities", "2.0",
-                "--seeds", "0",
-            ])
+    def test_invalid_grid_rejected_upfront(self, capsys):
+        assert main([
+            "sweep", "--strategies", "corropt", "--capacities", "2.0",
+            "--seeds", "0",
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("repro sweep: error: capacity")
+        assert captured.out == ""
 
     def test_failures_flip_exit_code(self, capsys):
         # A watchdog timeout far below any real run forces every job into

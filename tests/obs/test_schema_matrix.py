@@ -4,7 +4,7 @@ One valid artifact of each format is built from tiny runs — a chaos run
 with the hotspot congestion co-model and every ``--*-out``, a chaos sweep,
 a calibrate sweep with one failed job, a tournament, a 2-DCN fleet, a
 ``repro serve`` with checkpoints — or read from the repository (a
-benchmark record and ``BENCH_trajectory.json``).  Each key path of it is
+benchmark record).  Each key path of it is
 then mutated: deleted, set to null, given a value of the wrong type, a
 bool in place of a number, a string outside any enum, an integer moved by
 one (a broken count or rank), two list items swapped (a broken order).
@@ -57,7 +57,6 @@ OBJECT_VALIDATORS = {
     "trace": schema.validate_chrome_trace,
     "health": schema.validate_health_scorecard,
     "benchmark": schema.validate_benchmark_record,
-    "trajectory": schema.validate_bench_trajectory,
 }
 
 
@@ -99,20 +98,6 @@ def _build_artifacts(out: Path) -> dict:
         "--out", str(out / "service-report"),
     ]) == 0
 
-    # One benchmark of the committed trajectory (the first with a runtime
-    # metric, so its baseline is not empty) keeps the matrix small.
-    trajectory = json.loads((ROOT / "BENCH_trajectory.json").read_text())
-    first = min(
-        name
-        for name, entry in trajectory["benchmarks"].items()
-        if entry["runtime_metrics"]
-    )
-    trajectory["benchmarks"] = {first: trajectory["benchmarks"][first]}
-    trajectory["baseline"] = {
-        name: entry
-        for name, entry in trajectory["baseline"].items()
-        if name == first
-    }
     artifacts = {
         label: [
             json.dumps(_without_git_sha(json.loads(line)))
@@ -128,7 +113,6 @@ def _build_artifacts(out: Path) -> dict:
     artifacts["health"] = json.loads((out / "health").read_text())
     artifacts["metrics"] = (out / "metrics").read_text()
     artifacts["benchmark"] = json.loads(BENCHMARK_RECORD.read_text())
-    artifacts["trajectory"] = trajectory
     artifacts["checkpoint"] = (
         out / "ck" / "checkpoint-000001.ckpt"
     ).read_bytes()

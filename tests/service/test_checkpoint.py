@@ -31,7 +31,7 @@ def test_schema_literals_pinned_against_service():
         checkpoint.CHECKPOINT_FORMAT_VERSION
         is schema.CHECKPOINT_FORMAT_VERSION
     )
-    assert CHECKPOINT_FORMAT_VERSION == 8
+    assert CHECKPOINT_FORMAT_VERSION == 9
 
 
 def write_sample(path, state=None):
@@ -113,7 +113,7 @@ class TestIntegrity:
         )
         with pytest.raises(
             ValueError,
-            match=rf"unsupported checkpoint version {version} \(expected 8\)",
+            match=rf"unsupported checkpoint version {version} \(expected 9\)",
         ):
             read_checkpoint(path)
         assert validate_checkpoint_file(path) == [
@@ -158,6 +158,12 @@ class TestIntegrity:
         is a ring of the newest samples now, and would read a full-history
         column as one."""
         self._refused_by_version(tmp_path, 7, "1.13.0")
+
+    def test_v8_checkpoint_refused_before_unpickling(self, tmp_path):
+        """Version 8 kept the sanitizer's quarantine flags only while a
+        recorder was on, so a clean push that started a quarantine left
+        them stale; it must not be resumed from."""
+        self._refused_by_version(tmp_path, 8, "1.13.0")
 
     def test_truncated_payload_rejected(self, tmp_path):
         path = tmp_path / "c.ckpt"

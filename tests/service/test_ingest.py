@@ -16,7 +16,7 @@ from repro.simulation.chaos import chaos_preset
 from repro.telemetry import SnmpPoller, TelemetrySanitizer, TelemetryStore
 from repro.telemetry.poller import ConstantTraffic
 from repro.topology import Direction, build_clos
-from tests.telemetry.stored import WINDOW, column, samples
+from tests.telemetry.stored import WINDOW, column, recent_quality, samples
 
 
 PACKETS = ConstantTraffic(1_000_000)
@@ -213,8 +213,8 @@ class TestJoinedDrain:
         assert list(store.directions()) == list(ref_store.directions())
         for did in ref_store.directions():
             assert samples(store, did) == samples(ref_store, did)
-            assert sanitizer.recent_quality(did) == (
-                ref_sanitizer.recent_quality(did)
+            assert recent_quality(sanitizer, did) == (
+                recent_quality(ref_sanitizer, did)
             )
             assert sanitizer.quarantined(did) == ref_sanitizer.quarantined(did)
         assert (

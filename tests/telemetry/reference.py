@@ -274,18 +274,16 @@ class ReferenceSanitizer:
 
     def push(self, did, quality):
         self.recent.setdefault(did, deque(maxlen=self.window)).append(quality)
-        if self.obs is None or not self.obs.enabled:
-            return
         self.quality_counts[quality] = self.quality_counts.get(quality, 0) + 1
-        # Only a degraded push can start a quarantine, only a flagged
-        # direction can leave one.
+        # Every push re-judges its direction: a clean push can start a
+        # quarantine too, once the window holds enough samples.
         was = did in self.flagged
-        if not was and quality not in DEGRADED:
-            return
         now = self.quarantined(did)
         if now == was:
             return
         (self.flagged.add if now else self.flagged.discard)(did)
+        if self.obs is None or not self.obs.enabled:
+            return
         self.obs.count(
             "sanitizer_quarantine_transitions_total",
             transition="enter" if now else "leave",

@@ -42,8 +42,8 @@ from tests.telemetry.reference import (
     ReferenceStore,
     ReferenceTransport,
 )
-from tests.telemetry.stored import WINDOW, samples as stored
-from tests.metrics import total
+from tests.telemetry.stored import WINDOW, recent_quality, samples as stored
+from tests.metrics import total, value
 
 # ---------------------------------------------------------------------- #
 # Twin set-ups
@@ -213,7 +213,7 @@ class Twins:
                 for direction in (Direction.UP, Direction.DOWN)
             ]
             for did in dids:
-                assert cleaner.recent_quality(did) == (
+                assert recent_quality(cleaner, did) == (
                     ref_cleaner.recent_quality(did)
                 )
                 assert cleaner.quarantined(did) == ref_cleaner.quarantined(did)
@@ -225,6 +225,13 @@ class Twins:
             assert new.queue.stats.as_dict() == ref.queue.stats.as_dict()
             assert new.queue.pending() == ref.queue.pending()
         if obs.enabled:
+            # Every quarantine the sanitizer holds was announced.
+            transitions = "sanitizer_quarantine_transitions_total"
+            assert (
+                (value(obs.registry, transitions, transition="enter") or 0)
+                - (value(obs.registry, transitions, transition="leave") or 0)
+                == cleaner.quarantined_directions()
+            )
             cleaner.flush_obs_counts()
             ref_cleaner.flush_obs_counts()
             assert obs.events == ref_obs.events
@@ -602,7 +609,7 @@ def test_rows_with_their_own_times_match_the_per_sample_api(
         sides.append((cleaner, store))
     (cleaner, store), (ref_cleaner, ref_store) = sides
     assert vars(cleaner.stats) == vars(ref_cleaner.stats)
-    assert cleaner.recent_quality(DID) == ref_cleaner.recent_quality(DID)
+    assert recent_quality(cleaner, DID) == ref_cleaner.recent_quality(DID)
     assert baseline(cleaner, DID) == ref_cleaner.prev.get(DID)
     assert store.dropped_samples == ref_store.dropped_samples
     assert stored(store, DID) == ref_store.samples(DID)[-WINDOW:]

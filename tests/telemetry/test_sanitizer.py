@@ -14,6 +14,7 @@ from repro.telemetry import (
     optical_reading_plausible,
 )
 from tests.telemetry.reference import GarbageFault, ReferenceSanitizer
+from tests.telemetry.stored import recent_quality
 from tests.metrics import value
 
 CAP_PPS = 5_000_000.0  # 40G at 1000B packets
@@ -141,7 +142,7 @@ class TestGarbage:
         assert math.isfinite(out.time_s)
         assert (out.corruption, out.congestion, out.utilization) == (0, 0, 0)
         assert s.stats.samples == 1
-        assert s.recent_quality(("a", "b")) == (1, 1)
+        assert recent_quality(s, ("a", "b")) == (1, 1)
         # The baseline survived (or is still unset): the next clean
         # sample diffs against it (or seeds it).
         out = s.ingest(("a", "b"), snap(2700, 3_000_000, 20), CAP_PPS)
@@ -177,7 +178,7 @@ class TestGarbage:
         new, ref = sides
         assert vars(new.stats) == vars(ref.stats)
         assert mangled > 20
-        assert new.recent_quality(did) == ref.recent_quality(did)
+        assert recent_quality(new, did) == ref.recent_quality(did)
         [row] = new.rows_for([did])
         assert new._prev.total[row] == ref.prev[did].total
 
@@ -274,6 +275,31 @@ class TestQuarantine:
         assert not s.link_quarantined(("c", "d"))
         feed_clean(first, 18000.0, 4)
         assert not s.quarantined(first)
+
+    @pytest.mark.parametrize("recorded", [False, True])
+    def test_a_clean_push_can_start_a_quarantine(self, recorded):
+        """Seed, miss, miss, then an INTERPOLATED push: the window reaches
+        ``min_window_samples`` on the clean push, and the quarantine it
+        starts is the same state with a recorder or without, and is
+        announced."""
+        from repro.obs import ObsRecorder
+
+        obs = ObsRecorder() if recorded else None
+        s = TelemetrySanitizer(obs=obs) if recorded else TelemetrySanitizer()
+        did = ("a", "b")
+        s.ingest(did, snap(900.0, 1_000_000), CAP_PPS)
+        s.observe_missing(did, 1800.0)
+        s.observe_missing(did, 2700.0)
+        assert not s.quarantined(did)
+        out = s.ingest(did, snap(3600.0, 2_000_000), CAP_PPS)
+        assert out.quality is SampleQuality.INTERPOLATED
+        assert recent_quality(s, did) == (2, 3)
+        assert s.quarantined(did) and s.link_quarantined(did)
+        assert s.quarantined_directions() == 1
+        if recorded:
+            [event] = [e for e in obs.events if e["name"] == "quarantine"]
+            assert (event["direction"], event["entered"]) == ("a->b", True)
+            assert value(obs.registry, "sanitizer_quarantined_directions") == 1
 
     def test_quarantine_transitions_counted_in_order(self):
         from repro.obs import ObsRecorder

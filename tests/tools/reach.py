@@ -30,9 +30,9 @@ committed ones.  Three things would hide reach and are handled here:
   merges them.
 
 The report lists each run's exit status without gating on it: a
-validation run fed a mangled file exits 1 by design, and timing gates
-(the instrumentation-overhead benchmark, ``bench-track --check``) can
-fail under the profiler, after the code they exercise has run.
+validation run fed a mangled file exits 1 by design, and a timing gate
+(the instrumentation-overhead benchmark) can fail under the profiler,
+after the code it exercises has run.
 """
 
 from __future__ import annotations
@@ -235,6 +235,7 @@ PRODUCTION_SET: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     ("serve-slo-full", _repro(
         *_SERVE, "--chaos-preset", "mild", "--checkpoint-every", "4",
         "--checkpoint-dir", "health/ck-full",
+        "--out", "health/report-full.jsonl",
         "--health-out", "health/health-full.json",
         "--alerts-out", "health/alerts-full.jsonl")),
     ("serve-slo-kill", _repro(
@@ -250,8 +251,14 @@ PRODUCTION_SET: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     ("obs-validate-health", _repro(
         "obs", "--validate", "--health", "health/health-full.json",
         "--alerts", "health/alerts-full.jsonl")),
+    ("simulate-health", _repro(
+        "simulate", "--days", "2", "--scale", "0.1",
+        "--health-out", "health/health-simulate.json")),
+    ("obs-validate-simulate-health", _repro(
+        "obs", "--validate", "--health", "health/health-simulate.json")),
     ("health-scorecards", _repro(
         "health", "--scorecard", "health/health-full.json",
+        "--service-report", "health/report-full.jsonl",
         "--sweep", "health/campaign-jobs4.jsonl")),
     # fleet-determinism
     ("fleet-jobs1", _repro(
@@ -272,9 +279,6 @@ PRODUCTION_SET: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
         "obs", "--validate", "--sweep", "localize/jobs4.jsonl")),
     ("bench-localization", _pytest(
         "benchmarks/test_runtime_localization.py")),
-    # bench-regression (the re-recorded benchmarks ran above)
-    ("bench-track-check", _repro(
-        "bench-track", "--check", "--max-regression", "2.0")),
     # bench-smoke
     ("bench-poll-tick", _pytest("benchmarks/test_runtime_poll_tick.py")),
     # README usage of the subcommands no CI step runs
@@ -517,7 +521,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         work = Path(scratch)
         shutil.copytree(ROOT / "benchmarks", work / "benchmarks",
                         ignore=shutil.ignore_patterns("__pycache__"))
-        shutil.copy(ROOT / "BENCH_trajectory.json", work)
         entered, runs = measure(
             PRODUCTION_SET, PACKAGE, work, [ROOT / "src", ROOT]
         )

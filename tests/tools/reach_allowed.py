@@ -42,11 +42,6 @@ _LIVE_COUNTER = (
     "live binding of a path counter to a topology that changes shape or "
     "unbinds; no production run adds links or detaches a counter"
 )
-_BENCH_TRACK = (
-    "`repro bench-track --check` either lists the regressed metrics or "
-    "rewrites the trajectory, as the host's timings fall; a run enters one "
-    "side only"
-)
 _FENCED_UTILIZATION = (
     "CongestionModel.utilization, which bench/layers.py probes by name, "
     "runs it (benchmark fence)"
@@ -69,18 +64,9 @@ ALLOWED: Dict[str, str] = {
         "test_fig5_asymmetry.py"),
     "analysis/comparison.py:aggregate_loss_parity": _figure(
         "test_fig1_extent.py"),
-    # -- bench-track ----------------------------------------------------- #
-    "benchtrack.py:trajectory_json": _BENCH_TRACK,
-    "benchtrack.py:write_trajectory": _BENCH_TRACK,
-    "benchtrack.py:Regression.__init__": _BENCH_TRACK,
-    "benchtrack.py:Regression.ratio": _BENCH_TRACK,
-    "benchtrack.py:Regression.describe": _BENCH_TRACK,
     # -- cli ------------------------------------------------------------- #
     "cli.py:_cmd_serve._request_stop": (
         "`repro serve`'s SIGINT/SIGTERM handler: no run is signalled"),
-    "cli.py:_health_service_report": (
-        "`repro health --service-report`: no CI step summarizes a service "
-        "report's health block"),
     # -- congestion ------------------------------------------------------ #
     "congestion/losses.py:CongestionModel.utilization": _FENCE,
     "congestion/losses.py:CongestionModel.loss_rate": _FENCE,
@@ -119,8 +105,6 @@ ALLOWED: Dict[str, str] = {
     "faults/telemetry_faults.py:FaultyTransport.deliver_optical": _OPTICS,
     # -- obs ------------------------------------------------------------- #
     "obs/health.py:HealthTracker.note_repair": _REPAIR_HORIZON,
-    "obs/health.py:health_from_run_result": (
-        "`repro simulate --health-out`: no production run writes it"),
     "obs/recorder.py:NullSpan.set": (
         "the disabled recorder's span: callers set span fields only when "
         "the recorder is enabled"),
