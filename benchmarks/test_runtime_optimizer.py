@@ -5,6 +5,7 @@ branch-and-bound vs exhaustive search.
 """
 
 import random
+import re
 import time
 
 import pytest
@@ -36,7 +37,39 @@ def corrupted_large():
     return topo
 
 
-def test_optimizer_runtime_large_dcn(benchmark, corrupted_large):
+@pytest.fixture(scope="module")
+def feature_ablation():
+    """DESIGN.md §6 ablation: each optimizer variant plans the same
+    instance; returns ``(variant, plan seconds, result)`` rows."""
+    constraint = CapacityConstraint(0.6)
+    variants = {
+        "full (auto)": {},
+        "no pruning": {"use_pruning": False},
+        "no reject cache": {"method": "exhaustive", "use_reject_cache": False},
+        "no segmentation": {"use_segmentation": False},
+        "exhaustive": {"method": "exhaustive"},
+        "branch&bound": {"method": "branch_and_bound"},
+    }
+    rows = []
+    for name, kwargs in variants.items():
+        optimizer = GlobalOptimizer(_ablation_instance(), constraint, **kwargs)
+        started = time.perf_counter()
+        result = optimizer.plan()
+        rows.append((name, time.perf_counter() - started, result))
+    return rows
+
+
+def _ablation_instance():
+    from repro.topology import build_clos
+
+    topo = build_clos(4, 4, 4, 16)
+    sprinkle_corruption(topo, fraction=0.2, rng=random.Random(9))
+    return topo
+
+
+def test_optimizer_runtime_large_dcn(
+    benchmark, corrupted_large, feature_ablation
+):
     constraint = CapacityConstraint(0.75)
 
     def run():
@@ -71,6 +104,12 @@ def test_optimizer_runtime_large_dcn(benchmark, corrupted_large):
             "segments": stats.num_segments,
             "feasibility_checks": stats.feasibility_checks,
             "max_allowed_s": 60.0,
+            # The ablation's plan times; its report keeps the exact columns.
+            **{
+                "ablation_" + re.sub(r"\W+", "_", name).strip("_") + "_ms":
+                    round(seconds * 1e3, 1)
+                for name, seconds, _ in feature_ablation
+            },
         },
     )
     # The timed plan searches: pruning leaves contested segments.
@@ -79,44 +118,18 @@ def test_optimizer_runtime_large_dcn(benchmark, corrupted_large):
     assert mean_s < 60.0
 
 
-def test_optimizer_feature_ablation(benchmark):
+def test_optimizer_feature_ablation(benchmark, feature_ablation):
     """DESIGN.md §6 ablation: contribution of pruning, the reject cache,
-    segmentation, and the search method to optimizer cost."""
+    segmentation, and the search method to optimizer cost.  The report
+    holds only exact columns; the plan times go to runtime_optimizer.json."""
     constraint = CapacityConstraint(0.6)
-
-    def build_instance():
-        from repro.topology import build_clos
-
-        topo = build_clos(4, 4, 4, 16)
-        sprinkle_corruption(topo, fraction=0.2, rng=random.Random(9))
-        return topo
-
-    variants = {
-        "full (auto)": {},
-        "no pruning": {"use_pruning": False},
-        "no reject cache": {"method": "exhaustive", "use_reject_cache": False},
-        "no segmentation": {"use_segmentation": False},
-        "exhaustive": {"method": "exhaustive"},
-        "branch&bound": {"method": "branch_and_bound"},
-    }
-
-    rows = []
-    residuals = set()
-    for name, kwargs in variants.items():
-        topo = build_instance()
-        optimizer = GlobalOptimizer(topo, constraint, **kwargs)
-        started = time.perf_counter()
-        result = optimizer.plan()
-        elapsed = time.perf_counter() - started
-        rows.append(
-            f"{name:18s} {elapsed * 1000:9.1f} ms  "
-            f"checks={result.stats.feasibility_checks:6d}  "
-            f"residual={result.residual_penalty:.3e}"
-        )
-        residuals.add(round(result.residual_penalty, 12))
-
+    rows = [
+        f"{name:18s} checks={result.stats.feasibility_checks:6d}  "
+        f"residual={result.residual_penalty:.3e}"
+        for name, _, result in feature_ablation
+    ]
     benchmark.pedantic(
-        lambda: GlobalOptimizer(build_instance(), constraint).plan(),
+        lambda: GlobalOptimizer(_ablation_instance(), constraint).plan(),
         rounds=3,
         iterations=1,
     )
@@ -127,4 +140,7 @@ def test_optimizer_feature_ablation(benchmark):
         + ["all variants agree on the optimal residual penalty"],
     )
     # Every variant is exact: identical residual penalty.
+    residuals = {
+        round(result.residual_penalty, 12) for _, _, result in feature_ablation
+    }
     assert len(residuals) == 1

@@ -134,7 +134,7 @@ def _add_obs_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_health_args(
-    parser: argparse.ArgumentParser, rules: bool = True
+    parser: argparse.ArgumentParser, alerts: bool = True
 ) -> None:
     """Health/SLO artifact flags (``chaos``/``serve``; ``simulate`` gets
     only the scorecard — oracle runs have no SLO engine)."""
@@ -143,14 +143,10 @@ def _add_health_args(
         "--health-out", metavar="FILE",
         help="write the health scorecard (canonical JSON) here",
     )
-    if rules:
+    if alerts:
         group.add_argument(
             "--alerts-out", metavar="FILE",
             help="write the SLO alert stream (canonical JSONL) here",
-        )
-        group.add_argument(
-            "--slo-rules", metavar="FILE.json",
-            help="replace the built-in SLO rule set with this JSON list",
         )
 
 
@@ -168,17 +164,6 @@ def _add_pool_args(parser: argparse.ArgumentParser) -> None:
         help="omit wall-clock fields so outputs are byte-identical "
              "across --jobs values",
     )
-
-
-def _load_slo_rules(args: argparse.Namespace):
-    """Parsed ``--slo-rules``, or None for the built-in set."""
-    path = getattr(args, "slo_rules", None)
-    if not path:
-        return None
-    from repro.obs import rules_from_json
-
-    with open(path, "r", encoding="utf-8") as handle:
-        return rules_from_json(handle.read())
 
 
 def _write_health_artifacts(
@@ -495,6 +480,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     sweep = runner.run(specs)
     for line in summary_lines(sweep):
         print(line)
+    violated = 0
+    if any(spec.kind == "chaos" for spec in specs):
+        ok = sweep.ok_records()
+        violated = sum(
+            1 for record in ok
+            if record.result is not None and not record.result.invariants_ok()
+        )
+        print(
+            f"invariants: {violated} of {len(ok)} runs violated "
+            f"-> {'VIOLATED' if violated else 'OK'}"
+        )
     if args.out:
         write_sweep_jsonl(args.out, sweep, timing=not args.no_timing)
         print(f"sweep results: {args.out}")
@@ -509,7 +505,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.manifest_out:
         manifest.write(args.manifest_out)
         print(f"run manifest: {args.manifest_out}")
-    return 0 if not sweep.failures() else 1
+    return 0 if not sweep.failures() and not violated else 1
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
@@ -583,77 +579,6 @@ def _cmd_tournament(args: argparse.Namespace) -> int:
         write_tournament_jsonl(args.out, sweep, timing=not args.no_timing)
         print(f"tournament results: {args.out}")
     return 0 if not sweep.failures() else 1
-
-
-def _cmd_chaos_campaign(args: argparse.Namespace) -> int:
-    """Run a chaos seed campaign through the parallel runner.
-
-    Activated by ``--seeds`` or ``--jobs``; each trace seed becomes one
-    ``kind="chaos"`` job with a spec-derived repair seed, so results are
-    byte-identical across worker counts (``--no-timing``).
-    """
-    from repro.parallel import (
-        GridSpec,
-        ParallelRunner,
-        summary_lines,
-        write_sweep_jsonl,
-    )
-
-    if args.preset is None:
-        print(
-            "chaos campaigns take a named --preset "
-            "(custom fault-rate flags are single-run only)",
-            file=sys.stderr,
-        )
-        return 2
-    if (
-        _wants_obs(args) or args.audit_out
-        or args.health_out or args.alerts_out or args.slo_rules
-    ):
-        print(
-            "observability/health artifacts are single-run only "
-            "(campaign health rides in the sweep JSONL); "
-            "drop --seeds/--jobs or the --*-out/--slo-rules flags",
-            file=sys.stderr,
-        )
-        return 2
-    grid = GridSpec(
-        presets=["medium"],
-        chaos_presets=[args.preset],
-        capacities=[args.capacity],
-        trace_seeds=args.seeds or [0],
-        scale=args.scale,
-        duration_days=args.days,
-        events_per_10k=args.events,
-        repair_accuracy=args.repair_accuracy,
-        fault_seed=args.fault_seed,
-        congestion_presets=(
-            [args.congestion_preset] if args.congestion_preset else None
-        ),
-        miswire_pairs=args.miswire_pairs,
-        sensing=args.sensing,
-    )
-    with _refusing():
-        specs = _checked(grid.expand())
-    runner = ParallelRunner(
-        jobs=args.jobs, max_retries=args.retries, timeout_s=args.timeout
-    )
-    sweep = runner.run(specs)
-    for line in summary_lines(sweep):
-        print(line)
-    violations = sum(
-        1
-        for record in sweep.ok_records()
-        if record.result is not None and not record.result.invariants_ok()
-    )
-    print(
-        f"invariants: {violations} of {len(sweep.ok_records())} runs "
-        f"violated -> {'VIOLATED' if violations else 'OK'}"
-    )
-    if args.out:
-        write_sweep_jsonl(args.out, sweep, timing=not args.no_timing)
-        print(f"chaos campaign results: {args.out}")
-    return 0 if not sweep.failures() and violations == 0 else 1
 
 
 def _cmd_localize(args: argparse.Namespace) -> int:
@@ -753,8 +678,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.faults import TelemetryFaultConfig
     from repro.simulation import ChaosSimulation, chaos_preset, chaos_scenario
 
-    if args.seeds is not None or args.jobs != 1:
-        return _cmd_chaos_campaign(args)
     with _refusing():
         if args.preset is not None:
             config = chaos_preset(args.preset, seed=args.fault_seed)
@@ -799,7 +722,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         miswire_pairs=args.miswire_pairs,
         sensing=args.sensing,
         obs=obs,
-        slo_rules=_load_slo_rules(args),
     ).kernel.run()
     metrics, chaos = result.metrics, result.chaos
     print(
@@ -856,10 +778,6 @@ def _serve_config(args: argparse.Namespace):
     """A fresh run's config; ``ValueError`` lists the values it refuses."""
     from repro.service import ServiceConfig
 
-    slo_rules_json = None
-    if args.slo_rules:
-        with open(args.slo_rules, "r", encoding="utf-8") as handle:
-            slo_rules_json = handle.read()
     config = ServiceConfig(
         days=args.days,
         scale=args.scale,
@@ -877,7 +795,6 @@ def _serve_config(args: argparse.Namespace):
         batch_size=args.batch_size,
         drain_budget=args.drain_budget,
         audit_maxlen=args.audit_maxlen,
-        slo_rules_json=slo_rules_json,
     )
     config.validate()
     return config
@@ -896,12 +813,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     with _refusing():
         ControllerService.check_checkpoint_every(checkpoint_every_s)
+        if args.resume_from and checkpoint_every_s is None:
+            checkpoint_every_s = _checkpoint_header(args.resume_from)[
+                "config"
+            ].get("checkpoint_every_s")
+        if checkpoint_every_s is not None and not args.checkpoint_dir:
+            raise ValueError(
+                "--checkpoint-every (or a resumed run's checkpoint "
+                "interval) requires --checkpoint-dir"
+            )
         config = None if args.resume_from else _serve_config(args)
 
     if args.resume_from:
         header, service = ControllerService.restore(args.resume_from)
-        if checkpoint_every_s is None:
-            checkpoint_every_s = header["config"].get("checkpoint_every_s")
         print(
             f"resumed from {args.resume_from} "
             f"(boundary {header['boundary_index']}, "
@@ -921,25 +845,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             )
         service = ControllerService(config, obs=obs)
 
-    if checkpoint_every_s is not None and not args.checkpoint_dir:
-        print("--checkpoint-every requires --checkpoint-dir")
-        return 2
-
-    # Live introspection: the CLI owns the server (it must never be
-    # pickled into a checkpoint) and pushes immutable snapshots into it
-    # at every checkpoint boundary via the should_stop probe.
-    server = None
-    if args.http is not None:
-        from repro.service.http import ServiceIntrospectionServer
-
-        server = ServiceIntrospectionServer(port=args.http)
-        port = server.start()
-        server.publish_service(service)
-        print(
-            f"introspection: http://127.0.0.1:{port} "
-            "(/healthz /metrics /slo)"
-        )
-
     # Graceful drain: SIGTERM (and Ctrl-C) finish the current slice, flush
     # one final checkpoint, and exit resumable.
     stop = {"requested": False}
@@ -947,11 +852,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     def _request_stop(_signum, _frame):
         stop["requested"] = True
         print("stop requested; draining to the next checkpoint boundary...")
-
-    def _probe() -> bool:
-        if server is not None:
-            server.publish_service(service)
-        return stop["requested"]
 
     previous_handlers = {
         sig: signal.signal(sig, _request_stop)
@@ -962,18 +862,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             checkpoint_every_s=checkpoint_every_s,
             checkpoint_dir=args.checkpoint_dir,
             max_boundaries=args.stop_after_checkpoint,
-            should_stop=_probe,
+            should_stop=lambda: stop["requested"],
         )
-        if server is not None:
-            server.publish_service(
-                service,
-                status="completed" if status.completed else "stopped",
-            )
     finally:
         for sig, handler in previous_handlers.items():
             signal.signal(sig, handler)
-        if server is not None:
-            server.stop()
 
     cfg = service.config
     print(
@@ -1411,10 +1304,9 @@ def _cmd_health(args: argparse.Namespace) -> int:
         (args.sweep, _read_records, _health_sweep),
     ]
     if not any(path for path, *_ in artifacts):
-        print(
+        raise _Refused(
             "nothing to summarize: pass --scorecard/--service-report/--sweep"
         )
-        return 2
     problems: List[str] = []
     exit_code = 0
     for path, content, show in _loaded(artifacts, problems):
@@ -1424,9 +1316,14 @@ def _cmd_health(args: argparse.Namespace) -> int:
     return 1 if problems else exit_code
 
 
-def _print_checkpoint(path: str) -> None:
+def _checkpoint_header(path: str) -> dict:
+    """A checkpoint's JSON header line, read without the payload."""
     with open(path, "rb") as handle:
-        header = json.loads(handle.readline())
+        return json.loads(handle.readline())
+
+
+def _print_checkpoint(path: str) -> None:
+    header = _checkpoint_header(path)
     print(
         f"checkpoint {path}: boundary "
         f"{header['boundary_index']}, sim "
@@ -1483,11 +1380,10 @@ def _cmd_obs(args: argparse.Namespace) -> int:
          lambda lines: _print_service_report(args.service_report, lines)),
     ]
     if not any(path for path, *_ in artifacts):
-        print(
+        raise _Refused(
             "nothing to inspect: pass --audit/--metrics/--events/--trace/"
             "--sweep/--checkpoint/--service-report/--health/--alerts"
         )
-        return 2
 
     # Summaries assume a well-formed artifact, so a file is summarized
     # only once its validator passes; a bad file gets an INVALID line.
@@ -1568,7 +1464,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for --strategies comparison (0 = all CPUs)",
     )
     _add_obs_args(sim)
-    _add_health_args(sim, rules=False)
+    _add_health_args(sim, alerts=False)
     sim.set_defaults(func=_cmd_simulate, audit_out=None)
 
     sweep = sub.add_parser(
@@ -1741,20 +1637,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="sensing pipeline: per-port counter telemetry or "
              "007-style flow voting",
     )
-    chaos.add_argument(
-        "--events", type=float, default=400.0,
-        help="fault arrival intensity (events/10K links/day) for "
-             "campaign runs",
-    )
-    chaos.add_argument(
-        "--seeds", type=_numbers("int"), default=None, metavar="LIST",
-        help="trace seeds (comma list or 'a:b'); switches to campaign "
-             "mode through the parallel runner with spec-derived repair "
-             "seeds",
-    )
-    chaos.add_argument("--out", metavar="FILE.jsonl",
-                       help="write campaign results as canonical JSONL")
-    _add_pool_args(chaos)
     _add_obs_args(chaos)
     _add_health_args(chaos)
     chaos.add_argument(
@@ -1878,11 +1760,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--audit-out", metavar="FILE",
         help="write the controller audit log as JSONL here",
-    )
-    serve.add_argument(
-        "--http", type=int, default=None, metavar="PORT",
-        help="serve live introspection (/healthz /metrics /slo) on "
-             "127.0.0.1:PORT while running (0 = ephemeral port)",
     )
     serve.set_defaults(func=_cmd_serve)
 

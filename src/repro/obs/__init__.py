@@ -65,7 +65,6 @@ from repro.obs.slo import (  # noqa: F401
     DEFAULT_SLO_RULES,
     SLOEngine,
     SLORule,
-    rules_from_json,
 )
 from repro.obs.tracing import SpanRecord, SpanTracer  # noqa: F401
 
@@ -92,7 +91,6 @@ __all__ = [
     "health_from_run_result",
     "package_version",
     "prometheus_text",
-    "rules_from_json",
     "scorecard_json",
     "summarize_scorecard",
     "topology_digest",

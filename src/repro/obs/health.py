@@ -38,7 +38,6 @@ from repro.obs.slo import (
     ALERTS_FORMAT,
     ALERTS_FORMAT_VERSION,
     SLOEngine,
-    SLORule,
 )
 
 __all__ = [
@@ -123,7 +122,6 @@ class HealthTracker:
         capacity_floor: float,
         duration_s: float,
         num_shards: int = 1,
-        rules: Optional[Sequence[SLORule]] = None,
     ):
         self.poll_interval_s = poll_interval_s
         self.capacity_floor = capacity_floor
@@ -131,7 +129,7 @@ class HealthTracker:
         #: Optional ShardRouter-like object (``shard_of(link_id) -> int``);
         #: the sharded service installs its router after construction.
         self.router = None
-        self.slo = SLOEngine(rules)
+        self.slo = SLOEngine()
 
         # Per-link fault lifecycle (one active fault per link, mirroring
         # the kernel's onset bookkeeping).

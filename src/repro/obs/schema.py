@@ -344,7 +344,9 @@ CHECKPOINT_FORMAT = "repro-checkpoint"
 #: 9: the sanitizer keeps each direction's quarantine verdict and degraded
 #: count as columns, judged on every push, and its per-quality counts as
 #: one int array.
-CHECKPOINT_FORMAT_VERSION = 9
+#: 10: the service config and the sensing pipeline carry no custom SLO
+#: rules; the SLO engine holds the built-in rule tuple.
+CHECKPOINT_FORMAT_VERSION = 10
 
 #: Service-report literals, pinned against :mod:`repro.service.service`.
 SERVICE_REPORT_FORMAT = "repro-service-report"

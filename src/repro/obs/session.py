@@ -67,10 +67,6 @@ class ObsRecorder(Recorder):
         embedded in a service checkpoint pickles cleanly)."""
         return self._sim_time
 
-    @property
-    def sim_time_s(self) -> float:
-        return self._sim_time
-
     def count(self, name: str, value: float = 1.0, **labels) -> None:
         self.registry.inc(name, value, **labels)
 

@@ -20,9 +20,8 @@ engine pickles with the sensing pipeline).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 __all__ = [
     "ALERTS_FORMAT",
@@ -30,15 +29,11 @@ __all__ = [
     "DEFAULT_SLO_RULES",
     "SLOEngine",
     "SLORule",
-    "rules_from_json",
 ]
 
 ALERTS_FORMAT = "repro-health-alerts"
 #: Bumped when the alert record layout changes incompatibly.
 ALERTS_FORMAT_VERSION = 1
-
-_OPS = ("<=", ">=")
-_SEVERITIES = ("info", "warning", "critical")
 
 
 @dataclass(frozen=True)
@@ -69,23 +64,6 @@ class SLORule:
     clear_for_s: float = 0.0
     severity: str = "warning"
     paper_ref: str = ""
-
-    def validate(self) -> None:
-        problems = []
-        if not self.name:
-            problems.append("rule needs a non-empty name")
-        if not self.indicator:
-            problems.append(f"{self.name}: empty indicator")
-        if self.op not in _OPS:
-            problems.append(f"{self.name}: op must be one of {_OPS}")
-        if self.severity not in _SEVERITIES:
-            problems.append(
-                f"{self.name}: severity must be one of {_SEVERITIES}"
-            )
-        if self.for_s < 0 or self.clear_for_s < 0:
-            problems.append(f"{self.name}: hysteresis windows must be >= 0")
-        if problems:
-            raise ValueError("; ".join(problems))
 
     def breached(self, value: float) -> bool:
         if self.op == "<=":
@@ -172,32 +150,6 @@ DEFAULT_SLO_RULES = (
 )
 
 
-def rules_from_json(text: str) -> List[SLORule]:
-    """Parse a JSON list of rule objects into validated :class:`SLORule`s."""
-    raw = json.loads(text)
-    if not isinstance(raw, list):
-        raise ValueError("SLO rules file must hold a JSON list")
-    rules: List[SLORule] = []
-    for index, entry in enumerate(raw):
-        if not isinstance(entry, dict):
-            raise ValueError(f"rules[{index}] is not an object")
-        unknown = set(entry) - {
-            "name", "indicator", "op", "threshold", "for_s", "clear_for_s",
-            "severity", "paper_ref",
-        }
-        if unknown:
-            raise ValueError(
-                f"rules[{index}]: unknown keys {sorted(unknown)}"
-            )
-        rule = SLORule(**entry)
-        rule.validate()
-        rules.append(rule)
-    names = [rule.name for rule in rules]
-    if len(set(names)) != len(names):
-        raise ValueError("duplicate rule names")
-    return rules
-
-
 def _lookup(snapshot: Dict[str, object], path: str) -> Optional[float]:
     """Resolve a dotted indicator path; None when absent or non-numeric."""
     node: object = snapshot
@@ -221,7 +173,8 @@ class _RuleState:
 
 
 class SLOEngine:
-    """Evaluate a rule set against successive event-time health snapshots.
+    """Evaluate :data:`DEFAULT_SLO_RULES` against successive event-time
+    health snapshots.
 
     The engine owns nothing wall-clock: ``evaluate`` is driven by the
     sensing pipeline at poll ticks and appends alert transitions to
@@ -229,12 +182,8 @@ class SLOEngine:
     tick follows the rule list).
     """
 
-    def __init__(self, rules: Optional[Sequence[SLORule]] = None):
-        self.rules: List[SLORule] = list(
-            DEFAULT_SLO_RULES if rules is None else rules
-        )
-        for rule in self.rules:
-            rule.validate()
+    def __init__(self):
+        self.rules = DEFAULT_SLO_RULES
         self._states: List[_RuleState] = [_RuleState() for _ in self.rules]
         self.alerts: List[Dict[str, object]] = []
 

@@ -267,24 +267,6 @@ class JobSpec:
             out[f.name] = value
         return out
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "JobSpec":
-        """Inverse of :meth:`to_dict`; unknown keys are rejected."""
-        names = {f.name for f in fields(cls)}
-        unknown = set(data) - names
-        if unknown:
-            raise ValueError(f"unknown JobSpec fields: {sorted(unknown)}")
-        kwargs = dict(data)
-        if kwargs.get("profile_shape") is not None:
-            kwargs["profile_shape"] = tuple(kwargs["profile_shape"])
-        if kwargs.get("knobs"):
-            kwargs["knobs"] = tuple(
-                tuple(pair) for pair in kwargs["knobs"]
-            )
-        else:
-            kwargs["knobs"] = ()
-        return cls(**kwargs)
-
     def canonical_json(self) -> str:
         """Key-sorted, whitespace-free JSON — the hashing preimage."""
         return json.dumps(

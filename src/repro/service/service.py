@@ -29,7 +29,6 @@ from repro._version import __version__
 from repro.core.controller import ControllerLog, CorrOptController
 from repro.core.resilience import BreakerState, CircuitBreaker, OnsetDebouncer
 from repro.obs.recorder import NULL_RECORDER, Recorder
-from repro.obs.slo import rules_from_json
 from repro.parallel.aggregate import series_digest
 from repro.service.checkpoint import read_checkpoint
 from repro.service.checkpoint import write_checkpoint as _write_checkpoint
@@ -114,10 +113,6 @@ class ServiceConfig:
     drain_budget: Optional[int] = None
     audit_maxlen: int = 1024
     max_decisions: int = 4096
-    #: Custom SLO rules as a canonical JSON string (a string keeps the
-    #: config hashable and checkpoint-serializable); ``None`` uses
-    #: :data:`~repro.obs.slo.DEFAULT_SLO_RULES`.
-    slo_rules_json: Optional[str] = None
     #: Event-time period for publishing health snapshots into the obs
     #: stream (gauges + a ``health_snapshot`` event).
     health_snapshot_every_s: float = 3600.0
@@ -163,11 +158,6 @@ class ServiceConfig:
             problems.append("audit_maxlen must be >= 1")
         if self.health_snapshot_every_s <= 0:
             problems.append("health_snapshot_every_s must be > 0")
-        if self.slo_rules_json is not None:
-            try:
-                rules_from_json(self.slo_rules_json)
-            except (ValueError, TypeError) as exc:
-                problems.append(f"slo_rules_json: {exc}")
         if problems:
             raise ValueError("; ".join(problems))
 
@@ -217,7 +207,6 @@ class ServiceSensing(TelemetrySensing):
         queue_policy: str = "defer",
         batch_size: int = 64,
         drain_budget: Optional[int] = None,
-        slo_rules=None,
         health_snapshot_every_s: float = 3600.0,
         congestion_model=None,
         miswiring=None,
@@ -232,7 +221,6 @@ class ServiceSensing(TelemetrySensing):
             debounce_confirm=debounce_confirm,
             max_decisions=max_decisions,
             audit_maxlen=audit_maxlen,
-            slo_rules=slo_rules,
             health_snapshot_every_s=health_snapshot_every_s,
             congestion_model=congestion_model,
             miswiring=miswiring,
@@ -436,11 +424,6 @@ class ControllerService:
             config.congestion_preset,
             config.miswire_pairs,
         )
-        slo_rules = (
-            rules_from_json(config.slo_rules_json)
-            if config.slo_rules_json is not None
-            else None
-        )
         self.pipeline = ServiceSensing(
             self.scenario.trace,
             self.scenario.constraint(),
@@ -455,7 +438,6 @@ class ControllerService:
             queue_policy=config.queue_policy,
             batch_size=config.batch_size,
             drain_budget=config.drain_budget,
-            slo_rules=slo_rules,
             health_snapshot_every_s=config.health_snapshot_every_s,
             congestion_model=cmodel,
             miswiring=miswiring,

@@ -139,7 +139,6 @@ class ChaosSimulation:
         debounce_confirm: int = 2,
         max_decisions: int = 4096,
         audit_maxlen: int = 1024,
-        slo_rules=None,
         congestion_preset: Optional[str] = None,
         miswire_pairs: int = 0,
         sensing: str = "telemetry",
@@ -164,7 +163,6 @@ class ChaosSimulation:
             debounce_confirm=debounce_confirm,
             max_decisions=max_decisions,
             audit_maxlen=audit_maxlen,
-            slo_rules=slo_rules,
             congestion_model=cmodel,
             miswiring=miswiring,
             **extra,

@@ -646,7 +646,6 @@ class TelemetrySensing(SensingPipeline):
         debounce_confirm: int = 2,
         max_decisions: int = 4096,
         audit_maxlen: int = 1024,
-        slo_rules=None,
         health_snapshot_every_s: float = 3600.0,
         congestion_model=None,
         miswiring=None,
@@ -663,7 +662,6 @@ class TelemetrySensing(SensingPipeline):
         self.debounce_confirm = debounce_confirm
         self.max_decisions = max_decisions
         self.audit_maxlen = audit_maxlen
-        self.slo_rules = slo_rules
         self.health_snapshot_every_s = health_snapshot_every_s
         #: Optional congestion co-model: feeds diurnal utilization through
         #: the poller's traffic callable and queue losses through the
@@ -750,7 +748,6 @@ class TelemetrySensing(SensingPipeline):
             capacity_floor=self._min_threshold,
             duration_s=kernel.duration_s,
             num_shards=self._num_shards(),
-            rules=self.slo_rules,
         )
         self.health.router = self._health_router()
         if self.diagnosis is not None:

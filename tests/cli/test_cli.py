@@ -50,7 +50,7 @@ class TestParser:
             ["tournament", "--seeds", "x"],
             ["tournament", "--capacities", "0.5,y"],
             ["tournament", "--lg-coverages", "0.9:1"],
-            ["chaos", "--seeds", "2:2"],
+            ["sweep", "--seeds", "2:2"],
             ["localize", "--seeds", ""],
             ["localize", "--miswire-pairs", "x"],
         ],
@@ -81,6 +81,27 @@ class TestParser:
     def test_refused_numeric_flag_is_a_usage_error(self, argv, capsys):
         """The config's own rule, reported as one usage line with exit 2:
         no traceback, no run."""
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"repro {argv[0]}: error: ")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--checkpoint-every", "4"],
+            ["serve", "--resume-from", "missing.ckpt",
+             "--checkpoint-every", "4"],
+            ["obs"],
+            ["health"],
+        ],
+        ids=" ".join,
+    )
+    def test_missing_input_is_a_usage_error(self, argv, capsys):
+        """One usage line on stderr, exit 2, before anything is built or
+        restored (the resumed checkpoint does not exist)."""
         assert main(argv) == 2
         captured = capsys.readouterr()
         err = captured.err.splitlines()

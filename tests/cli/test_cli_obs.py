@@ -77,9 +77,6 @@ class TestChaosArtifacts:
 
 
 class TestObsCommand:
-    def test_no_input_is_an_error(self, capsys):
-        assert main(["obs"]) == 2
-
     def test_validate_rejects_malformed_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.prom"
         bad.write_text("not a prometheus file\n")

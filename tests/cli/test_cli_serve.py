@@ -25,11 +25,6 @@ class TestServe:
         assert "accounting OK" in out
         assert "-> OK" in out
 
-    def test_checkpointing_requires_directory(self, capsys):
-        code = main(["serve", *FAST, "--checkpoint-every", "4"])
-        assert code == 2
-        assert "--checkpoint-dir" in capsys.readouterr().out
-
     def test_validation_error_surfaces(self):
         with pytest.raises(SystemExit):
             main(["serve", "--queue-policy", "block"])

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import main
 from repro.obs import validate_sweep_jsonl
+from repro.simulation.results import RunResult
 
 FAST_AXES = [
     "--strategies", "corropt,none",
@@ -25,6 +26,7 @@ class TestSweepCommand:
         assert "4/4 jobs ok" in out
         assert "scenario cache" in out
         assert "corropt" in out and "none" in out
+        assert "invariants" not in out  # no chaos jobs, no chaos invariants
 
     def test_jsonl_output_validates(self, tmp_path, capsys):
         out = tmp_path / "sweep.jsonl"
@@ -82,6 +84,26 @@ class TestSweepCommand:
         captured = capsys.readouterr()
         assert captured.err.startswith("repro sweep: error: capacity")
         assert captured.out == ""
+
+    @pytest.mark.parametrize("violated", [False, True])
+    def test_chaos_grid_reports_its_invariants(
+        self, violated, monkeypatch, capsys
+    ):
+        """A grid of chaos jobs prints one invariants line, and a run that
+        violated them fails the sweep."""
+        if violated:
+            monkeypatch.setattr(RunResult, "invariants_ok", lambda self: False)
+        code = main([
+            "sweep", "--chaos-preset", "mild", "--seeds", "0:2",
+            "--scale", "0.06", "--days", "0.5",
+        ])
+        out = capsys.readouterr().out
+        if violated:
+            assert code == 1
+            assert "invariants: 2 of 2 runs violated -> VIOLATED" in out
+        else:
+            assert code == 0
+            assert "invariants: 0 of 2 runs violated -> OK" in out
 
     def test_failures_flip_exit_code(self, capsys):
         # A watchdog timeout far below any real run forces every job into

@@ -21,11 +21,7 @@ from repro.obs.schema import (
     validate_events_jsonl,
     validate_prometheus_text,
 )
-from repro.obs.exporters import (
-    chrome_trace,
-    events_jsonl_lines,
-    prometheus_text,
-)
+from repro.obs.exporters import chrome_trace, events_jsonl_lines
 from repro.simulation.chaos import ChaosSimulation, chaos_preset
 from repro.simulation.scenarios import chaos_scenario
 from tests.metrics import total
@@ -106,9 +102,13 @@ class TestMetricsCoverage:
 
 
 class TestArtifactsValidate:
-    def test_all_three_exports_are_schema_valid(self, instrumented_run):
+    def test_all_three_exports_are_schema_valid(
+        self, instrumented_run, tmp_path
+    ):
         obs, _ = instrumented_run
-        text = prometheus_text(obs.registry, obs.manifest, obs.sim_time_s)
+        obs.write_metrics(tmp_path / "metrics.prom")
+        text = (tmp_path / "metrics.prom").read_text()
+        assert "# sim-time-s: " in text
         assert validate_prometheus_text(text) == []
         lines = list(events_jsonl_lines(obs.events, obs.manifest))
         assert validate_events_jsonl(lines) == []

@@ -24,6 +24,7 @@ from repro.parallel.fleet import (
 )
 from repro.obs.schema import validate_sweep_jsonl
 from repro.workloads.dcn_profiles import study_profiles
+from tests.specs import spec_from_dict
 
 SMALL = dict(scale=0.08, duration_days=20.0)
 
@@ -255,7 +256,7 @@ class TestTopoKindAxis:
         spec = JobSpec()
         assert "topo_kind" not in spec.to_dict()
         assert "breakout_fraction" not in spec.to_dict()
-        round_tripped = JobSpec.from_dict(spec.to_dict())
+        round_tripped = spec_from_dict(spec.to_dict())
         assert round_tripped == spec
 
     def test_new_axes_change_scenario_key_and_seed(self):

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.parallel.spec import JobSpec, job_seed
+from tests.specs import spec_from_dict
 
 SPEC_STRATEGY = st.builds(
     JobSpec,
@@ -36,7 +37,7 @@ SPEC_STRATEGY = st.builds(
 @settings(max_examples=200, deadline=None)
 def test_seed_is_pure_function_of_spec(spec):
     assert job_seed(spec) == job_seed(spec)
-    clone = JobSpec.from_dict(spec.to_dict())
+    clone = spec_from_dict(spec.to_dict())
     assert job_seed(clone) == job_seed(spec)
     assert spec.job_seed() == job_seed(spec)
 

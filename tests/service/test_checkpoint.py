@@ -31,7 +31,7 @@ def test_schema_literals_pinned_against_service():
         checkpoint.CHECKPOINT_FORMAT_VERSION
         is schema.CHECKPOINT_FORMAT_VERSION
     )
-    assert CHECKPOINT_FORMAT_VERSION == 9
+    assert CHECKPOINT_FORMAT_VERSION == 10
 
 
 def write_sample(path, state=None):
@@ -113,7 +113,7 @@ class TestIntegrity:
         )
         with pytest.raises(
             ValueError,
-            match=rf"unsupported checkpoint version {version} \(expected 9\)",
+            match=rf"unsupported checkpoint version {version} \(expected 10\)",
         ):
             read_checkpoint(path)
         assert validate_checkpoint_file(path) == [
@@ -164,6 +164,11 @@ class TestIntegrity:
         recorder was on, so a clean push that started a quarantine left
         them stale; it must not be resumed from."""
         self._refused_by_version(tmp_path, 8, "1.13.0")
+
+    def test_v9_checkpoint_refused_before_unpickling(self, tmp_path):
+        """Version 9 pickled the service config's custom SLO rules and
+        the pipeline's rule list; neither exists now."""
+        self._refused_by_version(tmp_path, 9, "1.13.0")
 
     def test_truncated_payload_rejected(self, tmp_path):
         path = tmp_path / "c.ckpt"

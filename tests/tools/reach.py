@@ -76,8 +76,11 @@ _SWEEP_GRID = ("sweep", "--strategies", "corropt,switch-local",
 _CHAOS_GRID = ("sweep", "--chaos-preset", "none,mild,harsh,reboot-storm",
                "--capacities", "0.75", "--seeds", "0:2", "--scale", "0.06",
                "--days", "1", "--events", "400", "--no-timing")
-_CAMPAIGN = ("chaos", "--preset", "mild", "--seeds", "0:2", "--scale",
-             "0.06", "--days", "1", "--events", "400", "--no-timing")
+_CAMPAIGN = ("sweep", "--chaos-preset", "mild", "--capacities", "0.75",
+             "--seeds", "0:2", "--scale", "0.06", "--days", "1", "--events",
+             "400", "--no-timing")
+_POOL_GRID = ("sweep", "--grid", f"{_REPO}/examples/technician_pool_grid.json",
+              "--no-timing")
 _TOURNAMENT = ("tournament", "--presets", "medium", "--capacities",
                "0.75,0.9", "--seeds", "0:2", "--scale", "0.25", "--days",
                "30", "--events", "4", "--no-timing")
@@ -106,7 +109,7 @@ lines[1] = "not json\\n"
 PRODUCTION_SET: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     # obs-artifacts
     ("chaos-mild-artifacts", _repro(
-        "chaos", "--preset", "mild", "--days", "2", "--scale", "0.12",
+        "chaos", "--preset", "mild", "--scale", "0.12",
         "--metrics-out", "obs/metrics.prom", "--events-out", "obs/events.jsonl",
         "--trace-out", "obs/trace.json", "--manifest-out", "obs/manifest.json",
         "--audit-out", "obs/audit.jsonl", "--health-out", "obs/health.json")),
@@ -137,18 +140,14 @@ PRODUCTION_SET: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     ("bench-obs-overhead", _pytest(
         "benchmarks/test_runtime_obs_overhead.py")),
     # tests
-    ("bench-oracle-reports", _pytest(
-        "benchmarks/test_fig10_switch_local_gap.py",
-        "benchmarks/test_fig14_penalty_timeseries.py",
-        "benchmarks/test_fig17_penalty_ratio.py",
-        "benchmarks/test_fig18_optimizer_gain.py",
-        "benchmarks/test_sec72_repair_accuracy.py")),
     ("bench-smoke", ("-m", "bench.run", "--smoke")),
     ("bench-incremental-counter", _pytest(
         "benchmarks/test_runtime_incremental_counter.py", "-k", "medium")),
     ("bench-checker-optimizer", _pytest(
         "benchmarks/test_runtime_fast_checker.py",
         "benchmarks/test_runtime_optimizer.py")),
+    ("bench-paper-reports", _pytest(
+        "benchmarks", "--ignore-glob=benchmarks/test_runtime_*")),
     # parallel-determinism
     ("sweep-jobs1", _repro(
         *_SWEEP_GRID, "--jobs", "1", "--out", "sweep/sweep-jobs1.jsonl")),
@@ -158,6 +157,12 @@ PRODUCTION_SET: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
         "--manifest-out", "sweep/sweep-manifest.json")),
     ("obs-validate-sweep", _repro(
         "obs", "--validate", "--sweep", "sweep/sweep-jobs4.jsonl")),
+    ("pool-grid-jobs1", _repro(
+        *_POOL_GRID, "--jobs", "1", "--out", "sweep/pool-grid-jobs1.jsonl")),
+    ("pool-grid-jobs4", _repro(
+        *_POOL_GRID, "--jobs", "4", "--out", "sweep/pool-grid-jobs4.jsonl")),
+    ("obs-validate-pool-grid", _repro(
+        "obs", "--validate", "--sweep", "sweep/pool-grid-jobs4.jsonl")),
     ("bench-parallel-sweep", _pytest(
         "benchmarks/test_runtime_parallel_sweep.py")),
     # tournament-determinism
@@ -174,8 +179,6 @@ PRODUCTION_SET: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
         *_CHAOS_GRID, "--jobs", "4", "--out", "chaos/chaos-jobs4.jsonl",
         "--metrics-out", "chaos/chaos-metrics.prom",
         "--manifest-out", "chaos/chaos-manifest.json")),
-    ("chaos-campaign-jobs4-cli", _repro(
-        *_CAMPAIGN, "--jobs", "4", "--out", "chaos/chaos-cli.jsonl")),
     ("obs-validate-chaos", _repro(
         "obs", "--validate", "--sweep", "chaos/chaos-jobs4.jsonl")),
     ("bench-chaos-sweep", _pytest("benchmarks/test_runtime_chaos_sweep.py")),
@@ -223,6 +226,11 @@ PRODUCTION_SET: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
         "serve", "--resume-from", "service/ck-harsh-kill/checkpoint-000001.ckpt",
         "--checkpoint-dir", "service/ck-harsh-kill",
         "--out", "service/report-harsh-resumed.jsonl")),
+    ("serve-drop-metrics", _repro(
+        *_SERVE, "--queue-policy", "drop", "--queue-capacity", "1",
+        "--drain-budget", "1", "--metrics-out", "service/drop-metrics.prom")),
+    ("obs-validate-drop-metrics", _repro(
+        "obs", "--validate", "--metrics", "service/drop-metrics.prom")),
     ("obs-validate-service", _repro(
         "obs", "--validate",
         "--checkpoint", "service/ck-kill/checkpoint-000001.ckpt",

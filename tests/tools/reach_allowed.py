@@ -14,22 +14,12 @@ from typing import Dict
 _HOOK = "base-class hook: every subclass in use overrides it"
 _FENCE = "bench/layers.py probes it by name (benchmark fence)"
 _FENCE_HELPER = "the per-call form bench/layers.py probes runs it"
-_HTTP = "`repro serve --http` introspection server: no CI step starts it"
 _OPTICS = (
     "ROADMAP item 3's optics path: item 3 wires it into a run or deletes it"
 )
 _ORACLE = "tests compare the production code against it (test oracle)"
 _FIXTURE = "test fixture generator: builds the irregular inputs tests need"
 _REPR = "repr for debugging"
-_REPAIR_HORIZON = (
-    "runs when a repaired link returns during a telemetry run; CI's chaos "
-    "and serve horizons (at most 2 days) end before the two-day repair "
-    "queue returns one"
-)
-_POOL = (
-    "technician-pool repairs: a sweep grid (`repro sweep --grid`) sets "
-    "JobSpec.technician_pool; no production run does"
-)
 _RUNNER_FAULT = (
     "ParallelRunner's crash and hang handling: runs only when a pool "
     "worker dies or stalls"
@@ -52,18 +42,7 @@ _BRUTE_FORCE = (
 )
 
 
-def _figure(name: str) -> str:
-    return f"benchmarks/{name} calls it (a paper figure CI does not run)"
-
-
 ALLOWED: Dict[str, str] = {
-    # -- analysis -------------------------------------------------------- #
-    "analysis/asymmetry.py:bidirectional_pairs": _figure(
-        "test_fig5_asymmetry.py"),
-    "analysis/asymmetry.py:direction_similarity": _figure(
-        "test_fig5_asymmetry.py"),
-    "analysis/comparison.py:aggregate_loss_parity": _figure(
-        "test_fig1_extent.py"),
     # -- cli ------------------------------------------------------------- #
     "cli.py:_cmd_serve._request_stop": (
         "`repro serve`'s SIGINT/SIGTERM handler: no run is signalled"),
@@ -76,26 +55,13 @@ ALLOWED: Dict[str, str] = {
     "congestion/queueing.py:mm1k_loss": _FENCE_HELPER,
     "congestion/traffic.py:TrafficProfile.utilization": _FENCED_UTILIZATION,
     # -- core ------------------------------------------------------------ #
-    "core/constraints.py:CapacityConstraint.threshold": (
-        "CapacityConstraint.floors runs it for per-ToR overrides, which no "
-        "production run sets; " + _BRUTE_FORCE),
     "core/constraints.py:CapacityConstraint.satisfied_by": _BRUTE_FORCE,
     "core/constraints.py:CapacityConstraint.violations": _BRUTE_FORCE,
     "core/constraints.py:CapacityConstraint.__repr__": _REPR,
     "core/controller.py:CorrOptController._fallback_sweep": _BREAKER,
-    "core/controller.py:CorrOptController._note_breaker_state": _BREAKER,
     "core/optimizer.py:brute_force_optimal": _ORACLE,
     "core/path_counting.py:PathCounter.detach": _LIVE_COUNTER,
     "core/path_counting.py:PathCounter._on_structure_change": _LIVE_COUNTER,
-    "core/penalty.py:step_penalty": _figure(
-        "test_ablation_penalty_and_drain.py"),
-    "core/resilience.py:OnsetDebouncer.clear": (
-        "OnsetDebouncer.update runs it for a report below the low watermark "
-        "and CorrOptController._activate_link for a repair; no production "
-        "run configures a debouncer"),
-    "core/resilience.py:CircuitBreaker._transition": _BREAKER,
-    "core/resilience.py:CircuitBreaker.allow": _BREAKER,
-    "core/resilience.py:CircuitBreaker.record_success": _BREAKER,
     "core/resilience.py:CircuitBreaker.record_failure": _BREAKER,
     "core/segmentation.py:Segment.__repr__": _REPR,
     # -- faults ---------------------------------------------------------- #
@@ -104,63 +70,26 @@ ALLOWED: Dict[str, str] = {
     "faults/telemetry_faults.py:FaultyTransport.deliver": _FENCE,
     "faults/telemetry_faults.py:FaultyTransport.deliver_optical": _OPTICS,
     # -- obs ------------------------------------------------------------- #
-    "obs/health.py:HealthTracker.note_repair": _REPAIR_HORIZON,
     "obs/recorder.py:NullSpan.set": (
         "the disabled recorder's span: callers set span fields only when "
         "the recorder is enabled"),
-    "obs/recorder.py:Recorder.gauge": _HOOK,
     "obs/recorder.py:Recorder.observe": _HOOK,
-    "obs/recorder.py:Recorder.event": _HOOK,
     "obs/recorder.py:Recorder.scrape_path_counter": _HOOK,
     "obs/recorder.py:Recorder.scrape_optimizer_stats": _HOOK,
     "obs/schema.py:_show": (
         "formats a problem the validators find in a malformed file of a "
         "kind no mangled-artifact run covers"),
-    "obs/session.py:ObsRecorder.sim_time_s": _HTTP,
-    "obs/slo.py:rules_from_json": (
-        "`--slo-rules FILE`: no production run loads custom rules"),
     "obs/tracing.py:_zero_sim_time": (
         "SpanTracer's default sim clock: every recorder passes its own"),
     # -- optics ---------------------------------------------------------- #
     "optics/transceiver.py:decode_corruption_rate": _ORACLE,
     # -- parallel -------------------------------------------------------- #
-    "parallel/grid.py:GridSpec.from_dict": (
-        "`repro sweep --grid FILE`: no production run loads a grid file"),
-    "parallel/grid.py:GridSpec.from_json_file": (
-        "`repro sweep --grid FILE`: no production run loads a grid file"),
-    "parallel/spec.py:JobSpec.from_dict": (
-        "`repro sweep --grid FILE`: no production run loads a grid file"),
     "parallel/runner.py:_failure": _RUNNER_FAULT,
     "parallel/runner.py:ParallelRunner._run_isolated": _RUNNER_FAULT,
     "parallel/runner.py:ParallelRunner._kill_pool": _RUNNER_FAULT,
     # -- routing --------------------------------------------------------- #
-    "routing/ecmp.py:EcmpRouter.flows_over_link": _figure(
-        "test_ablation_heterogeneous_rerouting.py"),
     "routing/ecmp.py:enumerate_up_paths": _ORACLE,
     "routing/ecmp.py:enumerate_up_paths.walk": _ORACLE,
-    "routing/rerouting.py:ReroutePlan.flows_moved": _figure(
-        "test_ablation_heterogeneous_rerouting.py"),
-    "routing/rerouting.py:ReroutePlan.reordering_count": _figure(
-        "test_ablation_heterogeneous_rerouting.py"),
-    "routing/rerouting.py:plan_reroute": _figure(
-        "test_ablation_heterogeneous_rerouting.py"),
-    "routing/rerouting.py:generate_tor_flows": _figure(
-        "test_ablation_heterogeneous_rerouting.py"),
-    # -- service --------------------------------------------------------- #
-    "service/http.py:_health_metrics_text": _HTTP,
-    "service/http.py:_Snapshot.__init__": _HTTP,
-    "service/http.py:_canonical_bytes": _HTTP,
-    "service/http.py:_Handler._send": _HTTP,
-    "service/http.py:_Handler.do_GET": _HTTP,
-    "service/http.py:_Handler.log_message": _HTTP,
-    "service/http.py:ServiceIntrospectionServer.__init__": _HTTP,
-    "service/http.py:ServiceIntrospectionServer.port": _HTTP,
-    "service/http.py:ServiceIntrospectionServer.start": _HTTP,
-    "service/http.py:ServiceIntrospectionServer.stop": _HTTP,
-    "service/http.py:ServiceIntrospectionServer.publish_service": _HTTP,
-    "service/service.py:ServiceSensing._scrape_final": (
-        "runs at the end of `repro serve` with an enabled recorder; no "
-        "serve run writes metrics"),
     # -- simulation ------------------------------------------------------ #
     "simulation/kernel.py:SensingPipeline.bootstrap": _HOOK,
     "simulation/kernel.py:SensingPipeline.handle_onset": _HOOK,
@@ -172,11 +101,6 @@ ALLOWED: Dict[str, str] = {
     "simulation/kernel.py:SensingPipeline.after_snapshot": _HOOK,
     "simulation/kernel.py:SensingPipeline.finish": _HOOK,
     "simulation/kernel.py:SensingPipeline.result_sections": _HOOK,
-    "simulation/kernel.py:SimulationKernel.repair_pending": _REPAIR_HORIZON,
-    "simulation/kernel.py:SimulationKernel.schedule_pool_check": _POOL,
-    "simulation/kernel.py:SimulationKernel._handle_pool_check": _POOL,
-    "simulation/kernel.py:OracleSensing.pool_repair_succeeded": _POOL,
-    "simulation/kernel.py:TelemetrySensing.handle_repair": _REPAIR_HORIZON,
     "simulation/strategies.py:MitigationStrategy.on_onset": _HOOK,
     "simulation/strategies.py:MitigationStrategy.on_activation": _HOOK,
     "simulation/strategies.py:NoMitigationStrategy.on_activation": (
@@ -186,9 +110,6 @@ ALLOWED: Dict[str, str] = {
         "runs when a repaired link returns under the `linkguardian` "
         "strategy; no production run repairs a link under it"),
     # -- telemetry ------------------------------------------------------- #
-    "telemetry/poller.py:TelemetryBatch.lost": (
-        "a push the ingest queue drops (the `drop` backpressure policy); no "
-        "production run fills the queue under it"),
     "telemetry/poller.py:SnmpPoller._on_structure_change": (
         "runs when links are added to a polled topology; no production run "
         "adds one"),
@@ -199,15 +120,8 @@ ALLOWED: Dict[str, str] = {
     "telemetry/sanitizer.py:TelemetrySanitizer.ingest": _FENCE,
     "telemetry/sanitizer.py:optical_reading_plausible": _OPTICS,
     "telemetry/store.py:TelemetryStore.append_rates": _FENCE,
-    "telemetry/timeseries.py:cdf_points": _figure("test_fig2_stability.py"),
     # -- theory ---------------------------------------------------------- #
     "theory/reduction.py:max_disable_size_bruteforce": _ORACLE,
-    # -- ticketing ------------------------------------------------------- #
-    "ticketing/queue.py:TechnicianPoolQueue.__init__": _POOL,
-    "ticketing/queue.py:TechnicianPoolQueue.submit": _POOL,
-    "ticketing/queue.py:TechnicianPoolQueue._dispatch": _POOL,
-    "ticketing/queue.py:TechnicianPoolQueue.pop_due": _POOL,
-    "ticketing/queue.py:TechnicianPoolQueue.next_completion": _POOL,
     # -- topology -------------------------------------------------------- #
     "topology/clos.py:build_multi_tier": _FIXTURE,
     "topology/columnar.py:ColumnarTopology.to_topology": (

@@ -103,3 +103,12 @@ def test_no_entry_stays_because_only_tests_call_it():
     assert [
         key for key, reason in ALLOWED.items() if only_tests.search(reason)
     ] == []
+
+
+def test_no_entry_stays_because_ci_does_not_run_it():
+    """A feature CI does not run gets a CI step, or it is deleted; a
+    reason saying so is not a reason to keep it."""
+    not_run = re.compile(r"\bCI does not run\b|\bno CI step\b", re.IGNORECASE)
+    assert [
+        key for key, reason in ALLOWED.items() if not_run.search(reason)
+    ] == []
