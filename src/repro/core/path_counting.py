@@ -109,7 +109,7 @@ class PathCounter:
         * Code that flips ``Link.state`` directly bypasses the
           notification: the counter keeps answering for the state it was
           last told.
-        * Structural changes (``add_switch`` / ``add_link``) mark the
+        * Structural changes (``add_switch`` / ``add_links``) mark the
           counter stale; the next query or change notification rebuilds it
           once, baseline included.
 

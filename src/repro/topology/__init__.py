@@ -24,7 +24,6 @@ from repro.topology.elements import (
     LinkId,
     LinkState,
     Switch,
-    canonical_link_id,
 )
 from repro.topology.fattree import build_fattree
 from repro.topology.graph import Topology
@@ -58,7 +57,6 @@ __all__ = [
     "build_fattree",
     "build_irregular_clos",
     "build_multi_tier",
-    "canonical_link_id",
     "degrade",
     "is_connected_to_spine",
     "load_topology",

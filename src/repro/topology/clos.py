@@ -60,7 +60,7 @@ def build_clos(
         topo.add_switch(Switch(spine, stage=2))
 
     group_size = num_spines // aggs_per_pod if not mesh_spine else num_spines
-
+    links = []
     for pod in range(num_pods):
         pod_label = f"pod{pod}"
         agg_names = [f"{pod_label}/agg{a}" for a in range(aggs_per_pod)]
@@ -69,15 +69,14 @@ def build_clos(
         for t in range(tors_per_pod):
             tor = f"{pod_label}/tor{t}"
             topo.add_switch(Switch(tor, stage=0, pod=pod_label))
-            for agg in agg_names:
-                topo.add_link(tor, agg)
+            links += [(tor, agg) for agg in agg_names]
         for a, agg in enumerate(agg_names):
             if mesh_spine:
                 targets = spine_names
             else:
                 targets = spine_names[a * group_size : (a + 1) * group_size]
-            for spine in targets:
-                topo.add_link(agg, spine)
+            links += [(agg, spine) for spine in targets]
+    topo.add_links(links)
     return topo
 
 
@@ -121,6 +120,7 @@ def build_multi_tier(
             topo.add_switch(Switch(sw, stage=stage))
         names.append(stage_names)
 
+    links = []
     for stage in range(len(stage_sizes) - 1):
         above = names[stage + 1]
         fanout = uplinks_per_switch[stage]
@@ -131,5 +131,6 @@ def build_multi_tier(
             )
         for i, sw in enumerate(names[stage]):
             for k in range(fanout):
-                topo.add_link(sw, above[(i + k) % len(above)])
+                links.append((sw, above[(i + k) % len(above)]))
+    topo.add_links(links)
     return topo

@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 #: Canonical identifier of a link: ``(lower_switch_name, upper_switch_name)``
 #: where *lower* is the endpoint at the smaller stage number.
@@ -207,25 +207,3 @@ class Link:
     def __repr__(self) -> str:
         return f"Link({self.lower!r}, {self.upper!r}, {self.state.name})"
 
-
-def canonical_link_id(a: str, b: str, stage_of: Dict[str, int]) -> LinkId:
-    """Order endpoints ``a``/``b`` into a canonical :data:`LinkId`.
-
-    Args:
-        a: One endpoint name.
-        b: The other endpoint name.
-        stage_of: Mapping from switch name to stage index.
-
-    Returns:
-        ``(lower, upper)`` with ``stage(lower) + 1 == stage(upper)``.
-
-    Raises:
-        ValueError: If the endpoints are not at adjacent stages.
-    """
-    sa, sb = stage_of[a], stage_of[b]
-    if abs(sa - sb) != 1:
-        raise ValueError(
-            f"link {a!r} (stage {sa}) -- {b!r} (stage {sb}) does not connect "
-            "adjacent stages; Clos links must span exactly one stage"
-        )
-    return (a, b) if sa < sb else (b, a)

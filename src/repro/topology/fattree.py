@@ -41,6 +41,7 @@ def build_fattree(k: int, name: str = "fat-tree") -> Topology:
         for core in plane:
             topo.add_switch(Switch(core, stage=2))
 
+    links = []
     for pod in range(k):
         pod_label = f"pod{pod}"
         aggs = [f"{pod_label}/agg{a}" for a in range(half)]
@@ -49,10 +50,8 @@ def build_fattree(k: int, name: str = "fat-tree") -> Topology:
             topo.add_switch(Switch(agg, stage=1, pod=pod_label))
         for edge in edges:
             topo.add_switch(Switch(edge, stage=0, pod=pod_label))
-        for edge in edges:
-            for agg in aggs:
-                topo.add_link(edge, agg)
+        links += [(edge, agg) for edge in edges for agg in aggs]
         for a, agg in enumerate(aggs):
-            for core in core_names[a]:
-                topo.add_link(agg, core)
+            links += [(agg, core) for core in core_names[a]]
+    topo.add_links(links)
     return topo

@@ -15,7 +15,7 @@ structure, so the optimizer can evaluate hypothetical disable-sets cheaply.
 from __future__ import annotations
 
 import hashlib
-from itertools import compress
+from itertools import compress, repeat
 from typing import (
     Any,
     Callable,
@@ -35,7 +35,6 @@ from repro.topology.elements import (
     LinkId,
     LinkState,
     Switch,
-    canonical_link_id,
 )
 
 #: The derived tables of a :class:`Topology` (see ``_build_rows``).
@@ -63,10 +62,8 @@ class Topology:
         >>> topo.add_switch(Switch("t0", stage=0))
         >>> topo.add_switch(Switch("a0", stage=1))
         >>> topo.add_switch(Switch("s0", stage=2))
-        >>> topo.add_link("t0", "a0")
-        ('t0', 'a0')
-        >>> topo.add_link("a0", "s0")
-        ('a0', 's0')
+        >>> topo.add_links([("t0", "a0"), ("s0", "a0")])
+        [('t0', 'a0'), ('a0', 's0')]
         >>> topo.num_links
         2
     """
@@ -81,7 +78,7 @@ class Topology:
             setattr(self, column, [])
         # Observers.  Admin listeners fire whenever a link's *effective*
         # enabled-ness flips (enable/disable/drain through the methods
-        # below); structure listeners fire on add_switch/add_link.  This is
+        # below); structure listeners fire on add_switch/add_links.  This is
         # what lets PathCounter maintain its DP incrementally instead of
         # recounting the topology on every query.
         self._admin_listeners: List[Callable[[LinkId], None]] = []
@@ -135,8 +132,7 @@ class Topology:
         self._rows_shared = False
         for switch in self._switches.values():
             self._intern_switch(switch)
-        for link_id in link_ids:
-            self._intern_link(link_id)
+        self._intern_links(link_ids)
         for row, state in enumerate(self.link_state):
             if state is not LinkState.ENABLED:
                 self.up_disabled[self.lower_row[row]] += 1
@@ -152,17 +148,46 @@ class Topology:
         self.down_rows.append([])
         self.up_disabled.append(0)
 
-    def _intern_link(self, link_id: LinkId) -> None:
-        row = len(self.lower_row)
-        lower = self.switch_row[link_id[0]]
-        upper = self.switch_row[link_id[1]]
-        self.link_row[link_id] = row
-        self.lower_row.append(lower)
-        self.upper_row.append(upper)
-        self.up_rows[lower].append(row)
-        self.down_rows[upper].append(row)
-        self._uplinks[link_id[0]].append(link_id)
-        self._downlinks[link_id[1]].append(link_id)
+    def _intern_links(self, pairs: Iterable[LinkId]) -> List[LinkId]:
+        """Intern ``pairs`` as the next link rows and return their
+        canonical ids, all or none, with the checks of :meth:`add_links`
+        (the link columns are the caller's)."""
+        row_of, stage = self.switch_row, self.switch_stage
+        link_ids, lowers, uppers = [], [], []
+        for pair in pairs:
+            a, b = pair
+            lower, upper = row_of[a], row_of[b]
+            sa, sb = stage[lower], stage[upper]
+            if sa + 1 != sb:
+                if sb + 1 != sa:
+                    raise ValueError(
+                        f"link {a!r} (stage {sa}) -- {b!r} (stage {sb}) does "
+                        "not connect adjacent stages; Clos links must span "
+                        "exactly one stage"
+                    )
+                pair, lower, upper = (b, a), upper, lower
+            link_ids.append(pair)
+            lowers.append(lower)
+            uppers.append(upper)
+        link_row, first = self.link_row, len(self.lower_row)
+        for row, link_id in enumerate(link_ids, first):
+            if link_row.setdefault(link_id, row) != row:
+                for added in link_ids[: row - first]:
+                    del link_row[added]
+                raise ValueError(f"duplicate link {link_id}")
+        self._own_rows()
+        self.lower_row += lowers
+        self.upper_row += uppers
+        up_rows, down_rows = self.up_rows, self.down_rows
+        uplinks, downlinks = self._uplinks, self._downlinks
+        for link_id, lower, upper in zip(link_ids, lowers, uppers):
+            row = link_row[link_id]  # the int link_row holds, not a copy
+            up_rows[lower].append(row)
+            down_rows[upper].append(row)
+            uplinks[link_id[0]].append(link_id)
+            downlinks[link_id[1]].append(link_id)
+        self._tors_below.clear()
+        return link_ids
 
     def _own_rows(self) -> None:
         """Unshare the per-switch lists ``copy`` shared, before growing."""
@@ -189,22 +214,34 @@ class Topology:
     ) -> None:
         """Load saved links, in row order, with their saved columns into a
         topology that has its switches and no link yet (the
-        deserializers): rebuilds the row tables and indexes, fires no
-        listener."""
+        deserializers): interns them as ``add_links`` does, rebuilds the
+        indexes, fires no listener.  Refuses, before touching any table,
+        columns of another length, links out of ``(lower, upper)`` order,
+        and the values ``set_corruption`` and ``protect_link`` refuse."""
         if any(len(columns[name]) != len(link_ids) for name in LINK_COLUMNS):
             raise ValueError("saved link columns differ in length from the links")
+        stage, row_of = self.switch_stage, self.switch_row
+        for link_id, up, down, loss, fraction in zip(
+            link_ids, columns["rate_up"], columns["rate_down"],
+            columns["lg_effective_loss"], columns["lg_capacity_fraction"],
+        ):
+            if not (0 <= up <= 1 and 0 <= down <= 1 and 0 <= loss <= 1
+                    and 0 < fraction <= 1):
+                raise ValueError(
+                    f"saved link {link_id}: corruption rates {up}, {down} "
+                    f"outside [0, 1], or LinkGuardian loss {loss} outside "
+                    f"[0, 1] or capacity fraction {fraction} outside (0, 1]"
+                )
+            if stage[row_of[link_id[0]]] > stage[row_of[link_id[1]]]:
+                raise ValueError(f"saved link {link_id} is not (lower, upper)")
+        ids = self._intern_links(link_ids)
         for name in LINK_COLUMNS:
             setattr(self, name, list(columns[name]))
-        self._build_rows(link_ids)
-        stage, ids = self.switch_stage, list(self.link_row)
-        if len(ids) != len(link_ids) or any(
-            stage[upper] != stage[lower] + 1
-            for lower, upper in zip(self.lower_row, self.upper_row)
-        ):
-            raise ValueError("saved links are not distinct adjacent-stage pairs")
         states, up, down = self.link_state, self.rate_up, self.rate_down
         enabled = LinkState.ENABLED
         self._disabled = {lid for lid, s in zip(ids, states) if s is not enabled}
+        for link_id in self._disabled:
+            self.up_disabled[row_of[link_id[0]]] += 1
         self._corrupting = {lid for lid, u, d in zip(ids, up, down) if u or d}
         self._lg_protected = set(compress(ids, self.lg_protected))
         self._lg_version += 1
@@ -227,6 +264,27 @@ class Topology:
         self._intern_switch(switch)
         self._notify_structure()
 
+    def add_links(
+        self,
+        pairs: Iterable[LinkId],
+        capacity_gbps: float = 40.0,
+        breakout_group: Optional[str] = None,
+    ) -> List[LinkId]:
+        """Add links between switches at adjacent stages (endpoints in
+        either order) in one pass, all or none, and return their canonical
+        :data:`LinkId` in row order.  Every pair is checked first: an
+        unknown switch raises ``KeyError``; non-adjacent stages, or a
+        duplicate of a link or within ``pairs``, raise ``ValueError``.
+        Fires one structure notification."""
+        link_ids = self._intern_links(pairs)
+        # One value per LINK_COLUMNS entry: enabled, healthy, unprotected.
+        new = (LinkState.ENABLED, 0.0, 0.0, capacity_gbps, breakout_group,
+               False, False, 0.0, 1.0)
+        for name, value in zip(LINK_COLUMNS, new):
+            getattr(self, name).extend(repeat(value, len(link_ids)))
+        self._notify_structure()
+        return link_ids
+
     def add_link(
         self,
         a: str,
@@ -234,25 +292,8 @@ class Topology:
         capacity_gbps: float = 40.0,
         breakout_group: Optional[str] = None,
     ) -> LinkId:
-        """Add a link between switches at adjacent stages.
-
-        Returns:
-            The canonical :data:`LinkId`.
-        """
-        stage_of = {a: self._switches[a].stage, b: self._switches[b].stage}
-        link_id = canonical_link_id(a, b, stage_of)
-        if link_id in self.link_row:
-            raise ValueError(f"duplicate link {link_id}")
-        self._own_rows()
-        self._intern_link(link_id)
-        # One value per LINK_COLUMNS entry: enabled, healthy, unprotected.
-        new = (LinkState.ENABLED, 0.0, 0.0, capacity_gbps, breakout_group,
-               False, False, 0.0, 1.0)
-        for name, value in zip(LINK_COLUMNS, new):
-            getattr(self, name).append(value)
-        self._tors_below.clear()
-        self._notify_structure()
-        return link_id
+        """Add one link (see :meth:`add_links`); returns its canonical id."""
+        return self.add_links([(a, b)], capacity_gbps, breakout_group)[0]
 
     # ------------------------------------------------------------------ #
     # Observers

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from repro.topology.clos import build_clos
+from repro.topology.elements import LinkState, Switch
 from repro.topology.graph import Topology
 
 
@@ -29,13 +29,12 @@ def build_irregular_clos(
     non-uniform path counts that make switch-local checking sub-optimal.
     """
     rng = random.Random(seed)
-    from repro.topology.elements import Switch
-
     topo = Topology(num_stages=3, name=f"irregular-{seed}")
     spines = [f"spine{s}" for s in range(num_spines)]
     for spine in spines:
         topo.add_switch(Switch(spine, stage=2))
 
+    links = []
     for pod in range(num_pods):
         pod_label = f"pod{pod}"
         num_aggs = rng.randint(2, max_aggs_per_pod)
@@ -46,15 +45,15 @@ def build_irregular_clos(
         for t in range(num_tors):
             tor = f"{pod_label}/tor{t}"
             topo.add_switch(Switch(tor, stage=0, pod=pod_label))
-            for agg in aggs:
-                topo.add_link(tor, agg)
+            links += [(tor, agg) for agg in aggs]
         for agg in aggs:
             # Every agg keeps at least two spine uplinks; the rest appear
             # with probability 0.7 to create irregular path counts.
             chosen = rng.sample(spines, 2)
             for spine in spines:
                 if spine in chosen or rng.random() < 0.7:
-                    topo.add_link(agg, spine)
+                    links.append((agg, spine))
+    topo.add_links(links)
     return topo
 
 
@@ -110,10 +109,11 @@ def sprinkle_corruption(
     import math
 
     rng = rng or random.Random(0)
+    low, high = math.log10(min_rate), math.log10(max_rate)
+    enabled = LinkState.ENABLED
     count = 0
-    for link in topo.links():
-        if link.enabled and rng.random() < fraction:
-            log_rate = rng.uniform(math.log10(min_rate), math.log10(max_rate))
-            topo.set_corruption(link.link_id, 10 ** log_rate)
+    for link_id, state in zip(topo.link_row, topo.link_state):
+        if state is enabled and rng.random() < fraction:
+            topo.set_corruption(link_id, 10 ** rng.uniform(low, high))
             count += 1
     return count

@@ -1,5 +1,7 @@
 """Tests for breakout-cable grouping and JSON serialization."""
 
+import re
+
 import pytest
 
 from repro.topology import (
@@ -12,6 +14,8 @@ from repro.topology import (
     topology_from_dict,
     topology_to_dict,
 )
+from repro.topology.graph import LINK_COLUMNS
+from repro.topology.serialization import _LINK_KEYS
 
 
 class TestBreakout:
@@ -114,3 +118,47 @@ class TestSerialization:
     def test_unsupported_version_rejected(self):
         with pytest.raises(ValueError, match="version"):
             topology_from_dict({"version": 99})
+
+    @pytest.mark.parametrize(
+        "column, value",
+        [
+            ("rate_up", 7.5),
+            ("rate_up", -1e-6),
+            ("rate_down", float("nan")),
+            ("lg_effective_loss", 1.5),
+            ("lg_effective_loss", float("nan")),
+            ("lg_capacity_fraction", 0.0),
+            ("lg_capacity_fraction", 1.25),
+        ],
+    )
+    def test_values_the_mutators_refuse_are_refused(self, column, value):
+        """A saved rate outside [0, 1] (NaN too) or LinkGuardian field
+        outside its range is refused, naming the link, before any table
+        changes."""
+        topo = build_clos(2, 2, 2, 4)
+        data = topology_to_dict(topo)
+        key = next(k for name, k, _ in _LINK_KEYS if name == column)
+        data["links"][3][key] = value
+        bad = re.escape(repr(list(topo.link_ids())[3]))
+        with pytest.raises(ValueError, match=bad):
+            topology_from_dict(data)
+
+        empty = topology_from_dict({**data, "links": []})
+        columns = {name: list(getattr(topo, name)) for name in LINK_COLUMNS}
+        columns[column][3] = value
+        with pytest.raises(ValueError, match=bad):
+            empty._restore_links(list(topo.link_ids()), columns)
+        assert empty.link_row == {} and empty.lower_row == []
+        assert all(getattr(empty, name) == [] for name in LINK_COLUMNS)
+
+    @pytest.mark.parametrize("edit", ["swap", "duplicate"])
+    def test_misordered_or_repeated_links_are_refused(self, edit):
+        data = topology_to_dict(build_clos(2, 2, 2, 4))
+        links = data["links"]
+        if edit == "swap":
+            links[0]["lower"], links[0]["upper"] = (
+                links[0]["upper"], links[0]["lower"])
+        else:
+            links.append(dict(links[0]))
+        with pytest.raises(ValueError, match="lower, upper|duplicate"):
+            topology_from_dict(data)

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.topology.elements import (
-    Direction,
-    LinkState,
-    Switch,
-    canonical_link_id,
-)
+from repro.topology.elements import Direction, LinkState, Switch
 from repro.topology.graph import Topology
 
 
@@ -77,15 +72,24 @@ class TestLink:
 
 
 class TestCanonicalLinkId:
+    """``add_link`` orders endpoints into the canonical ``(lower, upper)``
+    id and refuses pairs that do not span exactly one stage."""
+
+    @staticmethod
+    def staged(**stages):
+        topo = Topology(num_stages=3)
+        for name, stage in stages.items():
+            topo.add_switch(Switch(name, stage=stage))
+        return topo
+
     def test_orders_by_stage(self):
-        stages = {"agg": 1, "tor": 0}
-        assert canonical_link_id("agg", "tor", stages) == ("tor", "agg")
-        assert canonical_link_id("tor", "agg", stages) == ("tor", "agg")
+        assert self.staged(agg=1, tor=0).add_link("agg", "tor") == ("tor", "agg")
+        assert self.staged(agg=1, tor=0).add_link("tor", "agg") == ("tor", "agg")
 
     def test_rejects_same_stage(self):
         with pytest.raises(ValueError, match="adjacent"):
-            canonical_link_id("a", "b", {"a": 1, "b": 1})
+            self.staged(a=1, b=1).add_link("a", "b")
 
     def test_rejects_stage_skipping(self):
         with pytest.raises(ValueError, match="adjacent"):
-            canonical_link_id("tor", "spine", {"tor": 0, "spine": 2})
+            self.staged(tor=0, spine=2).add_link("tor", "spine")
