@@ -93,11 +93,7 @@ class FastChecker:
         # ToR rows in name order; empty when no ToR sits below the link
         # (can happen in synthetic gadgets where a subtree was already cut
         # off): disabling affects nobody.
-        tors = counter.affected_rows(row)
-        if not tors:
-            return FastCheckResult(link_id=link_id, allowed=True)
-
-        fractions = counter.fractions_at(tors, frozenset((row,)))
+        tors, fractions = counter.fractions_without(row)
         floors = counter.floors(self.constraint)
         names = topo.switch_names
         violated = {

@@ -14,9 +14,9 @@ administrative-change notifications and, when a link flips, pushes the
 count change down the *dirty region* — the switches whose up-path counts
 flow through the changed link — instead of rerunning the full DP.
 Hypothetical queries (``extra_disabled``) are answered the same way, as
-an overlay delta on the live counts.  Per-ToR fraction aggregates (worst
-/ average) are maintained alongside, so a simulation snapshot costs
-O(changed ToRs) instead of O(|ToRs| · |E|).  Passing ``incremental=False``
+an overlay delta on the live counts.  Changes note the ToRs they move,
+and the worst / average fraction settle them on read: a snapshot costs
+O(ToRs moved) rather than O(|ToRs| · |E|).  Passing ``incremental=False``
 restores the original recount-per-query behaviour (used as the baseline
 in ``benchmarks/test_runtime_incremental_counter.py``).
 
@@ -199,6 +199,9 @@ class PathCounter:
         self._descending = sorted(range(len(stage)), key=lambda r: -stage[r])
         self._tor_rows = [r for r in range(len(stage)) if stage[r] == 0]
         self._num_tors = len(self._tor_rows)
+        # Each switch row's position in name order (by_name, inverted).
+        by_name = sorted(range(len(stage)), key=self._names.__getitem__)
+        self._rank = sorted(range(len(stage)), key=by_name.__getitem__)
         carrying = LinkState.ENABLED
         self._enabled.extend(
             [
@@ -231,6 +234,8 @@ class PathCounter:
         self._sums = self._tor_sums(self._counts)
         self._min_heap = [(self._frac(row), row) for row in self._tor_rows]
         heapq.heapify(self._min_heap)
+        # ToR row -> its count when the aggregates last saw it (_settle).
+        self._dirty: Dict[int, int] = {}
 
     def _tor_sums(self, counts: List[int]) -> Dict[int, int]:
         sums: Dict[int, int] = {}
@@ -267,11 +272,11 @@ class PathCounter:
             )
         # Otherwise this is check_and_disable: the fast check walked this
         # very disable on this very state, so its overlay is the new state.
-        counts, stage = self._counts, self._stage
+        counts, stage, dirty = self._counts, self._stage, self._dirty
         for switch, new in overlay.items():
-            old, counts[switch] = counts[switch], new
-            if stage[switch] == 0:
-                self._record_tor_change(switch, old, new)
+            if stage[switch] == 0 and switch not in dirty:
+                dirty[switch] = counts[switch]
+            counts[switch] = new
 
     def _on_structure_change(self) -> None:
         if not self._stale:
@@ -281,13 +286,20 @@ class PathCounter:
         base = self._baseline[tor]
         return self._counts[tor] / base if base else 0.0
 
-    def _record_tor_change(self, tor: int, old: int, new: int) -> None:
-        base = self._baseline[tor]
-        if not base:
-            return
-        self._sums[base] += new - old
-        heapq.heappush(self._min_heap, (new / base, tor))
-        if len(self._min_heap) > 4 * self._num_tors + 64:
+    def _settle(self) -> None:
+        """Bring ``_sums`` and the heap up to the live counts: one update
+        and one heap entry per ToR whose count moved since the last settle
+        (a ToR with design count 0 never moves)."""
+        counts, baseline, sums = self._counts, self._baseline, self._sums
+        heap = self._min_heap
+        for tor, old in self._dirty.items():
+            new = counts[tor]
+            if new != old:
+                base = baseline[tor]
+                sums[base] += new - old
+                heapq.heappush(heap, (new / base, tor))
+        self._dirty.clear()
+        if len(heap) > 4 * self._num_tors + 64:
             self._min_heap = [(self._frac(t), t) for t in self._tor_rows]
             heapq.heapify(self._min_heap)
 
@@ -490,6 +502,7 @@ class PathCounter:
                 if fraction < floors[tor]
             }
         overlay, _ = self._hypothetical(extra)
+        self._settle()
         baseline, stage = self._baseline, self._stage
         found: Dict[int, float] = {}
         for row, count in overlay.items():
@@ -543,11 +556,31 @@ class PathCounter:
                 if enabled[below] and lower[below] not in seen:
                     seen.add(lower[below])
                     frontier.append(lower[below])
-        tors.sort(key=self._names.__getitem__)
+        tors.sort(key=self._rank.__getitem__)
         if len(self._affected_cache) >= _CACHE_LIMIT:
             self._affected_cache.clear()
         self._affected_cache[link] = tors
         return tors
+
+    def fractions_without(self, link: int) -> Tuple[List[int], List[float]]:
+        """:meth:`affected_rows` of link row ``link`` and their
+        :meth:`fractions_at` with the link off, in one walk.
+
+        With the link in service and live paths above it, the overlay walk
+        pushes a negative delta to every switch below, so its ToRs are the
+        affected ones; otherwise (or when recounting) this asks both."""
+        self._sync()
+        counts, upper = self._counts, self._upper
+        if self._incremental and self._enabled[link] and counts[upper[link]]:
+            overlay = self._overlay_with_extra(frozenset((link,)))
+            stage, baseline = self._stage, self._baseline
+            tors = [switch for switch in overlay if stage[switch] == 0]
+            tors.sort(key=self._rank.__getitem__)
+            return tors, [overlay[tor] / baseline[tor] for tor in tors]
+        tors = self.affected_rows(link)
+        if not tors:
+            return tors, []
+        return tors, self.fractions_at(tors, frozenset((link,)))
 
     def _closure(self, tors: Iterable[int]) -> Set[int]:
         """Upstream closure of the ToR rows ``tors``: every switch row on
@@ -605,8 +638,8 @@ class PathCounter:
     def worst_tor_fraction(self) -> float:
         """Minimum ToR path fraction (the Figures 15–16 metric), O(log n).
 
-        In incremental mode the value comes from a lazily-cleaned min-heap,
-        so a simulation snapshot does not rescan every ToR.
+        In incremental mode the value comes off a min-heap settled on read
+        (:meth:`_settle`), so a simulation snapshot does not rescan every ToR.
         """
         self._sync()
         if not self._num_tors:
@@ -617,6 +650,7 @@ class PathCounter:
                 counts[tor] / baseline[tor] if baseline[tor] else 0.0
                 for tor in self._tor_rows
             )
+        self._settle()
         heap = self._min_heap
         while heap:
             frac, tor = heap[0]
@@ -640,6 +674,7 @@ class PathCounter:
         if not self._num_tors:
             return 1.0
         if self._incremental:
+            self._settle()
             sums = self._sums
         else:
             sums = self._tor_sums(self._full_counts())

@@ -449,8 +449,10 @@ class SnmpPoller:
     def _rate(self, batch: TelemetryBatch) -> _Rated:
         """Turn a batch into rated samples: one sanitizer pass per wave
         of deliveries.  The quarantine transitions of all waves follow, in
-        batch-entry order, each entry's in arrival order."""
+        batch-entry order, each entry's in arrival order (only a
+        recorder reads them)."""
         table = self.directions
+        record = self.sanitizer.obs.enabled
         waves, flips = [], []
         for wave, (entries, snapshots) in enumerate(batch.waves()):
             rows = batch.rows[entries]
@@ -461,7 +463,8 @@ class SnmpPoller:
                 table.capacity_pkts_per_s[rows], missed,
             )
             waves.append((table.store_rows[rows], snapshots.time_s, done))
-            for i in np.flatnonzero(done.flips).tolist():
+            flipped = np.flatnonzero(done.flips).tolist() if record else ()
+            for i in flipped:
                 flips.append((int(entries[i]), wave, done.flips[i] > 0))
         if flips:
             ids = table.direction_ids

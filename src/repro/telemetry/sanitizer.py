@@ -250,8 +250,11 @@ class TelemetrySanitizer:
         """Emit quarantine transitions ``(direction, entered)`` the passes
         since the last call flagged (:attr:`RatedRows.flips`), in the order
         given: a counter, the quarantined-directions gauge at its running
-        count, and a ``quarantine`` event each."""
+        count, and a ``quarantine`` event each.  Nothing without a
+        recorder."""
         obs = self.obs
+        if not obs.enabled:
+            return
         running = int(np.count_nonzero(self._flagged)) - sum(
             1 if entered else -1 for _, entered in transitions
         )

@@ -482,8 +482,10 @@ class Topology:
         self, link_id: LinkId, rate: float, direction: Direction = Direction.UP
     ) -> None:
         """Set the corruption loss rate of one direction of a link."""
-        if rate < 0 or rate > 1:
-            raise ValueError(f"corruption rate {rate} outside [0, 1]")
+        if not 0.0 <= rate <= 1.0:  # NaN too
+            raise ValueError(
+                f"link {link_id}: corruption rate {rate} outside [0, 1]"
+            )
         row = self.link_row[link_id]
         mine, other = self.rate_up, self.rate_down
         if direction is Direction.DOWN:

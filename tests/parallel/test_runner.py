@@ -82,25 +82,35 @@ def test_serial_matches_legacy_run_scenario(strategy, penalty, lg_coverage):
     )
 
 
-def test_pool_results_identical_to_serial():
-    """Worker count and completion order never change a single byte."""
+@pytest.fixture(scope="module")
+def sim_grid_runs():
+    """``SIM_GRID`` run once serially, then on two workers, from a cold
+    worker cache: the runs every assertion on the grid reads."""
     specs = SIM_GRID.expand()
+    worker_cache().clear()
     serial = ParallelRunner(jobs=1).run(specs)
     pooled = ParallelRunner(jobs=2).run(specs)
+    worker_cache().clear()
+    return specs, serial, pooled
+
+
+def test_pool_results_identical_to_serial(sim_grid_runs):
+    """Worker count and completion order never change a single byte."""
+    specs, serial, pooled = sim_grid_runs
     assert rows_without_timing(serial) == rows_without_timing(pooled)
     statuses = [r.status for r in pooled.records]
     assert statuses == ["ok"] * len(specs)
 
 
-def test_scenario_cache_shares_builds_across_jobs():
-    specs = SIM_GRID.expand()  # 2 strategies x 2 capacities share a seed
-    sweep = ParallelRunner(jobs=1).run(specs)
+def test_scenario_cache_shares_builds_across_jobs(sim_grid_runs):
+    # 2 strategies x 2 capacities share a seed.
+    _, sweep, pooled = sim_grid_runs
     # 2 trace seeds -> 2 builds; the other 6 jobs hit the cache.
     assert sweep.cache_stats["misses"] == 2
     assert sweep.cache_stats["hits"] == 6
     # Pool mode sums per-worker caches: each of the 2 workers builds a
     # scenario at most once, and how the 8 jobs land decides the split.
-    pooled = ParallelRunner(jobs=2).run(specs).cache_stats
+    pooled = pooled.cache_stats
     assert pooled["hits"] + pooled["misses"] == 8
     assert 2 <= pooled["misses"] <= 4
 

@@ -73,7 +73,9 @@ ALLOWED: Dict[str, str] = {
     "obs/recorder.py:NullSpan.set": (
         "the disabled recorder's span: callers set span fields only when "
         "the recorder is enabled"),
+    "obs/recorder.py:Recorder.gauge": _HOOK,
     "obs/recorder.py:Recorder.observe": _HOOK,
+    "obs/recorder.py:Recorder.event": _HOOK,
     "obs/recorder.py:Recorder.scrape_path_counter": _HOOK,
     "obs/recorder.py:Recorder.scrape_optimizer_stats": _HOOK,
     "obs/schema.py:_show": (

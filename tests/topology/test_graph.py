@@ -90,6 +90,15 @@ class TestAdministrativeState:
         with pytest.raises(ValueError):
             small_clos.set_corruption(lid, -0.1)
 
+    def test_set_corruption_refuses_nan_and_names_the_link(self, small_clos):
+        """NaN fails no ``<`` / ``>`` test: it used to enter the corrupting
+        set with a NaN rate that ``corrupting_links()`` never returns."""
+        lid = ("pod0/tor0", "pod0/agg0")
+        with pytest.raises(ValueError, match="pod0/tor0.*nan"):
+            small_clos.set_corruption(lid, float("nan"), Direction.DOWN)
+        assert lid not in small_clos.links_with_corruption()
+        assert small_clos.link(lid).max_corruption_rate() == 0.0
+
     def test_clear_corruption_clears_both_directions(self, small_clos):
         lid = ("pod0/tor0", "pod0/agg0")
         small_clos.set_corruption(lid, 1e-3, Direction.UP)
