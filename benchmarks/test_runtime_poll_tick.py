@@ -1,6 +1,6 @@
 """One poll tick at the large DCN's full size.
 
-ROADMAP item 1's target: digest one 15-minute poll of the paper's 350K
+ROADMAP item 5's target: digest one 15-minute poll of the paper's 350K
 links (§2) in well under a second.  This times ``SnmpPoller.poll_once``
 (collect → transport → sanitize → store as one array pass; the fault
 chain's draws are read ahead in blocks, and Python runs only where a

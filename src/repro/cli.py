@@ -313,7 +313,7 @@ def _cmd_study(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    from repro.simulation import make_scenario, run_scenario
+    from repro.simulation import SimulationKernel, make_scenario, run_scenario
     from repro.workloads import LARGE_DCN, MEDIUM_DCN
 
     from repro.obs import NULL_RECORDER
@@ -331,6 +331,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             events_per_10k_links_per_day=args.events,
         )
         scenario.constraint()  # the capacity rule lives there
+        SimulationKernel.check_repair_accuracy(args.repair_accuracy)
     obs = NULL_RECORDER
     if _wants_obs(args):
         obs = _build_obs(
@@ -676,7 +677,12 @@ def _cmd_localize(args: argparse.Namespace) -> int:
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.faults import TelemetryFaultConfig
-    from repro.simulation import ChaosSimulation, chaos_preset, chaos_scenario
+    from repro.simulation import (
+        ChaosSimulation,
+        SimulationKernel,
+        chaos_preset,
+        chaos_scenario,
+    )
 
     with _refusing():
         if args.preset is not None:
@@ -699,6 +705,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             capacity=args.capacity,
         )
         scenario.constraint()  # the capacity rule lives there
+        SimulationKernel.check_repair_accuracy(args.repair_accuracy)
     from repro.obs import NULL_RECORDER
 
     obs = NULL_RECORDER

@@ -34,14 +34,13 @@ class FastCheckResult:
         link_id: The examined link.
         allowed: Whether disabling keeps all ToR constraints satisfied.
         violated_tors: ToRs that would fall below their constraint (with the
-            fraction they would have), empty when ``allowed``.
-        fractions_after: Post-disable path fraction of every affected ToR.
+            fraction they would have), empty when ``allowed``.  Every
+            affected ToR's fraction is ``counter.fractions_without(row)``.
     """
 
     link_id: LinkId
     allowed: bool
     violated_tors: Dict[str, float] = field(default_factory=dict)
-    fractions_after: Dict[str, float] = field(default_factory=dict)
 
 
 class FastChecker:
@@ -102,12 +101,7 @@ class FastChecker:
             if fraction < floors[tor]
         }
         return FastCheckResult(
-            link_id=link_id,
-            allowed=not violated,
-            violated_tors=violated,
-            fractions_after={
-                names[tor]: fraction for tor, fraction in zip(tors, fractions)
-            },
+            link_id=link_id, allowed=not violated, violated_tors=violated
         )
 
     def check_and_disable(self, link_id: LinkId) -> FastCheckResult:

@@ -346,7 +346,10 @@ CHECKPOINT_FORMAT = "repro-checkpoint"
 #: one int array.
 #: 10: the service config and the sensing pipeline carry no custom SLO
 #: rules; the SLO engine holds the built-in rule tuple.
-CHECKPOINT_FORMAT_VERSION = 10
+#: 11: the service config and the sensing pipelines carry no detection,
+#: debounce, decision-bound, health-period, probe, classifier or voting
+#: settings (module constants now), and the service holds no scenario.
+CHECKPOINT_FORMAT_VERSION = 11
 
 #: Service-report literals, pinned against :mod:`repro.service.service`.
 SERVICE_REPORT_FORMAT = "repro-service-report"

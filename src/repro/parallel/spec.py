@@ -200,6 +200,8 @@ class JobSpec:
             raise ValueError("scale must be positive")
         if self.duration_days < 0:
             raise ValueError("duration must be non-negative")
+        if self.events_per_10k < 0:
+            raise ValueError("events_per_10k must be non-negative")
         if not 0.0 <= self.repair_accuracy <= 1.0:
             raise ValueError("repair accuracy outside [0, 1]")
         if not 0.0 < self.capacity <= 1.0:

@@ -22,12 +22,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
 from repro._version import __version__
 from repro.core.controller import ControllerLog, CorrOptController
-from repro.core.resilience import BreakerState, CircuitBreaker, OnsetDebouncer
+from repro.core.resilience import BreakerState
 from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.parallel.aggregate import series_digest
 from repro.service.checkpoint import read_checkpoint
@@ -36,12 +37,8 @@ from repro.congestion.presets import CONGESTION_PRESETS
 from repro.service.ingest import IngestingPoller
 from repro.service.queues import POLICIES, BoundedWorkQueue
 from repro.service.shards import ShardRouter, build_shards
-from repro.simulation.chaos import (
-    CHAOS_PRESETS,
-    chaos_preset,
-    diagnosis_layers,
-)
-from repro.simulation.kernel import DAY_S, SimulationKernel, TelemetrySensing
+from repro.simulation.chaos import CHAOS_PRESETS, ChaosSimulation, chaos_preset
+from repro.simulation.kernel import MAX_DECISIONS, TelemetrySensing
 from repro.simulation.results import RunResult
 from repro.simulation.scenarios import chaos_scenario
 from repro.topology.elements import LinkId
@@ -101,21 +98,13 @@ class ServiceConfig:
     #: 0 keeps the wiring map correct.
     miswire_pairs: int = 0
     events_per_10k_links_per_day: float = 400.0
-    detection_threshold: float = 1e-7
-    packets_per_poll: int = 10_000_000
     poll_interval_s: float = 900.0
-    debounce_confirm: int = 2
     repair_accuracy: float = 0.8
-    service_days: float = 2.0
     queue_capacity: int = 64
     queue_policy: str = "defer"
     batch_size: int = 64
     drain_budget: Optional[int] = None
     audit_maxlen: int = 1024
-    max_decisions: int = 4096
-    #: Event-time period for publishing health snapshots into the obs
-    #: stream (gauges + a ``health_snapshot`` event).
-    health_snapshot_every_s: float = 3600.0
 
     def to_dict(self) -> Dict[str, object]:
         return asdict(self)
@@ -144,6 +133,10 @@ class ServiceConfig:
             )
         if self.miswire_pairs < 0:
             problems.append("miswire_pairs must be >= 0")
+        if self.events_per_10k_links_per_day < 0:
+            problems.append("events_per_10k_links_per_day must be >= 0")
+        if not 0.0 <= self.repair_accuracy <= 1.0:
+            problems.append("repair_accuracy outside [0, 1]")
         if self.poll_interval_s <= 0:
             problems.append("poll_interval_s must be > 0")
         if self.queue_capacity < 1:
@@ -156,8 +149,6 @@ class ServiceConfig:
             problems.append("drain_budget must be >= 1 (or None)")
         if self.audit_maxlen < 1:
             problems.append("audit_maxlen must be >= 1")
-        if self.health_snapshot_every_s <= 0:
-            problems.append("health_snapshot_every_s must be > 0")
         if problems:
             raise ValueError("; ".join(problems))
 
@@ -194,37 +185,14 @@ class ServiceSensing(TelemetrySensing):
 
     def __init__(
         self,
-        trace,
-        constraint,
-        fault_config=None,
-        detection_threshold: float = 1e-7,
-        packets_per_poll: int = 10_000_000,
-        poll_interval_s: float = 900.0,
-        debounce_confirm: int = 2,
-        max_decisions: int = 4096,
-        audit_maxlen: int = 1024,
+        *args,
         queue_capacity: int = 64,
         queue_policy: str = "defer",
         batch_size: int = 64,
         drain_budget: Optional[int] = None,
-        health_snapshot_every_s: float = 3600.0,
-        congestion_model=None,
-        miswiring=None,
+        **kwargs,
     ):
-        super().__init__(
-            trace,
-            constraint,
-            fault_config=fault_config,
-            detection_threshold=detection_threshold,
-            packets_per_poll=packets_per_poll,
-            poll_interval_s=poll_interval_s,
-            debounce_confirm=debounce_confirm,
-            max_decisions=max_decisions,
-            audit_maxlen=audit_maxlen,
-            health_snapshot_every_s=health_snapshot_every_s,
-            congestion_model=congestion_model,
-            miswiring=miswiring,
-        )
+        super().__init__(*args, **kwargs)
         self.queue_capacity = queue_capacity
         self.queue_policy = queue_policy
         self.batch_size = batch_size
@@ -239,17 +207,11 @@ class ServiceSensing(TelemetrySensing):
             obs=obs,
             name="ingest",
         )
-        return IngestingPoller(
+        return super()._make_poller(
             topo,
-            self.store,
-            traffic_fn=self._traffic_fn(),
-            interval_s=interval,
-            transport=self.transport,
-            sanitizer=self.sanitizer,
-            attribution_fn=(
-                None if self._miswiring is None else self._miswiring.physical
-            ),
-            obs=obs,
+            obs,
+            interval,
+            IngestingPoller,
             queue=self.queue,
             batch_size=self.batch_size,
             drain_budget=self.drain_budget,
@@ -260,24 +222,13 @@ class ServiceSensing(TelemetrySensing):
         self.router = ShardRouter(self.shards)
         self.controllers: List[CorrOptController] = []
         for shard in self.shards:
-            label = f"shard{shard.index}"
             self.controllers.append(
-                CorrOptController(
+                super()._make_controller(
                     topo,
-                    self.constraint,
-                    quarantine_fn=self.sanitizer.link_quarantined,
-                    debouncer=OnsetDebouncer(
-                        confirm=self.debounce_confirm,
-                        window_s=3 * interval,
-                        high=self.detection_threshold,
-                        obs=obs,
-                        name=label,
-                    ),
-                    optimizer_breaker=CircuitBreaker(obs=obs, name=label),
-                    max_decisions=self.max_decisions,
-                    link_scope=shard.links,
-                    audit=self.audit,
-                    obs=obs,
+                    obs,
+                    interval,
+                    shard.links,
+                    {"obs": obs, "name": f"shard{shard.index}"},
                 )
             )
         return self.controllers[0]
@@ -308,7 +259,7 @@ class ServiceSensing(TelemetrySensing):
     def merged_controller_log(self) -> ControllerLog:
         """Fleet-wide controller log: summed counters, merged optimizer
         stats, decisions concatenated in shard order (ring-bounded)."""
-        merged = ControllerLog(max_decisions=self.max_decisions)
+        merged = ControllerLog(max_decisions=MAX_DECISIONS)
         for controller in self.controllers:
             log = controller.log
             for name in _LOG_COUNTERS:
@@ -405,52 +356,37 @@ class ControllerService:
     def __init__(self, config: ServiceConfig, obs: Recorder = NULL_RECORDER):
         config.validate()
         self.config = config
-        self.scenario = chaos_scenario(
+        scenario = chaos_scenario(
             scale=config.scale,
             duration_days=config.days,
             events_per_10k_links_per_day=config.events_per_10k_links_per_day,
             capacity=config.capacity,
             seed=config.seed,
         )
-        fault_config = None
-        if config.chaos_preset is not None:
-            fault_config = chaos_preset(
-                config.chaos_preset, seed=config.fault_seed
-            )
-        self.topo = self.scenario.topo_factory()
-        cmodel, miswiring = diagnosis_layers(
-            self.topo,
-            config.seed,
-            config.congestion_preset,
-            config.miswire_pairs,
-        )
-        self.pipeline = ServiceSensing(
-            self.scenario.trace,
-            self.scenario.constraint(),
-            fault_config=fault_config,
-            detection_threshold=config.detection_threshold,
-            packets_per_poll=config.packets_per_poll,
-            poll_interval_s=config.poll_interval_s,
-            debounce_confirm=config.debounce_confirm,
-            max_decisions=config.max_decisions,
-            audit_maxlen=config.audit_maxlen,
-            queue_capacity=config.queue_capacity,
-            queue_policy=config.queue_policy,
-            batch_size=config.batch_size,
-            drain_budget=config.drain_budget,
-            health_snapshot_every_s=config.health_snapshot_every_s,
-            congestion_model=cmodel,
-            miswiring=miswiring,
-        )
-        self.kernel = SimulationKernel(
-            self.topo,
-            duration_s=self.scenario.trace.duration_days * DAY_S,
-            pipeline=self.pipeline,
+        sim = ChaosSimulation(
+            scenario,
+            fault_config=(
+                None
+                if config.chaos_preset is None
+                else chaos_preset(config.chaos_preset, seed=config.fault_seed)
+            ),
             repair_accuracy=config.repair_accuracy,
-            service_s=config.service_days * DAY_S,
             seed=config.seed,
+            congestion_preset=config.congestion_preset,
+            miswire_pairs=config.miswire_pairs,
             obs=obs,
+            pipeline_factory=partial(
+                ServiceSensing,
+                poll_interval_s=config.poll_interval_s,
+                audit_maxlen=config.audit_maxlen,
+                queue_capacity=config.queue_capacity,
+                queue_policy=config.queue_policy,
+                batch_size=config.batch_size,
+                drain_budget=config.drain_budget,
+            ),
         )
+        self.pipeline = sim.pipeline
+        self.kernel = sim.kernel
         #: Completed checkpoint boundaries (persists across restore, so a
         #: resumed run numbers its checkpoints after the ones already
         #: written).

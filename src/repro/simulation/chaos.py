@@ -26,17 +26,17 @@ pairs :class:`~repro.simulation.kernel.SimulationKernel` with
 :class:`~repro.simulation.kernel.TelemetrySensing` (or flow voting) and
 exposes both as ``kernel`` and ``pipeline``; ``sim.kernel.run()`` runs it.
 Polls are scheduled heap events on the shared kernel.  The continuous
-service (:mod:`repro.service`) builds its own pipeline but takes its
-diagnosis layers from :func:`diagnosis_layers`, so a serve run and a chaos
-run of the same seed see the same world.
+service (:mod:`repro.service`) builds through it too, handing in its
+queue-fed pipeline, so a serve run and a chaos run of the same seed see
+the same world.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, Optional
 
-from repro.congestion.losses import CongestionModel
 from repro.congestion.presets import congestion_model
 from repro.faults.miswiring import MiswiringFault
 from repro.faults.telemetry_faults import TelemetryFaultConfig
@@ -45,7 +45,6 @@ from repro.registry import require
 from repro.simulation.kernel import DAY_S, SimulationKernel, TelemetrySensing
 from repro.simulation.scenarios import Scenario
 from repro.simulation.voting import FlowVotingSensing
-from repro.topology.graph import Topology
 
 #: Deterministic offsets separating the congestion / miswiring RNG
 #: streams from the repair stream derived from the same run seed.
@@ -56,34 +55,7 @@ __all__ = [
     "CHAOS_PRESETS",
     "ChaosSimulation",
     "chaos_preset",
-    "diagnosis_layers",
 ]
-
-
-def diagnosis_layers(
-    topo: Topology,
-    seed: int,
-    congestion_preset: Optional[str] = None,
-    miswire_pairs: int = 0,
-) -> Tuple[Optional[CongestionModel], Optional[MiswiringFault]]:
-    """The congestion co-model and miswiring fault of a telemetry run.
-
-    Both are seeded from the run seed plus a fixed offset, so they never
-    perturb the repair RNG stream, and a batch chaos run and a service
-    run of the same (seed, preset, pairs) see the same hot links and the
-    same swapped cables.  ``None`` / 0 leave the layer out.
-    """
-    cmodel = None
-    if congestion_preset is not None:
-        cmodel = congestion_model(
-            congestion_preset, topo, seed=seed + _CONGESTION_SEED_OFFSET
-        )
-    miswiring = None
-    if miswire_pairs:
-        miswiring = MiswiringFault.sample(
-            topo, miswire_pairs, seed=seed + _MISWIRE_SEED_OFFSET
-        )
-    return cmodel, miswiring
 
 
 class ChaosSimulation:
@@ -92,22 +64,12 @@ class ChaosSimulation:
     Args:
         scenario: Topology + trace + capacity preset.
         fault_config: Telemetry fault rates (``None`` = clean monitoring).
-        detection_threshold: Sanitized corruption rate at which a report
-            is raised to the controller.
-        packets_per_poll: Offered packets per direction per poll; sets the
-            smallest observable corruption rate (1 / packets_per_poll).
         repair_accuracy: First-attempt repair success probability (failed
             first attempts fold into a doubled stay, as under oracle
             sensing).
         service_days: Ticket service time per attempt.
         seed: Seed for the repair RNG (independent of the telemetry fault
             RNG so fault injection never perturbs repair outcomes).
-        poll_interval_s: Monitoring granularity.
-        debounce_confirm: Consecutive confirming reports needed before the
-            controller acts on an onset (1 = act immediately).
-        max_decisions: Controller decision ring-buffer bound.
-        audit_maxlen: Audit-log ring bound (evictions are counted
-            exactly and exported as ``audit_evicted_records``).
         congestion_preset: Named congestion co-model
             (:data:`repro.congestion.presets.CONGESTION_PRESETS`);
             ``None`` / ``"none"`` keeps runs byte-identical to the
@@ -115,8 +77,8 @@ class ChaosSimulation:
             seed plus a fixed offset, so congestion never perturbs the
             repair RNG stream.
         miswire_pairs: Disjoint link pairs whose telemetry attribution
-            is swapped (A3-style wrong inventory map); 0 disables the
-            fault and the probe cross-check with it.
+            is swapped (A3-style wrong inventory map), seeded the same
+            way; 0 disables the fault and the probe cross-check with it.
         sensing: ``"telemetry"`` (counter-driven detection) or
             ``"voting"`` (the 007-style flow-voting localizer,
             :class:`~repro.simulation.voting.FlowVotingSensing`).
@@ -124,48 +86,48 @@ class ChaosSimulation:
             (poller, sanitizer, controller, optimizer).  The default
             :data:`~repro.obs.recorder.NULL_RECORDER` preserves the
             determinism contract above bit-for-bit.
+        pipeline_factory: Builds the pipeline in place of ``sensing``, as
+            ``factory(trace, constraint, fault_config=, congestion_model=,
+            miswiring=)``; the service hands in its ``ServiceSensing``.
     """
 
     def __init__(
         self,
         scenario: Scenario,
         fault_config: Optional[TelemetryFaultConfig] = None,
-        detection_threshold: float = 1e-7,
-        packets_per_poll: int = 10_000_000,
         repair_accuracy: float = 0.8,
         service_days: float = 2.0,
         seed: int = 0,
-        poll_interval_s: float = 900.0,
-        debounce_confirm: int = 2,
-        max_decisions: int = 4096,
-        audit_maxlen: int = 1024,
         congestion_preset: Optional[str] = None,
         miswire_pairs: int = 0,
         sensing: str = "telemetry",
         obs: Recorder = NULL_RECORDER,
+        pipeline_factory: Optional[Callable[..., TelemetrySensing]] = None,
     ):
         require("sensing", sensing)
         topo = scenario.topo_factory()
-        cmodel, miswiring = diagnosis_layers(
-            topo, seed, congestion_preset, miswire_pairs
-        )
-        pipeline_cls = (
-            FlowVotingSensing if sensing == "voting" else TelemetrySensing
-        )
-        extra = {} if sensing == "telemetry" else {"vote_seed": seed}
-        self.pipeline = pipeline_cls(
+        cmodel = None
+        if congestion_preset is not None:
+            cmodel = congestion_model(
+                congestion_preset, topo, seed=seed + _CONGESTION_SEED_OFFSET
+            )
+        miswiring = None
+        if miswire_pairs:
+            miswiring = MiswiringFault.sample(
+                topo, miswire_pairs, seed=seed + _MISWIRE_SEED_OFFSET
+            )
+        if pipeline_factory is None:
+            pipeline_factory = (
+                partial(FlowVotingSensing, vote_seed=seed)
+                if sensing == "voting"
+                else TelemetrySensing
+            )
+        self.pipeline = pipeline_factory(
             scenario.trace,
             scenario.constraint(),
             fault_config=fault_config,
-            detection_threshold=detection_threshold,
-            packets_per_poll=packets_per_poll,
-            poll_interval_s=poll_interval_s,
-            debounce_confirm=debounce_confirm,
-            max_decisions=max_decisions,
-            audit_maxlen=audit_maxlen,
             congestion_model=cmodel,
             miswiring=miswiring,
-            **extra,
         )
         self.kernel = SimulationKernel(
             topo,

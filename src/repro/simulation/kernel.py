@@ -212,8 +212,7 @@ class SimulationKernel:
         technician_pool: Optional[int] = None,
         obs: Recorder = NULL_RECORDER,
     ):
-        if not 0.0 <= repair_accuracy <= 1.0:
-            raise ValueError("repair accuracy outside [0, 1]")
+        self.check_repair_accuracy(repair_accuracy)
         self.topo = topo
         self.duration_s = duration_s
         self.repair_accuracy = repair_accuracy
@@ -240,6 +239,12 @@ class SimulationKernel:
         self._result: Optional[RunResult] = None
         self.pipeline = pipeline
         pipeline.attach(self)
+
+    @staticmethod
+    def check_repair_accuracy(repair_accuracy: float) -> None:
+        """Raise ``ValueError`` for an accuracy the kernel refuses."""
+        if not 0.0 <= repair_accuracy <= 1.0:
+            raise ValueError("repair accuracy outside [0, 1]")
 
     # ------------------------------------------------------------------ #
     # Scheduling
@@ -602,6 +607,29 @@ class OracleSensing(SensingPipeline):
 # Telemetry sensing: the world as SNMP counters see it
 # ---------------------------------------------------------------------- #
 
+# The telemetry loop's fixed settings; DESIGN.md §8 gives the reason
+# for each value.
+
+#: Offered packets per direction per poll.
+PACKETS_PER_POLL = 10_000_000
+#: Report threshold: 1 / ``PACKETS_PER_POLL``, one corrupted packet a poll.
+DETECTION_THRESHOLD = 1e-7
+#: Consecutive over-threshold reports before the controller acts.
+DEBOUNCE_CONFIRM = 2
+#: Bound of each controller's decision ring buffer.
+MAX_DECISIONS = 4096
+#: Period of the health snapshots published into the obs stream.
+HEALTH_SNAPSHOT_EVERY_S = 3600.0
+#: Links the A3 probe cross-check covers per poll.
+PROBE_LINKS_PER_POLL = 8
+#: Consecutive probe/counter disagreements that flag a link miswired.
+MISWIRE_CONFIRM = 2
+#: The §3 cause classifier; stateless, so one serves every pipeline.
+CLASSIFIER = CauseClassifier(
+    corruption_threshold=DETECTION_THRESHOLD,
+    congestion_threshold=DETECTION_THRESHOLD,
+)
+
 
 class TelemetrySensing(SensingPipeline):
     """Poll-driven sensing through the full monitoring path.
@@ -640,29 +668,16 @@ class TelemetrySensing(SensingPipeline):
         trace: CorruptionTrace,
         constraint,
         fault_config: Optional[TelemetryFaultConfig] = None,
-        detection_threshold: float = 1e-7,
-        packets_per_poll: int = 10_000_000,
         poll_interval_s: float = 900.0,
-        debounce_confirm: int = 2,
-        max_decisions: int = 4096,
         audit_maxlen: int = 1024,
-        health_snapshot_every_s: float = 3600.0,
         congestion_model=None,
         miswiring=None,
-        probe_links_per_poll: int = 8,
-        miswire_confirm: int = 2,
-        classifier: Optional[CauseClassifier] = None,
     ):
         self.trace = trace
         self.constraint = constraint
         self.fault_config = fault_config
-        self.detection_threshold = detection_threshold
-        self.packets_per_poll = packets_per_poll
         self.poll_interval_s = poll_interval_s
-        self.debounce_confirm = debounce_confirm
-        self.max_decisions = max_decisions
         self.audit_maxlen = audit_maxlen
-        self.health_snapshot_every_s = health_snapshot_every_s
         #: Optional congestion co-model: feeds diurnal utilization through
         #: the poller's traffic callable and queue losses through the
         #: drops channel only (no FCS signature, §3).
@@ -670,12 +685,6 @@ class TelemetrySensing(SensingPipeline):
         #: Optional A3-style miswiring fault: swaps the poller's FCS
         #: attribution and activates the rotating probe cross-check.
         self._miswiring = miswiring
-        self.probe_links_per_poll = probe_links_per_poll
-        self.miswire_confirm = miswire_confirm
-        self.classifier = classifier or CauseClassifier(
-            corruption_threshold=detection_threshold,
-            congestion_threshold=detection_threshold,
-        )
 
     def _traffic_fn(self):
         """The poller's traffic call: the co-model's array form when there
@@ -683,7 +692,7 @@ class TelemetrySensing(SensingPipeline):
         stays picklable), else constant offered load."""
         model = self._congestion_model
         if model is None:
-            return ConstantTraffic(self.packets_per_poll)
+            return ConstantTraffic(PACKETS_PER_POLL)
         return partial(model.traffic, interval_s=self.poll_interval_s)
 
     def attach(self, kernel: SimulationKernel) -> None:
@@ -702,7 +711,7 @@ class TelemetrySensing(SensingPipeline):
 
         # The store keeps what the longest reader reads: the classifier's
         # correlation window.
-        self.store = TelemetryStore(self.classifier.correlation_window)
+        self.store = TelemetryStore(CLASSIFIER.correlation_window)
         self.sanitizer = TelemetrySanitizer(interval_s=interval, obs=obs)
         self.transport = (
             FaultyTransport(self.fault_config)
@@ -752,7 +761,7 @@ class TelemetrySensing(SensingPipeline):
         self.health.router = self._health_router()
         if self.diagnosis is not None:
             self.health.attach_diagnosis(self.diagnosis)
-        self._next_health_pub_s = self.health_snapshot_every_s
+        self._next_health_pub_s = HEALTH_SNAPSHOT_EVERY_S
 
     def _diagnosis_active(self) -> bool:
         """Whether this run carries a diagnosis accuracy ledger."""
@@ -780,8 +789,10 @@ class TelemetrySensing(SensingPipeline):
 
     # -- component factories (overridden by the service pipeline) ------- #
 
-    def _make_poller(self, topo, obs, interval: float) -> SnmpPoller:
-        return SnmpPoller(
+    def _make_poller(
+        self, topo, obs, interval: float, cls=SnmpPoller, **extra
+    ) -> SnmpPoller:
+        return cls(
             topo,
             self.store,
             traffic_fn=self._traffic_fn(),
@@ -792,20 +803,28 @@ class TelemetrySensing(SensingPipeline):
                 None if self._miswiring is None else self._miswiring.physical
             ),
             obs=obs,
+            **extra,
         )
 
-    def _make_controller(self, topo, obs, interval: float) -> CorrOptController:
+    def _make_controller(
+        self, topo, obs, interval: float, link_scope=None, labels=None
+    ) -> CorrOptController:
+        # A shard's ``labels`` (``obs``, ``name``) make its debouncer and
+        # breaker export their metrics under the shard's name.
+        labels = labels or {}
         return CorrOptController(
             topo,
             self.constraint,
             quarantine_fn=self.sanitizer.link_quarantined,
             debouncer=OnsetDebouncer(
-                confirm=self.debounce_confirm,
+                confirm=DEBOUNCE_CONFIRM,
                 window_s=3 * interval,
-                high=self.detection_threshold,
+                high=DETECTION_THRESHOLD,
+                **labels,
             ),
-            optimizer_breaker=CircuitBreaker(),
-            max_decisions=self.max_decisions,
+            optimizer_breaker=CircuitBreaker(**labels),
+            max_decisions=MAX_DECISIONS,
+            link_scope=link_scope,
             audit=self.audit,
             obs=obs,
         )
@@ -903,9 +922,9 @@ class TelemetrySensing(SensingPipeline):
         # Candidates: rows with a sample from this tick that carries a
         # loss signature.  Everything else the per-row code below would
         # skip anyway.
-        suspicious = corruption_now >= self.detection_threshold
+        suspicious = corruption_now >= DETECTION_THRESHOLD
         if self.diagnosis is not None:
-            suspicious |= congestion_now >= self.classifier.congestion_threshold
+            suspicious |= congestion_now >= CLASSIFIER.congestion_threshold
         suspicious &= times == now
         for row in np.flatnonzero(suspicious).tolist():
             link = table.links[row >> 1]
@@ -921,7 +940,7 @@ class TelemetrySensing(SensingPipeline):
             diagnosis = self._diagnose(link, direction, did, sample, now)
             if self.diagnosis is not None:
                 self._note_diagnosis(link_id, did, diagnosis)
-            if corruption < self.detection_threshold:
+            if corruption < DETECTION_THRESHOLD:
                 # Drops-only signature: diagnosed (cause=congestion) for
                 # the accuracy ledger, but never reported — disabling a
                 # congested link only shifts its load.
@@ -938,12 +957,12 @@ class TelemetrySensing(SensingPipeline):
         util_history = cong_history = None
         if (
             self._congestion_model is not None
-            and congestion >= self.classifier.congestion_threshold
+            and congestion >= CLASSIFIER.congestion_threshold
         ):
             util_history, cong_history = self.store.tail(
-                did, self.classifier.correlation_window
+                did, CLASSIFIER.correlation_window
             )
-        return self.classifier.classify(
+        return CLASSIFIER.classify(
             link.link_id,
             direction,
             corruption,
@@ -1043,7 +1062,7 @@ class TelemetrySensing(SensingPipeline):
         not consult the inventory), so probe loss describes the link the
         operator asked about while its counters may describe another.  A
         link whose probe verdict and counter verdict disagree for
-        ``miswire_confirm`` consecutive probes is flagged miswired:
+        ``MISWIRE_CONFIRM`` consecutive probes is flagged miswired:
         counter-driven mitigation is refused for it (the counters are
         someone else's), and probe-sourced reports carry the corruption
         the counters deny, so the physical culprit is still mitigated.
@@ -1052,7 +1071,7 @@ class TelemetrySensing(SensingPipeline):
         ring = self._probe_ring
         if not ring:
             return
-        window = min(self.probe_links_per_poll, len(ring))
+        window = min(PROBE_LINKS_PER_POLL, len(ring))
         start = self._probe_cursor
         self._probe_cursor = (start + window) % len(ring)
         for i in range(window):
@@ -1061,7 +1080,7 @@ class TelemetrySensing(SensingPipeline):
             if not link.enabled:
                 continue
             probe_rate = link.max_corruption_rate()
-            probe_detect = probe_rate >= self.detection_threshold
+            probe_detect = probe_rate >= DETECTION_THRESHOLD
             counter_rate = 0.0
             fresh = False
             for direction in (Direction.UP, Direction.DOWN):
@@ -1071,11 +1090,11 @@ class TelemetrySensing(SensingPipeline):
                     counter_rate = max(counter_rate, sample[1])
             flagged = link_id in self._miswire_flagged
             if fresh:
-                counter_detect = counter_rate >= self.detection_threshold
+                counter_detect = counter_rate >= DETECTION_THRESHOLD
                 if counter_detect != probe_detect:
                     count = self._probe_mismatch.get(link_id, 0) + 1
                     self._probe_mismatch[link_id] = count
-                    if count >= self.miswire_confirm and not flagged:
+                    if count >= MISWIRE_CONFIRM and not flagged:
                         self._miswire_flagged.add(link_id)
                         flagged = True
                         self.chaos.miswires_flagged += 1
@@ -1128,7 +1147,7 @@ class TelemetrySensing(SensingPipeline):
         )
         if obs.enabled and time_s + 1e-9 >= self._next_health_pub_s:
             while self._next_health_pub_s <= time_s + 1e-9:
-                self._next_health_pub_s += self.health_snapshot_every_s
+                self._next_health_pub_s += HEALTH_SNAPSHOT_EVERY_S
             self._publish_health(time_s)
 
     def _publish_health(self, time_s: float) -> None:

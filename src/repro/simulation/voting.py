@@ -42,47 +42,41 @@ from repro.core.diagnosis import (
     CAUSE_MISWIRED,
 )
 from repro.routing.ecmp import EcmpRouter
-from repro.simulation.kernel import SimulationKernel, TelemetrySensing
+from repro.simulation.kernel import (
+    CLASSIFIER,
+    DETECTION_THRESHOLD,
+    SimulationKernel,
+    TelemetrySensing,
+)
 from repro.topology.elements import Direction, LinkId
 from repro.workloads.flows import sample_flow_population
 
 __all__ = ["FlowVotingSensing"]
 
 
+#: Flows sourced at each ToR: the electorate.
+FLOWS_PER_TOR = 16
+#: Packets a flow sends per poll: a link losing ``1 / PACKETS_PER_FLOW``
+#: fails ~63% of its flows.
+PACKETS_PER_FLOW = 1_000_000
+#: Vote tally that accuses a link (a failed flow splits one vote).
+VOTE_QUORUM = 1.0
+#: Accused links cross-checked per poll, in descending-tally order.
+MAX_CANDIDATES = 16
+
+
 class FlowVotingSensing(TelemetrySensing):
     """Telemetry sensing whose detector is a flow-voting localizer.
 
     Args:
-        flows_per_tor: Flows sourced at each ToR (the electorate size).
-        packets_per_flow: Packets a flow sends per poll; sets the
-            smallest loss rate a flow vote can plausibly surface
-            (a link losing ``1/packets_per_flow`` fails ~63% of its
-            flows).
-        vote_quorum: Minimum vote tally before a link is treated as
-            accused (votes are split ``1/len(path)`` per failed flow).
-        max_candidates: Accused links cross-checked per poll, in
-            descending-tally order (bounds per-poll controller load).
         vote_seed: Seeds both the flow population and the per-poll
             failure draws (``vote_seed`` + poll index).
 
     Remaining arguments match :class:`TelemetrySensing`.
     """
 
-    def __init__(
-        self,
-        *args,
-        flows_per_tor: int = 16,
-        packets_per_flow: int = 1_000_000,
-        vote_quorum: float = 1.0,
-        max_candidates: int = 16,
-        vote_seed: int = 0,
-        **kwargs,
-    ):
+    def __init__(self, *args, vote_seed: int = 0, **kwargs):
         super().__init__(*args, **kwargs)
-        self.flows_per_tor = flows_per_tor
-        self.packets_per_flow = packets_per_flow
-        self.vote_quorum = vote_quorum
-        self.max_candidates = max_candidates
         self.vote_seed = vote_seed
 
     def _diagnosis_active(self) -> bool:
@@ -93,7 +87,7 @@ class FlowVotingSensing(TelemetrySensing):
     def attach(self, kernel: SimulationKernel) -> None:
         super().attach(kernel)
         self._flows = sample_flow_population(
-            kernel.topo, self.flows_per_tor, seed=self.vote_seed
+            kernel.topo, FLOWS_PER_TOR, seed=self.vote_seed
         )
         self._router = EcmpRouter(kernel.topo)
 
@@ -128,7 +122,7 @@ class FlowVotingSensing(TelemetrySensing):
             for lid in path:
                 loss = min(1.0, self._path_loss(lid, now))
                 if loss > 0.0:
-                    p_ok *= (1.0 - loss) ** self.packets_per_flow
+                    p_ok *= (1.0 - loss) ** PACKETS_PER_FLOW
             # One draw per routed flow, loss or not, so the RNG stream
             # never depends on float comparisons against thresholds.
             if rng.random() < p_ok:
@@ -144,7 +138,7 @@ class FlowVotingSensing(TelemetrySensing):
         candidates = sorted(votes.items(), key=lambda kv: (-kv[1], kv[0]))
         examined = 0
         for link_id, tally in candidates:
-            if tally < self.vote_quorum or examined >= self.max_candidates:
+            if tally < VOTE_QUORUM or examined >= MAX_CANDIDATES:
                 break
             link = topo.link(link_id)
             if not link.enabled:
@@ -163,7 +157,7 @@ class FlowVotingSensing(TelemetrySensing):
             true_rate = link.max_corruption_rate()
             if (
                 best_direction is not None
-                and best_rate >= self.detection_threshold
+                and best_rate >= DETECTION_THRESHOLD
             ):
                 # Counters confirm the accusation: the ordinary
                 # classifier decides (congestion/miswire evidence may
@@ -180,7 +174,7 @@ class FlowVotingSensing(TelemetrySensing):
                 if not diagnosis.actionable():
                     continue
                 self._report_and_account(now, link_id, best_direction, best_rate)
-            elif true_rate >= self.detection_threshold:
+            elif true_rate >= DETECTION_THRESHOLD:
                 # Counters deny what the flows experienced — the A3
                 # regime (or dead counters).  Vote-sourced blame carries
                 # the path-measured rate, so the physical culprit is
@@ -212,7 +206,7 @@ class FlowVotingSensing(TelemetrySensing):
                     )
                     if sample is not None and sample[0] == now:
                         drops = max(drops, sample[2])
-                if drops < self.classifier.congestion_threshold:
+                if drops < CLASSIFIER.congestion_threshold:
                     continue
                 key = ("vote", link_id)
                 if key not in self._diagnosis_noted:

@@ -46,6 +46,8 @@ def generate_trace(
     """
     if duration_days < 0:
         raise ValueError("duration must be non-negative")
+    if events_per_10k_links_per_day < 0:
+        raise ValueError("event rate must be non-negative")
     events_per_day = max(
         1e-9, events_per_10k_links_per_day * topo.num_links / 10_000.0
     )

@@ -75,6 +75,14 @@ class TestParser:
             ["simulate", "--scale", "0"],
             ["fleet", "--dcns", "20"],
             ["tournament", "--lg-coverages", "2"],
+            ["serve", "--repair-accuracy", "1.5"],
+            ["serve", "--repair-accuracy", "-2"],
+            ["chaos", "--repair-accuracy", "1.5"],
+            ["chaos", "--repair-accuracy", "-2"],
+            ["simulate", "--repair-accuracy", "1.5"],
+            ["simulate", "--repair-accuracy", "-2"],
+            ["serve", "--events", "-5", "--days", "0.05", "--scale", "0.1"],
+            ["sweep", "--events", "-5", "--days", "1", "--scale", "0.1"],
         ],
         ids=" ".join,
     )

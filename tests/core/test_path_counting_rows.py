@@ -255,10 +255,13 @@ def test_counter_equals_naive_oracle_after_every_step(builder, seed, incremental
         elif roll < 0.85:
             allowed, after = _naive_check(topo, constraint, lid)
             was_enabled = topo.link(lid).enabled
+            if was_enabled:
+                tors, fractions = counter.fractions_without(topo.link_row[lid])
+                names = [topo.switch_names[tor] for tor in tors]
+                assert dict(zip(names, fractions)) == after
+                assert names == list(after)
             result = checker.check_and_disable(lid)
             assert result.allowed == allowed
-            assert result.fractions_after == after
-            assert list(result.fractions_after) == list(after)
             assert result.violated_tors == {
                 tor: fraction
                 for tor, fraction in after.items()

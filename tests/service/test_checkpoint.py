@@ -31,7 +31,7 @@ def test_schema_literals_pinned_against_service():
         checkpoint.CHECKPOINT_FORMAT_VERSION
         is schema.CHECKPOINT_FORMAT_VERSION
     )
-    assert CHECKPOINT_FORMAT_VERSION == 10
+    assert CHECKPOINT_FORMAT_VERSION == 11
 
 
 def write_sample(path, state=None):
@@ -113,7 +113,7 @@ class TestIntegrity:
         )
         with pytest.raises(
             ValueError,
-            match=rf"unsupported checkpoint version {version} \(expected 10\)",
+            match=rf"unsupported checkpoint version {version} \(expected 11\)",
         ):
             read_checkpoint(path)
         assert validate_checkpoint_file(path) == [
@@ -169,6 +169,13 @@ class TestIntegrity:
         """Version 9 pickled the service config's custom SLO rules and
         the pipeline's rule list; neither exists now."""
         self._refused_by_version(tmp_path, 9, "1.13.0")
+
+    def test_v10_checkpoint_refused_before_unpickling(self, tmp_path):
+        """Version 10 pickled the detection, debounce and probe settings
+        on the pipeline and the scenario on the service, and its config
+        echo names six fields the service config no longer has; the
+        settings are module constants now."""
+        self._refused_by_version(tmp_path, 10, "1.13.0")
 
     def test_truncated_payload_rejected(self, tmp_path):
         path = tmp_path / "c.ckpt"

@@ -89,7 +89,7 @@ class TestSharding:
 
     def test_shards_partition_the_link_set(self):
         service = ControllerService(ServiceConfig(**FAST))
-        all_links = set(service.topo.link_ids())
+        all_links = set(service.kernel.topo.link_ids())
         shard_links = [s.links for s in service.pipeline.shards]
         union = set().union(*shard_links)
         assert union == all_links
