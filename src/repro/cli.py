@@ -35,6 +35,7 @@ import argparse
 import contextlib
 import json
 import sys
+from functools import partial
 from typing import List, Optional
 
 #: Choice tuples are aliases into :mod:`repro.registry` (stdlib-only),
@@ -1415,11 +1416,15 @@ def _cmd_obs(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # No abbreviated options: `chaos --events` must not mean `--events-out`.
     parser = argparse.ArgumentParser(
-        prog="repro", description=__doc__,
+        prog="repro", description=__doc__, allow_abbrev=False,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        parser_class=partial(argparse.ArgumentParser, allow_abbrev=False),
+    )
 
     topo = sub.add_parser("topology", help="build a topology")
     topo.add_argument("--kind", choices=list(TOPO_CHOICES), default="clos")

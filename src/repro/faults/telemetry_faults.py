@@ -136,20 +136,19 @@ class FaultyTransport:
             self._rebase.known | self._stale.known | self._held.known
         )
         ids = list(self._index.row_of)
-        state = dict(self.__dict__, _row_cache=None, _left=self._left[holding])
+        state = dict(
+            self.__dict__, _row_cache=None, _left=self._left[holding],
+            _index=DirectionIndex([ids[row] for row in holding.tolist()]),
+        )
         del state["_ahead"]
         state["_rng"] = random.Random()
         state["_rng"].setstate(self.rng_state())
-        state["_index"] = [ids[row] for row in holding.tolist()]
         for name in _STATES:
             state[name] = getattr(self, name).subset(holding)
         return state
 
     def __setstate__(self, state):
-        ids = state.pop("_index")
         self.__dict__.update(state, _ahead=None)
-        self._index = DirectionIndex()
-        self._index.rows(ids)
 
     # ------------------------------------------------------------------ #
 

@@ -349,7 +349,10 @@ CHECKPOINT_FORMAT = "repro-checkpoint"
 #: 11: the service config and the sensing pipelines carry no detection,
 #: debounce, decision-bound, health-period, probe, classifier or voting
 #: settings (module constants now), and the service holds no scenario.
-CHECKPOINT_FORMAT_VERSION = 11
+#: 12: contiguous numpy columns are out-of-band frames after the pickle
+#: stream (header ``frames``); the poller's direction table and every
+#: ``DirectionIndex`` map are left out and rebuilt.
+CHECKPOINT_FORMAT_VERSION = 12
 
 #: Service-report literals, pinned against :mod:`repro.service.service`.
 SERVICE_REPORT_FORMAT = "repro-service-report"
@@ -533,6 +536,8 @@ _CHECKPOINT_HEADER = {
     "repro_version": PRESENT,
     "sim_time_s": NUM,
     "boundary_index": INT,
+    "payload_bytes": INT,
+    "state_digest": STR,
     "config": OBJECT,
 }
 
@@ -637,12 +642,42 @@ def validate_benchmark_record(record: object) -> List[str]:
     return _check_document(record, _BENCHMARK, "benchmark record")
 
 
+def checkpoint_digest(frames: Sequence[int], parts) -> str:
+    """SHA-256 over a checkpoint's frame lengths, then its payload parts."""
+    digest = hashlib.sha256(json.dumps(frames).encode("ascii"))
+    for part in parts:
+        digest.update(part)
+    return digest.hexdigest()
+
+
+def checkpoint_payload_problems(header: dict, payload) -> List[str]:
+    """Problems with a checkpoint's ``frames``, ``payload_bytes`` and
+    ``state_digest`` against its ``payload`` buffer (the digest is
+    checked once the lengths agree)."""
+    frames, size = header.get("frames"), header.get("payload_bytes")
+    if not (isinstance(frames, list) and frames
+            and all(_is_int(length) and length >= 0 for length in frames)):
+        return [f"bad 'frames' {_show(frames)}: want a list of byte counts"]
+    problems = [
+        f"'frames' sum to {sum(frames)} bytes, 'payload_bytes' is {size!r}"
+    ] if sum(frames) != size else []
+    if len(payload) != size:
+        problems.append(
+            f"payload is {len(payload)} bytes, 'payload_bytes' is {size!r}"
+        )
+    if not problems and (
+        checkpoint_digest(frames, [payload]) != header.get("state_digest")
+    ):
+        problems.append("state_digest mismatch (corrupt payload or 'frames')")
+    return problems
+
+
 def validate_checkpoint_file(path) -> List[str]:
     """Problems with a service checkpoint file.
 
     Validates the JSON header against its table and the payload integrity
-    (length and SHA-256 digest) **without unpickling** — safe to run on
-    untrusted or truncated files.
+    (frame lengths, length and SHA-256 digest) **without unpickling** —
+    safe to run on untrusted or truncated files.
     """
     try:
         with open(path, "rb") as handle:
@@ -659,15 +694,8 @@ def validate_checkpoint_file(path) -> List[str]:
     if not isinstance(header, dict):
         return ["header is not an object"]
     problems = _check_document(header, _CHECKPOINT_HEADER, "header")
-    payload = raw[newline + 1 :]
-    if header.get("payload_bytes") != len(payload):
-        problems.append(
-            f"payload is {len(payload)} bytes, header says "
-            f"{header.get('payload_bytes')!r}"
-        )
-    digest = header.get("state_digest")
-    if not isinstance(digest, str):
-        problems.append("missing 'state_digest'")
-    elif hashlib.sha256(payload).hexdigest() != digest:
-        problems.append("state_digest mismatch (corrupt payload)")
-    return problems
+    if header.get("format_version") != CHECKPOINT_FORMAT_VERSION:
+        return problems  # another version frames its payload otherwise
+    return problems + checkpoint_payload_problems(
+        header, memoryview(raw)[newline + 1 :]
+    )

@@ -32,6 +32,7 @@ from repro.registry import (
     STRATEGIES as KNOWN_STRATEGIES,
     STRATEGY_KNOBS as KNOWN_STRATEGY_KNOBS,
     TOPO_KINDS as KNOWN_TOPO_KINDS,
+    require,
 )
 
 # The KNOWN_* names are aliases into :mod:`repro.registry` (the single
@@ -143,11 +144,7 @@ class JobSpec:
         if self.kind == "chaos":
             if self.chaos_preset is None:
                 raise ValueError('kind="chaos" requires a chaos_preset')
-            if self.chaos_preset not in KNOWN_CHAOS_PRESETS:
-                raise ValueError(
-                    f"unknown chaos preset {self.chaos_preset!r}; "
-                    f"choose from {sorted(KNOWN_CHAOS_PRESETS)}"
-                )
+            require("chaos_preset", self.chaos_preset)
             if self.technician_pool is not None or self.full_repair_cycles:
                 raise ValueError(
                     "chaos jobs use the paper repair model; technician_pool "

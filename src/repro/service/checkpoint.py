@@ -1,22 +1,30 @@
 """Versioned, digest-stamped service checkpoints.
 
-A checkpoint file is one JSON header line followed by a pickle payload::
+A checkpoint file is one JSON header line followed by the payload: a
+protocol-5 pickle stream of the whole ControllerService object graph,
+then the raw bytes of every contiguous numpy column it refers to::
 
     {"format": "repro-checkpoint", "format_version": <N>, ...}\\n
-    <pickle bytes of the whole ControllerService object graph>
+    <pickle stream><frame 1><frame 2>...
 
 where ``<N>`` is :data:`~repro.obs.schema.CHECKPOINT_FORMAT_VERSION`; a
-reader refuses any other version before unpickling.
-
-It is written to a sibling temporary file and renamed into place, so a
-crash mid-write leaves the previous checkpoint at ``path``, never a torn
-one.
+reader refuses any other version before unpickling.  The columns are
+written from their own memory (no copy), and a read loads the file into
+one writable buffer whose slices ``pickle.loads`` turns into the
+restored columns (views, not copies).  State derived from the topology
+is rebuilt, not stored: the poller's direction table, and each
+``DirectionIndex`` map from its id list.
 
 The header carries provenance (format, versions, sim time, boundary
-index, config echo) plus ``state_digest`` — the SHA-256 of the payload
-bytes — and ``payload_bytes``, so integrity can be validated without
-unpickling (see :func:`repro.obs.schema.validate_checkpoint_file`, which
-the ``repro obs --validate --checkpoint`` CLI and the CI job use).
+index, config echo), ``frames`` (byte lengths of the stream and each
+frame, in file order), ``payload_bytes`` (their sum) and
+``state_digest`` (SHA-256 of the frame lengths and the payload), so
+integrity can be validated without unpickling (see
+:func:`repro.obs.schema.validate_checkpoint_file`, which the ``repro obs
+--validate --checkpoint`` CLI and the CI job use).  The file is written
+to a sibling temporary file, fsync'd, renamed into place and its
+directory fsync'd: a crash leaves the previous checkpoint, never a torn
+one.
 
 Determinism note: the *payload bytes* are not canonical across python
 processes (set iteration orders differ with the per-process string hash
@@ -29,19 +37,20 @@ checkpoint-determinism CI job.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import pickle
+from itertools import accumulate
 from pathlib import Path
 from typing import Any, Dict, Tuple
 
 from repro._version import __version__
-from repro.obs.schema import CHECKPOINT_FORMAT, CHECKPOINT_FORMAT_VERSION
-
-#: Fixed protocol so checkpoints written on newer interpreters stay
-#: readable on the older end of the supported range.
-_PICKLE_PROTOCOL = 4
+from repro.obs.schema import (
+    CHECKPOINT_FORMAT,
+    CHECKPOINT_FORMAT_VERSION,
+    checkpoint_digest,
+    checkpoint_payload_problems,
+)
 
 
 def write_checkpoint(
@@ -52,15 +61,21 @@ def write_checkpoint(
     config: Dict[str, Any],
 ) -> Dict[str, Any]:
     """Snapshot ``service`` to ``path``; returns the header written."""
-    payload = pickle.dumps(service, protocol=_PICKLE_PROTOCOL)
+    buffers = []
+    stream = pickle.dumps(  # protocol 5: columns as out-of-band buffers
+        service, protocol=5, buffer_callback=buffers.append
+    )
+    parts = [stream] + [buffer.raw() for buffer in buffers]
+    frames = [memoryview(part).nbytes for part in parts]
     header = {
         "format": CHECKPOINT_FORMAT,
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "repro_version": __version__,
         "sim_time_s": sim_time_s,
         "boundary_index": boundary_index,
-        "payload_bytes": len(payload),
-        "state_digest": hashlib.sha256(payload).hexdigest(),
+        "frames": frames,
+        "payload_bytes": sum(frames),
+        "state_digest": checkpoint_digest(frames, parts),
         "config": config,
     }
     header_line = json.dumps(
@@ -71,31 +86,37 @@ def write_checkpoint(
     try:
         with open(temp, "wb") as handle:
             handle.write(header_line + b"\n")
-            handle.write(payload)
+            for part in parts:
+                handle.write(part)
+            handle.flush()
+            os.fsync(handle.fileno())
         os.replace(temp, out)
     finally:
         # Gone already after the rename; left behind by a failed write.
         temp.unlink(missing_ok=True)
+    directory = os.open(out.parent, os.O_RDONLY)
+    try:
+        os.fsync(directory)  # the rename itself
+    finally:
+        os.close(directory)
     return header
 
 
-def _split(path) -> Tuple[Dict[str, Any], bytes]:
-    raw = Path(path).read_bytes()
+def read_checkpoint(path) -> Tuple[Dict[str, Any], Any]:
+    """Load a checkpoint; verifies format, version, frames and digest.
+
+    Returns ``(header, service)``.  Raises ``ValueError`` on a wrong
+    format/version, frame lengths that do not add up or a digest
+    mismatch (truncated or tampered file) — never unpickles a payload
+    that fails validation.
+    """
+    with Path(path).open("rb") as handle:
+        raw = bytearray(os.fstat(handle.fileno()).st_size)
+        handle.readinto(raw)
     newline = raw.find(b"\n")
     if newline < 0:
         raise ValueError(f"{path}: not a checkpoint (no header line)")
     header = json.loads(raw[:newline].decode("utf-8"))
-    return header, raw[newline + 1 :]
-
-
-def read_checkpoint(path) -> Tuple[Dict[str, Any], Any]:
-    """Load a checkpoint; verifies format, version, and digest.
-
-    Returns ``(header, service)``.  Raises ``ValueError`` on a wrong
-    format/version or a digest mismatch (truncated or tampered file) —
-    never unpickles a payload that fails validation.
-    """
-    header, payload = _split(path)
     if header.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: wrong format {header.get('format')!r}")
     if header.get("format_version") != CHECKPOINT_FORMAT_VERSION:
@@ -104,12 +125,12 @@ def read_checkpoint(path) -> Tuple[Dict[str, Any], Any]:
             f"{header.get('format_version')!r} "
             f"(expected {CHECKPOINT_FORMAT_VERSION})"
         )
-    if header.get("payload_bytes") != len(payload):
-        raise ValueError(
-            f"{path}: payload is {len(payload)} bytes, header says "
-            f"{header.get('payload_bytes')}"
-        )
-    digest = hashlib.sha256(payload).hexdigest()
-    if header.get("state_digest") != digest:
-        raise ValueError(f"{path}: state digest mismatch (corrupt payload)")
-    return header, pickle.loads(payload)
+    payload = memoryview(raw)[newline + 1 :]
+    problems = checkpoint_payload_problems(header, payload)
+    if problems:
+        raise ValueError(f"{path}: " + "; ".join(problems))
+    ends = list(accumulate(header["frames"]))
+    return header, pickle.loads(
+        payload[: ends[0]],
+        buffers=[payload[start:end] for start, end in zip(ends, ends[1:])],
+    )

@@ -20,12 +20,22 @@ from __future__ import annotations
 
 from itertools import groupby
 from operator import attrgetter
-from typing import Optional
+from typing import List, Optional
 
 from repro.service.queues import DROPPED, BoundedWorkQueue
 from repro.telemetry.poller import SnmpPoller, TelemetryBatch
 
 __all__ = ["IngestingPoller", "TelemetryBatch"]
+
+
+def drain_problems(batch_size: int, drain_budget: Optional[int]) -> List[str]:
+    """What is wrong with a push size and a drain budget (none: ``[]``)."""
+    problems = []
+    if batch_size < 1:
+        problems.append("batch_size must be >= 1")
+    if drain_budget is not None and drain_budget < 1:
+        problems.append("drain_budget must be >= 1 (or None)")
+    return problems
 
 
 class IngestingPoller(SnmpPoller):
@@ -58,11 +68,10 @@ class IngestingPoller(SnmpPoller):
         drain_budget: Optional[int] = None,
         **kwargs,
     ):
+        problems = drain_problems(batch_size, drain_budget)
+        if problems:
+            raise ValueError("; ".join(problems))
         super().__init__(*args, **kwargs)
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if drain_budget is not None and drain_budget < 1:
-            raise ValueError("drain_budget must be >= 1 (or None)")
         self.queue = queue
         self.batch_size = batch_size
         self.drain_budget = drain_budget

@@ -34,10 +34,10 @@ from repro.parallel.aggregate import series_digest
 from repro.service.checkpoint import read_checkpoint
 from repro.service.checkpoint import write_checkpoint as _write_checkpoint
 from repro.congestion.presets import CONGESTION_PRESETS
-from repro.service.ingest import IngestingPoller
+from repro.service.ingest import IngestingPoller, drain_problems
 from repro.service.queues import POLICIES, BoundedWorkQueue
 from repro.service.shards import ShardRouter, build_shards
-from repro.simulation.chaos import CHAOS_PRESETS, ChaosSimulation, chaos_preset
+from repro.simulation.chaos import ChaosSimulation, chaos_preset
 from repro.simulation.kernel import MAX_DECISIONS, TelemetrySensing
 from repro.simulation.results import RunResult
 from repro.simulation.scenarios import chaos_scenario
@@ -117,13 +117,11 @@ class ServiceConfig:
             problems.append("scale must be > 0")
         if not 0.0 < self.capacity <= 1.0:
             problems.append("capacity outside (0, 1]")
-        if self.chaos_preset is not None and (
-            self.chaos_preset not in CHAOS_PRESETS
-        ):
-            problems.append(
-                f"unknown chaos preset {self.chaos_preset!r} "
-                f"(choose from {sorted(CHAOS_PRESETS)})"
-            )
+        if self.chaos_preset is not None:
+            try:
+                chaos_preset(self.chaos_preset)
+            except ValueError as exc:
+                problems.append(str(exc))
         if self.congestion_preset is not None and (
             self.congestion_preset not in CONGESTION_PRESETS
         ):
@@ -143,10 +141,7 @@ class ServiceConfig:
             problems.append("queue_capacity must be >= 1")
         if self.queue_policy not in POLICIES:
             problems.append(f"queue_policy must be one of {POLICIES}")
-        if self.batch_size < 1:
-            problems.append("batch_size must be >= 1")
-        if self.drain_budget is not None and self.drain_budget < 1:
-            problems.append("drain_budget must be >= 1 (or None)")
+        problems += drain_problems(self.batch_size, self.drain_budget)
         if self.audit_maxlen < 1:
             problems.append("audit_maxlen must be >= 1")
         if problems:

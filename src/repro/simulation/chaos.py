@@ -166,9 +166,7 @@ CHAOS_PRESETS: Dict[str, TelemetryFaultConfig] = {
 
 
 def chaos_preset(name: str, seed: int = 0) -> TelemetryFaultConfig:
-    """Look up a preset by name, re-seeded."""
-    if name not in CHAOS_PRESETS:
-        raise ValueError(
-            f"unknown chaos preset {name!r}; choose from {sorted(CHAOS_PRESETS)}"
-        )
+    """Look up a preset by name, re-seeded: the one check of a chaos
+    preset name (``ServiceConfig.validate`` reports its message)."""
+    require("chaos_preset", name)
     return replace(CHAOS_PRESETS[name], seed=seed)

@@ -56,10 +56,14 @@ NO_DELIVERIES = (
 
 
 class DirectionIndex:
-    """``DirectionId`` → row number, in registration order."""
+    """``DirectionId`` → row number, in registration order (``ids``
+    registered first); pickled as the id list, the map rebuilt."""
 
-    def __init__(self):
-        self.row_of: Dict[DirectionId, int] = {}
+    def __init__(self, ids: Sequence[DirectionId] = ()):
+        self.row_of: Dict[DirectionId, int] = dict(zip(ids, range(len(ids))))
+
+    def __reduce__(self):
+        return DirectionIndex, (list(self.row_of),)
 
     def __len__(self) -> int:
         return len(self.row_of)

@@ -304,6 +304,10 @@ class SnmpPoller:
             sanitizer_rows=self.sanitizer.rows_for(direction_ids),
         )
 
+    def __getstate__(self):
+        # The table is derived from the topology: rebuilt on first use.
+        return dict(self.__dict__, _table=None, _polled=None)
+
     def _on_admin_change(self, link_id: LinkId) -> None:
         table = self._table
         if table is not None:

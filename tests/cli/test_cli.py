@@ -99,6 +99,28 @@ class TestParser:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["chaos", "--events", "-5"],  # not `--events-out -5`
+            ["serve", "--resume", "x.ckpt"],  # not `--resume-from`
+        ],
+        ids=" ".join,
+    )
+    def test_abbreviated_option_is_refused(
+        self, argv, tmp_path, monkeypatch, capsys
+    ):
+        """A prefix of an option is not that option: exit 2, no run and
+        no file written where the run would have written one."""
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as caught:
+            main(argv)
+        assert caught.value.code == 2
+        captured = capsys.readouterr()
+        assert "unrecognized arguments" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["serve", "--checkpoint-every", "4"],
             ["serve", "--resume-from", "missing.ckpt",
              "--checkpoint-every", "4"],

@@ -1,16 +1,18 @@
 """Checkpoint file format: round-trip, integrity validation, pinning.
 
-A checkpoint is one JSON header line + a pickle payload.  The reader
-must verify format, version, length and digest *before* unpickling;
-the schema validator must reach the same verdicts without unpickling
-at all.
+A checkpoint is one JSON header line + a payload: a pickle stream and
+the raw frames of its numpy columns.  The reader must verify format,
+version, frame lengths, length and digest *before* unpickling; the
+schema validator must reach the same verdicts without unpickling at all.
 """
 
 import hashlib
 import json
 import os
 import pickle
+import stat
 
+import numpy as np
 import pytest
 
 from repro.obs import schema, validate_checkpoint_file
@@ -31,7 +33,7 @@ def test_schema_literals_pinned_against_service():
         checkpoint.CHECKPOINT_FORMAT_VERSION
         is schema.CHECKPOINT_FORMAT_VERSION
     )
-    assert CHECKPOINT_FORMAT_VERSION == 11
+    assert CHECKPOINT_FORMAT_VERSION == 12
 
 
 def write_sample(path, state=None):
@@ -64,6 +66,16 @@ class TestRoundTrip:
         assert validate_checkpoint_file(path) == []
 
 
+@pytest.fixture
+def no_unpickling(monkeypatch):
+    """Fails the test if anything reaches ``pickle.loads``."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("pickle.loads ran on a refused checkpoint")
+
+    monkeypatch.setattr(pickle, "loads", refuse)
+
+
 def corrupt(path, **header_edits):
     """Rewrite the file with edited header fields, payload untouched."""
     raw = path.read_bytes()
@@ -77,6 +89,7 @@ def corrupt(path, **header_edits):
     )
 
 
+@pytest.mark.usefixtures("no_unpickling")
 class TestIntegrity:
     def test_wrong_format_rejected(self, tmp_path):
         path = tmp_path / "c.ckpt"
@@ -113,7 +126,7 @@ class TestIntegrity:
         )
         with pytest.raises(
             ValueError,
-            match=rf"unsupported checkpoint version {version} \(expected 11\)",
+            match=rf"unsupported checkpoint version {version} \(expected 12\)",
         ):
             read_checkpoint(path)
         assert validate_checkpoint_file(path) == [
@@ -177,6 +190,12 @@ class TestIntegrity:
         settings are module constants now."""
         self._refused_by_version(tmp_path, 10, "1.13.0")
 
+    def test_v11_checkpoint_refused_before_unpickling(self, tmp_path):
+        """Version 11 pickled every numpy column in-band, the poller's
+        direction table and each ``DirectionIndex`` map, and its header
+        has no ``frames``; it would be read as one pickle stream."""
+        self._refused_by_version(tmp_path, 11, "1.13.0")
+
     def test_truncated_payload_rejected(self, tmp_path):
         path = tmp_path / "c.ckpt"
         write_sample(path)
@@ -202,6 +221,87 @@ class TestIntegrity:
         path.write_bytes(b"no newline here")
         with pytest.raises(ValueError):
             read_checkpoint(path)
+
+
+def write_columns(path):
+    """A checkpoint whose state holds two numpy columns (two frames)."""
+    return write_sample(path, {
+        "ring": np.arange(64.0).reshape(4, 16),
+        "known": np.ones(9, dtype=bool),
+    })
+
+
+def _sum_off(header, raw):
+    header["frames"][1] += 8
+    return raw
+
+
+def _negative(header, raw):
+    header["frames"][-1] = -1
+    return raw
+
+
+def _not_int(header, raw):
+    header["frames"][1] = float(header["frames"][1])
+    return raw
+
+
+def _cut_in_frame(header, raw):
+    return raw[:-3]  # inside the 9-byte last frame
+
+
+def _flipped_in_frame(header, raw):
+    raw = bytearray(raw)
+    raw[header["frames"][0] + 5] ^= 0x01  # a byte of the first frame
+    return bytes(raw)
+
+
+class TestHostileFrames:
+    """Frames that do not add up, torn or flipped: refused before
+    ``pickle.loads`` runs, and named by the validator."""
+
+    @pytest.mark.parametrize("edit, problem", [
+        (_sum_off, "'frames' sum to"),
+        (_negative, "bad 'frames'"),
+        (_not_int, "bad 'frames'"),
+        (_cut_in_frame, "payload is"),
+        (_flipped_in_frame, "state_digest mismatch"),
+    ], ids=["sum-off", "negative", "not-int", "cut-in-frame", "flipped"])
+    def test_refused_before_unpickling(
+        self, tmp_path, no_unpickling, edit, problem
+    ):
+        path = tmp_path / "c.ckpt"
+        write_columns(path)
+        raw = path.read_bytes()
+        newline = raw.find(b"\n")
+        header = json.loads(raw[:newline])
+        assert len(header["frames"]) == 3  # the stream and two columns
+        payload = edit(header, raw[newline + 1 :])
+        path.write_bytes(
+            json.dumps(header, sort_keys=True, separators=(",", ":"))
+            .encode() + b"\n" + payload
+        )
+        with pytest.raises(ValueError, match=problem):
+            read_checkpoint(path)
+        assert any(problem in p for p in validate_checkpoint_file(path))
+
+    def test_reordered_frames_fail_the_digest(self, tmp_path, no_unpickling):
+        path = tmp_path / "c.ckpt"
+        frames = write_columns(path)["frames"]
+        corrupt(path, frames=[frames[0], frames[2], frames[1]])
+        with pytest.raises(ValueError, match="state_digest mismatch"):
+            read_checkpoint(path)
+
+    def test_columns_round_trip_as_frames(self, tmp_path):
+        path = tmp_path / "c.ckpt"
+        header = write_columns(path)
+        _, state = read_checkpoint(path)
+        assert header["payload_bytes"] == sum(header["frames"])
+        assert header["frames"][1:] == [64 * 8, 9]
+        np.testing.assert_array_equal(
+            state["ring"], np.arange(64.0).reshape(4, 16)
+        )
+        assert state["known"].all() and state["known"].flags.writeable
 
 
 class TestAtomicWrite:
@@ -252,6 +352,26 @@ class TestAtomicWrite:
         assert path.read_bytes() == before
         assert read_checkpoint(path)[1] == {"heap": [1, 2, 3], "t": 900.0}
         assert [p.name for p in tmp_path.iterdir()] == ["c.ckpt"]
+
+    def test_file_and_directory_fsynced_around_the_rename(
+        self, tmp_path, monkeypatch
+    ):
+        calls = []
+        fsync, replace = os.fsync, os.replace
+
+        def record_fsync(fd):
+            kind = "dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"
+            calls.append(f"fsync {kind}")
+            fsync(fd)
+
+        def record_replace(*args):
+            calls.append("rename")
+            replace(*args)
+
+        monkeypatch.setattr(os, "fsync", record_fsync)
+        monkeypatch.setattr(os, "replace", record_replace)
+        write_sample(tmp_path / "c.ckpt")
+        assert calls == ["fsync file", "rename", "fsync dir"]
 
     def test_success_leaves_no_temporary_file(self, tmp_path):
         path = tmp_path / "c.ckpt"

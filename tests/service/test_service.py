@@ -8,6 +8,7 @@ the CI checkpoint-determinism job pins it cross-process.
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.obs import validate_service_report_jsonl
@@ -64,6 +65,29 @@ class TestConfig:
     def test_bad_values_rejected(self, bad):
         with pytest.raises(ValueError):
             ServiceConfig(**bad).validate()
+
+    def test_one_rule_one_message(self):
+        """A preset name and the queue drain settings are each checked in
+        one place: the config reports that place's text verbatim."""
+        from repro.registry import require
+        from repro.service.ingest import IngestingPoller
+
+        def message(check):
+            with pytest.raises(ValueError) as caught:
+                check()
+            return str(caught.value)
+
+        unknown = message(lambda: chaos_preset("tornado"))
+        assert unknown == message(lambda: require("chaos_preset", "tornado"))
+        assert unknown == message(
+            ServiceConfig(chaos_preset="tornado").validate
+        )
+        for bad in (dict(batch_size=0), dict(drain_budget=0),
+                    dict(batch_size=0, drain_budget=0)):
+            queue_kwargs = {"batch_size": 64, "drain_budget": None, **bad}
+            assert message(ServiceConfig(**bad).validate) == message(
+                lambda: IngestingPoller(queue=None, **queue_kwargs)
+            )
 
     def test_problems_are_aggregated(self):
         with pytest.raises(ValueError, match="days.*;.*queue_capacity"):
@@ -251,6 +275,58 @@ class TestCheckpointDeterminism:
         )
         with pytest.raises(ValueError, match="payload"):
             ControllerService.restore(path)
+
+
+@pytest.fixture(scope="module")
+def stopped(tmp_path_factory):
+    """A service stopped at its first boundary and that checkpoint."""
+    service = ControllerService(ServiceConfig(**FAST))
+    status = service.run(
+        checkpoint_every_s=EVERY_S,
+        checkpoint_dir=tmp_path_factory.mktemp("ck"),
+        should_stop=lambda: True,
+    )
+    return service, status.checkpoints[-1]
+
+
+class TestRestoredState:
+    """What a restore gives back: writable columns that are views of its
+    own file buffer, and a direction table rebuilt on first use."""
+
+    RING = ("_length", "_time", "_corruption", "_congestion",
+            "_utilization", "_quality")
+
+    def test_store_ring_is_writable(self, stopped):
+        _, path = stopped
+        store = ControllerService.restore(path)[1].pipeline.store
+        for name in self.RING:
+            assert getattr(store, name).flags.writeable, name
+
+    def test_two_restores_share_no_memory(self, stopped):
+        _, path = stopped
+        one = ControllerService.restore(path)[1].pipeline.store
+        two = ControllerService.restore(path)[1].pipeline.store
+        for name in self.RING:
+            first, second = getattr(one, name), getattr(two, name)
+            np.testing.assert_array_equal(first, second)
+            assert not np.shares_memory(first, second), name
+        # A view of the file buffer, not a copy of it.
+        assert isinstance(one._time.base.base, memoryview)
+
+    def test_direction_table_rebuilt_on_first_use(self, stopped):
+        original, path = stopped
+        poller = ControllerService.restore(path)[1].pipeline.poller
+        assert poller._table is None and poller._polled is None
+        table, want = poller.directions, original.pipeline.poller.directions
+        assert table.direction_ids == want.direction_ids
+        assert [link.link_id for link in table.links] == [
+            link.link_id for link in want.links
+        ]
+        for name in ("store_rows", "sanitizer_rows", "enabled"):
+            np.testing.assert_array_equal(
+                getattr(table, name), getattr(want, name), err_msg=name
+            )
+        assert not table.enabled.all()  # a disabled link is in the mask
 
 
 class TestBackpressureRuns:

@@ -96,7 +96,7 @@ class TestPresets:
         assert CHAOS_PRESETS["none"] == TelemetryFaultConfig()
 
     def test_unknown_preset_raises(self):
-        with pytest.raises(ValueError, match="unknown chaos preset"):
+        with pytest.raises(ValueError, match="unknown chaos_preset"):
             chaos_preset("apocalypse")
 
     def test_preset_reseed(self):
