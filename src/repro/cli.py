@@ -92,6 +92,74 @@ def _numbers(kind: str):
     return parse
 
 
+#: The flags two or more subcommands share, each declared here once with
+#: the ``add_argument`` keywords those subcommands have in common; a
+#: subcommand passes its own default, help or type where it differs.
+_FLAGS = {
+    "--scale": dict(type=float),
+    "--days": dict(type=float),
+    "--seed": dict(type=int, default=0),
+    "--seeds": dict(
+        type=_numbers("int"), default="0",
+        help="trace seeds: comma list or 'a:b' range",
+    ),
+    "--dcns": dict(type=int),
+    "--capacity": dict(type=float, default=0.75),
+    "--repair-accuracy": dict(type=float, default=0.8),
+    "--events": dict(
+        type=float, help="fault arrival intensity (events/10K links/day)"
+    ),
+    "--fault-seed": dict(type=int, default=0),
+    "--miswire-pairs": dict(type=int, default=0, metavar="N"),
+    "--sensing": dict(choices=list(SENSING_CHOICES), default="telemetry"),
+    "--strategy": dict(choices=list(STRATEGY_CHOICES), default="corropt"),
+    "--strategies": dict(type=_registered("strategy")),
+    "--presets": dict(type=_registered("preset")),
+    "--penalties": dict(type=_registered("penalty")),
+    "--capacities": dict(type=_numbers("float")),
+    "--lg-coverages": dict(type=_numbers("float"), metavar="FRACS"),
+    "--chaos-preset": dict(choices=list(CHAOS_CHOICES)),
+    "--congestion-preset": dict(choices=list(CONGESTION_CHOICES)),
+    "--congestion-presets": dict(
+        type=_registered("congestion_preset"), metavar="NAMES"
+    ),
+    "--jobs": dict(type=int, default=1),
+    "--out": dict(metavar="FILE.jsonl"),
+    "--metrics-out": dict(
+        metavar="FILE", help="write a Prometheus text snapshot here"
+    ),
+    "--trace-out": dict(
+        metavar="FILE",
+        help="write a Chrome trace (Perfetto-loadable JSON) here",
+    ),
+    "--events-out": dict(
+        metavar="FILE", help="write the structured JSONL event stream here"
+    ),
+    "--manifest-out": dict(
+        metavar="FILE", help="write the run manifest (JSON provenance) here"
+    ),
+    "--health-out": dict(
+        metavar="FILE",
+        help="write the health scorecard (canonical JSON) here",
+    ),
+    "--alerts-out": dict(
+        metavar="FILE",
+        help="write the SLO alert stream (canonical JSONL) here",
+    ),
+    "--audit-out": dict(
+        metavar="FILE", help="write the controller audit log as JSONL here"
+    ),
+    "--sweep": dict(metavar="FILE"),
+    "--service-report": dict(metavar="FILE"),
+}
+
+
+def _flag(parser, name: str, **own) -> None:
+    """Add the shared flag ``name``: its :data:`_FLAGS` keywords, with
+    this subcommand's ``own`` ones over them."""
+    parser.add_argument(name, **{**_FLAGS[name], **own})
+
+
 class _Refused(Exception):
     """A value that a run's config, scenario or grid refused before the
     run started; :func:`main` reports it as one usage line, exit 2."""
@@ -114,24 +182,11 @@ def _checked(specs):
 
 
 def _add_obs_args(parser: argparse.ArgumentParser) -> None:
-    """Observability artifact flags shared by ``simulate`` and ``chaos``."""
+    """Observability artifact flags of the runs that record one."""
     group = parser.add_argument_group("observability")
-    group.add_argument(
-        "--metrics-out", metavar="FILE",
-        help="write a Prometheus text snapshot here",
-    )
-    group.add_argument(
-        "--trace-out", metavar="FILE",
-        help="write a Chrome trace (Perfetto-loadable JSON) here",
-    )
-    group.add_argument(
-        "--events-out", metavar="FILE",
-        help="write the structured JSONL event stream here",
-    )
-    group.add_argument(
-        "--manifest-out", metavar="FILE",
-        help="write the run manifest (JSON provenance) here",
-    )
+    for name in ("--metrics-out", "--trace-out", "--events-out",
+                 "--manifest-out"):
+        _flag(group, name)
 
 
 def _add_health_args(
@@ -140,22 +195,15 @@ def _add_health_args(
     """Health/SLO artifact flags (``chaos``/``serve``; ``simulate`` gets
     only the scorecard — oracle runs have no SLO engine)."""
     group = parser.add_argument_group("health / SLO")
-    group.add_argument(
-        "--health-out", metavar="FILE",
-        help="write the health scorecard (canonical JSON) here",
-    )
+    _flag(group, "--health-out")
     if alerts:
-        group.add_argument(
-            "--alerts-out", metavar="FILE",
-            help="write the SLO alert stream (canonical JSONL) here",
-        )
+        _flag(group, "--alerts-out")
 
 
 def _add_pool_args(parser: argparse.ArgumentParser) -> None:
     """Parallel-runner flags shared by every campaign command."""
     group = parser.add_argument_group("parallel runner")
-    group.add_argument("--jobs", type=int, default=1,
-                       help="worker processes (0 = all CPUs)")
+    _flag(group, "--jobs", help="worker processes (0 = all CPUs)")
     group.add_argument("--retries", type=int, default=2,
                        help="retry budget per job after crashes/exceptions")
     group.add_argument("--timeout", type=float, default=None,
@@ -165,22 +213,6 @@ def _add_pool_args(parser: argparse.ArgumentParser) -> None:
         help="omit wall-clock fields so outputs are byte-identical "
              "across --jobs values",
     )
-
-
-def _write_health_artifacts(
-    args: argparse.Namespace, report, note: str = ""
-) -> None:
-    """Flush ``--health-out`` / ``--alerts-out`` from a HealthReport."""
-    from repro.obs import alert_lines_from_report, write_scorecard
-
-    if getattr(args, "health_out", None):
-        write_scorecard(args.health_out, report)
-        print(f"health scorecard: {args.health_out}{note}")
-    if getattr(args, "alerts_out", None):
-        with open(args.alerts_out, "w", encoding="utf-8") as handle:
-            for line in alert_lines_from_report(report):
-                handle.write(line + "\n")
-        print(f"slo alerts: {args.alerts_out}{note}")
 
 
 def _health_summary_line(report) -> str:
@@ -260,18 +292,63 @@ def _write_obs_artifacts(obs, args: argparse.Namespace) -> None:
         print(f"run manifest: {args.manifest_out}")
 
 
+def _write_loop_artifacts(
+    args: argparse.Namespace, obs, audit, health, note: str = ""
+) -> None:
+    """Write what a closed-loop run was asked for: the recorder's
+    artifacts, the audit log, and the scorecard and alerts of ``health``
+    (a HealthReport, or ``None``)."""
+    from repro.obs import alert_lines_from_report, write_scorecard
+
+    if obs.enabled and _wants_obs(args):
+        _write_obs_artifacts(obs, args)
+    if args.audit_out:
+        audit.write_jsonl(args.audit_out)
+        print(f"audit log: {args.audit_out}{note}")
+    if health is None:
+        return
+    if args.health_out:
+        write_scorecard(args.health_out, health)
+        print(f"health scorecard: {args.health_out}{note}")
+    if args.alerts_out:
+        with open(args.alerts_out, "w", encoding="utf-8") as handle:
+            for line in alert_lines_from_report(health):
+                handle.write(line + "\n")
+        print(f"slo alerts: {args.alerts_out}{note}")
+
+
+def _invariants_line(result) -> str:
+    chaos = result.chaos
+    return (
+        "invariants: "
+        f"quarantine violations {chaos.quarantine_violations}, "
+        f"capacity violations {chaos.capacity_violations} "
+        f"-> {'OK' if result.invariants_ok() else 'VIOLATED'}"
+    )
+
+
+def _runner(args: argparse.Namespace):
+    """The campaign commands' pool, as ``--jobs/--retries/--timeout`` set."""
+    from repro.parallel import ParallelRunner
+
+    return ParallelRunner(
+        jobs=args.jobs, max_retries=args.retries, timeout_s=args.timeout
+    )
+
+
 def _cmd_topology(args: argparse.Namespace) -> int:
     from repro.topology import build_clos, build_fattree, save_topology, validate
 
-    if args.kind == "fattree":
-        topo = build_fattree(args.k)
-    else:
-        topo = build_clos(
-            num_pods=args.pods,
-            tors_per_pod=args.tors,
-            aggs_per_pod=args.aggs,
-            num_spines=args.spines,
-        )
+    with _refusing():
+        if args.kind == "fattree":
+            topo = build_fattree(args.k)
+        else:
+            topo = build_clos(
+                num_pods=args.pods,
+                tors_per_pod=args.tors,
+                aggs_per_pod=args.aggs,
+                num_spines=args.spines,
+            )
     validate(topo)
     print(
         f"built {topo.name}: {topo.num_switches} switches, "
@@ -292,9 +369,10 @@ def _cmd_study(args: argparse.Namespace) -> int:
     )
     from repro.workloads import generate_study
 
-    dataset = generate_study(
-        seed=args.seed, num_dcns=args.dcns, days=args.days, scale=args.scale
-    )
+    with _refusing():
+        dataset = generate_study(
+            seed=args.seed, num_dcns=args.dcns, days=args.days, scale=args.scale
+        )
     table = loss_bucket_table(dataset)
     print(f"study: {args.dcns} DCNs x {args.days} days (scale {args.scale})")
     print(f"corruption buckets: {[round(x, 3) for x in table['corruption']]}")
@@ -313,47 +391,64 @@ def _cmd_study(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    from repro.simulation import SimulationKernel, make_scenario, run_scenario
-    from repro.workloads import LARGE_DCN, MEDIUM_DCN
-
+def _run_one(command: str, args: argparse.Namespace, spec):
+    """Run ``spec`` in this process through the pool's worker, recording
+    the artifacts ``args`` asks for; ``(scenario, result, recorder)``."""
     from repro.obs import NULL_RECORDER
+    from repro.parallel import worker_cache
+    from repro.parallel.worker import execute_job
 
-    if args.strategies:
-        return _simulate_comparison(args)
-    profile = MEDIUM_DCN if args.dcn == "medium" else LARGE_DCN
     with _refusing():
-        scenario = make_scenario(
-            profile=profile,
-            scale=args.scale,
-            duration_days=args.days,
-            seed=args.seed,
-            capacity=args.capacity,
-            events_per_10k_links_per_day=args.events,
-        )
-        scenario.constraint()  # the capacity rule lives there
-        SimulationKernel.check_repair_accuracy(args.repair_accuracy)
+        spec.validate()
+        # The run reuses this cached build (the manifest digests it).
+        scenario, _ = worker_cache().get(spec)
     obs = NULL_RECORDER
     if _wants_obs(args):
-        obs = _build_obs(
-            "simulate",
-            args,
-            seeds={"trace": args.seed, "repair": args.seed},
-            topo=scenario._base_topo,
+        seeds = {"trace": spec.trace_seed, "repair": spec.seed_used()}
+        if spec.kind == "chaos":
+            seeds["faults"] = spec.fault_seed
+        obs = _build_obs(command, args, seeds, topo=scenario._base_topo)
+    return scenario, execute_job(spec, obs=obs).result, obs
+
+
+def _simulate_specs(args: argparse.Namespace) -> list:
+    """One oracle job per strategy (``--strategies``, else
+    ``--strategy``), each on the ``--seed`` trace with repair seed
+    ``--seed``."""
+    from repro.parallel import JobSpec
+
+    return [
+        JobSpec(
+            preset=args.dcn,
+            scale=args.scale,
+            duration_days=args.days,
+            trace_seed=args.seed,
+            events_per_10k=args.events,
+            capacity=args.capacity,
+            strategy=name,
+            penalty=args.penalty,
+            repair_accuracy=args.repair_accuracy,
+            repair_seed=args.seed,
+            lg_coverage=args.lg_coverage,
         )
-    result = run_scenario(
-        scenario,
-        args.strategy,
-        repair_accuracy=args.repair_accuracy,
-        obs=obs,
-        lg_coverage=args.lg_coverage,
-        penalty=args.penalty,
-    )
-    metrics = result.metrics
-    print(
+        for name in args.strategies or [args.strategy]
+    ]
+
+
+def _simulate_header(args: argparse.Namespace, scenario) -> str:
+    return (
         f"{args.dcn} DCN (scale {args.scale}), c={args.capacity:.0%}, "
         f"{len(scenario.trace)} events / {args.days} days"
     )
+
+
+def _cmd_simulate(args: argparse.Namespace) -> int:
+    specs = _simulate_specs(args)
+    if args.strategies:
+        return _simulate_comparison(args, specs)
+    scenario, result, obs = _run_one("simulate", args, specs[0])
+    metrics = result.metrics
+    print(_simulate_header(args, scenario))
     print(f"strategy: {result.strategy_name}")
     print(f"penalty integral: {result.penalty_integral:.3e}")
     print(f"mean penalty/s:  {result.mean_penalty():.3e}")
@@ -386,35 +481,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _simulate_comparison(args: argparse.Namespace) -> int:
-    """``simulate --strategies a,b,c``: same trace, several strategies.
+def _simulate_comparison(args: argparse.Namespace, specs) -> int:
+    """``simulate --strategies a,b,c``: same trace, several strategies,
+    through the same runner and worker as ``sweep``."""
+    from repro.parallel import ParallelRunner, worker_cache
 
-    One job per strategy, all on the trace seed's scenario with repair
-    seed ``--seed``, through the same runner and worker as ``sweep``.
-    """
-    from repro.parallel import JobSpec, ParallelRunner, worker_cache
-
-    names = args.strategies
-    specs = [
-        JobSpec(
-            preset=args.dcn,
-            scale=args.scale,
-            duration_days=args.days,
-            trace_seed=args.seed,
-            events_per_10k=args.events,
-            capacity=args.capacity,
-            strategy=name,
-            penalty=args.penalty,
-            repair_accuracy=args.repair_accuracy,
-            repair_seed=args.seed,
-            lg_coverage=args.lg_coverage,
-        )
-        for name in names
-    ]
     with _refusing():
         _checked(specs)
-    # Built here for the header; a serial run then reuses the cached build.
-    scenario, _ = worker_cache().get(specs[0])
+        # Built here for the header; a serial run then reuses the cached build.
+        scenario, _ = worker_cache().get(specs[0])
     sweep = ParallelRunner(jobs=args.jobs).run(specs)
     failures = sweep.failures()
     for record in failures:
@@ -424,20 +499,16 @@ def _simulate_comparison(args: argparse.Namespace) -> int:
         )
     if failures:
         return 1
-    print(
-        f"{args.dcn} DCN (scale {args.scale}), c={args.capacity:.0%}, "
-        f"{len(scenario.trace)} events / {args.days} days, "
-        f"{args.jobs} worker(s)"
-    )
+    print(f"{_simulate_header(args, scenario)}, {args.jobs} worker(s)")
+    names = args.strategies
     baseline = sweep.records[0].result.penalty_integral
     for name, record in zip(names, sweep.records):
-        result = record.result
-        ratio = (
-            result.penalty_integral / baseline if baseline > 0 else float("nan")
-        )
+        integral = record.result.penalty_integral
+        # Against a zero baseline no ratio exists.
+        ratio = f"{integral / baseline:5.2f}x" if baseline > 0 else "  n/a"
         print(
-            f"  {name:<18s} penalty integral {result.penalty_integral:.3e} "
-            f"({ratio:5.2f}x vs {names[0]})"
+            f"  {name:<18s} penalty integral {integral:.3e} "
+            f"({ratio} vs {names[0]})"
         )
     return 0
 
@@ -446,7 +517,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     """Run a strategy/capacity/seed grid through the parallel runner."""
     from repro.parallel import (
         GridSpec,
-        ParallelRunner,
         build_sweep_manifest,
         summary_lines,
         sweep_registry,
@@ -476,10 +546,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
     with _refusing():
         specs = _checked(grid.expand())
-    runner = ParallelRunner(
-        jobs=args.jobs, max_retries=args.retries, timeout_s=args.timeout
-    )
-    sweep = runner.run(specs)
+    sweep = _runner(args).run(specs)
     for line in summary_lines(sweep):
         print(line)
     violated = 0
@@ -512,7 +579,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
     """Simulate the §2 fleet: one job per study DCN, one roll-up row."""
-    from repro.parallel import ParallelRunner
     from repro.parallel.fleet import (
         fleet_dcns,
         fleet_specs,
@@ -530,10 +596,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             capacity=args.capacity,
             strategy=args.strategy,
         ))
-    runner = ParallelRunner(
-        jobs=args.jobs, max_retries=args.retries, timeout_s=args.timeout
-    )
-    sweep = runner.run(specs)
+    sweep = _runner(args).run(specs)
     for line in fleet_summary_lines(sweep, dcns):
         print(line)
     if args.out:
@@ -594,12 +657,7 @@ def _cmd_localize(args: argparse.Namespace) -> int:
     ``--no-timing``, like any sweep.
     """
     from repro.core.diagnosis import DiagnosisStats
-    from repro.parallel import (
-        GridSpec,
-        ParallelRunner,
-        summary_lines,
-        write_sweep_jsonl,
-    )
+    from repro.parallel import GridSpec, summary_lines, write_sweep_jsonl
 
     specs = []
     with _refusing():
@@ -620,10 +678,7 @@ def _cmd_localize(args: argparse.Namespace) -> int:
                     sensing=sensing,
                 )
                 specs.extend(_checked(grid.expand()))
-    runner = ParallelRunner(
-        jobs=args.jobs, max_retries=args.retries, timeout_s=args.timeout
-    )
-    sweep = runner.run(specs)
+    sweep = _runner(args).run(specs)
     for line in summary_lines(sweep):
         print(line)
 
@@ -676,61 +731,47 @@ def _cmd_localize(args: argparse.Namespace) -> int:
     return 0 if not sweep.failures() else 1
 
 
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.faults import TelemetryFaultConfig
-    from repro.simulation import (
-        ChaosSimulation,
-        SimulationKernel,
-        chaos_preset,
-        chaos_scenario,
+#: ``repro chaos``'s custom fault-mix flags: the ``TelemetryFaultConfig``
+#: field each sets, and its ``args`` name.
+_FAULT_RATE_FLAGS = {
+    "delay_rate": "delays",
+    "duplicate_rate": "duplicates",
+    "freeze_rate": "freezes",
+    "missed_poll_rate": "missed_polls",
+    "optical_garbage_rate": "garbage_optics",
+    "reset_rate": "resets",
+    "wrap_32bit": "wrap_32bit",
+}
+
+
+def _chaos_spec(args: argparse.Namespace):
+    """The chaos job ``repro chaos`` runs: trace and repair seed
+    ``--seed``, and ``--preset`` or else the mix of the rate flags."""
+    from repro.parallel import JobSpec
+
+    rates = () if args.preset else tuple(
+        (name, getattr(args, dest)) for name, dest in _FAULT_RATE_FLAGS.items()
     )
-
-    with _refusing():
-        if args.preset is not None:
-            config = chaos_preset(args.preset, seed=args.fault_seed)
-        else:
-            config = TelemetryFaultConfig(
-                seed=args.fault_seed,
-                missed_poll_rate=args.missed_polls,
-                wrap_32bit=args.wrap_32bit,
-                reset_rate=args.resets,
-                freeze_rate=args.freezes,
-                duplicate_rate=args.duplicates,
-                delay_rate=args.delays,
-                optical_garbage_rate=args.garbage_optics,
-            )
-        scenario = chaos_scenario(
-            scale=args.scale,
-            duration_days=args.days,
-            seed=args.seed,
-            capacity=args.capacity,
-        )
-        scenario.constraint()  # the capacity rule lives there
-        SimulationKernel.check_repair_accuracy(args.repair_accuracy)
-    from repro.obs import NULL_RECORDER
-
-    obs = NULL_RECORDER
-    if _wants_obs(args):
-        obs = _build_obs(
-            "chaos",
-            args,
-            seeds={
-                "trace": args.seed,
-                "repair": args.seed,
-                "faults": args.fault_seed,
-            },
-            topo=scenario._base_topo,
-        )
-    result = ChaosSimulation(
-        scenario,
-        fault_config=config,
+    return JobSpec(
+        kind="chaos",
+        scale=args.scale,
+        duration_days=args.days,
+        trace_seed=args.seed,
+        events_per_10k=400.0,  # chaos_scenario's rate
+        capacity=args.capacity,
         repair_accuracy=args.repair_accuracy,
-        seed=args.seed,
+        repair_seed=args.seed,
+        chaos_preset=args.preset,
+        fault_seed=args.fault_seed,
         congestion_preset=args.congestion_preset,
         miswire_pairs=args.miswire_pairs,
         sensing=args.sensing,
-        obs=obs,
-    ).kernel.run()
+        fault_rates=rates,
+    )
+
+
+def _cmd_chaos(args: argparse.Namespace) -> int:
+    _, result, obs = _run_one("chaos", args, _chaos_spec(args))
     metrics, chaos = result.metrics, result.chaos
     print(
         f"chaos run: medium DCN (scale {args.scale}), c={args.capacity:.0%}, "
@@ -758,52 +799,33 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         f"{chaos.false_disables} false disables"
     )
     print(f"penalty integral: {result.penalty_integral:.3e}")
-    if getattr(result, "diagnosis", None) is not None:
+    if result.diagnosis is not None:
         for line in _diagnosis_summary_lines(result.diagnosis):
             print(line)
-    optimizer_stats = getattr(result.controller_log, "optimizer_stats", None)
-    if optimizer_stats is not None and optimizer_stats.runs:
-        print(f"optimizer: {optimizer_stats.summary()}")
-    print(
-        "invariants: "
-        f"quarantine violations {chaos.quarantine_violations}, "
-        f"capacity violations {chaos.capacity_violations} "
-        f"-> {'OK' if result.invariants_ok() else 'VIOLATED'}"
-    )
+    if result.optimizer_stats.runs:
+        print(f"optimizer: {result.optimizer_stats.summary()}")
+    print(_invariants_line(result))
     if result.health is not None:
         print(_health_summary_line(result.health))
-    if obs.enabled:
-        _write_obs_artifacts(obs, args)
-    if args.audit_out:
-        result.audit.write_jsonl(args.audit_out)
-        print(f"audit log: {args.audit_out}")
-    if result.health is not None:
-        _write_health_artifacts(args, result.health)
+    _write_loop_artifacts(args, obs, result.audit, result.health)
     return 0 if result.invariants_ok() else 1
 
 
 def _serve_config(args: argparse.Namespace):
-    """A fresh run's config; ``ValueError`` lists the values it refuses."""
+    """A fresh run's config, one field per ``serve`` flag; ``ValueError``
+    lists the values it refuses."""
+    from dataclasses import fields
+
     from repro.service import ServiceConfig
 
-    config = ServiceConfig(
-        days=args.days,
-        scale=args.scale,
-        capacity=args.capacity,
-        seed=args.seed,
-        fault_seed=args.fault_seed,
-        chaos_preset=args.chaos_preset,
-        congestion_preset=args.congestion_preset,
-        miswire_pairs=args.miswire_pairs,
-        events_per_10k_links_per_day=args.events,
-        poll_interval_s=args.poll_interval,
-        repair_accuracy=args.repair_accuracy,
-        queue_capacity=args.queue_capacity,
-        queue_policy=args.queue_policy,
-        batch_size=args.batch_size,
-        drain_budget=args.drain_budget,
-        audit_maxlen=args.audit_maxlen,
-    )
+    flag = {
+        "events_per_10k_links_per_day": "events",
+        "poll_interval_s": "poll_interval",
+    }
+    config = ServiceConfig(**{
+        f.name: getattr(args, flag.get(f.name, f.name))
+        for f in fields(ServiceConfig)
+    })
     config.validate()
     return config
 
@@ -896,18 +918,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         # Graceful drain flushes inspection artifacts too — the report
         # (--out) stays final-only.  HealthTracker.report() is pure, so
         # a partial scorecard never perturbs the later resume.
-        obs = service.kernel.obs
-        if obs.enabled and _wants_obs(args):
-            _write_obs_artifacts(obs, args)
-        if args.audit_out:
-            service.pipeline.audit.write_jsonl(args.audit_out)
-            print(f"audit log: {args.audit_out} (partial)")
-        if args.health_out or args.alerts_out:
-            _write_health_artifacts(
-                args,
-                service.pipeline.health.report(complete=False),
-                note=" (partial)",
-            )
+        _write_loop_artifacts(
+            args,
+            service.kernel.obs,
+            service.pipeline.audit,
+            (
+                service.pipeline.health.report(complete=False)
+                if args.health_out or args.alerts_out
+                else None
+            ),
+            note=" (partial)",
+        )
         return 0
 
     result = status.result
@@ -932,13 +953,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         f"{result.metrics.repairs_completed} repairs"
     )
     print(f"penalty integral: {result.penalty_integral:.3e}")
-    print(
-        "invariants: "
-        f"quarantine violations {chaos.quarantine_violations}, "
-        f"capacity violations {chaos.capacity_violations} "
-        f"-> {'OK' if result.invariants_ok() else 'VIOLATED'}"
-    )
-    if getattr(result, "diagnosis", None) is not None:
+    print(_invariants_line(result))
+    if result.diagnosis is not None:
         for line in _diagnosis_summary_lines(result.diagnosis):
             print(line)
     if result.health is not None:
@@ -946,14 +962,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.out:
         service.write_report(args.out, result)
         print(f"service report: {args.out}")
-    obs = service.kernel.obs
-    if obs.enabled and _wants_obs(args):
-        _write_obs_artifacts(obs, args)
-    if args.audit_out:
-        service.pipeline.audit.write_jsonl(args.audit_out)
-        print(f"audit log: {args.audit_out}")
-    if result.health is not None:
-        _write_health_artifacts(args, result.health)
+    _write_loop_artifacts(
+        args, service.kernel.obs, service.pipeline.audit, result.health
+    )
     return 0 if result.invariants_ok() else 1
 
 
@@ -990,7 +1001,8 @@ def _cmd_gadget(args: argparse.Namespace) -> int:
         random_instance,
     )
 
-    instance = random_instance(args.vars, args.clauses, seed=args.seed)
+    with _refusing():
+        instance = random_instance(args.vars, args.clauses, seed=args.seed)
     gadget = build_gadget(instance)
     sat = is_satisfiable(instance)
     optimizer = GlobalOptimizer(
@@ -1428,28 +1440,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     topo = sub.add_parser("topology", help="build a topology")
     topo.add_argument("--kind", choices=list(TOPO_CHOICES), default="clos")
-    topo.add_argument("--pods", type=int, default=4)
-    topo.add_argument("--tors", type=int, default=8)
-    topo.add_argument("--aggs", type=int, default=4)
-    topo.add_argument("--spines", type=int, default=16)
+    for flag, default in (
+        ("--pods", 4), ("--tors", 8), ("--aggs", 4), ("--spines", 16)
+    ):
+        topo.add_argument(flag, type=int, default=default)
     topo.add_argument("--k", type=int, default=4, help="fat-tree arity")
     topo.add_argument("--output", help="write JSON here")
     topo.set_defaults(func=_cmd_topology)
 
     study = sub.add_parser("study", help="run the §2-3 measurement study")
-    study.add_argument("--dcns", type=int, default=8)
-    study.add_argument("--days", type=int, default=7)
-    study.add_argument("--scale", type=float, default=0.3)
-    study.add_argument("--seed", type=int, default=0)
+    _flag(study, "--dcns", default=8)
+    _flag(study, "--days", type=int, default=7)
+    _flag(study, "--scale", default=0.3)
+    _flag(study, "--seed")
     study.set_defaults(func=_cmd_study)
 
     sim = sub.add_parser("simulate", help="replay a corruption trace")
     sim.add_argument("--dcn", choices=["medium", "large"], default="medium")
-    sim.add_argument(
-        "--strategy",
-        choices=list(STRATEGY_CHOICES),
-        default="corropt",
-    )
+    _flag(sim, "--strategy")
     sim.add_argument(
         "--penalty", choices=list(PENALTY_CHOICES), default="linear",
         help="penalty function I(f): the optimizer-driven strategies "
@@ -1460,19 +1468,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="fraction of links that are LinkGuardian-capable "
              "(deterministic per-link hash; 0 disables LG)",
     )
-    sim.add_argument("--capacity", type=float, default=0.75)
-    sim.add_argument("--days", type=int, default=30)
-    sim.add_argument("--scale", type=float, default=0.3)
-    sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--events", type=float, default=15.0)
-    sim.add_argument("--repair-accuracy", type=float, default=0.8)
-    sim.add_argument(
-        "--strategies", metavar="A,B,...", type=_registered("strategy"),
+    _flag(sim, "--capacity")
+    _flag(sim, "--days", type=int, default=30)
+    _flag(sim, "--scale", default=0.3)
+    _flag(sim, "--seed")
+    _flag(sim, "--events", default=15.0, help=None)
+    _flag(sim, "--repair-accuracy")
+    _flag(
+        sim, "--strategies", metavar="A,B,...",
         help="comparison mode: run several strategies over the same trace "
              "(overrides --strategy; observability flags are ignored)",
     )
-    sim.add_argument(
-        "--jobs", type=int, default=1,
+    _flag(
+        sim, "--jobs",
         help="worker processes for --strategies comparison (0 = all CPUs)",
     )
     _add_obs_args(sim)
@@ -1487,70 +1495,61 @@ def build_parser() -> argparse.ArgumentParser:
         "--grid", metavar="FILE.json",
         help="grid spec as JSON (overrides the axis flags below)",
     )
-    sweep.add_argument("--presets", default="medium",
-                       type=_registered("preset"),
-                       help="comma list of DCN presets (medium,large)")
-    sweep.add_argument("--strategies", default="corropt",
-                       type=_registered("strategy"),
-                       help="comma list of strategies")
-    sweep.add_argument("--capacities", type=_numbers("float"), default="0.75",
-                       help="comma list of capacity constraints")
-    sweep.add_argument("--seeds", type=_numbers("int"), default="0",
-                       help="trace seeds: comma list or 'a:b' range")
+    _flag(sweep, "--presets", default="medium",
+          help="comma list of DCN presets (medium,large)")
+    _flag(sweep, "--strategies", default="corropt",
+          help="comma list of strategies")
+    _flag(sweep, "--capacities", default="0.75",
+          help="comma list of capacity constraints")
+    _flag(sweep, "--seeds")
     sweep.add_argument(
         "--repair-seeds", type=_numbers("int"), default=None,
         help="explicit repair seeds aligned 1:1 with --seeds "
              "(default: derived per job from its spec)",
     )
-    sweep.add_argument(
-        "--chaos-preset", default=None, metavar="NAMES",
+    _flag(
+        sweep, "--chaos-preset", choices=None, metavar="NAMES",
         type=_registered("chaos_preset"),
         help="comma list of telemetry-fault presets; turns the sweep "
              "into kind=chaos jobs (replaces the --strategies axis)",
     )
-    sweep.add_argument(
-        "--fault-seed", type=int, default=0,
-        help="telemetry fault RNG seed for --chaos-preset jobs",
-    )
-    sweep.add_argument(
-        "--penalties", default=None, metavar="NAMES",
-        type=_registered("penalty"),
+    _flag(sweep, "--fault-seed",
+          help="telemetry fault RNG seed for --chaos-preset jobs")
+    _flag(
+        sweep, "--penalties", metavar="NAMES",
         help="comma list of penalty functions "
              "(linear,tcp-throughput,step); adds a grid axis",
     )
-    sweep.add_argument(
-        "--lg-coverages", type=_numbers("float"), default=None,
-        metavar="FRACS",
+    _flag(
+        sweep, "--lg-coverages",
         help="comma list of LinkGuardian coverage fractions; adds a "
              "grid axis (simulate grids only)",
     )
-    sweep.add_argument(
-        "--congestion-presets", default=None, metavar="NAMES",
-        type=_registered("congestion_preset"),
+    _flag(
+        sweep, "--congestion-presets",
         help="comma list of congestion co-model presets "
              "(none,hotspots,incast); adds a diagnosis axis "
              "(chaos grids only)",
     )
-    sweep.add_argument(
-        "--miswire-pairs", type=int, default=0, metavar="N",
+    _flag(
+        sweep, "--miswire-pairs",
         help="cable pairs with a swapped inventory map "
              "(chaos grids only; 0 = wiring map correct)",
     )
-    sweep.add_argument(
-        "--sensing", choices=list(SENSING_CHOICES), default="telemetry",
+    _flag(
+        sweep, "--sensing",
         help="sensing pipeline for chaos grids "
              "(counter telemetry or 007-style flow voting)",
     )
-    sweep.add_argument("--scale", type=float, default=0.25)
-    sweep.add_argument("--days", type=float, default=30.0)
-    sweep.add_argument("--events", type=float, default=4.0)
-    sweep.add_argument("--repair-accuracy", type=float, default=0.8)
-    sweep.add_argument("--out", metavar="FILE.jsonl",
-                       help="write canonical JSONL results here")
-    sweep.add_argument("--metrics-out", metavar="FILE",
-                       help="write a Prometheus snapshot of sweep metrics")
-    sweep.add_argument("--manifest-out", metavar="FILE",
-                       help="write the sweep provenance manifest (JSON)")
+    _flag(sweep, "--scale", default=0.25)
+    _flag(sweep, "--days", default=30.0)
+    _flag(sweep, "--events", default=4.0, help=None)
+    _flag(sweep, "--repair-accuracy")
+    _flag(sweep, "--out", help="write canonical JSONL results here")
+    _flag(sweep, "--metrics-out",
+          help="write a Prometheus snapshot of sweep metrics")
+    _flag(sweep, "--manifest-out",
+          help="write the sweep provenance manifest (JSON)")
     _add_pool_args(sweep)
     sweep.set_defaults(func=_cmd_sweep)
 
@@ -1558,18 +1557,15 @@ def build_parser() -> argparse.ArgumentParser:
         "fleet",
         help="simulate the paper's 15-DCN study fleet (one job per DCN)",
     )
-    fleet.add_argument("--dcns", type=int, default=15,
-                       help="how many study DCNs to simulate (1-15)")
-    fleet.add_argument("--scale", type=float, default=0.1,
-                       help="topology scale (1.0 = the ~350K-link footprint)")
-    fleet.add_argument("--days", type=float, default=30.0)
-    fleet.add_argument("--seed", type=int, default=0,
-                       help="corruption trace seed")
-    fleet.add_argument("--capacity", type=float, default=0.75)
-    fleet.add_argument("--strategy", default="corropt", metavar="STRATEGY",
-                       choices=list(STRATEGY_CHOICES))
-    fleet.add_argument("--out", metavar="FILE.jsonl",
-                       help="write canonical JSONL (results + fleet row)")
+    _flag(fleet, "--dcns", default=15,
+          help="how many study DCNs to simulate (1-15)")
+    _flag(fleet, "--scale", default=0.1,
+          help="topology scale (1.0 = the ~350K-link footprint)")
+    _flag(fleet, "--days", default=30.0)
+    _flag(fleet, "--seed", help="corruption trace seed")
+    _flag(fleet, "--capacity")
+    _flag(fleet, "--strategy", metavar="STRATEGY")
+    _flag(fleet, "--out", help="write canonical JSONL (results + fleet row)")
     _add_pool_args(fleet)
     fleet.set_defaults(func=_cmd_fleet)
 
@@ -1577,37 +1573,28 @@ def build_parser() -> argparse.ArgumentParser:
         "tournament",
         help="every strategy head-to-head, with a canonical leaderboard",
     )
-    tour.add_argument("--presets", default="medium,large",
-                      type=_registered("preset"),
-                      help="comma list of DCN presets")
-    tour.add_argument(
-        "--strategies", default=None, type=_registered("strategy"),
-        help="comma list of strategies (default: all of them)",
-    )
-    tour.add_argument(
-        "--capacities", type=_numbers("float"), default="0.75,0.9",
+    _flag(tour, "--presets", default="medium,large",
+          help="comma list of DCN presets")
+    _flag(tour, "--strategies",
+          help="comma list of strategies (default: all of them)")
+    _flag(
+        tour, "--capacities", default="0.75,0.9",
         help="comma list of capacity constraints (0.75 is the paper's "
              "realistic regime; 0.9 squeezes CorrOpt in LG's favor)",
     )
-    tour.add_argument(
-        "--penalties", default="linear,tcp-throughput",
-        type=_registered("penalty"),
+    _flag(
+        tour, "--penalties", default="linear,tcp-throughput",
         help="comma list of penalty functions "
              "(linear,tcp-throughput,step)",
     )
-    tour.add_argument(
-        "--lg-coverages", type=_numbers("float"), default="0.9",
-        metavar="FRACS",
-        help="comma list of LinkGuardian coverage fractions",
-    )
-    tour.add_argument("--seeds", type=_numbers("int"), default="0",
-                      help="trace seeds: comma list or 'a:b' range")
-    tour.add_argument("--scale", type=float, default=0.25)
-    tour.add_argument("--days", type=float, default=30.0)
-    tour.add_argument("--events", type=float, default=4.0)
-    tour.add_argument("--repair-accuracy", type=float, default=0.8)
-    tour.add_argument("--out", metavar="FILE.jsonl",
-                      help="write canonical JSONL (results + leaderboard)")
+    _flag(tour, "--lg-coverages", default="0.9",
+          help="comma list of LinkGuardian coverage fractions")
+    _flag(tour, "--seeds")
+    _flag(tour, "--scale", default=0.25)
+    _flag(tour, "--days", default=30.0)
+    _flag(tour, "--events", default=4.0, help=None)
+    _flag(tour, "--repair-accuracy")
+    _flag(tour, "--out", help="write canonical JSONL (results + leaderboard)")
     _add_pool_args(tour)
     tour.set_defaults(func=_cmd_tournament)
 
@@ -1619,84 +1606,69 @@ def build_parser() -> argparse.ArgumentParser:
         choices=list(CHAOS_CHOICES),
         help="named fault mix (overrides the individual rate flags)",
     )
-    chaos.add_argument("--missed-polls", type=float, default=0.0)
-    chaos.add_argument("--resets", type=float, default=0.0)
-    chaos.add_argument("--freezes", type=float, default=0.0)
-    chaos.add_argument("--duplicates", type=float, default=0.0)
-    chaos.add_argument("--delays", type=float, default=0.0)
+    for flag in (
+        "--missed-polls", "--resets", "--freezes", "--duplicates", "--delays"
+    ):
+        chaos.add_argument(flag, type=float, default=0.0)
     chaos.add_argument("--garbage-optics", type=float, default=0.0,
                        help="inert: no run sends optical reads to faults")
     chaos.add_argument("--wrap-32bit", action="store_true")
-    chaos.add_argument("--days", type=float, default=4.0)
-    chaos.add_argument("--scale", type=float, default=0.12)
-    chaos.add_argument("--capacity", type=float, default=0.75)
-    chaos.add_argument("--seed", type=int, default=0)
-    chaos.add_argument("--fault-seed", type=int, default=0)
-    chaos.add_argument("--repair-accuracy", type=float, default=0.8)
-    chaos.add_argument(
-        "--congestion-preset", default=None,
-        choices=list(CONGESTION_CHOICES),
+    _flag(chaos, "--days", default=4.0)
+    _flag(chaos, "--scale", default=0.12)
+    _flag(chaos, "--capacity")
+    _flag(chaos, "--seed")
+    _flag(chaos, "--fault-seed")
+    _flag(chaos, "--repair-accuracy")
+    _flag(
+        chaos, "--congestion-preset",
         help="add a congestion co-model (queue loss, no FCS signature) "
              "and activate the diagnosis layer",
     )
-    chaos.add_argument(
-        "--miswire-pairs", type=int, default=0, metavar="N",
+    _flag(
+        chaos, "--miswire-pairs",
         help="swap the inventory map of N cable pairs (A3 miswiring); "
              "activates the diagnosis layer and the probe cross-check",
     )
-    chaos.add_argument(
-        "--sensing", choices=list(SENSING_CHOICES), default="telemetry",
+    _flag(
+        chaos, "--sensing",
         help="sensing pipeline: per-port counter telemetry or "
              "007-style flow voting",
     )
     _add_obs_args(chaos)
     _add_health_args(chaos)
-    chaos.add_argument(
-        "--audit-out", metavar="FILE",
-        help="write the controller audit log as JSONL here",
-    )
+    _flag(chaos, "--audit-out")
     chaos.set_defaults(func=_cmd_chaos)
 
     localize = sub.add_parser(
         "localize",
         help="diagnosis-accuracy campaign: sensing × congestion × miswiring",
     )
-    localize.add_argument(
-        "--sensing", default="telemetry,voting", metavar="NAMES",
-        type=_registered("sensing"),
+    _flag(
+        localize, "--sensing", choices=None, type=_registered("sensing"),
+        default="telemetry,voting", metavar="NAMES",
         help="comma list of sensing pipelines to compare "
              "(telemetry,voting)",
     )
-    localize.add_argument(
-        "--congestion-presets", default="none,hotspots", metavar="NAMES",
-        type=_registered("congestion_preset"),
+    _flag(
+        localize, "--congestion-presets", default="none,hotspots",
         help="comma list of congestion co-model presets "
              "(none,hotspots,incast)",
     )
-    localize.add_argument(
-        "--miswire-pairs", type=_numbers("int"), default="0",
+    _flag(
+        localize, "--miswire-pairs", type=_numbers("int"), default="0",
         metavar="LIST",
         help="comma list of swapped-cable-pair counts (A3 miswiring)",
     )
-    localize.add_argument(
-        "--chaos-preset", default="none",
-        choices=list(CHAOS_CHOICES),
-        help="telemetry-fault mix layered under every cell",
-    )
-    localize.add_argument("--seeds", type=_numbers("int"), default="0",
-                          metavar="LIST",
-                          help="trace seeds: comma list or 'a:b' range")
-    localize.add_argument("--days", type=float, default=4.0)
-    localize.add_argument("--scale", type=float, default=0.12)
-    localize.add_argument("--capacity", type=float, default=0.75)
-    localize.add_argument("--fault-seed", type=int, default=0)
-    localize.add_argument("--repair-accuracy", type=float, default=0.8)
-    localize.add_argument(
-        "--events", type=float, default=400.0,
-        help="fault arrival intensity (events/10K links/day)",
-    )
-    localize.add_argument("--out", metavar="FILE.jsonl",
-                          help="write per-job results as canonical JSONL")
+    _flag(localize, "--chaos-preset", default="none",
+          help="telemetry-fault mix layered under every cell")
+    _flag(localize, "--seeds", metavar="LIST")
+    _flag(localize, "--days", default=4.0)
+    _flag(localize, "--scale", default=0.12)
+    _flag(localize, "--capacity")
+    _flag(localize, "--fault-seed")
+    _flag(localize, "--repair-accuracy")
+    _flag(localize, "--events", default=400.0)
+    _flag(localize, "--out", help="write per-job results as canonical JSONL")
     localize.add_argument(
         "--report-out", metavar="FILE.json",
         help="write the merged per-cell accuracy report here",
@@ -1708,31 +1680,21 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="long-running controller service with checkpoint/restore",
     )
-    serve.add_argument("--days", type=float, default=2.0,
-                       help="simulated horizon in days")
-    serve.add_argument("--scale", type=float, default=0.12)
-    serve.add_argument("--capacity", type=float, default=0.75)
-    serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument("--fault-seed", type=int, default=0)
-    serve.add_argument(
-        "--chaos-preset", default=None,
-        choices=list(CHAOS_CHOICES),
-        help="inject this telemetry-fault mix into the live stream",
-    )
-    serve.add_argument(
-        "--congestion-preset", default=None,
-        choices=list(CONGESTION_CHOICES),
-        help="add a congestion co-model and activate the diagnosis layer",
-    )
-    serve.add_argument(
-        "--miswire-pairs", type=int, default=0, metavar="N",
-        help="swap the inventory map of N cable pairs (A3 miswiring)",
-    )
-    serve.add_argument("--events", type=float, default=400.0,
-                       help="fault arrival intensity (events/10K links/day)")
+    _flag(serve, "--days", default=2.0, help="simulated horizon in days")
+    _flag(serve, "--scale", default=0.12)
+    _flag(serve, "--capacity")
+    _flag(serve, "--seed")
+    _flag(serve, "--fault-seed")
+    _flag(serve, "--chaos-preset",
+          help="inject this telemetry-fault mix into the live stream")
+    _flag(serve, "--congestion-preset",
+          help="add a congestion co-model and activate the diagnosis layer")
+    _flag(serve, "--miswire-pairs",
+          help="swap the inventory map of N cable pairs (A3 miswiring)")
+    _flag(serve, "--events", default=400.0)
     serve.add_argument("--poll-interval", type=float, default=900.0,
                        help="telemetry poll spacing in simulated seconds")
-    serve.add_argument("--repair-accuracy", type=float, default=0.8)
+    _flag(serve, "--repair-accuracy")
     serve.add_argument(
         "--queue-capacity", type=int, default=64,
         help="bounded ingest queue: batches held before backpressure",
@@ -1765,26 +1727,21 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit (resumable) once N checkpoint boundaries completed — "
              "a deterministic kill for tests and CI",
     )
-    serve.add_argument("--out", metavar="FILE.jsonl",
-                       help="write the canonical service report here")
+    _flag(serve, "--out", help="write the canonical service report here")
     _add_obs_args(serve)
     _add_health_args(serve)
-    serve.add_argument(
-        "--audit-out", metavar="FILE",
-        help="write the controller audit log as JSONL here",
-    )
+    _flag(serve, "--audit-out")
     serve.set_defaults(func=_cmd_serve)
 
     rec = sub.add_parser("recommend", help="Algorithm 1 on one link")
     rec.add_argument("--rate", type=float, default=1e-3)
-    rec.add_argument("--rx1", type=float, required=True)
-    rec.add_argument("--rx2", type=float, required=True)
-    rec.add_argument("--tx1", type=float, required=True)
-    rec.add_argument("--tx2", type=float, required=True)
+    for flag in ("--rx1", "--rx2", "--tx1", "--tx2"):
+        rec.add_argument(flag, type=float, required=True)
     rec.add_argument("--tech", choices=["10G-SR", "40G-LR4", "100G-CWDM4"])
-    rec.add_argument("--neighbor-corrupting", action="store_true")
-    rec.add_argument("--opposite-corrupting", action="store_true")
-    rec.add_argument("--recently-reseated", action="store_true")
+    for flag in (
+        "--neighbor-corrupting", "--opposite-corrupting", "--recently-reseated"
+    ):
+        rec.add_argument(flag, action="store_true")
     rec.add_argument("--deployed", action="store_true",
                      help="use the simplified deployed engine (§7.2)")
     rec.set_defaults(func=_cmd_recommend)
@@ -1792,7 +1749,7 @@ def build_parser() -> argparse.ArgumentParser:
     gadget = sub.add_parser("gadget", help="Appendix-A reduction")
     gadget.add_argument("--vars", type=int, default=4)
     gadget.add_argument("--clauses", type=int, default=6)
-    gadget.add_argument("--seed", type=int, default=0)
+    _flag(gadget, "--seed")
     gadget.set_defaults(func=_cmd_gadget)
 
     obs = sub.add_parser(
@@ -1802,15 +1759,12 @@ def build_parser() -> argparse.ArgumentParser:
     obs.add_argument("--metrics", metavar="FILE", help="Prometheus snapshot")
     obs.add_argument("--events", metavar="FILE", help="events JSONL stream")
     obs.add_argument("--trace", metavar="FILE", help="Chrome trace JSON")
-    obs.add_argument("--sweep", metavar="FILE", help="sweep results JSONL")
+    _flag(obs, "--sweep", help="sweep results JSONL")
     obs.add_argument(
         "--checkpoint", metavar="FILE", action="append",
         help="service checkpoint file (repeatable); header + digest check",
     )
-    obs.add_argument(
-        "--service-report", metavar="FILE",
-        help="repro serve report JSONL",
-    )
+    _flag(obs, "--service-report", help="repro serve report JSONL")
     obs.add_argument(
         "--health", metavar="FILE",
         help="health scorecard JSON (from --health-out)",
@@ -1837,12 +1791,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--scorecard", metavar="FILE",
         help="health scorecard JSON (from --health-out)",
     )
-    health.add_argument(
-        "--service-report", metavar="FILE",
-        help="repro serve report JSONL (uses its result health row)",
-    )
-    health.add_argument(
-        "--sweep", metavar="FILE",
+    _flag(health, "--service-report",
+          help="repro serve report JSONL (uses its result health row)")
+    _flag(
+        health, "--sweep",
         help="sweep/tournament/campaign JSONL; aggregates per-job "
              "health blocks fleet-wide",
     )

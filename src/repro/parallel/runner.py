@@ -7,7 +7,9 @@ of worker count or completion order.  Two backends:
 
 - ``jobs == 1`` — in-process serial execution, bit-identical to calling
   :func:`~repro.parallel.worker.execute_job` in a loop (which is itself
-  bit-identical to the pre-runner campaign loops);
+  bit-identical to the pre-runner campaign loops), each record
+  :meth:`~repro.parallel.worker.JobRecord.slim`'d as a pool worker
+  sends it;
 - ``jobs > 1`` — a ``ProcessPoolExecutor`` (``fork`` start method where
   available, so workers share the parent's hash seed) with worker-local
   scenario caching, bounded retry on worker crashes or raised
@@ -163,7 +165,7 @@ class ParallelRunner:
             while True:
                 attempt += 1
                 try:
-                    records.append(execute_job(spec, attempt=attempt))
+                    records.append(execute_job(spec, attempt=attempt).slim())
                     break
                 except Exception as exc:  # noqa: BLE001 — runner owns policy
                     if attempt > self.max_retries:

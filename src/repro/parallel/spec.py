@@ -69,9 +69,9 @@ class JobSpec:
         full_repair_cycles: Simulate failed repairs as re-enable cycles.
         technician_pool: Optional FIFO repair-crew size.
         chaos_preset: Telemetry-fault preset name for ``kind="chaos"``
-            jobs (``None`` for every other kind).  Omitted from the
-            canonical JSON when unset, so pre-chaos specs keep their
-            derived seeds.
+            jobs that give no ``fault_rates`` (``None`` for every other
+            kind).  Omitted from the canonical JSON when unset, so
+            pre-chaos specs keep their derived seeds.
         fault_seed: Seed of the telemetry fault RNG for chaos jobs
             (independent of the repair seed so fault injection never
             perturbs repair outcomes).  Omitted from the canonical JSON
@@ -102,6 +102,10 @@ class JobSpec:
         sensing: Sensing pipeline for chaos jobs — ``"telemetry"``
             (counter-driven) or ``"voting"`` (007-style flow voting).
             Omitted from the canonical JSON at the default, likewise.
+        fault_rates: A chaos job's custom fault mix in place of a
+            ``chaos_preset``: sorted ``(name, value)`` pairs of
+            :class:`~repro.faults.TelemetryFaultConfig` fields.  Omitted
+            from the canonical JSON when empty, likewise.
     """
 
     kind: str = "simulate"
@@ -130,6 +134,7 @@ class JobSpec:
     congestion_preset: Optional[str] = None
     miswire_pairs: int = 0
     sensing: str = "telemetry"
+    fault_rates: Tuple[Tuple[str, Any], ...] = field(default_factory=tuple)
 
     # ------------------------------------------------------------------ #
     # Validation
@@ -137,37 +142,37 @@ class JobSpec:
 
     def validate(self) -> None:
         """Raise ``ValueError`` on an unrunnable spec."""
-        if self.kind not in KNOWN_KINDS:
-            raise ValueError(f"unknown job kind {self.kind!r}")
+        require("kind", self.kind)
         if self.kind == "calibrate":
             return
         if self.kind == "chaos":
-            if self.chaos_preset is None:
-                raise ValueError('kind="chaos" requires a chaos_preset')
-            require("chaos_preset", self.chaos_preset)
+            if self.chaos_preset is not None:
+                require("chaos_preset", self.chaos_preset)
+                if self.fault_rates:
+                    raise ValueError(
+                        "a chaos job takes a chaos_preset or fault_rates, "
+                        "not both"
+                    )
+            elif self.fault_rates:
+                self.fault_config()  # the config checks each rate
+            else:
+                raise ValueError(
+                    'kind="chaos" requires a chaos_preset or fault_rates'
+                )
             if self.technician_pool is not None or self.full_repair_cycles:
                 raise ValueError(
                     "chaos jobs use the paper repair model; technician_pool "
                     "and full_repair_cycles are not supported"
                 )
-            if (
-                self.congestion_preset is not None
-                and self.congestion_preset not in KNOWN_CONGESTION_PRESETS
-            ):
-                raise ValueError(
-                    f"unknown congestion preset {self.congestion_preset!r}; "
-                    f"choose from {sorted(KNOWN_CONGESTION_PRESETS)}"
-                )
+            if self.congestion_preset is not None:
+                require("congestion_preset", self.congestion_preset)
             if self.miswire_pairs < 0:
                 raise ValueError("miswire_pairs must be non-negative")
-            if self.sensing not in KNOWN_SENSING:
-                raise ValueError(
-                    f"unknown sensing pipeline {self.sensing!r}; "
-                    f"choose from {sorted(KNOWN_SENSING)}"
-                )
-        elif self.chaos_preset is not None:
+            require("sensing", self.sensing)
+        elif self.chaos_preset is not None or self.fault_rates:
             raise ValueError(
-                f'chaos_preset requires kind="chaos", not {self.kind!r}'
+                'chaos_preset and fault_rates require kind="chaos", '
+                f"not {self.kind!r}"
             )
         elif (
             self.congestion_preset is not None
@@ -178,21 +183,11 @@ class JobSpec:
                 "congestion_preset, miswire_pairs and sensing are "
                 f'diagnosis axes of kind="chaos" jobs, not {self.kind!r}'
             )
-        if self.profile_shape is None and self.preset not in KNOWN_PRESETS:
-            raise ValueError(
-                f"unknown preset {self.preset!r}; "
-                f"choose from {sorted(KNOWN_PRESETS)} or give profile_shape"
-            )
-        if self.strategy not in KNOWN_STRATEGIES:
-            raise ValueError(
-                f"unknown strategy {self.strategy!r}; "
-                f"choose from {sorted(KNOWN_STRATEGIES)}"
-            )
-        if self.penalty not in KNOWN_PENALTIES:
-            raise ValueError(
-                f"unknown penalty {self.penalty!r}; "
-                f"choose from {sorted(KNOWN_PENALTIES)}"
-            )
+        if self.profile_shape is None:
+            require("preset", self.preset)
+        require("strategy", self.strategy)
+        require("penalty", self.penalty)
+        require("topo_kind", self.topo_kind)
         if self.scale <= 0:
             raise ValueError("scale must be positive")
         if self.duration_days < 0:
@@ -205,11 +200,6 @@ class JobSpec:
             raise ValueError("capacity constraint outside (0, 1]")
         if not 0.0 <= self.lg_coverage <= 1.0:
             raise ValueError("lg_coverage outside [0, 1]")
-        if self.topo_kind not in KNOWN_TOPO_KINDS:
-            raise ValueError(
-                f"unknown topo_kind {self.topo_kind!r}; "
-                f"choose from {sorted(KNOWN_TOPO_KINDS)}"
-            )
         if not 0.0 <= self.breakout_fraction <= 1.0:
             raise ValueError("breakout_fraction outside [0, 1]")
         if self.kind == "chaos":
@@ -245,21 +235,7 @@ class JobSpec:
         out: Dict[str, Any] = {}
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.name == "chaos_preset" and value is None:
-                continue
-            if f.name == "fault_seed" and value == 0:
-                continue
-            if f.name == "lg_coverage" and value == 0.0:
-                continue
-            if f.name == "topo_kind" and value == "clos":
-                continue
-            if f.name == "breakout_fraction" and value == 0.0:
-                continue
-            if f.name == "congestion_preset" and value is None:
-                continue
-            if f.name == "miswire_pairs" and value == 0:
-                continue
-            if f.name == "sensing" and value == "telemetry":
+            if f.name in _LATE_FIELDS and value == _LATE_FIELDS[f.name]:
                 continue
             if isinstance(value, tuple):
                 value = [list(v) if isinstance(v, tuple) else v for v in value]
@@ -303,6 +279,37 @@ class JobSpec:
 
     def knobs_dict(self) -> Dict[str, float]:
         return dict(self.knobs)
+
+    def fault_config(self):
+        """A chaos job's :class:`~repro.faults.TelemetryFaultConfig`: its
+        preset, or else its ``fault_rates``, seeded with ``fault_seed``.
+        ``ValueError`` names a preset or rate the config refuses."""
+        from repro.faults import TelemetryFaultConfig
+        from repro.simulation.chaos import chaos_preset
+
+        if self.chaos_preset is not None:
+            return chaos_preset(self.chaos_preset, seed=self.fault_seed)
+        try:
+            return TelemetryFaultConfig(
+                seed=self.fault_seed, **dict(self.fault_rates)
+            )
+        except TypeError as exc:  # a name that is not a config field
+            raise ValueError(f"fault_rates: {exc}") from None
+
+
+#: Fields added after the canonical JSON froze, each left out of it at
+#: this (its default) value.
+_LATE_FIELDS: Dict[str, Any] = {
+    "chaos_preset": None,
+    "fault_seed": 0,
+    "lg_coverage": 0.0,
+    "topo_kind": "clos",
+    "breakout_fraction": 0.0,
+    "congestion_preset": None,
+    "miswire_pairs": 0,
+    "sensing": "telemetry",
+    "fault_rates": (),
+}
 
 
 def job_seed(spec: JobSpec) -> int:

@@ -29,7 +29,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.parallel.spec import JobSpec
-from repro.simulation.chaos import ChaosSimulation, chaos_preset
+from repro.simulation.chaos import ChaosSimulation
 from repro.simulation.results import RunResult
 from repro.simulation.scenarios import Scenario, make_scenario, run_scenario
 from repro.workloads.dcn_profiles import DCNProfile, LARGE_DCN, MEDIUM_DCN
@@ -152,6 +152,23 @@ class JobRecord:
     def ok(self) -> bool:
         return self.status == "ok"
 
+    def slim(self) -> "JobRecord":
+        """This record as a sweep keeps it, and a pool worker sends it.
+
+        A chaos result's audit and controller logs are process-local
+        debugging payloads that would dominate pickling cost, so they
+        are dropped (the optimizer stats sit on the result itself) and
+        the sanitizer stats become a plain dict.  ``result.health``
+        stays: its compact ``row()`` becomes the sweep row's "health"
+        block.
+        """
+        result = self.result
+        if result is not None and result.controller_log is not None:
+            result.sanitizer_stats = dict(vars(result.sanitizer_stats))
+            result.audit = None
+            result.controller_log = None
+        return self
+
 
 def _execute_calibration(spec: JobSpec, attempt: int) -> JobRecord:
     """Run a deterministic harness-calibration job.
@@ -203,7 +220,8 @@ def execute_job(
     """Run one job in this process and return its record.
 
     Exceptions propagate (the runner owns retry/failure policy); a
-    returned record always has ``status == "ok"``.
+    returned record always has ``status == "ok"`` and its full result
+    (the runner keeps :meth:`JobRecord.slim` ones).
     """
     spec.validate()
     if spec.kind == "calibrate":
@@ -215,7 +233,7 @@ def execute_job(
     if spec.kind == "chaos":
         result = ChaosSimulation(
             scenario,
-            fault_config=chaos_preset(spec.chaos_preset, seed=spec.fault_seed),
+            fault_config=spec.fault_config(),
             repair_accuracy=spec.repair_accuracy,
             service_days=spec.service_days,
             seed=spec.seed_used(),
@@ -224,15 +242,6 @@ def execute_job(
             sensing=spec.sensing,
             obs=obs,
         ).kernel.run()
-        # Slim the result for the pool: audit/controller logs are
-        # process-local debugging payloads that would dominate pickling
-        # cost (optimizer stats are lifted out first so sweeps still merge
-        # search-effort telemetry).  result.health stays: its compact
-        # row() becomes the sweep row's "health" block.
-        result.optimizer_stats = result.controller_log.optimizer_stats
-        result.sanitizer_stats = dict(vars(result.sanitizer_stats))
-        result.audit = None
-        result.controller_log = None
     else:
         result = run_scenario(
             scenario,
@@ -262,5 +271,5 @@ def pool_entry(
     spec: JobSpec, attempt: int
 ) -> Tuple[JobRecord, Dict[str, int]]:
     """Pool-side wrapper: run the job, attach this worker's cache stats."""
-    record = execute_job(spec, attempt=attempt)
+    record = execute_job(spec, attempt=attempt).slim()
     return record, _CACHE.stats.as_dict()

@@ -31,13 +31,13 @@ from repro.core.controller import ControllerLog, CorrOptController
 from repro.core.resilience import BreakerState
 from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.parallel.aggregate import series_digest
+from repro.parallel.spec import JobSpec
 from repro.service.checkpoint import read_checkpoint
 from repro.service.checkpoint import write_checkpoint as _write_checkpoint
-from repro.congestion.presets import CONGESTION_PRESETS
 from repro.service.ingest import IngestingPoller, drain_problems
 from repro.service.queues import POLICIES, BoundedWorkQueue
 from repro.service.shards import ShardRouter, build_shards
-from repro.simulation.chaos import ChaosSimulation, chaos_preset
+from repro.simulation.chaos import ChaosSimulation
 from repro.simulation.kernel import MAX_DECISIONS, TelemetrySensing
 from repro.simulation.results import RunResult
 from repro.simulation.scenarios import chaos_scenario
@@ -109,32 +109,36 @@ class ServiceConfig:
     def to_dict(self) -> Dict[str, object]:
         return asdict(self)
 
+    def job(self) -> JobSpec:
+        """This run's fields as the chaos job they describe."""
+        return JobSpec(
+            kind="chaos",
+            scale=self.scale,
+            duration_days=self.days,
+            trace_seed=self.seed,
+            events_per_10k=self.events_per_10k_links_per_day,
+            capacity=self.capacity,
+            repair_accuracy=self.repair_accuracy,
+            repair_seed=self.seed,
+            # Clean monitoring is the fault-free "none" mix.
+            chaos_preset=(
+                "none" if self.chaos_preset is None else self.chaos_preset
+            ),
+            fault_seed=self.fault_seed,
+            congestion_preset=self.congestion_preset,
+            miswire_pairs=self.miswire_pairs,
+        )
+
     def validate(self) -> None:
+        """Raise ``ValueError`` listing every refused value; the run
+        fields are :meth:`JobSpec.validate`'s to check."""
         problems = []
         if self.days <= 0:
             problems.append("days must be > 0")
-        if self.scale <= 0:
-            problems.append("scale must be > 0")
-        if not 0.0 < self.capacity <= 1.0:
-            problems.append("capacity outside (0, 1]")
-        if self.chaos_preset is not None:
-            try:
-                chaos_preset(self.chaos_preset)
-            except ValueError as exc:
-                problems.append(str(exc))
-        if self.congestion_preset is not None and (
-            self.congestion_preset not in CONGESTION_PRESETS
-        ):
-            problems.append(
-                f"unknown congestion preset {self.congestion_preset!r} "
-                f"(choose from {sorted(CONGESTION_PRESETS)})"
-            )
-        if self.miswire_pairs < 0:
-            problems.append("miswire_pairs must be >= 0")
-        if self.events_per_10k_links_per_day < 0:
-            problems.append("events_per_10k_links_per_day must be >= 0")
-        if not 0.0 <= self.repair_accuracy <= 1.0:
-            problems.append("repair_accuracy outside [0, 1]")
+        try:
+            self.job().validate()
+        except ValueError as exc:
+            problems.append(str(exc))
         if self.poll_interval_s <= 0:
             problems.append("poll_interval_s must be > 0")
         if self.queue_capacity < 1:
@@ -310,7 +314,8 @@ class ServiceSensing(TelemetrySensing):
 
     def result_sections(self) -> Dict[str, object]:
         sections = super().result_sections()
-        sections["controller_log"] = self.merged_controller_log()
+        log = self.merged_controller_log()
+        sections.update(controller_log=log, optimizer_stats=log.optimizer_stats)
         return sections
 
 
@@ -361,9 +366,8 @@ class ControllerService:
         sim = ChaosSimulation(
             scenario,
             fault_config=(
-                None
-                if config.chaos_preset is None
-                else chaos_preset(config.chaos_preset, seed=config.fault_seed)
+                None if config.chaos_preset is None
+                else config.job().fault_config()
             ),
             repair_accuracy=config.repair_accuracy,
             seed=config.seed,

@@ -166,7 +166,7 @@ CHAOS_PRESETS: Dict[str, TelemetryFaultConfig] = {
 
 
 def chaos_preset(name: str, seed: int = 0) -> TelemetryFaultConfig:
-    """Look up a preset by name, re-seeded: the one check of a chaos
-    preset name (``ServiceConfig.validate`` reports its message)."""
+    """Look up a preset by name, re-seeded (an unknown name is
+    :func:`~repro.registry.require`'s error)."""
     require("chaos_preset", name)
     return replace(CHAOS_PRESETS[name], seed=seed)

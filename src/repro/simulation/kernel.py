@@ -212,7 +212,8 @@ class SimulationKernel:
         technician_pool: Optional[int] = None,
         obs: Recorder = NULL_RECORDER,
     ):
-        self.check_repair_accuracy(repair_accuracy)
+        if not 0.0 <= repair_accuracy <= 1.0:
+            raise ValueError("repair accuracy outside [0, 1]")
         self.topo = topo
         self.duration_s = duration_s
         self.repair_accuracy = repair_accuracy
@@ -239,12 +240,6 @@ class SimulationKernel:
         self._result: Optional[RunResult] = None
         self.pipeline = pipeline
         pipeline.attach(self)
-
-    @staticmethod
-    def check_repair_accuracy(repair_accuracy: float) -> None:
-        """Raise ``ValueError`` for an accuracy the kernel refuses."""
-        if not 0.0 <= repair_accuracy <= 1.0:
-            raise ValueError("repair accuracy outside [0, 1]")
 
     # ------------------------------------------------------------------ #
     # Scheduling
@@ -1215,6 +1210,7 @@ class TelemetrySensing(SensingPipeline):
             "audit": self.audit,
             "sanitizer_stats": self.sanitizer.stats,
             "controller_log": self.controller.log,
+            "optimizer_stats": self.controller.log.optimizer_stats,
             "health": self.health.report(),
         }
         if self.diagnosis is not None:

@@ -7,8 +7,8 @@ and CI runs stay fast; benchmarks can run closer to paper size.
 
 :func:`run_scenario` is the one builder of an oracle-sensing run: it
 pairs :class:`~repro.simulation.kernel.OracleSensing` with
-:class:`~repro.simulation.kernel.SimulationKernel` for the CLI, the pool
-worker and every campaign.
+:class:`~repro.simulation.kernel.SimulationKernel` for the pool worker
+(which ``repro simulate`` runs too) and every campaign.
 """
 
 from __future__ import annotations
@@ -166,8 +166,9 @@ def run_scenario(
 ) -> RunResult:
     """Run one strategy over a scenario on a fresh topology copy.
 
-    The one place an oracle-sensing run is assembled: the CLI, the pool
-    worker and every campaign come through here.  Any name from
+    The one place an oracle-sensing run is assembled: the pool worker
+    (``repro simulate`` and every sweep) and every campaign come through
+    here.  Any name from
     :data:`~repro.simulation.strategies.STRATEGY_NAMES` is accepted.
 
     Args:

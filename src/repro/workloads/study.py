@@ -386,9 +386,13 @@ def generate_study(
             paper-sized).
         **kwargs: Forwarded to :func:`generate_dcn_study`.
     """
-    profiles = study_profiles()[:num_dcns]
+    profiles = study_profiles()
+    if not 1 <= num_dcns <= len(profiles):
+        raise ValueError(
+            f"study size must be in [1, {len(profiles)}], got {num_dcns}"
+        )
     dcns = []
-    for index, profile in enumerate(profiles):
+    for index, profile in enumerate(profiles[:num_dcns]):
         dcns.append(
             generate_dcn_study(
                 profile,

@@ -83,6 +83,13 @@ class TestParser:
             ["simulate", "--repair-accuracy", "-2"],
             ["serve", "--events", "-5", "--days", "0.05", "--scale", "0.1"],
             ["sweep", "--events", "-5", "--days", "1", "--scale", "0.1"],
+            ["simulate", "--lg-coverage", "1.5"],
+            ["chaos", "--miswire-pairs", "-2"],
+            ["topology", "--pods", "0"],
+            ["topology", "--kind", "fattree", "--k", "3"],
+            ["gadget", "--vars", "2"],
+            ["study", "--dcns", "0"],
+            ["study", "--dcns", "16"],
         ],
         ids=" ".join,
     )

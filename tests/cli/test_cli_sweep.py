@@ -151,6 +151,20 @@ class TestSimulateComparison:
         out = capsys.readouterr().out
         assert "corropt" in out and "none" in out
         assert "penalty" in out
+        # A first strategy with a zero integral gives no ratio to print.
+        assert main(["simulate", "--strategies", "corropt,switch-local"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 2
+        assert all(row.endswith("(  n/a vs corropt)") for row in rows)
+
+    def test_single_run_is_the_comparison_job(self, capsys):
+        """``simulate --strategy X`` runs the job ``--strategies X`` does:
+        the ``--seed`` trace with repair seed ``--seed``."""
+        assert main(["simulate", "--strategy", "switch-local", *self.CELL]) == 0
+        single = capsys.readouterr().out.splitlines()[2].split()[-1]
+        assert main(["simulate", "--strategies", "switch-local", *self.CELL]) == 0
+        compared = capsys.readouterr().out.splitlines()[1].split()[3]
+        assert single == compared
 
     def test_matches_one_cell_sweep(self, tmp_path, capsys):
         """``simulate --strategies`` and ``sweep`` are one oracle run: the
@@ -189,3 +203,37 @@ class TestSimulateComparison:
         err = capsys.readouterr().err
         assert err.startswith("usage:")
         assert "'bogus'" in err
+
+
+class TestChaosIsAOneJobSweep:
+    @pytest.mark.parametrize("preset", ["mild", "harsh"])
+    def test_same_job_same_series(self, preset, tmp_path, monkeypatch, capsys):
+        """``repro chaos`` runs the job a one-cell chaos sweep at chaos's
+        scenario (scale 0.12, 4 days, 400 events) runs: the same spec,
+        the same metric series."""
+        from repro.parallel import series_digest, worker
+
+        ran = []
+        execute = worker.execute_job
+
+        def spy(spec, **kwargs):
+            ran.append(execute(spec, **kwargs))
+            return ran[-1]
+
+        monkeypatch.setattr(worker, "execute_job", spy)
+        assert main([
+            "chaos", "--preset", preset, "--seed", "5", "--fault-seed", "9",
+        ]) == 0
+        out = tmp_path / "cell.jsonl"
+        assert main([
+            "sweep", "--chaos-preset", preset, "--seeds", "5",
+            "--repair-seeds", "5", "--fault-seed", "9", "--scale", "0.12",
+            "--days", "4", "--events", "400", "--out", str(out),
+        ]) == 0
+        (row,) = [
+            json.loads(line) for line in out.read_text().splitlines()
+            if json.loads(line).get("type") == "result"
+        ]
+        (record,) = ran
+        assert record.spec.to_dict() == row["spec"]
+        assert series_digest(record.result) == row["series_digest"]
