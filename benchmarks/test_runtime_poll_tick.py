@@ -24,6 +24,7 @@ import pickle
 import time
 from functools import partial
 
+import numpy as np
 from conftest import write_benchmark_json, write_report
 
 from repro.congestion import congestion_model
@@ -33,7 +34,7 @@ from repro.faults import FaultyTransport
 from repro.simulation.chaos import chaos_preset
 from repro.telemetry import SnmpPoller, TelemetrySanitizer, TelemetryStore
 from repro.telemetry.poller import ConstantTraffic
-from repro.topology import Direction, sprinkle_corruption
+from repro.topology import sprinkle_corruption
 from repro.workloads import LARGE_DCN
 
 #: Row name → (chaos preset, congestion preset).
@@ -80,22 +81,18 @@ def _traffic_state_bytes(congestion: str) -> float:
     topo = LARGE_DCN.build(scale=1.0)
     model = congestion_model(congestion, topo, seed=1)
     empty_bytes = len(pickle.dumps(model, protocol=4))
-    direction_ids = [
-        link.direction_id(direction)
-        for link in topo.links()
-        for direction in (Direction.UP, Direction.DOWN)
-    ]
+    rows = np.arange(2 * topo.num_links)
     # One tick: every stream holds a cached Gaussian, the larger state.
-    model.traffic(direction_ids, 900.0, 900.0)
+    model.traffic(rows, 900.0, 900.0)
     grown_bytes = len(pickle.dumps(model, protocol=4))
-    return (grown_bytes - empty_bytes) / len(direction_ids)
+    return (grown_bytes - empty_bytes) / len(rows)
 
 
 def _tick_seconds(preset: str, congestion=None):
     topo = LARGE_DCN.build(scale=1.0)
     sprinkle_corruption(topo, fraction=0.02)
-    transport = FaultyTransport(chaos_preset(preset, seed=1))
-    sanitizer = TelemetrySanitizer()
+    transport = FaultyTransport(topo, chaos_preset(preset, seed=1))
+    sanitizer = TelemetrySanitizer(topo)
     if congestion is None:
         traffic = dict(traffic_fn=ConstantTraffic(10_000_000))
     else:
@@ -103,7 +100,7 @@ def _tick_seconds(preset: str, congestion=None):
         traffic = dict(traffic_fn=partial(model.traffic, interval_s=900.0))
     poller = SnmpPoller(
         topo,
-        TelemetryStore(CauseClassifier().correlation_window),
+        TelemetryStore(topo, CauseClassifier().correlation_window),
         transport=transport,
         sanitizer=sanitizer,
         **traffic,

@@ -843,10 +843,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     with _refusing():
         ControllerService.check_checkpoint_every(checkpoint_every_s)
-        if args.resume_from and checkpoint_every_s is None:
-            checkpoint_every_s = _checkpoint_header(args.resume_from)[
-                "config"
-            ].get("checkpoint_every_s")
+        if args.resume_from:
+            # A checkpoint that cannot be read or is not one is refused
+            # like a bad flag, before anything is written.
+            try:
+                header, service = ControllerService.restore(args.resume_from)
+            except OSError as exc:
+                raise ValueError(f"cannot read checkpoint: {exc}") from None
+            if checkpoint_every_s is None:
+                checkpoint_every_s = header["config"].get("checkpoint_every_s")
         if checkpoint_every_s is not None and not args.checkpoint_dir:
             raise ValueError(
                 "--checkpoint-every (or a resumed run's checkpoint "
@@ -855,7 +860,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         config = None if args.resume_from else _serve_config(args)
 
     if args.resume_from:
-        header, service = ControllerService.restore(args.resume_from)
         print(
             f"resumed from {args.resume_from} "
             f"(boundary {header['boundary_index']}, "
@@ -1336,14 +1340,11 @@ def _cmd_health(args: argparse.Namespace) -> int:
     return 1 if problems else exit_code
 
 
-def _checkpoint_header(path: str) -> dict:
-    """A checkpoint's JSON header line, read without the payload."""
-    with open(path, "rb") as handle:
-        return json.loads(handle.readline())
-
-
 def _print_checkpoint(path: str) -> None:
-    header = _checkpoint_header(path)
+    from repro.obs.schema import checkpoint_header
+
+    with open(path, "rb") as handle:  # the header line, not the payload
+        header, _start = checkpoint_header(handle.readline())
     print(
         f"checkpoint {path}: boundary "
         f"{header['boundary_index']}, sim "

@@ -6,10 +6,12 @@ the pod's ToR–aggregation links) plus a few hot aggregation switches.  §3 /
 Figure 4: congested links touch only ~20% of the switches a random spread
 would, while corruption touches ~80%.
 
-The model is a table with one row per direction, created when the direction
-is first asked about: profile parameters, AR(1) noise state, draw count,
-line-rate packets per second and queue depth K are numpy columns, and every
-row has its own ``random.Random(seed)`` stream.  ``CongestionModel.traffic``
+The model is a table with one row per direction, numbered as the poller's
+direction table (:meth:`~repro.topology.graph.Topology.direction_row`) and
+drawn when the direction is first asked about: profile parameters, AR(1)
+noise state, draw count, line-rate packets per second and queue depth K are
+numpy columns, and every drawn row has its own ``random.Random(seed)``
+stream.  ``CongestionModel.traffic``
 answers a whole poll tick from the columns, reading each row's stream
 :data:`BLOCK_TICKS` ticks at a time; ``utilization`` / ``loss_rate`` are the
 per-call form of the same process, on the same state (DESIGN.md §16).
@@ -34,6 +36,7 @@ from repro.congestion.traffic import (
     DAY_S, TrafficProfile, elementwise, gauss_pairs, profile_parameters,
 )
 from repro.streams import fast_forward, random_doubles
+from repro.telemetry.columns import grow
 from repro.topology.elements import Direction, DirectionId
 from repro.topology.graph import Topology
 
@@ -51,7 +54,7 @@ _COLUMNS = tuple(
 #: Gaussian pair.  Each tick pair reads ``[u1, u2, burst, burst]``.
 BLOCK_TICKS = 16
 #: Derived from the columns, left out of checkpoints.
-_DERIVED = ("_streams", "_gauss", "_cached", "_burst", "_cursor", "_by_row")
+_DERIVED = ("_streams", "_gauss", "_cached", "_burst", "_cursor")
 
 
 class CongestionModel:
@@ -94,24 +97,24 @@ class CongestionModel:
         self._hot_directions: Set[DirectionId] = set()
         self._pick_hotspots(hotspot_pod_fraction, hotspot_switch_fraction)
         self._assign_hot_directions()
-        # The table: parameters, noise state and logical draw count.
-        self._row_of: Dict[DirectionId, int] = {}
+        # The table: parameters, noise state and logical draw count, and
+        # whether the row is drawn yet.
         self._columns: Dict[str, np.ndarray] = {
             name: np.zeros(0, dtype=dtype) for name, dtype in _COLUMNS
         }
+        self._drawn = np.zeros(0, dtype=bool)
         self._empty_blocks()
 
-    def _empty_blocks(self) -> None:
-        """Per row: its stream and the block it has read ahead — each
-        tick's ``gauss`` return value and burst flag, each pair's cached
-        variate, the cursor (``BLOCK_TICKS``: nothing buffered).
-        ``_by_row``: table row of each topology direction row, or -1."""
-        self._streams: List[random.Random] = []
-        self._gauss = np.zeros((0, BLOCK_TICKS))
-        self._cached = np.zeros((0, BLOCK_TICKS // 2))
-        self._burst = np.zeros((0, BLOCK_TICKS), dtype=bool)
-        self._cursor = np.zeros(0, dtype=np.int64)
-        self._by_row = np.zeros(0, dtype=np.int64)
+    def _empty_blocks(self, rows: int = 0) -> None:
+        """Per row: its stream (``None`` until drawn) and the block it
+        has read ahead — each tick's ``gauss`` return value and burst flag,
+        each pair's cached variate, the cursor (``BLOCK_TICKS``: nothing
+        buffered)."""
+        self._streams: List[Optional[random.Random]] = [None] * rows
+        self._gauss = np.zeros((rows, BLOCK_TICKS))
+        self._cached = np.zeros((rows, BLOCK_TICKS // 2))
+        self._burst = np.zeros((rows, BLOCK_TICKS), dtype=bool)
+        self._cursor = np.full(rows, BLOCK_TICKS, dtype=np.int64)
 
     def _pick_hotspots(
         self, pod_fraction: float, switch_fraction: float
@@ -164,7 +167,8 @@ class CongestionModel:
         """Utilization sample for a direction at ``time_s``: one
         :meth:`TrafficProfile.utilization` step on the row's stream, put
         back at its logical position first."""
-        row = int(self._rows([direction_id])[0])
+        row = self._topo.direction_row(direction_id)
+        self._draw_new(np.array([row]))
         profile = TrafficProfile.__new__(TrafficProfile)
         vars(profile).update(self._values(row), _rng=self._detach(row))
         util = profile.utilization(time_s)
@@ -188,74 +192,51 @@ class CongestionModel:
 
     # The table --------------------------------------------------------- #
 
-    def _rows(
-        self,
-        direction_ids: Sequence[DirectionId],
-        rows: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Table rows of ``direction_ids``: by one gather through ``_by_row``
-        when their topology direction ``rows`` are given, where only a
-        direction's first appearance is looked up by name; else by name."""
-        if rows is None:
-            return np.array(self._named_rows(direction_ids), dtype=np.int64)
-        if len(rows) and rows.max() >= len(self._by_row):
-            grown = np.full(2 * self._topo.num_links, -1, dtype=np.int64)
-            grown[: len(self._by_row)] = self._by_row
-            self._by_row = grown
-        found = self._by_row[rows]
-        missing = np.flatnonzero(found < 0)
-        if len(missing):
-            found[missing] = self._named_rows(
-                [direction_ids[i] for i in missing.tolist()]
-            )
-            self._by_row[rows[missing]] = found[missing]
-        return found
-
-    def _named_rows(self, direction_ids: Sequence[DirectionId]) -> List[int]:
-        """Table rows by name.  A new direction gets its row now, in the
-        order given, straight into the columns, its parameters drawn from
-        the model's ``_rng``."""
-        row_of = self._row_of
-        found = [row_of.get(did) for did in direction_ids]
-        new = list(dict.fromkeys(
-            did for did, row in zip(direction_ids, found) if row is None
-        ))
+    def _draw_new(self, rows: np.ndarray) -> None:
+        """Draw the rows among ``rows`` not drawn yet, in the order given:
+        each direction's parameters from the model's ``_rng``, straight
+        into the columns, and its stream."""
+        self._fit()
+        new = rows[~self._drawn[rows]].tolist()
         if not new:
-            return found
-        # Looked up first: an unknown direction raises with nothing changed.
-        links = [self._topo.find_link(*did) for did in new]
+            return
+        topo = self._topo
+        direction_ids = [topo.row_direction(row) for row in new]
         drawn = [
             profile_parameters(self._rng, hot=did in self._hot_directions)
-            for did in new
+            for did in direction_ids
         ]
-        fresh = {did: len(row_of) + i for i, did in enumerate(new)}
-        row_of.update(fresh)
         values = list(zip(*drawn)) + [
             [0.0] * len(new),  # _noise_state
             [0] * len(new),  # _samples
-            [link.capacity_gbps * 1e9 / 8.0 / 1000.0 for link in links],
+            [topo.capacity_gbps[row >> 1] * 1e9 / 8.0 / 1000.0 for row in new],
             [DEEP_BUFFER_K if self._deep_buffer(did) else SHALLOW_BUFFER_K
-             for did in new],
+             for did in direction_ids],
         ]
         for (name, dtype), column in zip(_COLUMNS, values):
-            self._columns[name] = np.concatenate(
-                [self._columns[name], np.array(column, dtype=dtype)]
-            )
-        self._add_streams([params[-1] for params in drawn])
-        return [
-            fresh[did] if row is None else row
-            for did, row in zip(direction_ids, found)
-        ]
+            self._columns[name][new] = np.array(column, dtype=dtype)
+        self._drawn[new] = True
+        for row, params in zip(new, drawn):
+            self._streams[row] = random.Random(params[-1])
 
-    def _add_streams(self, seeds: List[int]) -> None:
-        """Freshly seeded streams and empty blocks for new rows."""
-        self._streams.extend(map(random.Random, seeds))
+    def _fit(self) -> None:
+        """Undrawn rows, with no stream and nothing buffered, for the
+        directions of the topology without one (at the first tick, and
+        after the topology grows)."""
+        size = 2 * self._topo.num_links
+        count = size - len(self._drawn)
+        if count <= 0:
+            return
+        self._drawn = grow(self._drawn, size)
+        for name in self._columns:
+            self._columns[name] = grow(self._columns[name], size)
+        self._streams.extend([None] * count)
         for name, fill in (
             ("_gauss", 0.0), ("_cached", 0.0), ("_burst", False),
             ("_cursor", BLOCK_TICKS),
         ):
             block = getattr(self, name)
-            empty = np.full((len(seeds),) + block.shape[1:], fill, block.dtype)
+            empty = np.full((count,) + block.shape[1:], fill, block.dtype)
             setattr(self, name, np.concatenate([block, empty]))
 
     def _values(self, row: int) -> Dict[str, float]:
@@ -329,30 +310,23 @@ class CongestionModel:
         return self._gauss[rows, cursor], self._burst[rows, cursor]
 
     def traffic(
-        self,
-        direction_ids: Sequence[DirectionId],
-        time_s: float,
-        interval_s: float,
-        rows: Optional[np.ndarray] = None,
+        self, rows: np.ndarray, time_s: float, interval_s: float
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """One poll tick for distinct ``direction_ids``: the packets each
-        offered over the ``interval_s`` ending at ``time_s`` (1000-byte
-        packets, int64) and its queue loss rate.
-
-        ``rows``, when given, are the directions' topology direction rows
-        (``2 * link_row``, plus one for the down direction — the poller's
-        table rows): the tick then finds its table rows by one gather.
+        """One poll tick for the distinct direction ``rows`` (the poller's
+        table rows): the packets each offered over the ``interval_s``
+        ending at ``time_s`` (1000-byte packets, int64) and its queue loss
+        rate.
 
         Entry ``i`` equals ``int(line_rate_packets * u)`` and
-        ``loss_rate(direction_ids[i], u)`` for ``u =
-        utilization(direction_ids[i], time_s)``, bit for bit, and leaves
-        the direction at the logical position that call would: draws come
+        ``loss_rate(did, u)`` for ``u = utilization(did, time_s)``, ``did``
+        the direction of ``rows[i]``, bit for bit, and leaves the
+        direction at the logical position that call would: draws come
         from its own stream, read ahead in blocks, transcendentals from
         ``math`` (numpy's are not bit-identical to libm on every host), the
         rest runs on the columns.  Line rate and queue depth are those of
         the direction's first call.
         """
-        rows = self._rows(direction_ids, rows)
+        self._draw_new(rows)
         columns = self._columns
 
         def column(name: str) -> np.ndarray:
@@ -378,14 +352,17 @@ class CongestionModel:
         state = self.__dict__.copy()
         for name in _DERIVED:
             del state[name]
-        state["gauss_next"] = self._gauss_next(range(len(self._streams)))
+        state["gauss_next"] = self._gauss_next(
+            np.flatnonzero(self._drawn).tolist()
+        )
         return state
 
     def __setstate__(self, state):
         cached = state.pop("gauss_next")
         self.__dict__.update(state)
-        self._empty_blocks()
-        self._add_streams(self._columns["seed"].tolist())
-        samples = self._columns["_samples"].tolist()
-        for stream, count, gauss_next in zip(self._streams, samples, cached):
-            fast_forward(stream, count, gauss_next)
+        self._empty_blocks(len(self._drawn))
+        seeds, samples = self._columns["seed"], self._columns["_samples"]
+        drawn = np.flatnonzero(self._drawn).tolist()
+        for row, gauss_next in zip(drawn, cached):
+            stream = self._streams[row] = random.Random(seeds.item(row))
+            fast_forward(stream, samples.item(row), gauss_next)

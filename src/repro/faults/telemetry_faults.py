@@ -29,22 +29,17 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional
 
 import numpy as np
 
 from repro.streams import ReadAhead
-from repro.telemetry.columns import (
-    EXACT_INT,
-    Baselines,
-    DirectionIndex,
-    Snapshots,
-    grow,
-)
+from repro.telemetry.columns import EXACT_INT, Baselines, Snapshots, grow
 from repro.telemetry.counters import CounterSnapshot
 from repro.telemetry.poller import OpticalReading
 from repro.telemetry.sanitizer import COUNTER_32BIT_MODULUS
 from repro.topology.elements import DirectionId, LinkId
+from repro.topology.graph import Topology
 
 
 @dataclass
@@ -100,45 +95,45 @@ class FaultyTransport:
     reproducible given (seed, poll order).  A config with every rate at
     zero draws *no* random numbers: delivery is bit-identical to running
     without a transport at all.
+
+    The fault state of a direction of ``topo`` lives in its row of the
+    poller's direction table (:meth:`~repro.topology.graph.Topology.
+    direction_row`).
     """
 
-    def __init__(self, config: TelemetryFaultConfig):
+    def __init__(self, topo: Topology, config: TelemetryFaultConfig):
+        self._topo = topo
         self.config = config
         self._rng = random.Random(config.seed)
         self.polls_delivered = 0
         self.polls_missed = 0
-        # Per-direction fault state: rows of one index, three snapshot
-        # columns and the polls a freeze still has to run.
-        self._index = DirectionIndex()
+        # Per-direction fault state: three snapshot columns and the polls
+        # a freeze still has to run.
         self._rebase = Baselines()
         self._stale = Baselines()
         self._held = Baselines()
         self._left = np.zeros(0, dtype=np.int64)
-        self._row_cache: Optional[Tuple[list, np.ndarray]] = None
         # The draws of `_rng`, read ahead from its state (not pickled).
         self._ahead: Optional[ReadAhead] = None
 
-    def _rows(self, direction_ids: Sequence[DirectionId]) -> np.ndarray:
-        rows = self._index.rows(direction_ids)
-        if len(self._index) > len(self._left):
-            size = self._index.capacity_for(len(self._left))
+    def _fit(self) -> None:
+        """Give every direction of the topology its row."""
+        size = 2 * self._topo.num_links
+        if len(self._left) < size:
             for name in _STATES:
                 getattr(self, name).resize(size)
             self._left = grow(self._left, size)
-        return rows
 
-    # Pickled as the directions that hold something (most hold nothing);
-    # rows are renumbered on the way back in; the stream at its logical
-    # position, without the read-ahead.
+    # Pickled as the rows that hold something (most hold nothing), put
+    # back in place on the way in; the stream at its logical position,
+    # without the read-ahead.
 
     def __getstate__(self):
         holding = np.flatnonzero(
             self._rebase.known | self._stale.known | self._held.known
         )
-        ids = list(self._index.row_of)
         state = dict(
-            self.__dict__, _row_cache=None, _left=self._left[holding],
-            _index=DirectionIndex([ids[row] for row in holding.tolist()]),
+            self.__dict__, _left=self._left[holding], _holding=holding
         )
         del state["_ahead"]
         state["_rng"] = random.Random()
@@ -148,7 +143,13 @@ class FaultyTransport:
         return state
 
     def __setstate__(self, state):
-        self.__dict__.update(state, _ahead=None)
+        holding = state.pop("_holding")
+        size = int(holding[-1]) + 1 if len(holding) else 0
+        left = np.zeros(size, dtype=np.int64)
+        left[holding] = state["_left"]
+        self.__dict__.update(state, _ahead=None, _left=left)
+        for name in _STATES:
+            setattr(self, name, state[name].placed(holding, size))
 
     # ------------------------------------------------------------------ #
 
@@ -170,7 +171,7 @@ class FaultyTransport:
         ):
             raise ValueError(f"counters {counters} outside [0, 2**53)")
         first, missed, _entries, later = self.deliver_rows(
-            [direction_id],
+            np.array([self._topo.direction_row(direction_id)]),
             float(snapshot.time_s),
             *(np.array([v], dtype=np.int64) for v in counters),
         )
@@ -180,7 +181,7 @@ class FaultyTransport:
 
     def deliver_rows(
         self,
-        direction_ids: Sequence[DirectionId],
+        rows: np.ndarray,
         time_s: float,
         total: np.ndarray,
         errors: np.ndarray,
@@ -188,46 +189,41 @@ class FaultyTransport:
     ):
         """One poll tick through the faults.
 
-        Row ``i`` is the raw snapshot ``(time_s, total[i], errors[i],
-        drops[i])`` of ``direction_ids[i]`` (distinct directions, int64
-        counters in ``[0, 2**53)``).  :meth:`_draw` takes the draws; the
-        rest is column arithmetic.
+        Entry ``i`` is the raw snapshot ``(time_s, total[i], errors[i],
+        drops[i])`` of direction row ``rows[i]`` (distinct rows, int64
+        counters in ``[0, 2**53)``); entries take their draws in order.
+        :meth:`_draw` takes the draws; the rest is column arithmetic.
 
         Returns:
             ``(first, missed, later_entry, later)``: the first snapshot
-            each row delivered (:class:`~repro.telemetry.columns.
+            each entry delivered (:class:`~repro.telemetry.columns.
             Snapshots`; a held sample's ``time_s`` is older than the
-            tick's), a mask of rows where nothing arrived, and the
-            deliveries after a row's first — ``later`` entry ``j`` belongs
-            to row ``later_entry[j]``, rows ascending, each row's in
-            arrival order.
+            tick's), a mask of entries where nothing arrived, and the
+            deliveries after an entry's first — ``later`` item ``j``
+            belongs to entry ``later_entry[j]``, entries ascending, each
+            entry's in arrival order.
         """
         config = self.config
-        rows = len(direction_ids)
-        # The state rows of these directions, kept while the ids stay
-        # what they were (the poller's do until a link flaps).
-        if self._row_cache is None or self._row_cache[0] != direction_ids:
-            ids = list(direction_ids)
-            self._row_cache = ids, self._rows(ids)
-        state = self._row_cache[1]
-        frozen = self._left[state] > 0
-        held = self._held.known[state]
+        count = len(rows)
+        self._fit()
+        frozen = self._left[rows] > 0
+        held = self._held.known[rows]
         reset_at, freeze_at, miss_at, stash_at, again_at, held_again_at = (
-            self._draw(rows, frozen, held)
+            self._draw(count, frozen, held)
         )
 
         rebase = self._rebase
         if reset_at:
             rebase.set_rows(
-                state[reset_at], time_s, total[reset_at], errors[reset_at],
+                rows[reset_at], time_s, total[reset_at], errors[reset_at],
                 drops[reset_at],
             )
-        rebased = rebase.known[state]
+        rebased = rebase.known[rows]
         if rebased.any():
             total, errors, drops = (
                 np.where(rebased, np.maximum(0, now - zero), now)
                 for now, zero in zip(
-                    (total, errors, drops), rebase.take(state)[1:]
+                    (total, errors, drops), rebase.take(rows)[1:]
                 )
             )
         if frozen.any() or freeze_at:
@@ -236,29 +232,29 @@ class FaultyTransport:
             total, errors, drops = (
                 np.where(frozen, old, now)
                 for now, old in zip(
-                    (total, errors, drops), stale.take(state)[1:]
+                    (total, errors, drops), stale.take(rows)[1:]
                 )
             )
-            self._left[state[frozen]] -= 1
+            self._left[rows[frozen]] -= 1
             stale.set_rows(
-                state[freeze_at], time_s, total[freeze_at],
+                rows[freeze_at], time_s, total[freeze_at],
                 errors[freeze_at], drops[freeze_at],
             )
-            self._left[state[freeze_at]] = config.freeze_duration_polls - 1
+            self._left[rows[freeze_at]] = config.freeze_duration_polls - 1
         if config.wrap_32bit:
             m = COUNTER_32BIT_MODULUS
             total, errors, drops = total % m, errors % m, drops % m
         first = released = Snapshots(
-            np.full(rows, time_s), total, errors, drops
+            np.full(count, time_s), total, errors, drops
         )
 
-        fresh = np.ones(rows, dtype=bool)
+        fresh = np.ones(count, dtype=bool)
         fresh[miss_at] = False
         fresh[stash_at] = False
         if held.any() or stash_at:
-            released = self._held.take(state)
-            self._held.forget(state[held])
-            self._held.set_rows(state[stash_at], *first.take(stash_at))
+            released = self._held.take(rows)
+            self._held.forget(rows[held])
+            self._held.set_rows(rows[stash_at], *first.take(stash_at))
         # After a row's first delivery: the fresh sample again, the held
         # one (it follows a fresh one, or arrives alone), the held again.
         after = [
@@ -281,7 +277,7 @@ class FaultyTransport:
             )
         missed = ~(fresh | held)
         self.polls_missed += int(np.count_nonzero(missed))
-        self.polls_delivered += rows + len(later_entry) - int(
+        self.polls_delivered += count + len(later_entry) - int(
             np.count_nonzero(missed)
         )
         return first, missed, later_entry[order], later.take(order)

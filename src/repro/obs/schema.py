@@ -350,9 +350,13 @@ CHECKPOINT_FORMAT = "repro-checkpoint"
 #: debounce, decision-bound, health-period, probe, classifier or voting
 #: settings (module constants now), and the service holds no scenario.
 #: 12: contiguous numpy columns are out-of-band frames after the pickle
-#: stream (header ``frames``); the poller's direction table and every
-#: ``DirectionIndex`` map are left out and rebuilt.
-CHECKPOINT_FORMAT_VERSION = 12
+#: stream (header ``frames``); the poller's direction table and each
+#: stage's direction-to-row map are left out and rebuilt.
+#: 13: the fault transport, sanitizer, store and congestion co-model keep a
+#: direction in its direction-table row (``2 * link_row``, plus one for the
+#: down direction): no direction id list or name map is pickled; the
+#: transport pickles the rows that hold fault state with their row numbers.
+CHECKPOINT_FORMAT_VERSION = 13
 
 #: Service-report literals, pinned against :mod:`repro.service.service`.
 SERVICE_REPORT_FORMAT = "repro-service-report"
@@ -672,6 +676,26 @@ def checkpoint_payload_problems(header: dict, payload) -> List[str]:
     return problems
 
 
+def checkpoint_header(raw) -> Tuple[dict, int]:
+    """The header of a checkpoint and where its payload starts, from the
+    file's bytes (at least its first line): the one reader of the header
+    line.
+
+    Raises:
+        ValueError: No header line, or one that is not a JSON object.
+    """
+    newline = raw.find(b"\n")
+    if newline < 0:
+        raise ValueError("no header line (not a checkpoint)")
+    try:
+        header = json.loads(raw[:newline].decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"header line is not JSON ({exc})") from None
+    if not isinstance(header, dict):
+        raise ValueError("header is not an object")
+    return header, newline + 1
+
+
 def validate_checkpoint_file(path) -> List[str]:
     """Problems with a service checkpoint file.
 
@@ -684,18 +708,13 @@ def validate_checkpoint_file(path) -> List[str]:
             raw = handle.read()
     except OSError as exc:
         return [f"unreadable: {exc}"]
-    newline = raw.find(b"\n")
-    if newline < 0:
-        return ["no header line (not a checkpoint)"]
     try:
-        header = json.loads(raw[:newline].decode("utf-8"))
-    except (ValueError, RecursionError) as exc:
-        return [f"header line is not JSON ({exc})"]
-    if not isinstance(header, dict):
-        return ["header is not an object"]
+        header, start = checkpoint_header(raw)
+    except ValueError as exc:
+        return [str(exc)]
     problems = _check_document(header, _CHECKPOINT_HEADER, "header")
     if header.get("format_version") != CHECKPOINT_FORMAT_VERSION:
         return problems  # another version frames its payload otherwise
     return problems + checkpoint_payload_problems(
-        header, memoryview(raw)[newline + 1 :]
+        header, memoryview(raw)[start:]
     )

@@ -11,9 +11,10 @@ where ``<N>`` is :data:`~repro.obs.schema.CHECKPOINT_FORMAT_VERSION`; a
 reader refuses any other version before unpickling.  The columns are
 written from their own memory (no copy), and a read loads the file into
 one writable buffer whose slices ``pickle.loads`` turns into the
-restored columns (views, not copies).  State derived from the topology
-is rebuilt, not stored: the poller's direction table, and each
-``DirectionIndex`` map from its id list.
+restored columns (views, not copies).  The telemetry stages store no
+direction names: each keeps a direction in its row of the poller's
+direction table, which is derived from the topology and rebuilt, not
+stored.
 
 The header carries provenance (format, versions, sim time, boundary
 index, config echo), ``frames`` (byte lengths of the stream and each
@@ -49,6 +50,7 @@ from repro.obs.schema import (
     CHECKPOINT_FORMAT,
     CHECKPOINT_FORMAT_VERSION,
     checkpoint_digest,
+    checkpoint_header,
     checkpoint_payload_problems,
 )
 
@@ -103,20 +105,21 @@ def write_checkpoint(
 
 
 def read_checkpoint(path) -> Tuple[Dict[str, Any], Any]:
-    """Load a checkpoint; verifies format, version, frames and digest.
+    """Load a checkpoint; verifies header, format, version, frames and
+    digest.
 
-    Returns ``(header, service)``.  Raises ``ValueError`` on a wrong
-    format/version, frame lengths that do not add up or a digest
-    mismatch (truncated or tampered file) — never unpickles a payload
-    that fails validation.
+    Returns ``(header, service)``.  Raises ``ValueError`` on a header line
+    that is not a JSON object, a wrong format/version, frame lengths that
+    do not add up or a digest mismatch (truncated or tampered file) —
+    never unpickles a payload that fails validation.
     """
     with Path(path).open("rb") as handle:
         raw = bytearray(os.fstat(handle.fileno()).st_size)
         handle.readinto(raw)
-    newline = raw.find(b"\n")
-    if newline < 0:
-        raise ValueError(f"{path}: not a checkpoint (no header line)")
-    header = json.loads(raw[:newline].decode("utf-8"))
+    try:
+        header, start = checkpoint_header(raw)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if header.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: wrong format {header.get('format')!r}")
     if header.get("format_version") != CHECKPOINT_FORMAT_VERSION:
@@ -125,7 +128,7 @@ def read_checkpoint(path) -> Tuple[Dict[str, Any], Any]:
             f"{header.get('format_version')!r} "
             f"(expected {CHECKPOINT_FORMAT_VERSION})"
         )
-    payload = memoryview(raw)[newline + 1 :]
+    payload = memoryview(raw)[start:]
     problems = checkpoint_payload_problems(header, payload)
     if problems:
         raise ValueError(f"{path}: " + "; ".join(problems))

@@ -706,10 +706,10 @@ class TelemetrySensing(SensingPipeline):
 
         # The store keeps what the longest reader reads: the classifier's
         # correlation window.
-        self.store = TelemetryStore(CLASSIFIER.correlation_window)
-        self.sanitizer = TelemetrySanitizer(interval_s=interval, obs=obs)
+        self.store = TelemetryStore(topo, CLASSIFIER.correlation_window)
+        self.sanitizer = TelemetrySanitizer(topo, interval_s=interval, obs=obs)
         self.transport = (
-            FaultyTransport(self.fault_config)
+            FaultyTransport(topo, self.fault_config)
             if self.fault_config is not None
             else None
         )

@@ -1,19 +1,20 @@
 """Row-indexed column state shared by the poller, sanitizer and store.
 
 The array-form poll tick keeps per-direction state in numpy columns, one
-row per direction.  :class:`DirectionIndex` hands out the row numbers;
-:class:`Baselines` holds a counter snapshot per row: the previous one the
-sanitizer diffs against, and the fault transport's rebase points, stale
-readings and held samples.
+row per direction, and every stage numbers its rows as the poller's
+direction table does: row ``2 * link_row`` for a link's up direction,
+plus one for its down direction (:meth:`~repro.topology.graph.Topology.
+direction_row` resolves a direction by name).  :class:`Baselines` holds
+a counter snapshot per row: the previous one the sanitizer diffs
+against, and the fault transport's rebase points, stale readings and
+held samples.
 """
 
 from __future__ import annotations
 
-from typing import Dict, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
-
-from repro.topology.elements import DirectionId
 
 #: Integers of smaller magnitude convert to float64 exactly, so int64
 #: column arithmetic and Python's integer arithmetic give the same rates.
@@ -55,40 +56,6 @@ NO_DELIVERIES = (
 )
 
 
-class DirectionIndex:
-    """``DirectionId`` → row number, in registration order (``ids``
-    registered first); pickled as the id list, the map rebuilt."""
-
-    def __init__(self, ids: Sequence[DirectionId] = ()):
-        self.row_of: Dict[DirectionId, int] = dict(zip(ids, range(len(ids))))
-
-    def __reduce__(self):
-        return DirectionIndex, (list(self.row_of),)
-
-    def __len__(self) -> int:
-        return len(self.row_of)
-
-    def row(self, direction_id: DirectionId) -> int:
-        """The row of one direction, registering it if new."""
-        row = self.row_of.get(direction_id)
-        if row is None:
-            row = self.row_of[direction_id] = len(self.row_of)
-        return row
-
-    def rows(self, direction_ids: Sequence[DirectionId]) -> np.ndarray:
-        """The rows of many directions, registering the new ones."""
-        count = len(direction_ids)
-        try:  # one C-level pass when none is new
-            lookup = self.row_of.__getitem__
-            return np.fromiter(map(lookup, direction_ids), np.int64, count)
-        except KeyError:
-            return np.fromiter(map(self.row, direction_ids), np.int64, count)
-
-    def capacity_for(self, allocated: int) -> int:
-        """Rows to allocate (doubling) so every registered row exists."""
-        return max(len(self.row_of), 2 * allocated)
-
-
 class Baselines:
     """The previous counter snapshot of each row, as int64 counter columns
     (values below 2**53 in magnitude) and a float64 time column;
@@ -106,11 +73,20 @@ class Baselines:
             setattr(self, name, grow(getattr(self, name), rows))
 
     def subset(self, rows) -> "Baselines":
-        """The baselines of ``rows`` alone, renumbered from 0."""
+        """The baselines of ``rows`` alone, in that order."""
         part = Baselines()
         for name in _BASELINE_COLUMNS:
             setattr(part, name, getattr(self, name)[rows])
         return part
+
+    def placed(self, rows: np.ndarray, size: int) -> "Baselines":
+        """``size`` rows holding these baselines at ``rows`` (what
+        :meth:`subset` undoes), nothing elsewhere."""
+        whole = Baselines()
+        whole.resize(size)
+        for name in _BASELINE_COLUMNS:
+            getattr(whole, name)[rows] = getattr(self, name)
+        return whole
 
     def take(self, rows) -> Snapshots:
         """The snapshots of ``rows`` as columns (the entry of an unknown

@@ -6,15 +6,18 @@ poller covers a topology at each tick, derives per-direction loss rates from
 counter differences, and appends to a :class:`~repro.telemetry.store.
 TelemetryStore`.
 
-A tick is one array pass over all polled directions: int64 device-counter
-columns are advanced, the transport and the sanitizer work on the columns,
-the store appends a column.  A direction can deliver several snapshots in
-one poll (a duplicate, a sample a delay held back); the first of each is
-one wave of rows, the later ones further, much shorter waves, and the
-sanitizer and the store take a wave per call.  There is no other path:
-the per-sample methods (``transport.deliver``, ``sanitizer.ingest`` /
-``observe_missing``, ``store.append_rates``) are one-row calls of the
-array forms, and the tick calls none of them; see DESIGN.md §8.
+A tick is one array pass over all polled directions: int64
+device-counter columns are advanced, the transport and the sanitizer
+work on the columns, the store appends a column.  Every stage numbers a
+direction as the direction table does, ``2 * link_row`` plus one for the
+down direction, so the table's rows index them all.  A direction can
+deliver several snapshots in one poll (a duplicate, a sample a delay
+held back); the first of each is one wave of rows, the later ones
+further, much shorter waves, and the sanitizer and the store take a wave
+per call.  There is no other path: the per-sample methods
+(``transport.deliver``, ``sanitizer.ingest`` / ``observe_missing``,
+``store.append_rates``) are one-row calls of the array forms, and the
+tick calls none of them; see DESIGN.md §8.
 """
 
 from __future__ import annotations
@@ -62,6 +65,9 @@ class OpticalReading:
 class DirectionTable:
     """The polled directions of a topology: two rows per link (UP, then
     DOWN) in link-row order, which is the order a tick processes them in.
+    Row ``r`` is :meth:`~repro.topology.graph.Topology.direction_row` of
+    its direction, the row the transport, sanitizer, store and congestion
+    co-model keep it in.
 
     Attributes:
         links: The links; rows ``2 * i`` and ``2 * i + 1`` belong to
@@ -72,8 +78,6 @@ class DirectionTable:
         enabled: Whether each row's link is administratively enabled.
         source: For each row, the row whose cable its FCS counter really
             reads; ``None`` without an ``attribution_fn`` (its own).
-        store_rows: Each row's row number in the telemetry store.
-        sanitizer_rows: Each row's row number in the sanitizer.
     """
 
     links: List[Link]
@@ -81,8 +85,6 @@ class DirectionTable:
     capacity_pkts_per_s: np.ndarray
     enabled: np.ndarray
     source: Optional[np.ndarray]
-    store_rows: np.ndarray
-    sanitizer_rows: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -168,11 +170,12 @@ class TelemetryBatch:
             yield entry[pick], self.later.take(pick)
 
 
-#: A tick's traffic: ``(direction_ids, time_s, rows=table rows) ->
-#: (offered packets, queue loss rates)``, one entry per direction; ``None``
-#: for no queue loss.  ``rows`` are the directions' rows in the direction
-#: table (``2 * link_row``, plus one for the down direction).
-TrafficFn = Callable[..., Tuple[Sequence[int], Optional[Sequence[float]]]]
+#: A tick's traffic: ``(rows, time_s) -> (offered packets, queue loss
+#: rates)``, one entry per direction-table row in ``rows``; ``None`` for no
+#: queue loss.
+TrafficFn = Callable[
+    [np.ndarray, float], Tuple[Sequence[int], Optional[Sequence[float]]]
+]
 
 
 class ConstantTraffic:
@@ -182,12 +185,12 @@ class ConstantTraffic:
     def __init__(self, packets: int):
         self.packets = packets
 
-    def __call__(self, direction_ids, time_s, rows=None):
-        return np.full(len(direction_ids), self.packets, dtype=np.int64), None
+    def __call__(self, rows, time_s):
+        return np.full(len(rows), self.packets, dtype=np.int64), None
 
 
-#: A rated batch: per wave the store rows, sample times and array pass's
-#: result.
+#: A rated batch: per wave the direction rows, sample times and array
+#: pass's result.
 _Rated = List[Tuple[np.ndarray, np.ndarray, RatedRows]]
 
 
@@ -201,16 +204,15 @@ class SnmpPoller:
         topo: Topology to monitor.
         store: Destination store.
         traffic_fn: The tick's traffic (:data:`TrafficFn`), called once
-            per tick with the polled directions in direction order and
-            their table rows.
+            per tick with the polled rows in table order.
         sanitizer: The :class:`~repro.telemetry.sanitizer.
             TelemetrySanitizer` that diffs delivered snapshots, corrects
             wraps and resets, and flags each sample's quality; every store
             append carries that flag.
         interval_s: Poll spacing.
         transport: Optional delivery shim between the device counters and
-            the collector.  Must expose ``deliver_rows(direction_ids,
-            time_s, total, errors, drops)``, returning a tick's
+            the collector.  Must expose ``deliver_rows(rows, time_s,
+            total, errors, drops)``, returning a tick's
             deliveries as :class:`TelemetryBatch` columns (``first``,
             ``missed``, ``later_entry``, ``later``), and
             ``deliver_optical(link_id, reading) -> OpticalReading``; see
@@ -255,7 +257,7 @@ class SnmpPoller:
         # Built at the first poll, rebuilt after the topology grows; the
         # admin-change subscription keeps its enabled mask current.
         self._table: Optional[DirectionTable] = None
-        self._polled: Optional[Tuple[np.ndarray, List[DirectionId]]] = None
+        self._polled: Optional[np.ndarray] = None
         # Cumulative device counters, one row per table row.
         self._total = np.zeros(0, dtype=np.int64)
         self._errors = np.zeros(0, dtype=np.int64)
@@ -300,8 +302,6 @@ class SnmpPoller:
             ),
             enabled=np.repeat([link.enabled for link in links], 2),
             source=source,
-            store_rows=self._store.rows_for(direction_ids),
-            sanitizer_rows=self.sanitizer.rows_for(direction_ids),
         )
 
     def __getstate__(self):
@@ -318,20 +318,18 @@ class SnmpPoller:
     def _on_structure_change(self) -> None:
         self._table = None
 
-    def _polled_rows(self) -> Tuple[np.ndarray, List[DirectionId]]:
-        """Rows of the enabled links and their ids (until the next flip)."""
-        polled = self._polled
-        if polled is None:
-            table = self.directions
-            rows = np.flatnonzero(table.enabled)
-            ids = table.direction_ids
-            polled = self._polled = (rows, [ids[row] for row in rows.tolist()])
-        return polled
+    def _polled_rows(self) -> np.ndarray:
+        """Rows of the enabled links (until the next flip)."""
+        if self._polled is None:
+            self._polled = np.flatnonzero(self.directions.enabled)
+        return self._polled
 
     def latest(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(time_s, corruption, congestion)`` of the newest stored
         sample of every table row (time NaN where there is none)."""
-        return self._store.latest(self.directions.store_rows)
+        return self._store.latest(
+            np.arange(len(self.directions.direction_ids))
+        )
 
     # ------------------------------------------------------------------ #
     # The tick
@@ -388,8 +386,8 @@ class SnmpPoller:
         """Advance the device counters of every enabled direction and run
         transport delivery."""
         table = self.directions
-        rows, direction_ids = self._polled_rows()
-        offered, losses = self._traffic_fn(direction_ids, now, rows=rows)
+        rows = self._polled_rows()
+        offered, losses = self._traffic_fn(rows, now)
         packets = np.asarray(offered, dtype=np.int64)
         congestion = (
             np.zeros(len(rows)) if losses is None
@@ -429,9 +427,7 @@ class SnmpPoller:
         if self.transport is not None:
             return TelemetryBatch(
                 now, rows,
-                *self.transport.deliver_rows(
-                    direction_ids, now, total, errors, drops
-                ),
+                *self.transport.deliver_rows(rows, now, total, errors, drops),
             )
         return TelemetryBatch(
             now,
@@ -463,10 +459,9 @@ class SnmpPoller:
             # Only a first delivery can be missing.
             missed = np.zeros(len(rows), dtype=bool) if waves else batch.missed
             done = self.sanitizer.ingest_rows(
-                table.sanitizer_rows[rows], *snapshots,
-                table.capacity_pkts_per_s[rows], missed,
+                rows, *snapshots, table.capacity_pkts_per_s[rows], missed,
             )
-            waves.append((table.store_rows[rows], snapshots.time_s, done))
+            waves.append((rows, snapshots.time_s, done))
             flipped = np.flatnonzero(done.flips).tolist() if record else ()
             for i in flipped:
                 flips.append((int(entries[i]), wave, done.flips[i] > 0))
@@ -481,11 +476,11 @@ class SnmpPoller:
     def _store_rated(self, rated: _Rated) -> int:
         """Append a batch's samples to the store; returns how many."""
         stored = 0
-        for store_rows, time_s, done in rated:
+        for rows, time_s, done in rated:
             keep = done.rated
             stored += int(np.count_nonzero(keep))
             self._store.append_rows(
-                store_rows[keep],
+                rows[keep],
                 time_s[keep],
                 done.corruption[keep],
                 done.congestion[keep],

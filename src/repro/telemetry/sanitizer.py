@@ -25,14 +25,10 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from repro.obs.recorder import NULL_RECORDER, Recorder
-from repro.telemetry.columns import (
-    EXACT_INT,
-    Baselines,
-    DirectionIndex,
-    grow,
-)
+from repro.telemetry.columns import EXACT_INT, Baselines, grow
 from repro.telemetry.counters import CounterSnapshot
 from repro.topology.elements import DirectionId, LinkId
+from repro.topology.graph import Topology
 
 #: Standard SNMP ifInErrors/ifOutDiscards width before 64-bit HC counters.
 COUNTER_32BIT_MODULUS = 2**32
@@ -151,13 +147,16 @@ class TelemetrySanitizer:
 
     Per-direction state (the diff baseline, a ring of the last
     ``window`` quality codes, its degraded count and the quarantine
-    verdict) lives in numpy columns, one row per direction.  Every push
+    verdict) lives in numpy columns, one row per direction of ``topo``,
+    numbered as the poller's direction table does.  Every push
     re-judges its row, so the verdict is the same with a recorder or
     without.  :meth:`ingest_rows` rates one delivery per row for a whole
     poll tick; :meth:`ingest` / :meth:`observe_missing` are one-row calls
     of it.
 
     Args:
+        topo: The polled topology; a direction's row is
+            :meth:`~repro.topology.graph.Topology.direction_row`.
         interval_s: Nominal polling interval (gap detection baseline).
         wrap_modulus: Counter width, at most 2**53; deltas are unwrapped
             modulo this when a wrap is the plausible explanation for a
@@ -174,6 +173,7 @@ class TelemetrySanitizer:
 
     def __init__(
         self,
+        topo: Topology,
         interval_s: float = 900.0,
         wrap_modulus: int = COUNTER_32BIT_MODULUS,
         window: int = 8,
@@ -190,6 +190,7 @@ class TelemetrySanitizer:
                 f"wrap_modulus {wrap_modulus} outside (0, 2**53]: the "
                 "counter columns are int64 below 2**53"
             )
+        self._topo = topo
         self.interval_s = interval_s
         self.wrap_modulus = wrap_modulus
         self.window = window
@@ -197,7 +198,6 @@ class TelemetrySanitizer:
         self.min_window_samples = min_window_samples
         self.obs = obs
         self.stats = SanitizerStats()
-        self._index = DirectionIndex()
         self._prev = Baselines()
         # Quality ring: the last `window` codes of each row (unwritten
         # slots hold OK, which never counts as degraded), how many codes
@@ -211,21 +211,16 @@ class TelemetrySanitizer:
         # recorder at scrape time.
         self._quality_counts = np.zeros(len(QUALITY_BY_CODE), dtype=np.int64)
 
-    # ------------------------------------------------------------------ #
-    # Rows
-    # ------------------------------------------------------------------ #
-
-    def rows_for(self, direction_ids: Sequence[DirectionId]) -> np.ndarray:
-        """Row numbers of ``direction_ids`` for :meth:`ingest_rows`."""
-        rows = self._index.rows(direction_ids)
-        if len(self._index) > len(self._pushes):
-            size = self._index.capacity_for(len(self._pushes))
+    def _fit(self) -> None:
+        """Give every direction of the topology its row (at the first
+        pass, and after the topology grows)."""
+        size = 2 * self._topo.num_links
+        if len(self._pushes) < size:
             self._prev.resize(size)
             self._ring = grow(self._ring, size)
             self._pushes = grow(self._pushes, size)
             self._degraded = grow(self._degraded, size)
             self._flagged = grow(self._flagged, size)
-        return rows
 
     # ------------------------------------------------------------------ #
     # Ingestion
@@ -276,7 +271,7 @@ class TelemetrySanitizer:
         self, direction_id, time_s, counters, capacity_pkts_per_s, missed
     ) -> RatedRows:
         done = self.ingest_rows(
-            self.rows_for([direction_id]),
+            np.array([self._topo.direction_row(direction_id)]),
             np.array([time_s]),
             *(np.array([value], dtype=np.int64) for value in counters),
             np.array([capacity_pkts_per_s], dtype=np.float64),
@@ -352,8 +347,8 @@ class TelemetrySanitizer:
         capacity_pkts_per_s: np.ndarray,
         missed: np.ndarray,
     ) -> RatedRows:
-        """Rate one delivery for each of the distinct ``rows`` (from
-        :meth:`rows_for`): a snapshot taken at ``time_s[i]`` with the given
+        """Rate one delivery for each of the distinct direction ``rows``:
+        a snapshot taken at ``time_s[i]`` with the given
         int64 counters (below 2**53 in magnitude), or, where ``missed``, no
         delivery.  A row that delivers several snapshots in one poll takes
         one call per snapshot, in arrival order.
@@ -368,6 +363,7 @@ class TelemetrySanitizer:
         on a link with capacity as a freeze; a diff across a polling gap
         as INTERPOLATED — and every ratio clamped to [0, 1].
         """
+        self._fit()
         prev = self._prev
         delivered = ~missed
         known = prev.known[rows]
@@ -481,8 +477,8 @@ class TelemetrySanitizer:
 
     def quarantined(self, direction_id: DirectionId) -> bool:
         """Whether the direction's recent telemetry is untrustworthy."""
-        row = self._index.row_of.get(direction_id)
-        return row is not None and bool(self._flagged[row])
+        row = self._topo.direction_row(direction_id)
+        return row < len(self._flagged) and bool(self._flagged[row])
 
     def link_quarantined(self, link_id: LinkId) -> bool:
         """Whether either direction of a link is quarantined."""

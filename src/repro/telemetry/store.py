@@ -13,24 +13,27 @@ deliver them routinely, and the store must never take the pipeline down.
 
 Layout: one row per direction in five ``[rows × window]`` columns (time,
 the three rates, a quality code) plus a vector counting the samples each
-row ever stored.  The columns are a ring: sample *k* of a row lives in
-slot *k* mod ``window``, so a row keeps its newest ``window`` samples and
-the store's size does not grow with the run.  The window is what the
-longest reader reads (the cause classifier's correlation window); runs
-read nothing older.  The poller appends a whole tick with
+row ever stored; a direction's row is its row in the poller's direction
+table (:meth:`~repro.topology.graph.Topology.direction_row`).  The
+columns are a ring: sample *k* of a row lives in slot *k* mod
+``window``, so a row keeps its newest ``window`` samples and the store's
+size does not grow with the run.  The window is what the longest reader
+reads (the cause classifier's correlation window); runs read nothing
+older.  The poller appends a whole tick with
 :meth:`TelemetryStore.append_rows`; :meth:`TelemetryStore.append_rates`
 is a one-row call of it.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.telemetry.columns import DirectionIndex, grow
+from repro.telemetry.columns import grow
 from repro.telemetry.sanitizer import QUALITY_BY_CODE, SampleQuality
 from repro.topology.elements import DirectionId
+from repro.topology.graph import Topology
 
 _COLUMNS = ("_time", "_corruption", "_congestion", "_utilization", "_quality")
 
@@ -40,11 +43,12 @@ class TelemetryStore:
 
     Samples should arrive in time order per direction; ties, regressions
     and non-finite timestamps are dropped (counted in
-    :attr:`dropped_samples`) instead of raising.
+    :attr:`dropped_samples`) instead of raising.  ``topo`` is the polled
+    topology, whose directions the rows are.
     """
 
-    def __init__(self, window: int):
-        self._index = DirectionIndex()
+    def __init__(self, topo: Topology, window: int):
+        self._topo = topo
         self.window = window
         #: Samples each row ever stored; the newest is in slot
         #: ``(length - 1) % window``.
@@ -60,19 +64,14 @@ class TelemetryStore:
     # Appends
     # ------------------------------------------------------------------ #
 
-    def _allocate(self) -> None:
-        if len(self._index) > len(self._length):
-            rows = self._index.capacity_for(len(self._length))
+    def _fit(self) -> None:
+        """Give every direction of the topology its row (at the first
+        append or read, and after the topology grows)."""
+        rows = 2 * self._topo.num_links
+        if len(self._length) < rows:
             self._length = grow(self._length, rows)
             for name in _COLUMNS:
                 setattr(self, name, grow(getattr(self, name), rows))
-
-    def rows_for(self, direction_ids: Sequence[DirectionId]) -> np.ndarray:
-        """Row numbers of ``direction_ids`` for :meth:`append_rows` and
-        :meth:`latest`, registering the ones not seen before."""
-        rows = self._index.rows(direction_ids)
-        self._allocate()
-        return rows
 
     def append_rates(
         self,
@@ -93,7 +92,7 @@ class TelemetryStore:
         """
         return bool(
             self.append_rows(
-                self.rows_for([direction_id]),
+                np.array([self._topo.direction_row(direction_id)]),
                 np.array([time_s], dtype=np.float64),
                 np.array([corruption], dtype=np.float64),
                 np.array([congestion], dtype=np.float64),
@@ -111,13 +110,14 @@ class TelemetryStore:
         utilization: np.ndarray,
         quality: np.ndarray,
     ) -> int:
-        """Append one sample to each of ``rows`` (distinct row numbers
-        from :meth:`rows_for`), taken at ``time_s[i]``; ``quality`` holds
+        """Append one sample to each of the distinct direction ``rows``,
+        taken at ``time_s[i]``; ``quality`` holds
         :attr:`SampleQuality.code` values.  A sample whose time is not
         finite or does not advance its row's series is dropped and counted
         in :attr:`dropped_samples`; returns how many were stored."""
         if len(rows) == 0:
             return 0
+        self._fit()
         length = self._length[rows]
         window = self.window
         keep = np.isfinite(time_s) & (
@@ -145,16 +145,14 @@ class TelemetryStore:
     def _slots(self, direction_id: DirectionId, count: int):
         """The row of a direction and the slots of its newest ``count``
         samples (``count`` at most the window), oldest first."""
-        row = self._index.row_of.get(direction_id)
-        length = 0 if row is None else int(self._length[row])
+        row = self._topo.direction_row(direction_id)
+        length = int(self._length[row]) if row < len(self._length) else 0
         return row, np.arange(max(0, length - count), length) % self.window
 
     def directions(self) -> Iterator[DirectionId]:
-        """Directions holding at least one sample."""
-        length = self._length
-        return (
-            did for did, row in self._index.row_of.items() if length[row]
-        )
+        """Directions holding at least one sample, in row order."""
+        rows = np.flatnonzero(self._length).tolist()
+        return map(self._topo.row_direction, rows)
 
     def times(self, direction_id: DirectionId) -> List[float]:
         """Timestamps of the samples a direction keeps, oldest first (may
@@ -207,18 +205,8 @@ class TelemetryStore:
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(time_s, corruption, congestion)`` of the most recent sample
         of each of ``rows``; the time is NaN for a row without samples."""
+        self._fit()
         length = self._length[rows]
         last = (length - 1) % self.window
         times = np.where(length > 0, self._time[rows, last], np.nan)
         return times, self._corruption[rows, last], self._congestion[rows, last]
-
-    # ------------------------------------------------------------------ #
-    # Pickling (service checkpoints): only the registered rows
-    # ------------------------------------------------------------------ #
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        rows = len(self._index)
-        for name in ("_length",) + _COLUMNS:
-            state[name] = getattr(self, name)[:rows]
-        return state

@@ -31,6 +31,7 @@ from typing import (
 
 from repro.topology.elements import (
     Direction,
+    DirectionId,
     Link,
     LinkId,
     LinkState,
@@ -365,6 +366,21 @@ class Topology:
         """A view of the link between ``a`` and ``b``, in either order."""
         row = self.link_row.get((a, b))
         return Link(self, self.link_row[(b, a)] if row is None else row)
+
+    def direction_row(self, direction_id: DirectionId) -> int:
+        """The row of a link direction in per-direction tables:
+        ``2 * link_row``, plus one for the down direction.  ``KeyError``
+        when no link joins the two switches."""
+        row = self.link_row.get(direction_id)
+        if row is not None:
+            return 2 * row
+        return 2 * self.link_row[direction_id[::-1]] + 1
+
+    def row_direction(self, row: int) -> DirectionId:
+        """The link direction of a per-direction row (what
+        :meth:`direction_row` undoes)."""
+        link = Link(self, row >> 1)
+        return link.direction_id(Direction.DOWN if row & 1 else Direction.UP)
 
     def switches(self) -> Iterator[Switch]:
         """Iterate over all switches."""

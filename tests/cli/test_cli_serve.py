@@ -188,3 +188,50 @@ class TestGracefulDrain:
         assert card["complete"] is False
         assert validate_alerts_jsonl(alerts.read_text().splitlines()) == []
         assert validate_audit_jsonl(audit.read_text().splitlines()) == []
+
+
+@pytest.fixture(scope="module")
+def first_checkpoint(tmp_path_factory):
+    """The bytes of a real checkpoint: the first boundary of a short run."""
+    ck_dir = tmp_path_factory.mktemp("serve") / "ck"
+    assert main([
+        "serve", *FAST,
+        "--checkpoint-every", "4",
+        "--checkpoint-dir", str(ck_dir),
+        "--stop-after-checkpoint", "1",
+    ]) == 0
+    return (ck_dir / "checkpoint-000001.ckpt").read_bytes()
+
+
+#: Files ``--resume-from`` must refuse, from a real checkpoint's bytes
+#: (``None``: no file at all).
+MANGLED = {
+    "missing file": lambda real: None,
+    "header not an object": lambda real: b"[1,2]\n",
+    "header without a version": (
+        lambda real: b'{"format":"repro-checkpoint","config":{}}\n'
+    ),
+    "cut to 3000 bytes": lambda real: real[:3000],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MANGLED))
+def test_a_bad_checkpoint_is_a_usage_error(
+    case, first_checkpoint, tmp_path, capsys
+):
+    """A checkpoint that cannot be read, or is not one, is one usage line
+    with exit 2: no traceback, and nothing written to --checkpoint-dir."""
+    path = tmp_path / "resume.ckpt"
+    content = MANGLED[case](first_checkpoint)
+    if content is not None:
+        path.write_bytes(content)
+    ck_dir = tmp_path / "ck"
+    ck_dir.mkdir()
+    capsys.readouterr()
+    code = main([
+        "serve", "--resume-from", str(path), "--checkpoint-dir", str(ck_dir),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("repro serve: error: ")
+    assert list(ck_dir.iterdir()) == []

@@ -35,7 +35,7 @@ from repro.congestion.queueing import congestion_loss_rows, one_power_cutoff
 from repro.congestion.traffic import gauss_pairs
 from repro.streams import random_doubles
 from repro.telemetry import SnmpPoller, TelemetrySanitizer, TelemetryStore
-from repro.topology import Direction, build_clos
+from repro.topology import Direction, Topology, build_clos
 from tests.telemetry.stored import WINDOW
 
 SETTINGS = settings(
@@ -46,9 +46,8 @@ SETTINGS = settings(
 PRESETS = sorted(name for name, kw in CONGESTION_PRESETS.items() if kw)
 INTERVAL_S = 900.0
 #: Bound on what one direction adds to a pickled model: 9 float64 and 3
-#: int64 columns (96 bytes), the cached Gaussian (at most 9), and the
-#: direction's entry in the row index (two memoised strings, a tuple and a
-#: small int: under 20).
+#: int64 columns (96 bytes), its drawn flag (1) and the cached Gaussian (at
+#: most 9).
 BYTES_PER_DIRECTION = 128
 
 
@@ -92,6 +91,7 @@ def payload(model):
     state = model.__getstate__()
     del state["_topo"]
     state["_rng"] = state["_rng"].getstate()
+    state["_drawn"] = state["_drawn"].tolist()
     state["_columns"] = {
         name: column.tolist() for name, column in state["_columns"].items()
     }
@@ -109,6 +109,9 @@ def assert_same_state(array, reference):
     samples = reference._columns["_samples"].tolist()
     assert len(array._streams) == len(samples)
     for row, stream in enumerate(array._streams):
+        if stream is None:  # never polled
+            assert reference._streams[row] is None
+            continue
         ahead = random.Random()
         ahead.setstate(reference._detach(row).getstate())
         left = BLOCK_TICKS - int(array._cursor[row])
@@ -123,13 +126,15 @@ def assert_same_state(array, reference):
 def logical(model, dids):
     """Each direction's columns and logical cached Gaussian."""
     saved = model.__getstate__()
+    drawn = np.flatnonzero(saved["_drawn"]).tolist()
+    cached = dict(zip(drawn, saved["gauss_next"]))
+    rows = {did: model._topo.direction_row(did) for did in dids}
     return {
         did: (
             [column[row].item() for column in saved["_columns"].values()],
-            saved["gauss_next"][row],
+            cached[row],
         )
-        for did, row in saved["_row_of"].items()
-        if did in dids
+        for did, row in rows.items()
     }
 
 
@@ -218,11 +223,10 @@ class TestBlockPrimitives:
 
 TICKS = st.lists(
     # (seed of the tick's polled subset, share of directions polled, a
-    # per-call draw between ticks, the poller's direction rows given)
+    # per-call draw between ticks)
     st.tuples(
         st.integers(0, 2**16),
         st.sampled_from([1.0, 1.0, 1.0, 0.7, 0.1]),
-        st.booleans(),
         st.booleans(),
     ),
     min_size=3 * BLOCK_TICKS,
@@ -246,7 +250,7 @@ class TestDifferential:
         dids = direction_ids(topo_a)
         leaver = dids[len(dids) // 2]
         now = 0.0
-        for index, (subset_seed, share, per_call, by_row) in enumerate(ticks):
+        for index, (subset_seed, share, per_call) in enumerate(ticks):
             now += INTERVAL_S
             rng = random.Random(subset_seed)
             # One direction leaves mid-block for three ticks and comes back.
@@ -256,9 +260,7 @@ class TestDifferential:
                 and not (did == leaver and 5 <= index % 23 < 8)
             ]
             rows = np.array([dids.index(did) for did in polled], dtype=np.int64)
-            packets, losses = array.traffic(
-                polled, now, INTERVAL_S, rows=rows if by_row else None
-            )
+            packets, losses = array.traffic(rows, now, INTERVAL_S)
             want_packets, want_losses = reference_tick(
                 topo_r, reference, polled, now
             )
@@ -282,10 +284,11 @@ class TestDifferential:
         topo_a, mixed = build("incast", 2)
         topo_r, reference = build("incast", 2)
         dids = direction_ids(topo_a)
+        rows = np.arange(len(dids))
         for tick in range(1, 3 * BLOCK_TICKS):
             now = tick * INTERVAL_S
             if tick % 7:
-                got = mixed.traffic(dids, now, INTERVAL_S)[0].tolist()
+                got = mixed.traffic(rows, now, INTERVAL_S)[0].tolist()
             else:
                 got = reference_tick(topo_a, mixed, dids, now)[0]
             assert got == reference_tick(topo_r, reference, dids, now)[0]
@@ -294,9 +297,9 @@ class TestDifferential:
     def test_unpolled_directions_do_not_advance(self):
         topo, model = build("hotspots", 0)
         dids = direction_ids(topo)
-        model.traffic(dids, 900.0, INTERVAL_S)
+        model.traffic(np.arange(len(dids)), 900.0, INTERVAL_S)
         before = logical(model, dids)
-        model.traffic(dids[:6], 1800.0, INTERVAL_S)
+        model.traffic(np.arange(6), 1800.0, INTERVAL_S)
         after = logical(model, dids)
         for did in dids[:6]:
             assert after[did] != before[did]
@@ -306,12 +309,12 @@ class TestDifferential:
     def test_line_rate_and_queue_depth_columns(self):
         topo, model = build("hotspots", 0)
         dids = direction_ids(topo)
-        model.traffic(dids, 900.0, INTERVAL_S)
+        rows = np.arange(len(dids))
+        model.traffic(rows, 900.0, INTERVAL_S)
         deep = {
             did for did in dids if topo.switch(did[0]).deep_buffer
         }
         assert deep and len(deep) < len(dids)
-        rows = [model._row_of[did] for did in dids]
         assert model._columns["buffer_k"][rows].tolist() == [
             DEEP_BUFFER_K if did in deep else SHALLOW_BUFFER_K for did in dids
         ]
@@ -335,45 +338,36 @@ class Counting(random.Random):
         return super().gauss(*args)
 
 
-class CountingDict(dict):
-    """A row index that counts its lookups."""
-
-    lookups = 0
-
-    def get(self, *args):
-        CountingDict.lookups += 1
-        return super().get(*args)
-
-    def __getitem__(self, key):
-        CountingDict.lookups += 1
-        return super().__getitem__(key)
-
-    def __contains__(self, key):
-        CountingDict.lookups += 1
-        return super().__contains__(key)
-
-
 class TestNoPerDirectionCalls:
-    def count(self, model):
-        """Swap in counting streams and row index; zero the counters."""
+    def count(self, model, lookups):
+        """Swap in counting streams; zero the counters."""
         for row, stream in enumerate(model._streams):
-            counting = Counting()
-            counting.setstate(stream.getstate())
-            model._streams[row] = counting
-        model._row_of = CountingDict(model._row_of)
-        Counting.calls = CountingDict.lookups = 0
+            if stream is not None:
+                counting = Counting()
+                counting.setstate(stream.getstate())
+                model._streams[row] = counting
+        Counting.calls = 0
+        lookups.clear()
 
     def test_a_tick_gathers_its_rows_and_reads_its_blocks(self, monkeypatch):
         topo, model = build("hotspots", 1)
         poller = SnmpPoller(
             topo,
-            TelemetryStore(WINDOW),
+            TelemetryStore(topo, WINDOW),
             traffic_fn=partial(model.traffic, interval_s=INTERVAL_S),
-            sanitizer=TelemetrySanitizer(),
+            sanitizer=TelemetrySanitizer(topo),
+        )
+        # Every name the model looks up: a direction's, when it is drawn.
+        lookups = []
+        row_direction = Topology.row_direction
+        monkeypatch.setattr(
+            Topology, "row_direction",
+            lambda topo, row: lookups.append(row) or row_direction(topo, row),
         )
         poller.poll_once()  # every direction's first appearance
-        directions = len(model._row_of)
-        self.count(model)
+        directions = int(np.count_nonzero(model._drawn))
+        assert sorted(lookups) == list(range(directions))
+        self.count(model, lookups)
         # No numpy transcendental or power on the value path: libm's only.
         for name in ("log", "sin", "cos", "exp", "power", "float_power"):
             monkeypatch.setattr(np, name, None)
@@ -384,21 +378,20 @@ class TestNoPerDirectionCalls:
             if tick == 9:
                 topo.enable_link(link)  # seen before: no lookup
             poller.poll_once()
-        assert (Counting.calls, CountingDict.lookups) == (0, 0)
+        assert (Counting.calls, lookups) == (0, [])
         # A restored odd-phase model: one per-call tick per direction
-        # (gauss returns the pair's cached second), then blocks again, and
-        # the row index rebuilt once by name.
+        # (gauss returns the pair's cached second), then blocks again; no
+        # direction is looked up by name.
         assert int(model._columns["_samples"][0]) % 2
         poller = pickle.loads(pickle.dumps(poller, protocol=4))
         model = poller._traffic_fn.func.__self__
-        self.count(model)
+        self.count(model, lookups)
         poller.poll_once()
-        assert Counting.calls == 2 * directions
-        assert CountingDict.lookups == directions
-        self.count(model)
+        assert (Counting.calls, lookups) == (2 * directions, [])
+        self.count(model, lookups)
         for _ in range(BLOCK_TICKS + 2):
             poller.poll_once()
-        assert (Counting.calls, CountingDict.lookups) == (0, 0)
+        assert (Counting.calls, lookups) == (0, [])
 
 
 # ---------------------------------------------------------------------- #
@@ -466,9 +459,11 @@ class TestLossRows:
 
 class TestCheckpointState:
     def drive(self, model, dids, ticks, start=0):
+        rows = np.arange(len(dids))  # ``dids`` in direction-row order
         out = []
         for tick in range(start + 1, start + ticks + 1):
-            packets, losses = model.traffic(dids, tick * INTERVAL_S, INTERVAL_S)
+            now = tick * INTERVAL_S
+            packets, losses = model.traffic(rows, now, INTERVAL_S)
             out.append((packets.tolist(), losses.tolist()))
         return out
 

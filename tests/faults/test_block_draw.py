@@ -25,6 +25,7 @@ from repro.simulation.chaos import chaos_preset
 from repro.streams import ReadAhead
 from repro.telemetry import CounterSnapshot, OpticalReading
 from tests.telemetry.reference import ReferenceTransport
+from tests.telemetry.toy import toy_topology
 
 STAGES = (
     "reset_rate",
@@ -82,7 +83,7 @@ class Pair:
     """A transport and the reference loop's stream, drawn tick by tick."""
 
     def __init__(self, config):
-        self.transport = FaultyTransport(config)
+        self.transport = FaultyTransport(TOPO, config)
         self.rng = random.Random(config.seed)
 
     def draw(self, frozen, held, config=None, look=True):
@@ -238,6 +239,8 @@ HARSH_ISH = TelemetryFaultConfig(
     optical_garbage_rate=0.5,
 )
 DIDS = [("tor%d" % i, "agg%d" % (i % 3)) for i in range(40)]
+TOPO = toy_topology(*DIDS)
+ROWS = np.array([TOPO.direction_row(did) for did in DIDS])
 READING = OpticalReading(0.0, -2.0, -3.0, -2.0, -3.0)
 
 
@@ -246,7 +249,7 @@ def tick(transport, number):
     row in arrival order (a missed row's first entry means nothing)."""
     total = np.full(len(DIDS), 1000 * number, dtype=np.int64)
     first, missed, entry, later = transport.deliver_rows(
-        DIDS, 900.0 * number, total, total // 100, total // 100
+        ROWS, 900.0 * number, total, total // 100, total // 100
     )
     first, later = ([c.tolist() for c in cols] for cols in (first, later))
     rows = [
@@ -272,7 +275,7 @@ def per_sample_tick(reference, number):
 class TestTransport:
     def test_optical_reads_between_ticks(self):
         transport, reference = (
-            FaultyTransport(HARSH_ISH), ReferenceTransport(HARSH_ISH)
+            FaultyTransport(TOPO, HARSH_ISH), ReferenceTransport(HARSH_ISH)
         )
         for number in range(1, 13):
             assert tick(transport, number) == per_sample_tick(
@@ -288,7 +291,7 @@ class TestTransport:
 
     @pytest.mark.parametrize("at", [1, 2, 5])
     def test_pickle_mid_read_ahead_continues_identically(self, at):
-        transport = FaultyTransport(HARSH_ISH)
+        transport = FaultyTransport(TOPO, HARSH_ISH)
         for number in range(1, at + 1):
             tick(transport, number)
         ahead = transport._ahead
@@ -303,16 +306,15 @@ class TestTransport:
             assert restored.rng_state() == transport.rng_state()
 
     def test_reading_the_state_changes_no_draw(self):
-        looked, untouched = FaultyTransport(HARSH_ISH), FaultyTransport(
-            HARSH_ISH
-        )
+        looked = FaultyTransport(TOPO, HARSH_ISH)
+        untouched = FaultyTransport(TOPO, HARSH_ISH)
         for number in range(1, 15):
             looked.rng_state()
             assert tick(looked, number) == tick(untouched, number)
         assert looked.rng_state() == untouched.rng_state()
 
     def test_zero_config_never_builds_the_read_ahead(self):
-        transport = FaultyTransport(TelemetryFaultConfig(seed=3))
+        transport = FaultyTransport(TOPO, TelemetryFaultConfig(seed=3))
         for number in range(1, 4):
             tick(transport, number)
         transport.deliver_optical(DIDS[0], READING)

@@ -21,8 +21,10 @@ from tests.telemetry.reference import (
     FrozenCounterFault,
     MissedPollFault,
 )
+from tests.telemetry.toy import toy_topology
 
 DID = ("sw-a", "sw-b")
+TOPO = toy_topology(DID)
 
 
 def snap(t, total, errors=0, drops=0):
@@ -39,7 +41,7 @@ def through(fault, transport, sample):
 
 
 def alone(**rates):
-    return FaultyTransport(TelemetryFaultConfig(**rates))
+    return FaultyTransport(TOPO, TelemetryFaultConfig(**rates))
 
 
 def set_rate(transport, **rates):
@@ -116,7 +118,7 @@ class TestTransport:
     def test_zero_config_is_identity_without_rng(self):
         """All-zero rates install no faults and draw no random numbers, so
         chaos runs with a zero config are bit-identical to fault-free runs."""
-        transport = FaultyTransport(TelemetryFaultConfig(seed=123))
+        transport = FaultyTransport(TOPO, TelemetryFaultConfig(seed=123))
         state_before = transport._rng.getstate()
         s = snap(900, 42, 7, 3)
         assert transport.deliver(DID, s) == [s]
@@ -130,7 +132,9 @@ class TestTransport:
         )
         outs = []
         for _ in range(2):
-            transport = FaultyTransport(TelemetryFaultConfig(**vars(config)))
+            transport = FaultyTransport(
+                TOPO, TelemetryFaultConfig(**vars(config))
+            )
             run = []
             for i in range(200):
                 run.append(transport.deliver(DID, snap(900 * (i + 1), i * 1000)))
@@ -140,7 +144,7 @@ class TestTransport:
     def test_different_seed_different_stream(self):
         def stream(seed):
             transport = FaultyTransport(
-                TelemetryFaultConfig(seed=seed, missed_poll_rate=0.5)
+                TOPO, TelemetryFaultConfig(seed=seed, missed_poll_rate=0.5)
             )
             return [
                 len(transport.deliver(DID, snap(900 * (i + 1), i)))
@@ -151,7 +155,8 @@ class TestTransport:
 
     def test_composition_counts_delivery(self):
         transport = FaultyTransport(
-            TelemetryFaultConfig(seed=4, missed_poll_rate=0.4, duplicate_rate=0.4)
+            TOPO,
+            TelemetryFaultConfig(seed=4, missed_poll_rate=0.4, duplicate_rate=0.4),
         )
         total = 0
         for i in range(300):
@@ -161,7 +166,7 @@ class TestTransport:
 
     def test_optical_garbage(self):
         transport = FaultyTransport(
-            TelemetryFaultConfig(seed=0, optical_garbage_rate=1.0)
+            TOPO, TelemetryFaultConfig(seed=0, optical_garbage_rate=1.0)
         )
         clean = OpticalReading(0.0, -2.0, -3.0, -2.5, -3.5)
         out = transport.deliver_optical(("a", "b"), clean)

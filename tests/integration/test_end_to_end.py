@@ -70,10 +70,10 @@ class TestMonitorToControllerPipeline:
 
     def test_telemetry_sees_corruption_the_controller_acts_on(self):
         topo = build_clos(1, 2, 2, 4)
-        store = TelemetryStore(WINDOW)
+        store = TelemetryStore(topo, WINDOW)
         poller = SnmpPoller(
             topo, store, traffic_fn=ConstantTraffic(10_000_000),
-            sanitizer=TelemetrySanitizer(),
+            sanitizer=TelemetrySanitizer(topo),
         )
         lid = ("pod0/tor0", "pod0/agg0")
         topo.set_corruption(lid, 1e-3, Direction.UP)

@@ -33,7 +33,7 @@ def test_schema_literals_pinned_against_service():
         checkpoint.CHECKPOINT_FORMAT_VERSION
         is schema.CHECKPOINT_FORMAT_VERSION
     )
-    assert CHECKPOINT_FORMAT_VERSION == 12
+    assert CHECKPOINT_FORMAT_VERSION == 13
 
 
 def write_sample(path, state=None):
@@ -126,7 +126,7 @@ class TestIntegrity:
         )
         with pytest.raises(
             ValueError,
-            match=rf"unsupported checkpoint version {version} \(expected 12\)",
+            match=rf"unsupported checkpoint version {version} \(expected 13\)",
         ):
             read_checkpoint(path)
         assert validate_checkpoint_file(path) == [
@@ -195,6 +195,12 @@ class TestIntegrity:
         direction table and each ``DirectionIndex`` map, and its header
         has no ``frames``; it would be read as one pickle stream."""
         self._refused_by_version(tmp_path, 11, "1.13.0")
+
+    def test_v12_checkpoint_refused_before_unpickling(self, tmp_path):
+        """Version 12 pickled each telemetry stage's direction id list and
+        the co-model's name map, its rows numbered in first-seen order;
+        every stage keeps a direction in its direction-table row now."""
+        self._refused_by_version(tmp_path, 12, "1.13.0")
 
     def test_truncated_payload_rejected(self, tmp_path):
         path = tmp_path / "c.ckpt"
@@ -426,7 +432,8 @@ def test_store_and_checkpoint_stay_flat_once_the_ring_fills(tmp_path):
             for name in ("_time", "_corruption", "_congestion",
                          "_utilization", "_quality")
         ))
-        pickled.append(len(pickle.dumps(store)))
+        # The store's own state: the topology it shares is the pipeline's.
+        pickled.append(len(pickle.dumps(dict(vars(store), _topo=None))))
         return False
 
     interval = service.config.poll_interval_s

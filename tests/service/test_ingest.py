@@ -24,8 +24,8 @@ PACKETS = ConstantTraffic(1_000_000)
 
 def build_poller(topo, capacity=1024, policy="defer", batch_size=10,
                  drain_budget=None):
-    store = TelemetryStore(WINDOW)
-    sanitizer = TelemetrySanitizer()
+    store = TelemetryStore(topo, WINDOW)
+    sanitizer = TelemetrySanitizer(topo)
     queue = BoundedWorkQueue(capacity, policy=policy)
     poller = IngestingPoller(
         topo,
@@ -67,10 +67,10 @@ class TestAmpleQueueParity:
         topo_a = build_clos(2, 3, 2, 4)
         topo_b = build_clos(2, 3, 2, 4)
         streaming, store_a, _, queue = build_poller(topo_a)
-        store_b = TelemetryStore(WINDOW)
+        store_b = TelemetryStore(topo_b, WINDOW)
         plain = SnmpPoller(
             topo_b, store_b, traffic_fn=PACKETS,
-            sanitizer=TelemetrySanitizer(),
+            sanitizer=TelemetrySanitizer(topo_b),
         )
         for _ in range(4):
             streaming.poll_once()
@@ -148,19 +148,17 @@ class TestJoinedDrain:
         topo = build_clos(2, 3, 2, 4)  # 40 directions, 6 batches of 7
         topo.set_corruption(("pod0/tor0", "pod0/agg0"), 1e-4)
         topo.set_corruption(("pod1/tor1", "pod1/agg0"), 1e-3, Direction.DOWN)
-        store = TelemetryStore(WINDOW)
-        sanitizer = TelemetrySanitizer(window=4, min_window_samples=2)
+        store = TelemetryStore(topo, WINDOW)
+        sanitizer = TelemetrySanitizer(topo, window=4, min_window_samples=2)
         queue = BoundedWorkQueue(capacity, policy=policy)
         model = congestion_model("incast", topo, seed=4)
         poller = cls(
             topo,
             store,
-            traffic_fn=lambda dids, now, rows: model.traffic(
-                dids, now, 900.0, rows=rows
-            ),
+            traffic_fn=lambda rows, now: model.traffic(rows, now, 900.0),
             # Wraps, freezes, duplicates and missed polls: the later
             # deliveries a batch carries, whose entries the join re-bases.
-            transport=FaultyTransport(chaos_preset("harsh", seed=4)),
+            transport=FaultyTransport(topo, chaos_preset("harsh", seed=4)),
             sanitizer=sanitizer,
             queue=queue,
             batch_size=7,

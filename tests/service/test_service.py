@@ -322,7 +322,7 @@ class TestRestoredState:
         assert [link.link_id for link in table.links] == [
             link.link_id for link in want.links
         ]
-        for name in ("store_rows", "sanitizer_rows", "enabled"):
+        for name in ("capacity_pkts_per_s", "enabled"):
             np.testing.assert_array_equal(
                 getattr(table, name), getattr(want, name), err_msg=name
             )

@@ -438,14 +438,17 @@ class ReferenceStore:
 class PerDirectionTraffic:
     """A poller ``traffic_fn`` over the reference's per-direction
     callables: ``packets_fn`` and then ``congestion_fn`` (if any) for each
-    direction in turn, so a pair that shares state per (direction, tick)
-    sees its calls in the order :class:`ReferencePoller` makes them."""
+    polled direction of ``topo`` in turn, so a pair that shares state per
+    (direction, tick) sees its calls in the order :class:`ReferencePoller`
+    makes them."""
 
-    def __init__(self, packets_fn, congestion_fn=None):
+    def __init__(self, topo, packets_fn, congestion_fn=None):
+        self.topo = topo
         self.packets_fn = packets_fn
         self.congestion_fn = congestion_fn
 
-    def __call__(self, direction_ids, time_s, rows=None):
+    def __call__(self, rows, time_s):
+        direction_ids = [self.topo.row_direction(row) for row in rows.tolist()]
         packets_fn, congestion_fn = self.packets_fn, self.congestion_fn
         if congestion_fn is None:
             return [packets_fn(did, time_s) for did in direction_ids], None

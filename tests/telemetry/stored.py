@@ -24,8 +24,8 @@ def column(store, did, name):
     """One direction's retained values of column ``name`` (one of
     :data:`COLUMNS`), oldest first; ``[]`` for a direction without
     samples."""
-    row = store._index.row_of.get(did)
-    length = 0 if row is None else int(store._length[row])
+    row = store._topo.direction_row(did)
+    length = int(store._length[row]) if row < len(store._length) else 0
     slots = np.arange(max(0, length - store.window), length) % store.window
     values = getattr(store, "_" + name)[row, slots].tolist() if length else []
     return [QUALITY_BY_CODE[c] for c in values] if name == "quality" else values
@@ -42,8 +42,8 @@ def recent_quality(sanitizer, did):
     window, as :class:`~tests.telemetry.reference.ReferenceSanitizer`
     reports them.  The sanitizer's running degraded count must equal a
     recount of its ring."""
-    row = sanitizer._index.row_of.get(did)
-    if row is None:
+    row = sanitizer._topo.direction_row(did)
+    if row >= len(sanitizer._pushes):
         return (0, 0)
     degraded = int(sanitizer._degraded[row])
     suspect = SampleQuality.SUSPECT.code

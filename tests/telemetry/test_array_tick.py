@@ -15,6 +15,7 @@ import copy
 import math
 import pickle
 import random
+from functools import partial
 
 import numpy as np
 import pytest
@@ -43,6 +44,7 @@ from tests.telemetry.reference import (
     ReferenceTransport,
 )
 from tests.telemetry.stored import WINDOW, recent_quality, samples as stored
+from tests.telemetry.toy import toy_topology
 from tests.metrics import total, value
 
 # ---------------------------------------------------------------------- #
@@ -101,12 +103,6 @@ def swap_first_two(topo):
     return lambda link_id: mapping.get(link_id, link_id)
 
 
-def ring_store():
-    """The store a run builds: the newest ``WINDOW`` samples of each
-    direction."""
-    return TelemetryStore(WINDOW)
-
-
 class Twins:
     """The array poller and the reference over twin topologies.
 
@@ -132,12 +128,17 @@ class Twins:
                     batch_size=5,
                     drain_budget=budget,
                 )
-            cleaner_cls, store_cls, transport_cls = (
-                (ReferenceSanitizer, ReferenceStore, ReferenceTransport)
+            # The real store is the one a run builds: the newest ``WINDOW``
+            # samples of each direction.
+            cleaner_cls, store, transport_cls = (
+                (ReferenceSanitizer, ReferenceStore(), ReferenceTransport)
                 if reference
-                else (TelemetrySanitizer, ring_store, FaultyTransport)
+                else (
+                    partial(TelemetrySanitizer, topo),
+                    TelemetryStore(topo, WINDOW),
+                    partial(FaultyTransport, topo),
+                )
             )
-            store = store_cls()
             cleaner = cleaner_cls(obs=recorder, window=4, min_window_samples=2)
             kwargs.update(
                 transport=make_transport(transport, seed, transport_cls),
@@ -152,7 +153,9 @@ class Twins:
                 cls = SnmpPoller if queue is None else IngestingPoller
                 poller = cls(
                     topo, store,
-                    traffic_fn=PerDirectionTraffic(packets_fn, congestion_fn),
+                    traffic_fn=PerDirectionTraffic(
+                        topo, packets_fn, congestion_fn
+                    ),
                     obs=recorder, **kwargs,
                 )
             self.sides.append((poller, store, cleaner, recorder))
@@ -467,21 +470,24 @@ class TestFaultStateColumns:
         reference chain, over ticks that poll a changing subset of the
         directions."""
         rng = random.Random(seed)
-        array, scalar = FaultyTransport(config), ReferenceTransport(config)
         dids = [("tor%d" % i, "agg") for i in range(12)]
+        topo = toy_topology(*dids)
+        array = FaultyTransport(topo, config)
+        scalar = ReferenceTransport(config)
         counters = np.zeros((3, len(dids)), dtype=np.int64)
         for tick in range(1, 13):
             polled = sorted(rng.sample(range(len(dids)), rng.randint(1, 12)))
             counters[0, polled] += rng.choice([10**6, 3 * 10**9])
             counters[1:, polled] += rng.randrange(50)
             ids = [dids[i] for i in polled]
+            rows = np.array([topo.direction_row(did) for did in ids])
             total, errors, drops = counters[:, polled]
             want = [
                 scalar.deliver(did, CounterSnapshot(900.0 * tick, *row))
                 for did, row in zip(ids, counters[:, polled].T.tolist())
             ]
             got = as_lists(
-                *array.deliver_rows(ids, 900.0 * tick, total, errors, drops)
+                *array.deliver_rows(rows, 900.0 * tick, total, errors, drops)
             )
             assert got == want
             assert array.rng_state() == scalar._rng.getstate()
@@ -490,14 +496,21 @@ class TestFaultStateColumns:
             )
 
     def test_pickle_round_trip_mid_run(self):
+        """The whole poller through pickle mid-run, with its topology,
+        transport, sanitizer and store: the restored stages go on at the
+        same rows, in step with the reference."""
         twins = Twins(BUSY, traffic=True)
-        poller = twins.sides[0][0]
         for _ in range(6):
             twins.tick()
+        poller, _store, _cleaner, recorder = twins.sides[0]
         before = stateful_rows(poller.transport)
         assert all(before)
-        poller.transport = pickle.loads(pickle.dumps(poller.transport))
+        twins.topos[0], poller = pickle.loads(
+            pickle.dumps((twins.topos[0], poller))
+        )
+        twins.sides[0] = (poller, poller._store, poller.sanitizer, recorder)
         assert stateful_rows(poller.transport) == before
+        twins.check()
         for _ in range(10):
             twins.tick()
 
@@ -535,6 +548,7 @@ class TestFaultStateColumns:
 # ---------------------------------------------------------------------- #
 
 DID = ("a", "b")
+TOY = toy_topology(DID)
 CAPACITY = 1e6
 FRESH = CounterSnapshot(2700.0, 3_000_000, 30, 3)
 HELD = CounterSnapshot(1800.0, 2_000_000, 20, 2)
@@ -549,7 +563,7 @@ ARRIVALS = {
 
 def baseline(cleaner, did):
     """The sanitizer's diff baseline of a direction, or ``None``."""
-    [row] = cleaner.rows_for([did])
+    row = cleaner._topo.direction_row(did)
     if not cleaner._prev.known[row]:
         return None
     return CounterSnapshot(*(c.item(0) for c in cleaner._prev.take([row])))
@@ -565,7 +579,7 @@ def test_rows_with_their_own_times_match_the_per_sample_api(
     than, equal to and newer than the samples."""
     sides = []
     for cleaner, store in (
-        (TelemetrySanitizer(), TelemetryStore(WINDOW)),
+        (TelemetrySanitizer(TOY), TelemetryStore(TOY, WINDOW)),
         (ReferenceSanitizer(), ReferenceStore()),
     ):
         if baseline_s is not None:
@@ -588,8 +602,9 @@ def test_rows_with_their_own_times_match_the_per_sample_api(
                         sample.quality,
                     )
                 continue
+            rows = np.array([TOY.direction_row(DID)])
             done = cleaner.ingest_rows(
-                cleaner.rows_for([DID]),
+                rows,
                 np.array([snap.time_s]),
                 np.array([snap.total]),
                 np.array([snap.errors]),
@@ -599,7 +614,7 @@ def test_rows_with_their_own_times_match_the_per_sample_api(
             )
             keep = done.rated
             store.append_rows(
-                store.rows_for([DID])[keep],
+                rows[keep],
                 np.array([snap.time_s])[keep],
                 done.corruption[keep],
                 done.congestion[keep],
@@ -616,8 +631,9 @@ def test_rows_with_their_own_times_match_the_per_sample_api(
 
 
 def test_append_rows_drops_by_each_rows_own_time():
-    store = TelemetryStore(WINDOW)
-    rows = store.rows_for([("a", "b"), ("b", "a"), ("a", "c"), ("c", "a")])
+    topo = toy_topology(("a", "b"), ("a", "c"))
+    store = TelemetryStore(topo, WINDOW)
+    rows = np.arange(4)  # a->b, b->a, a->c, c->a
     zeros, ok = np.zeros(4), np.zeros(4, dtype=np.int8)
     first = np.full(4, 900.0)
     assert store.append_rows(rows, first, zeros, zeros, zeros, ok) == 4
@@ -632,8 +648,9 @@ class TestCounterRange:
     def test_counter_beyond_exact_range_is_refused(self):
         topo = build_clos(1, 1, 1, 1)
         poller = SnmpPoller(
-            topo, TelemetryStore(WINDOW), traffic_fn=ConstantTraffic(2**52),
-            sanitizer=TelemetrySanitizer(),
+            topo, TelemetryStore(topo, WINDOW),
+            traffic_fn=ConstantTraffic(2**52),
+            sanitizer=TelemetrySanitizer(topo),
         )
         poller.poll_once()
         with pytest.raises(OverflowError):
@@ -647,9 +664,9 @@ class TestCounterRange:
             ((constant_packets, lambda d, t: math.nan), "congestion rate nan"),
         ):
             poller = SnmpPoller(
-                topo, TelemetryStore(WINDOW),
-                traffic_fn=PerDirectionTraffic(*fns),
-                sanitizer=TelemetrySanitizer(),
+                topo, TelemetryStore(topo, WINDOW),
+                traffic_fn=PerDirectionTraffic(topo, *fns),
+                sanitizer=TelemetrySanitizer(topo),
             )
             with pytest.raises(ValueError, match=message):
                 poller.poll_once()

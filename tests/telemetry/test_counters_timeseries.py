@@ -25,14 +25,16 @@ class Counters:
         self.topo = build_clos(1, 1, 1, 1)
         self.link_id = next(iter(self.topo.link_ids()))
         self.traffic = [0, 0.0]
-        self.store = TelemetryStore(WINDOW)
+        self.store = TelemetryStore(self.topo, WINDOW)
         self.poller = SnmpPoller(
             self.topo,
             self.store,
             traffic_fn=PerDirectionTraffic(
-                lambda did, t: self.traffic[0], lambda did, t: self.traffic[1]
+                self.topo,
+                lambda did, t: self.traffic[0],
+                lambda did, t: self.traffic[1],
             ),
-            sanitizer=TelemetrySanitizer(),
+            sanitizer=TelemetrySanitizer(self.topo),
         )
         self.poller.directions  # builds the (zeroed) counter columns
 

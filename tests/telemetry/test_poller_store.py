@@ -16,17 +16,21 @@ from repro.telemetry.poller import ConstantTraffic
 from repro.topology import Direction, build_clos
 from tests.telemetry.reference import PerDirectionTraffic
 from tests.telemetry.stored import WINDOW, column
+from tests.telemetry.toy import toy_topology
+
+#: The directions the store tests name: the links a-b and c-d.
+TOPO = toy_topology(("a", "b"), ("c", "d"))
 
 
 @pytest.fixture
 def setup():
     topo = build_clos(1, 2, 2, 4)
-    store = TelemetryStore(WINDOW)
+    store = TelemetryStore(topo, WINDOW)
     poller = SnmpPoller(
         topo,
         store,
         traffic_fn=ConstantTraffic(1_000_000),
-        sanitizer=TelemetrySanitizer(),
+        sanitizer=TelemetrySanitizer(topo),
     )
     return topo, store, poller
 
@@ -69,14 +73,14 @@ class TestPoller:
 
     def test_congestion_fn_feeds_drops(self):
         topo = build_clos(1, 2, 2, 4)
-        store = TelemetryStore(WINDOW)
+        store = TelemetryStore(topo, WINDOW)
         poller = SnmpPoller(
             topo,
             store,
             traffic_fn=PerDirectionTraffic(
-                lambda did, t: 1_000_000, lambda did, t: 1e-4
+                topo, lambda did, t: 1_000_000, lambda did, t: 1e-4
             ),
-            sanitizer=TelemetrySanitizer(),
+            sanitizer=TelemetrySanitizer(topo),
         )
         poller.run(3)
         series = column(store, ("pod0/tor0", "pod0/agg0"), "congestion")
@@ -103,7 +107,7 @@ class TestRing:
     ring: sample ``k`` of a row is in slot ``k % window``."""
 
     def test_tail_across_the_wrap(self):
-        store = TelemetryStore(4)
+        store = TelemetryStore(TOPO, 4)
         did = ("a", "b")
         for count in range(1, 12):
             fill(store, did, 1, start=count)
@@ -116,8 +120,8 @@ class TestRing:
             assert store.times(did) == [900.0 * i for i in kept]
 
     def test_last_sample_and_latest_after_the_wrap(self):
-        store = TelemetryStore(4)
-        rows = store.rows_for([("a", "b"), ("c", "d")])
+        store = TelemetryStore(TOPO, 4)
+        rows = np.array([0, 2])  # the up directions a->b and c->d
         for count in range(1, 12):
             fill(store, ("a", "b"), 1, start=count)
             assert store.last_sample(("a", "b")) == (
@@ -131,13 +135,13 @@ class TestRing:
         assert store.last_sample(("c", "d")) is None
 
     def test_drop_rule_compares_with_the_newest_slot_after_the_wrap(self):
-        store = TelemetryStore(4)
+        store = TelemetryStore(TOPO, 4)
         did = ("a", "b")
         fill(store, did, 5)  # slot 0 holds sample 5, slot 1 sample 2
         # Newer than the oldest kept sample, not the newest: a regression.
         assert not store.append_rates(did, 900.0 * 2.5, 0, 0, 0)
         assert not store.append_rates(did, 900.0 * 5, 0, 0, 0)
-        rows = store.rows_for([did])
+        rows = np.array([TOPO.direction_row(did)])
         zeros, ok = np.zeros(1), np.zeros(1, dtype=np.int8)
         assert store.append_rows(
             rows, np.array([900.0 * 4.5]), zeros, zeros, zeros, ok
@@ -150,12 +154,14 @@ class TestRing:
     def test_wrapped_store_pickles(self):
         import pickle
 
-        store = TelemetryStore(4)
+        store = TelemetryStore(TOPO, 4)
         fill(store, ("a", "b"), 7)
         fill(store, ("c", "d"), 1)
         clone = pickle.loads(pickle.dumps(store))
-        assert clone._time.shape == (2, 4)
-        assert list(clone._length) == [7, 1]
+        # One row per direction of the topology, a-b's up direction in
+        # row 0 and c-d's in row 2.
+        assert clone._time.shape == (4, 4)
+        assert list(clone._length) == [7, 0, 1, 0]
         for did in (("a", "b"), ("c", "d")):
             assert clone.times(did) == store.times(did)
             assert clone.tail(did, 4) == store.tail(did, 4)
@@ -165,7 +171,7 @@ class TestRing:
         assert not clone.append_rates(("a", "b"), 900.0 * 8.5, 0, 0, 0)
 
     def test_tail_longer_than_the_window_raises(self):
-        store = TelemetryStore(4)
+        store = TelemetryStore(TOPO, 4)
         fill(store, ("a", "b"), 2)
         assert store.tail(("a", "b"), 4)[0] == [0.01, 0.02]
         with pytest.raises(ValueError, match="keeps 4"):
@@ -179,7 +185,7 @@ class TestRing:
 
 class TestStore:
     def test_out_of_order_append_dropped(self):
-        store = TelemetryStore(WINDOW)
+        store = TelemetryStore(TOPO, WINDOW)
         assert store.append_rates(("a", "b"), 900.0, 0.0, 0.0, 0.1)
         # Duplicate and backwards timestamps are dropped, not raised:
         # production feeds deliver them routinely (gap tolerance).
@@ -192,7 +198,7 @@ class TestStore:
         """Regression: ``nan <= times[-1]`` is false, so a NaN timestamp
         used to be stored and, being incomparable, let every later
         timestamp in — breaking the monotone-series guarantee."""
-        store = TelemetryStore(WINDOW)
+        store = TelemetryStore(TOPO, WINDOW)
         did = ("a", "b")
         assert store.append_rates(did, 900.0, 0.0, 0.0, 0.1)
         for bad in (math.nan, math.inf, -math.inf):
@@ -204,7 +210,7 @@ class TestStore:
         assert list(store.directions()) == [did]
 
     def test_tail_reads_the_last_values(self):
-        store = TelemetryStore(WINDOW)
+        store = TelemetryStore(TOPO, WINDOW)
         did = ("a", "b")
         assert store.tail(did, 3) == ([], [])
         for i in range(1, 6):
@@ -215,7 +221,7 @@ class TestStore:
         assert store.tail(did, WINDOW)[0] == column(store, did, "utilization")
 
     def test_gap_tolerant_append(self):
-        store = TelemetryStore(WINDOW)
+        store = TelemetryStore(TOPO, WINDOW)
         store.append_rates(("a", "b"), 900.0, 0, 0, 0)
         # A missed poll leaves a hole; the next append must still land.
         assert store.append_rates(("a", "b"), 2700.0, 1e-3, 0, 0)
@@ -223,7 +229,7 @@ class TestStore:
         assert store.dropped_samples == 0
 
     def test_quality_tracked_per_sample(self):
-        store = TelemetryStore(WINDOW)
+        store = TelemetryStore(TOPO, WINDOW)
         store.append_rates(("a", "b"), 900.0, 0, 0, 0)
         store.append_rates(
             ("a", "b"), 1800.0, 0, 0, 0, quality=SampleQuality.SUSPECT
@@ -234,7 +240,7 @@ class TestStore:
         ]
 
     def test_last_sample(self):
-        store = TelemetryStore(WINDOW)
+        store = TelemetryStore(TOPO, WINDOW)
         assert store.last_sample(("a", "b")) is None
         store.append_rates(("a", "b"), 900.0, 1e-3, 1e-5, 0.5)
         store.append_rates(("a", "b"), 1800.0, 2e-3, 2e-5, 0.6)

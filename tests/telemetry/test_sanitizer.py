@@ -15,9 +15,13 @@ from repro.telemetry import (
 )
 from tests.telemetry.reference import GarbageFault, ReferenceSanitizer
 from tests.telemetry.stored import recent_quality
+from tests.telemetry.toy import toy_topology
 from tests.metrics import value
 
 CAP_PPS = 5_000_000.0  # 40G at 1000B packets
+
+#: The directions the tests name: the links a-b, c-d and x-y.
+TOPO = toy_topology(("a", "b"), ("c", "d"), ("x", "y"))
 
 
 def snap(t, total, errors=0, drops=0):
@@ -26,11 +30,11 @@ def snap(t, total, errors=0, drops=0):
 
 class TestWrapReset:
     def test_first_sample_seeds(self):
-        s = TelemetrySanitizer()
+        s = TelemetrySanitizer(TOPO)
         assert s.ingest(("a", "b"), snap(900, 100)) is None
 
     def test_clean_diff_is_ok(self):
-        s = TelemetrySanitizer()
+        s = TelemetrySanitizer(TOPO)
         s.ingest(("a", "b"), snap(900, 1_000_000, 100, 10), CAP_PPS)
         out = s.ingest(("a", "b"), snap(1800, 2_000_000, 300, 30), CAP_PPS)
         assert out.quality is SampleQuality.OK
@@ -38,7 +42,7 @@ class TestWrapReset:
         assert out.congestion == pytest.approx(20 / 1_000_000)
 
     def test_32bit_wrap_unwrapped(self):
-        s = TelemetrySanitizer()
+        s = TelemetrySanitizer(TOPO)
         m = COUNTER_32BIT_MODULUS
         before = m - 500_000
         s.ingest(("a", "b"), snap(900, before, 100), CAP_PPS)
@@ -50,7 +54,7 @@ class TestWrapReset:
         assert s.stats.wraps_unwrapped == 1
 
     def test_reset_detected(self):
-        s = TelemetrySanitizer()
+        s = TelemetrySanitizer(TOPO)
         s.ingest(("a", "b"), snap(900, 5_000_000_000, 1000), CAP_PPS)
         # Reboot: counters restart near zero.  The unwrapped delta would be
         # astronomically larger than the interval's capacity -> reset.
@@ -60,14 +64,14 @@ class TestWrapReset:
         assert 0.0 <= out.corruption <= 1.0
 
     def test_frozen_counters_suspect(self):
-        s = TelemetrySanitizer()
+        s = TelemetrySanitizer(TOPO)
         s.ingest(("a", "b"), snap(900, 1_000_000), CAP_PPS)
         out = s.ingest(("a", "b"), snap(1800, 1_000_000), CAP_PPS)
         assert out.quality is SampleQuality.SUSPECT
         assert s.stats.freezes_detected == 1
 
     def test_gap_bridged_interpolated(self):
-        s = TelemetrySanitizer(interval_s=900.0)
+        s = TelemetrySanitizer(TOPO, interval_s=900.0)
         s.ingest(("a", "b"), snap(900, 1_000_000, 0), CAP_PPS)
         # Two missed polls: the next diff spans 3 intervals.
         out = s.ingest(("a", "b"), snap(3600, 4_000_000, 30), CAP_PPS)
@@ -75,7 +79,7 @@ class TestWrapReset:
         assert out.corruption == pytest.approx(1e-5)
 
     def test_duplicate_and_out_of_order_discarded(self):
-        s = TelemetrySanitizer()
+        s = TelemetrySanitizer(TOPO)
         s.ingest(("a", "b"), snap(900, 100), CAP_PPS)
         s.ingest(("a", "b"), snap(1800, 200), CAP_PPS)
         assert s.ingest(("a", "b"), snap(1800, 200), CAP_PPS) is None
@@ -84,7 +88,7 @@ class TestWrapReset:
         assert s.stats.out_of_order_dropped == 1
 
     def test_non_finite_snapshot_suspect(self):
-        s = TelemetrySanitizer()
+        s = TelemetrySanitizer(TOPO)
         out = s.ingest(("a", "b"), snap(900, float("nan")), CAP_PPS)
         assert out.quality is SampleQuality.SUSPECT
 
@@ -93,7 +97,7 @@ class TestWrapReset:
         """Regression: ``float(10**400)`` raised OverflowError out of
         ingest; a malformed push must be rated, never take the pipeline
         down."""
-        s = TelemetrySanitizer()
+        s = TelemetrySanitizer(TOPO)
         s.ingest(("a", "b"), snap(900, 1_000_000), CAP_PPS)
         for bad in (
             snap(1800.0, 10**400),
@@ -109,10 +113,10 @@ class TestWrapReset:
         assert out.corruption == pytest.approx(1e-5)
 
     def test_modulus_beyond_the_columns_rejected(self):
-        TelemetrySanitizer(wrap_modulus=2**53)
+        TelemetrySanitizer(TOPO, wrap_modulus=2**53)
         for modulus in (2**64, 2**53 + 1, 0):
             with pytest.raises(ValueError, match="wrap_modulus"):
-                TelemetrySanitizer(wrap_modulus=modulus)
+                TelemetrySanitizer(TOPO, wrap_modulus=modulus)
 
 
 #: Snapshots no device should send: a NaN counter, one no float can
@@ -134,7 +138,7 @@ class TestGarbage:
     @pytest.mark.parametrize("bad", sorted(GARBAGE))
     def test_garbage_is_suspect_and_keeps_the_baseline(self, bad, seeded):
         bad = GARBAGE[bad]
-        s = TelemetrySanitizer()
+        s = TelemetrySanitizer(TOPO)
         if seeded:
             s.ingest(("a", "b"), snap(900, 1_000_000), CAP_PPS)
         out = s.ingest(("a", "b"), bad, CAP_PPS)
@@ -157,7 +161,7 @@ class TestGarbage:
         and baseline."""
         rng = random.Random(3)
         garbage = GarbageFault(0.2)
-        sides = TelemetrySanitizer(), ReferenceSanitizer()
+        sides = TelemetrySanitizer(TOPO), ReferenceSanitizer()
         did, total, mangled = ("x", "y"), 0, 0
         for i in range(1, 300):
             total += rng.randrange(0, 10_000_000)
@@ -179,7 +183,7 @@ class TestGarbage:
         assert vars(new.stats) == vars(ref.stats)
         assert mangled > 20
         assert recent_quality(new, did) == ref.recent_quality(did)
-        [row] = new.rows_for([did])
+        row = TOPO.direction_row(did)
         assert new._prev.total[row] == ref.prev[did].total
 
 
@@ -187,7 +191,7 @@ class TestPropertyStyle:
     def test_sanitized_rates_always_in_unit_interval(self):
         """Whatever garbage arrives, emitted rates stay in [0, 1]."""
         rng = random.Random(42)
-        s = TelemetrySanitizer()
+        s = TelemetrySanitizer(TOPO)
         did = ("x", "y")
         t = 0.0
         for _ in range(500):
@@ -204,7 +208,7 @@ class TestPropertyStyle:
     def test_quality_ok_iff_no_fault(self):
         """A clean monotone stream is 100% OK; each injected fault flags
         its sample as non-OK."""
-        s = TelemetrySanitizer()
+        s = TelemetrySanitizer(TOPO)
         did = ("x", "y")
         t, total = 0.0, 0
         rng = random.Random(7)
@@ -222,7 +226,7 @@ class TestPropertyStyle:
 
 class TestQuarantine:
     def test_quarantine_trips_and_recovers(self):
-        s = TelemetrySanitizer(window=4, quarantine_threshold=0.5,
+        s = TelemetrySanitizer(TOPO, window=4, quarantine_threshold=0.5,
                                min_window_samples=2)
         did = ("a", "b")
         t, total = 900.0, 1_000_000
@@ -242,7 +246,7 @@ class TestQuarantine:
         assert not s.quarantined(did)
 
     def test_min_window_guard(self):
-        s = TelemetrySanitizer(min_window_samples=3)
+        s = TelemetrySanitizer(TOPO, min_window_samples=3)
         s.observe_missing(("a", "b"), 900.0)
         assert not s.quarantined(("a", "b"))  # one bad sample is not enough
 
@@ -250,7 +254,7 @@ class TestQuarantine:
         """Quarantine is per-direction state: the direction whose window
         cleans up first is released first, regardless of which direction
         was quarantined first."""
-        s = TelemetrySanitizer(window=4, quarantine_threshold=0.5,
+        s = TelemetrySanitizer(TOPO, window=4, quarantine_threshold=0.5,
                                min_window_samples=2)
         first, second = ("a", "b"), ("c", "d")
         # `first` enters quarantine before `second`.
@@ -285,7 +289,10 @@ class TestQuarantine:
         from repro.obs import ObsRecorder
 
         obs = ObsRecorder() if recorded else None
-        s = TelemetrySanitizer(obs=obs) if recorded else TelemetrySanitizer()
+        s = (
+            TelemetrySanitizer(TOPO, obs=obs) if recorded
+            else TelemetrySanitizer(TOPO)
+        )
         did = ("a", "b")
         s.ingest(did, snap(900.0, 1_000_000), CAP_PPS)
         s.observe_missing(did, 1800.0)
@@ -305,7 +312,7 @@ class TestQuarantine:
         from repro.obs import ObsRecorder
 
         obs = ObsRecorder()
-        s = TelemetrySanitizer(window=4, quarantine_threshold=0.5,
+        s = TelemetrySanitizer(TOPO, window=4, quarantine_threshold=0.5,
                                min_window_samples=2, obs=obs)
         first, second = ("a", "b"), ("c", "d")
         for did in (first, second):
