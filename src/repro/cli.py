@@ -842,7 +842,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         else None
     )
     with _refusing():
-        ControllerService.check_checkpoint_every(checkpoint_every_s)
+        ControllerService.check_checkpoint_every(
+            checkpoint_every_s, args.stop_after_checkpoint
+        )
         if args.resume_from:
             # A checkpoint that cannot be read or is not one is refused
             # like a bad flag, before anything is written.

@@ -16,9 +16,9 @@ flow through the changed link — instead of rerunning the full DP.
 Hypothetical queries (``extra_disabled``) are answered the same way, as
 an overlay delta on the live counts.  Changes note the ToRs they move,
 and the worst / average fraction settle them on read: a snapshot costs
-O(ToRs moved) rather than O(|ToRs| · |E|).  Passing ``incremental=False``
-restores the original recount-per-query behaviour (used as the baseline
-in ``benchmarks/test_runtime_incremental_counter.py``).
+O(ToRs moved) rather than O(|ToRs| · |E|).  A full pass runs only to
+build the design counts and the live ones, when the counter is built and
+after a structure change or an unpickle.
 
 Everything below the public methods runs on the topology's interned rows
 (:meth:`Topology._build_rows`): counts and baselines are lists by switch
@@ -56,8 +56,8 @@ _EMPTY: FrozenSet[int] = frozenset()
 #: structure change): the rebuild must leave ``stats`` as saved.
 _RESTORED = "restored"
 
-#: Bound on the memoization caches (entries), to keep long replays from
-#: accumulating unbounded closure keys.
+#: Bound on the ``affected_rows`` memo (entries), to keep one
+#: administrative state's queries from growing it without bound.
 _CACHE_LIMIT = 4096
 
 
@@ -70,7 +70,8 @@ class PathCounterStats:
             cost): every uplink in a full pass; in a walk, each enabled
             ``extra`` link or the flipped one, plus each enabled downlink
             a change is pushed through.
-        full_recounts: Full-topology DP passes executed.
+        full_recounts: Full-topology DP passes executed (the baseline
+            and the live counts, on each build or rebuild).
         incremental_updates: Dirty-region updates triggered by admin
             changes.
         overlay_queries: Hypothetical (``extra_disabled``) region queries.
@@ -80,12 +81,6 @@ class PathCounterStats:
     full_recounts: int = 0
     incremental_updates: int = 0
     overlay_queries: int = 0
-
-    def reset(self) -> None:
-        self.links_visited = 0
-        self.full_recounts = 0
-        self.incremental_updates = 0
-        self.overlay_queries = 0
 
 
 class PathCounter:
@@ -98,10 +93,7 @@ class PathCounter:
 
     Args:
         topo: The topology to bind to.
-        incremental: Maintain live counts and answer queries from the
-            cached state (the default).  ``False`` recounts the topology
-            on every query — the pre-incremental behaviour, kept as the
-            benchmark baseline.
+        obs: Recorder for the walk-size histogram and overlay counter.
 
     Invalidation contract:
         * Administrative changes made through ``topo.disable_link`` /
@@ -121,14 +113,8 @@ class PathCounter:
         1.0
     """
 
-    def __init__(
-        self,
-        topo: Topology,
-        incremental: bool = True,
-        obs: Recorder = NULL_RECORDER,
-    ):
+    def __init__(self, topo: Topology, obs: Recorder = NULL_RECORDER):
         self._topo = topo
-        self._incremental = incremental
         self.obs = obs
         self.stats = PathCounterStats()
         # What the counter has been told about each link row (1 = carries
@@ -149,15 +135,6 @@ class PathCounter:
         """The topology this counter is bound to."""
         return self._topo
 
-    def set_incremental(self, incremental: bool) -> None:
-        """Switch between incremental and recount-per-query modes."""
-        if incremental == self._incremental:
-            return
-        self._sync()
-        self._incremental = incremental
-        if incremental:
-            self._rebuild_live_state()
-
     def detach(self) -> None:
         """Unsubscribe from the topology (for explicit lifecycle control)."""
         self._topo.unsubscribe_admin_changes(self._on_admin_change)
@@ -165,7 +142,7 @@ class PathCounter:
 
     def __getstate__(self) -> dict:
         # Everything else is derived from the topology's rows.
-        keep = ("_topo", "_incremental", "obs", "stats", "_enabled")
+        keep = ("_topo", "obs", "stats", "_enabled")
         return {name: self.__dict__[name] for name in keep}
 
     def __setstate__(self, state: dict) -> None:
@@ -209,21 +186,16 @@ class PathCounter:
                 for state in topo.link_state[len(self._enabled) :]
             ]
         )
-        self._baseline = self._count(ignore_admin_state=True)
-        self._closure_cache: Dict[FrozenSet[int], Set[int]] = {}
+        self._baseline = baseline = self._count(ignore_admin_state=True)
         self._affected_cache: Dict[int, List[int]] = {}
         # (constraint, its floors column, the highest ToR floor in it)
         self._floors: Tuple[object, List[float], float] = (None, [], 0.0)
         self._state_version = 0
-        self._full_cache: Optional[Tuple[int, List[int]]] = None
         self._effective_cache: Optional[
             Tuple[Tuple[int, int], List[float]]
         ] = None
-        self._rebuild_live_state()
-
-    def _rebuild_live_state(self) -> None:
-        """(Re)compute the live counts and aggregates with one full DP."""
-        self._counts: List[int] = self._count()
+        # The live counts: the one full DP over the administrative state.
+        self._counts = counts = self._count()
         # (state version, link row, overlay) of the latest single-link
         # overlay query on an enabled link.  Every admin change bumps the
         # version, so a record only ever matches the change right after
@@ -231,20 +203,15 @@ class PathCounter:
         self._checked: Tuple[int, int, Dict[int, int]] = (-1, -1, {})
         # The mean's numerators: the sum of the live counts of the ToRs
         # sharing each design count (exact; see average_tor_fraction).
-        self._sums = self._tor_sums(self._counts)
+        self._sums: Dict[int, int] = {}
+        for row in self._tor_rows:
+            base = baseline[row]
+            if base:
+                self._sums[base] = self._sums.get(base, 0) + counts[row]
         self._min_heap = [(self._frac(row), row) for row in self._tor_rows]
         heapq.heapify(self._min_heap)
         # ToR row -> its count when the aggregates last saw it (_settle).
         self._dirty: Dict[int, int] = {}
-
-    def _tor_sums(self, counts: List[int]) -> Dict[int, int]:
-        sums: Dict[int, int] = {}
-        baseline = self._baseline
-        for row in self._tor_rows:
-            base = baseline[row]
-            if base:
-                sums[base] = sums.get(base, 0) + counts[row]
-        return sums
 
     # ------------------------------------------------------------------ #
     # Change notifications
@@ -261,8 +228,6 @@ class PathCounter:
         self._affected_cache.clear()
         flipped = enabled != self._enabled[row]
         self._enabled[row] = enabled
-        if not self._incremental:
-            return
         self.stats.incremental_updates += 1
         if not flipped:
             return
@@ -307,31 +272,18 @@ class PathCounter:
     # DP kernels
     # ------------------------------------------------------------------ #
 
-    def _count(
-        self,
-        extra: Collection[int] = _EMPTY,
-        ignore_admin_state: bool = False,
-        restrict: Optional[Set[int]] = None,
-    ) -> List[int]:
+    def _count(self, ignore_admin_state: bool = False) -> List[int]:
         """Run the full DP; returns path counts by switch row.
 
         Args:
-            extra: Link rows treated as disabled on top of the
-                administrative state.
             ignore_admin_state: Count over the pristine design topology
                 (used for the baseline denominator).
-            restrict: If given, an *upstream-closed* set of switch rows;
-                the DP only visits these (the rest read 0).  Used by the
-                recount-per-query mode to evaluate candidate subsets on a
-                pruned region.
         """
         up, upper, stage, top = self._up, self._upper, self._stage, self._top
         enabled = self._enabled
         counts = [0] * len(stage)
         visited = 0
         for row in self._descending:
-            if restrict is not None and row not in restrict:
-                continue
             if stage[row] == top:
                 counts[row] = 1
                 continue
@@ -339,7 +291,7 @@ class PathCounter:
             visited += len(links)
             total = 0
             for link in links:
-                if (ignore_admin_state or enabled[link]) and link not in extra:
+                if ignore_admin_state or enabled[link]:
                     total += counts[upper[link]]
             counts[row] = total
         self.stats.links_visited += visited
@@ -413,31 +365,15 @@ class PathCounter:
             self._checked = (self._state_version, link, overlay)
         return overlay
 
-    def _full_counts(self) -> List[int]:
-        """Recount-per-query mode: full DP memoized per state version."""
-        if self._full_cache is not None and (
-            self._full_cache[0] == self._state_version
-        ):
-            return self._full_cache[1]
-        counts = self._count()
-        self._full_cache = (self._state_version, counts)
-        return counts
-
     def _hypothetical(
-        self, extra: FrozenSet[int], tors: Optional[Sequence[int]] = None
+        self, extra: FrozenSet[int]
     ) -> Tuple[Dict[int, int], List[int]]:
         """``(overlay, counts)`` with the ``extra`` link rows also off:
         switch row ``r`` then counts ``overlay[r]`` if present, else
-        ``counts[r]``.  Recount mode reruns the DP, pruned to the upstream
-        closure of the ToR rows ``tors`` when given."""
+        ``counts[r]``."""
         self._sync()
-        if self._incremental:
-            overlay = self._overlay_with_extra(extra) if extra else {}
-            return overlay, self._counts
-        if not extra:
-            return {}, self._full_counts()
-        restrict = None if tors is None else self._closure(tors)
-        return {}, self._count(extra, restrict=restrict)
+        overlay = self._overlay_with_extra(extra) if extra else {}
+        return overlay, self._counts
 
     def _link_rows(self, link_ids: Optional[Iterable[LinkId]]) -> FrozenSet[int]:
         if not link_ids:
@@ -469,7 +405,7 @@ class PathCounter:
         """Path fractions (current / design) of the ToR rows ``tors``, in
         order, with the ``extra`` link rows hypothetically off.  ``tors``
         defaults to every ToR, in ``topo.tors()`` order."""
-        overlay, counts = self._hypothetical(extra, tors)
+        overlay, counts = self._hypothetical(extra)
         baseline = self._baseline
         return [
             (overlay[tor] if tor in overlay else counts[tor]) / baseline[tor]
@@ -488,17 +424,15 @@ class PathCounter:
         floor, mapped to the fraction they would have: the fast checker's
         and optimizer's feasibility primitive.
 
-        Over every ToR (``tors`` None), an incremental counter scans none:
-        the answer is the overlay's ToRs below their floor plus the live
-        ones already below theirs, read off the worst-fraction heap (and
-        keyed in no particular order)."""
-        if tors is not None or not self._incremental:
+        Over every ToR (``tors`` None) this scans none: the answer is the
+        overlay's ToRs below their floor plus the live ones already below
+        theirs, read off the worst-fraction heap (and keyed in no
+        particular order)."""
+        if tors is not None:
             fractions = self.fractions_at(tors, extra)
             return {
                 tor: fraction
-                for tor, fraction in zip(
-                    self._tor_rows if tors is None else tors, fractions
-                )
+                for tor, fraction in zip(tors, fractions)
                 if fraction < floors[tor]
             }
         overlay, _ = self._hypothetical(extra)
@@ -568,10 +502,9 @@ class PathCounter:
 
         With the link in service and live paths above it, the overlay walk
         pushes a negative delta to every switch below, so its ToRs are the
-        affected ones; otherwise (or when recounting) this asks both."""
+        affected ones; otherwise this asks both."""
         self._sync()
-        counts, upper = self._counts, self._upper
-        if self._incremental and self._enabled[link] and counts[upper[link]]:
+        if self._enabled[link] and self._counts[self._upper[link]]:
             overlay = self._overlay_with_extra(frozenset((link,)))
             stage, baseline = self._stage, self._baseline
             tors = [switch for switch in overlay if stage[switch] == 0]
@@ -581,32 +514,6 @@ class PathCounter:
         if not tors:
             return tors, []
         return tors, self.fractions_at(tors, frozenset((link,)))
-
-    def _closure(self, tors: Iterable[int]) -> Set[int]:
-        """Upstream closure of the ToR rows ``tors``: every switch row on
-        an up-path from them, themselves included.
-
-        Memoized (the closure ignores administrative state, so entries
-        stay valid until the structure changes).
-        """
-        self._sync()
-        key = frozenset(tors)
-        cached = self._closure_cache.get(key)
-        if cached is not None:
-            return cached
-        up, upper = self._up, self._upper
-        seen: Set[int] = set(key)
-        frontier = list(key)
-        while frontier:
-            for link in up[frontier.pop()]:
-                above = upper[link]
-                if above not in seen:
-                    seen.add(above)
-                    frontier.append(above)
-        if len(self._closure_cache) >= _CACHE_LIMIT:
-            self._closure_cache.clear()
-        self._closure_cache[key] = seen
-        return seen
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -638,18 +545,12 @@ class PathCounter:
     def worst_tor_fraction(self) -> float:
         """Minimum ToR path fraction (the Figures 15–16 metric), O(log n).
 
-        In incremental mode the value comes off a min-heap settled on read
-        (:meth:`_settle`), so a simulation snapshot does not rescan every ToR.
+        The value comes off a min-heap settled on read (:meth:`_settle`),
+        so a simulation snapshot does not rescan every ToR.
         """
         self._sync()
         if not self._num_tors:
             return 1.0
-        if not self._incremental:
-            counts, baseline = self._full_counts(), self._baseline
-            return min(
-                counts[tor] / baseline[tor] if baseline[tor] else 0.0
-                for tor in self._tor_rows
-            )
         self._settle()
         heap = self._min_heap
         while heap:
@@ -668,18 +569,14 @@ class PathCounter:
         ToRs sharing a design count share a denominator, so the mean is
         kept as one exact integer sum per distinct design count and only
         becomes rational here: bit-identical to summing every ToR's
-        fraction exactly, incrementally or from scratch.
+        fraction exactly from scratch.
         """
         self._sync()
         if not self._num_tors:
             return 1.0
-        if self._incremental:
-            self._settle()
-            sums = self._sums
-        else:
-            sums = self._tor_sums(self._full_counts())
+        self._settle()
         fracsum = Fraction(0)
-        for base, total in sums.items():
+        for base, total in self._sums.items():
             fracsum += Fraction(total, base)
         return float(fracsum / self._num_tors)
 

@@ -356,7 +356,9 @@ CHECKPOINT_FORMAT = "repro-checkpoint"
 #: direction in its direction-table row (``2 * link_row``, plus one for the
 #: down direction): no direction id list or name map is pickled; the
 #: transport pickles the rows that hold fault state with their row numbers.
-CHECKPOINT_FORMAT_VERSION = 13
+#: 14: a PathCounter has one (incremental) mode and pickles as (topology,
+#: recorder, stats, told-link-state column), with no mode flag.
+CHECKPOINT_FORMAT_VERSION = 14
 
 #: Service-report literals, pinned against :mod:`repro.service.service`.
 SERVICE_REPORT_FORMAT = "repro-service-report"

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Optional, Tuple
 
@@ -188,12 +189,13 @@ class JobSpec:
         require("strategy", self.strategy)
         require("penalty", self.penalty)
         require("topo_kind", self.topo_kind)
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
-        if self.duration_days < 0:
-            raise ValueError("duration must be non-negative")
-        if self.events_per_10k < 0:
-            raise ValueError("events_per_10k must be non-negative")
+        # Written so that NaN fails too (every comparison with it is false).
+        if not 0 < self.scale < math.inf:
+            raise ValueError("scale must be positive and finite")
+        if not 0 <= self.duration_days < math.inf:
+            raise ValueError("duration must be non-negative and finite")
+        if not 0 <= self.events_per_10k < math.inf:
+            raise ValueError("events_per_10k must be non-negative and finite")
         if not 0.0 <= self.repair_accuracy <= 1.0:
             raise ValueError("repair accuracy outside [0, 1]")
         if not 0.0 < self.capacity <= 1.0:

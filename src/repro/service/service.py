@@ -21,6 +21,7 @@ provenance.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
@@ -133,14 +134,15 @@ class ServiceConfig:
         """Raise ``ValueError`` listing every refused value; the run
         fields are :meth:`JobSpec.validate`'s to check."""
         problems = []
+        # A NaN or infinite day count is the job's to refuse.
         if self.days <= 0:
             problems.append("days must be > 0")
         try:
             self.job().validate()
         except ValueError as exc:
             problems.append(str(exc))
-        if self.poll_interval_s <= 0:
-            problems.append("poll_interval_s must be > 0")
+        if not 0 < self.poll_interval_s < math.inf:
+            problems.append("poll_interval_s must be > 0 and finite")
         if self.queue_capacity < 1:
             problems.append("queue_capacity must be >= 1")
         if self.queue_policy not in POLICIES:
@@ -427,10 +429,19 @@ class ControllerService:
     # -- the loop -------------------------------------------------------- #
 
     @staticmethod
-    def check_checkpoint_every(checkpoint_every_s: Optional[float]) -> None:
-        """Raise ``ValueError`` for a boundary spacing :meth:`run` refuses."""
-        if checkpoint_every_s is not None and checkpoint_every_s <= 0:
-            raise ValueError("checkpoint_every_s must be > 0")
+    def check_checkpoint_every(
+        checkpoint_every_s: Optional[float],
+        max_boundaries: Optional[int] = None,
+    ) -> None:
+        """Raise ``ValueError`` for a boundary spacing or a stop boundary
+        :meth:`run` refuses.  A NaN spacing would make no slice advance
+        the clock, so the loop would write checkpoints forever."""
+        if checkpoint_every_s is not None and not (
+            0 < checkpoint_every_s < math.inf
+        ):
+            raise ValueError("checkpoint_every_s must be > 0 and finite")
+        if max_boundaries is not None and max_boundaries < 1:
+            raise ValueError("max_boundaries must be >= 1")
 
     def run(
         self,
@@ -455,7 +466,7 @@ class ControllerService:
         checkpoints: List[str] = []
         processed = 0
         if checkpoint_every_s is not None:
-            self.check_checkpoint_every(checkpoint_every_s)
+            self.check_checkpoint_every(checkpoint_every_s, max_boundaries)
             if checkpoint_dir is None:
                 raise ValueError("checkpointing requires checkpoint_dir")
             directory = Path(checkpoint_dir)

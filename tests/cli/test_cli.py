@@ -83,6 +83,9 @@ class TestParser:
             ["simulate", "--repair-accuracy", "-2"],
             ["serve", "--events", "-5", "--days", "0.05", "--scale", "0.1"],
             ["sweep", "--events", "-5", "--days", "1", "--scale", "0.1"],
+            ["chaos", "--scale", "inf"],
+            ["serve", "--events", "nan", "--days", "0.05", "--scale", "0.1"],
+            ["sweep", "--events", "nan", "--days", "1", "--scale", "0.1"],
             ["simulate", "--lg-coverage", "1.5"],
             ["chaos", "--miswire-pairs", "-2"],
             ["topology", "--pods", "0"],

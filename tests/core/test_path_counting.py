@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import PathCounter
 from repro.topology import build_clos, build_multi_tier
+from repro.topology.columnar import ColumnarPathCounter
 from tests.path_counts import baseline_of, counts_of
 
 
@@ -70,27 +71,20 @@ class TestCounts:
 
 class TestRestricted:
     def test_restricted_matches_full(self, medium_clos):
-        """The row primitive (an overlay, or in recount mode a DP pruned to
-        the upstream closure) against the unrestricted public query."""
+        """The row primitive (an overlay on the live counts) against the
+        unrestricted public query and a full recount."""
         tors = ["pod0/tor0", "pod0/tor1"]
         disabled = frozenset({("pod0/agg0", "spine0"), ("pod0/tor0", "pod0/agg1")})
-        for incremental in (True, False):
-            counter = PathCounter(medium_clos, incremental=incremental)
-            restricted = counter.fractions_at(
-                [medium_clos.switch_row[tor] for tor in tors],
-                frozenset(medium_clos.link_row[lid] for lid in disabled),
-            )
-            full = counter.tor_fractions(extra_disabled=disabled, tors=tors)
-            assert dict(zip(tors, restricted)) == full
-            counter.detach()
-
-    def test_closure_is_upstream_closed(self, medium_clos):
         counter = PathCounter(medium_clos)
-        rows = counter._closure([medium_clos.switch_row["pod0/tor0"]])
-        closure = {medium_clos.switch_names[row] for row in rows}
-        for name in closure:
-            for lid in medium_clos.uplinks(name):
-                assert medium_clos.link(lid).upper in closure
+        restricted = counter.fractions_at(
+            [medium_clos.switch_row[tor] for tor in tors],
+            frozenset(medium_clos.link_row[lid] for lid in disabled),
+        )
+        full = counter.tor_fractions(extra_disabled=disabled, tors=tors)
+        assert dict(zip(tors, restricted)) == full
+        recount = ColumnarPathCounter.for_topology(medium_clos)
+        assert recount.tor_fractions(disabled, tors) == full
+        assert full["pod0/tor0"] < 1.0
 
 
 class TestAffectedTors:

@@ -4,11 +4,11 @@ The oracle below is the §5.1 DP written the obvious way — dicts keyed by
 switch name, ``topo.uplinks`` / ``topo.link`` per step, every ToR's
 fraction summed as an exact ``Fraction`` — and imports nothing from
 ``repro.core.path_counting``.  After every step of a random operation
-sequence the counter (both ``incremental`` modes) must agree with it on
-every public query, exactly.
+sequence the counter must agree with it on every public query, exactly.
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -188,12 +188,11 @@ def assert_decisions_match_oracle(counter, topo, constraint, rng):
     for column in (floors, list(floors)):
         violated = counter.violations(column, None, rows)
         assert {names[tor]: f for tor, f in violated.items()} == want
-    if counter._incremental:
-        live, after = naive_counts(topo), naive_counts(topo, extra)
-        overlay = counter._overlay_with_extra(rows)
-        assert {names[row]: count for row, count in overlay.items()} == {
-            name: count for name, count in after.items() if count != live[name]
-        }
+    live, after = naive_counts(topo), naive_counts(topo, extra)
+    overlay = counter._overlay_with_extra(rows)
+    assert {names[row]: count for row, count in overlay.items()} == {
+        name: count for name, count in after.items() if count != live[name]
+    }
     for threshold in (1e-8, 0.0):
         assert topo.corrupting_links(threshold) == naive_corrupting(
             topo, threshold
@@ -211,13 +210,12 @@ SET_STATE = {
 @given(
     builder=st.sampled_from(sorted(BUILDERS)),
     seed=st.integers(0, 10_000),
-    incremental=st.booleans(),
 )
 @settings(max_examples=40, deadline=None)
-def test_counter_equals_naive_oracle_after_every_step(builder, seed, incremental):
+def test_counter_equals_naive_oracle_after_every_step(builder, seed):
     rng = random.Random(seed)
     topo = BUILDERS[builder](seed)
-    counter = PathCounter(topo, incremental=incremental)
+    counter = PathCounter(topo)
     hot = rng.sample(topo.tors(), k=2)
     constraint = CapacityConstraint(
         rng.choice([0.4, 0.5, 0.75]), {hot[0]: 0.9, hot[1]: 0.3}
@@ -285,13 +283,13 @@ def test_counter_attached_while_the_topology_grows_rebuilds_once():
     two full DPs per add; now the adds only mark it stale."""
     topo = build_clos(1, 2, 2, 2)
     counter = PathCounter(topo)
-    counter.stats.reset()
+    built = counter.stats.full_recounts
     for i in range(400):
         topo.add_switch(Switch(f"new{i}", stage=0, pod="pod0"))
         topo.add_link(f"new{i}", f"pod0/agg{i % 2}")
-    assert counter.stats.full_recounts == 0
+    assert counter.stats.full_recounts == built
     assert counter.tor_fractions() == naive_fractions(topo)
-    assert counter.stats.full_recounts <= 2
+    assert counter.stats.full_recounts <= built + 2
     fresh = PathCounter(topo)
     assert counts_of(counter) == counts_of(fresh) == naive_counts(topo)
     assert baseline_of(counter) == baseline_of(fresh)
@@ -301,7 +299,7 @@ def test_counter_attached_while_the_topology_grows_rebuilds_once():
     topo.add_link("new0", "pod0/agg1")
     topo.disable_link(("new0", "pod0/agg0"))
     assert counts_of(counter) == naive_counts(topo)
-    assert counter.stats.full_recounts <= 4
+    assert counter.stats.full_recounts <= built + 4
 
 
 def test_enable_refreshes_the_told_state_column():
@@ -327,27 +325,31 @@ def test_walk_visits_the_dirty_region_and_nothing_else():
     topo = build_clos(2, 3, 2, 4)  # pod0/agg0 -> spine0, spine1
     counter = PathCounter(topo)
     topo.disable_link(("pod0/tor0", "pod0/agg0"))
-    counter.stats.reset()
+    start = replace(counter.stats)
+
+    def since(field):
+        return getattr(counter.stats, field) - getattr(start, field)
+
     # agg0 loses spine0's path (1 link), pushed down to tor1 and tor2 (2);
     # the downlink to tor0 is off.
     counter.tor_fractions([("pod0/agg0", "spine0")])
-    assert counter.stats.links_visited == 1 + 2
+    assert since("links_visited") == 1 + 2
     # Naming tor1's uplink as well: two links in (tor1 loses agg0's whole
     # live count of 2), and agg0's change reaches tor2 only (1).
     both = [("pod0/agg0", "spine0"), ("pod0/tor1", "pod0/agg0")]
     assert counts_of(counter, both)["pod0/tor1"] == 2
-    assert counter.stats.links_visited == 3 + 2 + 1
+    assert since("links_visited") == 3 + 2 + 1
     # A link that is off already lets nothing in.
     counter.tor_fractions([("pod0/tor0", "pod0/agg0")])
-    assert counter.stats.links_visited == 6
+    assert since("links_visited") == 6
     # Enabling tor0's uplink: the link itself, and a ToR has no downlinks.
     topo.enable_link(("pod0/tor0", "pod0/agg0"))
-    assert counter.stats.links_visited == 6 + 1
+    assert since("links_visited") == 6 + 1
     # A notification where nothing flipped lets nothing in.
     counter._on_admin_change(("pod0/tor0", "pod0/agg0"))
-    assert counter.stats.links_visited == 7
-    assert counter.stats.overlay_queries == 3
-    assert counter.stats.incremental_updates == 2
+    assert since("links_visited") == 7
+    assert since("overlay_queries") == 3
+    assert since("incremental_updates") == 2
 
     # spine -> core -> agg -> two ToRs, the core's uplink off: every count
     # below it is 0, so the agg's uplink carries nothing and moves nothing.
@@ -358,13 +360,13 @@ def test_walk_visits_the_dirty_region_and_nothing_else():
         topo.add_link(lower, upper)
     counter = PathCounter(topo)
     topo.disable_link(("c", "s"))
-    counter.stats.reset()
+    start = replace(counter.stats)
     topo.disable_link(("a", "c"))
-    assert counter.stats.links_visited == 1
+    assert since("links_visited") == 1
     assert counts_of(counter) == naive_counts(topo)
     topo.enable_link(("a", "c"))
     assert counts_of(counter, [("a", "c")]) == naive_counts(topo, {("a", "c")})
-    assert counter.stats.links_visited == 1 + 1 + 1
+    assert since("links_visited") == 1 + 1 + 1
 
 
 def test_overlay_commit_updates_the_aggregates():

@@ -48,6 +48,20 @@ def test_validate_rejects_bad_fields(bad):
         JobSpec(**bad).validate()
 
 
+@pytest.mark.parametrize("kind", ["simulate", "chaos"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("name", ["scale", "duration_days", "events_per_10k"])
+def test_validate_rejects_non_finite_run_numbers(name, value, kind):
+    """NaN passes every ``<`` / ``<=`` test, and an infinite horizon or
+    rate never ends a run: both are refused with the field's message."""
+    preset = "mild" if kind == "chaos" else None
+    spec = JobSpec(kind=kind, chaos_preset=preset, **{name: value})
+    word = "events_per_10k" if name == "events_per_10k" else name.split("_")[0]
+    with pytest.raises(ValueError, match=f"{word} must be .* finite"):
+        spec.validate()
+    JobSpec(kind=kind, chaos_preset=preset, **{name: 1.0}).validate()
+
+
 def test_scenario_key_ignores_non_scenario_axes():
     """Capacity/strategy/repair knobs share one cached scenario build."""
     base = JobSpec(trace_seed=3)

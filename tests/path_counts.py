@@ -6,6 +6,8 @@ count of every switch, and the design counts, between
 ColumnarPathCounter` and their oracles.
 """
 
+from fractions import Fraction
+
 from repro.core import PathCounter
 
 
@@ -28,6 +30,20 @@ def baseline_of(counter):
         return dict(zip(counter._col.switch_names, counter._baseline.tolist()))
     counter._sync()
     return _by_name(counter, counter._baseline)
+
+
+def exact_average(counter, tors):
+    """Mean path fraction of the ToRs ``tors`` under ``counter``'s live
+    counts, summed exactly as ``Fraction`` values: the float
+    ``PathCounter.average_tor_fraction`` must return."""
+    if not tors:
+        return 1.0
+    counts, design = counts_of(counter), baseline_of(counter)
+    total = sum(
+        (Fraction(counts[tor], design[tor]) for tor in tors if design[tor]),
+        Fraction(0),
+    )
+    return float(total / len(tors))
 
 
 def _by_name(counter, values):

@@ -33,7 +33,7 @@ def test_schema_literals_pinned_against_service():
         checkpoint.CHECKPOINT_FORMAT_VERSION
         is schema.CHECKPOINT_FORMAT_VERSION
     )
-    assert CHECKPOINT_FORMAT_VERSION == 13
+    assert CHECKPOINT_FORMAT_VERSION == 14
 
 
 def write_sample(path, state=None):
@@ -126,7 +126,7 @@ class TestIntegrity:
         )
         with pytest.raises(
             ValueError,
-            match=rf"unsupported checkpoint version {version} \(expected 13\)",
+            match=rf"unsupported checkpoint version {version} \(expected 14\)",
         ):
             read_checkpoint(path)
         assert validate_checkpoint_file(path) == [
@@ -201,6 +201,12 @@ class TestIntegrity:
         the co-model's name map, its rows numbered in first-seen order;
         every stage keeps a direction in its direction-table row now."""
         self._refused_by_version(tmp_path, 12, "1.13.0")
+
+    def test_v13_checkpoint_refused_before_unpickling(self, tmp_path):
+        """Version 13 pickled each PathCounter with its mode flag
+        (``_incremental``); the counter has one mode now and pickles
+        without it."""
+        self._refused_by_version(tmp_path, 13, "1.13.0")
 
     def test_truncated_payload_rejected(self, tmp_path):
         path = tmp_path / "c.ckpt"

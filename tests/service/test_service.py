@@ -89,6 +89,57 @@ class TestConfig:
                 lambda: IngestingPoller(queue=None, **queue_kwargs)
             )
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(days=float("nan")),
+            dict(days=float("inf")),
+            dict(scale=float("nan")),
+            dict(scale=float("inf")),
+            dict(events_per_10k_links_per_day=float("nan")),
+            dict(events_per_10k_links_per_day=float("inf")),
+            dict(poll_interval_s=float("nan")),
+            dict(poll_interval_s=float("inf")),
+        ],
+        ids=lambda bad: "=".join(map(str, *bad.items())),
+    )
+    def test_non_finite_values_rejected(self, bad):
+        """A NaN or infinite run number would run without end or
+        without events; the config refuses it before any run starts."""
+        with pytest.raises(ValueError, match="must be"):
+            ServiceConfig(**bad).validate()
+
+    @pytest.mark.parametrize(
+        "every_s,max_boundaries",
+        [
+            (float("nan"), None),
+            (float("inf"), None),
+            (0.0, None),
+            (-3600.0, None),
+            (3600.0, 0),
+            (3600.0, -1),
+            (None, 0),
+        ],
+    )
+    def test_checkpoint_spacing_and_stop_boundary_rules(
+        self, every_s, max_boundaries
+    ):
+        """A NaN spacing never advances the clock (``run`` would write
+        checkpoints without end); a stop boundary below 1 would stop
+        after the first one, as 1 does."""
+        with pytest.raises(ValueError, match="must be"):
+            ControllerService.check_checkpoint_every(every_s, max_boundaries)
+        with pytest.raises(ValueError, match="must be"):
+            ControllerService(ServiceConfig(**FAST)).run(
+                checkpoint_every_s=every_s if every_s is not None else 3600.0,
+                checkpoint_dir=None,
+                max_boundaries=max_boundaries,
+            )
+
+    def test_checkpoint_spacing_and_stop_boundary_accepted(self):
+        ControllerService.check_checkpoint_every(None)
+        ControllerService.check_checkpoint_every(3600.0, 1)
+
     def test_problems_are_aggregated(self):
         with pytest.raises(ValueError, match="days.*;.*queue_capacity"):
             ServiceConfig(days=0.0, queue_capacity=0).validate()

@@ -141,8 +141,6 @@ PRODUCTION_SET: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
         "benchmarks/test_runtime_obs_overhead.py")),
     # tests
     ("bench-smoke", ("-m", "bench.run", "--smoke")),
-    ("bench-incremental-counter", _pytest(
-        "benchmarks/test_runtime_incremental_counter.py", "-k", "medium")),
     ("bench-checker-optimizer", _pytest(
         "benchmarks/test_runtime_fast_checker.py",
         "benchmarks/test_runtime_optimizer.py")),
