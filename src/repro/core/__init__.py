@@ -37,7 +37,6 @@ from repro.core.optimizer import (
     GlobalOptimizer,
     OptimizerResult,
     OptimizerStats,
-    brute_force_optimal,
 )
 from repro.core.path_counting import PathCounter, PathCounterStats
 from repro.core.penalty import (
@@ -100,7 +99,6 @@ __all__ = [
     "Segment",
     "SwitchLocalChecker",
     "SwitchLocalResult",
-    "brute_force_optimal",
     "connectivity_constraint",
     "deployed_engine",
     "full_engine",

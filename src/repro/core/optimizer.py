@@ -21,7 +21,6 @@ fewer feasibility checks) and §8 topology segmentation.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
@@ -32,6 +31,10 @@ from repro.core.segmentation import Segment, segment_links
 from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.topology.elements import LinkId, LinkState
 from repro.topology.graph import Topology
+
+#: A plan's history: (floors column, kept links with a positive penalty,
+#: chosen links).
+_History = Tuple[List[float], FrozenSet[LinkId], Set[LinkId]]
 
 
 @dataclass
@@ -132,7 +135,17 @@ class GlobalOptimizer:
             branch-and-bound.
         obs: Observability recorder; each run emits an ``optimizer.plan``
             span and search-effort counters (no-op by default).
+
+    A plan remembers what it kept and chose, and the next one searches
+    only the candidates an activation since can have freed
+    (:meth:`_searched`); the counter's ``risen`` and ``fallen`` sets say
+    which ToRs gained or lost paths.  A counter serves one such optimizer.
+    The history is not pickled: a restored optimizer searches everything
+    once.
     """
+
+    #: The last plan the next one may trust; None searches everything.
+    _history: Optional[_History] = None
 
     def __init__(
         self,
@@ -159,6 +172,11 @@ class GlobalOptimizer:
         self.method = method
         self.exhaustive_limit = exhaustive_limit
         self.obs = obs
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_history", None)
+        return state
 
     # ------------------------------------------------------------------ #
 
@@ -223,40 +241,47 @@ class GlobalOptimizer:
             lid: self.penalty_fn(topo.max_rate(link_row[lid]))
             for lid in all_candidates
         }
+        floors = counter.floors(self.constraint)
+        # A ToR already below its floor blocks its whole segment, links
+        # that cannot reach it included: while one exists, plans search
+        # everything and leave no history.
+        history, self._history = self._history, None
+        searched = candidates
+        if history is not None and history[0] is floors:
+            # The last plan left no ToR below its floor, so only one that
+            # lost paths since can be below it now.
+            risen, counter.risen = counter.risen, set()
+            fallen, counter.fallen = counter.fallen, set()
+            calm = not counter.violations(floors, list(fallen))
+            if calm:
+                searched = self._searched(candidates, history, penalty, risen)
+        else:
+            calm = not counter.violations(floors)
 
         # ---- Pruning step (Figure 11) --------------------------------- #
-        # Disable everything hypothetically; ToRs that survive can never be
-        # violated by any subset (path counts are monotone in the set of
-        # enabled links).
-        floors = counter.floors(self.constraint)
+        # Disable everything searched hypothetically; ToRs below it that
+        # survive can never be violated by any subset (path counts are
+        # monotone in the set of enabled links).
+        below, lower = topo.tor_rows_below, topo.lower_row
+        cones = {lid: below(lower[link_row[lid]]) for lid in searched}
         violated = counter.violations(
-            floors, extra=frozenset(map(link_row.__getitem__, all_candidates))
+            floors,
+            list(set().union(*cones.values())),
+            frozenset(map(link_row.__getitem__, searched)),
         )
 
-        if not violated:
-            stats.num_safe = len(candidates)
-            disabled_penalty = ordered_sum(penalty[lid] for lid in candidates)
-            return OptimizerResult(
-                to_disable=set(candidates),
-                kept_active=set(),
-                residual_penalty=0.0,
-                disabled_penalty=disabled_penalty,
-                stats=stats,
-            )
-
-        if self.use_pruning:
+        if self.use_pruning or not violated:
             # A candidate is upstream of an at-risk ToR exactly when that
             # ToR sits (structurally) below the candidate's lower endpoint.
-            below, lower = topo.tor_rows_below, topo.lower_row
             contested = sorted(
                 lid
-                for lid in all_candidates
-                if not violated.keys().isdisjoint(below(lower[link_row[lid]]))
+                for lid in searched
+                if not violated.keys().isdisjoint(cones[lid])
             )
-            safe = all_candidates.difference(contested)
+            safe = frozenset(searched).difference(contested)
             at_risk = {topo.switch_names[tor] for tor in violated}
         else:
-            contested = sorted(all_candidates)
+            contested = sorted(searched)
             safe = frozenset()
             # Without pruning, every ToR is treated as at risk.
             at_risk = set(topo.tors())
@@ -265,7 +290,9 @@ class GlobalOptimizer:
         stats.num_contested = len(contested)
 
         # ---- Segment and search --------------------------------------- #
-        if self.use_segmentation:
+        if not violated:
+            segments = []
+        elif self.use_segmentation:
             segments = segment_links(topo, contested, at_risk)
         else:
             reachable = set().union(*map(counter.affected_tors, contested))
@@ -284,13 +311,55 @@ class GlobalOptimizer:
             )
 
         kept = set(all_candidates) - chosen
+        if calm:
+            held = frozenset(lid for lid in kept if penalty[lid] > 0)
+            self._history = (floors, held, chosen)
         return OptimizerResult(
             to_disable=chosen,
             kept_active=kept,
-            residual_penalty=ordered_sum(penalty[lid] for lid in kept),
+            residual_penalty=ordered_sum((penalty[lid] for lid in kept), 0.0),
             disabled_penalty=ordered_sum(penalty[lid] for lid in chosen),
             stats=stats,
         )
+
+    def _searched(
+        self,
+        candidates: List[LinkId],
+        history: _History,
+        penalty: Dict[LinkId, float],
+        risen: Set[int],
+    ) -> List[LinkId]:
+        """The candidates this plan searches; every other one stays up.
+
+        The last plan kept each link of ``held`` because disabling it with
+        that plan's choice left some ToR below it under its floor (its
+        penalty is positive, so the search would have taken it otherwise).
+        Disabling more links never raises a count, so while no ToR below
+        the link has gained paths since (and every link chosen then is
+        still off, or its ToRs count as having gained), the link cannot
+        join any feasible set now.  Equal or zero penalties among the
+        searched links could break a tie otherwise than the full search
+        does: then everything is searched.  ``risen`` holds the ToR rows
+        whose count rose since the last plan.
+        """
+        _, held, chosen = history
+        topo = self._topo
+        below, lower = topo.tor_rows_below, topo.lower_row
+        link_row, state = topo.link_row, topo.link_state
+        for lid in chosen:
+            row = link_row[lid]
+            if state[row] is LinkState.ENABLED:
+                risen |= below(lower[row])
+        searched = [
+            lid
+            for lid in candidates
+            if lid not in held
+            or not risen.isdisjoint(below(lower[link_row[lid]]))
+        ]
+        values = {penalty[lid] for lid in searched}
+        if len(values) < len(searched) or min(values, default=1.0) <= 0:
+            return candidates
+        return searched
 
     def optimize(
         self, candidates: Optional[Sequence[LinkId]] = None
@@ -359,9 +428,11 @@ class GlobalOptimizer:
     ) -> Set[int]:
         """The paper's search: iterate subsets, skip supersets of failures.
 
-        Subsets are visited largest-penalty-first by enumerating over sizes
-        descending within penalty-sorted prefixes; exactness comes from full
-        enumeration, the reject cache only skips provably infeasible sets.
+        Masks 1 … 2ⁿ−1 are visited in numeric order, bit ``i`` standing
+        for ``links[i]`` (largest penalty first).  Only a strictly larger
+        value replaces the best, so of the feasible subsets with the top
+        value the smallest mask wins.  Exactness comes from full
+        enumeration; the reject cache only skips provably infeasible sets.
         """
         n = len(links)
         rejected: List[int] = []
@@ -424,39 +495,3 @@ class GlobalOptimizer:
         dfs(0, frozenset(), 0.0)
         return best_set
 
-
-def brute_force_optimal(
-    topo: Topology,
-    constraint: CapacityConstraint,
-    candidates: Optional[Sequence[LinkId]] = None,
-    penalty_fn: PenaltyFn = linear_penalty,
-) -> Tuple[Set[LinkId], float]:
-    """Reference implementation: enumerate every subset, no pruning/caching.
-
-    Exponential; only for small test instances, used to validate
-    :class:`GlobalOptimizer` exactness.
-
-    Returns:
-        ``(best_disable_set, residual_penalty)``.
-    """
-    if candidates is None:
-        candidates = topo.corrupting_links()
-    link_row, state, enabled = topo.link_row, topo.link_state, LinkState.ENABLED
-    candidates = [lid for lid in candidates if state[link_row[lid]] is enabled]
-    counter = PathCounter(topo)
-    penalty = {
-        lid: penalty_fn(topo.max_rate(link_row[lid])) for lid in candidates
-    }
-    total = ordered_sum(penalty[lid] for lid in candidates)
-    best: Set[LinkId] = set()
-    best_value = -1.0
-    for size in range(len(candidates), -1, -1):
-        for combo in itertools.combinations(candidates, size):
-            fractions = counter.tor_fractions(frozenset(combo))
-            if constraint.violations(fractions):
-                continue
-            value = ordered_sum(penalty[lid] for lid in combo)
-            if value > best_value:
-                best_value = value
-                best = set(combo)
-    return best, total - max(best_value, 0.0)

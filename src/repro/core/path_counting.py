@@ -212,6 +212,10 @@ class PathCounter:
         heapq.heapify(self._min_heap)
         # ToR row -> its count when the aggregates last saw it (_settle).
         self._dirty: Dict[int, int] = {}
+        #: ToR rows whose live count rose / fell since the optimizer last
+        #: drained the sets (GlobalOptimizer's history); not pickled.
+        self.risen: Set[int] = set()
+        self.fallen: Set[int] = set()
 
     # ------------------------------------------------------------------ #
     # Change notifications
@@ -238,9 +242,12 @@ class PathCounter:
         # Otherwise this is check_and_disable: the fast check walked this
         # very disable on this very state, so its overlay is the new state.
         counts, stage, dirty = self._counts, self._stage, self._dirty
+        moved = self.risen if enabled else self.fallen
         for switch, new in overlay.items():
-            if stage[switch] == 0 and switch not in dirty:
-                dirty[switch] = counts[switch]
+            if stage[switch] == 0:
+                if switch not in dirty:
+                    dirty[switch] = counts[switch]
+                moved.add(switch)
             counts[switch] = new
 
     def _on_structure_change(self) -> None:

@@ -16,8 +16,8 @@ from repro.core import (
     GlobalOptimizer,
     PathCounter,
     SwitchLocalChecker,
-    brute_force_optimal,
 )
+from tests.oracles.brute_force import brute_force_optimal
 from tests.path_counts import baseline_of
 
 C = 0.6

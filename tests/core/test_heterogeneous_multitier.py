@@ -108,7 +108,7 @@ class TestMultiTier:
         assert sc4 > sc3
 
     def test_optimizer_exact_on_four_stages(self, four_stage):
-        from repro.core import brute_force_optimal
+        from tests.oracles.brute_force import brute_force_optimal
 
         links = sorted(four_stage.link_ids())
         for lid in links[:6]:

@@ -8,9 +8,9 @@ import pytest
 from repro.core import (
     CapacityConstraint,
     GlobalOptimizer,
-    brute_force_optimal,
 )
 from repro.topology import build_clos, sprinkle_corruption
+from tests.oracles.brute_force import brute_force_optimal
 
 
 def corrupt(topo, lid, rate=1e-3):
@@ -277,7 +277,8 @@ class TestTieBreakDeterminism:
         script = (
             "import json, random\n"
             "from repro.core import (CapacityConstraint, GlobalOptimizer,"
-            " brute_force_optimal, step_penalty)\n"
+            " step_penalty)\n"
+            "from tests.oracles.brute_force import brute_force_optimal\n"
             "from repro.topology import assign_breakout_groups, build_clos\n"
             "topo = build_clos(3, 3, 2, 4)\n"
             "groups = assign_breakout_groups(topo, fraction=1.0,"

@@ -11,7 +11,6 @@ from repro.core import (
     CapacityConstraint,
     GlobalOptimizer,
     PathCounter,
-    brute_force_optimal,
     segment_links,
 )
 from repro.ticketing import TechnicianPoolQueue, Ticket
@@ -20,6 +19,7 @@ from repro.topology import (
     topology_from_dict,
     topology_to_dict,
 )
+from tests.oracles.brute_force import brute_force_optimal
 from tests.path_counts import counts_of
 
 

@@ -37,8 +37,8 @@ _FENCED_UTILIZATION = (
     "runs it (benchmark fence)"
 )
 _BRUTE_FORCE = (
-    "brute_force_optimal, the optimizer's test oracle, checks every subset "
-    "through CapacityConstraint.violations"
+    "tests/oracles/brute_force.py, the optimizer's test oracle, checks "
+    "every subset through CapacityConstraint.violations"
 )
 
 
@@ -59,7 +59,6 @@ ALLOWED: Dict[str, str] = {
     "core/constraints.py:CapacityConstraint.violations": _BRUTE_FORCE,
     "core/constraints.py:CapacityConstraint.__repr__": _REPR,
     "core/controller.py:CorrOptController._fallback_sweep": _BREAKER,
-    "core/optimizer.py:brute_force_optimal": _ORACLE,
     "core/path_counting.py:PathCounter.detach": _LIVE_COUNTER,
     "core/path_counting.py:PathCounter._on_structure_change": _LIVE_COUNTER,
     "core/resilience.py:CircuitBreaker.record_failure": _BREAKER,
