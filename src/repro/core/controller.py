@@ -1,6 +1,11 @@
-"""The CorrOpt controller (Figure 13 workflow), hardened for bad inputs.
+"""CorrOpt's decision core, and its controller (Figure 13) hardened for
+bad inputs.
 
-Wires the decision components together:
+The paper's policy (§5.1) is written once here: :class:`CorrOptStrategy`
+and its base, Figure 18's :class:`FastCheckerOnlyStrategy`.  The other
+strategies §7.1 compares live in :mod:`repro.simulation.strategies`.
+:class:`CorrOptController` makes its decisions through one
+:class:`CorrOptStrategy`:
 
 - a switch reports packet corruption → the **fast checker** decides whether
   the link can be safely disabled;
@@ -24,8 +29,8 @@ Hardening (all opt-in, defaults preserve the original behaviour):
   link state changes, so sensor flaps cannot churn links.
 - **Optimizer protection** — the global optimization on activation runs
   under retry-with-backoff and a :class:`~repro.core.resilience.
-  CircuitBreaker`; when the breaker is open the controller degrades to
-  fast-checker-only mode instead of failing.
+  CircuitBreaker`; when the breaker is open (or the optimizer fails) the
+  controller degrades to Figure 18's fast-checker-only activation.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, FrozenSet, List, Optional
+from typing import Callable, Deque, FrozenSet, List, Optional, Sequence
 
 from repro.core.constraints import CapacityConstraint
 from repro.core.fast_checker import FastChecker, FastCheckResult
@@ -58,6 +63,94 @@ from repro.core.resilience import (
 from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.topology.elements import Direction, LinkId
 from repro.topology.graph import Topology
+
+
+class MitigationStrategy:
+    """Interface; see :mod:`repro.simulation.strategies`.
+
+    ``counter`` is the strategy's :class:`PathCounter`, which the kernel
+    shares (one incremental DP per run); ``optimizer_stats`` accumulates
+    the global optimizer's search (None where it never runs).
+    """
+
+    name = "abstract"
+    counter: Optional[PathCounter] = None
+    optimizer_stats: Optional[OptimizerStats] = None
+
+    def on_onset(self, link_id: LinkId) -> bool:
+        """Return True (and disable the link) when it can safely go down."""
+        raise NotImplementedError
+
+    def on_activation(self) -> List[LinkId]:
+        """Re-evaluate after an activation; return newly disabled links."""
+        raise NotImplementedError
+
+
+class FastCheckerOnlyStrategy(MitigationStrategy):
+    """Fast checker everywhere (greedy re-sweep on activation)."""
+
+    name = "fast-checker-only"
+
+    def __init__(
+        self,
+        topo: Topology,
+        constraint: CapacityConstraint,
+        obs: Recorder = NULL_RECORDER,
+    ):
+        self.topo = topo
+        self.counter = PathCounter(topo, obs=obs)
+        self.fast_checker = FastChecker(
+            topo, constraint, counter=self.counter, obs=obs
+        )
+
+    def on_onset(self, link_id: LinkId) -> bool:
+        return self.fast_checker.check_and_disable(link_id).allowed
+
+    def on_activation(
+        self, candidates: Optional[Sequence[LinkId]] = None
+    ) -> List[LinkId]:
+        """Greedy sweep; return the links it disabled, in sweep order."""
+        if candidates is None:
+            candidates = self.topo.corrupting_links()
+        results = self.fast_checker.sweep(candidates)
+        return [r.link_id for r in results if r.allowed]
+
+
+class CorrOptStrategy(FastCheckerOnlyStrategy):
+    """The full CorrOpt policy (§5.1): fast checker + optimizer."""
+
+    name = "corropt"
+
+    def __init__(
+        self,
+        topo: Topology,
+        constraint: CapacityConstraint,
+        penalty_fn: PenaltyFn = linear_penalty,
+        obs: Recorder = NULL_RECORDER,
+    ):
+        super().__init__(topo, constraint, obs=obs)
+        self.optimizer = GlobalOptimizer(
+            topo, constraint, penalty_fn=penalty_fn, counter=self.counter,
+            obs=obs,
+        )
+        self.optimizer_stats = OptimizerStats()
+
+    def plan(
+        self, candidates: Optional[Sequence[LinkId]] = None
+    ) -> OptimizerResult:
+        """Plan over ``candidates`` without applying; count the search."""
+        result = self.optimizer.plan(candidates)
+        self.optimizer_stats.merge(result.stats)
+        return result
+
+    def on_activation(
+        self, candidates: Optional[Sequence[LinkId]] = None
+    ) -> List[LinkId]:
+        """Plan and disable the chosen links, in sorted order."""
+        to_disable = sorted(self.plan(candidates).to_disable)
+        for lid in to_disable:
+            self.topo.disable_link(lid)
+        return to_disable
 
 
 @dataclass
@@ -106,7 +199,7 @@ class ControllerLog:
     max_decisions: Optional[int] = None
     decisions: Deque[ControllerDecision] = field(default_factory=deque)
     #: Aggregated search effort over every successful optimizer run this
-    #: controller executed (the former write-only ``OptimizerStats``).
+    #: controller executed: its strategy's accumulator.
     optimizer_stats: OptimizerStats = field(default_factory=OptimizerStats)
 
     def __post_init__(self):
@@ -178,19 +271,12 @@ class CorrOptController:
         if optimizer_attempts < 1:
             raise ValueError("optimizer_attempts must be >= 1")
         self.topo = topo
-        self.constraint = constraint
         self.obs = obs
-        self.counter = PathCounter(topo, obs=obs)
-        self.fast_checker = FastChecker(
-            topo, constraint, counter=self.counter, obs=obs
-        )
-        self.optimizer = GlobalOptimizer(
-            topo,
-            constraint,
-            penalty_fn=penalty_fn,
-            counter=self.counter,
-            obs=obs,
-        )
+        self.strategy = CorrOptStrategy(topo, constraint, penalty_fn, obs=obs)
+        # Aliases, not copies: one counter, checker and optimizer.
+        self.counter = self.strategy.counter
+        self.fast_checker = self.strategy.fast_checker
+        self.optimizer = self.strategy.optimizer
         self.recommender = recommender or full_engine()
         self.observation_provider = observation_provider
         self.on_disable = on_disable
@@ -200,7 +286,10 @@ class CorrOptController:
         self.optimizer_attempts = optimizer_attempts
         self.link_scope = link_scope
         self.audit = audit or AuditLog()
-        self.log = ControllerLog(max_decisions=max_decisions)
+        self.log = ControllerLog(
+            max_decisions=max_decisions,
+            optimizer_stats=self.strategy.optimizer_stats,
+        )
         self._last_breaker_state: Optional[BreakerState] = None
 
     # ------------------------------------------------------------------ #
@@ -352,25 +441,6 @@ class CorrOptController:
             and (scope is None or lid in scope)
         ]
 
-    def _fallback_sweep(self, candidates: List[LinkId]) -> OptimizerResult:
-        """Fast-checker-only degraded mode (breaker open / optimizer down)."""
-        self.log.optimizer_fallbacks += 1
-        self.obs.count("controller_optimizer_fallbacks_total")
-        try:
-            results = self.fast_checker.sweep(candidates)
-        except Exception as exc:  # noqa: BLE001 — fail safe: disable nothing
-            self.audit.record(
-                0.0,
-                "fallback-sweep-error",
-                detail=repr(exc),
-                fail_safe=True,
-            )
-            return OptimizerResult()
-        return OptimizerResult(
-            to_disable={r.link_id for r in results if r.allowed},
-            kept_active={r.link_id for r in results if not r.allowed},
-        )
-
     def activate_link(
         self,
         link_id: LinkId,
@@ -438,42 +508,52 @@ class CorrOptController:
 
         candidates = self._optimizer_candidates()
         breaker = self.optimizer_breaker
+        result: Optional[OptimizerResult] = None
         if breaker is not None and not breaker.allow(time_s):
             self.audit.record(
                 time_s,
                 "optimizer-breaker-open",
                 detail="degraded to fast-checker-only mode",
             )
-            result = self._fallback_sweep(candidates)
-            # The sweep already applied its disables.
-            for lid in sorted(result.to_disable):
-                self.log.disabled_by_optimizer += 1
-                self._announce_disable(lid)
-            return result
+        else:
+            try:
+                result = retry_with_backoff(
+                    lambda: self.strategy.plan(candidates),
+                    attempts=self.optimizer_attempts,
+                )
+            except Exception as exc:  # noqa: BLE001 — degrade, never crash
+                self.log.optimizer_failures += 1
+                if breaker is not None:
+                    breaker.record_failure(time_s)
+                self.audit.record(time_s, "optimizer-error", detail=repr(exc))
 
-        try:
-            result = retry_with_backoff(
-                lambda: self.optimizer.plan(candidates),
-                attempts=self.optimizer_attempts,
-            )
-        except Exception as exc:  # noqa: BLE001 — degrade, never crash
-            self.log.optimizer_failures += 1
-            if breaker is not None:
-                breaker.record_failure(time_s)
-            self.audit.record(
-                time_s, "optimizer-error", detail=repr(exc)
-            )
-            result = self._fallback_sweep(candidates)
-            for lid in sorted(result.to_disable):
+        if result is None:
+            # Degraded mode: Figure 18's fast-checker-only activation,
+            # which applies its own disables.
+            self.log.optimizer_fallbacks += 1
+            self.obs.count("controller_optimizer_fallbacks_total")
+            try:
+                disabled = FastCheckerOnlyStrategy.on_activation(
+                    self.strategy, candidates
+                )
+            except Exception as exc:  # noqa: BLE001 — fail safe: disable nothing
+                self.audit.record(
+                    time_s,
+                    "fallback-sweep-error",
+                    detail=repr(exc),
+                    fail_safe=True,
+                )
+                disabled = []
+            for lid in sorted(disabled):
                 self.log.disabled_by_optimizer += 1
                 self._announce_disable(lid)
-            return result
+            return OptimizerResult(
+                to_disable=set(disabled),
+                kept_active=set(candidates).difference(disabled),
+            )
 
         if breaker is not None:
             breaker.record_success()
-        # Surface the run's search effort instead of dropping it: aggregate
-        # into the controller log and leave a structured audit entry.
-        self.log.optimizer_stats.merge(result.stats)
         self.audit.record(
             time_s,
             "optimizer-run",

@@ -358,7 +358,9 @@ CHECKPOINT_FORMAT = "repro-checkpoint"
 #: transport pickles the rows that hold fault state with their row numbers.
 #: 14: a PathCounter has one (incremental) mode and pickles as (topology,
 #: recorder, stats, told-link-state column), with no mode flag.
-CHECKPOINT_FORMAT_VERSION = 14
+#: 15: a controller holds one ``CorrOptStrategy`` (its counter, fast
+#: checker, optimizer and optimizer stats), not those objects itself.
+CHECKPOINT_FORMAT_VERSION = 15
 
 #: Service-report literals, pinned against :mod:`repro.service.service`.
 SERVICE_REPORT_FORMAT = "repro-service-report"

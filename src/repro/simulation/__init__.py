@@ -7,7 +7,7 @@ simulation; each run kind has one builder over it:
   corruption trace under a strategy + repair model, oracle sensing;
 - :class:`~repro.simulation.chaos.ChaosSimulation` — the same loop with
   the telemetry pipeline in it (``sim.kernel.run()``);
-- strategies: CorrOpt, fast-checker-only, switch-local, none, drain;
+- strategies: the seven of :data:`~repro.simulation.strategies.STRATEGY_NAMES`;
 - :class:`~repro.simulation.metrics.StepSeries` — exact piecewise-constant
   penalty/capacity series;
 - scenario presets for the medium/large DCNs.

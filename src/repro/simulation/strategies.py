@@ -6,7 +6,8 @@ A strategy answers two questions against a live topology:
 - ``on_activation()`` — a link just came back; which previously
   kept-active corrupting links can be disabled now?
 
-Implementations:
+Implementations (the interface and the first two live in
+:mod:`repro.core.controller`, CorrOpt's one decision core):
 
 - :class:`CorrOptStrategy` — fast checker on onset, global optimizer on
   activation (the paper's system);
@@ -30,96 +31,15 @@ import math
 from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from repro.core.constraints import CapacityConstraint
-from repro.core.fast_checker import FastChecker
-from repro.core.optimizer import GlobalOptimizer, OptimizerStats
+from repro.core.controller import (
+    CorrOptStrategy, FastCheckerOnlyStrategy, MitigationStrategy,
+)
 from repro.core.path_counting import PathCounter
 from repro.core.penalty import PenaltyFn, linear_penalty
 from repro.core.switch_local import SwitchLocalChecker
 from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.topology.elements import LinkId
 from repro.topology.graph import Topology
-
-
-class MitigationStrategy:
-    """Interface; see module docstring.
-
-    Strategies that count paths expose their :class:`PathCounter` as
-    ``counter`` so the simulation engine can share it (one incremental DP
-    per run) instead of constructing its own.  Strategies that run the
-    global optimizer accumulate its search statistics in
-    ``optimizer_stats`` (None for strategies that never invoke it).
-    """
-
-    name = "abstract"
-    counter: Optional[PathCounter] = None
-    optimizer_stats: Optional[OptimizerStats] = None
-
-    def on_onset(self, link_id: LinkId) -> bool:
-        """Return True (and disable the link) when it can safely go down."""
-        raise NotImplementedError
-
-    def on_activation(self) -> List[LinkId]:
-        """Re-evaluate after an activation; return newly disabled links."""
-        raise NotImplementedError
-
-
-class CorrOptStrategy(MitigationStrategy):
-    """The full CorrOpt policy (§5.1): fast checker + optimizer."""
-
-    name = "corropt"
-
-    def __init__(
-        self,
-        topo: Topology,
-        constraint: CapacityConstraint,
-        penalty_fn: PenaltyFn = linear_penalty,
-        obs: Recorder = NULL_RECORDER,
-    ):
-        self.topo = topo
-        self.obs = obs
-        self.counter = PathCounter(topo, obs=obs)
-        self.fast_checker = FastChecker(
-            topo, constraint, counter=self.counter, obs=obs
-        )
-        self.optimizer = GlobalOptimizer(
-            topo, constraint, penalty_fn=penalty_fn, counter=self.counter,
-            obs=obs,
-        )
-        self.optimizer_stats = OptimizerStats()
-
-    def on_onset(self, link_id: LinkId) -> bool:
-        return self.fast_checker.check_and_disable(link_id).allowed
-
-    def on_activation(self) -> List[LinkId]:
-        result = self.optimizer.optimize()
-        self.optimizer_stats.merge(result.stats)
-        return sorted(result.to_disable)
-
-
-class FastCheckerOnlyStrategy(MitigationStrategy):
-    """Fast checker everywhere (greedy re-sweep on activation)."""
-
-    name = "fast-checker-only"
-
-    def __init__(
-        self,
-        topo: Topology,
-        constraint: CapacityConstraint,
-        obs: Recorder = NULL_RECORDER,
-    ):
-        self.topo = topo
-        self.obs = obs
-        self.counter = PathCounter(topo, obs=obs)
-        self.fast_checker = FastChecker(
-            topo, constraint, counter=self.counter, obs=obs
-        )
-
-    def on_onset(self, link_id: LinkId) -> bool:
-        return self.fast_checker.check_and_disable(link_id).allowed
-
-    def on_activation(self) -> List[LinkId]:
-        results = self.fast_checker.sweep(self.topo.corrupting_links())
-        return [r.link_id for r in results if r.allowed]
 
 
 class SwitchLocalStrategy(MitigationStrategy):
@@ -266,7 +186,6 @@ class LinkGuardianStrategy(MitigationStrategy):
         max_loss_rate: float = LG_MAX_LOSS_RATE,
     ):
         self.topo = topo
-        self.obs = obs
         self.counter = PathCounter(topo, obs=obs)
         self.max_loss_rate = max_loss_rate
         self.protections = 0
@@ -322,17 +241,14 @@ class LinkGuardianCorrOptStrategy(CorrOptStrategy):
     def on_onset(self, link_id: LinkId) -> bool:
         if self._try_protect(link_id):
             return False
-        return self.fast_checker.check_and_disable(link_id).allowed
+        return super().on_onset(link_id)
 
     def on_activation(self) -> List[LinkId]:
-        candidates = [
+        return super().on_activation([
             lid
             for lid in self.topo.corrupting_links()
             if not self.topo.link(lid).lg_protected
-        ]
-        result = self.optimizer.optimize(candidates)
-        self.optimizer_stats.merge(result.stats)
-        return sorted(result.to_disable)
+        ])
 
 
 class DrainStrategy(CorrOptStrategy):
@@ -353,11 +269,10 @@ class DrainStrategy(CorrOptStrategy):
         return allowed
 
     def on_activation(self) -> List[LinkId]:
-        result = self.optimizer.plan()
-        self.optimizer_stats.merge(result.stats)
-        for lid in result.to_disable:
+        to_drain = sorted(self.plan().to_disable)
+        for lid in to_drain:
             self.topo.drain_link(lid)
-        return sorted(result.to_disable)
+        return to_drain
 
 
 #: Every constructible strategy name, in the paper's presentation order

@@ -33,7 +33,7 @@ def test_schema_literals_pinned_against_service():
         checkpoint.CHECKPOINT_FORMAT_VERSION
         is schema.CHECKPOINT_FORMAT_VERSION
     )
-    assert CHECKPOINT_FORMAT_VERSION == 14
+    assert CHECKPOINT_FORMAT_VERSION == 15
 
 
 def write_sample(path, state=None):
@@ -126,7 +126,7 @@ class TestIntegrity:
         )
         with pytest.raises(
             ValueError,
-            match=rf"unsupported checkpoint version {version} \(expected 14\)",
+            match=rf"unsupported checkpoint version {version} \(expected 15\)",
         ):
             read_checkpoint(path)
         assert validate_checkpoint_file(path) == [
@@ -207,6 +207,12 @@ class TestIntegrity:
         (``_incremental``); the counter has one mode now and pickles
         without it."""
         self._refused_by_version(tmp_path, 13, "1.13.0")
+
+    def test_v14_checkpoint_refused_before_unpickling(self, tmp_path):
+        """Version 14 pickled each controller with its own counter, fast
+        checker and optimizer; a controller holds one ``CorrOptStrategy``
+        now and reaches them through it."""
+        self._refused_by_version(tmp_path, 14, "1.13.0")
 
     def test_truncated_payload_rejected(self, tmp_path):
         path = tmp_path / "c.ckpt"

@@ -26,7 +26,7 @@ _RUNNER_FAULT = (
 )
 _BREAKER = (
     "optimizer failure handling: runs only when the optimizer raises "
-    "(the circuit breaker and its fast-checker fallback)"
+    "(the circuit breaker)"
 )
 _LIVE_COUNTER = (
     "live binding of a path counter to a topology that changes shape or "
@@ -58,7 +58,8 @@ ALLOWED: Dict[str, str] = {
     "core/constraints.py:CapacityConstraint.satisfied_by": _BRUTE_FORCE,
     "core/constraints.py:CapacityConstraint.violations": _BRUTE_FORCE,
     "core/constraints.py:CapacityConstraint.__repr__": _REPR,
-    "core/controller.py:CorrOptController._fallback_sweep": _BREAKER,
+    "core/controller.py:MitigationStrategy.on_onset": _HOOK,
+    "core/controller.py:MitigationStrategy.on_activation": _HOOK,
     "core/path_counting.py:PathCounter.detach": _LIVE_COUNTER,
     "core/path_counting.py:PathCounter._on_structure_change": _LIVE_COUNTER,
     "core/resilience.py:CircuitBreaker.record_failure": _BREAKER,
@@ -102,8 +103,6 @@ ALLOWED: Dict[str, str] = {
     "simulation/kernel.py:SensingPipeline.after_snapshot": _HOOK,
     "simulation/kernel.py:SensingPipeline.finish": _HOOK,
     "simulation/kernel.py:SensingPipeline.result_sections": _HOOK,
-    "simulation/strategies.py:MitigationStrategy.on_onset": _HOOK,
-    "simulation/strategies.py:MitigationStrategy.on_activation": _HOOK,
     "simulation/strategies.py:NoMitigationStrategy.on_activation": (
         "runs when a repaired link returns under the `none` strategy; no "
         "production run repairs a link under it"),
